@@ -45,7 +45,7 @@ from .runio import (
     sha256_hex,
     write_csv,
 )
-from .sweep import config_hash, run_algorithm_a
+from .sweep import config_hash, run_algorithm_a, write_curves
 from .theory import (
     LemmaQInput,
     NoRealRootsError,
@@ -71,7 +71,15 @@ def _resolve_outdir(args_out, cfg_outdir):
 
 def _resolve_workers(cfg_workers):
     env = os.environ.get("EPNLS_WORKERS")
-    return int(env) if env else cfg_workers
+    if not env:
+        return cfg_workers
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"EPNLS_WORKERS must be a positive integer, got {env!r}")
+    return workers
 
 
 # --------------------------------------------------------------------------
@@ -152,13 +160,7 @@ def cmd_sweep(args):
             print(f"numerical failure: {err}", file=sys.stderr)
             return EXIT_NUMERICAL
 
-        hash_dir = os.path.join(outdir, "curves", config_hash(sweep_cfg))
-        for curve in result.curves:
-            write_csv(
-                os.path.join(hash_dir, f"delta={fmt(curve.delta)}.csv"),
-                ["t", "rho"],
-                [(float(t), float(r)) for t, r in zip(curve.times, curve.rho)],
-            )
+        write_curves(outdir, sweep_cfg, result.curves)
         write_csv(
             os.path.join(outdir, "crossings.csv"),
             ["alpha", "delta", "epsilon", "t_cross"],

@@ -30,6 +30,7 @@ from .grid import (
     Field,
     PHYSICAL,
     default_sobolev_index,
+    free_symbol,
     hs_norm_from_fft,
 )
 
@@ -220,7 +221,14 @@ def _nl_magnitude(values, p):
 def nonlinear_phase(values, g, p, dt):
     """Exact flow of i u_t = g |u|^(p-1) u over dt: a pointwise rotation
     that leaves |u| unchanged."""
-    return values * np.exp(-1j * (g * dt) * _nl_magnitude(values, p))
+    out = np.array(values, dtype=np.complex128)
+    _rotate(out, g, p, dt)
+    return out
+
+
+def _rotate(values, g, p, dt):
+    # nonlinear_phase in place on a complex array
+    values *= np.exp(-1j * (g * dt) * _nl_magnitude(values, p))
 
 
 def _check_finite(*arrays, time, step_index):
@@ -289,6 +297,12 @@ def _sample_count(T, spec):
     return int(n)
 
 
+def sample_times(T, step):
+    """The times evolve_ep and evolve_nls record at: 0 and every sample
+    interval up to T, each computed as (index * interval)."""
+    return np.arange(_sample_count(T, step) + 1) * step.sample_interval
+
+
 def _default_sample_times(T, cadence=DEFAULT_SAMPLES_PER_UNIT_TIME):
     n = max(1, round(T * cadence))
     return np.linspace(0.0, T, n + 1)
@@ -296,6 +310,73 @@ def _default_sample_times(T, cadence=DEFAULT_SAMPLES_PER_UNIT_TIME):
 
 # --------------------------------------------------------------------------
 # nonlinear evolutions (Strang splitting)
+
+
+def ep_strang_samples(fields, params, step, n_samples, grid):
+    """The Strang loop of the photon-exciton system, as a stream of samples.
+
+    ``fields`` stacks the photon and exciton fields on its first axis,
+    shape (2, ..., *grid.shape); axes between the field axis and the grid
+    axes are independent batch members.  Each step is a half nonlinear
+    rotation of psi, the exact per-mode 2x2 linear step for (phi_hat,
+    psi_hat) in one forward and one inverse transform of the whole stack,
+    and a half rotation again.  After every sample interval yields
+    (t, fields, spectrum), where ``spectrum`` is the plain FFT the last
+    linear substep produced: spectrum[0] is exactly phi_hat(t) because the
+    closing rotation leaves phi untouched.  The yielded arrays are
+    updated in place once the loop resumes.  Raises SolverBlowupError as
+    soon as a sample is not finite.
+    """
+    axes = tuple(range(-grid.n, 0))
+    per_block = step.steps_per_sample
+    dt = step.dt
+    g, p = params.g, params.p
+    u11, u12, u22 = linear_pair_propagator(grid, params.gamma, params.omega0, dt)
+    fields = np.array(fields, dtype=np.complex128)
+    for block in range(n_samples):
+        _rotate(fields[1], g, p, 0.5 * dt)
+        for j in range(per_block):
+            if j:
+                _rotate(fields[1], g, p, dt)
+            hat = np.fft.fftn(fields, axes=axes)
+            spectrum = np.empty_like(hat)
+            np.multiply(u11, hat[0], out=spectrum[0])
+            spectrum[0] += u12 * hat[1]
+            np.multiply(u22, hat[1], out=spectrum[1])
+            spectrum[1] += u12 * hat[0]
+            del hat
+            fields = np.fft.ifftn(spectrum, axes=axes)
+        _rotate(fields[1], g, p, 0.5 * dt)
+        t = (block + 1) * step.sample_interval
+        _check_finite(fields, time=t, step_index=(block + 1) * per_block)
+        yield t, fields, spectrum
+
+
+def nls_strang_samples(phi, params, step, n_samples, grid):
+    """The Strang loop of NLS (half rotation, exact spectral free step,
+    half rotation), as a stream of samples.  ``phi`` has shape
+    (..., *grid.shape); leading axes are independent batch members.
+    Yields (t, phi) after every sample interval (phi is updated in place
+    once the loop resumes) and raises SolverBlowupError as soon as a
+    sample is not finite."""
+    axes = tuple(range(-grid.n, 0))
+    per_block = step.steps_per_sample
+    dt = step.dt
+    g, p = params.g, params.p
+    kinetic = free_symbol(grid, dt)
+    phi = np.array(phi, dtype=np.complex128)
+    for block in range(n_samples):
+        _rotate(phi, g, p, 0.5 * dt)
+        for j in range(per_block):
+            if j:
+                _rotate(phi, g, p, dt)
+            hat = np.fft.fftn(phi, axes=axes)
+            np.multiply(kinetic, hat, out=hat)
+            phi = np.fft.ifftn(hat, axes=axes)
+        _rotate(phi, g, p, 0.5 * dt)
+        t = (block + 1) * step.sample_interval
+        _check_finite(phi, time=t, step_index=(block + 1) * per_block)
+        yield t, phi
 
 
 def evolve_ep(initial, params, step, T, record=FULL):
@@ -310,31 +391,13 @@ def evolve_ep(initial, params, step, T, record=FULL):
     if initial.time != 0:
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
-    s = params.resolve_s(grid)
-    n_samples = _sample_count(T, step)
-    per_block = step.steps_per_sample
-    dt = step.dt
-    g, p = params.g, params.p
-
-    u11, u12, u22 = linear_pair_propagator(grid, params.gamma, params.omega0, dt)
-    phi = initial.phi.values.copy()
-    psi = initial.psi.values.copy()
-
-    rec = _Recorder(grid, s, record, pair=True)
-    rec.record(0.0, phi, psi)
-    for block in range(n_samples):
-        psi = nonlinear_phase(psi, g, p, 0.5 * dt)
-        for j in range(per_block):
-            if j:
-                psi = nonlinear_phase(psi, g, p, dt)
-            phi_hat = np.fft.fftn(phi)
-            psi_hat = np.fft.fftn(psi)
-            phi = np.fft.ifftn(u11 * phi_hat + u12 * psi_hat)
-            psi = np.fft.ifftn(u12 * phi_hat + u22 * psi_hat)
-        psi = nonlinear_phase(psi, g, p, 0.5 * dt)
-        t = (block + 1) * step.sample_interval
-        _check_finite(phi, psi, time=t, step_index=(block + 1) * per_block)
-        rec.record(t, phi, psi)
+    rec = _Recorder(grid, params.resolve_s(grid), record, pair=True)
+    rec.record(0.0, initial.phi.values, initial.psi.values)
+    fields = np.stack([initial.phi.values, initial.psi.values])
+    for t, fields, _ in ep_strang_samples(
+        fields, params, step, _sample_count(T, step), grid
+    ):
+        rec.record(t, fields[0], fields[1])
     return rec.trajectory()
 
 
@@ -344,26 +407,11 @@ def evolve_nls(phi0, params, step, T, record=FULL):
     if T <= 0:
         raise ValueError("T must be positive")
     grid = phi0.grid
-    s = params.resolve_s(grid)
-    n_samples = _sample_count(T, step)
-    per_block = step.steps_per_sample
-    dt = step.dt
-    g, p = params.g, params.p
-
-    kinetic = np.exp(-1j * grid.k_squared * dt)
-    phi = phi0.values.copy()
-
-    rec = _Recorder(grid, s, record, pair=False)
-    rec.record(0.0, phi)
-    for block in range(n_samples):
-        phi = nonlinear_phase(phi, g, p, 0.5 * dt)
-        for j in range(per_block):
-            if j:
-                phi = nonlinear_phase(phi, g, p, dt)
-            phi = np.fft.ifftn(kinetic * np.fft.fftn(phi))
-        phi = nonlinear_phase(phi, g, p, 0.5 * dt)
-        t = (block + 1) * step.sample_interval
-        _check_finite(phi, time=t, step_index=(block + 1) * per_block)
+    rec = _Recorder(grid, params.resolve_s(grid), record, pair=False)
+    rec.record(0.0, phi0.values)
+    for t, phi in nls_strang_samples(
+        phi0.values, params, step, _sample_count(T, step), grid
+    ):
         rec.record(t, phi)
     return rec.trajectory()
 
@@ -426,24 +474,48 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
 
     grid = phi0.grid
     s = params.resolve_s(grid)
-    gamma, omega0 = params.gamma, params.omega0
     phi0_hat = np.fft.fftn(phi0.values)
-    gap = omega0 - grid.k_squared
-    resonant = np.abs(gap) < _RESONANCE_GAP
-    gap_safe = np.where(resonant, 1.0, gap)
 
     rec = _Recorder(grid, s, record, pair=True)
     for t in times:
-        theta = gap * t
-        ramp = np.where(
-            resonant,
-            t * (1.0 + 0.5j * theta - theta**2 / 6.0),
-            (np.exp(1j * gap_safe * t) - 1.0) / (1j * gap_safe),
-        )
-        phi = np.fft.ifftn(np.exp(-1j * grid.k_squared * t) * phi0_hat)
-        psi = np.fft.ifftn(-1j * gamma * np.exp(-1j * omega0 * t) * ramp * phi0_hat)
+        a_phi, a_psi = system_a_symbols(grid, params, t)
+        phi = np.fft.ifftn(a_phi * phi0_hat)
+        psi = np.fft.ifftn(a_psi * phi0_hat)
         rec.record(t, phi, psi)
     return rec.trajectory()
+
+
+def system_a_symbols(grid, params, t):
+    """Per-mode multipliers (A_phi, A_psi) taking phi_hat(0) to the
+    system-A photon and exciton spectra at time t (exciton starting at 0)."""
+    gap = params.omega0 - grid.k_squared
+    resonant = np.abs(gap) < _RESONANCE_GAP
+    gap_safe = np.where(resonant, 1.0, gap)
+    theta = gap * t
+    ramp = np.where(
+        resonant,
+        t * (1.0 + 0.5j * theta - theta**2 / 6.0),
+        (np.exp(1j * gap_safe * t) - 1.0) / (1j * gap_safe),
+    )
+    a_psi = -1j * params.gamma * np.exp(-1j * params.omega0 * t) * ramp
+    return free_symbol(grid, t), a_psi
+
+
+def composite_symbol(grid, params, t1):
+    """Function of t giving the per-mode multiplier that takes phi_hat(0)
+    to the photon spectrum of the composite comparator: system A up to
+    t1, then system B from the system-A fields at t1."""
+    a_phi, a_psi = system_a_symbols(grid, params, t1)
+
+    def symbol(t):
+        if t <= t1:
+            return free_symbol(grid, t)
+        u11, u12, _ = linear_pair_propagator(
+            grid, params.gamma, params.omega0, t - t1
+        )
+        return u11 * a_phi + u12 * a_psi
+
+    return symbol
 
 
 def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, record=FULL):

@@ -225,5 +225,10 @@ def free_propagate(field, t):
     if field.rep != PHYSICAL:
         raise ValueError("free_propagate expects a physical-space field")
     hat = np.fft.fftn(field.values)
-    hat *= np.exp(-1j * grid.k_squared * t)
+    hat *= free_symbol(grid, t)
     return Field(grid, np.fft.ifftn(hat), PHYSICAL)
+
+
+def free_symbol(grid, t):
+    """Per-mode multiplier exp(-i |k|^2 t) of the free propagator."""
+    return np.exp(-1j * grid.k_squared * t)

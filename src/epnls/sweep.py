@@ -20,19 +20,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .evolution import (
-    FULL,
     ErrorCurve,
     ModelParams,
     StepSpec,
-    Trajectory,
-    evolve_composite_tilde,
-    evolve_ep,
-    evolve_linear_b,
-    evolve_nls,
-    relative_error_curve,
-    zero_state,
+    composite_symbol,
+    ep_strang_samples,
+    linear_pair_propagator,
+    nls_strang_samples,
+    sample_times,
 )
-from .grid import DEFAULT_MAX_POINTS, free_propagate, gaussian_initial, make_grid
+from .grid import DEFAULT_MAX_POINTS, free_symbol, gaussian_initial, make_grid
 from .runio import atomic_write_text, fmt, read_curve_csv, sha256_hex
 from .theory import EXACT, beta_predict
 
@@ -51,6 +48,18 @@ _MODEL_DEFAULTS = {
 
 DEFAULT_ALPHAS = (0.0, 0.1, 0.2, 0.3)
 DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
+
+# Part of every cache key; bumped whenever the bits of a computed curve
+# change, so a cache never serves curves an older solver wrote.
+SOLVER_REVISION = 2
+
+# Complex grid-sized arrays one batch member keeps alive at the peak of
+# a step or sample: its initial field and spectrum twice over (per member
+# and per curve), plus EP's stacked fields, their spectrum and the next
+# spectrum (2 each) and a product temporary, or NLS's field, spectrum,
+# stepped field and rotation temporaries.  The max_points guard bounds
+# batch x grid x this.
+_ARRAYS_PER_MEMBER = {EP: 10, NLS: 7}
 
 
 class NoCrossingError(RuntimeError):
@@ -157,6 +166,7 @@ def physics_signature(config):
         f"dt={fmt(c.dt)}",
         f"spu={c.samples_per_unit_time}",
         f"comparator={c.comparator}",
+        f"solver={SOLVER_REVISION}",
     ]
     if c.comparator == COMPARATOR_COMPOSITE:
         parts.append(f"c1={fmt(c.c1)}")
@@ -205,43 +215,124 @@ class AlgorithmAResult:
 # curve simulation
 
 
-def _linear_nls_trajectory(phi0, sample_times, s):
-    phis = [free_propagate(phi0, t) for t in sample_times]
-    return Trajectory(times=np.asarray(sample_times), policy=FULL, s=s, phi=phis)
+def _comparator_symbol(c, grid, params, epsilon_comp):
+    """Function of t giving the per-mode multiplier M(t) with
+    comparator_hat(t) = M(t) * phi_hat(0): every comparator is linear in
+    the initial photon spectrum (the exciton starts at zero)."""
+    if c.comparator == COMPARATOR_LINEAR_NLS:
+        return lambda t: free_symbol(grid, t)
+    if c.comparator == COMPARATOR_SYSTEM_B:
+        return lambda t: linear_pair_propagator(grid, c.gamma, c.omega0, t)[0]
+    if epsilon_comp is None or c.c1 < 0:
+        raise ValueError(
+            "the composite comparator needs c1 >= 0 and a comparator epsilon"
+        )
+    t1 = c.c1 * np.sqrt(epsilon_comp)
+    if t1 > c.T:
+        raise ValueError(f"A-phase end t1 = {t1:.6g} exceeds the horizon T = {c.T}")
+    return composite_symbol(grid, params, t1)
+
+
+def _solver_step(c):
+    return StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time)
+
+
+def _curve_batch(c, specs):
+    """Error curves of the (delta, eps_comp) specs of a resolved config,
+    with every distinct delta stepped at once on a leading batch axis.
+
+    At each sample the comparator spectrum is one closed-form multiplier
+    per eps_comp times each member's phi_hat(0), the truth spectrum is the
+    one the solver has in hand (EP: its last linear substep; NLS: one
+    batched transform), and rho[spec, sample] is filled in place.  No
+    state is recorded, so memory is O(batch x grid).  Every operation acts
+    on each batch row alone, so a curve's bits do not depend on the rest
+    of its batch.
+    """
+    grid = make_grid(c.n, c.N, c.L, max_points=c.max_points)
+    params = ModelParams(g=c.g, gamma=c.gamma, omega0=c.omega0, p=c.p, s=c.s)
+    step = _solver_step(c)
+    times = sample_times(c.T, step)
+    deltas = list(dict.fromkeys(d for d, _ in specs))
+    comps = list(dict.fromkeys(e for _, e in specs))
+    member = [deltas.index(d) for d, _ in specs]
+    comp_of = [comps.index(e) for _, e in specs]
+    symbols = [_comparator_symbol(c, grid, params, e) for e in comps]
+
+    axes = tuple(range(-grid.n, 0))
+    phi0 = np.stack([gaussian_initial(grid, d).values for d in deltas])
+    phi0_hat = np.fft.fftn(phi0, axes=axes)
+    curve_phi0_hat = phi0_hat[member]
+    weight = (1.0 + grid.k_squared) ** c.s if c.s != 0 else 1.0
+    scale = grid.cell_volume**2 / grid.box_volume
+    rho = np.empty((len(specs), len(times)))
+
+    def hs_norms(hat):
+        # hs_norm_from_fft of each row
+        sq = weight * np.abs(hat) ** 2
+        return np.sqrt(np.sum(sq.reshape(len(hat), -1), axis=1) * scale)
+
+    def measure(i, truth_hat):
+        den = hs_norms(truth_hat)
+        if np.any(den < 1e-300):
+            raise ZeroDivisionError(f"truth norm underflow at t = {times[i]:.6g}")
+        diff = np.stack([sym(times[i]) for sym in symbols])[comp_of]
+        diff *= curve_phi0_hat
+        diff -= truth_hat[member]
+        rho[:, i] = hs_norms(diff) / den[member]
+
+    measure(0, phi0_hat)
+    if c.model == EP:
+        fields = np.stack([phi0, np.zeros_like(phi0)])
+        stream = ep_strang_samples(fields, params, step, len(times) - 1, grid)
+        for i, (_, _, spectrum) in enumerate(stream, 1):
+            measure(i, spectrum[0])
+    else:
+        stream = nls_strang_samples(phi0, params, step, len(times) - 1, grid)
+        for i, (_, phi) in enumerate(stream, 1):
+            measure(i, np.fft.fftn(phi, axes=axes))
+    return [
+        ErrorCurve(delta=d, times=times.copy(), rho=rho[j])
+        for j, (d, _) in enumerate(specs)
+    ]
 
 
 def compute_error_curve(config, delta, epsilon_comp=None):
     """Simulate one nonlinear/comparator pair from phi(0) = delta * phi0
     (phi0 the unit Gaussian) and return rho(t; delta)."""
     c = config.resolved()
-    grid = make_grid(c.n, c.N, c.L, max_points=c.max_points)
-    params = ModelParams(g=c.g, gamma=c.gamma, omega0=c.omega0, p=c.p, s=c.s)
-    step = StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time)
-    phi0 = gaussian_initial(grid, delta)
-
-    if c.model == EP:
-        truth = evolve_ep(zero_state(phi0), params, step, c.T)
-        if c.comparator == COMPARATOR_COMPOSITE:
-            comp = evolve_composite_tilde(
-                phi0, params, c.c1, epsilon_comp, c.T, sample_times=truth.times
-            )
-        else:
-            comp = evolve_linear_b(
-                zero_state(phi0), params, sample_times=truth.times
-            )
-    else:
-        truth = evolve_nls(phi0, params, step, c.T)
-        comp = _linear_nls_trajectory(phi0, truth.times, c.s)
-    return relative_error_curve(comp, truth, c.s, delta=delta)
+    if c.comparator != COMPARATOR_COMPOSITE:
+        epsilon_comp = None
+    return _curve_batch(c, [(delta, epsilon_comp)])[0]
 
 
-def _curve_cache_path(config, delta, epsilon_comp):
+def _by_delta(specs):
+    groups = {}
+    for spec in specs:
+        groups.setdefault(spec[0], []).append(spec)
+    return list(groups.values())
+
+
+def _compute_curves(c, specs):
+    """{spec: curve}, in batches of as many distinct amplitudes as the
+    max_points guard admits (specs sharing a delta share a batch)."""
+    groups = _by_delta(specs)
+    size = max(1, c.max_points // (c.N**c.n * _ARRAYS_PER_MEMBER[c.model]))
+    curves = {}
+    for i in range(0, len(groups), size):
+        chunk = [spec for group in groups[i : i + size] for spec in group]
+        curves.update(zip(chunk, _curve_batch(c, chunk)))
+    return curves
+
+
+def curve_path(root, config, delta, epsilon_comp=None):
+    """Where a curve lives under an output or cache directory:
+    curves/<config hash>/delta=<v>.csv, with __eps=<e> before the suffix
+    for a composite comparator's per-epsilon curves."""
     name = f"delta={fmt(delta)}"
     if epsilon_comp is not None:
         name += f"__eps={fmt(epsilon_comp)}"
-    return os.path.join(
-        config.cache_dir, "curves", config_hash(config), name + ".csv"
-    )
+    return os.path.join(root, "curves", config_hash(config), name + ".csv")
 
 
 def _curve_to_csv(curve):
@@ -251,16 +342,32 @@ def _curve_to_csv(curve):
     return "\n".join(lines) + "\n"
 
 
-def _curve_job(config, delta, epsilon_comp):
-    if config.cache_dir:
-        path = _curve_cache_path(config, delta, epsilon_comp)
-        if os.path.exists(path):
-            times, rho = read_curve_csv(path)
-            return ErrorCurve(delta=delta, times=times, rho=rho)
-        curve = compute_error_curve(config, delta, epsilon_comp)
-        atomic_write_text(path, _curve_to_csv(curve))
-        return curve
-    return compute_error_curve(config, delta, epsilon_comp)
+def write_curves(root, config, curves, specs=None):
+    """Write each curve as a t,rho CSV at its curve_path under root;
+    ``specs`` (default: all of curve_specs) are the curves' (delta,
+    eps_comp) pairs, in order."""
+    specs = curve_specs(config) if specs is None else specs
+    for (delta, epsilon_comp), curve in zip(specs, curves):
+        atomic_write_text(
+            curve_path(root, config, delta, epsilon_comp), _curve_to_csv(curve)
+        )
+
+
+def _read_cached(path, delta, times):
+    """The curve cached at path, or None if it is missing, unreadable,
+    sampled on another grid than ``times``, or not finite."""
+    if not os.path.exists(path):
+        return None
+    try:
+        t, rho = read_curve_csv(path)
+    except (OSError, ValueError, StopIteration):
+        return None
+    t, rho = np.asarray(t), np.asarray(rho)
+    if t.shape != rho.shape or not np.array_equal(t, times):
+        return None
+    if not np.all(np.isfinite(rho)):
+        return None
+    return ErrorCurve(delta=delta, times=t, rho=rho)
 
 
 def curve_specs(config):
@@ -282,19 +389,32 @@ def curve_specs(config):
 
 
 def run_error_curves(config):
-    """All error curves the sweep needs, one per distinct amplitude,
-    computed in a worker pool when config.workers > 1 and aggregated in
-    deterministic (descending delta) order."""
-    specs = curve_specs(config)
-    if config.workers > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_curve_job, config, d, e) for d, e in specs
-            ]
-            curves = [f.result() for f in futures]
-    else:
-        curves = [_curve_job(config, d, e) for d, e in specs]
-    return curves
+    """All error curves the sweep needs, one per curve_specs entry and in
+    its (descending delta) order.  Valid cached curves are read back; the
+    misses are computed together and cached.  With config.workers > 1
+    the misses are dealt to that many processes in interleaved batches."""
+    c = config.resolved()
+    specs = curve_specs(c)
+    curves = {}
+    if c.cache_dir:
+        times = sample_times(c.T, _solver_step(c))
+        for spec in specs:
+            curve = _read_cached(curve_path(c.cache_dir, c, *spec), spec[0], times)
+            if curve is not None:
+                curves[spec] = curve
+    misses = [spec for spec in specs if spec not in curves]
+    groups = _by_delta(misses)
+    lanes = min(c.workers, len(groups))
+    if lanes > 1:
+        batches = [[s for g in groups[i::lanes] for s in g] for i in range(lanes)]
+        with ProcessPoolExecutor(max_workers=lanes) as pool:
+            for part in pool.map(_compute_curves, [c] * lanes, batches):
+                curves.update(part)
+    elif misses:
+        curves.update(_compute_curves(c, misses))
+    if c.cache_dir:
+        write_curves(c.cache_dir, c, [curves[s] for s in misses], misses)
+    return [curves[s] for s in specs]
 
 
 # --------------------------------------------------------------------------

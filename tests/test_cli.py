@@ -147,6 +147,28 @@ def test_sweep_outputs_and_manifest(tmp_path, capsys):
     assert listed == on_disk
 
 
+def test_composite_sweep_writes_one_curve_file_per_epsilon(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "[grid]\nN = 64\n[sweep]\nalphas = 0\nepsilons = 1e-2,3e-3,1e-3\n"
+        "comparator = composite\nc1 = 1\n[solver]\nT = 1.5\n",
+    )
+    out = tmp_path / "composite"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    names = sorted(p.name for p in (out / "curves").rglob("*.csv"))
+    assert names == [
+        f"delta=1__eps={e}.csv" for e in ("0.001", "0.0030000000000000001", "0.01")
+    ]
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "0"])
+def test_sweep_bad_workers_env_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    cfg = write_cfg(tmp_path, FAST_SWEEP_INI)
+    monkeypatch.setenv("EPNLS_WORKERS", value)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "EPNLS_WORKERS" in capsys.readouterr().err
+
+
 def test_sweep_horizon_too_short_is_incomplete(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

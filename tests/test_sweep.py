@@ -1,20 +1,38 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from epnls.evolution import ErrorCurve
+import epnls.sweep
+from epnls.evolution import (
+    ErrorCurve,
+    ModelParams,
+    StepSpec,
+    Trajectory,
+    evolve_composite_tilde,
+    evolve_ep,
+    evolve_linear_b,
+    evolve_nls,
+    relative_error_curve,
+    zero_state,
+)
+from epnls.grid import free_propagate, gaussian_initial, make_grid
 from epnls.sweep import (
+    SOLVER_REVISION,
     AlgorithmAResult,
     CrossingRecord,
     NoCrossingError,
     SweepConfig,
     compute_error_curve,
     config_hash,
+    curve_path,
     curve_specs,
     find_crossing,
     physics_signature,
     regress_loglog,
     run_algorithm_a,
     run_error_curves,
+    write_curves,
     _curve_to_csv,
 )
 
@@ -268,3 +286,143 @@ def test_nls_meta_fit_small():
         assert b.beta == pytest.approx(1.0 - 2.0 * b.alpha, abs=0.02)
     assert res.theory_slope == -2.0
     assert res.theory_intercept == 1.0
+
+
+# ---------------------------------------------------------------- engine
+
+# four curves from four distinct amplitudes
+FOUR_CURVES = dict(model="ep", N=64, T=1.0, alpha_set=(0.0, 0.2),
+                   epsilon_set=(1e-2, 3e-3, 1e-3))
+
+
+def _bits(curves):
+    return [(c.delta, c.times.tobytes(), c.rho.tobytes()) for c in curves]
+
+
+def _reference_curve(cfg, delta, epsilon_comp=None):
+    """rho(t) the slow way: full-state trajectories of the truth and the
+    comparator, diffed in physical space."""
+    c = cfg.resolved()
+    grid = make_grid(c.n, c.N, c.L)
+    params = ModelParams(g=c.g, gamma=c.gamma, omega0=c.omega0, p=c.p, s=c.s)
+    step = StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time)
+    phi0 = gaussian_initial(grid, delta)
+    if c.model == "nls":
+        truth = evolve_nls(phi0, params, step, c.T)
+        comp = Trajectory(times=truth.times, policy="full", s=c.s,
+                          phi=[free_propagate(phi0, t) for t in truth.times])
+    else:
+        truth = evolve_ep(zero_state(phi0), params, step, c.T)
+        if c.comparator == "composite":
+            comp = evolve_composite_tilde(phi0, params, c.c1, epsilon_comp, c.T,
+                                          sample_times=truth.times)
+        else:
+            comp = evolve_linear_b(zero_state(phi0), params,
+                                   sample_times=truth.times)
+    return relative_error_curve(comp, truth, c.s, delta=delta)
+
+
+@pytest.mark.parametrize("kw, delta, eps_comp", [
+    (dict(model="ep", N=64, T=1.0), 0.5, None),
+    (dict(model="ep", n=2, N=16, L=6.0, T=1.0, dt=1e-2, comparator="composite",
+          c1=1.0), 1.0, 4e-2),
+    (dict(model="nls", N=64, T=0.02, dt=1e-4, samples_per_unit_time=1000),
+     0.7, None),
+])
+def test_engine_matches_full_state_reference(kw, delta, eps_comp):
+    cfg = SweepConfig(**kw)
+    fast = compute_error_curve(cfg, delta, eps_comp)
+    slow = _reference_curve(cfg, delta, eps_comp)
+    assert np.array_equal(fast.times, slow.times)
+    assert fast.rho[0] == 0.0
+    # the reference diffs physical fields whose rounding is ~1e-16 of
+    # their norm, i.e. ~1e-16/rho of rho: compare where that is < 1e-10
+    visible = slow.rho > 1e-6
+    assert visible.sum() > len(slow.rho) // 2
+    rel = np.abs(fast.rho[visible] - slow.rho[visible]) / slow.rho[visible]
+    assert np.max(rel) < 1e-9
+
+
+@pytest.mark.parametrize("comparator, n_curves", [("systemB", 4), ("composite", 6)])
+def test_curve_bits_do_not_depend_on_the_batch(tmp_path, comparator, n_curves):
+    # composite: delta = 1 serves three comparator epsilons in one batch
+    kw = dict(FOUR_CURVES, comparator=comparator, c1=0.5)
+    cfg = SweepConfig(**kw)
+    specs = curve_specs(cfg)
+    alone = [compute_error_curve(cfg, d, e) for d, e in specs]
+    full = run_error_curves(cfg)
+    pooled = run_error_curves(SweepConfig(**kw, workers=2))
+    # half-warm cache: every other curve cached, the rest computed together
+    cached = SweepConfig(**kw, cache_dir=str(tmp_path))
+    write_curves(str(tmp_path), cached, alone[::2], specs[::2])
+    half_warm = run_error_curves(cached)
+    assert len(alone) == n_curves
+    for curves in (full, pooled, half_warm):
+        assert _bits(curves) == _bits(alone)
+
+
+def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
+    whole = run_error_curves(SweepConfig(**FOUR_CURVES))
+    sizes = []
+    batch = epnls.sweep._curve_batch
+
+    def spy(c, specs):
+        sizes.append(len(specs))
+        return batch(c, specs)
+
+    monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
+    per_member = 64 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    split = run_error_curves(SweepConfig(**FOUR_CURVES, max_points=3 * per_member))
+    assert sizes == [3, 1]
+    assert _bits(split) == _bits(whole)
+
+
+@pytest.mark.parametrize("model, steps, samples", [("ep", 200, 201), ("nls", 100, 101)])
+def test_fft_calls_per_step_and_sample(monkeypatch, model, steps, samples):
+    import numpy.fft
+
+    calls = []
+    for name in ("fftn", "ifftn"):
+        orig = getattr(numpy.fft, name)
+
+        def counted(*args, _orig=orig, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(numpy.fft, name, counted)
+    if model == "ep":
+        cfg = SweepConfig(model="ep", N=32, dt=1e-2, alpha_set=(0.0, 0.1),
+                          epsilon_set=(1e-2, 3e-3, 1e-3))
+    else:
+        cfg = SweepConfig(model="nls", N=32, T=0.01, dt=1e-4,
+                          samples_per_unit_time=10000, alpha_set=(0.0, 0.1),
+                          epsilon_set=(1e-2, 3e-3, 1e-3))
+    curves = run_error_curves(cfg)
+    assert len(curves) == 4 and len(curves[0].times) == samples
+    # one transform of the initial fields, then 2 per step for the whole
+    # batch; EP spends none per sample, NLS one per sample
+    per_sample = 0 if model == "ep" else 1
+    assert len(calls) == 1 + 2 * steps + per_sample * (samples - 1)
+
+
+def test_signature_carries_the_solver_revision():
+    assert f"solver={SOLVER_REVISION}" in physics_signature(SweepConfig(**FAST_EP))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda lines: [lines[0], lines[1], "0.0125," + lines[2].split(",")[1]] + lines[3:],
+    lambda lines: lines[:3] + [lines[3].split(",")[0] + ",nan"] + lines[4:],
+    lambda lines: lines[:-5],
+    lambda lines: lines[:2] + ["garbage"] + lines[3:],
+    lambda lines: [],
+], ids=["shifted-time", "nan-rho", "truncated", "garbage-row", "empty"])
+def test_invalid_cached_curve_is_recomputed(tmp_path, corrupt):
+    cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
+    (cold,) = run_error_curves(cfg)
+    path = Path(curve_path(str(tmp_path), cfg.resolved(), 1.0))
+    blob = path.read_text()
+    bad = corrupt(blob.splitlines())
+    path.write_text("\n".join(bad) + ("\n" if bad else ""))
+    (again,) = run_error_curves(cfg)
+    assert _bits([again]) == _bits([cold])
+    assert path.read_text() == blob  # the cache is mended too
