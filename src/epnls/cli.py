@@ -13,11 +13,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, cache_key, parse_config, serialize_config
+from .config import ConfigError, parse_config, serialize_config
 from .evolution import (
     EPState,
     ModelParams,
@@ -45,7 +46,7 @@ from .runio import (
     sha256_hex,
     write_csv,
 )
-from .sweep import config_hash, run_algorithm_a, write_curves
+from .sweep import config_hash, run_algorithm_a, solver_setup, write_curves
 from .theory import (
     LemmaQInput,
     NoRealRootsError,
@@ -69,16 +70,19 @@ def _resolve_outdir(args_out, cfg_outdir):
     return os.environ.get("EPNLS_OUTDIR") or args_out or cfg_outdir
 
 
-def _resolve_workers(cfg_workers):
-    env = os.environ.get("EPNLS_WORKERS")
-    if not env:
+def _resolve_workers(flag, cfg_workers):
+    """--workers, else EPNLS_WORKERS, else the config's worker count."""
+    name, raw = "--workers", flag
+    if flag is None:
+        name, raw = "EPNLS_WORKERS", os.environ.get("EPNLS_WORKERS")
+    if raw is None or raw == "":
         return cfg_workers
     try:
-        workers = int(env)
+        workers = int(raw)
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ConfigError(f"EPNLS_WORKERS must be a positive integer, got {env!r}")
+        raise ConfigError(f"{name} must be a positive integer, got {raw!r}")
     return workers
 
 
@@ -93,9 +97,7 @@ def cmd_simulate(args):
     delta = 1.0 if args.delta is None else args.delta
     outdir = _resolve_outdir(args.out, cfg.outdir)
 
-    grid = make_grid(cfg.n, cfg.N, cfg.L, max_points=cfg.max_points)
-    params = ModelParams(g=cfg.g, gamma=cfg.gamma, omega0=cfg.omega0, p=cfg.p, s=cfg.s)
-    step = StepSpec(dt=cfg.dt, samples_per_unit_time=cfg.samples_per_unit_time)
+    grid, params, step = solver_setup(cfg)
     phi0 = gaussian_initial(grid, delta)
 
     # advisory only: the contraction argument guarantees existence up to
@@ -110,7 +112,7 @@ def cmd_simulate(args):
         )
 
     with OutputLock(outdir):
-        manifest = ManifestBuilder(outdir, cache_key(cfg, delta), __version__)
+        manifest = ManifestBuilder(outdir, config_hash(cfg), __version__)
         atomic_write_text(os.path.join(outdir, "config.ini"), serialize_config(cfg))
         try:
             if cfg.model == "ep":
@@ -122,14 +124,16 @@ def cmd_simulate(args):
                 rows = zip(traj.times, traj.norm_phi, traj.mass)
                 header = ["t", "norm_phi", "mass"]
         except SolverBlowupError as err:
-            manifest.add_job("simulate", "failed", str(err))
+            manifest.add_job("simulate", "failed", f"delta={fmt(delta)}: {err}")
             manifest.write()
             print(f"numerical failure: {err}", file=sys.stderr)
             return EXIT_NUMERICAL
         write_csv(os.path.join(outdir, "trajectory.csv"), header,
                   [tuple(float(v) for v in row) for row in rows])
         drift = float(np.max(np.abs(traj.mass - traj.mass[0])) / traj.mass[0])
-        manifest.add_job("simulate", "ok", f"mass drift {drift:.3e}")
+        manifest.add_job(
+            "simulate", "ok", f"delta={fmt(delta)}, mass drift {drift:.3e}"
+        )
         manifest.write()
     print(f"trajectory written to {outdir}/trajectory.csv (mass drift {drift:.3e})")
     return EXIT_OK
@@ -141,26 +145,22 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     cfg = parse_config(args.config)
+    config_text = serialize_config(cfg)
     outdir = _resolve_outdir(args.out, cfg.outdir)
-    workers = args.workers or _resolve_workers(cfg.workers)
-    sweep_cfg = cfg.to_sweep_config()
-    if workers != sweep_cfg.workers:
-        from dataclasses import replace
-
-        sweep_cfg = replace(sweep_cfg, workers=workers)
+    cfg = replace(cfg, workers=_resolve_workers(args.workers, cfg.workers))
 
     with OutputLock(outdir):
-        manifest = ManifestBuilder(outdir, config_hash(sweep_cfg), __version__)
-        atomic_write_text(os.path.join(outdir, "config.ini"), serialize_config(cfg))
+        manifest = ManifestBuilder(outdir, config_hash(cfg), __version__)
+        atomic_write_text(os.path.join(outdir, "config.ini"), config_text)
         try:
-            result = run_algorithm_a(sweep_cfg)
-        except SolverBlowupError as err:
+            result = run_algorithm_a(cfg)
+        except (SolverBlowupError, ZeroDivisionError) as err:
             manifest.add_job("sweep", "failed", str(err))
             manifest.write()
             print(f"numerical failure: {err}", file=sys.stderr)
             return EXIT_NUMERICAL
 
-        write_curves(outdir, sweep_cfg, result.curves)
+        write_curves(outdir, cfg, result.curves)
         write_csv(
             os.path.join(outdir, "crossings.csv"),
             ["alpha", "delta", "epsilon", "t_cross"],
@@ -173,8 +173,8 @@ def cmd_sweep(args):
              for b in result.betas],
         )
         summary = {
-            "config_hash": config_hash(sweep_cfg),
-            "config": serialize_config(cfg),
+            "config_hash": config_hash(cfg),
+            "config": config_text,
             "tool_version": __version__,
             "meta_fit": {
                 "slope": result.meta_slope,
@@ -189,10 +189,9 @@ def cmd_sweep(args):
                  "r_squared": b.r_squared, "npoints": b.npoints}
                 for b in result.betas
             ],
-            "solver": {"T": sweep_cfg.resolved().T, "dt": sweep_cfg.resolved().dt,
-                       "samples_per_unit_time":
-                           sweep_cfg.resolved().samples_per_unit_time,
-                       "comparator": sweep_cfg.resolved().comparator},
+            "solver": {"T": cfg.T, "dt": cfg.dt,
+                       "samples_per_unit_time": cfg.samples_per_unit_time,
+                       "comparator": cfg.comparator},
             "failures": result.failures,
         }
         atomic_write_text(

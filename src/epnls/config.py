@@ -1,24 +1,23 @@
-"""Declarative run configuration: a small INI dialect with sections
-[grid], [physics], [sweep], [solver], [output].
+"""INI codec for SweepConfig: a small dialect with sections [grid],
+[physics], [sweep], [solver], [output].
 
-Every key has a documented default; unknown sections or keys are
-rejected.  Parsing resolves all 'auto' values immediately, so a parsed
-config serializes to a fully explicit canonical document and
-parse -> serialize -> parse is the identity.  The canonical form of the
-physics/numerics fields (output paths and worker counts excluded) feeds
-the curve cache hash.
+A parsed config is a SweepConfig.  Most keys carry their field's name;
+three do not: [sweep] alphas -> alpha_set, [sweep] epsilons ->
+epsilon_set and [output] dir -> outdir.  An absent key keeps the
+field's default, and the keys that accept 'auto' (s, epsilons,
+comparator, T, dt, samples_per_unit_time) take the model's default
+for it.  Unknown sections or keys are rejected, and SweepConfig's own
+validation errors surface as ConfigError.  serialize_config writes
+every key explicitly, so parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
 
-import numpy as np
-
-from .runio import fmt, sha256_hex
-from .sweep import SweepConfig, physics_signature
+from .runio import fmt
+from .sweep import SweepConfig
 
 AUTO = "auto"
 
@@ -28,90 +27,48 @@ class ConfigError(ValueError):
     offending key and constraint."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run settings (no 'auto' placeholders survive parse)."""
-
-    # [grid]
-    n: int = 1
-    N: int = 256
-    L: float = 10.0
-    max_points: int = 2**24
-    # [physics]
-    model: str = "ep"
-    p: float = 3.0
-    g: float = 1.0
-    gamma: float = 1.0
-    omega0: float = 1.0
-    s: float = 1.0
-    # [sweep]
-    alphas: tuple = (0.0, 0.1, 0.2, 0.3)
-    epsilons: tuple = tuple(np.logspace(-2.0, -3.0, 6))
-    comparator: str = "systemB"
-    c1: float = 0.0
-    epsilon_floor: float = 1e-6
-    # [solver]
-    T: float = 2.0
-    dt: float = 1e-3
-    samples_per_unit_time: int = 100
-    workers: int = 1
-    # [output]
-    outdir: str = "runs"
-    cache_dir: str = ""
-
-    def to_sweep_config(self):
-        return SweepConfig(
-            model=self.model,
-            n=self.n,
-            N=self.N,
-            L=self.L,
-            p=self.p,
-            g=self.g,
-            gamma=self.gamma,
-            omega0=self.omega0,
-            s=self.s,
-            alpha_set=self.alphas,
-            epsilon_set=self.epsilons,
-            T=self.T,
-            dt=self.dt,
-            samples_per_unit_time=self.samples_per_unit_time,
-            comparator=self.comparator,
-            c1=self.c1,
-            epsilon_floor=self.epsilon_floor,
-            workers=self.workers,
-            cache_dir=self.cache_dir or None,
-            max_points=self.max_points,
-        )
-
-
-_SCHEMA = {
-    "grid": ("n", "N", "L", "max_points"),
-    "physics": ("model", "p", "g", "gamma", "omega0", "s"),
-    "sweep": ("alphas", "epsilons", "comparator", "c1", "epsilon_floor"),
-    "solver": ("T", "dt", "samples_per_unit_time", "workers"),
-    "output": ("dir", "cache_dir"),
-}
-
-
-def _float_list(text, key):
-    try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated list of reals") from None
+def _reals(text):
+    values = tuple(float(v) for v in text.split(",") if v.strip())
     if not values:
-        raise ConfigError(f"{key} must not be empty")
+        raise ValueError(text)
     return values
 
 
-def _get(cp, section, key, fallback):
-    if cp.has_section(section) and cp.has_option(section, key):
-        return cp.get(section, key).strip()
-    return fallback
+def _reals_text(values):
+    return ",".join(fmt(v) for v in values)
+
+
+# (section, INI key, SweepConfig field, parse, format, accepts 'auto'),
+# in the order serialize_config writes them
+_KEYS = (
+    ("grid", "n", "n", int, str, False),
+    ("grid", "N", "N", int, str, False),
+    ("grid", "L", "L", float, fmt, False),
+    ("grid", "max_points", "max_points", int, str, False),
+    ("physics", "model", "model", str.lower, str, False),
+    ("physics", "p", "p", float, fmt, False),
+    ("physics", "g", "g", float, fmt, False),
+    ("physics", "gamma", "gamma", float, fmt, False),
+    ("physics", "omega0", "omega0", float, fmt, False),
+    ("physics", "s", "s", float, fmt, True),
+    ("sweep", "alphas", "alpha_set", _reals, _reals_text, False),
+    ("sweep", "epsilons", "epsilon_set", _reals, _reals_text, True),
+    ("sweep", "comparator", "comparator", str, str, True),
+    ("sweep", "c1", "c1", float, fmt, False),
+    ("sweep", "epsilon_floor", "epsilon_floor", float, fmt, False),
+    ("solver", "T", "T", float, fmt, True),
+    ("solver", "dt", "dt", float, fmt, True),
+    ("solver", "samples_per_unit_time", "samples_per_unit_time", int, str, True),
+    ("solver", "workers", "workers", int, str, False),
+    ("output", "dir", "outdir", str, str, False),
+    ("output", "cache_dir", "cache_dir",
+     lambda v: v or None, lambda v: v or "", False),
+)
 
 
 def parse_config(path=None):
-    """Parse a config file into a fully resolved RunConfig; None means all
-    defaults (equivalent to an empty document)."""
+    """Parse a config file into a SweepConfig; None means all defaults
+    (equivalent to an empty document)."""
     if path is None:
         return parse_config_text("")
     if not os.path.exists(str(path)):
@@ -130,144 +87,40 @@ def parse_config_text(text):
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}") from None
 
+    known = {(section, key) for section, key, *_ in _KEYS}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in known}:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp.options(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in known:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
-    def num(section, key, cast, fallback):
-        raw = _get(cp, section, key, None)
-        if raw is None:
-            return fallback
+    fields = {}
+    for section, key, name, parse, _, auto in _KEYS:
+        if not cp.has_option(section, key):
+            continue
+        raw = cp.get(section, key).strip()
+        if auto and raw == AUTO:
+            continue
         try:
-            return cast(raw)
+            fields[name] = parse(raw)
         except ValueError:
+            kind = parse.__name__
+            if parse is _reals:
+                kind = "comma-separated list of reals"
             raise ConfigError(
-                f"{section}.{key} must be a {cast.__name__}, got {raw!r}"
+                f"{section}.{key} must be a {kind}, got {raw!r}"
             ) from None
-
-    n = num("grid", "n", int, 1)
-    model = _get(cp, "physics", "model", "ep").lower()
-    if model not in ("ep", "nls"):
-        raise ConfigError(f"physics.model must be 'ep' or 'nls', got {model!r}")
-    p = num("physics", "p", float, 3.0)
-    if not p > 1:
-        raise ConfigError(f"physics.p must exceed 1 (got {fmt(p)})")
-    gamma = num("physics", "gamma", float, 1.0)
-    if gamma < 0:
-        raise ConfigError("physics.gamma must be nonnegative")
-    N = num("grid", "N", int, 256)
-    if N % 2 != 0 or N < 4:
-        raise ConfigError(f"grid.N must be even and >= 4 (got {N})")
-    L = num("grid", "L", float, 10.0)
-    if L <= 0:
-        raise ConfigError("grid.L must be positive")
-
-    raw_s = _get(cp, "physics", "s", AUTO)
-    s = float(n // 2 + 1) if raw_s == AUTO else num("physics", "s", float, None)
-    if s < 0:
-        raise ConfigError("physics.s must be nonnegative")
-
-    raw_alphas = _get(cp, "sweep", "alphas", None)
-    alphas = (
-        (0.0, 0.1, 0.2, 0.3) if raw_alphas is None
-        else _float_list(raw_alphas, "sweep.alphas")
-    )
-    raw_eps = _get(cp, "sweep", "epsilons", AUTO)
-    epsilons = (
-        tuple(np.logspace(-2.0, -3.0, 6)) if raw_eps == AUTO
-        else _float_list(raw_eps, "sweep.epsilons")
-    )
-    comparator = _get(cp, "sweep", "comparator", AUTO)
-    if comparator == AUTO:
-        comparator = "systemB" if model == "ep" else "linear-nls"
-
-    solver_defaults = (
-        {"T": 2.0, "dt": 1e-3, "samples_per_unit_time": 100}
-        if model == "ep"
-        else {"T": 0.2, "dt": 2e-5, "samples_per_unit_time": 10000}
-    )
-
-    def auto_num(section, key, cast):
-        raw = _get(cp, section, key, AUTO)
-        if raw == AUTO:
-            return cast(solver_defaults[key])
-        return num(section, key, cast, None)
-
-    cfg = RunConfig(
-        n=n,
-        N=N,
-        L=L,
-        max_points=num("grid", "max_points", int, 2**24),
-        model=model,
-        p=p,
-        g=num("physics", "g", float, 1.0),
-        gamma=gamma,
-        omega0=num("physics", "omega0", float, 1.0),
-        s=s,
-        alphas=alphas,
-        epsilons=epsilons,
-        comparator=comparator,
-        c1=num("sweep", "c1", float, 0.0),
-        epsilon_floor=num("sweep", "epsilon_floor", float, 1e-6),
-        T=auto_num("solver", "T", float),
-        dt=auto_num("solver", "dt", float),
-        samples_per_unit_time=auto_num("solver", "samples_per_unit_time", int),
-        workers=num("solver", "workers", int, 1),
-        outdir=_get(cp, "output", "dir", "runs"),
-        cache_dir=_get(cp, "output", "cache_dir", ""),
-    )
     try:
-        cfg.to_sweep_config()
+        return SweepConfig(**fields)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return cfg
 
 
 def serialize_config(cfg):
     """Canonical explicit INI text; parse(serialize(cfg)) == cfg."""
-    lines = [
-        "[grid]",
-        f"n = {cfg.n}",
-        f"N = {cfg.N}",
-        f"L = {fmt(cfg.L)}",
-        f"max_points = {cfg.max_points}",
-        "",
-        "[physics]",
-        f"model = {cfg.model}",
-        f"p = {fmt(cfg.p)}",
-        f"g = {fmt(cfg.g)}",
-        f"gamma = {fmt(cfg.gamma)}",
-        f"omega0 = {fmt(cfg.omega0)}",
-        f"s = {fmt(cfg.s)}",
-        "",
-        "[sweep]",
-        f"alphas = {','.join(fmt(a) for a in cfg.alphas)}",
-        f"epsilons = {','.join(fmt(e) for e in cfg.epsilons)}",
-        f"comparator = {cfg.comparator}",
-        f"c1 = {fmt(cfg.c1)}",
-        f"epsilon_floor = {fmt(cfg.epsilon_floor)}",
-        "",
-        "[solver]",
-        f"T = {fmt(cfg.T)}",
-        f"dt = {fmt(cfg.dt)}",
-        f"samples_per_unit_time = {cfg.samples_per_unit_time}",
-        f"workers = {cfg.workers}",
-        "",
-        "[output]",
-        f"dir = {cfg.outdir}",
-        f"cache_dir = {cfg.cache_dir}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def cache_key(cfg, delta):
-    """Stable content hash over the physics/numerics portion of the config
-    plus the initial amplitude delta; output paths, worker counts, and the
-    sweep ladder are excluded, so relocated or re-laddered runs reuse
-    cached curves."""
-    signature = physics_signature(cfg.to_sweep_config())
-    return sha256_hex(f"{signature};delta={fmt(delta)}")
+    sections = {}
+    for section, key, name, _, show, _ in _KEYS:
+        lines = sections.setdefault(section, [f"[{section}]"])
+        lines.append(f"{key} = {show(getattr(cfg, name))}")
+    return "\n".join("\n".join(lines) + "\n" for lines in sections.values())

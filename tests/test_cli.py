@@ -11,6 +11,8 @@ from epnls.cli import (
     EXIT_OK,
     main,
 )
+from epnls.config import parse_config
+from epnls.sweep import config_hash
 
 FAST_SWEEP_INI = """\
 [grid]
@@ -109,6 +111,9 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
         for f in fs
     } - {"manifest.json"}
     assert listed == on_disk
+    # the same hash a sweep of this config writes; delta goes in the detail
+    assert manifest["config_hash"] == config_hash(parse_config(cfg))
+    assert manifest["jobs"][0]["detail"].startswith("delta=1,")
 
 
 def test_simulate_lockfile_excludes_concurrent_runs(tmp_path, capsys):
@@ -167,6 +172,26 @@ def test_sweep_bad_workers_env_is_a_config_error(tmp_path, capsys, monkeypatch, 
     monkeypatch.setenv("EPNLS_WORKERS", value)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "EPNLS_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sweep_bad_workers_flag_is_a_config_error(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, FAST_SWEEP_INI)
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", value]
+    assert main(argv) == EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_sweep_truth_norm_underflow_is_a_numerical_failure(tmp_path, capsys):
+    # the norms of delta = 1e-220 and 1e-330 (= 0) underflow
+    cfg = write_cfg(
+        tmp_path, "[grid]\nN = 64\n[sweep]\nalphas = 0,110\nepsilons = 1e-2,1e-3\n"
+    )
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "underflow at t = 0 for delta = 1e-220" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_horizon_too_short_is_incomplete(tmp_path, capsys):

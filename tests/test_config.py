@@ -1,26 +1,29 @@
-import numpy as np
+from dataclasses import fields
+
 import pytest
 
 from epnls.config import (
     ConfigError,
-    cache_key,
     parse_config,
     parse_config_text,
     serialize_config,
 )
+from epnls.sweep import SweepConfig, config_hash, curve_path
 
 
 def test_empty_document_yields_spec_defaults():
     cfg = parse_config_text("")
+    assert cfg == SweepConfig()
     assert (cfg.p, cfg.g, cfg.gamma, cfg.omega0) == (3.0, 1.0, 1.0, 1.0)
     assert (cfg.n, cfg.N, cfg.L) == (1, 256, 10.0)
     assert cfg.s == 1.0  # floor(n/2 + 1) for n = 1
     assert cfg.model == "ep"
     assert cfg.comparator == "systemB"
     assert (cfg.T, cfg.dt, cfg.samples_per_unit_time) == (2.0, 1e-3, 100)
-    assert len(cfg.epsilons) == 6
-    assert cfg.epsilons[0] == pytest.approx(1e-2)
-    assert cfg.epsilons[-1] == pytest.approx(1e-3)
+    assert len(cfg.epsilon_set) == 6
+    assert cfg.epsilon_set[0] == pytest.approx(1e-2)
+    assert cfg.epsilon_set[-1] == pytest.approx(1e-3)
+    assert (cfg.outdir, cfg.cache_dir, cfg.workers) == ("runs", None, 1)
 
 
 def test_none_path_equals_empty_document():
@@ -36,6 +39,7 @@ def test_s_auto_tracks_dimension():
 
 def test_nls_model_defaults():
     cfg = parse_config_text("[physics]\nmodel = nls\n")
+    assert cfg == SweepConfig(model="nls")
     assert cfg.comparator == "linear-nls"
     assert cfg.T == 0.2
     assert cfg.dt == 2e-5
@@ -83,25 +87,76 @@ def test_explicit_solver_values_survive_roundtrip():
     assert rt == cfg
 
 
-def test_cache_key_reorder_and_comments_invariant():
+def test_config_hash_reorder_and_comments_invariant():
     a = parse_config_text("[physics]\np = 3\ng = 1\n[grid]\nn = 1\n")
     b = parse_config_text(
         "# a comment\n[grid]\nn = 1\n[physics]\ng = 1\np = 3\n"
     )
-    assert cache_key(a, 0.5) == cache_key(b, 0.5)
+    assert config_hash(a) == config_hash(b)
 
 
-def test_cache_key_sensitivity():
+def test_config_hash_sensitivity():
     base = parse_config_text("")
-    assert cache_key(base, 1.0) != cache_key(base, 0.5)
+    # the amplitude keys a curve by its file name under the hash
+    assert curve_path("c", base, 1.0) != curve_path("c", base, 0.5)
     moved = parse_config_text("[output]\ndir = /somewhere/else\n")
-    assert cache_key(base, 1.0) == cache_key(moved, 1.0)
+    assert config_hash(base) == config_hash(moved)
     relad = parse_config_text("[sweep]\nalphas = 0\n")
-    assert cache_key(base, 1.0) == cache_key(relad, 1.0)
+    assert config_hash(base) == config_hash(relad)
     phys = parse_config_text("[physics]\ngamma = 2\n")
-    assert cache_key(base, 1.0) != cache_key(phys, 1.0)
+    assert config_hash(base) != config_hash(phys)
     clock = parse_config_text("[solver]\ndt = 5e-4\n")
-    assert cache_key(base, 1.0) != cache_key(clock, 1.0)
+    assert config_hash(base) != config_hash(clock)
+
+
+@pytest.mark.parametrize("doc, pinned", [
+    ("", "5a8557ca21c660c6"),
+    ("[physics]\nmodel = nls\n", "188a51423b4d0540"),
+    ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
+     "alphas = 0,0.2\n", "868a12591e91772d"),
+])
+def test_config_hash_is_pinned(doc, pinned):
+    # curve caches written by earlier versions must keep hitting
+    assert config_hash(parse_config_text(doc)) == pinned
+
+
+def test_every_key_roundtrips_at_non_default_values():
+    doc = """\
+[grid]
+n = 2
+N = 32
+L = 7.5
+max_points = 1000000
+[physics]
+model = nls
+p = 2.5
+g = 0.5
+gamma = 0.25
+omega0 = 2
+s = 1.5
+[sweep]
+alphas = 0,0.05
+epsilons = 0.02,0.005
+comparator = linear-nls
+c1 = 0.5
+epsilon_floor = 1e-7
+[solver]
+T = 1.5
+dt = 0.002
+samples_per_unit_time = 50
+workers = 2
+[output]
+dir = out
+cache_dir = cache
+"""
+    cfg = parse_config_text(doc)
+    # every field is set away from its default, so a key missing from the
+    # codec's table fails either the parse or the round trip
+    default = SweepConfig()
+    unset = [f.name for f in fields(SweepConfig)
+             if getattr(cfg, f.name) == getattr(default, f.name)]
+    assert unset == []
+    assert parse_config_text(serialize_config(cfg)) == cfg
 
 
 def test_bad_list_value():

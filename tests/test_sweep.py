@@ -60,14 +60,30 @@ def test_config_validation():
         SweepConfig(model="nls", comparator="systemB")
     with pytest.raises(ValueError, match="comparator"):
         SweepConfig(model="ep", comparator="linear-nls")
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        SweepConfig(p=1.0)
+    with pytest.raises(ValueError, match="gamma"):
+        SweepConfig(gamma=-0.5)
+    with pytest.raises(ValueError, match="even"):
+        SweepConfig(N=63)
+    with pytest.raises(ValueError, match="even"):
+        SweepConfig(N=2)
+    with pytest.raises(ValueError, match="L must be positive"):
+        SweepConfig(L=0.0)
+    with pytest.raises(ValueError, match="s must be nonnegative"):
+        SweepConfig(s=-1.0)
 
 
 def test_config_resolution_defaults():
-    ep = SweepConfig(model="ep").resolved()
+    # a constructed config is already resolved
+    ep = SweepConfig(model="ep")
     assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 1e-3, "systemB", 1.0)
-    nls = SweepConfig(model="nls", n=2, N=32).resolved()
+    assert ep.samples_per_unit_time == 100
+    nls = SweepConfig(model="nls", n=2, N=32)
+    assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 2e-5, 10000)
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
+    assert ep.resolved() is ep and ep.to_sweep_config() is ep
 
 
 def test_delta_for_alpha_zero_degeneracy():
@@ -299,10 +315,9 @@ def _bits(curves):
     return [(c.delta, c.times.tobytes(), c.rho.tobytes()) for c in curves]
 
 
-def _reference_curve(cfg, delta, epsilon_comp=None):
+def _reference_curve(c, delta, epsilon_comp=None):
     """rho(t) the slow way: full-state trajectories of the truth and the
     comparator, diffed in physical space."""
-    c = cfg.resolved()
     grid = make_grid(c.n, c.N, c.L)
     params = ModelParams(g=c.g, gamma=c.gamma, omega0=c.omega0, p=c.p, s=c.s)
     step = StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time)
@@ -419,7 +434,7 @@ def test_signature_carries_the_solver_revision():
 def test_invalid_cached_curve_is_recomputed(tmp_path, corrupt):
     cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
     (cold,) = run_error_curves(cfg)
-    path = Path(curve_path(str(tmp_path), cfg.resolved(), 1.0))
+    path = Path(curve_path(str(tmp_path), cfg, 1.0))
     blob = path.read_text()
     bad = corrupt(blob.splitlines())
     path.write_text("\n".join(bad) + ("\n" if bad else ""))
