@@ -86,6 +86,12 @@ def _resolve_workers(flag, cfg_workers):
     return workers
 
 
+def _mass_drift(traj):
+    """max |m(t) - m(0)|, relative to m(0) unless m(0) = 0."""
+    drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
+    return drift / traj.mass[0] if traj.mass[0] else drift
+
+
 # --------------------------------------------------------------------------
 # simulate
 
@@ -130,7 +136,7 @@ def cmd_simulate(args):
             return EXIT_NUMERICAL
         write_csv(os.path.join(outdir, "trajectory.csv"), header,
                   [tuple(float(v) for v in row) for row in rows])
-        drift = float(np.max(np.abs(traj.mass - traj.mass[0])) / traj.mass[0])
+        drift = _mass_drift(traj)
         manifest.add_job(
             "simulate", "ok", f"delta={fmt(delta)}, mass drift {drift:.3e}"
         )
@@ -272,7 +278,7 @@ def _verify_checks():
     phi0 = gaussian_initial(grid, 1.0)
     traj = evolve_ep(zero_state(phi0), params, StepSpec(dt=1e-3), 1.0,
                      record="norms")
-    drift = float(np.max(np.abs(traj.mass - traj.mass[0])) / traj.mass[0])
+    drift = _mass_drift(traj)
     yield "EP mass conservation", drift <= 1e-10, f"rel drift {drift:.2e}"
 
     fwd = evolve_ep(zero_state(phi0), params, StepSpec(dt=1e-3), 1.0)

@@ -14,10 +14,10 @@ the Hermitian symbol H_k = [[|k|^2, gamma], [gamma, omega0]] for the
 linear part.  Mass is therefore conserved to rounding error at any dt,
 and the scheme is globally second order.
 
-Two linear comparators are evaluated in closed form with no stepping
-error: the fully linear coupling (g = 0, "system B") and the early-time
-decoupled approximation in which the photon propagates freely and
-drives the exciton linearly ("system A").
+Three linear comparators, each a per-mode multiplier of the initial
+spectra, are evaluated in closed form with no stepping error: the fully
+linear coupling (g = 0, "system B"), the free photon driving the exciton
+linearly ("system A"), and the composite of A up to t1 and B after.
 """
 
 from __future__ import annotations
@@ -303,9 +303,15 @@ def sample_times(T, step):
     return np.arange(_sample_count(T, step) + 1) * step.sample_interval
 
 
-def _default_sample_times(T, cadence=DEFAULT_SAMPLES_PER_UNIT_TIME):
-    n = max(1, round(T * cadence))
-    return np.linspace(0.0, T, n + 1)
+def _comparator_times(T, sample_times, start=0.0):
+    """A comparator's sample times: the given ones, or by default start
+    and then DEFAULT_SAMPLES_PER_UNIT_TIME samples per unit time to T."""
+    if sample_times is None:
+        if T is None:
+            raise ValueError("provide either T or explicit sample_times")
+        n = max(1, round((T - start) * DEFAULT_SAMPLES_PER_UNIT_TIME))
+        sample_times = start + np.linspace(0.0, T - start, n + 1)
+    return np.asarray(sample_times, dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -420,34 +426,37 @@ def evolve_nls(phi0, params, step, T, record=FULL):
 # linear comparators (closed form, no stepping error)
 
 
+def _linear_trajectory(grid, params, times, spectra, record):
+    """Record a linear comparator whose photon and exciton spectra at
+    time t are spectra(t)."""
+    rec = _Recorder(grid, params.resolve_s(grid), record, pair=True)
+    for t in times:
+        phi_hat, psi_hat = spectra(t)
+        rec.record(t, np.fft.ifftn(phi_hat), np.fft.ifftn(psi_hat))
+    return rec.trajectory()
+
+
 def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
     """Exact solution of the fully linear coupled system (g = 0).
 
     Evaluates the per-mode 2x2 matrix exponential at each requested time,
     measured from ``initial.time``; times may be arbitrary.
     """
-    if sample_times is None:
-        if T is None:
-            raise ValueError("provide either T or explicit sample_times")
-        sample_times = initial.time + _default_sample_times(T - initial.time)
-    times = np.asarray(sample_times, dtype=float)
+    times = _comparator_times(T, sample_times, initial.time)
     if np.any(times < initial.time - 1e-12):
         raise ValueError("sample times precede the initial time")
 
     grid = initial.phi.grid
-    s = params.resolve_s(grid)
     phi0_hat = np.fft.fftn(initial.phi.values)
     psi0_hat = np.fft.fftn(initial.psi.values)
 
-    rec = _Recorder(grid, s, record, pair=True)
-    for t in times:
+    def spectra(t):
         u11, u12, u22 = linear_pair_propagator(
             grid, params.gamma, params.omega0, t - initial.time
         )
-        phi = np.fft.ifftn(u11 * phi0_hat + u12 * psi0_hat)
-        psi = np.fft.ifftn(u12 * phi0_hat + u22 * psi0_hat)
-        rec.record(t, phi, psi)
-    return rec.trajectory()
+        return u11 * phi0_hat + u12 * psi0_hat, u12 * phi0_hat + u22 * psi0_hat
+
+    return _linear_trajectory(grid, params, times, spectra, record)
 
 
 _RESONANCE_GAP = 1e-8
@@ -464,25 +473,14 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
     with a 3-term series in (omega0 - |k|^2) t through each resonant mode
     |k|^2 = omega0.
     """
-    if sample_times is None:
-        if T is None:
-            raise ValueError("provide either T or explicit sample_times")
-        sample_times = _default_sample_times(T)
-    times = np.asarray(sample_times, dtype=float)
+    times = _comparator_times(T, sample_times)
     if np.any(times < 0):
         raise ValueError("sample times must be nonnegative")
 
     grid = phi0.grid
-    s = params.resolve_s(grid)
     phi0_hat = np.fft.fftn(phi0.values)
-
-    rec = _Recorder(grid, s, record, pair=True)
-    for t in times:
-        a_phi, a_psi = system_a_symbols(grid, params, t)
-        phi = np.fft.ifftn(a_phi * phi0_hat)
-        psi = np.fft.ifftn(a_psi * phi0_hat)
-        rec.record(t, phi, psi)
-    return rec.trajectory()
+    spectra = lambda t: [m * phi0_hat for m in system_a_symbols(grid, params, t)]
+    return _linear_trajectory(grid, params, times, spectra, record)
 
 
 def system_a_symbols(grid, params, t):
@@ -501,21 +499,21 @@ def system_a_symbols(grid, params, t):
     return free_symbol(grid, t), a_psi
 
 
-def composite_symbol(grid, params, t1):
-    """Function of t giving the per-mode multiplier that takes phi_hat(0)
-    to the photon spectrum of the composite comparator: system A up to
-    t1, then system B from the system-A fields at t1."""
+def composite_symbols(grid, params, t1):
+    """Function of t giving the per-mode multipliers (M_phi, M_psi) taking
+    phi_hat(0) to the composite comparator's photon and exciton spectra:
+    system A up to t1, then system B from the system-A spectra at t1."""
     a_phi, a_psi = system_a_symbols(grid, params, t1)
 
-    def symbol(t):
+    def symbols(t):
         if t <= t1:
-            return free_symbol(grid, t)
-        u11, u12, _ = linear_pair_propagator(
+            return system_a_symbols(grid, params, t)
+        u11, u12, u22 = linear_pair_propagator(
             grid, params.gamma, params.omega0, t - t1
         )
-        return u11 * a_phi + u12 * a_psi
+        return u11 * a_phi + u12 * a_psi, u12 * a_phi + u22 * a_psi
 
-    return symbol
+    return symbols
 
 
 def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, record=FULL):
@@ -528,53 +526,15 @@ def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, reco
     t1 = C1 * np.sqrt(epsilon)
     if t1 > T:
         raise ValueError(f"A-phase end t1 = {t1:.6g} exceeds the horizon T = {T}")
-    if sample_times is None:
-        sample_times = _default_sample_times(T)
-    times = np.asarray(sample_times, dtype=float)
+    times = _comparator_times(T, sample_times)
+    if np.any(times < 0):
+        raise ValueError("sample times must be nonnegative")
 
-    early = times[times <= t1]
-    late = times[times > t1]
-    recs = []
-    if len(early):
-        recs.append(evolve_system_a(phi0, params, sample_times=early, record=record))
-    handoff_time = t1 if len(late) else None
-    if handoff_time is not None:
-        if t1 > 0:
-            at_t1 = evolve_system_a(phi0, params, sample_times=[t1], record=FULL)
-            state = EPState(at_t1.phi[0], at_t1.psi[0], time=t1)
-        else:
-            state = zero_state(phi0)
-        recs.append(
-            evolve_linear_b(state, params, sample_times=late, record=record)
-        )
-    return _concat_trajectories(recs)
-
-
-def _concat_trajectories(parts):
-    if len(parts) == 1:
-        return parts[0]
-    head = parts[0]
-    times = np.concatenate([p.times for p in parts])
-    cat = lambda attr: (
-        None
-        if getattr(head, attr) is None
-        else np.concatenate([getattr(p, attr) for p in parts])
-    )
-    fields = lambda attr: (
-        None
-        if getattr(head, attr) is None
-        else [f for p in parts for f in getattr(p, attr)]
-    )
-    return Trajectory(
-        times=times,
-        policy=head.policy,
-        s=head.s,
-        phi=fields("phi"),
-        psi=fields("psi"),
-        norm_phi=cat("norm_phi"),
-        norm_psi=cat("norm_psi"),
-        mass=cat("mass"),
-    )
+    grid = phi0.grid
+    phi0_hat = np.fft.fftn(phi0.values)
+    symbols = composite_symbols(grid, params, t1)
+    spectra = lambda t: [m * phi0_hat for m in symbols(t)]
+    return _linear_trajectory(grid, params, times, spectra, record)
 
 
 # --------------------------------------------------------------------------

@@ -188,23 +188,27 @@ def spectral_transform(field, direction):
 
 
 def hs_norm_from_fft(plain_fft, grid, s):
-    # Norm from a plain (unshifted, unscaled) fftn; the parity phase and
-    # the dx^n prefactor enter only through |.|^2 bookkeeping.
-    weight = (1.0 + grid.k_squared) ** s if s != 0 else 1.0
-    total = np.sum(weight * np.abs(plain_fft) ** 2)
-    return float(
-        np.sqrt(total * grid.cell_volume**2 / grid.box_volume)
-    )
+    """H^s norm from a plain (unshifted, unscaled) fftn: a float for one
+    field, an array for leading batch axes (each entry bitwise the norm
+    of that member alone).  Each member is scaled by a power of two before
+    squaring, which is exact, so only a zero field has norm 0."""
+    mag = np.abs(plain_fft)
+    rows = mag.reshape(-1, grid.k_squared.size)
+    _, exponent = np.frexp(rows.max(axis=1))
+    sq = np.ldexp(rows, -exponent[:, None]) ** 2
+    if s != 0:
+        sq *= ((1.0 + grid.k_squared) ** s).ravel()
+    scale = grid.cell_volume**2 / grid.box_volume
+    norms = np.ldexp(np.sqrt(np.sum(sq, axis=1) * scale), exponent)
+    return float(norms[0]) if mag.ndim == grid.n else norms.reshape(mag.shape[:-grid.n])
 
 
 def sobolev_norm(field, s):
     """Discrete H^s norm; s = 0 gives the L2 norm via Parseval."""
     if s < 0:
         raise ValueError("Sobolev index s must be nonnegative")
-    if field.rep == SPECTRAL:
-        weight = (1.0 + field.grid.k_squared) ** s if s != 0 else 1.0
-        total = np.sum(weight * np.abs(field.values) ** 2)
-        return float(np.sqrt(total / field.grid.box_volume))
+    if field.rep == SPECTRAL:  # values are dx^n times a plain fftn
+        return hs_norm_from_fft(field.values / field.grid.cell_volume, field.grid, s)
     return hs_norm_from_fft(np.fft.fftn(field.values), field.grid, s)
 
 

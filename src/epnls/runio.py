@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 
 
@@ -88,13 +89,15 @@ class ManifestBuilder:
 
     def write(self):
         """Write manifest.json listing every file under the output directory
-        (the manifest itself and the lockfile excluded)."""
+        (the manifest itself, the lockfile and temp files excluded)."""
         inventory = []
         for root, _dirs, files in os.walk(self.outdir):
             for name in sorted(files):
                 full = os.path.join(root, name)
                 rel = os.path.relpath(full, self.outdir)
-                if rel in ("manifest.json", ".lock") or full.endswith(".tmp"):
+                # atomic_write_text leaves <path>.tmp.<pid> if it is killed
+                temp = re.fullmatch(r".+\.tmp\.\d+", name)
+                if rel in ("manifest.json", ".lock") or temp:
                     continue
                 inventory.append({"path": rel, "bytes": os.path.getsize(full)})
         inventory.sort(key=lambda e: e["path"])

@@ -23,7 +23,7 @@ from .evolution import (
     ErrorCurve,
     ModelParams,
     StepSpec,
-    composite_symbol,
+    composite_symbols,
     ep_strang_samples,
     linear_pair_propagator,
     nls_strang_samples,
@@ -34,6 +34,7 @@ from .grid import (
     default_sobolev_index,
     free_symbol,
     gaussian_initial,
+    hs_norm_from_fft,
     make_grid,
 )
 from .runio import atomic_write_text, fmt, read_curve_csv, sha256_hex
@@ -147,6 +148,13 @@ class SweepConfig:
             raise ValueError("epsilon_floor must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        t1 = self.c1 * np.sqrt(eps[0])
+        if self.comparator == COMPARATOR_COMPOSITE and not 0 <= t1 <= self.T:
+            raise ValueError(
+                f"the composite comparator needs c1 >= 0 and an A-phase end "
+                f"t1 = c1 sqrt(max epsilon) = {t1:.6g} within the horizon "
+                f"T = {fmt(self.T)}"
+            )
         object.__setattr__(self, "epsilon_set", eps)
         object.__setattr__(self, "alpha_set", alphas)
 
@@ -240,14 +248,10 @@ def _comparator_symbol(c, grid, params, epsilon_comp):
         return lambda t: free_symbol(grid, t)
     if c.comparator == COMPARATOR_SYSTEM_B:
         return lambda t: linear_pair_propagator(grid, c.gamma, c.omega0, t)[0]
-    if epsilon_comp is None or c.c1 < 0:
-        raise ValueError(
-            "the composite comparator needs c1 >= 0 and a comparator epsilon"
-        )
-    t1 = c.c1 * np.sqrt(epsilon_comp)
-    if t1 > c.T:
-        raise ValueError(f"A-phase end t1 = {t1:.6g} exceeds the horizon T = {c.T}")
-    return composite_symbol(grid, params, t1)
+    if epsilon_comp is None:
+        raise ValueError("the composite comparator needs a comparator epsilon")
+    symbols = composite_symbols(grid, params, c.c1 * np.sqrt(epsilon_comp))
+    return lambda t: symbols(t)[0]
 
 
 def _solver_step(c):
@@ -285,26 +289,19 @@ def _curve_batch(c, specs):
     phi0 = np.stack([gaussian_initial(grid, d).values for d in deltas])
     phi0_hat = np.fft.fftn(phi0, axes=axes)
     curve_phi0_hat = phi0_hat[member]
-    weight = (1.0 + grid.k_squared) ** c.s if c.s != 0 else 1.0
-    scale = grid.cell_volume**2 / grid.box_volume
     rho = np.empty((len(specs), len(times)))
 
-    def hs_norms(hat):
-        # hs_norm_from_fft of each row
-        sq = weight * np.abs(hat) ** 2
-        return np.sqrt(np.sum(sq.reshape(len(hat), -1), axis=1) * scale)
-
     def measure(i, truth_hat):
-        den = hs_norms(truth_hat)
-        if np.any(den < 1e-300):
-            delta = deltas[int(np.argmax(den < 1e-300))]
+        den = hs_norm_from_fft(truth_hat, grid, c.s)
+        if np.any(den == 0.0):
+            delta = deltas[int(np.argmax(den == 0.0))]
             raise ZeroDivisionError(
                 f"truth norm underflow at t = {times[i]:.6g} for delta = {delta:.6g}"
             )
         diff = np.stack([sym(times[i]) for sym in symbols])[comp_of]
         diff *= curve_phi0_hat
         diff -= truth_hat[member]
-        rho[:, i] = hs_norms(diff) / den[member]
+        rho[:, i] = hs_norm_from_fft(diff, grid, c.s) / den[member]
 
     measure(0, phi0_hat)
     if c.model == EP:

@@ -116,6 +116,28 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
     assert manifest["jobs"][0]["detail"].startswith("delta=1,")
 
 
+def test_simulate_zero_amplitude_reports_absolute_drift(tmp_path, capsys, recwarn):
+    cfg = write_cfg(tmp_path, "[grid]\nN = 64\n[solver]\nT = 0.1\n")
+    out = tmp_path / "zero"
+    argv = ["simulate", "--config", cfg, "--out", str(out), "--delta", "0"]
+    assert main(argv) == EXIT_OK
+    assert "mass drift 0.000e+00" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["jobs"][0]["detail"] == "delta=0, mass drift 0.000e+00"
+    assert len(recwarn) == 0
+
+
+def test_manifest_leaves_out_stray_temp_files(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[grid]\nN = 64\n[solver]\nT = 0.1\n")
+    out = tmp_path / "stray"
+    out.mkdir()
+    (out / "x.csv.tmp.123").write_text("partial")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {f["path"] for f in manifest["files"]}
+    assert listed == {"config.ini", "trajectory.csv"}
+
+
 def test_simulate_lockfile_excludes_concurrent_runs(tmp_path, capsys):
     out = tmp_path / "locked"
     out.mkdir()
@@ -182,15 +204,27 @@ def test_sweep_bad_workers_flag_is_a_config_error(tmp_path, capsys, value):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c1", ["-1", "100"])
+def test_sweep_bad_composite_c1_is_a_config_error(tmp_path, capsys, c1):
+    # c1 = 100 puts the A-phase end t1 = 10 past the horizon T = 2
+    cfg = write_cfg(
+        tmp_path, f"[grid]\nN = 64\n[sweep]\ncomparator = composite\nc1 = {c1}\n"
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_truth_norm_underflow_is_a_numerical_failure(tmp_path, capsys):
-    # the norms of delta = 1e-220 and 1e-330 (= 0) underflow
+    # delta = 1e-220 has a representable norm; 1e-330 rounds to 0
     cfg = write_cfg(
         tmp_path, "[grid]\nN = 64\n[sweep]\nalphas = 0,110\nepsilons = 1e-2,1e-3\n"
     )
     argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "underflow at t = 0 for delta = 1e-220" in err
+    assert "underflow at t = 0 for delta = 0" in err
     assert "Traceback" not in err
 
 

@@ -314,6 +314,13 @@ def test_composite_handoff_continuity():
     # and system B continues continuously from it
     assert hs_diff(comp.phi[3], comp.phi[2]) < 1e-6
     assert hs_diff(comp.psi[3], comp.psi[2]) < 1e-6
+    # after t1 it is system B started from the recorded system-A state
+    late = times[times > t1]
+    handoff = evolve_linear_b(EPState(at_t1.phi[0], at_t1.psi[0], time=t1),
+                              PARAMS, sample_times=late)
+    for i in range(len(late)):
+        assert hs_diff(comp.phi[3 + i], handoff.phi[i]) < 1e-13
+        assert hs_diff(comp.psi[3 + i], handoff.psi[i]) < 1e-13
 
 
 def test_composite_t1_beyond_horizon():

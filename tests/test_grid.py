@@ -7,6 +7,7 @@ from epnls.grid import (
     default_sobolev_index,
     free_propagate,
     gaussian_initial,
+    hs_norm_from_fft,
     l2_norm,
     make_grid,
     sobolev_norm,
@@ -186,6 +187,22 @@ def test_sobolev_norm_accepts_spectral_field():
     hat = spectral_transform(f, "forward")
     for s in (0.0, 1.0, 2.0):
         assert sobolev_norm(hat, s) == pytest.approx(sobolev_norm(f, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,N,s", [(1, 64, 1.0), (2, 16, 2.0), (3, 8, 0.0)])
+def test_hs_norm_from_fft_scales_exactly_and_batches_bitwise(n, N, s):
+    g = make_grid(n, N, 4.0)
+    hats = np.stack([np.fft.fftn(random_field(g, seed=i).values) for i in range(3)])
+    hats[2] *= 1e-200  # a tiny member next to unit ones
+    single = [hs_norm_from_fft(h, g, s) for h in hats]
+    assert all(isinstance(v, float) for v in single)
+    batched = hs_norm_from_fft(hats, g, s)
+    assert batched.shape == (3,)
+    assert np.array_equal(batched, single)
+    assert hs_norm_from_fft(hats.reshape(3, 1, *g.shape), g, s).shape == (3, 1)
+    # power-of-two scaling is exact, so a tiny field does not underflow
+    assert hs_norm_from_fft(2.0**-900 * hats[0], g, s) == np.ldexp(single[0], -900)
+    assert single[2] == pytest.approx(1e-200 * hs_norm_from_fft(hats[2] / 1e-200, g, s))
 
 
 def test_sobolev_monotone_in_s():

@@ -72,6 +72,12 @@ def test_config_validation():
         SweepConfig(L=0.0)
     with pytest.raises(ValueError, match="s must be nonnegative"):
         SweepConfig(s=-1.0)
+    with pytest.raises(ValueError, match="c1 >= 0"):
+        SweepConfig(comparator="composite", c1=-1.0)
+    with pytest.raises(ValueError, match="t1 = .* = 10 within the horizon T = 2"):
+        SweepConfig(comparator="composite", c1=100.0)  # t1 = 10 > T = 2
+    # c1 is ignored by the other comparators
+    assert SweepConfig(c1=100.0).c1 == 100.0
 
 
 def test_config_resolution_defaults():
@@ -207,6 +213,14 @@ def test_error_curves_vanish_when_g_zero():
     cfg = SweepConfig(**{**FAST_EP, "g": 0.0})
     (curve,) = run_error_curves(cfg)
     assert np.max(curve.rho) < 1e-12
+
+
+def test_tiny_amplitude_curve_is_finite():
+    # |phi_hat|^2 of delta = 1e-220 underflows; its norm does not
+    cfg = SweepConfig(**FAST_EP)
+    curve = compute_error_curve(cfg, 1e-220)
+    assert np.all(np.isfinite(curve.rho))
+    assert curve.rho[0] == 0.0
 
 
 def test_single_curve_serves_all_epsilons():
