@@ -6,9 +6,9 @@ crossing time is where the relative error between the nonlinear run and
 its linear comparator first reaches eps.  Regressing log t against
 log eps per alpha gives the measured beta_alpha; a second regression of
 beta against alpha recovers the full law.  Writes crossings/betas CSVs
-next to this script.
+to sweep_output/ under the working directory.
 
-Run:  python3 demos/04_scaling_sweep.py   (about half a minute)
+Run:  python3 demos/04_scaling_sweep.py
 """
 
 import os
@@ -18,7 +18,7 @@ import numpy as np
 from epnls import SweepConfig, beta_predict, run_algorithm_a
 from epnls.runio import write_csv
 
-OUT = os.path.join(os.path.dirname(__file__), "sweep_output")
+OUT = "sweep_output"
 
 
 def show(result, model, law):

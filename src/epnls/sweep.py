@@ -51,7 +51,7 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": 1e-3, "samples_per_unit_time": 100,
          "comparator": COMPARATOR_SYSTEM_B},
-    NLS: {"T": 0.2, "dt": 2e-5, "samples_per_unit_time": 10000,
+    NLS: {"T": 0.2, "dt": 1e-4, "samples_per_unit_time": 10000,
           "comparator": COMPARATOR_LINEAR_NLS},
 }
 
@@ -60,15 +60,17 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 
 # Part of every cache key; bumped whenever the bits of a computed curve
 # change, so a cache never serves curves an older solver wrote.
-SOLVER_REVISION = 2
+SOLVER_REVISION = 3
 
 # Complex grid-sized arrays one batch member keeps alive at the peak of
-# a step or sample: its initial field and spectrum twice over (per member
-# and per curve), plus EP's stacked fields, their spectrum and the next
-# spectrum (2 each) and a product temporary, or NLS's field, spectrum,
-# stepped field and rotation temporaries.  The max_points guard bounds
-# batch x grid x this.
-_ARRAYS_PER_MEMBER = {EP: 10, NLS: 7}
+# _curve_batch, measured and rounded up (EP ~17.5, NLS ~10-11; checked by
+# tests/test_sweep.py): the initial field, its spectrum and a per-curve
+# copy, then EP's stacked fields (held by the caller and the loop), their
+# spectrum, the next one and the temporaries of the 2x2 step and the
+# rotation, or NLS's field and spectrum plus the truth-and-difference
+# stack of the one norm call per sample and that call's temporaries.  The
+# max_points guard bounds batch x grid x this.
+_ARRAYS_PER_MEMBER = {EP: 18, NLS: 11}
 
 
 class NoCrossingError(RuntimeError):
@@ -271,11 +273,12 @@ def _curve_batch(c, specs):
 
     At each sample the comparator spectrum is one closed-form multiplier
     per eps_comp times each member's phi_hat(0), the truth spectrum is the
-    one the solver has in hand (EP: its last linear substep; NLS: one
-    batched transform), and rho[spec, sample] is filled in place.  No
-    state is recorded, so memory is O(batch x grid).  Every operation acts
-    on each batch row alone, so a curve's bits do not depend on the rest
-    of its batch.
+    one the solver has in hand (EP: its last linear substep; NLS: the
+    spectrum its loop carries), the truth and difference norms are one
+    batched call, and rho[spec, sample] is filled in place.  No state is
+    recorded, so memory is O(batch x grid).  Every operation acts on each
+    batch row alone, so a curve's bits do not depend on the rest of its
+    batch.
     """
     grid, params, step = solver_setup(c)
     times = sample_times(c.T, step)
@@ -292,16 +295,17 @@ def _curve_batch(c, specs):
     rho = np.empty((len(specs), len(times)))
 
     def measure(i, truth_hat):
-        den = hs_norm_from_fft(truth_hat, grid, c.s)
+        diff = np.stack([sym(times[i]) for sym in symbols])[comp_of]
+        diff *= curve_phi0_hat
+        diff -= truth_hat[member]
+        norms = hs_norm_from_fft(np.concatenate([truth_hat, diff]), grid, c.s)
+        den = norms[: len(deltas)]
         if np.any(den == 0.0):
             delta = deltas[int(np.argmax(den == 0.0))]
             raise ZeroDivisionError(
                 f"truth norm underflow at t = {times[i]:.6g} for delta = {delta:.6g}"
             )
-        diff = np.stack([sym(times[i]) for sym in symbols])[comp_of]
-        diff *= curve_phi0_hat
-        diff -= truth_hat[member]
-        rho[:, i] = hs_norm_from_fft(diff, grid, c.s) / den[member]
+        rho[:, i] = norms[len(deltas) :] / den[member]
 
     measure(0, phi0_hat)
     if c.model == EP:
@@ -310,9 +314,9 @@ def _curve_batch(c, specs):
         for i, (_, _, spectrum) in enumerate(stream, 1):
             measure(i, spectrum[0])
     else:
-        stream = nls_strang_samples(phi0, params, step, len(times) - 1, grid)
-        for i, (_, phi) in enumerate(stream, 1):
-            measure(i, np.fft.fftn(phi, axes=axes))
+        stream = nls_strang_samples(phi0_hat, params, step, len(times) - 1, grid)
+        for i, (_, truth_hat) in enumerate(stream, 1):
+            measure(i, truth_hat)
     return [
         ErrorCurve(delta=d, times=times.copy(), rho=rho[j])
         for j, (d, _) in enumerate(specs)

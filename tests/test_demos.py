@@ -1,8 +1,5 @@
-"""Smoke test: the quick demos run to completion.
-
-Demo 04 is left out: it runs a full sweep and writes into
-demos/sweep_output/.
-"""
+"""Smoke test: the demos run to completion, each in a fresh working
+directory (demo 04 writes sweep_output/ there)."""
 
 import os
 import subprocess
@@ -12,15 +9,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK_DEMOS = [
-    "01_split_step_basics.py",
-    "02_linear_approximations.py",
-    "03_lemma_and_predictions.py",
-]
+# each demo with the files it writes
+DEMOS = {
+    "01_split_step_basics.py": [],
+    "02_linear_approximations.py": [],
+    "03_lemma_and_predictions.py": [],
+    "04_scaling_sweep.py": ["sweep_output/crossings.csv", "sweep_output/betas.csv"],
+}
 
 
-@pytest.mark.parametrize("name", QUICK_DEMOS)
-def test_demo_runs(name, tmp_path):
+@pytest.mark.parametrize("name, outputs", DEMOS.items(), ids=list(DEMOS))
+def test_demo_runs(name, outputs, tmp_path):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -29,3 +28,5 @@ def test_demo_runs(name, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    for out in outputs:
+        assert (tmp_path / out).is_file()

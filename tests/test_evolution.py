@@ -90,6 +90,31 @@ def test_nonlinear_phase_preserves_magnitude():
         )
 
 
+@pytest.mark.parametrize("g, p, dt", [
+    (2.3, 3.0, 0.17),
+    (1.0, 5.0, 0.03),
+    (0.8, 2.5, 0.3),
+    (-1.7, 3.0, 0.2),
+    (1.0, 3.0, -0.25),
+    (1.0, 3.0, 10.0 / 16.0),  # angles up to 10 rad
+])
+def test_nonlinear_phase_is_the_exact_rotation(g, p, dt):
+    rng = np.random.default_rng(1)
+    vals = rng.uniform(0.05, 2.0, 512) * np.exp(2j * np.pi * rng.uniform(size=512))
+    vals[:2] = [4.0, -4.0j]  # |u| = 4: at p = 3 the last case turns by 10 rad
+    mag = np.abs(vals)
+    theta = (g * dt) * mag ** (p - 1.0)
+    exact = vals * np.exp(-1j * theta)
+    out = nonlinear_phase(vals, g=g, p=p, dt=dt)
+    assert np.max(np.abs(out - exact) / mag) <= 1e-15
+    assert np.max(np.abs(np.abs(out) - mag) / mag) <= 1e-15
+    # the way back sees |u| rounded by ~1e-16, which turns it by up to
+    # (p-1) |theta| times that: the flow's own conditioning, not the kernel's
+    back = nonlinear_phase(out, g=g, p=p, dt=-dt)
+    allowed = 1e-15 * np.maximum(1.0, (p - 1.0) * np.abs(theta))
+    assert np.all(np.abs(back - vals) / mag <= allowed)
+
+
 def test_linear_pair_propagator_unitary_per_mode():
     for t in (0.01, 0.5, -0.3, 2.0):
         u11, u12, u22 = linear_pair_propagator(GRID, gamma=1.3, omega0=0.7, t=t)
@@ -330,6 +355,30 @@ def test_composite_t1_beyond_horizon():
         )
 
 
+def test_linear_norms_come_from_the_spectra(fft_calls):
+    times = np.linspace(0.0, 1.0, 11)
+    full = evolve_linear_b(gauss_state(), PARAMS, sample_times=times)
+    fft_calls.clear()
+    norms = evolve_linear_b(gauss_state(), PARAMS, sample_times=times,
+                            record="norms")
+    assert len(fft_calls) == 2  # the two initial spectra, nothing per sample
+    assert norms.phi is None
+    for i in range(len(times)):
+        phi, psi = full.phi[i], full.psi[i]
+        assert norms.norm_phi[i] == pytest.approx(sobolev_norm(phi, 1.0), rel=1e-13)
+        assert norms.norm_psi[i] == pytest.approx(sobolev_norm(psi, 1.0), abs=1e-13)
+        physical = l2_norm(phi) ** 2 + l2_norm(psi) ** 2
+        assert norms.mass[i] == pytest.approx(physical, rel=1e-13)
+
+
+def test_nls_records_norms_without_extra_transforms(fft_calls):
+    traj = evolve_nls(gaussian_initial(GRID, 1.0), PARAMS,
+                      StepSpec(dt=1e-3, samples_per_unit_time=100), 0.1,
+                      record="norms")
+    assert len(traj.times) == 11
+    assert len(fft_calls) == 1 + 2 * 100  # the initial spectrum, then 2 per step
+
+
 # ---------------------------------------------------------------- NLS
 
 
@@ -417,6 +466,18 @@ def test_ep_vs_b_early_time_power_law():
     m = (curve.times >= 0.05) & (curve.times <= 0.5)
     slope = np.polyfit(np.log(curve.times[m]), np.log(curve.rho[m]), 1)[0]
     assert slope == pytest.approx(PARAMS.p + 2.0, rel=0.05)
+
+
+def test_relative_error_of_a_tiny_amplitude_is_finite():
+    # a truth norm of ~1e-305 is exact, so only a zero truth is refused
+    step = StepSpec(dt=1e-2, samples_per_unit_time=10)
+    truth = evolve_ep(gauss_state(1e-305), PARAMS, step, 0.5)
+    comp = evolve_linear_b(gauss_state(1e-305), PARAMS, sample_times=truth.times)
+    curve = relative_error_curve(comp, truth, 1.0)
+    assert np.all(np.isfinite(curve.rho))
+    zero = evolve_linear_b(gauss_state(0.0), PARAMS, sample_times=truth.times)
+    with pytest.raises(ZeroDivisionError, match="underflow"):
+        relative_error_curve(comp, zero, 1.0)
 
 
 def test_total_mass():

@@ -86,7 +86,7 @@ def test_config_resolution_defaults():
     assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 1e-3, "systemB", 1.0)
     assert ep.samples_per_unit_time == 100
     nls = SweepConfig(model="nls", n=2, N=32)
-    assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 2e-5, 10000)
+    assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 1e-4, 10000)
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
     assert ep.resolved() is ep and ep.to_sweep_config() is ep
@@ -407,18 +407,7 @@ def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
 
 
 @pytest.mark.parametrize("model, steps, samples", [("ep", 200, 201), ("nls", 100, 101)])
-def test_fft_calls_per_step_and_sample(monkeypatch, model, steps, samples):
-    import numpy.fft
-
-    calls = []
-    for name in ("fftn", "ifftn"):
-        orig = getattr(numpy.fft, name)
-
-        def counted(*args, _orig=orig, **kwargs):
-            calls.append(1)
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(numpy.fft, name, counted)
+def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
     if model == "ep":
         cfg = SweepConfig(model="ep", N=32, dt=1e-2, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
@@ -429,9 +418,40 @@ def test_fft_calls_per_step_and_sample(monkeypatch, model, steps, samples):
     curves = run_error_curves(cfg)
     assert len(curves) == 4 and len(curves[0].times) == samples
     # one transform of the initial fields, then 2 per step for the whole
-    # batch; EP spends none per sample, NLS one per sample
-    per_sample = 0 if model == "ep" else 1
-    assert len(calls) == 1 + 2 * steps + per_sample * (samples - 1)
+    # batch and none per sample: both loops yield the truth spectrum
+    assert len(fft_calls) == 1 + 2 * steps
+
+
+@pytest.mark.parametrize("model", ["ep", "nls"])
+def test_arrays_per_member_bounds_the_measured_footprint(model):
+    import tracemalloc
+
+    # a grid large enough that grid-sized arrays dominate the peak
+    if model == "ep":
+        cfg = SweepConfig(model="ep", N=4096, T=0.02)
+    else:
+        cfg = SweepConfig(model="nls", N=4096, T=0.002)
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            epnls.sweep._curve_batch(cfg, [(1.0 - 0.1 * i, None) for i in range(batch)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_member = (peak(6) - peak(2)) / 4 / (cfg.N * 16)
+    assert per_member <= epnls.sweep._ARRAYS_PER_MEMBER[model]
+
+
+def test_default_nls_dt_is_converged():
+    # crossings of the delta = 1 curve at the default dt against a 5x
+    # finer step: measured 1.4e-8 apart (and 1.5e-8 from dt = 4e-6)
+    coarse = compute_error_curve(SweepConfig(model="nls"), 1.0)
+    fine = compute_error_curve(SweepConfig(model="nls", dt=2e-5), 1.0)
+    for eps in SweepConfig(model="nls").epsilon_set:
+        t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
+        assert t_coarse == pytest.approx(t_fine, rel=1e-6)
 
 
 def test_signature_carries_the_solver_revision():
