@@ -7,18 +7,19 @@ field psi carrying the only nonlinearity:
     i phi_t = -Laplace phi + gamma psi
     i psi_t = (omega0 + g |psi|^(p-1)) psi + gamma phi
 
-The nonlinear solvers use Strang splitting built from two exactly
-unitary substeps: a pointwise phase rotation for the nonlinear term
-(|psi| is invariant) and a per-Fourier-mode 2x2 matrix exponential of
-the Hermitian symbol H_k = [[|k|^2, gamma], [gamma, omega0]] for the
-linear part.  Mass is therefore conserved to rounding error at any dt,
-and the scheme is globally second order.  An EP step is rotation(dt/2),
-linear(dt), rotation(dt/2).  An NLS step is the other way round, free
-step(dt/2), rotation(dt), free step(dt/2), which is second order too
-(Thalhammer 2012, SIAM J. Numer. Anal. 50:3231) and lets the loop carry
-the spectrum: one inverse and one forward transform per step, none per
-sample.  The rotation exp(-i theta), theta = g dt |u|^(p-1), is evaluated
-as (1 - i tau)^2 / (1 + tau^2) with tau = tan(theta/2).
+Both models are stepped by one split-step kernel, split_step_samples, of
+two exactly unitary substeps: a pointwise phase rotation of the nonlinear
+field (its modulus is invariant) and the exact per-mode linear flow, for
+EP the 2x2 matrix exponential of H_k = [[|k|^2, gamma], [gamma, omega0]],
+for NLS the free phase.  Mass is conserved to rounding error at any dt,
+and Strang splitting is second order with either substep outside
+(Thalhammer 2012, SIAM J. Numer. Anal. 50:3231): EP steps rotation(dt/2),
+linear(dt), rotation(dt/2); NLS linear(dt/2), rotation(dt), linear(dt/2).
+The kernel carries spectra and takes only the rotated field to physical
+space and back (McLachlan & Quispel 2002, Acta Numerica 11:341), so an EP
+step transforms psi alone and phi never leaves spectral space.  The
+rotation exp(-i theta), theta = g dt |u|^(p-1), is evaluated as
+(1 - i tau)^2 / (1 + tau^2) with tau = tan(theta/2).
 
 Three linear comparators, each a per-mode multiplier of the initial
 spectra, are evaluated in closed form with no stepping error: the fully
@@ -245,28 +246,10 @@ def _rotate(values, g, p, dt):
     values *= factor
 
 
-def _check_finite(*arrays, time, step_index):
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise SolverBlowupError(time, step_index)
-
-
-def _hs(values, grid, s):
-    return hs_norm_from_fft(np.fft.fftn(values), grid, s)
-
-
 class _Recorder:
-    def __init__(self, grid, s, policy, pair):
-        self.grid = grid
-        self.s = s
-        self.policy = policy
-        self.pair = pair
-        self.times = []
-        self.phi = [] if policy == FULL else None
-        self.psi = [] if (policy == FULL and pair) else None
-        self.norm_phi = []
-        self.norm_psi = [] if pair else None
-        self.mass = []
+    def __init__(self, grid, s, policy):
+        self.grid, self.s, self.policy = grid, s, policy
+        self.times, self.norms, self.mass, self.states = [], [], [], []
 
     def record(self, t, spectra, fields=None):
         """Record the sample at time t from ``spectra``, the plain FFTs of
@@ -275,28 +258,23 @@ class _Recorder:
         layout) are only needed to keep states, and are built by an
         inverse transform when the caller has none."""
         self.times.append(t)
-        norms = hs_norm_from_fft(spectra, self.grid, self.s)
-        self.norm_phi.append(norms[0])
-        if self.pair:
-            self.norm_psi.append(norms[1])
+        self.norms.append(hs_norm_from_fft(spectra, self.grid, self.s))
         l2 = hs_norm_from_fft(spectra, self.grid, 0.0)
         self.mass.append(float(np.sum(l2 * l2)))
         if self.policy == FULL:
             if fields is None:
                 fields = np.fft.ifftn(spectra, axes=tuple(range(-self.grid.n, 0)))
-            self.phi.append(Field(self.grid, fields[0].copy(), PHYSICAL))
-            if self.pair:
-                self.psi.append(Field(self.grid, fields[1].copy(), PHYSICAL))
+            self.states.append([Field(self.grid, f.copy(), PHYSICAL) for f in fields])
 
     def trajectory(self):
+        # one row per field, then None for an absent psi
+        norms = [np.array(row) for row in np.transpose(self.norms)] + [None]
+        states = [None, None]
+        if self.policy == FULL:
+            states = [list(row) for row in zip(*self.states)] + [None]
         return Trajectory(
-            times=np.asarray(self.times),
-            policy=self.policy,
-            s=self.s,
-            phi=self.phi,
-            psi=self.psi,
-            norm_phi=np.asarray(self.norm_phi),
-            norm_psi=None if self.norm_psi is None else np.asarray(self.norm_psi),
+            times=np.asarray(self.times), policy=self.policy, s=self.s,
+            phi=states[0], psi=states[1], norm_phi=norms[0], norm_psi=norms[1],
             mass=np.asarray(self.mass),
         )
 
@@ -318,95 +296,102 @@ def sample_times(T, step):
 
 
 def _comparator_times(T, sample_times, start=0.0):
-    """A comparator's sample times: the given ones, or by default start
-    and then DEFAULT_SAMPLES_PER_UNIT_TIME samples per unit time to T."""
+    """A comparator's sample times, none before start: the given ones, or
+    by default start and then DEFAULT_SAMPLES_PER_UNIT_TIME samples per
+    unit time to T."""
     if sample_times is None:
         if T is None:
             raise ValueError("provide either T or explicit sample_times")
         n = max(1, round((T - start) * DEFAULT_SAMPLES_PER_UNIT_TIME))
         sample_times = start + np.linspace(0.0, T - start, n + 1)
-    return np.asarray(sample_times, dtype=float)
+    times = np.asarray(sample_times, dtype=float)
+    if np.any(times < start - 1e-12):
+        raise ValueError(f"sample times precede the start time {start:.6g}")
+    return times
 
 
 # --------------------------------------------------------------------------
 # nonlinear evolutions (Strang splitting)
 
 
-def ep_strang_samples(fields, params, step, n_samples, grid):
-    """The Strang loop of the photon-exciton system, as a stream of samples.
-
-    ``fields`` stacks the photon and exciton fields on its first axis,
-    shape (2, ..., *grid.shape); axes between the field axis and the grid
-    axes are independent batch members.  Each step is a half nonlinear
-    rotation of psi, the exact per-mode 2x2 linear step for (phi_hat,
-    psi_hat) in one forward and one inverse transform of the whole stack,
-    and a half rotation again.  After every sample interval yields
-    (t, fields, spectrum), where ``spectrum`` is the plain FFT the last
-    linear substep produced: spectrum[0] is exactly phi_hat(t) because the
-    closing rotation leaves phi untouched.  The yielded arrays are
-    updated in place once the loop resumes.  Raises SolverBlowupError as
-    soon as a sample is not finite.
-    """
-    axes = tuple(range(-grid.n, 0))
-    per_block = step.steps_per_sample
-    dt = step.dt
-    g, p = params.g, params.p
-    u11, u12, u22 = linear_pair_propagator(grid, params.gamma, params.omega0, dt)
-    fields = np.array(fields, dtype=np.complex128)
-    for block in range(n_samples):
-        _rotate(fields[1], g, p, 0.5 * dt)
-        for j in range(per_block):
-            if j:
-                _rotate(fields[1], g, p, dt)
-            hat = np.fft.fftn(fields, axes=axes)
-            spectrum = np.empty_like(hat)
-            np.multiply(u11, hat[0], out=spectrum[0])
-            spectrum[0] += u12 * hat[1]
-            np.multiply(u22, hat[1], out=spectrum[1])
-            spectrum[1] += u12 * hat[0]
-            del hat
-            fields = np.fft.ifftn(spectrum, axes=axes)
-        _rotate(fields[1], g, p, 0.5 * dt)
-        t = (block + 1) * step.sample_interval
-        _check_finite(fields, time=t, step_index=(block + 1) * per_block)
-        yield t, fields, spectrum
+def ep_splitting(grid, params):
+    """split_step_samples' (linear, field, order) for EP: the 2x2 flow, the
+    rotation of psi, and Strang with the rotation outside."""
+    gamma, omega0 = params.gamma, params.omega0
+    linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
+    return linear, 1, (("rotate", 0.5), ("linear", 1.0), ("rotate", 0.5))
 
 
-def nls_strang_samples(phi_hat, params, step, n_samples, grid):
-    """The Strang loop of NLS, as a stream of spectra.
+def nls_splitting(grid):
+    """split_step_samples' (linear, field, order) for NLS: the free flow,
+    the rotation of phi, and Strang with the flow outside."""
+    linear = lambda tau: (free_symbol(grid, tau),)
+    return linear, 0, (("linear", 0.5), ("rotate", 1.0), ("linear", 0.5))
 
-    ``phi_hat`` is the plain FFT of the initial field, shape
-    (..., *grid.shape); leading axes are independent batch members.  Each
-    step is a half exact free step on the spectrum, the nonlinear rotation
-    over the whole step in physical space, and a half free step again, so
-    a step costs one inverse and one forward transform; within a sample
-    interval the adjacent half free steps are merged into one.  Yields
-    (t, phi_hat) after every sample interval, phi_hat being exactly the
-    spectrum at t (updated in place once the loop resumes), and raises
+
+def _pair_map(symbols, a, b):
+    """U (a, b) per mode, U the symmetric 2x2 linear_pair_propagator gives."""
+    u11, u12, u22 = symbols
+    return [u11 * a + u12 * b, u12 * a + u22 * b]
+
+
+def _apply_linear(hats, symbols):
+    # hats <- U hats per mode for U the 1x1 free symbol or the symmetric
+    # 2x2; in place, one array per field lighter than _pair_map
+    if len(symbols) == 1:
+        hats[0] *= symbols[0]
+        return
+    u11, u12, u22 = symbols
+    mix_phi, mix_psi = u12 * hats[1], u12 * hats[0]
+    hats[0] *= u11
+    hats[0] += mix_phi
+    hats[1] *= u22
+    hats[1] += mix_psi
+
+
+def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
+    """The split-step loop of either model, as a stream of samples.
+
+    ``splitting`` is (linear, field, order): linear(tau) is the per-mode
+    flow exp(-i tau H_k) as (symbol,) or (u11, u12, u22), ``field`` the
+    index of the rotated field, ``order`` one step as ("rotate" | "linear",
+    weight) substeps, chained over a sample interval with neighbours of one
+    kind merged.  The loop owns ``spectra`` (the fields' plain FFTs, with
+    leading batch axes) and ``u``, the rotated field in physical space; one
+    of u and spectra[field] is None, and the field changes space only when
+    the next substep needs it.  Yields (t, spectra, u) after every sample
+    interval, updated in place once the loop resumes; raises
     SolverBlowupError as soon as a sample is not finite."""
     axes = tuple(range(-grid.n, 0))
+    linear, field, order = splitting
     per_block = step.steps_per_sample
     dt = step.dt
-    g, p = params.g, params.p
-    half = free_symbol(grid, 0.5 * dt)
-    full = free_symbol(grid, dt)
-    hat = np.array(phi_hat, dtype=np.complex128)
+    substeps = []
+    for kind, weight in order * per_block:
+        if substeps and substeps[-1][0] == kind:
+            weight = substeps.pop()[1] + weight
+        substeps.append((kind, weight))
+    maps = {w: linear(w * dt) for kind, w in substeps if kind == "linear"}
     for block in range(n_samples):
-        for j in range(per_block):
-            hat *= full if j else half
-            phi = np.fft.ifftn(hat, axes=axes)
-            _rotate(phi, g, p, dt)
-            hat = np.fft.fftn(phi, axes=axes)
-        hat *= half
+        for kind, weight in substeps:
+            if kind == "rotate":
+                if u is None:
+                    u, spectra[field] = np.fft.ifftn(spectra[field], axes=axes), None
+                _rotate(u, params.g, params.p, weight * dt)
+            else:
+                if u is not None:
+                    spectra[field], u = np.fft.fftn(u, axes=axes), None
+                _apply_linear(spectra, maps[weight])
         t = (block + 1) * step.sample_interval
-        _check_finite(hat, time=t, step_index=(block + 1) * per_block)
-        yield t, hat
+        if not all(np.all(np.isfinite(a)) for a in spectra + [u] if a is not None):
+            raise SolverBlowupError(t, (block + 1) * per_block)
+        yield t, spectra, u
 
 
 def evolve_ep(initial, params, step, T, record=FULL):
     """Integrate the full photon-exciton system from t = 0 to T.
 
-    Strang splitting: half nonlinear rotation of psi, exact per-mode 2x2
+    Strang splitting (split_step_samples): half rotation of psi, exact 2x2
     linear step for (phi_hat, psi_hat), half rotation again.  Aborts with
     SolverBlowupError if any field stops being finite.
     """
@@ -416,30 +401,35 @@ def evolve_ep(initial, params, step, T, record=FULL):
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
     axes = tuple(range(-grid.n, 0))
-    rec = _Recorder(grid, params.resolve_s(grid), record, pair=True)
+    rec = _Recorder(grid, params.resolve_s(grid), record)
     fields = np.stack([initial.phi.values, initial.psi.values])
-    rec.record(0.0, np.fft.fftn(fields, axes=axes), fields)
-    for t, fields, _ in ep_strang_samples(
-        fields, params, step, _sample_count(T, step), grid
-    ):
-        rec.record(t, np.fft.fftn(fields, axes=axes), fields)
+    hat = np.fft.fftn(fields, axes=axes)
+    rec.record(0.0, hat, fields)
+    stream = split_step_samples([hat[0], None], fields[1], ep_splitting(grid, params),
+                                params, step, _sample_count(T, step), grid)
+    for t, (phi_hat, _), psi in stream:
+        spectra = np.stack([phi_hat, np.fft.fftn(psi, axes=axes)])
+        fields = None
+        if record == FULL:
+            fields = np.stack([np.fft.ifftn(phi_hat, axes=axes), psi])
+        rec.record(t, spectra, fields)
     return rec.trajectory()
 
 
 def evolve_nls(phi0, params, step, T, record=FULL):
     """Integrate i phi_t = -Laplace phi + g |phi|^(p-1) phi by Strang
     splitting (half exact spectral free step, nonlinear rotation, half
-    free step); see nls_strang_samples."""
+    free step); see split_step_samples."""
     if T <= 0:
         raise ValueError("T must be positive")
     grid = phi0.grid
-    rec = _Recorder(grid, params.resolve_s(grid), record, pair=False)
+    rec = _Recorder(grid, params.resolve_s(grid), record)
     phi_hat = np.fft.fftn(phi0.values)
     rec.record(0.0, phi_hat[None], phi0.values[None])
-    for t, phi_hat in nls_strang_samples(
-        phi_hat, params, step, _sample_count(T, step), grid
-    ):
-        rec.record(t, phi_hat[None])
+    stream = split_step_samples([phi_hat], None, nls_splitting(grid),
+                                params, step, _sample_count(T, step), grid)
+    for t, spectra, _ in stream:
+        rec.record(t, spectra[0][None])
     return rec.trajectory()
 
 
@@ -450,7 +440,7 @@ def evolve_nls(phi0, params, step, T, record=FULL):
 def _linear_trajectory(grid, params, times, spectra, record):
     """Record a linear comparator whose photon and exciton spectra at
     time t are spectra(t)."""
-    rec = _Recorder(grid, params.resolve_s(grid), record, pair=True)
+    rec = _Recorder(grid, params.resolve_s(grid), record)
     for t in times:
         rec.record(t, np.stack(spectra(t)))
     return rec.trajectory()
@@ -463,18 +453,14 @@ def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
     measured from ``initial.time``; times may be arbitrary.
     """
     times = _comparator_times(T, sample_times, initial.time)
-    if np.any(times < initial.time - 1e-12):
-        raise ValueError("sample times precede the initial time")
 
     grid = initial.phi.grid
     phi0_hat = np.fft.fftn(initial.phi.values)
     psi0_hat = np.fft.fftn(initial.psi.values)
 
     def spectra(t):
-        u11, u12, u22 = linear_pair_propagator(
-            grid, params.gamma, params.omega0, t - initial.time
-        )
-        return u11 * phi0_hat + u12 * psi0_hat, u12 * phi0_hat + u22 * psi0_hat
+        u = linear_pair_propagator(grid, params.gamma, params.omega0, t - initial.time)
+        return _pair_map(u, phi0_hat, psi0_hat)
 
     return _linear_trajectory(grid, params, times, spectra, record)
 
@@ -494,8 +480,6 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
     |k|^2 = omega0.
     """
     times = _comparator_times(T, sample_times)
-    if np.any(times < 0):
-        raise ValueError("sample times must be nonnegative")
 
     grid = phi0.grid
     phi0_hat = np.fft.fftn(phi0.values)
@@ -519,21 +503,12 @@ def system_a_symbols(grid, params, t):
     return free_symbol(grid, t), a_psi
 
 
-def composite_symbols(grid, params, t1):
-    """Function of t giving the per-mode multipliers (M_phi, M_psi) taking
-    phi_hat(0) to the composite comparator's photon and exciton spectra:
-    system A up to t1, then system B from the system-A spectra at t1."""
-    a_phi, a_psi = system_a_symbols(grid, params, t1)
-
-    def symbols(t):
-        if t <= t1:
-            return system_a_symbols(grid, params, t)
-        u11, u12, u22 = linear_pair_propagator(
-            grid, params.gamma, params.omega0, t - t1
-        )
-        return u11 * a_phi + u12 * a_psi, u12 * a_phi + u22 * a_psi
-
-    return symbols
+def composite_seed(grid, params, t1):
+    """Per-mode (B_phi, B_psi) = U(-t1) (A_phi(t1), A_psi(t1)), so that the
+    composite's multipliers after t1 are U(t) (B_phi, B_psi): one linear
+    propagator U(t) serves every t1."""
+    back = linear_pair_propagator(grid, params.gamma, params.omega0, -t1)
+    return _pair_map(back, *system_a_symbols(grid, params, t1))
 
 
 def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, record=FULL):
@@ -547,13 +522,17 @@ def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, reco
     if t1 > T:
         raise ValueError(f"A-phase end t1 = {t1:.6g} exceeds the horizon T = {T}")
     times = _comparator_times(T, sample_times)
-    if np.any(times < 0):
-        raise ValueError("sample times must be nonnegative")
 
     grid = phi0.grid
     phi0_hat = np.fft.fftn(phi0.values)
-    symbols = composite_symbols(grid, params, t1)
-    spectra = lambda t: [m * phi0_hat for m in symbols(t)]
+    b_phi, b_psi = (m * phi0_hat for m in composite_seed(grid, params, t1))
+
+    def spectra(t):
+        if t <= t1:
+            return [m * phi0_hat for m in system_a_symbols(grid, params, t)]
+        u = linear_pair_propagator(grid, params.gamma, params.omega0, t)
+        return _pair_map(u, b_phi, b_psi)
+
     return _linear_trajectory(grid, params, times, spectra, record)
 
 
@@ -574,14 +553,16 @@ def relative_error_curve(reference, truth, s, delta=None):
     ):
         raise ValueError("trajectories must share identical sample times")
     grid = truth.phi[0].grid
+    axes = tuple(range(-grid.n, 0))
     rho = np.empty(len(truth.times))
     for i, (ref_f, tru_f) in enumerate(zip(reference.phi, truth.phi)):
-        den = _hs(tru_f.values, grid, s)
+        pair = np.stack([tru_f.values, ref_f.values - tru_f.values])
+        den, num = hs_norm_from_fft(np.fft.fftn(pair, axes=axes), grid, s)
         if den == 0.0:
             raise ZeroDivisionError(
                 f"truth norm underflow at t = {truth.times[i]:.6g}"
             )
-        rho[i] = _hs(ref_f.values - tru_f.values, grid, s) / den
+        rho[i] = num / den
     return ErrorCurve(delta=delta, times=truth.times.copy(), rho=rho)
 
 

@@ -20,14 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import (
+    DEFAULT_DT,
+    DEFAULT_SAMPLES_PER_UNIT_TIME,
     ErrorCurve,
     ModelParams,
     StepSpec,
-    composite_symbols,
-    ep_strang_samples,
+    composite_seed,
+    ep_splitting,
     linear_pair_propagator,
-    nls_strang_samples,
+    nls_splitting,
     sample_times,
+    split_step_samples,
 )
 from .grid import (
     DEFAULT_MAX_POINTS,
@@ -49,7 +52,8 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock
 _MODEL_DEFAULTS = {
-    EP: {"T": 2.0, "dt": 1e-3, "samples_per_unit_time": 100,
+    EP: {"T": 2.0, "dt": DEFAULT_DT,
+         "samples_per_unit_time": DEFAULT_SAMPLES_PER_UNIT_TIME,
          "comparator": COMPARATOR_SYSTEM_B},
     NLS: {"T": 0.2, "dt": 1e-4, "samples_per_unit_time": 10000,
           "comparator": COMPARATOR_LINEAR_NLS},
@@ -60,17 +64,17 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 
 # Part of every cache key; bumped whenever the bits of a computed curve
 # change, so a cache never serves curves an older solver wrote.
-SOLVER_REVISION = 3
+SOLVER_REVISION = 4
 
 # Complex grid-sized arrays one batch member keeps alive at the peak of
-# _curve_batch, measured and rounded up (EP ~17.5, NLS ~10-11; checked by
-# tests/test_sweep.py): the initial field, its spectrum and a per-curve
-# copy, then EP's stacked fields (held by the caller and the loop), their
-# spectrum, the next one and the temporaries of the 2x2 step and the
-# rotation, or NLS's field and spectrum plus the truth-and-difference
-# stack of the one norm call per sample and that call's temporaries.  The
-# max_points guard bounds batch x grid x this.
-_ARRAYS_PER_MEMBER = {EP: 18, NLS: 11}
+# _curve_batch, measured and rounded up (EP ~7.9-8.4, NLS ~6.9; checked by
+# tests/test_sweep.py): the member's phi_hat(0) per curve, the spectra the
+# split-step loop owns (EP: phi_hat, and psi in whichever space it is in;
+# NLS: one field, whose spectrum is dropped while it is rotated), the
+# temporaries of a rotation or a 2x2 step, and the truth-and-difference
+# stack of the one norm call per sample.  The max_points guard bounds
+# batch x grid x this.
+_ARRAYS_PER_MEMBER = {EP: 9, NLS: 7}
 
 
 class NoCrossingError(RuntimeError):
@@ -242,18 +246,27 @@ class AlgorithmAResult:
 # curve simulation
 
 
-def _comparator_symbol(c, grid, params, epsilon_comp):
-    """Function of t giving the per-mode multiplier M(t) with
-    comparator_hat(t) = M(t) * phi_hat(0): every comparator is linear in
-    the initial photon spectrum (the exciton starts at zero)."""
+def _comparator_symbols(c, grid, params, comps):
+    """Function of t giving M(t), one row of per-mode multipliers per
+    comparator epsilon in ``comps``: comparator_hat(t) = M(t)[j] phi_hat(0).
+    NLS's is the free flow; EP's follow system A (a free photon) up to
+    t1 = c1 sqrt(epsilon), 0 for system B, and U(t) times their
+    composite_seed after, all sharing one free symbol and one U(t) per t."""
     if c.comparator == COMPARATOR_LINEAR_NLS:
-        return lambda t: free_symbol(grid, t)
-    if c.comparator == COMPARATOR_SYSTEM_B:
-        return lambda t: linear_pair_propagator(grid, c.gamma, c.omega0, t)[0]
-    if epsilon_comp is None:
+        return lambda t: free_symbol(grid, t)[None]
+    if c.comparator == COMPARATOR_COMPOSITE and None in comps:
         raise ValueError("the composite comparator needs a comparator epsilon")
-    symbols = composite_symbols(grid, params, c.c1 * np.sqrt(epsilon_comp))
-    return lambda t: symbols(t)[0]
+    t1s = [0.0 if e is None else c.c1 * np.sqrt(e) for e in comps]
+    seeds = [composite_seed(grid, params, t1) for t1 in t1s]
+
+    def symbols(t):
+        free = free_symbol(grid, t) if t <= max(t1s) else None
+        if t > min(t1s):
+            u11, u12, _ = linear_pair_propagator(grid, c.gamma, c.omega0, t)
+        return np.stack([free if t <= t1 else u11 * b_phi + u12 * b_psi
+                         for t1, (b_phi, b_psi) in zip(t1s, seeds)])
+
+    return symbols
 
 
 def _solver_step(c):
@@ -273,12 +286,12 @@ def _curve_batch(c, specs):
 
     At each sample the comparator spectrum is one closed-form multiplier
     per eps_comp times each member's phi_hat(0), the truth spectrum is the
-    one the solver has in hand (EP: its last linear substep; NLS: the
-    spectrum its loop carries), the truth and difference norms are one
-    batched call, and rho[spec, sample] is filled in place.  No state is
-    recorded, so memory is O(batch x grid).  Every operation acts on each
-    batch row alone, so a curve's bits do not depend on the rest of its
-    batch.
+    photon spectrum the split-step loop carries (EP's phi never leaves
+    spectral space; NLS ends each interval on a linear substep), the truth
+    and difference norms are one batched call, and rho[spec, sample] is
+    filled in place.  No state is recorded, so memory is O(batch x grid).
+    Every operation acts on each batch row alone, so a curve's bits do not
+    depend on the rest of its batch.
     """
     grid, params, step = solver_setup(c)
     times = sample_times(c.T, step)
@@ -286,16 +299,16 @@ def _curve_batch(c, specs):
     comps = list(dict.fromkeys(e for _, e in specs))
     member = [deltas.index(d) for d, _ in specs]
     comp_of = [comps.index(e) for _, e in specs]
-    symbols = [_comparator_symbol(c, grid, params, e) for e in comps]
+    symbols = _comparator_symbols(c, grid, params, comps)
 
-    axes = tuple(range(-grid.n, 0))
-    phi0 = np.stack([gaussian_initial(grid, d).values for d in deltas])
-    phi0_hat = np.fft.fftn(phi0, axes=axes)
-    curve_phi0_hat = phi0_hat[member]
+    phi0 = [gaussian_initial(grid, d).values for d in deltas]
+    spectra = [np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))]
+    del phi0  # only its spectrum is needed from here on
+    curve_phi0_hat = spectra[0][member]
     rho = np.empty((len(specs), len(times)))
 
     def measure(i, truth_hat):
-        diff = np.stack([sym(times[i]) for sym in symbols])[comp_of]
+        diff = symbols(times[i])[comp_of]
         diff *= curve_phi0_hat
         diff -= truth_hat[member]
         norms = hs_norm_from_fft(np.concatenate([truth_hat, diff]), grid, c.s)
@@ -307,16 +320,18 @@ def _curve_batch(c, specs):
             )
         rho[:, i] = norms[len(deltas) :] / den[member]
 
-    measure(0, phi0_hat)
+    measure(0, spectra[0])
+    # the loop owns the spectra from here; EP's exciton starts at zero,
+    # given in physical space since the loop's first substep rotates it
+    n = len(times) - 1
     if c.model == EP:
-        fields = np.stack([phi0, np.zeros_like(phi0)])
-        stream = ep_strang_samples(fields, params, step, len(times) - 1, grid)
-        for i, (_, _, spectrum) in enumerate(stream, 1):
-            measure(i, spectrum[0])
+        stream = split_step_samples(spectra + [None], np.zeros_like(spectra[0]),
+                                    ep_splitting(grid, params), params, step, n, grid)
     else:
-        stream = nls_strang_samples(phi0_hat, params, step, len(times) - 1, grid)
-        for i, (_, truth_hat) in enumerate(stream, 1):
-            measure(i, truth_hat)
+        stream = split_step_samples(spectra, None, nls_splitting(grid),
+                                    params, step, n, grid)
+    for i, (_, hats, _) in enumerate(stream, 1):
+        measure(i, hats[0])
     return [
         ErrorCurve(delta=d, times=times.copy(), rho=rho[j])
         for j, (d, _) in enumerate(specs)

@@ -4,14 +4,16 @@ import pytest
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """A list that grows by one with every numpy.fft.fftn / ifftn call."""
+    """A list that grows by one entry with every numpy.fft.fftn / ifftn
+    call: the number of complex points that call transforms."""
     calls = []
     for name in ("fftn", "ifftn"):
         orig = getattr(numpy.fft, name)
 
         def counted(*args, _orig=orig, **kwargs):
-            calls.append(1)
-            return _orig(*args, **kwargs)
+            out = _orig(*args, **kwargs)
+            calls.append(out.size)
+            return out
 
         monkeypatch.setattr(numpy.fft, name, counted)
     return calls

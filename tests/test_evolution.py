@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from epnls.grid import (
     Field,
     free_propagate,
+    free_symbol,
     gaussian_initial,
     l2_norm,
     make_grid,
@@ -22,12 +23,16 @@ from epnls.evolution import (
     evolve_linear_b,
     evolve_nls,
     evolve_system_a,
+    ep_splitting,
     linear_pair_propagator,
     nonlinear_phase,
     relative_error_curve,
+    split_step_samples,
     total_mass,
     zero_state,
 )
+import epnls.sweep
+from epnls.sweep import SweepConfig
 
 GRID = make_grid(1, 256, 10.0)
 PARAMS = ModelParams(g=1.0, gamma=1.0, omega0=1.0, p=3.0, s=1.0)
@@ -377,6 +382,89 @@ def test_nls_records_norms_without_extra_transforms(fft_calls):
                       record="norms")
     assert len(traj.times) == 11
     assert len(fft_calls) == 1 + 2 * 100  # the initial spectrum, then 2 per step
+
+
+def test_ep_records_norms_transforming_psi_only(fft_calls):
+    traj = evolve_ep(gauss_state(), PARAMS,
+                     StepSpec(dt=1e-3, samples_per_unit_time=100), 0.1,
+                     record="norms")
+    assert len(traj.times) == 11
+    # the initial pair, then psi alone: 2 per step and 1 per sample for
+    # its norm; phi_hat never leaves spectral space
+    assert fft_calls == [2 * 256] + [256] * (2 * 100 + 10)
+
+
+# ---------------------------------------------------------------- kernel
+# frozen copies of the loops the split-step kernel replaced: the stacked
+# EP loop (both fields through every transform) and the NLS loop
+
+
+def frozen_ep_samples(fields, params, step, n_samples, grid):
+    axes = tuple(range(-grid.n, 0))
+    dt, g, p = step.dt, params.g, params.p
+    u11, u12, u22 = linear_pair_propagator(grid, params.gamma, params.omega0, dt)
+    fields = np.array(fields, dtype=np.complex128)
+    for block in range(n_samples):
+        fields[1] = nonlinear_phase(fields[1], g, p, 0.5 * dt)
+        for j in range(step.steps_per_sample):
+            if j:
+                fields[1] = nonlinear_phase(fields[1], g, p, dt)
+            hat = np.fft.fftn(fields, axes=axes)
+            spectrum = np.stack([u11 * hat[0] + u12 * hat[1],
+                                 u12 * hat[0] + u22 * hat[1]])
+            fields = np.fft.ifftn(spectrum, axes=axes)
+        fields[1] = nonlinear_phase(fields[1], g, p, 0.5 * dt)
+        yield (block + 1) * step.sample_interval, spectrum[0], fields[1]
+
+
+def frozen_nls_samples(phi_hat, params, step, n_samples, grid):
+    axes = tuple(range(-grid.n, 0))
+    half = free_symbol(grid, 0.5 * step.dt)
+    full = free_symbol(grid, step.dt)
+    hat = np.array(phi_hat, dtype=np.complex128)
+    for block in range(n_samples):
+        for j in range(step.steps_per_sample):
+            hat *= full if j else half
+            phi = nonlinear_phase(np.fft.ifftn(hat, axes=axes),
+                                  params.g, params.p, step.dt)
+            hat = np.fft.fftn(phi, axes=axes)
+        hat *= half
+        yield (block + 1) * step.sample_interval, hat
+
+
+@pytest.mark.parametrize("grid", [GRID, make_grid(2, 32, 8.0)], ids=["1d", "2d"])
+def test_ep_kernel_matches_the_stacked_loop(grid):
+    # 200 steps of 10 per sample; a batch of two amplitudes
+    step = StepSpec(dt=1e-3, samples_per_unit_time=100)
+    axes = tuple(range(-grid.n, 0))
+    phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.6)])
+    psi0 = 0.3j * phi0[::-1]
+    old = frozen_ep_samples([phi0, psi0], PARAMS, step, 20, grid)
+    new = split_step_samples([np.fft.fftn(phi0, axes=axes), None], psi0.copy(),
+                             ep_splitting(grid, PARAMS), PARAMS, step, 20, grid)
+    for (t_old, phi_hat_old, psi_old), (t_new, (phi_hat, _), psi) in zip(old, new):
+        assert t_new == t_old
+        scale = np.max(np.abs(phi_hat_old))
+        assert np.max(np.abs(phi_hat - phi_hat_old)) <= 1e-12 * scale
+        assert np.max(np.abs(psi - psi_old)) <= 1e-12 * np.max(np.abs(psi_old))
+    assert t_new == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("clock", [{}, {"T": 0.02, "dt": 2e-5}],
+                         ids=["default", "5-steps-per-sample"])
+def test_nls_curves_are_bitwise_the_frozen_loop(monkeypatch, clock):
+    cfg = SweepConfig(model="nls", **clock)
+    specs = [(1.0, None), (0.5, None), (0.1, None)]
+    kernel = epnls.sweep._curve_batch(cfg, specs)
+
+    def frozen(spectra, u, splitting, params, step, n_samples, grid):
+        stream = frozen_nls_samples(spectra[0], params, step, n_samples, grid)
+        for t, hat in stream:
+            yield t, [hat], None
+
+    monkeypatch.setattr(epnls.sweep, "split_step_samples", frozen)
+    for a, b in zip(kernel, epnls.sweep._curve_batch(cfg, specs)):
+        assert np.array_equal(a.rho, b.rho)
 
 
 # ---------------------------------------------------------------- NLS

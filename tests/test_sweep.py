@@ -417,9 +417,10 @@ def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     curves = run_error_curves(cfg)
     assert len(curves) == 4 and len(curves[0].times) == samples
-    # one transform of the initial fields, then 2 per step for the whole
-    # batch and none per sample: both loops yield the truth spectrum
-    assert len(fft_calls) == 1 + 2 * steps
+    # one transform of the initial photon fields, then 2 per step and none
+    # per sample: both loops carry the truth's photon spectrum.  Every call
+    # moves one field of the batch of 4 amplitudes: EP transforms only psi
+    assert fft_calls == [4 * 32] * (1 + 2 * steps)
 
 
 @pytest.mark.parametrize("model", ["ep", "nls"])
@@ -452,6 +453,16 @@ def test_default_nls_dt_is_converged():
     for eps in SweepConfig(model="nls").epsilon_set:
         t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
         assert t_coarse == pytest.approx(t_fine, rel=1e-6)
+
+
+def test_default_ep_dt_is_converged():
+    # crossings of the delta = 1 curve at the default dt against a 4x
+    # finer step: measured 1.35e-6 apart from dt = 1e-4
+    coarse = compute_error_curve(SweepConfig(model="ep"), 1.0)
+    fine = compute_error_curve(SweepConfig(model="ep", dt=2.5e-4), 1.0)
+    for eps in SweepConfig(model="ep").epsilon_set:
+        t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
+        assert t_coarse == pytest.approx(t_fine, rel=1e-5)
 
 
 def test_signature_carries_the_solver_revision():
