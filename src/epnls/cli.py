@@ -46,7 +46,7 @@ from .runio import (
     sha256_hex,
     write_csv,
 )
-from .sweep import config_hash, run_algorithm_a, solver_setup, write_curves
+from .sweep import config_hash, curve_specs, run_algorithm_a, solver_setup, write_curves
 from .theory import (
     LemmaQInput,
     NoRealRootsError,
@@ -198,6 +198,11 @@ def cmd_sweep(args):
             "solver": {"T": cfg.T, "dt": cfg.dt,
                        "samples_per_unit_time": cfg.samples_per_unit_time,
                        "comparator": cfg.comparator},
+            "curves": [
+                {"delta": delta, "epsilon_comp": eps_comp,
+                 "t_stop": float(curve.times[-1])}
+                for (delta, eps_comp), curve in zip(curve_specs(cfg), result.curves)
+            ],
             "failures": result.failures,
         }
         atomic_write_text(

@@ -361,7 +361,11 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
     of u and spectra[field] is None, and the field changes space only when
     the next substep needs it.  Yields (t, spectra, u) after every sample
     interval, updated in place once the loop resumes; raises
-    SolverBlowupError as soon as a sample is not finite."""
+    SolverBlowupError as soon as a sample is not finite.  Resuming with
+    ``stream.send(keep)``, keep a boolean mask over the leading batch axis,
+    first shrinks the batch to the kept rows, held in new arrays that the
+    later samples yield; each row steps alone, so the survivors' bits do
+    not change."""
     axes = tuple(range(-grid.n, 0))
     linear, field, order = splitting
     per_block = step.steps_per_sample
@@ -385,7 +389,10 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
         t = (block + 1) * step.sample_interval
         if not all(np.all(np.isfinite(a)) for a in spectra + [u] if a is not None):
             raise SolverBlowupError(t, (block + 1) * per_block)
-        yield t, spectra, u
+        keep = yield t, spectra, u
+        if keep is not None:
+            spectra = [None if a is None else a[keep] for a in spectra]
+            u = None if u is None else u[keep]
 
 
 def evolve_ep(initial, params, step, T, record=FULL):

@@ -4,11 +4,12 @@ times where the relative error reaches each tolerance, and regress the
 scaling exponent beta per alpha.
 
 The procedure follows the two-loop structure: error curves rho(t; delta)
-are simulated once per distinct amplitude delta and reused across every
-alpha (delta = eps^alpha ties amplitude to tolerance; alpha = 0 pins
-delta = 1 and sweeps eps directly off that single curve).  Crossing
-times t(alpha, eps) then obey t = C eps^beta with beta = 1 - (p-1) alpha
-for NLS and beta = (1 - (p-1) alpha)/(p+2) for the coupled system.
+are simulated once per distinct amplitude delta, only up to the last
+crossing read off them, and reused across every alpha (delta = eps^alpha
+ties amplitude to tolerance; alpha = 0 pins delta = 1 and sweeps eps
+directly off that single curve).  Crossing times t(alpha, eps) then obey
+t = C eps^beta with beta = 1 - (p-1) alpha for NLS and
+beta = (1 - (p-1) alpha)/(p+2) for the coupled system.
 """
 
 from __future__ import annotations
@@ -62,19 +63,25 @@ _MODEL_DEFAULTS = {
 DEFAULT_ALPHAS = (0.0, 0.1, 0.2, 0.3)
 DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 
-# Part of every cache key; bumped whenever the bits of a computed curve
-# change, so a cache never serves curves an older solver wrote.
-SOLVER_REVISION = 4
+# Part of every cache key, per model; bumped whenever the bits of that
+# model's computed curves change, so a cache never serves curves an older
+# solver wrote.
+SOLVER_REVISION = {EP: 4, NLS: 3}
 
-# Complex grid-sized arrays one batch member keeps alive at the peak of
-# _curve_batch, measured and rounded up (EP ~7.9-8.4, NLS ~6.9; checked by
-# tests/test_sweep.py): the member's phi_hat(0) per curve, the spectra the
+# Complex grid-sized arrays a batch member with one curve keeps alive at
+# the peak of _curve_batch, measured and rounded up (EP ~6.2-6.5 with
+# system B and ~8.1-8.5 with the composite, NLS ~5.9; checked by
+# tests/test_sweep.py): the curve's phi_hat(0) copy, the spectra the
 # split-step loop owns (EP: phi_hat, and psi in whichever space it is in;
 # NLS: one field, whose spectrum is dropped while it is rotated), the
-# temporaries of a rotation or a 2x2 step, and the truth-and-difference
-# stack of the one norm call per sample.  The max_points guard bounds
-# batch x grid x this.
-_ARRAYS_PER_MEMBER = {EP: 9, NLS: 7}
+# temporaries of a rotation or a 2x2 step, the truth-and-difference stack
+# of the one norm call per sample and, for the composite, the seed pair of
+# the curve's comparator epsilon.  Each further curve of one delta (the
+# composite's other epsilons) adds its phi_hat(0) copy, stack row, norm
+# temporaries and seed pair (~5.1-5.5).  The max_points guard bounds
+# grid x the sum of these over a batch.
+_ARRAYS_PER_MEMBER = {EP: 9, NLS: 6}
+_ARRAYS_PER_EXTRA_CURVE = 6
 
 
 class NoCrossingError(RuntimeError):
@@ -197,7 +204,7 @@ def physics_signature(config):
         f"dt={fmt(config.dt)}",
         f"spu={config.samples_per_unit_time}",
         f"comparator={config.comparator}",
-        f"solver={SOLVER_REVISION}",
+        f"solver={SOLVER_REVISION[config.model]}",
     ]
     if config.comparator == COMPARATOR_COMPOSITE:
         parts.append(f"c1={fmt(config.c1)}")
@@ -229,7 +236,9 @@ class RegressionResult:
 class AlgorithmAResult:
     """Everything the sweep produced: curves, crossings, per-alpha fits,
     the beta-vs-alpha meta fit, and per-record failures (which never
-    abort the remaining work)."""
+    abort the remaining work).  ``curves`` are run_error_curves': each
+    ends at its last needed crossing (or at T), a bitwise prefix of the
+    full-horizon curve, whether computed or served from a cached prefix."""
 
     config: SweepConfig
     curves: list
@@ -247,24 +256,26 @@ class AlgorithmAResult:
 
 
 def _comparator_symbols(c, grid, params, comps):
-    """Function of t giving M(t), one row of per-mode multipliers per
-    comparator epsilon in ``comps``: comparator_hat(t) = M(t)[j] phi_hat(0).
-    NLS's is the free flow; EP's follow system A (a free photon) up to
-    t1 = c1 sqrt(epsilon), 0 for system B, and U(t) times their
-    composite_seed after, all sharing one free symbol and one U(t) per t."""
+    """Function of (t, which) giving M(t), one row of per-mode multipliers
+    per index in ``which`` into the comparator epsilons ``comps``:
+    comparator_hat(t) = M(t)[j] phi_hat(0).  NLS's is the free flow (one
+    row); EP's follow system A (a free photon) up to t1 = c1 sqrt(epsilon),
+    0 for system B, and U(t) times their composite_seed after, all sharing
+    one free symbol and one U(t) per t."""
     if c.comparator == COMPARATOR_LINEAR_NLS:
-        return lambda t: free_symbol(grid, t)[None]
+        return lambda t, which: free_symbol(grid, t)[None]
     if c.comparator == COMPARATOR_COMPOSITE and None in comps:
         raise ValueError("the composite comparator needs a comparator epsilon")
     t1s = [0.0 if e is None else c.c1 * np.sqrt(e) for e in comps]
     seeds = [composite_seed(grid, params, t1) for t1 in t1s]
 
-    def symbols(t):
-        free = free_symbol(grid, t) if t <= max(t1s) else None
-        if t > min(t1s):
+    def symbols(t, which):
+        ends = [t1s[j] for j in which]
+        free = free_symbol(grid, t) if t <= max(ends) else None
+        if t > min(ends):
             u11, u12, _ = linear_pair_propagator(grid, c.gamma, c.omega0, t)
-        return np.stack([free if t <= t1 else u11 * b_phi + u12 * b_psi
-                         for t1, (b_phi, b_psi) in zip(t1s, seeds)])
+        return np.stack([free if t <= t1s[j] else u11 * seeds[j][0] + u12 * seeds[j][1]
+                         for j in which])
 
     return symbols
 
@@ -280,7 +291,26 @@ def solver_setup(c):
     return grid, params, _solver_step(c)
 
 
-def _curve_batch(c, specs):
+def _truth_stream(c, grid, params, step, n, phi0_hat):
+    """split_step_samples of the model from the photon spectra phi0_hat;
+    EP's exciton starts at zero, given in physical space since the loop's
+    first substep rotates it."""
+    if c.model == EP:
+        return split_step_samples([phi0_hat, None], np.zeros_like(phi0_hat),
+                                  ep_splitting(grid, params), params, step, n, grid)
+    return split_step_samples([phi0_hat], None, nls_splitting(grid),
+                              params, step, n, grid)
+
+
+def _compact(index, n):
+    """Which of n slots ``index`` still points at, as a mask, and ``index``
+    renumbered onto the slots kept."""
+    used = np.zeros(n, dtype=bool)
+    used[index] = True
+    return used, (np.cumsum(used) - 1)[index]
+
+
+def _curve_batch(c, specs, stops=None):
     """Error curves of the (delta, eps_comp) specs of a config,
     with every distinct delta stepped at once on a leading batch axis.
 
@@ -292,55 +322,87 @@ def _curve_batch(c, specs):
     filled in place.  No state is recorded, so memory is O(batch x grid).
     Every operation acts on each batch row alone, so a curve's bits do not
     depend on the rest of its batch.
+
+    ``stops`` gives each spec the tolerance that ends its curve: the curve
+    stops at the first sample where rho reaches it, a delta leaves the
+    batch once all its curves have stopped, and stepping ends when no delta
+    is left or at T.  Without ``stops`` every curve runs to T.
     """
     grid, params, step = solver_setup(c)
     times = sample_times(c.T, step)
     deltas = list(dict.fromkeys(d for d, _ in specs))
     comps = list(dict.fromkeys(e for _, e in specs))
-    member = [deltas.index(d) for d, _ in specs]
-    comp_of = [comps.index(e) for _, e in specs]
     symbols = _comparator_symbols(c, grid, params, comps)
+    # the running curves (rows of rho), their stop tolerances, batch rows
+    # and comparator rows, and the deltas and comparator epsilons in use
+    live = np.arange(len(specs))
+    stop = np.full(len(specs), np.inf) if stops is None else np.asarray(stops, float)
+    member = np.array([deltas.index(d) for d, _ in specs])
+    comp_of = np.array([comps.index(e) for _, e in specs])
+    live_deltas, live_comps = np.arange(len(deltas)), np.arange(len(comps))
 
     phi0 = [gaussian_initial(grid, d).values for d in deltas]
-    spectra = [np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))]
+    phi_hat = np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))
     del phi0  # only its spectrum is needed from here on
-    curve_phi0_hat = spectra[0][member]
+    curve_phi0_hat = phi_hat[member]
     rho = np.empty((len(specs), len(times)))
+    ends = np.full(len(specs), len(times))
 
-    def measure(i, truth_hat):
-        diff = symbols(times[i])[comp_of]
+    def rho_at(t, truth_hat):
+        # truth rows, then each curve's comparator-minus-truth row, built in
+        # place so the one norm call needs no further copy
+        stack = np.empty((len(truth_hat) + len(live),) + grid.shape, np.complex128)
+        stack[: len(truth_hat)] = truth_hat
+        diff = stack[len(truth_hat) :]
+        np.take(symbols(t, live_comps), comp_of, axis=0, out=diff)
         diff *= curve_phi0_hat
         diff -= truth_hat[member]
-        norms = hs_norm_from_fft(np.concatenate([truth_hat, diff]), grid, c.s)
-        den = norms[: len(deltas)]
+        norms = hs_norm_from_fft(stack, grid, c.s)
+        den = norms[: len(truth_hat)]
         if np.any(den == 0.0):
-            delta = deltas[int(np.argmax(den == 0.0))]
+            delta = deltas[live_deltas[int(np.argmax(den == 0.0))]]
             raise ZeroDivisionError(
-                f"truth norm underflow at t = {times[i]:.6g} for delta = {delta:.6g}"
+                f"truth norm underflow at t = {t:.6g} for delta = {delta:.6g}"
             )
-        rho[:, i] = norms[len(deltas) :] / den[member]
+        return norms[len(truth_hat) :] / den[member]
 
-    measure(0, spectra[0])
-    # the loop owns the spectra from here; EP's exciton starts at zero,
-    # given in physical space since the loop's first substep rotates it
-    n = len(times) - 1
-    if c.model == EP:
-        stream = split_step_samples(spectra + [None], np.zeros_like(spectra[0]),
-                                    ep_splitting(grid, params), params, step, n, grid)
-    else:
-        stream = split_step_samples(spectra, None, nls_splitting(grid),
-                                    params, step, n, grid)
-    for i, (_, hats, _) in enumerate(stream, 1):
-        measure(i, hats[0])
+    stream = keep = None
+    for i, t in enumerate(times):
+        if i == 1:
+            # the split-step loop owns the photon spectra from here on
+            stream = _truth_stream(c, grid, params, step, len(times) - 1, phi_hat)
+            phi_hat = None
+        # no reference to a sample's arrays outlives rho_at, so a step
+        # never holds the rows it has just dropped
+        r = rho_at(t, phi_hat if stream is None else stream.send(keep)[1][0])
+        rho[live, i] = r
+        keep = None
+        done = r >= stop
+        if done.any():
+            ends[live[done]] = i + 1
+            running = ~done
+            live, stop, member, comp_of, curve_phi0_hat = (
+                a[running] for a in (live, stop, member, comp_of, curve_phi0_hat))
+            if not len(live):
+                break
+            kept, member = _compact(member, len(live_deltas))
+            used, comp_of = _compact(comp_of, len(live_comps))
+            live_deltas, live_comps = live_deltas[kept], live_comps[used]
+            if not kept.all():
+                if stream is None:
+                    phi_hat = phi_hat[kept]
+                else:
+                    keep = kept
     return [
-        ErrorCurve(delta=d, times=times.copy(), rho=rho[j])
-        for j, (d, _) in enumerate(specs)
+        ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end])
+        for j, ((d, _), end) in enumerate(zip(specs, ends))
     ]
 
 
 def compute_error_curve(config, delta, epsilon_comp=None):
     """Simulate one nonlinear/comparator pair from phi(0) = delta * phi0
-    (phi0 the unit Gaussian) and return rho(t; delta)."""
+    (phi0 the unit Gaussian) and return rho(t; delta) up to T, the full
+    horizon (run_error_curves' curves are prefixes of it)."""
     if config.comparator != COMPARATOR_COMPOSITE:
         epsilon_comp = None
     return _curve_batch(config, [(delta, epsilon_comp)])[0]
@@ -354,14 +416,22 @@ def _by_delta(specs):
 
 
 def _compute_curves(c, specs):
-    """{spec: curve}, in batches of as many distinct amplitudes as the
-    max_points guard admits (specs sharing a delta share a batch)."""
-    groups = _by_delta(specs)
-    size = max(1, c.max_points // (c.N**c.n * _ARRAYS_PER_MEMBER[c.model]))
+    """{spec: curve}, each ending at its stop sample (_stop_tolerances), in
+    batches of as many distinct amplitudes as the max_points guard admits
+    (specs sharing a delta share a batch)."""
+    chunks, points = [], 0
+    for group in _by_delta(specs):
+        cost = c.N**c.n * (_ARRAYS_PER_MEMBER[c.model]
+                           + _ARRAYS_PER_EXTRA_CURVE * (len(group) - 1))
+        if not chunks or points + cost > c.max_points:
+            chunks.append([])
+            points = 0
+        chunks[-1] += group
+        points += cost
+    stops = _stop_tolerances(c)
     curves = {}
-    for i in range(0, len(groups), size):
-        chunk = [spec for group in groups[i : i + size] for spec in group]
-        curves.update(zip(chunk, _curve_batch(c, chunk)))
+    for chunk in chunks:
+        curves.update(zip(chunk, _curve_batch(c, chunk, [stops[s] for s in chunk])))
     return curves
 
 
@@ -393,9 +463,13 @@ def write_curves(root, config, curves, specs=None):
         )
 
 
-def _read_cached(path, delta, times):
-    """The curve cached at path, or None if it is missing, unreadable,
-    sampled on another grid than ``times``, or not finite."""
+def _read_cached(path, delta, times, tolerance):
+    """The curve cached at path, cut at its stop sample (the first where
+    rho reaches ``tolerance``), or None if it is missing, unreadable, its
+    times are not a prefix of the sample grid ``times``, its rho is not
+    finite, or it ends before both that sample and T.  A cache written to
+    T or to a larger tolerance is served cut, so a warm run returns
+    bitwise the curve a cold run computes."""
     if not os.path.exists(path):
         return None
     try:
@@ -403,42 +477,61 @@ def _read_cached(path, delta, times):
     except (OSError, ValueError, StopIteration):
         return None
     t, rho = np.asarray(t), np.asarray(rho)
-    if t.shape != rho.shape or not np.array_equal(t, times):
+    if not 0 < len(t) <= len(times) or not np.array_equal(t, times[: len(t)]):
         return None
     if not np.all(np.isfinite(rho)):
         return None
-    return ErrorCurve(delta=delta, times=t, rho=rho)
+    reached = np.flatnonzero(rho >= tolerance)
+    if len(reached):
+        end = reached[0] + 1
+    elif len(t) == len(times):
+        end = len(t)
+    else:
+        return None
+    return ErrorCurve(delta=delta, times=t[:end], rho=rho[:end])
+
+
+def _stop_tolerances(config):
+    """{(delta, comparator-epsilon): the tolerance that ends its curve},
+    in descending delta order.  find_crossing reads nothing past the first
+    sample where rho reaches epsilon, so a curve is complete once rho has
+    reached the largest epsilon >= epsilon_floor among the (alpha, epsilon)
+    read off it (0, i.e. its first sample, if there is none)."""
+    stops = {}
+    for alpha in config.alpha_set:
+        for eps in config.epsilon_set:
+            eps_comp = eps if config.comparator == COMPARATOR_COMPOSITE else None
+            key = (config.delta_for(alpha, eps), eps_comp)
+            needed = eps if eps >= config.epsilon_floor else 0.0
+            stops[key] = max(stops.get(key, 0.0), needed)
+    order = sorted(stops, key=lambda k: (-k[0], -(k[1] if k[1] is not None else 0.0)))
+    return {key: stops[key] for key in order}
 
 
 def curve_specs(config):
     """Distinct (delta, comparator-epsilon) pairs the sweep needs, in
     descending delta order."""
-    specs = []
-    seen = set()
-    for alpha in config.alpha_set:
-        for eps in config.epsilon_set:
-            delta = config.delta_for(alpha, eps)
-            eps_comp = eps if config.comparator == COMPARATOR_COMPOSITE else None
-            key = (delta, eps_comp)
-            if key not in seen:
-                seen.add(key)
-                specs.append(key)
-    specs.sort(key=lambda k: (-k[0], -(k[1] if k[1] is not None else 0.0)))
-    return specs
+    return list(_stop_tolerances(config))
 
 
 def run_error_curves(config):
     """All error curves the sweep needs, one per curve_specs entry and in
-    its (descending delta) order.  Valid cached curves are read back; the
-    misses are computed together and cached.  With config.workers > 1
-    the misses are dealt to that many processes in interleaved batches."""
-    specs = curve_specs(config)
+    its (descending delta) order.  Each curve ends at its last needed
+    crossing: at the first sample where rho reaches the largest tolerance
+    read off it, or at T if it never does, so it is a bitwise prefix of
+    compute_error_curve's full-horizon curve.  The cache serves prefixes:
+    a cached curve that reaches that sample or runs to T is read back cut
+    to it (_read_cached); the misses are computed together and cached.
+    With config.workers > 1 the misses are dealt to that many processes in
+    interleaved batches."""
+    stops = _stop_tolerances(config)
+    specs = list(stops)
     curves = {}
     if config.cache_dir:
         times = sample_times(config.T, _solver_step(config))
         for spec in specs:
             path = curve_path(config.cache_dir, config, *spec)
-            curve = _read_cached(path, spec[0], times)
+            curve = _read_cached(path, spec[0], times, stops[spec])
             if curve is not None:
                 curves[spec] = curve
     misses = [spec for spec in specs if spec not in curves]

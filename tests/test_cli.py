@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import epnls.sweep
 from epnls.cli import (
     EXIT_CONFIG,
     EXIT_INCOMPLETE,
@@ -172,6 +173,45 @@ def test_sweep_outputs_and_manifest(tmp_path, capsys):
         for f in fs
     } - {"manifest.json"}
     assert listed == on_disk
+
+
+def test_summary_records_each_curves_stop_time(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_SWEEP_INI)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    (curve,) = json.loads((out / "summary.json").read_text())["curves"]
+    assert (curve["delta"], curve["epsilon_comp"]) == (1.0, None)
+    assert np.isfinite(curve["t_stop"]) and 0 < curve["t_stop"] < 1.5
+    (path,) = (out / "curves").rglob("*.csv")
+    last_time = path.read_text().splitlines()[-1].split(",")[0]
+    assert float(last_time) == curve["t_stop"]
+
+
+def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(
+        tmp_path,
+        FAST_SWEEP_INI.replace("alphas = 0", "alphas = 0,0.2")
+        + f"[output]\ncache_dir = {tmp_path / 'cache'}\n",
+    )
+    runs = [tmp_path / "cold", tmp_path / "warm"]
+    assert main(["sweep", "--config", cfg, "--out", str(runs[0])]) == EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("the warm run computed a curve")
+
+    monkeypatch.setattr(epnls.sweep, "_curve_batch", refuse)
+    assert main(["sweep", "--config", cfg, "--out", str(runs[1])]) == EXIT_OK
+
+    def outputs(out):
+        return {
+            str(path.relative_to(out)): path.read_bytes()
+            for path in out.rglob("*")
+            if path.is_file() and path.name != "manifest.json"  # wall times
+        }
+
+    cold, warm = (outputs(out) for out in runs)
+    assert len([name for name in cold if name.startswith("curves")]) == 4
+    assert warm == cold
 
 
 def test_composite_sweep_writes_one_curve_file_per_epsilon(tmp_path, capsys):

@@ -111,13 +111,13 @@ def test_config_hash_sensitivity():
 
 @pytest.mark.parametrize("doc, pinned", [
     ("", "86d5ee829568f65e"),
-    ("[physics]\nmodel = nls\n", "c6cbc25a19a85fc6"),
+    ("[physics]\nmodel = nls\n", "c2b39eceeb6df899"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
      "alphas = 0,0.2\n", "f92cfd2399ad0993"),
 ])
 def test_config_hash_is_pinned(doc, pinned):
     # the hash keys curve caches, so it may only change on purpose: a
-    # SOLVER_REVISION bump or a new default
+    # SOLVER_REVISION bump of the config's model or a new default
     assert config_hash(parse_config_text(doc)) == pinned
 
 

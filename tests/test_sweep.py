@@ -329,6 +329,24 @@ def _bits(curves):
     return [(c.delta, c.times.tobytes(), c.rho.tobytes()) for c in curves]
 
 
+def _needed_tolerance(cfg, spec):
+    """The largest tolerance >= the floor read off the curve of spec (0 if
+    there is none)."""
+    composite = cfg.comparator == "composite"
+    return max((e for a in cfg.alpha_set for e in cfg.epsilon_set
+                if (cfg.delta_for(a, e), e if composite else None) == spec
+                and e >= cfg.epsilon_floor), default=0.0)
+
+
+def _stop_prefix(cfg, spec, curve):
+    """A full-horizon curve of spec cut where the sweep stops it: at the
+    first sample where rho reaches its needed tolerance, or at T if it
+    never does."""
+    above = np.flatnonzero(curve.rho >= _needed_tolerance(cfg, spec))
+    end = above[0] + 1 if len(above) else len(curve.rho)
+    return ErrorCurve(delta=curve.delta, times=curve.times[:end], rho=curve.rho[:end])
+
+
 def _reference_curve(c, delta, epsilon_comp=None):
     """rho(t) the slow way: full-state trajectories of the truth and the
     comparator, diffed in physical space."""
@@ -381,13 +399,18 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, comparator, n_curves):
     alone = [compute_error_curve(cfg, d, e) for d, e in specs]
     full = run_error_curves(cfg)
     pooled = run_error_curves(SweepConfig(**kw, workers=2))
-    # half-warm cache: every other curve cached, the rest computed together
+    # half-warm cache: every other curve cached (to T), the rest computed
+    # together
     cached = SweepConfig(**kw, cache_dir=str(tmp_path))
     write_curves(str(tmp_path), cached, alone[::2], specs[::2])
     half_warm = run_error_curves(cached)
     assert len(alone) == n_curves
+    # each curve stops where its batch left it: a bitwise prefix of its
+    # full-horizon curve computed alone
+    prefixes = [_stop_prefix(cfg, spec, c) for spec, c in zip(specs, alone)]
+    assert any(len(p.times) < len(c.times) for p, c in zip(prefixes, alone))
     for curves in (full, pooled, half_warm):
-        assert _bits(curves) == _bits(alone)
+        assert _bits(curves) == _bits(prefixes)
 
 
 def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
@@ -395,14 +418,109 @@ def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
     sizes = []
     batch = epnls.sweep._curve_batch
 
-    def spy(c, specs):
+    def spy(c, specs, stops=None):
         sizes.append(len(specs))
-        return batch(c, specs)
+        return batch(c, specs, stops)
 
     monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
     per_member = 64 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
     split = run_error_curves(SweepConfig(**FOUR_CURVES, max_points=3 * per_member))
     assert sizes == [3, 1]
+    assert _bits(split) == _bits(whole)
+
+
+# ---------------------------------------------------------------- stop rule
+
+
+def _no_batches(monkeypatch):
+    """Make computing any curve fail, to show a run is served from cache."""
+    def refuse(*args):
+        raise AssertionError("a curve was computed")
+
+    monkeypatch.setattr(epnls.sweep, "_curve_batch", refuse)
+
+
+@pytest.mark.parametrize("floor", [1e-6, 2e-3])
+def test_curves_end_at_their_last_needed_crossing(floor):
+    # floor 2e-3 leaves the delta = 1e-3^0.2 curve no tolerance to reach
+    cfg = SweepConfig(**FOUR_CURVES, epsilon_floor=floor)
+    samples = len(compute_error_curve(cfg, 1.0).times)
+    kinds = set()
+    for spec, curve in zip(curve_specs(cfg), run_error_curves(cfg)):
+        tol = _needed_tolerance(cfg, spec)
+        assert np.all(curve.rho[:-1] < tol)
+        if curve.rho[-1] >= tol:
+            kinds.add("at its tolerance" if tol > 0 else "at its first sample")
+        else:
+            assert len(curve.times) == samples
+            kinds.add("at T")
+    expected = {"at its tolerance", "at T"}
+    assert kinds == (expected if floor < 1e-3 else expected | {"at its first sample"})
+
+
+def test_full_length_cache_is_served_cut(tmp_path, monkeypatch):
+    cfg = SweepConfig(**FOUR_CURVES, cache_dir=str(tmp_path))
+    specs = curve_specs(cfg)
+    full = [compute_error_curve(cfg, *spec) for spec in specs]
+    cold = run_error_curves(SweepConfig(**FOUR_CURVES))
+    write_curves(str(tmp_path), cfg, full, specs)
+    files = sorted(tmp_path.rglob("*.csv"))
+    blobs = [f.read_bytes() for f in files]
+    _no_batches(monkeypatch)
+    warm = run_error_curves(cfg)
+    assert _bits(warm) == _bits(cold)
+    assert any(len(w.times) < len(f.times) for w, f in zip(warm, full))
+    assert [f.read_bytes() for f in files] == blobs  # a longer cache stays
+
+
+def test_cached_prefix_short_of_its_tolerance_is_recomputed(tmp_path):
+    cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
+    (cold,) = run_error_curves(cfg)
+    assert len(cold.times) < 101  # stopped at 1e-2, before T
+    path = Path(curve_path(str(tmp_path), cfg, 1.0))
+    blob = path.read_text()
+    short = ErrorCurve(delta=1.0, times=cold.times[:-1], rho=cold.rho[:-1])
+    path.write_text(_curve_to_csv(short))
+    (again,) = run_error_curves(cfg)
+    assert _bits([again]) == _bits([cold])
+    assert path.read_text() == blob  # the cache is mended
+
+
+def test_prefix_cached_under_a_larger_tolerance_is_accepted(tmp_path, monkeypatch):
+    larger = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
+    run_error_curves(larger)  # stops where rho reaches 1e-2
+    (path,) = tmp_path.rglob("*.csv")
+    blob = path.read_bytes()
+    kw = dict(FAST_EP, epsilon_set=(3e-3, 1e-3))
+    (cold,) = run_error_curves(SweepConfig(**kw))
+    _no_batches(monkeypatch)
+    (warm,) = run_error_curves(SweepConfig(**kw, cache_dir=str(tmp_path)))
+    assert _bits([warm]) == _bits([cold])
+    assert len(warm.times) < len(blob.splitlines()) - 1  # served cut
+    assert path.read_bytes() == blob
+
+
+# ---------------------------------------------------------------- engine cost
+
+
+def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
+    kw = dict(FOUR_CURVES, comparator="composite", c1=0.5)
+    whole = run_error_curves(SweepConfig(**kw))
+    sizes = []
+    batch = epnls.sweep._curve_batch
+
+    def spy(c, specs, stops=None):
+        sizes.append(len(specs))
+        return batch(c, specs, stops)
+
+    monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
+    member = epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    extra = epnls.sweep._ARRAYS_PER_EXTRA_CURVE
+    max_points = 64 * (2 * member + 2 * extra)
+    split = run_error_curves(SweepConfig(**kw, max_points=max_points))
+    # delta = 1 serves three comparator epsilons (member + 2 extra), so it
+    # shares its batch with one more delta only
+    assert sizes == [4, 2]
     assert _bits(split) == _bits(whole)
 
 
@@ -415,18 +533,37 @@ def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
         cfg = SweepConfig(model="nls", N=32, T=0.01, dt=1e-4,
                           samples_per_unit_time=10000, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
+    specs = curve_specs(cfg)
+    lengths = [len(_stop_prefix(cfg, spec, compute_error_curve(cfg, *spec)).times)
+               for spec in specs]
+    assert len(specs) == 4 and steps + 1 == samples >= max(lengths)
+    assert min(lengths) < samples  # some member leaves the batch early
+    fft_calls.clear()
     curves = run_error_curves(cfg)
-    assert len(curves) == 4 and len(curves[0].times) == samples
+    assert [len(c.times) for c in curves] == lengths
     # one transform of the initial photon fields, then 2 per step and none
     # per sample: both loops carry the truth's photon spectrum.  Every call
-    # moves one field of the batch of 4 amplitudes: EP transforms only psi
-    assert fft_calls == [4 * 32] * (1 + 2 * steps)
+    # moves one field of the amplitudes still stepping (EP transforms only
+    # psi): those whose curves need a sample past this step.  Stepping ends
+    # with the last one.
+    live = [sum(n > k for n in lengths) for k in range(1, max(lengths))]
+    assert fft_calls == [4 * 32] + [m * 32 for m in live for _ in range(2)]
+
+
+def _traced_peak(cfg, specs):
+    """tracemalloc peak, in complex grid-sized arrays, of one batch."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        epnls.sweep._curve_batch(cfg, specs)
+        return tracemalloc.get_traced_memory()[1] / (cfg.N**cfg.n * 16)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("model", ["ep", "nls"])
 def test_arrays_per_member_bounds_the_measured_footprint(model):
-    import tracemalloc
-
     # a grid large enough that grid-sized arrays dominate the peak
     if model == "ep":
         cfg = SweepConfig(model="ep", N=4096, T=0.02)
@@ -434,15 +571,24 @@ def test_arrays_per_member_bounds_the_measured_footprint(model):
         cfg = SweepConfig(model="nls", N=4096, T=0.002)
 
     def peak(batch):
-        tracemalloc.start()
-        try:
-            epnls.sweep._curve_batch(cfg, [(1.0 - 0.1 * i, None) for i in range(batch)])
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(cfg, [(1.0 - 0.1 * i, None) for i in range(batch)])
 
-    per_member = (peak(6) - peak(2)) / 4 / (cfg.N * 16)
+    per_member = (peak(6) - peak(2)) / 4
     assert per_member <= epnls.sweep._ARRAYS_PER_MEMBER[model]
+
+
+@pytest.mark.parametrize("n, N", [(1, 4096), (2, 128)])
+def test_guard_counts_the_arrays_of_every_composite_curve(n, N):
+    cfg = SweepConfig(model="ep", n=n, N=N, T=0.02, comparator="composite", c1=0.1)
+    eps = [1e-2 / (i + 1) for i in range(6)]
+    # one curve per delta, each with its own comparator epsilon ...
+    members = [(1.0 - 0.1 * i, e) for i, e in enumerate(eps)]
+    per_member = (_traced_peak(cfg, members) - _traced_peak(cfg, members[:2])) / 4
+    assert per_member <= epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    # ... and one delta serving every comparator epsilon
+    curves = [(1.0, e) for e in eps]
+    per_curve = (_traced_peak(cfg, curves) - _traced_peak(cfg, curves[:2])) / 4
+    assert per_curve <= epnls.sweep._ARRAYS_PER_EXTRA_CURVE
 
 
 def test_default_nls_dt_is_converged():
@@ -466,7 +612,9 @@ def test_default_ep_dt_is_converged():
 
 
 def test_signature_carries_the_solver_revision():
-    assert f"solver={SOLVER_REVISION}" in physics_signature(SweepConfig(**FAST_EP))
+    assert SOLVER_REVISION == {"ep": 4, "nls": 3}
+    assert "solver=4" in physics_signature(SweepConfig(**FAST_EP))
+    assert "solver=3" in physics_signature(SweepConfig(model="nls"))
 
 
 @pytest.mark.parametrize("corrupt", [
