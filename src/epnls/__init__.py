@@ -34,7 +34,6 @@ from .evolution import (
     evolve_nls,
     evolve_system_a,
     relative_error_curve,
-    total_mass,
     zero_state,
 )
 from .theory import (
@@ -110,7 +109,6 @@ __all__ = [
     "serialize_config",
     "sobolev_norm",
     "spectral_transform",
-    "total_mass",
     "y1_pow_p_series",
     "y1_series",
     "y_star",

@@ -402,8 +402,7 @@ def evolve_ep(initial, params, step, T, record=FULL):
     linear step for (phi_hat, psi_hat), half rotation again.  Aborts with
     SolverBlowupError if any field stops being finite.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    samples = _sample_count(T, step)
     if initial.time != 0:
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
@@ -413,7 +412,7 @@ def evolve_ep(initial, params, step, T, record=FULL):
     hat = np.fft.fftn(fields, axes=axes)
     rec.record(0.0, hat, fields)
     stream = split_step_samples([hat[0], None], fields[1], ep_splitting(grid, params),
-                                params, step, _sample_count(T, step), grid)
+                                params, step, samples, grid)
     for t, (phi_hat, _), psi in stream:
         spectra = np.stack([phi_hat, np.fft.fftn(psi, axes=axes)])
         fields = None
@@ -427,14 +426,13 @@ def evolve_nls(phi0, params, step, T, record=FULL):
     """Integrate i phi_t = -Laplace phi + g |phi|^(p-1) phi by Strang
     splitting (half exact spectral free step, nonlinear rotation, half
     free step); see split_step_samples."""
-    if T <= 0:
-        raise ValueError("T must be positive")
+    samples = _sample_count(T, step)
     grid = phi0.grid
     rec = _Recorder(grid, params.resolve_s(grid), record)
     phi_hat = np.fft.fftn(phi0.values)
     rec.record(0.0, phi_hat[None], phi0.values[None])
     stream = split_step_samples([phi_hat], None, nls_splitting(grid),
-                                params, step, _sample_count(T, step), grid)
+                                params, step, samples, grid)
     for t, spectra, _ in stream:
         rec.record(t, spectra[0][None])
     return rec.trajectory()
@@ -572,10 +570,3 @@ def relative_error_curve(reference, truth, s, delta=None):
         rho[i] = num / den
     return ErrorCurve(delta=delta, times=truth.times.copy(), rho=rho)
 
-
-def total_mass(state):
-    """Combined squared L2 mass of both fields, sum (|phi|^2+|psi|^2) dx^n."""
-    total = 0.0
-    for arr in (state.phi.values, state.psi.values):
-        total += np.sum(arr.real**2 + arr.imag**2)
-    return float(total * state.phi.grid.cell_volume)

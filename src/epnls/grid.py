@@ -57,13 +57,7 @@ class Grid:
     L: float
 
     def __post_init__(self):
-        if not 1 <= self.n <= 3:
-            raise ValueError(f"dimension n must be 1, 2, or 3, got {self.n}")
-        if self.N % 2 != 0 or self.N < 4:
-            raise ValueError(f"N must be even and >= 4, got {self.N}")
-        if not self.L > 0:
-            raise ValueError(f"half-width L must be positive, got {self.L}")
-
+        check_grid_args(self.n, self.N, self.L)
         dx = 2.0 * self.L / self.N
         axis_x = -self.L + dx * np.arange(self.N)
         # k = 2*pi*fftfreq(N, dx) = (pi/L) * m, m in [-N/2, N/2) (FFT order)
@@ -112,16 +106,26 @@ class Grid:
         return r2
 
 
-def make_grid(n, N, L, max_points=DEFAULT_MAX_POINTS):
-    """Construct a Grid, enforcing the evenness and memory preconditions."""
-    n = int(n)
-    N = int(N)
-    if 1 <= n <= 3 and N**n > max_points:
+def check_grid_args(n, N, L, max_points=None):
+    """Raise ValueError unless (n, N, L) describe a valid Grid with at
+    most max_points points (no cap if None).  Allocates nothing."""
+    if not 1 <= n <= 3:
+        raise ValueError(f"dimension n must be 1, 2, or 3, got {n}")
+    if N % 2 != 0 or N < 4:
+        raise ValueError(f"N must be even and >= 4, got {N}")
+    if not L > 0:
+        raise ValueError(f"half-width L must be positive, got {L}")
+    if max_points is not None and N**n > max_points:
         raise ValueError(
             f"grid with N^n = {N**n} points exceeds the memory cap of "
             f"{max_points} points"
         )
-    return Grid(n=n, N=N, L=float(L))
+
+
+def make_grid(n, N, L, max_points=DEFAULT_MAX_POINTS):
+    """Construct a Grid, enforcing the evenness and memory preconditions."""
+    check_grid_args(int(n), int(N), L, max_points)
+    return Grid(n=int(n), N=int(N), L=float(L))
 
 
 PHYSICAL = "physical"

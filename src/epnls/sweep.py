@@ -35,6 +35,7 @@ from .evolution import (
 )
 from .grid import (
     DEFAULT_MAX_POINTS,
+    check_grid_args,
     default_sobolev_index,
     free_symbol,
     gaussian_initial,
@@ -96,7 +97,9 @@ class SweepConfig:
 
     Fields left None (s, T, dt, samples_per_unit_time, comparator) are
     filled with the model's defaults at construction, so every instance
-    is fully resolved.
+    is fully resolved.  Grid, physics and clock are checked by the
+    objects they describe (check_grid_args, ModelParams, StepSpec and
+    sample_times), so an invalid config fails here, before any run.
     """
 
     model: str = EP
@@ -129,16 +132,11 @@ class SweepConfig:
                 object.__setattr__(self, name, value)
         if self.s is None:
             object.__setattr__(self, "s", default_sobolev_index(self.n))
-        if not self.p > 1:
-            raise ValueError(f"p must exceed 1 (got {fmt(self.p)})")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.N % 2 != 0 or self.N < 4:
-            raise ValueError(f"N must be even and >= 4 (got {self.N})")
-        if not self.L > 0:
-            raise ValueError("L must be positive")
-        if self.s < 0:
-            raise ValueError("s must be nonnegative")
+        _model_params(self)
+        check_grid_args(self.n, self.N, self.L, self.max_points)
+        if not self.dt > 0:  # StepSpec admits dt < 0, for stepping back
+            raise ValueError(f"dt must be positive for a sweep, got {self.dt}")
+        sample_times(self.T, _solver_step(self))
         eps = tuple(float(e) for e in self.epsilon_set)
         if not eps or any(not 0 < e <= 1 for e in eps):
             raise ValueError("epsilon_set values must lie in (0, 1]")
@@ -284,11 +282,14 @@ def _solver_step(c):
     return StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time)
 
 
+def _model_params(c):
+    return ModelParams(g=c.g, gamma=c.gamma, omega0=c.omega0, p=c.p, s=c.s)
+
+
 def solver_setup(c):
     """The grid, model parameters and step spec a config describes."""
     grid = make_grid(c.n, c.N, c.L, max_points=c.max_points)
-    params = ModelParams(g=c.g, gamma=c.gamma, omega0=c.omega0, p=c.p, s=c.s)
-    return grid, params, _solver_step(c)
+    return grid, _model_params(c), _solver_step(c)
 
 
 def _truth_stream(c, grid, params, step, n, phi0_hat):

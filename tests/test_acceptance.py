@@ -2,31 +2,29 @@
 one printed pass/fail line per criterion.
 
 The sweep-based criteria run the production harness at its default
-epsilon ladder (six points, log-spaced over [1e-3, 1e-2]); the solver
-criteria check the exactness guarantees directly.
+epsilon ladder (six points, log-spaced over [1e-3, 1e-2]).  The solver
+exactness checks (criterion 6 and the root residual of criterion 9) are
+the battery `epnls verify` runs, asserted here at this file's own
+tolerances.
 """
 
 import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
+from epnls.cli import verify_checks
 from epnls.evolution import (
-    EPState,
     ModelParams,
     StepSpec,
     evolve_ep,
-    evolve_linear_b,
     evolve_system_a,
-    relative_error_curve,
     zero_state,
 )
-from epnls.grid import Field, gaussian_initial, make_grid, sobolev_norm
+from epnls.grid import gaussian_initial, make_grid, sobolev_norm
 from epnls.sweep import SweepConfig, compute_error_curve, run_algorithm_a
 from epnls.theory import (
     LemmaQInput,
-    beta_predict,
     bound_constants,
     lemma_roots,
     q_eval,
@@ -130,47 +128,21 @@ def test_criterion_5_p_dependence():
            f"p = 5: beta = {beta:.4f} vs 1/7 = {1 / 7:.4f}, |err| {err:.4f} (tol 0.05)")
 
 
-def test_criterion_6_solver_exactness():
-    grid = make_grid(1, 64, 10.0)
-    params = ModelParams(s=1.0)
-    rng = np.random.default_rng(7)
-    phi = Field(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    psi = Field(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    worst_expm = 0.0
-    for t in np.linspace(0.1, 1.0, 10):
-        traj = evolve_linear_b(EPState(phi, psi), params, sample_times=[t])
-        ph, ps = np.fft.fft(phi.values), np.fft.fft(psi.values)
-        po = np.empty(64, complex)
-        so = np.empty(64, complex)
-        for m in range(64):
-            h = np.array([[grid.k_squared[m], params.gamma],
-                          [params.gamma, params.omega0]])
-            po[m], so[m] = expm(-1j * t * h) @ np.array([ph[m], ps[m]])
-        po, so = np.fft.ifft(po), np.fft.ifft(so)
-        scale = max(np.max(np.abs(po)), np.max(np.abs(so)))
-        err = max(np.max(np.abs(traj.phi[0].values - po)),
-                  np.max(np.abs(traj.psi[0].values - so))) / scale
-        worst_expm = max(worst_expm, err)
+@pytest.fixture(scope="module")
+def battery():
+    """The values `epnls verify` reports, by check name."""
+    return {name: value for name, value, _ in verify_checks()}
 
-    big = make_grid(1, 256, 10.0)
-    phi0 = gaussian_initial(big, 1.0)
-    traj = evolve_ep(zero_state(phi0), ModelParams(s=1.0),
-                     StepSpec(dt=1e-3), 1.0, record="norms")
-    drift = float(np.max(np.abs(traj.mass - traj.mass[0])) / traj.mass[0])
 
-    fwd = evolve_ep(zero_state(phi0), ModelParams(s=1.0), StepSpec(dt=1e-3), 1.0)
-    fin = fwd.final_state()
-    rev = evolve_ep(EPState(fin.phi, fin.psi, 0.0), ModelParams(s=1.0),
-                    StepSpec(dt=-1e-3), 1.0).final_state()
-    rev_err = max(
-        sobolev_norm(Field(big, rev.phi.values - phi0.values), 1.0),
-        sobolev_norm(rev.psi, 1.0),
-    )
-    ok = worst_expm <= 1e-10 and drift <= 1e-10 and rev_err <= 1e-8
+def test_criterion_6_solver_exactness(battery):
+    expm_err = battery["linear system vs expm oracle"]
+    drift = battery["EP mass conservation"]
+    rev_err = battery["time reversal"]
+    ok = expm_err <= 1e-10 and drift <= 1e-10 and rev_err <= 1e-8
     report(
         6,
         ok,
-        f"expm oracle err {worst_expm:.2e} (tol 1e-10); mass drift "
+        f"expm oracle err {expm_err:.2e} (tol 1e-10); mass drift "
         f"{drift:.2e} (tol 1e-10); reversal err {rev_err:.2e} (tol 1e-8)",
     )
 
@@ -217,10 +189,10 @@ def test_criterion_8_small_time_exciton_growth():
     )
 
 
-def test_criterion_9_lemma_suite():
+def test_criterion_9_lemma_suite(battery):
     inp = LemmaQInput(eta=0.1, delta=0.5, p=3.0)
     y1, y2 = lemma_roots(inp)
-    resid = max(abs(q_eval(y1, inp)), abs(q_eval(y2, inp)))
+    resid = battery["lemma root residuals"]
 
     # series order of accuracy: log-log exponent within +-0.2 of order+1
     exponent_ok = True

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import epnls.cli
 import epnls.sweep
 from epnls.cli import (
     EXIT_CONFIG,
@@ -12,7 +13,7 @@ from epnls.cli import (
     EXIT_OK,
     main,
 )
-from epnls.config import parse_config
+from epnls.config import ConfigError, parse_config, parse_config_text
 from epnls.sweep import config_hash
 
 FAST_SWEEP_INI = """\
@@ -88,6 +89,38 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "p must exceed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[solver]\ndt = 3e-3\n", "does not divide the sampling interval"),
+    ("[solver]\ndt = -1e-3\n", "dt must be positive"),
+    ("[solver]\nT = 1.005\n", "not a positive multiple of the sampling interval"),
+    ("[grid]\nn = 4\n", "dimension n must be 1, 2, or 3"),
+    ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
+], ids=["dt", "negative_dt", "T", "n", "max_points"])
+def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", write_cfg(tmp_path, text), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_under_a_regular_file_is_a_path_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o"
+    assert main(["simulate", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+
+
+def test_config_naming_a_directory_is_a_path_error(tmp_path, capsys):
+    argv = ["sweep", "--config", str(tmp_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert str(tmp_path) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------- simulate
@@ -304,3 +337,23 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     verdicts = {c["check"]: c["verdict"] for c in report["checks"]}
     assert verdicts["EP mass conservation"] == "PASS"
     assert verdicts["exciton bound ratio (Kp=1)"] == "REPORT"
+
+
+def test_verify_out_takes_the_output_lock(tmp_path, capsys):
+    (tmp_path / ".lock").write_text("12345")
+    assert main(["verify", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "locked" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_verify_reports_a_check_above_its_tolerance(tmp_path, capsys, monkeypatch):
+    rows = [("transform roundtrip", 1e-16, 1e-13), ("time reversal", 2e-8, 1e-8)]
+    monkeypatch.setattr(epnls.cli, "verify_checks", lambda: rows)
+    assert main(["verify", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "[PASS] transform roundtrip" in captured.out
+    assert "[FAIL] time reversal" in captured.out
+    assert "1 checks failed" in captured.err
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    verdicts = {c["check"]: c["verdict"] for c in report["checks"]}
+    assert verdicts == {"transform roundtrip": "PASS", "time reversal": "FAIL"}

@@ -28,7 +28,6 @@ from epnls.evolution import (
     nonlinear_phase,
     relative_error_curve,
     split_step_samples,
-    total_mass,
     zero_state,
 )
 import epnls.sweep
@@ -179,6 +178,15 @@ def test_ep_requires_initial_time_zero():
     st.time = 0.5
     with pytest.raises(ValueError, match="time 0"):
         evolve_ep(st, PARAMS, StepSpec(dt=1e-3), 0.1)
+
+
+@pytest.mark.parametrize("T", [0.0, -0.1, 0.15])
+def test_horizon_must_be_a_positive_multiple_of_the_interval(T):
+    step = StepSpec(dt=1e-2, samples_per_unit_time=10)
+    with pytest.raises(ValueError, match="positive multiple"):
+        evolve_ep(gauss_state(), PARAMS, step, T)
+    with pytest.raises(ValueError, match="positive multiple"):
+        evolve_nls(gaussian_initial(GRID, 1.0), PARAMS, step, T)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -566,13 +574,6 @@ def test_relative_error_of_a_tiny_amplitude_is_finite():
     zero = evolve_linear_b(gauss_state(0.0), PARAMS, sample_times=truth.times)
     with pytest.raises(ZeroDivisionError, match="underflow"):
         relative_error_curve(comp, zero, 1.0)
-
-
-def test_total_mass():
-    zero = zero_state(gaussian_initial(GRID, 0.0))
-    assert total_mass(zero) == 0.0
-    st = gauss_state()
-    assert total_mass(st) == pytest.approx(l2_norm(st.phi) ** 2, rel=1e-13)
 
 
 def test_error_curve_rejects_nonfinite():
