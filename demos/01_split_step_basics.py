@@ -43,8 +43,7 @@ for i in range(0, len(traj.times), 4):
     print(f"{traj.times[i]:6.1f} {traj.norm_phi[i]:12.6f} "
           f"{traj.norm_psi[i]:12.6f} {traj.mass[i]:20.15f}")
 
-drift = np.max(np.abs(traj.mass - traj.mass[0])) / traj.mass[0]
-print(f"\nmass drift over the whole run: {drift:.2e}  "
+print(f"\nmass drift over the whole run: {traj.mass_drift():.2e}  "
       "(both substeps are exactly unitary)")
 
 print("\ntime reversal: integrate forward to T = 1, then back with dt -> -dt")

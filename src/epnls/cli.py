@@ -96,20 +96,14 @@ def _resolve_workers(flag, cfg_workers):
     return workers
 
 
-def _mass_drift(traj):
-    """max |m(t) - m(0)|, relative to m(0) unless m(0) = 0."""
-    drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
-    return drift / traj.mass[0] if traj.mass[0] else drift
-
-
 # --------------------------------------------------------------------------
 # simulate
 
 
 def cmd_simulate(args):
     cfg = parse_config(args.config)
-    if args.delta is not None and args.delta < 0:
-        raise ConfigError("delta must be nonnegative")
+    if args.delta is not None and not 0 <= args.delta < np.inf:
+        raise ConfigError(f"--delta must be finite and nonnegative, got {args.delta}")
     delta = 1.0 if args.delta is None else args.delta
     outdir = _resolve_outdir(args.out, cfg.outdir)
 
@@ -146,7 +140,7 @@ def cmd_simulate(args):
             return EXIT_NUMERICAL
         write_csv(os.path.join(outdir, "trajectory.csv"), header,
                   [tuple(float(v) for v in row) for row in rows])
-        drift = _mass_drift(traj)
+        drift = traj.mass_drift()
         manifest.add_job(
             "simulate", "ok", f"delta={fmt(delta)}, mass drift {drift:.3e}"
         )
@@ -289,7 +283,7 @@ def verify_checks():
     phi0 = gaussian_initial(big, 1.0)
     step = StepSpec(dt=1e-3)
     traj = evolve_ep(zero_state(phi0), params, step, 1.0)
-    rows.append(("EP mass conservation", _mass_drift(traj), 1e-10))
+    rows.append(("EP mass conservation", traj.mass_drift(), 1e-10))
 
     fin = traj.final_state()
     rev = evolve_ep(EPState(fin.phi, fin.psi, 0.0), params,
@@ -312,7 +306,8 @@ def verify_checks():
 
 
 def cmd_verify(args):
-    with OutputLock(args.out) if args.out else nullcontext():
+    outdir = _resolve_outdir(args.out, None)
+    with OutputLock(outdir) if outdir else nullcontext():
         results = []
         for name, value, tol in verify_checks():
             if tol is None:
@@ -322,10 +317,10 @@ def cmd_verify(args):
                 detail = f"{value:.2e} (tol {tol:.0e})"
             results.append({"check": name, "verdict": verdict, "detail": detail})
             print(f"[{verdict}] {name}: {detail}")
-        if args.out:
-            manifest = ManifestBuilder(args.out, sha256_hex("verify"), __version__)
+        if outdir:
+            manifest = ManifestBuilder(outdir, sha256_hex("verify"), __version__)
             atomic_write_text(
-                os.path.join(args.out, "verify_report.json"),
+                os.path.join(outdir, "verify_report.json"),
                 json.dumps({"tool_version": __version__, "checks": results}, indent=2),
             )
             for entry in results:
@@ -344,12 +339,14 @@ def cmd_verify(args):
 
 
 def cmd_lemma(args):
-    inp = LemmaQInput(eta=args.eta, delta=args.delta, p=args.p)
     try:
+        inp = LemmaQInput(eta=args.eta, delta=args.delta, p=args.p)
         y1, y2 = lemma_roots(inp)
     except NoRealRootsError as err:
         print(f"no real roots: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as err:  # an argument outside the lemma's domain
+        raise ConfigError(f"lemma --eta, --delta, --p: {err}") from None
     rows = {
         "eta": inp.eta,
         "delta": inp.delta,
@@ -371,21 +368,17 @@ def cmd_lemma(args):
 
 
 def cmd_predict(args):
-    params = ModelParams(g=args.g, gamma=args.gamma, p=args.p)
     rows = []
-    for alpha in args.alpha:
-        pred = beta_predict(alpha, args.p, args.model)
-        bc = bound_constants(params, M=args.M, Kp=args.Kp, C=args.C,
-                             C1=args.C1, C2=args.C2, alpha=alpha)
-        rows.append({
-            "alpha": alpha,
-            "beta": pred.beta,
-            "regime": pred.regime,
-            "B": bc.B,
-            "B1": bc.B1,
-            "B2": bc.B2,
-            "q": bc.q,
-        })
+    try:  # only the arguments' own checks raise here
+        params = ModelParams(g=args.g, gamma=args.gamma, p=args.p)
+        for alpha in args.alpha:
+            pred = beta_predict(alpha, args.p, args.model)
+            bc = bound_constants(params, M=args.M, Kp=args.Kp, C=args.C,
+                                 C1=args.C1, C2=args.C2, alpha=alpha)
+            rows.append({"alpha": alpha, "beta": pred.beta, "regime": pred.regime,
+                         "B": bc.B, "B1": bc.B1, "B2": bc.B2, "q": bc.q})
+    except ValueError as err:
+        raise ConfigError(f"predict: {err}") from None
     if args.json:
         print(json.dumps(rows, indent=2))
     else:

@@ -25,6 +25,11 @@ Three linear comparators, each a per-mode multiplier of the initial
 spectra, are evaluated in closed form with no stepping error: the fully
 linear coupling (g = 0, "system B"), the free photon driving the exciton
 linearly ("system A"), and the composite of A up to t1 and B after.
+
+Every sample comes from a stream of (t, spectra, u): the kernel yields
+its fields at t = 0 and after each sample interval, and a comparator its
+spectra at each requested time.  One loop, _record, turns any such
+stream into a Trajectory.
 """
 
 from __future__ import annotations
@@ -176,6 +181,11 @@ class Trajectory:
             return self.phi[-1]
         return EPState(self.phi[-1], self.psi[-1], time=float(self.times[-1]))
 
+    def mass_drift(self):
+        """max |m(t) - m(0)|, relative to m(0) unless m(0) = 0."""
+        drift = float(np.max(np.abs(self.mass - self.mass[0])))
+        return drift / self.mass[0] if self.mass[0] else drift
+
 
 @dataclass
 class ErrorCurve:
@@ -246,37 +256,29 @@ def _rotate(values, g, p, dt):
     values *= factor
 
 
-class _Recorder:
-    def __init__(self, grid, s, policy):
-        self.grid, self.s, self.policy = grid, s, policy
-        self.times, self.norms, self.mass, self.states = [], [], [], []
-
-    def record(self, t, spectra, fields=None):
-        """Record the sample at time t from ``spectra``, the plain FFTs of
-        phi (and psi) stacked on a leading axis.  Norms come from the
-        spectra and mass from Parseval; the physical ``fields`` (same
-        layout) are only needed to keep states, and are built by an
-        inverse transform when the caller has none."""
-        self.times.append(t)
-        self.norms.append(hs_norm_from_fft(spectra, self.grid, self.s))
-        l2 = hs_norm_from_fft(spectra, self.grid, 0.0)
-        self.mass.append(float(np.sum(l2 * l2)))
-        if self.policy == FULL:
-            if fields is None:
-                fields = np.fft.ifftn(spectra, axes=tuple(range(-self.grid.n, 0)))
-            self.states.append([Field(self.grid, f.copy(), PHYSICAL) for f in fields])
-
-    def trajectory(self):
-        # one row per field, then None for an absent psi
-        norms = [np.array(row) for row in np.transpose(self.norms)] + [None]
-        states = [None, None]
-        if self.policy == FULL:
-            states = [list(row) for row in zip(*self.states)] + [None]
-        return Trajectory(
-            times=np.asarray(self.times), policy=self.policy, s=self.s,
-            phi=states[0], psi=states[1], norm_phi=norms[0], norm_psi=norms[1],
-            mass=np.asarray(self.mass),
-        )
+def _record(samples, grid, params, policy):
+    """The Trajectory of a stream of (t, spectra, u) samples: spectra lists
+    the plain FFTs of phi (and psi), and an entry that is None is the field
+    held in physical space as u.  Norms come from the spectra (u gets one
+    fftn) and mass from Parseval; 'full' states are one ifftn of them."""
+    axes = tuple(range(-grid.n, 0))
+    s = params.resolve_s(grid)
+    times, norms, mass, states = [], [], [], []
+    for t, spectra, u in samples:
+        hats = np.stack([np.fft.fftn(u, axes=axes) if a is None else a for a in spectra])
+        times.append(t)
+        norms.append(hs_norm_from_fft(hats, grid, s))
+        l2 = hs_norm_from_fft(hats, grid, 0.0)
+        mass.append(float(np.sum(l2 * l2)))
+        if policy == FULL:
+            states.append([Field(grid, f, PHYSICAL) for f in np.fft.ifftn(hats, axes=axes)])
+    # one row per field, then None for an absent psi
+    norms = [np.array(row) for row in np.transpose(norms)] + [None]
+    states = [list(row) for row in zip(*states)] + [None] if policy == FULL else [None] * 2
+    return Trajectory(
+        times=np.asarray(times), policy=policy, s=s, phi=states[0], psi=states[1],
+        norm_phi=norms[0], norm_psi=norms[1], mass=np.asarray(mass),
+    )
 
 
 def _sample_count(T, spec):
@@ -350,7 +352,8 @@ def _apply_linear(hats, symbols):
 
 
 def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
-    """The split-step loop of either model, as a stream of samples.
+    """The split-step loop of either model, as a stream of its samples from
+    t = 0 on.
 
     ``splitting`` is (linear, field, order): linear(tau) is the per-mode
     flow exp(-i tau H_k) as (symbol,) or (u11, u12, u22), ``field`` the
@@ -359,13 +362,14 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
     kind merged.  The loop owns ``spectra`` (the fields' plain FFTs, with
     leading batch axes) and ``u``, the rotated field in physical space; one
     of u and spectra[field] is None, and the field changes space only when
-    the next substep needs it.  Yields (t, spectra, u) after every sample
-    interval, updated in place once the loop resumes; raises
-    SolverBlowupError as soon as a sample is not finite.  Resuming with
-    ``stream.send(keep)``, keep a boolean mask over the leading batch axis,
-    first shrinks the batch to the kept rows, held in new arrays that the
-    later samples yield; each row steps alone, so the survivors' bits do
-    not change."""
+    the next substep needs it.  Yields (t, spectra, u) for the given fields
+    at t = 0 and then after each of n_samples sample intervals, at t =
+    b * sample_interval as sample_times has them; the arrays are updated in
+    place once the loop resumes.  Raises SolverBlowupError as soon as a
+    sample is not finite.  Resuming with ``stream.send(keep)``, keep a
+    boolean mask over the leading batch axis, first shrinks the batch to
+    the kept rows, held in new arrays that the later samples yield; each
+    row steps alone, so the survivors' bits do not change."""
     axes = tuple(range(-grid.n, 0))
     linear, field, order = splitting
     per_block = step.steps_per_sample
@@ -376,8 +380,8 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
             weight = substeps.pop()[1] + weight
         substeps.append((kind, weight))
     maps = {w: linear(w * dt) for kind, w in substeps if kind == "linear"}
-    for block in range(n_samples):
-        for kind, weight in substeps:
+    for block in range(n_samples + 1):
+        for kind, weight in substeps if block else ():  # sample 0: no step
             if kind == "rotate":
                 if u is None:
                     u, spectra[field] = np.fft.ifftn(spectra[field], axes=axes), None
@@ -386,9 +390,9 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
                 if u is not None:
                     spectra[field], u = np.fft.fftn(u, axes=axes), None
                 _apply_linear(spectra, maps[weight])
-        t = (block + 1) * step.sample_interval
+        t = block * step.sample_interval
         if not all(np.all(np.isfinite(a)) for a in spectra + [u] if a is not None):
-            raise SolverBlowupError(t, (block + 1) * per_block)
+            raise SolverBlowupError(t, block * per_block)
         keep = yield t, spectra, u
         if keep is not None:
             spectra = [None if a is None else a[keep] for a in spectra]
@@ -406,20 +410,10 @@ def evolve_ep(initial, params, step, T, record=FULL):
     if initial.time != 0:
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
-    axes = tuple(range(-grid.n, 0))
-    rec = _Recorder(grid, params.resolve_s(grid), record)
-    fields = np.stack([initial.phi.values, initial.psi.values])
-    hat = np.fft.fftn(fields, axes=axes)
-    rec.record(0.0, hat, fields)
-    stream = split_step_samples([hat[0], None], fields[1], ep_splitting(grid, params),
-                                params, step, samples, grid)
-    for t, (phi_hat, _), psi in stream:
-        spectra = np.stack([phi_hat, np.fft.fftn(psi, axes=axes)])
-        fields = None
-        if record == FULL:
-            fields = np.stack([np.fft.ifftn(phi_hat, axes=axes), psi])
-        rec.record(t, spectra, fields)
-    return rec.trajectory()
+    stream = split_step_samples([np.fft.fftn(initial.phi.values), None],
+                                initial.psi.values.copy(),  # rotated in place
+                                ep_splitting(grid, params), params, step, samples, grid)
+    return _record(stream, grid, params, record)
 
 
 def evolve_nls(phi0, params, step, T, record=FULL):
@@ -428,27 +422,13 @@ def evolve_nls(phi0, params, step, T, record=FULL):
     free step); see split_step_samples."""
     samples = _sample_count(T, step)
     grid = phi0.grid
-    rec = _Recorder(grid, params.resolve_s(grid), record)
-    phi_hat = np.fft.fftn(phi0.values)
-    rec.record(0.0, phi_hat[None], phi0.values[None])
-    stream = split_step_samples([phi_hat], None, nls_splitting(grid),
+    stream = split_step_samples([np.fft.fftn(phi0.values)], None, nls_splitting(grid),
                                 params, step, samples, grid)
-    for t, spectra, _ in stream:
-        rec.record(t, spectra[0][None])
-    return rec.trajectory()
+    return _record(stream, grid, params, record)
 
 
 # --------------------------------------------------------------------------
 # linear comparators (closed form, no stepping error)
-
-
-def _linear_trajectory(grid, params, times, spectra, record):
-    """Record a linear comparator whose photon and exciton spectra at
-    time t are spectra(t)."""
-    rec = _Recorder(grid, params.resolve_s(grid), record)
-    for t in times:
-        rec.record(t, np.stack(spectra(t)))
-    return rec.trajectory()
 
 
 def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
@@ -467,7 +447,7 @@ def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
         u = linear_pair_propagator(grid, params.gamma, params.omega0, t - initial.time)
         return _pair_map(u, phi0_hat, psi0_hat)
 
-    return _linear_trajectory(grid, params, times, spectra, record)
+    return _record(((t, spectra(t), None) for t in times), grid, params, record)
 
 
 _RESONANCE_GAP = 1e-8
@@ -489,7 +469,7 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
     grid = phi0.grid
     phi0_hat = np.fft.fftn(phi0.values)
     spectra = lambda t: [m * phi0_hat for m in system_a_symbols(grid, params, t)]
-    return _linear_trajectory(grid, params, times, spectra, record)
+    return _record(((t, spectra(t), None) for t in times), grid, params, record)
 
 
 def system_a_symbols(grid, params, t):
@@ -538,7 +518,7 @@ def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, reco
         u = linear_pair_propagator(grid, params.gamma, params.omega0, t)
         return _pair_map(u, b_phi, b_psi)
 
-    return _linear_trajectory(grid, params, times, spectra, record)
+    return _record(((t, spectra(t), None) for t in times), grid, params, record)
 
 
 # --------------------------------------------------------------------------

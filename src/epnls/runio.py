@@ -10,9 +10,12 @@ import re
 import time
 
 
+_FLOAT = "%.17g"
+
+
 def fmt(x):
     """Format a float with 17 significant digits (lossless roundtrip)."""
-    return f"{float(x):.17g}"
+    return _FLOAT % float(x)
 
 
 def atomic_write_text(path, text):
@@ -30,9 +33,15 @@ def sha256_hex(text):
 
 
 def write_csv(path, header, rows):
+    """One line per row: floats as fmt writes them, anything else by str.
+    Each column keeps the type of its first row, so one %-template formats
+    every line (curve files run to thousands of rows)."""
     lines = [",".join(header)]
+    template = None
     for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
+        if template is None:
+            template = ",".join(_FLOAT if isinstance(v, float) else "%s" for v in row)
+        lines.append(template % tuple(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -42,7 +42,7 @@ from .grid import (
     hs_norm_from_fft,
     make_grid,
 )
-from .runio import atomic_write_text, fmt, read_curve_csv, sha256_hex
+from .runio import fmt, read_curve_csv, sha256_hex, write_csv
 from .theory import EXACT, beta_predict
 
 EP = "ep"
@@ -254,26 +254,25 @@ class AlgorithmAResult:
 
 
 def _comparator_symbols(c, grid, params, comps):
-    """Function of (t, which) giving M(t), one row of per-mode multipliers
-    per index in ``which`` into the comparator epsilons ``comps``:
-    comparator_hat(t) = M(t)[j] phi_hat(0).  NLS's is the free flow (one
-    row); EP's follow system A (a free photon) up to t1 = c1 sqrt(epsilon),
-    0 for system B, and U(t) times their composite_seed after, all sharing
-    one free symbol and one U(t) per t."""
+    """Function of t giving M(t), one row of per-mode multipliers per
+    comparator epsilon in ``comps``, evaluated for all of them at every
+    sample: comparator_hat(t) = M(t)[j] phi_hat(0).  NLS's is the free
+    flow (one row); EP's follow system A (a free photon) up to t1 = c1
+    sqrt(epsilon), 0 for system B, and U(t) times their composite_seed
+    after, all sharing one free symbol and one U(t) per t."""
     if c.comparator == COMPARATOR_LINEAR_NLS:
-        return lambda t, which: free_symbol(grid, t)[None]
+        return lambda t: free_symbol(grid, t)[None]
     if c.comparator == COMPARATOR_COMPOSITE and None in comps:
         raise ValueError("the composite comparator needs a comparator epsilon")
     t1s = [0.0 if e is None else c.c1 * np.sqrt(e) for e in comps]
     seeds = [composite_seed(grid, params, t1) for t1 in t1s]
 
-    def symbols(t, which):
-        ends = [t1s[j] for j in which]
-        free = free_symbol(grid, t) if t <= max(ends) else None
-        if t > min(ends):
+    def symbols(t):
+        free = free_symbol(grid, t) if t <= max(t1s) else None
+        if t > min(t1s):
             u11, u12, _ = linear_pair_propagator(grid, c.gamma, c.omega0, t)
-        return np.stack([free if t <= t1s[j] else u11 * seeds[j][0] + u12 * seeds[j][1]
-                         for j in which])
+        return np.stack([free if t <= t1 else u11 * b_phi + u12 * b_psi
+                         for t1, (b_phi, b_psi) in zip(t1s, seeds)])
 
     return symbols
 
@@ -315,10 +314,11 @@ def _curve_batch(c, specs, stops=None):
     """Error curves of the (delta, eps_comp) specs of a config,
     with every distinct delta stepped at once on a leading batch axis.
 
-    At each sample the comparator spectrum is one closed-form multiplier
-    per eps_comp times each member's phi_hat(0), the truth spectrum is the
-    photon spectrum the split-step loop carries (EP's phi never leaves
-    spectral space; NLS ends each interval on a linear substep), the truth
+    Every sample, t = 0 included, is read from the split-step stream: the
+    truth spectrum is the photon spectrum the loop carries (EP's phi never
+    leaves spectral space; NLS ends each interval on a linear substep), the
+    comparator spectrum one closed-form multiplier per eps_comp (evaluated
+    for every eps_comp of the batch) times each curve's phi_hat(0), the truth
     and difference norms are one batched call, and rho[spec, sample] is
     filled in place.  No state is recorded, so memory is O(batch x grid).
     Every operation acts on each batch row alone, so a curve's bits do not
@@ -335,17 +335,18 @@ def _curve_batch(c, specs, stops=None):
     comps = list(dict.fromkeys(e for _, e in specs))
     symbols = _comparator_symbols(c, grid, params, comps)
     # the running curves (rows of rho), their stop tolerances, batch rows
-    # and comparator rows, and the deltas and comparator epsilons in use
+    # and comparator rows, and the number of batch rows
     live = np.arange(len(specs))
     stop = np.full(len(specs), np.inf) if stops is None else np.asarray(stops, float)
     member = np.array([deltas.index(d) for d, _ in specs])
     comp_of = np.array([comps.index(e) for _, e in specs])
-    live_deltas, live_comps = np.arange(len(deltas)), np.arange(len(comps))
+    rows = len(deltas)
 
-    phi0 = [gaussian_initial(grid, d).values for d in deltas]
-    phi_hat = np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))
-    del phi0  # only its spectrum is needed from here on
+    phi_hat = np.fft.fftn([gaussian_initial(grid, d).values for d in deltas],
+                          axes=tuple(range(-grid.n, 0)))
     curve_phi0_hat = phi_hat[member]
+    stream = _truth_stream(c, grid, params, step, len(times) - 1, phi_hat)
+    del phi_hat  # the split-step loop owns the photon spectra
     rho = np.empty((len(specs), len(times)))
     ends = np.full(len(specs), len(times))
 
@@ -355,27 +356,23 @@ def _curve_batch(c, specs, stops=None):
         stack = np.empty((len(truth_hat) + len(live),) + grid.shape, np.complex128)
         stack[: len(truth_hat)] = truth_hat
         diff = stack[len(truth_hat) :]
-        np.take(symbols(t, live_comps), comp_of, axis=0, out=diff)
+        np.take(symbols(t), comp_of, axis=0, out=diff)
         diff *= curve_phi0_hat
         diff -= truth_hat[member]
         norms = hs_norm_from_fft(stack, grid, c.s)
-        den = norms[: len(truth_hat)]
+        den = norms[: len(truth_hat)][member]
         if np.any(den == 0.0):
-            delta = deltas[live_deltas[int(np.argmax(den == 0.0))]]
+            delta = specs[live[int(np.argmax(den == 0.0))]][0]
             raise ZeroDivisionError(
                 f"truth norm underflow at t = {t:.6g} for delta = {delta:.6g}"
             )
-        return norms[len(truth_hat) :] / den[member]
+        return norms[len(truth_hat) :] / den
 
-    stream = keep = None
+    keep = None
     for i, t in enumerate(times):
-        if i == 1:
-            # the split-step loop owns the photon spectra from here on
-            stream = _truth_stream(c, grid, params, step, len(times) - 1, phi_hat)
-            phi_hat = None
         # no reference to a sample's arrays outlives rho_at, so a step
         # never holds the rows it has just dropped
-        r = rho_at(t, phi_hat if stream is None else stream.send(keep)[1][0])
+        r = rho_at(t, stream.send(keep)[1][0])
         rho[live, i] = r
         keep = None
         done = r >= stop
@@ -386,14 +383,9 @@ def _curve_batch(c, specs, stops=None):
                 a[running] for a in (live, stop, member, comp_of, curve_phi0_hat))
             if not len(live):
                 break
-            kept, member = _compact(member, len(live_deltas))
-            used, comp_of = _compact(comp_of, len(live_comps))
-            live_deltas, live_comps = live_deltas[kept], live_comps[used]
+            kept, member = _compact(member, rows)
             if not kept.all():
-                if stream is None:
-                    phi_hat = phi_hat[kept]
-                else:
-                    keep = kept
+                keep, rows = kept, int(kept.sum())
     return [
         ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end])
         for j, ((d, _), end) in enumerate(zip(specs, ends))
@@ -446,22 +438,14 @@ def curve_path(root, config, delta, epsilon_comp=None):
     return os.path.join(root, "curves", config_hash(config), name + ".csv")
 
 
-def _curve_to_csv(curve):
-    lines = ["t,rho"]
-    for t, r in zip(curve.times, curve.rho):
-        lines.append(f"{fmt(t)},{fmt(r)}")
-    return "\n".join(lines) + "\n"
-
-
 def write_curves(root, config, curves, specs=None):
     """Write each curve as a t,rho CSV at its curve_path under root;
     ``specs`` (default: all of curve_specs) are the curves' (delta,
     eps_comp) pairs, in order."""
     specs = curve_specs(config) if specs is None else specs
     for (delta, epsilon_comp), curve in zip(specs, curves):
-        atomic_write_text(
-            curve_path(root, config, delta, epsilon_comp), _curve_to_csv(curve)
-        )
+        write_csv(curve_path(root, config, delta, epsilon_comp), ["t", "rho"],
+                  zip(curve.times, curve.rho))
 
 
 def _read_cached(path, delta, times, tolerance):
@@ -654,10 +638,8 @@ def run_algorithm_a(config):
         except ValueError as err:
             failures.append({"alpha": alpha, "error": str(err)})
 
-    pred = beta_predict(0.0, config.p, config.model)
-    p = config.p
-    theory_slope = -(p - 1.0) * (1.0 if config.model == NLS else 1.0 / (p + 2.0))
-    theory_intercept = pred.beta
+    theory_intercept = beta_predict(0.0, config.p, config.model).beta
+    theory_slope = beta_predict(1.0, config.p, config.model).beta - theory_intercept
     fit_pts = [
         (b.alpha, b.beta)
         for b in betas

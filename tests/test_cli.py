@@ -75,6 +75,26 @@ def test_lemma_no_roots(capsys):
     assert "no real roots" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------- usage errors
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["predict", "--alpha", "0", "--p", "0.5"], "p must exceed 1"),
+    (["predict", "--alpha", "-1"], "alpha must be nonnegative"),
+    (["lemma", "--eta", "-1", "--delta", "0.5"], "eta and delta must be nonnegative"),
+    (["lemma", "--eta", "0.1", "--delta", "0.5", "--p", "1"], "p must exceed 1"),
+    (["simulate", "--delta", "nan"], "--delta must be finite"),
+    (["simulate", "--delta", "inf"], "--delta must be finite"),
+], ids=["predict-p", "predict-alpha", "lemma-eta", "lemma-p", "simulate-nan",
+        "simulate-inf"])
+def test_invalid_arguments_are_usage_errors(tmp_path, capsys, argv, named):
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- dispatch
 
 
@@ -337,6 +357,15 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     verdicts = {c["check"]: c["verdict"] for c in report["checks"]}
     assert verdicts["EP mass conservation"] == "PASS"
     assert verdicts["exciton bound ratio (Kp=1)"] == "REPORT"
+
+
+def test_verify_writes_to_the_env_outdir(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EPNLS_OUTDIR", str(tmp_path / "env_out"))
+    assert main(["verify"]) == EXIT_OK
+    assert (tmp_path / "env_out" / "verify_report.json").exists()
+    assert (tmp_path / "env_out" / "manifest.json").exists()
+    (tmp_path / "env_out" / ".lock").write_text("12345")  # and takes its lock
+    assert main(["verify"]) == EXIT_NUMERICAL
 
 
 def test_verify_out_takes_the_output_lock(tmp_path, capsys):

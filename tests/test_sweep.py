@@ -17,6 +17,7 @@ from epnls.evolution import (
     zero_state,
 )
 from epnls.grid import free_propagate, gaussian_initial, make_grid
+from epnls.runio import write_csv
 from epnls.sweep import (
     SOLVER_REVISION,
     AlgorithmAResult,
@@ -33,7 +34,6 @@ from epnls.sweep import (
     run_algorithm_a,
     run_error_curves,
     write_curves,
-    _curve_to_csv,
 )
 
 # small, fast sweep used by most machinery tests
@@ -273,7 +273,7 @@ def test_repeat_runs_bitwise_identical():
     cfg = SweepConfig(**FAST_EP)
     a = run_algorithm_a(cfg)
     b = run_algorithm_a(cfg)
-    assert _curve_to_csv(a.curves[0]) == _curve_to_csv(b.curves[0])
+    assert _bits(a.curves) == _bits(b.curves)
     assert [r.t_cross for r in a.crossings] == [r.t_cross for r in b.crossings]
 
 
@@ -479,11 +479,19 @@ def test_cached_prefix_short_of_its_tolerance_is_recomputed(tmp_path):
     assert len(cold.times) < 101  # stopped at 1e-2, before T
     path = Path(curve_path(str(tmp_path), cfg, 1.0))
     blob = path.read_text()
-    short = ErrorCurve(delta=1.0, times=cold.times[:-1], rho=cold.rho[:-1])
-    path.write_text(_curve_to_csv(short))
+    write_csv(str(path), ["t", "rho"], zip(cold.times[:-1], cold.rho[:-1]))
     (again,) = run_error_curves(cfg)
     assert _bits([again]) == _bits([cold])
     assert path.read_text() == blob  # the cache is mended
+
+
+def test_write_csv_writes_floats_at_17_digits_and_the_rest_by_str(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ["x", "n", "tag"],
+              [(0.1, 3, "a"), (np.float64(1e-300), 10**20, "b")])
+    assert path.read_text() == (
+        "x,n,tag\n0.10000000000000001,3,a\n1e-300,"
+        "100000000000000000000,b\n")
 
 
 def test_prefix_cached_under_a_larger_tolerance_is_accepted(tmp_path, monkeypatch):
