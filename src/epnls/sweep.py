@@ -52,7 +52,11 @@ COMPARATOR_COMPOSITE = "composite"
 COMPARATOR_LINEAR_NLS = "linear-nls"
 
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
-# crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock
+# crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  Both
+# take one step per sample: EP one fourth-order triple jump of dt = 1e-2
+# (default crossings within 5.3e-8 of a fine Strang reference in 1D,
+# 7.0e-8 in 2D), NLS one Strang step of dt = 1e-4 (within 1.5e-8 of
+# dt = 4e-6)
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": DEFAULT_DT,
          "samples_per_unit_time": DEFAULT_SAMPLES_PER_UNIT_TIME,
@@ -67,7 +71,7 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 4, NLS: 3}
+SOLVER_REVISION = {EP: 5, NLS: 3}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
 # the peak of _curve_batch, measured and rounded up (EP ~6.2-6.5 with

@@ -292,4 +292,6 @@ def existence_horizon(N, r, gamma, g, Ktilde=1.0):
         raise ValueError("r must lie in (0, 1)")
     if N <= 0:
         raise ValueError("N must be positive")
-    return (1.0 - r) / (2.0 * gamma + abs(g) * Ktilde * N**2)
+    # N * N, not N**2: a float power raises OverflowError past ~1e154,
+    # where the product rounds to inf and the horizon to 0
+    return (1.0 - r) / (2.0 * gamma + abs(g) * Ktilde * (N * N))

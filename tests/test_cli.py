@@ -170,6 +170,17 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
     assert manifest["jobs"][0]["detail"].startswith("delta=1,")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_huge_amplitude_is_a_numerical_failure(tmp_path, capsys):
+    # the existence horizon of a cap past 1e154 is 0, not an OverflowError:
+    # the advisory prints and the solver's blow-up check ends the run
+    out = tmp_path / "huge"
+    assert main(["simulate", "--out", str(out), "--delta", "1e200"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "existence time 0 " in captured.out
+    assert "numerical failure: non-finite field values" in captured.err
+
+
 def test_simulate_zero_amplitude_reports_absolute_drift(tmp_path, capsys, recwarn):
     cfg = write_cfg(tmp_path, "[grid]\nN = 64\n[solver]\nT = 0.1\n")
     out = tmp_path / "zero"

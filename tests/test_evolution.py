@@ -386,31 +386,35 @@ def test_ep_records_norms_transforming_psi_only(fft_calls):
                      StepSpec(dt=1e-3, samples_per_unit_time=100), 0.1,
                      record="norms")
     assert len(traj.times) == 11
-    # phi's initial spectrum, then psi alone: its norm at t = 0, 2 per step
-    # and 1 per later sample; phi_hat never leaves spectral space
-    assert fft_calls == [256] * (2 + 2 * 100 + 10)
+    # phi's initial spectrum, then psi alone: its norm at t = 0, 2 per
+    # linear substep (3 per triple-jump step) and 1 per later sample;
+    # phi_hat never leaves spectral space
+    assert fft_calls == [256] * (2 + 3 * 2 * 100 + 10)
 
 
 # ---------------------------------------------------------------- kernel
 # frozen copies of the loops the split-step kernel replaced: the stacked
-# EP loop (both fields through every transform) and the NLS loop
+# EP loop (both fields through every transform), here running Yoshida's
+# triple jump of unmerged Strang steps, and the NLS loop
 
 
 def frozen_ep_samples(fields, params, step, n_samples, grid):
     axes = tuple(range(-grid.n, 0))
-    dt, g, p = step.dt, params.g, params.p
-    u11, u12, u22 = linear_pair_propagator(grid, params.gamma, params.omega0, dt)
+    g, p = params.g, params.p
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    jumps = [w * step.dt for w in (w1, 1.0 - 2.0 * w1, w1)]
+    maps = [linear_pair_propagator(grid, params.gamma, params.omega0, h)
+            for h in jumps]
     fields = np.array(fields, dtype=np.complex128)
     for block in range(n_samples):
-        fields[1] = nonlinear_phase(fields[1], g, p, 0.5 * dt)
-        for j in range(step.steps_per_sample):
-            if j:
-                fields[1] = nonlinear_phase(fields[1], g, p, dt)
-            hat = np.fft.fftn(fields, axes=axes)
-            spectrum = np.stack([u11 * hat[0] + u12 * hat[1],
-                                 u12 * hat[0] + u22 * hat[1]])
-            fields = np.fft.ifftn(spectrum, axes=axes)
-        fields[1] = nonlinear_phase(fields[1], g, p, 0.5 * dt)
+        for _ in range(step.steps_per_sample):
+            for h, (u11, u12, u22) in zip(jumps, maps):
+                fields[1] = nonlinear_phase(fields[1], g, p, 0.5 * h)
+                hat = np.fft.fftn(fields, axes=axes)
+                spectrum = np.stack([u11 * hat[0] + u12 * hat[1],
+                                     u12 * hat[0] + u22 * hat[1]])
+                fields = np.fft.ifftn(spectrum, axes=axes)
+                fields[1] = nonlinear_phase(fields[1], g, p, 0.5 * h)
         yield (block + 1) * step.sample_interval, spectrum[0], fields[1]
 
 
@@ -431,7 +435,7 @@ def frozen_nls_samples(phi_hat, params, step, n_samples, grid):
 
 @pytest.mark.parametrize("grid", [GRID, make_grid(2, 32, 8.0)], ids=["1d", "2d"])
 def test_ep_kernel_matches_the_stacked_loop(grid):
-    # 200 steps of 10 per sample; a batch of two amplitudes
+    # 200 triple-jump steps of 10 per sample; a batch of two amplitudes
     step = StepSpec(dt=1e-3, samples_per_unit_time=100)
     axes = tuple(range(-grid.n, 0))
     phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.6)])
@@ -523,6 +527,19 @@ def test_nls_second_order_in_dt():
     err1 = np.max(np.abs(outs[1e-3] - outs[5e-4]))
     err2 = np.max(np.abs(outs[5e-4] - outs[2.5e-4]))
     assert 4.0 / 1.5 <= err1 / err2 <= 4.0 * 1.5
+
+
+def test_ep_fourth_order_in_dt():
+    # the triple jump: halving dt divides the step error by 2^4
+    T = 0.2
+    outs = {}
+    for dt in (2e-2, 1e-2, 5e-3):
+        final = evolve_ep(gauss_state(), PARAMS,
+                          StepSpec(dt=dt, samples_per_unit_time=5), T).final_state()
+        outs[dt] = np.concatenate([final.phi.values, final.psi.values])
+    err1 = np.max(np.abs(outs[2e-2] - outs[1e-2]))
+    err2 = np.max(np.abs(outs[1e-2] - outs[5e-3]))
+    assert 16.0 / 1.5 <= err1 / err2 <= 16.0 * 1.5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -337,6 +337,11 @@ def test_existence_horizon_arithmetic():
     )
 
 
+def test_existence_horizon_of_a_huge_cap_is_zero():
+    # N^2 overflows to inf for a cap past ~1e154, not to an OverflowError
+    assert existence_horizon(1e200, 0.5, gamma=1.0, g=1.0) == 0.0
+
+
 def test_existence_horizon_validation():
     with pytest.raises(ValueError):
         existence_horizon(2.0, 1.5, gamma=1.0, g=1.0)
