@@ -19,6 +19,7 @@ lemma root residuals 1e-12; the exciton bound ratio is reported only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -96,10 +97,26 @@ def _resolve_workers(flag, cfg_workers):
     return workers
 
 
+def _quiet_floating_point(command):
+    """Run a solver command under one np.errstate that silences numpy's
+    floating-point warnings.  The solver checks its own results (a field
+    that stops being finite raises SolverBlowupError, a vanishing truth
+    norm ZeroDivisionError), so a blow-up exits 3 with the message that
+    names it alone.  Worker processes forked by a sweep inherit the state."""
+
+    @functools.wraps(command)
+    def run(args):
+        with np.errstate(all="ignore"):
+            return command(args)
+
+    return run
+
+
 # --------------------------------------------------------------------------
 # simulate
 
 
+@_quiet_floating_point
 def cmd_simulate(args):
     cfg = parse_config(args.config)
     if args.delta is not None and not 0 <= args.delta < np.inf:
@@ -153,6 +170,7 @@ def cmd_simulate(args):
 # sweep
 
 
+@_quiet_floating_point
 def cmd_sweep(args):
     cfg = parse_config(args.config)
     config_text = serialize_config(cfg)
@@ -219,7 +237,7 @@ def cmd_sweep(args):
     for b in result.betas:
         pred = beta_predict(b.alpha, cfg.p, cfg.model)
         print(
-            f"alpha={fmt(b.alpha)}  beta={b.beta:.5f}  "
+            f"alpha={b.alpha!r}  beta={b.beta:.5f}  "
             f"theory={pred.beta:.5f} ({pred.regime})  r2={b.r_squared:.6f}"
         )
     if result.meta_slope is not None:
@@ -281,13 +299,13 @@ def verify_checks():
 
     big = make_grid(1, 256, 10.0)
     phi0 = gaussian_initial(big, 1.0)
-    step = StepSpec(dt=1e-3)
+    step = StepSpec(dt=1e-3, samples_per_unit_time=100)
     traj = evolve_ep(zero_state(phi0), params, step, 1.0)
     rows.append(("EP mass conservation", traj.mass_drift(), 1e-10))
 
     fin = traj.final_state()
     rev = evolve_ep(EPState(fin.phi, fin.psi, 0.0), params,
-                    StepSpec(dt=-step.dt), 1.0).final_state()
+                    replace(step, dt=-step.dt), 1.0).final_state()
     rev_err = max(sobolev_norm(Field(big, rev.phi.values - phi0.values), 1.0),
                   sobolev_norm(rev.psi, 1.0))
     rows.append(("time reversal", rev_err, 1e-8))

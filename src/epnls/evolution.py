@@ -18,11 +18,15 @@ linear(dt/2), rotation(dt), linear(dt/2).  EP takes Yoshida's fourth-order
 triple jump (Yoshida 1990, Phys. Lett. A 150:262): Strang steps
 rotation(w dt/2), linear(w dt), rotation(w dt/2) of weights w1, w0, w1,
 w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0; every substep is unitary and
-reversible, so the negative middle weight is harmless.  At the default
-dt = 1e-2, one triple jump per sample, the default sweep's crossings are
-within 5.3e-8 (1D) and 7.0e-8 (2D) of Strang at dt = 1e-4 (2e-4 in 2D),
-against 1.35e-6 and 1.54e-6 for Strang at dt = 1e-3; halving dt to 5e-3
-divides their distance from a dt = 1e-3 triple jump by 16.
+reversible, so the negative middle weight is harmless; halving dt from
+1e-2 to 5e-3 divides the crossings' distance from a dt = 1e-3 triple
+jump by 16.  The default EP clock is dt = 2e-2 at 50 samples per unit
+time, one triple jump per sample: with the sweep's cubic crossings the
+default sweep's crossings are within 6.4e-7 (1D) and 3.4e-5 (2D
+composite) of fine references (dt = 1e-3 at 1,000 samples per unit time
+in 1D, 2e-3 at 500 in 2D).  In 1D the step and the sample spacing add
+about equally (6.3e-7 and 5.4e-7); in 2D the sample spacing dominates
+(3.4e-5, against 1.3e-7 from the step).
 The kernel carries spectra and takes only the rotated field to physical
 space and back (McLachlan & Quispel 2002, Acta Numerica 11:341), so an EP
 step transforms psi alone and phi never leaves spectral space.  The
@@ -54,8 +58,8 @@ from .grid import (
     hs_norm_from_fft,
 )
 
-DEFAULT_DT = 1e-2
-DEFAULT_SAMPLES_PER_UNIT_TIME = 100
+DEFAULT_DT = 2e-2
+DEFAULT_SAMPLES_PER_UNIT_TIME = 50
 
 FULL = "full"
 NORMS = "norms"
@@ -162,7 +166,10 @@ class Trajectory:
     """Sampled evolution: times plus recorded states and/or norms.
 
     ``policy`` is 'full' (states kept, norms too) or 'norms' (norms
-    only).  ``psi``/``norm_psi`` are None for single-field runs.
+    only).  ``psi``/``norm_psi`` are None for single-field runs.  ``l2``
+    holds each sample's L2 norm of every field, one column per field, and
+    ``mass`` the sum of their squares: inf once a norm passes ~1e154,
+    where mass_drift() still has its finite value.
     """
 
     times: np.ndarray
@@ -173,6 +180,7 @@ class Trajectory:
     norm_phi: np.ndarray | None = None
     norm_psi: np.ndarray | None = None
     mass: np.ndarray | None = None
+    l2: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -190,9 +198,14 @@ class Trajectory:
         return EPState(self.phi[-1], self.psi[-1], time=float(self.times[-1]))
 
     def mass_drift(self):
-        """max |m(t) - m(0)|, relative to m(0) unless m(0) = 0."""
-        drift = float(np.max(np.abs(self.mass - self.mass[0])))
-        return drift / self.mass[0] if self.mass[0] else drift
+        """max |m(t) - m(0)|, relative to m(0) unless m(0) = 0.  The mass is
+        formed from the L2 norms scaled by a power of two near their
+        largest, which is exact: the drift is the bits of the unscaled
+        formula wherever the mass is finite, and stays finite past it."""
+        exponent = int(np.frexp(np.max(self.l2))[1])
+        mass = np.sum(np.ldexp(self.l2, -exponent) ** 2, axis=1)
+        drift = float(np.max(np.abs(mass - mass[0])))
+        return drift / mass[0] if mass[0] else float(np.ldexp(drift, 2 * exponent))
 
 
 @dataclass
@@ -248,7 +261,10 @@ def _rotate(values, g, p, dt):
     # nonlinear_phase in place on a complex array.  The phase exp(-i theta),
     # theta = g dt |u|^(p-1), is formed as (1 - i tau)^2 / (1 + tau^2) with
     # tau = tan(theta / 2): the same unitary factor to rounding at any
-    # angle, and np.tan costs a fraction of sin, cos or a complex exp
+    # angle, and np.tan costs a fraction of sin, cos or a complex exp.
+    # g = 0 is the identity, even where |u|^(p-1) overflows
+    if g == 0:
+        return
     tau = np.abs(values)
     if p == 3.0:
         tau *= tau
@@ -271,21 +287,23 @@ def _record(samples, grid, params, policy):
     fftn) and mass from Parseval; 'full' states are one ifftn of them."""
     axes = tuple(range(-grid.n, 0))
     s = params.resolve_s(grid)
-    times, norms, mass, states = [], [], [], []
+    times, norms, l2, states = [], [], [], []
     for t, spectra, u in samples:
         hats = np.stack([np.fft.fftn(u, axes=axes) if a is None else a for a in spectra])
         times.append(t)
         norms.append(hs_norm_from_fft(hats, grid, s))
-        l2 = hs_norm_from_fft(hats, grid, 0.0)
-        mass.append(float(np.sum(l2 * l2)))
+        l2.append(hs_norm_from_fft(hats, grid, 0.0))
         if policy == FULL:
             states.append([Field(grid, f, PHYSICAL) for f in np.fft.ifftn(hats, axes=axes)])
     # one row per field, then None for an absent psi
     norms = [np.array(row) for row in np.transpose(norms)] + [None]
     states = [list(row) for row in zip(*states)] + [None] if policy == FULL else [None] * 2
+    l2 = np.array(l2)
+    with np.errstate(over="ignore"):  # an inf mass is a result, see Trajectory
+        mass = np.sum(l2 * l2, axis=1)
     return Trajectory(
         times=np.asarray(times), policy=policy, s=s, phi=states[0], psi=states[1],
-        norm_phi=norms[0], norm_psi=norms[1], mass=np.asarray(mass),
+        norm_phi=norms[0], norm_psi=norms[1], mass=mass, l2=l2,
     )
 
 

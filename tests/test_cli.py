@@ -170,7 +170,6 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
     assert manifest["jobs"][0]["detail"].startswith("delta=1,")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_huge_amplitude_is_a_numerical_failure(tmp_path, capsys):
     # the existence horizon of a cap past 1e154 is 0, not an OverflowError:
     # the advisory prints and the solver's blow-up check ends the run
@@ -179,6 +178,37 @@ def test_simulate_huge_amplitude_is_a_numerical_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "existence time 0 " in captured.out
     assert "numerical failure: non-finite field values" in captured.err
+
+
+@pytest.mark.parametrize("physics", ["model = ep", "model = nls", "model = ep\ng = 0"],
+                         ids=["ep", "nls", "g=0"])
+@pytest.mark.parametrize("delta", [1e-300, 1e-150, 1.0, 1e150, 1e160, 1e200])
+def test_simulate_amplitude_extremes_exit_cleanly(tmp_path, capsys, recwarn,
+                                                  physics, delta):
+    # a run either reaches T with finite norms and mass drift or is a
+    # numerical failure whose message names it, and no floating-point
+    # warning reaches stderr.  The g = 0 flow is linear and always runs;
+    # the nonlinear rotation angle overflows past |u| ~ 1e154.  The mass
+    # column is inf where the L2 norm passes ~1e154, as documented
+    cfg = write_cfg(tmp_path, f"[grid]\nN = 64\n[physics]\n{physics}\n"
+                              "[solver]\nT = 0.04\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--out", str(out), "--delta", repr(delta)])
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    linear = "g = 0" in physics
+    assert code == (EXIT_NUMERICAL if delta >= 1e160 and not linear else EXIT_OK)
+    if code == EXIT_NUMERICAL:
+        assert captured.err.startswith("numerical failure: non-finite field values")
+        return
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    norms, mass = values[:, 1:-1], values[:, -1]
+    assert np.all(np.isfinite(norms))
+    assert np.all(np.isfinite(mass) | ((mass == np.inf) & (norms.max(axis=1) > 1e154)))
+    drift = float(captured.out.rsplit("mass drift ", 1)[1].rstrip(")\n"))
+    assert drift < 1e-12
 
 
 def test_simulate_zero_amplitude_reports_absolute_drift(tmp_path, capsys, recwarn):
@@ -237,6 +267,18 @@ def test_sweep_outputs_and_manifest(tmp_path, capsys):
         for f in fs
     } - {"manifest.json"}
     assert listed == on_disk
+
+
+def test_sweep_prints_short_alphas_and_writes_full_ones(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_SWEEP_INI.replace("alphas = 0", "alphas = 0,0.1"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("alpha=")]
+    assert printed == ["alpha=0.0", "alpha=0.1"]
+    # files keep the 17-digit form, so they parse back bit-exactly
+    rows = (out / "betas.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "0.10000000000000001"]
 
 
 def test_summary_records_each_curves_stop_time(tmp_path, capsys):

@@ -19,7 +19,7 @@ def test_empty_document_yields_spec_defaults():
     assert cfg.s == 1.0  # floor(n/2 + 1) for n = 1
     assert cfg.model == "ep"
     assert cfg.comparator == "systemB"
-    assert (cfg.T, cfg.dt, cfg.samples_per_unit_time) == (2.0, 1e-2, 100)
+    assert (cfg.T, cfg.dt, cfg.samples_per_unit_time) == (2.0, 2e-2, 50)
     assert len(cfg.epsilon_set) == 6
     assert cfg.epsilon_set[0] == pytest.approx(1e-2)
     assert cfg.epsilon_set[-1] == pytest.approx(1e-3)
@@ -110,10 +110,10 @@ def test_config_hash_sensitivity():
 
 
 @pytest.mark.parametrize("doc, pinned", [
-    ("", "0199e544417e8b9b"),
+    ("", "db5585ed50aa6712"),
     ("[physics]\nmodel = nls\n", "c2b39eceeb6df899"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
-     "alphas = 0,0.2\n", "e5d75ede8a99b692"),
+     "alphas = 0,0.2\n", "46d91a9b7a021055"),
 ])
 def test_config_hash_is_pinned(doc, pinned):
     # the hash keys curve caches, so it may only change on purpose: a
@@ -144,7 +144,7 @@ epsilon_floor = 1e-7
 [solver]
 T = 1.5
 dt = 0.002
-samples_per_unit_time = 50
+samples_per_unit_time = 20
 workers = 2
 [output]
 dir = out

@@ -73,7 +73,7 @@ def test_step_spec_validation():
         StepSpec(dt=0.0)
     with pytest.raises(ValueError, match="divide"):
         StepSpec(dt=3e-3, samples_per_unit_time=100)
-    assert StepSpec(dt=-1e-3).steps_per_sample == 10
+    assert StepSpec(dt=-1e-3).steps_per_sample == 20
     assert StepSpec(dt=1e-3, samples_per_unit_time=100).sample_interval == 0.01
 
 
@@ -118,6 +118,26 @@ def test_nonlinear_phase_is_the_exact_rotation(g, p, dt):
     back = nonlinear_phase(out, g=g, p=p, dt=-dt)
     allowed = 1e-15 * np.maximum(1.0, (p - 1.0) * np.abs(theta))
     assert np.all(np.abs(back - vals) / mag <= allowed)
+
+
+def test_zero_coupling_rotation_is_the_identity_at_any_amplitude():
+    vals = np.array([1e-300, 1.0, 1e160, 1e300 + 1e300j])
+    assert np.array_equal(nonlinear_phase(vals, g=0.0, p=3.0, dt=0.1), vals)
+
+
+def test_mass_drift_stays_finite_where_the_mass_overflows():
+    # g = 0 is linear, so an amplitude of 2^600 scales every norm exactly:
+    # the mass overflows to inf, and its drift is bitwise that at amplitude 1,
+    # which is the unscaled formula's
+    params = ModelParams(g=0.0, gamma=1.0, omega0=1.0, p=3.0, s=1.0)
+    step = StepSpec(dt=1e-2, samples_per_unit_time=10)
+    unit = evolve_ep(gauss_state(), params, step, 0.5, record="norms")
+    huge = evolve_ep(gauss_state(2.0**600), params, step, 0.5, record="norms")
+    assert np.all(huge.mass == np.inf) and np.all(np.isfinite(huge.l2))
+    assert np.array_equal(huge.l2, np.ldexp(unit.l2, 600))
+    formula = np.max(np.abs(unit.mass - unit.mass[0])) / unit.mass[0]
+    assert huge.mass_drift() == unit.mass_drift() == formula
+    assert 0 < formula <= 1e-13
 
 
 def test_linear_pair_propagator_unitary_per_mode():

@@ -83,8 +83,8 @@ def test_config_validation():
 def test_config_resolution_defaults():
     # a constructed config is already resolved
     ep = SweepConfig(model="ep")
-    assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 1e-2, "systemB", 1.0)
-    assert ep.samples_per_unit_time == 100
+    assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 2e-2, "systemB", 1.0)
+    assert ep.samples_per_unit_time == 50
     nls = SweepConfig(model="nls", n=2, N=32)
     assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 1e-4, 10000)
     assert nls.comparator == "linear-nls"
@@ -129,7 +129,8 @@ def test_find_crossing_quintic_curve():
 
 
 def test_find_crossing_loglog_exact_on_power_laws():
-    # coarse sampling, but the interpolation is linear in (log t, log rho)
+    # coarse sampling, but log t is linear in log rho, which both the cubic
+    # and the linear rule reproduce
     t = np.logspace(-2, 0, 9)
     curve = synthetic_curve(np.concatenate([[0.0], t]),
                             np.concatenate([[0.0], t**3]))
@@ -159,6 +160,49 @@ def test_find_crossing_too_coarse():
     curve = synthetic_curve([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(NoCrossingError, match="cadence"):
         find_crossing(curve, 0.5)
+
+
+def _linear_crossing(t, rho, epsilon):
+    """The linear (log t, log rho) rule between the bracketing samples."""
+    i = int(np.argmax(np.asarray(rho) >= epsilon))
+    tl, tr, rl, rr = t[i - 1], t[i], rho[i - 1], rho[i]
+    frac = (np.log(epsilon) - np.log(rl)) / (np.log(rr) - np.log(rl))
+    return float(np.exp(np.log(tl) + frac * (np.log(tr) - np.log(tl))))
+
+
+def test_find_crossing_cubic_beats_linear():
+    # rho = C t^q (1 + a t) is no power law, so neither rule is exact; on
+    # the default EP sample spacing the cubic rule lands >= 5000x closer
+    # to the root than the linear one
+    from scipy.optimize import brentq
+
+    def rho_of(t):
+        return 0.01 * t**5 * (1.0 + 0.7 * t)
+
+    t = np.arange(101) * 0.02
+    curve = synthetic_curve(t, rho_of(t))
+    for eps in (1e-4, 1e-3, 3e-3, 1e-2):
+        root = brentq(lambda s: rho_of(s) - eps, 1e-3, 2.0, xtol=1e-15, rtol=1e-15)
+        cubic = abs(find_crossing(curve, eps) - root)
+        linear = abs(_linear_crossing(t, curve.rho, eps) - root)
+        assert cubic * 10 <= linear
+
+
+@pytest.mark.parametrize("times, rho, eps", [
+    # the first sample at or above epsilon is sample 3 < 4 (every sample
+    # positive, so only the index rules the cubic out)
+    ([0.5, 1.0, 2.0, 3.0, 4.0], [1e-4, 1e-3, 8e-3, 2.7e-2, 6.4e-2], 2e-2),
+    # a zero in the window i-3..i
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 8e-3, 2.7e-2, 6.4e-2, 0.125], 5e-2),
+    # log rho not strictly increasing over the window (the cubic through
+    # it would land inside the bracket)
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 2e-3, 1e-3, 2.7e-2, 6.4e-2, 0.125], 5e-2),
+    # monotone, but the cubic leaves the bracket (t[i-1], t[i]]
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1e-3, 1.01e-3, 1.02e-3, 0.148], 1e-2),
+], ids=["i<4", "zero", "non-monotone", "outside-bracket"])
+def test_find_crossing_falls_back_to_the_linear_rule(times, rho, eps):
+    curve = synthetic_curve(times, rho)
+    assert find_crossing(curve, eps) == _linear_crossing(times, rho, eps)
 
 
 # ---------------------------------------------------------------- regression
@@ -248,9 +292,9 @@ def test_crossing_monotone_in_epsilon():
 
 
 def test_crossing_stable_under_cadence_halving():
-    base = SweepConfig(model="ep", N=64, T=1.5, alpha_set=(0.0,),
+    base = SweepConfig(model="ep", N=64, T=1.5, alpha_set=(0.0,), dt=1e-2,
                        epsilon_set=(1e-2,), samples_per_unit_time=100)
-    halved = SweepConfig(model="ep", N=64, T=1.5, alpha_set=(0.0,),
+    halved = SweepConfig(model="ep", N=64, T=1.5, alpha_set=(0.0,), dt=1e-2,
                          epsilon_set=(1e-2,), samples_per_unit_time=50)
     t_base = run_algorithm_a(base).crossings[0].t_cross
     t_halved = run_algorithm_a(halved).crossings[0].t_cross
@@ -532,10 +576,10 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
     assert _bits(split) == _bits(whole)
 
 
-@pytest.mark.parametrize("model, steps, samples", [("ep", 200, 201), ("nls", 100, 101)])
+@pytest.mark.parametrize("model, steps, samples", [("ep", 100, 101), ("nls", 100, 101)])
 def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
     if model == "ep":
-        cfg = SweepConfig(model="ep", N=32, dt=1e-2, alpha_set=(0.0, 0.1),
+        cfg = SweepConfig(model="ep", N=32, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     else:
         cfg = SweepConfig(model="nls", N=32, T=0.01, dt=1e-4,
@@ -612,11 +656,13 @@ def test_default_nls_dt_is_converged():
 
 
 def test_default_ep_dt_is_converged():
-    # crossings of the delta = 1 curve at the default dt (one triple jump
-    # of 1e-2 per sample) against a 4x finer step, which is within 1/256 of
-    # its error: measured 3.9e-8 apart, as from dt = 2.5e-4
+    # crossings of the delta = 1 curve at the default clock (one triple
+    # jump of 2e-2 per sample of 1/50) against a 4x finer step and sample
+    # rate, so that both the step and the cubic crossing error shrink:
+    # measured 6.4e-7 apart
     coarse = compute_error_curve(SweepConfig(model="ep"), 1.0)
-    fine = compute_error_curve(SweepConfig(model="ep", dt=2.5e-3), 1.0)
+    fine = compute_error_curve(
+        SweepConfig(model="ep", dt=5e-3, samples_per_unit_time=200), 1.0)
     for eps in SweepConfig(model="ep").epsilon_set:
         t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
         assert t_coarse == pytest.approx(t_fine, rel=1e-6)
