@@ -100,9 +100,9 @@ def _resolve_workers(flag, cfg_workers):
 def _quiet_floating_point(command):
     """Run a solver command under one np.errstate that silences numpy's
     floating-point warnings.  The solver checks its own results (a field
-    that stops being finite raises SolverBlowupError, a vanishing truth
-    norm ZeroDivisionError), so a blow-up exits 3 with the message that
-    names it alone.  Worker processes forked by a sweep inherit the state."""
+    that stops being finite or a rotation angle past 2^52 rad raises
+    SolverBlowupError, a vanishing truth norm ZeroDivisionError), so a
+    blow-up exits 3 with the message that names it alone.  Worker processes forked by a sweep inherit the state."""
 
     @functools.wraps(command)
     def run(args):

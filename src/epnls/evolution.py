@@ -11,22 +11,24 @@ Both models are stepped by one split-step kernel, split_step_samples, of
 two exactly unitary substeps: a pointwise phase rotation of the nonlinear
 field (its modulus is invariant) and the exact per-mode linear flow, for
 EP the 2x2 matrix exponential of H_k = [[|k|^2, gamma], [gamma, omega0]],
-for NLS the free phase.  Mass is conserved to rounding error at any dt,
-and Strang splitting is second order with either substep outside
-(Thalhammer 2012, SIAM J. Numer. Anal. 50:3231).  NLS takes Strang steps
-linear(dt/2), rotation(dt), linear(dt/2).  EP takes Yoshida's fourth-order
-triple jump (Yoshida 1990, Phys. Lett. A 150:262): Strang steps
-rotation(w dt/2), linear(w dt), rotation(w dt/2) of weights w1, w0, w1,
-w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0; every substep is unitary and
-reversible, so the negative middle weight is harmless; halving dt from
-1e-2 to 5e-3 divides the crossings' distance from a dt = 1e-3 triple
-jump by 16.  The default EP clock is dt = 2e-2 at 50 samples per unit
-time, one triple jump per sample: with the sweep's cubic crossings the
-default sweep's crossings are within 6.4e-7 (1D) and 3.4e-5 (2D
-composite) of fine references (dt = 1e-3 at 1,000 samples per unit time
-in 1D, 2e-3 at 500 in 2D).  In 1D the step and the sample spacing add
-about equally (6.3e-7 and 5.4e-7); in 2D the sample spacing dominates
-(3.4e-5, against 1.3e-7 from the step).
+for NLS the free phase.  Mass is conserved to rounding error at any dt.
+Both take Yoshida's fourth-order triple jump (Yoshida 1990, Phys. Lett. A
+150:262): Strang steps outside(w dt/2), inside(w dt), outside(w dt/2) of
+weights w1, w0, w1, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0, with the
+rotation outside for EP and the linear flow outside for NLS (Strang
+splitting is second order with either substep outside; Thalhammer 2012,
+SIAM J. Numer. Anal. 50:3231).  Every substep is unitary and reversible,
+so the negative middle weight is harmless; halving dt divides the step
+error by 16.  Both default clocks take one triple jump per sample, and
+with the sweep's cubic crossings the sample spacing, not the step, limits
+the default crossings.  EP: dt = 2e-2 at 50 samples per unit time, within
+6.4e-7 (1D) and 3.4e-5 (2D composite) of fine references (dt = 1e-3 at
+1,000 samples per unit time in 1D, 2e-3 at 500 in 2D); in 1D the step and
+the sample spacing add about equally (6.3e-7 and 5.4e-7), in 2D the
+sample spacing dominates (3.4e-5, against 1.3e-7 from the step).  NLS:
+dt = 2.5e-4 at 4,000 samples per unit time, within 2.5e-9 of a triple
+jump at dt = 2e-5 with 50,000 samples per unit time (dt = 2.5e-5 at the
+same samples moves the crossings by 7e-12).
 The kernel carries spectra and takes only the rotated field to physical
 space and back (McLachlan & Quispel 2002, Acta Numerica 11:341), so an EP
 step transforms psi alone and phi never leaves spectral space.  The
@@ -66,14 +68,20 @@ NORMS = "norms"
 
 
 class SolverBlowupError(RuntimeError):
-    """A field stopped being finite mid-run."""
+    """A field stopped being finite mid-run, or, when ``angle`` is given, a
+    rotation angle reached 2^52 rad in the steps from ``time`` on, so that
+    the field's phase is lost to rounding."""
 
-    def __init__(self, time, step_index):
-        super().__init__(
-            f"non-finite field values at t = {time:.6g} (step {step_index})"
-        )
+    def __init__(self, time, step_index, angle=None):
+        if angle is None:
+            message = f"non-finite field values at t = {time:.6g} (step {step_index})"
+        else:
+            message = (f"rotation angle {angle:.3g} rad in the sample interval from "
+                       f"t = {time:.6g} reaches 2^52 rad, where one ulp exceeds 1 rad")
+        super().__init__(message)
         self.time = time
         self.step_index = step_index
+        self.angle = angle
 
 
 @dataclass
@@ -258,18 +266,20 @@ def nonlinear_phase(values, g, p, dt):
 
 
 def _rotate(values, g, p, dt):
-    # nonlinear_phase in place on a complex array.  The phase exp(-i theta),
-    # theta = g dt |u|^(p-1), is formed as (1 - i tau)^2 / (1 + tau^2) with
-    # tau = tan(theta / 2): the same unitary factor to rounding at any
-    # angle, and np.tan costs a fraction of sin, cos or a complex exp.
-    # g = 0 is the identity, even where |u|^(p-1) overflows
+    # nonlinear_phase in place on a complex array; returns the largest
+    # |theta|.  The phase exp(-i theta), theta = g dt |u|^(p-1), is formed
+    # as (1 - i tau)^2 / (1 + tau^2) with tau = tan(theta / 2): the same
+    # unitary factor to rounding at any angle, and np.tan costs a fraction
+    # of sin, cos or a complex exp.  g = 0 is the identity, even where
+    # |u|^(p-1) overflows
     if g == 0:
-        return
+        return 0.0
     tau = np.abs(values)
     if p == 3.0:
         tau *= tau
     else:
         tau **= p - 1.0
+    angle = abs(g * dt) * float(tau.max())
     tau *= 0.5 * g * dt
     np.tan(tau, out=tau)
     tau_sq = tau * tau
@@ -278,23 +288,24 @@ def _rotate(values, g, p, dt):
     np.divide(1.0 - tau_sq, denom, out=factor.real)
     np.divide(-2.0 * tau, denom, out=factor.imag)
     values *= factor
+    return angle
 
 
 def _record(samples, grid, params, policy):
     """The Trajectory of a stream of (t, spectra, u) samples: spectra lists
     the plain FFTs of phi (and psi), and an entry that is None is the field
     held in physical space as u.  Norms come from the spectra (u gets one
-    fftn) and mass from Parseval; 'full' states are one ifftn of them."""
-    axes = tuple(range(-grid.n, 0))
+    Grid.fft) and mass from Parseval; 'full' states are one Grid.ifft of
+    them."""
     s = params.resolve_s(grid)
     times, norms, l2, states = [], [], [], []
     for t, spectra, u in samples:
-        hats = np.stack([np.fft.fftn(u, axes=axes) if a is None else a for a in spectra])
+        hats = np.stack([grid.fft(u) if a is None else a for a in spectra])
         times.append(t)
         norms.append(hs_norm_from_fft(hats, grid, s))
         l2.append(hs_norm_from_fft(hats, grid, 0.0))
         if policy == FULL:
-            states.append([Field(grid, f, PHYSICAL) for f in np.fft.ifftn(hats, axes=axes)])
+            states.append([Field(grid, f, PHYSICAL) for f in grid.ifft(hats)])
     # one row per field, then None for an absent psi
     norms = [np.array(row) for row in np.transpose(norms)] + [None]
     states = [list(row) for row in zip(*states)] + [None] if policy == FULL else [None] * 2
@@ -347,25 +358,33 @@ def _comparator_times(T, sample_times, start=0.0):
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 
+# Past 2^52 rad one ulp of a rotation angle exceeds 1 rad: its phase is
+# rounding noise, though |u| stays exact
+_MAX_ANGLE = 2.0**52
 
-def _strang(w):
-    return (("rotate", 0.5 * w), ("linear", w), ("rotate", 0.5 * w))
+
+def _triple_jump(outside):
+    """One step as ("rotate" | "linear", weight) substeps: the Strang steps
+    outside(w/2), inside(w), outside(w/2) of weights w1, w0, w1, with
+    ``outside`` one kind of substep and inside the other."""
+    inside = "linear" if outside == "rotate" else "rotate"
+    return tuple(substep for w in (_W1, _W0, _W1)
+                 for substep in ((outside, 0.5 * w), (inside, w), (outside, 0.5 * w)))
 
 
 def ep_splitting(grid, params):
-    """split_step_samples' (linear, field, order) for EP: the 2x2 flow, the
-    rotation of psi, and the triple jump of Strang steps (rotation
-    outside) of weights w1, w0, w1."""
+    """split_step_samples' (linear, field, outside) for EP: the 2x2 flow,
+    the rotation of psi, and the rotation outside."""
     gamma, omega0 = params.gamma, params.omega0
     linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
-    return linear, 1, _strang(_W1) + _strang(_W0) + _strang(_W1)
+    return linear, 1, "rotate"
 
 
 def nls_splitting(grid):
-    """split_step_samples' (linear, field, order) for NLS: the free flow,
-    the rotation of phi, and Strang with the flow outside."""
+    """split_step_samples' (linear, field, outside) for NLS: the free flow,
+    the rotation of phi, and the flow outside."""
     linear = lambda tau: (free_symbol(grid, tau),)
-    return linear, 0, (("linear", 0.5), ("rotate", 1.0), ("linear", 0.5))
+    return linear, 0, "linear"
 
 
 def _pair_map(symbols, a, b):
@@ -392,27 +411,29 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
     """The split-step loop of either model, as a stream of its samples from
     t = 0 on.
 
-    ``splitting`` is (linear, field, order): linear(tau) is the per-mode
+    Each step is Yoshida's fourth-order triple jump (_triple_jump), chained
+    over a sample interval with neighbouring substeps of one kind merged.
+    ``splitting`` is (linear, field, outside): linear(tau) is the per-mode
     flow exp(-i tau H_k) as (symbol,) or (u11, u12, u22), ``field`` the
-    index of the rotated field, ``order`` one step as ("rotate" | "linear",
-    weight) substeps, chained over a sample interval with neighbours of one
-    kind merged.  The loop owns ``spectra`` (the fields' plain FFTs, with
-    leading batch axes) and ``u``, the rotated field in physical space; one
-    of u and spectra[field] is None, and the field changes space only when
-    the next substep needs it.  Yields (t, spectra, u) for the given fields
-    at t = 0 and then after each of n_samples sample intervals, at t =
+    index of the rotated field, and ``outside`` the kind of substep,
+    "rotate" or "linear", that opens and closes each Strang step of the
+    jump.  The loop owns ``spectra`` (the fields' plain FFTs, with leading
+    batch axes) and ``u``, the rotated field in physical space; one of u
+    and spectra[field] is None, and the field changes space only when the
+    next substep needs it.  Yields (t, spectra, u) for the given fields at
+    t = 0 and then after each of n_samples sample intervals, at t =
     b * sample_interval as sample_times has them; the arrays are updated in
     place once the loop resumes.  Raises SolverBlowupError as soon as a
-    sample is not finite.  Resuming with ``stream.send(keep)``, keep a
-    boolean mask over the leading batch axis, first shrinks the batch to
-    the kept rows, held in new arrays that the later samples yield; each
-    row steps alone, so the survivors' bits do not change."""
-    axes = tuple(range(-grid.n, 0))
-    linear, field, order = splitting
+    sample is not finite, or once a rotation angle reaches 2^52 rad.
+    Resuming with ``stream.send(keep)``, keep a boolean mask over the
+    leading batch axis, first shrinks the batch to the kept rows, held in
+    new arrays that the later samples yield; each row steps alone, so the
+    survivors' bits do not change."""
+    linear, field, outside = splitting
     per_block = step.steps_per_sample
     dt = step.dt
     substeps = []
-    for kind, weight in order * per_block:
+    for kind, weight in _triple_jump(outside) * per_block:
         if substeps and substeps[-1][0] == kind:
             weight = substeps.pop()[1] + weight
         substeps.append((kind, weight))
@@ -421,11 +442,14 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
         for kind, weight in substeps if block else ():  # sample 0: no step
             if kind == "rotate":
                 if u is None:
-                    u, spectra[field] = np.fft.ifftn(spectra[field], axes=axes), None
-                _rotate(u, params.g, params.p, weight * dt)
+                    u, spectra[field] = grid.ifft(spectra[field]), None
+                angle = _rotate(u, params.g, params.p, weight * dt)
+                if angle >= _MAX_ANGLE:
+                    raise SolverBlowupError((block - 1) * step.sample_interval,
+                                            (block - 1) * per_block + 1, angle)
             else:
                 if u is not None:
-                    spectra[field], u = np.fft.fftn(u, axes=axes), None
+                    spectra[field], u = grid.fft(u), None
                 _apply_linear(spectra, maps[weight])
         t = block * step.sample_interval
         if not all(np.all(np.isfinite(a)) for a in spectra + [u] if a is not None):
@@ -443,25 +467,30 @@ def evolve_ep(initial, params, step, T, record=FULL):
     ep_splitting): three Strang steps of w1 dt, w0 dt, w1 dt, each a half
     rotation of psi, the exact 2x2 linear step for (phi_hat, psi_hat) and
     a half rotation again.  Aborts with SolverBlowupError if any field
-    stops being finite.
+    stops being finite or a rotation angle reaches 2^52 rad.
     """
     samples = _sample_count(T, step)
     if initial.time != 0:
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
-    stream = split_step_samples([np.fft.fftn(initial.phi.values), None],
+    stream = split_step_samples([grid.fft(initial.phi.values), None],
                                 initial.psi.values.copy(),  # rotated in place
                                 ep_splitting(grid, params), params, step, samples, grid)
     return _record(stream, grid, params, record)
 
 
 def evolve_nls(phi0, params, step, T, record=FULL):
-    """Integrate i phi_t = -Laplace phi + g |phi|^(p-1) phi by Strang
-    splitting (half exact spectral free step, nonlinear rotation, half
-    free step); see split_step_samples."""
+    """Integrate i phi_t = -Laplace phi + g |phi|^(p-1) phi from t = 0 to T.
+
+    Each step is Yoshida's fourth-order triple jump (split_step_samples,
+    nls_splitting): three Strang steps of w1 dt, w0 dt, w1 dt, each a half
+    exact spectral free step, the rotation of phi and a half free step
+    again.  Aborts with SolverBlowupError if the field stops being finite
+    or a rotation angle reaches 2^52 rad.
+    """
     samples = _sample_count(T, step)
     grid = phi0.grid
-    stream = split_step_samples([np.fft.fftn(phi0.values)], None, nls_splitting(grid),
+    stream = split_step_samples([grid.fft(phi0.values)], None, nls_splitting(grid),
                                 params, step, samples, grid)
     return _record(stream, grid, params, record)
 
@@ -479,8 +508,8 @@ def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
     times = _comparator_times(T, sample_times, initial.time)
 
     grid = initial.phi.grid
-    phi0_hat = np.fft.fftn(initial.phi.values)
-    psi0_hat = np.fft.fftn(initial.psi.values)
+    phi0_hat = grid.fft(initial.phi.values)
+    psi0_hat = grid.fft(initial.psi.values)
 
     def spectra(t):
         u = linear_pair_propagator(grid, params.gamma, params.omega0, t - initial.time)
@@ -506,7 +535,7 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
     times = _comparator_times(T, sample_times)
 
     grid = phi0.grid
-    phi0_hat = np.fft.fftn(phi0.values)
+    phi0_hat = grid.fft(phi0.values)
     spectra = lambda t: [m * phi0_hat for m in system_a_symbols(grid, params, t)]
     return _record(((t, spectra(t), None) for t in times), grid, params, record)
 
@@ -548,7 +577,7 @@ def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, reco
     times = _comparator_times(T, sample_times)
 
     grid = phi0.grid
-    phi0_hat = np.fft.fftn(phi0.values)
+    phi0_hat = grid.fft(phi0.values)
     b_phi, b_psi = (m * phi0_hat for m in composite_seed(grid, params, t1))
 
     def spectra(t):
@@ -577,11 +606,10 @@ def relative_error_curve(reference, truth, s, delta=None):
     ):
         raise ValueError("trajectories must share identical sample times")
     grid = truth.phi[0].grid
-    axes = tuple(range(-grid.n, 0))
     rho = np.empty(len(truth.times))
     for i, (ref_f, tru_f) in enumerate(zip(reference.phi, truth.phi)):
         pair = np.stack([tru_f.values, ref_f.values - tru_f.values])
-        den, num = hs_norm_from_fft(np.fft.fftn(pair, axes=axes), grid, s)
+        den, num = hs_norm_from_fft(grid.fft(pair), grid, s)
         if den == 0.0:
             raise ZeroDivisionError(
                 f"truth norm underflow at t = {truth.times[i]:.6g}"

@@ -54,17 +54,21 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  Both
-# take one step per sample: EP one fourth-order triple jump of dt = 2e-2
-# at 50 samples per unit time (with find_crossing's cubic rule, default
-# crossings within 6.4e-7 of a fine reference in 1D and 3.4e-5 in 2D,
-# against 6.3e-6 and 1.5e-4 at dt = 1e-2, 100 samples and linear
-# crossings), NLS one Strang step of dt = 1e-4 (within 1.4e-8 of
-# dt = 2e-5, Strang step error)
+# take one fourth-order triple jump per sample, so that with
+# find_crossing's cubic rule the sample spacing limits the crossings.  EP:
+# dt = 2e-2 at 50 samples per unit time, crossings within 6.4e-7 of a
+# fine reference in 1D and 3.4e-5 in 2D (against 6.3e-6 and 1.5e-4 at
+# dt = 1e-2, 100 samples and linear crossings).  NLS: dt = 2.5e-4 at 4,000
+# samples per unit time, within 2.5e-9 of a triple jump at dt = 2e-5 with
+# 50,000 samples (against 1.5e-8 for Strang at dt = 1e-4, 10,000
+# samples).  4,000 is the coarsest NLS rate whose earliest crossing
+# (t ~ 1.0e-3) lies past sample 3, where the cubic rule applies; at 2,500
+# and 2,000 the first crossings fall back to the linear rule and lose
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": DEFAULT_DT,
          "samples_per_unit_time": DEFAULT_SAMPLES_PER_UNIT_TIME,
          "comparator": COMPARATOR_SYSTEM_B},
-    NLS: {"T": 0.2, "dt": 1e-4, "samples_per_unit_time": 10000,
+    NLS: {"T": 0.2, "dt": 2.5e-4, "samples_per_unit_time": 4000,
           "comparator": COMPARATOR_LINEAR_NLS},
 }
 
@@ -74,7 +78,7 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 5, NLS: 3}
+SOLVER_REVISION = {EP: 5, NLS: 4}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
 # the peak of _curve_batch, measured and rounded up (EP ~6.2-6.5 with
@@ -349,8 +353,7 @@ def _curve_batch(c, specs, stops=None):
     comp_of = np.array([comps.index(e) for _, e in specs])
     rows = len(deltas)
 
-    phi_hat = np.fft.fftn([gaussian_initial(grid, d).values for d in deltas],
-                          axes=tuple(range(-grid.n, 0)))
+    phi_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
     curve_phi0_hat = phi_hat[member]
     stream = _truth_stream(c, grid, params, step, len(times) - 1, phi_hat)
     del phi_hat  # the split-step loop owns the photon spectra

@@ -172,24 +172,27 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
 
 def test_simulate_huge_amplitude_is_a_numerical_failure(tmp_path, capsys):
     # the existence horizon of a cap past 1e154 is 0, not an OverflowError:
-    # the advisory prints and the solver's blow-up check ends the run
+    # the advisory prints and the solver's rotation-angle check ends the
+    # run at the first rotation of psi, whose |psi|^2 overflows
     out = tmp_path / "huge"
     assert main(["simulate", "--out", str(out), "--delta", "1e200"]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert "existence time 0 " in captured.out
-    assert "numerical failure: non-finite field values" in captured.err
+    assert ("numerical failure: rotation angle inf rad in the sample interval "
+            "from t = 0 reaches 2^52 rad") in captured.err
 
 
 @pytest.mark.parametrize("physics", ["model = ep", "model = nls", "model = ep\ng = 0"],
                          ids=["ep", "nls", "g=0"])
-@pytest.mark.parametrize("delta", [1e-300, 1e-150, 1.0, 1e150, 1e160, 1e200])
+@pytest.mark.parametrize("delta", [1e-300, 1e-150, 1.0, 1e7, 1e150, 1e160, 1e200])
 def test_simulate_amplitude_extremes_exit_cleanly(tmp_path, capsys, recwarn,
                                                   physics, delta):
     # a run either reaches T with finite norms and mass drift or is a
     # numerical failure whose message names it, and no floating-point
-    # warning reaches stderr.  The g = 0 flow is linear and always runs;
-    # the nonlinear rotation angle overflows past |u| ~ 1e154.  The mass
-    # column is inf where the L2 norm passes ~1e154, as documented
+    # warning reaches stderr.  The g = 0 flow is linear and always runs.
+    # A nonlinear rotation angle past 2^52 rad carries no phase: at 1e150
+    # it is ~1e295 rad (and inf once |u|^2 overflows), at 1e7 below 1e11.
+    # The mass column is inf where the L2 norm passes ~1e154, as documented
     cfg = write_cfg(tmp_path, f"[grid]\nN = 64\n[physics]\n{physics}\n"
                               "[solver]\nT = 0.04\n")
     out = tmp_path / "out"
@@ -198,9 +201,10 @@ def test_simulate_amplitude_extremes_exit_cleanly(tmp_path, capsys, recwarn,
     assert "Warning" not in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     linear = "g = 0" in physics
-    assert code == (EXIT_NUMERICAL if delta >= 1e160 and not linear else EXIT_OK)
+    assert code == (EXIT_NUMERICAL if delta >= 1e150 and not linear else EXIT_OK)
     if code == EXIT_NUMERICAL:
-        assert captured.err.startswith("numerical failure: non-finite field values")
+        assert captured.err.startswith("numerical failure: rotation angle ")
+        assert "reaches 2^52 rad" in captured.err
         return
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     values = np.array([[float(v) for v in row.split(",")] for row in rows])

@@ -25,14 +25,13 @@ from epnls.evolution import (
     evolve_system_a,
     ep_splitting,
     linear_pair_propagator,
+    nls_splitting,
     nonlinear_phase,
     relative_error_curve,
     sample_times,
     split_step_samples,
     zero_state,
 )
-import epnls.sweep
-from epnls.sweep import SweepConfig
 
 GRID = make_grid(1, 256, 10.0)
 PARAMS = ModelParams(g=1.0, gamma=1.0, omega0=1.0, p=3.0, s=1.0)
@@ -200,14 +199,42 @@ def test_horizon_must_be_a_positive_multiple_of_the_interval(T):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_detection():
-    # |psi|^(p-1) overflows to inf for huge amplitudes and p = 5, which the
-    # rotation turns into NaN; the solver must abort with diagnostics
+    # |psi|^(p-1) overflows to inf for huge amplitudes and p = 5: the
+    # first rotation's angle is inf, and the solver aborts with diagnostics
     params = ModelParams(g=1.0, gamma=1.0, omega0=1.0, p=5.0, s=1.0)
     big = Field(GRID, np.full(GRID.shape, 1e300, dtype=complex))
-    with pytest.raises(SolverBlowupError) as err:
+    with pytest.raises(SolverBlowupError, match="rotation angle inf rad") as err:
         evolve_ep(EPState(gaussian_initial(GRID, 1.0), big), params,
                   StepSpec(dt=1e-2), 0.1)
-    assert err.value.step_index >= 1
+    assert err.value.step_index >= 1 and err.value.angle == np.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blowup_detection_of_non_finite_fields():
+    # the linear flow has no angle to check: a transform that overflows
+    # is caught at the sample, here t = 0
+    params = ModelParams(g=0.0, gamma=1.0, omega0=1.0, p=3.0, s=1.0)
+    big = Field(GRID, np.full(GRID.shape, 1e307, dtype=complex))
+    with pytest.raises(SolverBlowupError, match="non-finite field values at t = 0 "):
+        evolve_nls(big, params, StepSpec(dt=1e-2), 0.1)
+
+
+@pytest.mark.parametrize("margin", [0.99, 1.01])
+def test_rotation_angles_past_2_to_52_are_a_blowup(margin):
+    # a uniform field keeps |u| = a under the free flow, so every rotation
+    # of weight w turns it by |w| dt a^2; the largest weight is |w0|.  One
+    # ulp of an angle past 2^52 rad exceeds 1 rad
+    step = StepSpec(dt=1e-2, samples_per_unit_time=10)
+    w0 = 1.0 - 2.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    a = np.sqrt(margin * 2.0**52 / (abs(w0) * step.dt))
+    uniform = Field(GRID, np.full(GRID.shape, a, dtype=complex))
+    if margin < 1:
+        traj = evolve_nls(uniform, PARAMS, step, 0.2, record="norms")
+        assert traj.mass_drift() <= 1e-12
+        return
+    with pytest.raises(SolverBlowupError, match="in the sample interval from t = 0 ") as err:
+        evolve_nls(uniform, PARAMS, step, 0.2)
+    assert 2.0**52 <= err.value.angle <= 1.02 * 2.0**52
 
 
 # ---------------------------------------------------------------- linear B
@@ -398,7 +425,8 @@ def test_nls_records_norms_without_extra_transforms(fft_calls):
                       StepSpec(dt=1e-3, samples_per_unit_time=100), 0.1,
                       record="norms")
     assert len(traj.times) == 11
-    assert len(fft_calls) == 1 + 2 * 100  # the initial spectrum, then 2 per step
+    # the initial spectrum, then 2 per rotation, 3 per triple-jump step
+    assert fft_calls == [256] * (1 + 3 * 2 * 100)
 
 
 def test_ep_records_norms_transforming_psi_only(fft_calls):
@@ -413,9 +441,9 @@ def test_ep_records_norms_transforming_psi_only(fft_calls):
 
 
 # ---------------------------------------------------------------- kernel
-# frozen copies of the loops the split-step kernel replaced: the stacked
-# EP loop (both fields through every transform), here running Yoshida's
-# triple jump of unmerged Strang steps, and the NLS loop
+# frozen copies of the loops the split-step kernel replaced, each here
+# running Yoshida's triple jump of unmerged Strang steps: the stacked EP
+# loop (both fields through every transform) and the NLS loop
 
 
 def frozen_ep_samples(fields, params, step, n_samples, grid):
@@ -440,16 +468,16 @@ def frozen_ep_samples(fields, params, step, n_samples, grid):
 
 def frozen_nls_samples(phi_hat, params, step, n_samples, grid):
     axes = tuple(range(-grid.n, 0))
-    half = free_symbol(grid, 0.5 * step.dt)
-    full = free_symbol(grid, step.dt)
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    jumps = [w * step.dt for w in (w1, 1.0 - 2.0 * w1, w1)]
+    halves = [free_symbol(grid, 0.5 * h) for h in jumps]
     hat = np.array(phi_hat, dtype=np.complex128)
     for block in range(n_samples):
-        for j in range(step.steps_per_sample):
-            hat *= full if j else half
-            phi = nonlinear_phase(np.fft.ifftn(hat, axes=axes),
-                                  params.g, params.p, step.dt)
-            hat = np.fft.fftn(phi, axes=axes)
-        hat *= half
+        for _ in range(step.steps_per_sample):
+            for h, half in zip(jumps, halves):
+                hat = hat * half
+                phi = nonlinear_phase(np.fft.ifftn(hat, axes=axes), params.g, params.p, h)
+                hat = np.fft.fftn(phi, axes=axes) * half
         yield (block + 1) * step.sample_interval, hat
 
 
@@ -501,22 +529,27 @@ def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at):
         assert np.array_equal(psi[rows], psi_cut)
 
 
-@pytest.mark.parametrize("clock", [{}, {"T": 0.02, "dt": 2e-5}],
-                         ids=["default", "5-steps-per-sample"])
-def test_nls_curves_are_bitwise_the_frozen_loop(monkeypatch, clock):
-    cfg = SweepConfig(model="nls", **clock)
-    specs = [(1.0, None), (0.5, None), (0.1, None)]
-    kernel = epnls.sweep._curve_batch(cfg, specs)
-
-    def frozen(spectra, u, splitting, params, step, n_samples, grid):
-        yield 0.0, spectra, None
-        stream = frozen_nls_samples(spectra[0], params, step, n_samples, grid)
-        for t, hat in stream:
-            yield t, [hat], None
-
-    monkeypatch.setattr(epnls.sweep, "split_step_samples", frozen)
-    for a, b in zip(kernel, epnls.sweep._curve_batch(cfg, specs)):
-        assert np.array_equal(a.rho, b.rho)
+@pytest.mark.parametrize("grid, clock", [
+    (GRID, dict(dt=1e-3, samples_per_unit_time=100)),
+    (GRID, dict(dt=2.5e-4, samples_per_unit_time=4000)),
+    (make_grid(2, 32, 8.0), dict(dt=1e-3, samples_per_unit_time=100)),
+], ids=["1d", "1d-default-clock", "2d"])
+def test_nls_kernel_matches_the_stacked_loop(grid, clock):
+    # 20 samples of 10 triple-jump steps (merged across steps by the
+    # kernel), or of one step at the default clock; a batch of three
+    # amplitudes
+    step = StepSpec(**clock)
+    phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.5, 0.1)])
+    phi0_hat = np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))
+    old = frozen_nls_samples(phi0_hat, PARAMS, step, 20, grid)
+    new = split_step_samples([phi0_hat.copy()], None, nls_splitting(grid),
+                             PARAMS, step, 20, grid)
+    t0, (hat0,), u = next(new)
+    assert t0 == 0.0 and u is None and np.array_equal(hat0, phi0_hat)
+    for (t_old, hat_old), (t_new, (hat,), u) in zip(old, new):
+        assert t_new == t_old and u is None  # the flow is outside
+        assert np.max(np.abs(hat - hat_old)) <= 1e-12 * np.max(np.abs(hat_old))
+    assert t_new == pytest.approx(20 * step.sample_interval)
 
 
 # ---------------------------------------------------------------- NLS
@@ -536,17 +569,18 @@ def test_nls_mass_conserved():
     assert traj.mass_drift() <= 1e-10
 
 
-def test_nls_second_order_in_dt():
+def test_nls_fourth_order_in_dt():
+    # the triple jump: halving dt divides the step error by 2^4
     phi0 = gaussian_initial(GRID, 1.0)
-    T = 0.1
+    T = 0.2
     outs = {}
-    for dt in (1e-3, 5e-4, 2.5e-4):
+    for dt in (2e-2, 1e-2, 5e-3):
         outs[dt] = evolve_nls(
-            phi0, PARAMS, StepSpec(dt=dt, samples_per_unit_time=10), T
+            phi0, PARAMS, StepSpec(dt=dt, samples_per_unit_time=5), T
         ).phi[-1].values
-    err1 = np.max(np.abs(outs[1e-3] - outs[5e-4]))
-    err2 = np.max(np.abs(outs[5e-4] - outs[2.5e-4]))
-    assert 4.0 / 1.5 <= err1 / err2 <= 4.0 * 1.5
+    err1 = np.max(np.abs(outs[2e-2] - outs[1e-2]))
+    err2 = np.max(np.abs(outs[1e-2] - outs[5e-3]))
+    assert 16.0 / 1.5 <= err1 / err2 <= 16.0 * 1.5
 
 
 def test_ep_fourth_order_in_dt():

@@ -125,6 +125,18 @@ def test_transform_roundtrip(n, N):
     assert err < 1e-13
 
 
+@pytest.mark.parametrize("n, N", [(1, 256), (2, 16), (3, 8)], ids=["1", "2", "3"])
+def test_grid_transforms_are_bitwise_fftn(n, N):
+    # over the trailing n axes, with and without leading batch axes
+    g = make_grid(n, N, 5.0)
+    axes = tuple(range(-n, 0))
+    rng = np.random.default_rng(n)
+    for shape in [g.shape, (3,) + g.shape, (2, 3) + g.shape]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(g.fft(a), np.fft.fftn(a, axes=axes))
+        assert np.array_equal(g.ifft(a), np.fft.ifftn(a, axes=axes))
+
+
 def test_single_mode_concentration():
     g = make_grid(1, 32, np.pi)
     k0 = 3.0  # on the lattice since pi/L = 1

@@ -86,7 +86,7 @@ def test_config_resolution_defaults():
     assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 2e-2, "systemB", 1.0)
     assert ep.samples_per_unit_time == 50
     nls = SweepConfig(model="nls", n=2, N=32)
-    assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 1e-4, 10000)
+    assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 2.5e-4, 4000)
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
     assert ep.resolved() is ep and ep.to_sweep_config() is ep
@@ -581,9 +581,8 @@ def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
     if model == "ep":
         cfg = SweepConfig(model="ep", N=32, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
-    else:
-        cfg = SweepConfig(model="nls", N=32, T=0.01, dt=1e-4,
-                          samples_per_unit_time=10000, alpha_set=(0.0, 0.1),
+    else:  # the default clock
+        cfg = SweepConfig(model="nls", N=32, T=0.025, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     specs = curve_specs(cfg)
     lengths = [len(_stop_prefix(cfg, spec, compute_error_curve(cfg, *spec)).times)
@@ -593,13 +592,13 @@ def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
     fft_calls.clear()
     curves = run_error_curves(cfg)
     assert [len(c.times) for c in curves] == lengths
-    # one transform of the initial photon fields, then 2 per linear substep
-    # (EP's triple jump has 3 per step, NLS's Strang step 1) and none per
-    # sample: both loops carry the truth's photon spectrum.  Every call
-    # moves one field of the amplitudes still stepping (EP transforms only
-    # psi): those whose curves need a sample past this step.  Stepping ends
-    # with the last one.
-    per_step = 2 * 3 if model == "ep" else 2
+    # one transform of the initial photon fields, then 2 per inner substep
+    # of each model's triple jump (3 per step: EP's linear substeps, NLS's
+    # rotations) and none per sample: both loops carry the truth's photon
+    # spectrum.  Every call moves one field of the amplitudes still
+    # stepping (EP transforms only psi): those whose curves need a sample
+    # past this step.  Stepping ends with the last one.
+    per_step = 2 * 3
     live = [sum(n > k for n in lengths) for k in range(1, max(lengths))]
     assert fft_calls == [4 * 32] + [m * 32 for m in live for _ in range(per_step)]
 
@@ -646,13 +645,30 @@ def test_guard_counts_the_arrays_of_every_composite_curve(n, N):
 
 
 def test_default_nls_dt_is_converged():
-    # crossings of the delta = 1 curve at the default dt against a 5x
-    # finer step: measured 1.4e-8 apart (and 1.5e-8 from dt = 4e-6)
+    # crossings of the delta = 1 curve at the default clock (one triple
+    # jump of 2.5e-4 per sample of 1/4000) against a 4x finer step at the
+    # same samples: the step is not what limits the crossings (measured
+    # 6.4e-14 apart; the whole default sweep is within 6.7e-12 of
+    # dt = 2.5e-5)
     coarse = compute_error_curve(SweepConfig(model="nls"), 1.0)
-    fine = compute_error_curve(SweepConfig(model="nls", dt=2e-5), 1.0)
+    fine = compute_error_curve(SweepConfig(model="nls", dt=6.25e-5), 1.0)
     for eps in SweepConfig(model="nls").epsilon_set:
         t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
         assert t_coarse == pytest.approx(t_fine, rel=1e-6)
+
+
+@pytest.mark.parametrize("power", [0.997, 1.0, 1.003])
+def test_default_nls_crossings_lie_past_sample_3(power):
+    # find_crossing falls back to its linear rule for a crossing before
+    # sample 4.  4,000 samples per unit time is the coarsest NLS rate that
+    # keeps every default crossing past it with the tolerances raised to
+    # 1 -+ 0.003, the benchmark's ladder jitter: the earliest, alpha = 0
+    # at the smallest epsilon, lies at t ~ 1.0e-3 > 3 / 4000
+    ladder = tuple(e**power for e in SweepConfig(model="nls").epsilon_set)
+    cfg = SweepConfig(model="nls", epsilon_set=ladder)
+    result = run_algorithm_a(cfg)
+    assert not result.failures and len(result.crossings) == 24
+    assert min(c.t_cross for c in result.crossings) * cfg.samples_per_unit_time > 3
 
 
 def test_default_ep_dt_is_converged():
@@ -669,9 +685,9 @@ def test_default_ep_dt_is_converged():
 
 
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 5, "nls": 3}
+    assert SOLVER_REVISION == {"ep": 5, "nls": 4}
     assert "solver=5" in physics_signature(SweepConfig(**FAST_EP))
-    assert "solver=3" in physics_signature(SweepConfig(model="nls"))
+    assert "solver=4" in physics_signature(SweepConfig(model="nls"))
 
 
 @pytest.mark.parametrize("corrupt", [
