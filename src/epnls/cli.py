@@ -57,7 +57,7 @@ from .runio import (
     sha256_hex,
     write_csv,
 )
-from .sweep import config_hash, curve_specs, run_algorithm_a, solver_setup, write_curves
+from .sweep import config_hash, run_algorithm_a, solver_setup, write_curves
 from .theory import (
     LemmaQInput,
     NoRealRootsError,
@@ -221,9 +221,9 @@ def cmd_sweep(args):
                        "samples_per_unit_time": cfg.samples_per_unit_time,
                        "comparator": cfg.comparator},
             "curves": [
-                {"delta": delta, "epsilon_comp": eps_comp,
+                {"delta": curve.delta, "epsilon_comp": curve.epsilon_comp,
                  "t_stop": float(curve.times[-1])}
-                for (delta, eps_comp), curve in zip(curve_specs(cfg), result.curves)
+                for curve in result.curves
             ],
             "failures": result.failures,
         }
@@ -448,10 +448,10 @@ def build_parser():
 
     pre = sub.add_parser("predict", help="beta(alpha) and bound constants")
     pre.add_argument("--alpha", type=float, action="append", required=True)
-    pre.add_argument("--p", type=float, default=3.0)
+    pre.add_argument("--p", type=float, default=ModelParams.p)
     pre.add_argument("--model", choices=("ep", "nls"), default="ep")
-    pre.add_argument("--g", type=float, default=1.0)
-    pre.add_argument("--gamma", type=float, default=1.0)
+    pre.add_argument("--g", type=float, default=ModelParams.g)
+    pre.add_argument("--gamma", type=float, default=ModelParams.gamma)
     pre.add_argument("--M", type=float, default=1.0)
     pre.add_argument("--Kp", type=float, default=1.0)
     pre.add_argument("--C", type=float, default=1.0)

@@ -63,8 +63,10 @@ from .grid import (
 DEFAULT_DT = 2e-2
 DEFAULT_SAMPLES_PER_UNIT_TIME = 50
 
+EP = "ep"
+NLS = "nls"
+
 FULL = "full"
-NORMS = "norms"
 
 
 class SolverBlowupError(RuntimeError):
@@ -218,11 +220,14 @@ class Trajectory:
 
 @dataclass
 class ErrorCurve:
-    """Relative photon error rho(t) between a comparator and the truth."""
+    """Relative photon error rho(t) between a comparator and the truth,
+    from the initial amplitude ``delta``; ``epsilon_comp`` is the tolerance
+    a composite comparator was built for (None for the others)."""
 
     delta: float | None
     times: np.ndarray
     rho: np.ndarray
+    epsilon_comp: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -372,21 +377,6 @@ def _triple_jump(outside):
                  for substep in ((outside, 0.5 * w), (inside, w), (outside, 0.5 * w)))
 
 
-def ep_splitting(grid, params):
-    """split_step_samples' (linear, field, outside) for EP: the 2x2 flow,
-    the rotation of psi, and the rotation outside."""
-    gamma, omega0 = params.gamma, params.omega0
-    linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
-    return linear, 1, "rotate"
-
-
-def nls_splitting(grid):
-    """split_step_samples' (linear, field, outside) for NLS: the free flow,
-    the rotation of phi, and the flow outside."""
-    linear = lambda tau: (free_symbol(grid, tau),)
-    return linear, 0, "linear"
-
-
 def _pair_map(symbols, a, b):
     """U (a, b) per mode, U the symmetric 2x2 linear_pair_propagator gives."""
     u11, u12, u22 = symbols
@@ -417,13 +407,13 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
     flow exp(-i tau H_k) as (symbol,) or (u11, u12, u22), ``field`` the
     index of the rotated field, and ``outside`` the kind of substep,
     "rotate" or "linear", that opens and closes each Strang step of the
-    jump.  The loop owns ``spectra`` (the fields' plain FFTs, with leading
-    batch axes) and ``u``, the rotated field in physical space; one of u
-    and spectra[field] is None, and the field changes space only when the
-    next substep needs it.  Yields (t, spectra, u) for the given fields at
-    t = 0 and then after each of n_samples sample intervals, at t =
-    b * sample_interval as sample_times has them; the arrays are updated in
-    place once the loop resumes.  Raises SolverBlowupError as soon as a
+    jump; model_stream gives each model's.  The loop owns ``spectra`` (the
+    fields' plain FFTs, with leading batch axes) and ``u``, the rotated
+    field in physical space; one of u and spectra[field] is None, and the
+    field changes space only when the next substep needs it.  Yields (t,
+    spectra, u) for the given fields at t = 0 and then after each of
+    n_samples sample intervals, at t = b * sample_interval as sample_times
+    has them; the arrays are updated in place once the loop resumes.  Raises SolverBlowupError as soon as a
     sample is not finite, or once a rotation angle reaches 2^52 rad.
     Resuming with ``stream.send(keep)``, keep a boolean mask over the
     leading batch axis, first shrinks the batch to the kept rows, held in
@@ -460,38 +450,55 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
             u = None if u is None else u[keep]
 
 
+def model_stream(model, grid, params, step, n_samples, phi_hat, psi=None):
+    """split_step_samples of ``model`` from the photon spectra phi_hat (with
+    any leading batch axes), which the stream then owns.  EP: the 2x2 flow,
+    the rotation of psi and the rotation outside; psi is the exciton in
+    physical space, rotated in place (zero if None).  NLS: the free flow,
+    the rotation of phi and the flow outside.  At every sample spectra[0]
+    is the photon spectrum, never None: EP's phi never leaves spectral
+    space, and NLS ends each sample interval on a linear substep."""
+    if model == EP:
+        gamma, omega0 = params.gamma, params.omega0
+        linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
+        psi = np.zeros_like(phi_hat) if psi is None else psi
+        return split_step_samples([phi_hat, None], psi, (linear, 1, "rotate"),
+                                  params, step, n_samples, grid)
+    linear = lambda tau: (free_symbol(grid, tau),)
+    return split_step_samples([phi_hat], None, (linear, 0, "linear"),
+                              params, step, n_samples, grid)
+
+
 def evolve_ep(initial, params, step, T, record=FULL):
     """Integrate the full photon-exciton system from t = 0 to T.
 
-    Each step is Yoshida's fourth-order triple jump (split_step_samples,
-    ep_splitting): three Strang steps of w1 dt, w0 dt, w1 dt, each a half
-    rotation of psi, the exact 2x2 linear step for (phi_hat, psi_hat) and
-    a half rotation again.  Aborts with SolverBlowupError if any field
-    stops being finite or a rotation angle reaches 2^52 rad.
+    Each step is Yoshida's fourth-order triple jump (model_stream): three
+    Strang steps of w1 dt, w0 dt, w1 dt, each a half rotation of psi, the
+    exact 2x2 linear step for (phi_hat, psi_hat) and a half rotation
+    again.  Aborts with SolverBlowupError if any field stops being finite
+    or a rotation angle reaches 2^52 rad.
     """
     samples = _sample_count(T, step)
     if initial.time != 0:
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
-    stream = split_step_samples([grid.fft(initial.phi.values), None],
-                                initial.psi.values.copy(),  # rotated in place
-                                ep_splitting(grid, params), params, step, samples, grid)
+    stream = model_stream(EP, grid, params, step, samples, grid.fft(initial.phi.values),
+                          initial.psi.values.copy())
     return _record(stream, grid, params, record)
 
 
 def evolve_nls(phi0, params, step, T, record=FULL):
     """Integrate i phi_t = -Laplace phi + g |phi|^(p-1) phi from t = 0 to T.
 
-    Each step is Yoshida's fourth-order triple jump (split_step_samples,
-    nls_splitting): three Strang steps of w1 dt, w0 dt, w1 dt, each a half
-    exact spectral free step, the rotation of phi and a half free step
-    again.  Aborts with SolverBlowupError if the field stops being finite
-    or a rotation angle reaches 2^52 rad.
+    Each step is Yoshida's fourth-order triple jump (model_stream): three
+    Strang steps of w1 dt, w0 dt, w1 dt, each a half exact spectral free
+    step, the rotation of phi and a half free step again.  Aborts with
+    SolverBlowupError if the field stops being finite or a rotation angle
+    reaches 2^52 rad.
     """
     samples = _sample_count(T, step)
     grid = phi0.grid
-    stream = split_step_samples([grid.fft(phi0.values)], None, nls_splitting(grid),
-                                params, step, samples, grid)
+    stream = model_stream(NLS, grid, params, step, samples, grid.fft(phi0.values))
     return _record(stream, grid, params, record)
 
 

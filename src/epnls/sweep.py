@@ -24,15 +24,15 @@ import numpy as np
 from .evolution import (
     DEFAULT_DT,
     DEFAULT_SAMPLES_PER_UNIT_TIME,
+    EP,
+    NLS,
     ErrorCurve,
     ModelParams,
     StepSpec,
     composite_seed,
-    ep_splitting,
     linear_pair_propagator,
-    nls_splitting,
+    model_stream,
     sample_times,
-    split_step_samples,
 )
 from .grid import (
     DEFAULT_MAX_POINTS,
@@ -46,8 +46,6 @@ from .grid import (
 from .runio import fmt, read_curve_csv, sha256_hex, write_csv
 from .theory import EXACT, beta_predict
 
-EP = "ep"
-NLS = "nls"
 COMPARATOR_SYSTEM_B = "systemB"
 COMPARATOR_COMPOSITE = "composite"
 COMPARATOR_LINEAR_NLS = "linear-nls"
@@ -57,11 +55,9 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # take one fourth-order triple jump per sample, so that with
 # find_crossing's cubic rule the sample spacing limits the crossings.  EP:
 # dt = 2e-2 at 50 samples per unit time, crossings within 6.4e-7 of a
-# fine reference in 1D and 3.4e-5 in 2D (against 6.3e-6 and 1.5e-4 at
-# dt = 1e-2, 100 samples and linear crossings).  NLS: dt = 2.5e-4 at 4,000
+# fine reference in 1D and 3.4e-5 in 2D.  NLS: dt = 2.5e-4 at 4,000
 # samples per unit time, within 2.5e-9 of a triple jump at dt = 2e-5 with
-# 50,000 samples (against 1.5e-8 for Strang at dt = 1e-4, 10,000
-# samples).  4,000 is the coarsest NLS rate whose earliest crossing
+# 50,000 samples.  4,000 is the coarsest NLS rate whose earliest crossing
 # (t ~ 1.0e-3) lies past sample 3, where the cubic rule applies; at 2,500
 # and 2,000 the first crossings fall back to the linear rule and lose
 _MODEL_DEFAULTS = {
@@ -90,8 +86,8 @@ SOLVER_REVISION = {EP: 5, NLS: 4}
 # of the one norm call per sample and, for the composite, the seed pair of
 # the curve's comparator epsilon.  Each further curve of one delta (the
 # composite's other epsilons) adds its phi_hat(0) copy, stack row, norm
-# temporaries and seed pair (~5.1-5.5).  The max_points guard bounds
-# grid x the sum of these over a batch.
+# temporaries and seed pair (~5.1-5.5).  max_points bounds grid x the sum
+# of these over a batch (_member_points).
 _ARRAYS_PER_MEMBER = {EP: 9, NLS: 6}
 _ARRAYS_PER_EXTRA_CURVE = 6
 
@@ -110,17 +106,18 @@ class SweepConfig:
     filled with the model's defaults at construction, so every instance
     is fully resolved.  Grid, physics and clock are checked by the
     objects they describe (check_grid_args, ModelParams, StepSpec and
-    sample_times), so an invalid config fails here, before any run.
+    sample_times), and max_points by the largest batch member the sweep
+    needs, so an invalid config fails here, before any run.
     """
 
     model: str = EP
     n: int = 1
     N: int = 256
     L: float = 10.0
-    p: float = 3.0
-    g: float = 1.0
-    gamma: float = 1.0
-    omega0: float = 1.0
+    p: float = ModelParams.p
+    g: float = ModelParams.g
+    gamma: float = ModelParams.gamma
+    omega0: float = ModelParams.omega0
     s: float | None = None
     alpha_set: tuple = DEFAULT_ALPHAS
     epsilon_set: tuple = DEFAULT_EPSILONS
@@ -144,7 +141,7 @@ class SweepConfig:
         if self.s is None:
             object.__setattr__(self, "s", default_sobolev_index(self.n))
         _model_params(self)
-        check_grid_args(self.n, self.N, self.L, self.max_points)
+        check_grid_args(self.n, self.N, self.L)
         if not self.dt > 0:  # StepSpec admits dt < 0, for stepping back
             raise ValueError(f"dt must be positive for a sweep, got {self.dt}")
         sample_times(self.T, _solver_step(self))
@@ -179,6 +176,10 @@ class SweepConfig:
             )
         object.__setattr__(self, "epsilon_set", eps)
         object.__setattr__(self, "alpha_set", alphas)
+        points = _member_points(self, max(map(len, _by_delta(curve_specs(self)))))
+        if points > self.max_points:
+            raise ValueError(f"one amplitude's batch needs {points} points, which "
+                             f"exceeds the memory cap of {self.max_points} points")
 
     def resolved(self):
         """This config itself, as is to_sweep_config(): a SweepConfig is
@@ -245,9 +246,9 @@ class RegressionResult:
 class AlgorithmAResult:
     """Everything the sweep produced: curves, crossings, per-alpha fits,
     the beta-vs-alpha meta fit, and per-record failures (which never
-    abort the remaining work).  ``curves`` are run_error_curves': each
-    ends at its last needed crossing (or at T), a bitwise prefix of the
-    full-horizon curve, whether computed or served from a cached prefix."""
+    abort the remaining work).  ``curves`` are run_error_curves', each
+    keyed by its (delta, epsilon_comp) and ending at its last needed
+    crossing (or at T), whether computed or served from a cached prefix."""
 
     config: SweepConfig
     curves: list
@@ -298,19 +299,8 @@ def _model_params(c):
 
 def solver_setup(c):
     """The grid, model parameters and step spec a config describes."""
-    grid = make_grid(c.n, c.N, c.L, max_points=c.max_points)
+    grid = make_grid(c.n, c.N, c.L, max_points=None)  # SweepConfig checks the cap
     return grid, _model_params(c), _solver_step(c)
-
-
-def _truth_stream(c, grid, params, step, n, phi0_hat):
-    """split_step_samples of the model from the photon spectra phi0_hat;
-    EP's exciton starts at zero, given in physical space since the loop's
-    first substep rotates it."""
-    if c.model == EP:
-        return split_step_samples([phi0_hat, None], np.zeros_like(phi0_hat),
-                                  ep_splitting(grid, params), params, step, n, grid)
-    return split_step_samples([phi0_hat], None, nls_splitting(grid),
-                              params, step, n, grid)
 
 
 def _compact(index, n):
@@ -325,9 +315,8 @@ def _curve_batch(c, specs, stops=None):
     """Error curves of the (delta, eps_comp) specs of a config,
     with every distinct delta stepped at once on a leading batch axis.
 
-    Every sample, t = 0 included, is read from the split-step stream: the
-    truth spectrum is the photon spectrum the loop carries (EP's phi never
-    leaves spectral space; NLS ends each interval on a linear substep), the
+    Every sample, t = 0 included, is read from model_stream: the truth
+    spectrum is the photon spectrum it yields as spectra[0], the
     comparator spectrum one closed-form multiplier per eps_comp (evaluated
     for every eps_comp of the batch) times each curve's phi_hat(0), the truth
     and difference norms are one batched call, and rho[spec, sample] is
@@ -355,8 +344,8 @@ def _curve_batch(c, specs, stops=None):
 
     phi_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
     curve_phi0_hat = phi_hat[member]
-    stream = _truth_stream(c, grid, params, step, len(times) - 1, phi_hat)
-    del phi_hat  # the split-step loop owns the photon spectra
+    stream = model_stream(c.model, grid, params, step, len(times) - 1, phi_hat)
+    del phi_hat  # the stream owns the photon spectra
     rho = np.empty((len(specs), len(times)))
     ends = np.full(len(specs), len(times))
 
@@ -397,8 +386,8 @@ def _curve_batch(c, specs, stops=None):
             if not kept.all():
                 keep, rows = kept, int(kept.sum())
     return [
-        ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end])
-        for j, ((d, _), end) in enumerate(zip(specs, ends))
+        ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end], epsilon_comp=e)
+        for j, ((d, e), end) in enumerate(zip(specs, ends))
     ]
 
 
@@ -406,9 +395,7 @@ def compute_error_curve(config, delta, epsilon_comp=None):
     """Simulate one nonlinear/comparator pair from phi(0) = delta * phi0
     (phi0 the unit Gaussian) and return rho(t; delta) up to T, the full
     horizon (run_error_curves' curves are prefixes of it)."""
-    if config.comparator != COMPARATOR_COMPOSITE:
-        epsilon_comp = None
-    return _curve_batch(config, [(delta, epsilon_comp)])[0]
+    return _curve_batch(config, [(delta, _comparator_epsilon(config, epsilon_comp))])[0]
 
 
 def _by_delta(specs):
@@ -418,24 +405,27 @@ def _by_delta(specs):
     return list(groups.values())
 
 
+def _member_points(c, curves):
+    """Grid points a batch member with ``curves`` curves of one delta
+    holds at the peak of _curve_batch."""
+    return c.N**c.n * (_ARRAYS_PER_MEMBER[c.model] + _ARRAYS_PER_EXTRA_CURVE * (curves - 1))
+
+
 def _compute_curves(c, specs):
-    """{spec: curve}, each ending at its stop sample (_stop_tolerances), in
-    batches of as many distinct amplitudes as the max_points guard admits
-    (specs sharing a delta share a batch)."""
+    """The curves of specs, each ending at its stop sample
+    (_stop_tolerances), in batches of as many distinct amplitudes as
+    max_points admits (specs sharing a delta share a batch)."""
     chunks, points = [], 0
     for group in _by_delta(specs):
-        cost = c.N**c.n * (_ARRAYS_PER_MEMBER[c.model]
-                           + _ARRAYS_PER_EXTRA_CURVE * (len(group) - 1))
+        cost = _member_points(c, len(group))
         if not chunks or points + cost > c.max_points:
             chunks.append([])
             points = 0
         chunks[-1] += group
         points += cost
     stops = _stop_tolerances(c)
-    curves = {}
-    for chunk in chunks:
-        curves.update(zip(chunk, _curve_batch(c, chunk, [stops[s] for s in chunk])))
-    return curves
+    return [curve for chunk in chunks
+            for curve in _curve_batch(c, chunk, [stops[s] for s in chunk])]
 
 
 def curve_path(root, config, delta, epsilon_comp=None):
@@ -448,21 +438,20 @@ def curve_path(root, config, delta, epsilon_comp=None):
     return os.path.join(root, "curves", config_hash(config), name + ".csv")
 
 
-def write_curves(root, config, curves, specs=None):
-    """Write each curve as a t,rho CSV at its curve_path under root;
-    ``specs`` (default: all of curve_specs) are the curves' (delta,
-    eps_comp) pairs, in order."""
-    specs = curve_specs(config) if specs is None else specs
-    for (delta, epsilon_comp), curve in zip(specs, curves):
-        write_csv(curve_path(root, config, delta, epsilon_comp), ["t", "rho"],
-                  zip(curve.times, curve.rho))
+def write_curves(root, config, curves):
+    """Write each curve as a t,rho CSV at the curve_path of its (delta,
+    epsilon_comp) under root."""
+    for curve in curves:
+        write_csv(curve_path(root, config, curve.delta, curve.epsilon_comp),
+                  ["t", "rho"], zip(curve.times, curve.rho))
 
 
-def _read_cached(path, delta, times, tolerance):
-    """The curve cached at path, cut at its stop sample (the first where
-    rho reaches ``tolerance``), or None if it is missing, unreadable, its
-    times are not a prefix of the sample grid ``times``, its rho is not
-    finite, or it ends before both that sample and T.  A cache written to
+def _read_cached(path, spec, times, tolerance):
+    """The curve of spec, its (delta, epsilon_comp), cached at path, cut at
+    its stop sample (the first where rho reaches ``tolerance``), or None if
+    it is missing, unreadable, its times are not a prefix of the sample
+    grid ``times``, its rho is not finite, or it ends before both that
+    sample and T.  A cache written to
     T or to a larger tolerance is served cut, so a warm run returns
     bitwise the curve a cold run computes."""
     if not os.path.exists(path):
@@ -483,7 +472,7 @@ def _read_cached(path, delta, times, tolerance):
         end = len(t)
     else:
         return None
-    return ErrorCurve(delta=delta, times=t[:end], rho=rho[:end])
+    return ErrorCurve(delta=spec[0], times=t[:end], rho=rho[:end], epsilon_comp=spec[1])
 
 
 def _stop_tolerances(config):
@@ -495,12 +484,18 @@ def _stop_tolerances(config):
     stops = {}
     for alpha in config.alpha_set:
         for eps in config.epsilon_set:
-            eps_comp = eps if config.comparator == COMPARATOR_COMPOSITE else None
-            key = (config.delta_for(alpha, eps), eps_comp)
+            key = (config.delta_for(alpha, eps), _comparator_epsilon(config, eps))
             needed = eps if eps >= config.epsilon_floor else 0.0
             stops[key] = max(stops.get(key, 0.0), needed)
     order = sorted(stops, key=lambda k: (-k[0], -(k[1] if k[1] is not None else 0.0)))
     return {key: stops[key] for key in order}
+
+
+def _comparator_epsilon(config, epsilon):
+    """The comparator tolerance in a curve's (delta, epsilon_comp) key:
+    epsilon for the composite comparator, which depends on it, and None
+    for the others, whose curves depend on the amplitude alone."""
+    return epsilon if config.comparator == COMPARATOR_COMPOSITE else None
 
 
 def curve_specs(config):
@@ -511,14 +506,14 @@ def curve_specs(config):
 
 def run_error_curves(config):
     """All error curves the sweep needs, one per curve_specs entry and in
-    its (descending delta) order.  Each curve ends at its last needed
-    crossing: at the first sample where rho reaches the largest tolerance
-    read off it, or at T if it never does, so it is a bitwise prefix of
-    compute_error_curve's full-horizon curve.  The cache serves prefixes:
-    a cached curve that reaches that sample or runs to T is read back cut
-    to it (_read_cached); the misses are computed together and cached.
-    With config.workers > 1 the misses are dealt to that many processes in
-    interleaved batches."""
+    its (descending delta) order, each carrying that (delta, epsilon_comp).
+    Each curve ends at its last needed crossing: at the first sample where
+    rho reaches the largest tolerance read off it, or at T if it never
+    does, so it is a bitwise prefix of compute_error_curve's full-horizon
+    curve.  The cache serves prefixes: a cached curve that reaches that
+    sample or runs to T is read back cut to it (_read_cached); the misses
+    are computed together and cached.  With config.workers > 1 the misses
+    are dealt to that many processes in interleaved batches."""
     stops = _stop_tolerances(config)
     specs = list(stops)
     curves = {}
@@ -526,7 +521,7 @@ def run_error_curves(config):
         times = sample_times(config.T, _solver_step(config))
         for spec in specs:
             path = curve_path(config.cache_dir, config, *spec)
-            curve = _read_cached(path, spec[0], times, stops[spec])
+            curve = _read_cached(path, spec, times, stops[spec])
             if curve is not None:
                 curves[spec] = curve
     misses = [spec for spec in specs if spec not in curves]
@@ -535,12 +530,13 @@ def run_error_curves(config):
     if lanes > 1:
         batches = [[s for g in groups[i::lanes] for s in g] for i in range(lanes)]
         with ProcessPoolExecutor(max_workers=lanes) as pool:
-            for part in pool.map(_compute_curves, [config] * lanes, batches):
-                curves.update(part)
-    elif misses:
-        curves.update(_compute_curves(config, misses))
+            computed = [curve for part in pool.map(_compute_curves, [config] * lanes, batches)
+                        for curve in part]
+    else:
+        computed = _compute_curves(config, misses)
     if config.cache_dir:
-        write_curves(config.cache_dir, config, [curves[s] for s in misses], misses)
+        write_curves(config.cache_dir, config, computed)
+    curves.update(((c.delta, c.epsilon_comp), c) for c in computed)
     return [curves[s] for s in specs]
 
 
@@ -559,8 +555,7 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
     t <= 0 or rho <= 0, when log rho is not strictly increasing over the
     window, or when the cubic leaves the bracket (t[i-1], t[i]].  On the
     default EP clock (one triple jump per sample of 1/50) the crossings
-    are within 6.4e-7 (1D) and 3.4e-5 (2D composite) of fine references;
-    the linear rule at twice that sample rate gave 6.3e-6 and 1.5e-4."""
+    are within 6.4e-7 (1D) and 3.4e-5 (2D composite) of fine references."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon < epsilon_floor:
@@ -640,20 +635,17 @@ def run_algorithm_a(config):
     """The full two-loop procedure: cached curves per delta, crossings per
     (alpha, epsilon), a beta fit per alpha, and the final beta-vs-alpha
     line compared against the theoretical slope and intercept."""
-    specs = curve_specs(config)
     curves = run_error_curves(config)
-    by_key = dict(zip(specs, curves))
+    by_key = {(c.delta, c.epsilon_comp): c for c in curves}
 
     crossings, betas, failures = [], [], []
     for alpha in config.alpha_set:
         records = []
         for eps in config.epsilon_set:
             delta = config.delta_for(alpha, eps)
-            eps_comp = eps if config.comparator == COMPARATOR_COMPOSITE else None
+            curve = by_key[delta, _comparator_epsilon(config, eps)]
             try:
-                t_cross = find_crossing(
-                    by_key[(delta, eps_comp)], eps, config.epsilon_floor
-                )
+                t_cross = find_crossing(curve, eps, config.epsilon_floor)
             except (NoCrossingError, ValueError) as err:
                 failures.append(
                     {"alpha": alpha, "delta": delta, "epsilon": eps, "error": str(err)}

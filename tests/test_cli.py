@@ -11,9 +11,11 @@ from epnls.cli import (
     EXIT_INCOMPLETE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    build_parser,
     main,
 )
 from epnls.config import ConfigError, parse_config, parse_config_text
+from epnls.evolution import ModelParams
 from epnls.sweep import config_hash
 
 FAST_SWEEP_INI = """\
@@ -52,6 +54,16 @@ def test_predict_json_regime_flag(capsys):
     assert rows[0]["regime"] == "any-positive"
     assert rows[1]["regime"] == "exact"
     assert rows[1]["beta"] == pytest.approx(0.8 / 5)
+
+
+def test_physics_defaults_are_the_model_params_defaults():
+    params = ModelParams()
+    sweep = parse_config_text("")
+    predict = build_parser().parse_args(["predict", "--alpha", "0"])
+    for name in ("p", "g", "gamma", "omega0"):
+        assert getattr(sweep, name) == getattr(params, name)
+    for name in ("p", "g", "gamma"):
+        assert getattr(predict, name) == getattr(params, name)
 
 
 def test_predict_requires_alpha():
@@ -117,7 +129,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[solver]\nT = 1.005\n", "not a positive multiple of the sampling interval"),
     ("[grid]\nn = 4\n", "dimension n must be 1, 2, or 3"),
     ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
-], ids=["dt", "negative_dt", "T", "n", "max_points"])
+    # one amplitude of 64 points x 9 arrays, alone or with 5 further
+    # composite tolerances of 6 arrays
+    ("[grid]\nN = 64\nmax_points = 100\n[sweep]\nalphas = 0\n",
+     "needs 576 points, which exceeds the memory cap of 100 points"),
+    ("[grid]\nN = 64\nmax_points = 2000\n[sweep]\ncomparator = composite\n",
+     "needs 2496 points, which exceeds the memory cap of 2000 points"),
+], ids=["dt", "negative_dt", "T", "n", "max_points", "max_points_member",
+        "max_points_composite"])
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_text(text)

@@ -12,6 +12,8 @@ from epnls.grid import (
     sobolev_norm,
 )
 from epnls.evolution import (
+    EP,
+    NLS,
     EPState,
     ErrorCurve,
     ModelParams,
@@ -23,13 +25,11 @@ from epnls.evolution import (
     evolve_linear_b,
     evolve_nls,
     evolve_system_a,
-    ep_splitting,
     linear_pair_propagator,
-    nls_splitting,
+    model_stream,
     nonlinear_phase,
     relative_error_curve,
     sample_times,
-    split_step_samples,
     zero_state,
 )
 
@@ -490,8 +490,7 @@ def test_ep_kernel_matches_the_stacked_loop(grid):
     psi0 = 0.3j * phi0[::-1]
     old = frozen_ep_samples([phi0, psi0], PARAMS, step, 20, grid)
     phi0_hat = np.fft.fftn(phi0, axes=axes)
-    new = split_step_samples([phi0_hat, None], psi0.copy(),
-                             ep_splitting(grid, PARAMS), PARAMS, step, 20, grid)
+    new = model_stream(EP, grid, PARAMS, step, 20, phi0_hat, psi0.copy())
     # the kernel's first sample is the given fields at t = 0
     t0, (phi_hat, _), psi = next(new)
     assert t0 == 0.0 and phi_hat is phi0_hat and np.array_equal(psi, psi0)
@@ -512,9 +511,7 @@ def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at):
     kept = np.array([True, False, True])
 
     def samples(drop):
-        stream = split_step_samples([np.fft.fftn(phi0, axes=(-1,)), None],
-                                    np.zeros_like(phi0), ep_splitting(GRID, PARAMS),
-                                    PARAMS, step, 4, GRID)
+        stream = model_stream(EP, GRID, PARAMS, step, 4, np.fft.fftn(phi0, axes=(-1,)))
         keep, out = None, []
         for t, (phi_hat, _), psi in iter(lambda: stream.send(keep), None):
             out.append((t, phi_hat.copy(), psi.copy()))
@@ -542,14 +539,34 @@ def test_nls_kernel_matches_the_stacked_loop(grid, clock):
     phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.5, 0.1)])
     phi0_hat = np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))
     old = frozen_nls_samples(phi0_hat, PARAMS, step, 20, grid)
-    new = split_step_samples([phi0_hat.copy()], None, nls_splitting(grid),
-                             PARAMS, step, 20, grid)
+    new = model_stream(NLS, grid, PARAMS, step, 20, phi0_hat.copy())
     t0, (hat0,), u = next(new)
     assert t0 == 0.0 and u is None and np.array_equal(hat0, phi0_hat)
     for (t_old, hat_old), (t_new, (hat,), u) in zip(old, new):
         assert t_new == t_old and u is None  # the flow is outside
         assert np.max(np.abs(hat - hat_old)) <= 1e-12 * np.max(np.abs(hat_old))
     assert t_new == pytest.approx(20 * step.sample_interval)
+
+
+@pytest.mark.parametrize("model", [EP, NLS])
+def test_model_stream_yields_the_photon_spectrum_at_every_sample(model):
+    # the sweep reads the truth off spectra[0] at every sample, t = 0
+    # included: it is never None, and it is the photon field's plain FFT
+    step = StepSpec(dt=1e-3, samples_per_unit_time=250)
+    phi0 = np.stack([gaussian_initial(GRID, d).values for d in (1.0, 0.5)])
+    phi0_hat = np.fft.fft(phi0)
+    if model == EP:
+        old = [hat for _, hat, _ in
+               frozen_ep_samples([phi0, np.zeros_like(phi0)], PARAMS, step, 10, GRID)]
+    else:
+        old = [hat for _, hat in frozen_nls_samples(phi0_hat, PARAMS, step, 10, GRID)]
+    hats = []
+    for _, spectra, _ in model_stream(model, GRID, PARAMS, step, 10, phi0_hat.copy()):
+        assert spectra[0] is not None
+        hats.append(spectra[0].copy())
+    assert np.array_equal(hats[0], phi0_hat)
+    for hat, hat_old in zip(hats[1:], old, strict=True):
+        assert np.max(np.abs(hat - hat_old)) <= 1e-12 * np.max(np.abs(hat_old))
 
 
 # ---------------------------------------------------------------- NLS

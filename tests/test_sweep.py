@@ -446,7 +446,7 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, comparator, n_curves):
     # half-warm cache: every other curve cached (to T), the rest computed
     # together
     cached = SweepConfig(**kw, cache_dir=str(tmp_path))
-    write_curves(str(tmp_path), cached, alone[::2], specs[::2])
+    write_curves(str(tmp_path), cached, alone[::2])
     half_warm = run_error_curves(cached)
     assert len(alone) == n_curves
     # each curve stops where its batch left it: a bitwise prefix of its
@@ -455,6 +455,40 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, comparator, n_curves):
     assert any(len(p.times) < len(c.times) for p, c in zip(prefixes, alone))
     for curves in (full, pooled, half_warm):
         assert _bits(curves) == _bits(prefixes)
+
+
+@pytest.mark.parametrize("kw", [
+    FOUR_CURVES,
+    dict(FOUR_CURVES, comparator="composite", c1=0.5),
+    dict(model="nls", N=64, T=0.02, alpha_set=(0.0, 0.2), epsilon_set=(1e-2, 3e-3, 1e-3)),
+], ids=["systemB", "composite", "nls"])
+def test_curves_carry_their_curve_specs_key(tmp_path, monkeypatch, kw):
+    # computed in one process, in two, and served from the cache: every
+    # curve carries the (delta, epsilon_comp) key curve_specs gives it
+    specs = curve_specs(SweepConfig(**kw))
+    computed = run_error_curves(SweepConfig(**kw, cache_dir=str(tmp_path)))
+    pooled = run_error_curves(SweepConfig(**kw, workers=2))
+    _no_batches(monkeypatch)
+    cached = run_error_curves(SweepConfig(**kw, cache_dir=str(tmp_path)))
+    for curves in (computed, pooled, cached):
+        assert [(c.delta, c.epsilon_comp) for c in curves] == specs
+
+
+def test_max_points_bounds_one_amplitudes_batch():
+    # a config whose largest batch member cannot fit is rejected before any
+    # run: one amplitude alone, and delta = 1 serving three composite
+    # tolerances
+    member = 64 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    extra = 64 * epnls.sweep._ARRAYS_PER_EXTRA_CURVE
+    composite = dict(FAST_EP, comparator="composite", c1=0.5)
+    for kw, points in ((FAST_EP, member), (composite, member + 2 * extra)):
+        assert SweepConfig(**kw, max_points=points).max_points == points
+        with pytest.raises(ValueError, match=f"needs {points} points, which exceeds "
+                           f"the memory cap of {points - 1} points"):
+            SweepConfig(**kw, max_points=points - 1)
+    # 128^3 grid points fit the default cap of 2^24; 9 arrays of them do not
+    with pytest.raises(ValueError, match="needs 18874368 points"):
+        SweepConfig(n=3, N=128)
 
 
 def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
@@ -507,7 +541,7 @@ def test_full_length_cache_is_served_cut(tmp_path, monkeypatch):
     specs = curve_specs(cfg)
     full = [compute_error_curve(cfg, *spec) for spec in specs]
     cold = run_error_curves(SweepConfig(**FOUR_CURVES))
-    write_curves(str(tmp_path), cfg, full, specs)
+    write_curves(str(tmp_path), cfg, full)
     files = sorted(tmp_path.rglob("*.csv"))
     blobs = [f.read_bytes() for f in files]
     _no_batches(monkeypatch)
