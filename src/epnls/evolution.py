@@ -7,8 +7,8 @@ field psi carrying the only nonlinearity:
     i phi_t = -Laplace phi + gamma psi
     i psi_t = (omega0 + g |psi|^(p-1)) psi + gamma phi
 
-Both models are stepped by one split-step kernel, split_step_samples, of
-two exactly unitary substeps: a pointwise phase rotation of the nonlinear
+Both models are stepped by one split-step kernel, model_stream, of two
+exactly unitary substeps: a pointwise phase rotation of the nonlinear
 field (its modulus is invariant) and the exact per-mode linear flow, for
 EP the 2x2 matrix exponential of H_k = [[|k|^2, gamma], [gamma, omega0]],
 for NLS the free phase.  Mass is conserved to rounding error at any dt.
@@ -339,16 +339,15 @@ def sample_times(T, step):
     return np.arange(_sample_count(T, step) + 1) * step.sample_interval
 
 
-def _comparator_times(T, sample_times, start=0.0):
+def _comparator_times(T, given, start=0.0):
     """A comparator's sample times, none before start: the given ones, or
-    by default start and then DEFAULT_SAMPLES_PER_UNIT_TIME samples per
-    unit time to T."""
-    if sample_times is None:
+    start + sample_times(T - start, StepSpec()), bitwise evolve_ep's and
+    evolve_nls's default times from start = 0."""
+    if given is None:
         if T is None:
             raise ValueError("provide either T or explicit sample_times")
-        n = max(1, round((T - start) * DEFAULT_SAMPLES_PER_UNIT_TIME))
-        sample_times = start + np.linspace(0.0, T - start, n + 1)
-    times = np.asarray(sample_times, dtype=float)
+        given = start + sample_times(T - start, StepSpec())
+    times = np.asarray(given, dtype=float)
     if np.any(times < start - 1e-12):
         raise ValueError(f"sample times precede the start time {start:.6g}")
     return times
@@ -366,15 +365,6 @@ _W0 = 1.0 - 2.0 * _W1
 # Past 2^52 rad one ulp of a rotation angle exceeds 1 rad: its phase is
 # rounding noise, though |u| stays exact
 _MAX_ANGLE = 2.0**52
-
-
-def _triple_jump(outside):
-    """One step as ("rotate" | "linear", weight) substeps: the Strang steps
-    outside(w/2), inside(w), outside(w/2) of weights w1, w0, w1, with
-    ``outside`` one kind of substep and inside the other."""
-    inside = "linear" if outside == "rotate" else "rotate"
-    return tuple(substep for w in (_W1, _W0, _W1)
-                 for substep in ((outside, 0.5 * w), (inside, w), (outside, 0.5 * w)))
 
 
 def _pair_map(symbols, a, b):
@@ -397,40 +387,54 @@ def _apply_linear(hats, symbols):
     hats[1] += mix_psi
 
 
-def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
-    """The split-step loop of either model, as a stream of its samples from
-    t = 0 on.
+def model_stream(model, grid, params, step, n_samples, phi_hat, psi=None):
+    """The split-step loop of ``model`` from the photon spectra phi_hat
+    (with any leading batch axes), as a stream of its samples from t = 0.
 
-    Each step is Yoshida's fourth-order triple jump (_triple_jump), chained
-    over a sample interval with neighbouring substeps of one kind merged.
-    ``splitting`` is (linear, field, outside): linear(tau) is the per-mode
-    flow exp(-i tau H_k) as (symbol,) or (u11, u12, u22), ``field`` the
-    index of the rotated field, and ``outside`` the kind of substep,
-    "rotate" or "linear", that opens and closes each Strang step of the
-    jump; model_stream gives each model's.  The loop owns ``spectra`` (the
-    fields' plain FFTs, with leading batch axes) and ``u``, the rotated
-    field in physical space; one of u and spectra[field] is None, and the
-    field changes space only when the next substep needs it.  Yields (t,
-    spectra, u) for the given fields at t = 0 and then after each of
-    n_samples sample intervals, at t = b * sample_interval as sample_times
-    has them; the arrays are updated in place once the loop resumes.  Raises SolverBlowupError as soon as a
-    sample is not finite, or once a rotation angle reaches 2^52 rad.
-    Resuming with ``stream.send(keep)``, keep a boolean mask over the
-    leading batch axis, first shrinks the batch to the kept rows, held in
-    new arrays that the later samples yield; each row steps alone, so the
-    survivors' bits do not change."""
-    linear, field, outside = splitting
-    per_block = step.steps_per_sample
-    dt = step.dt
-    substeps = []
-    for kind, weight in _triple_jump(outside) * per_block:
-        if substeps and substeps[-1][0] == kind:
-            weight = substeps.pop()[1] + weight
-        substeps.append((kind, weight))
-    maps = {w: linear(w * dt) for kind, w in substeps if kind == "linear"}
+    EP steps the 2x2 flow exp(-i tau H_k) and rotates psi, the exciton in
+    physical space (zero if None), with the rotation outside; NLS steps
+    the free flow and rotates phi, with the flow outside.  Each step is
+    Yoshida's triple jump, Strang steps outside(w/2), inside(w),
+    outside(w/2) of weights w1, w0, w1, chained over a sample interval
+    with the outside half-steps that meet merged; one linear map is built
+    per distinct weight.  The stream owns phi_hat and psi.  It yields (t,
+    spectra, u) at t = 0 and after each of n_samples sample intervals, at
+    the times sample_times gives.  spectra lists the fields' plain FFTs
+    and u the rotated field in physical space, where only that field's
+    entry or u is set, and the arrays change in place once it resumes.
+    spectra[0] is the photon spectrum at every sample: EP's phi never
+    leaves spectral space, and NLS ends each interval on a linear
+    substep.  Raises SolverBlowupError once a sample is not finite or a
+    rotation angle reaches 2^52 rad.  ``stream.send(keep)``, keep a
+    boolean mask or row indices over the leading batch axis, shrinks the
+    batch to those rows in new arrays before the next step; each row
+    steps alone, so the survivors' bits do not change."""
+    if model == EP:
+        gamma, omega0 = params.gamma, params.omega0
+        linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
+        spectra, field = [phi_hat, None], 1
+        u = np.zeros_like(phi_hat) if psi is None else psi
+    else:
+        linear = lambda tau: (free_symbol(grid, tau),)
+        spectra, field, u = [phi_hat], 0, None
+    # the stream's arrays are spectra and u alone: a name left bound here
+    # would hold the initial fields for the whole run, after a batch
+    # shrink or an NLS rotation has replaced them
+    del phi_hat, psi
+    dt, per_block = step.dt, step.steps_per_sample
+    # (rotate?, weight) substeps of a sample interval; the outside
+    # half-steps of neighbouring jumps a, b merge into 0.5 (a + b), which
+    # is 0.5 a + 0.5 b exactly
+    jumps = (_W1, _W0, _W1) * per_block
+    halves = [0.5 * (a + b) for a, b in zip((0.0,) + jumps, jumps + (0.0,))]
+    rotate_outside = model == EP
+    substeps = [substep for half, w in zip(halves, jumps)
+                for substep in ((rotate_outside, half), (not rotate_outside, w))]
+    substeps.append((rotate_outside, halves[-1]))
+    maps = {w: linear(w * dt) for rotate, w in substeps if not rotate}
     for block in range(n_samples + 1):
-        for kind, weight in substeps if block else ():  # sample 0: no step
-            if kind == "rotate":
+        for rotate, weight in substeps if block else ():  # sample 0: no step
+            if rotate:
                 if u is None:
                     u, spectra[field] = grid.ifft(spectra[field]), None
                 angle = _rotate(u, params.g, params.p, weight * dt)
@@ -448,25 +452,6 @@ def split_step_samples(spectra, u, splitting, params, step, n_samples, grid):
         if keep is not None:
             spectra = [None if a is None else a[keep] for a in spectra]
             u = None if u is None else u[keep]
-
-
-def model_stream(model, grid, params, step, n_samples, phi_hat, psi=None):
-    """split_step_samples of ``model`` from the photon spectra phi_hat (with
-    any leading batch axes), which the stream then owns.  EP: the 2x2 flow,
-    the rotation of psi and the rotation outside; psi is the exciton in
-    physical space, rotated in place (zero if None).  NLS: the free flow,
-    the rotation of phi and the flow outside.  At every sample spectra[0]
-    is the photon spectrum, never None: EP's phi never leaves spectral
-    space, and NLS ends each sample interval on a linear substep."""
-    if model == EP:
-        gamma, omega0 = params.gamma, params.omega0
-        linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
-        psi = np.zeros_like(phi_hat) if psi is None else psi
-        return split_step_samples([phi_hat, None], psi, (linear, 1, "rotate"),
-                                  params, step, n_samples, grid)
-    linear = lambda tau: (free_symbol(grid, tau),)
-    return split_step_samples([phi_hat], None, (linear, 0, "linear"),
-                              params, step, n_samples, grid)
 
 
 def evolve_ep(initial, params, step, T, record=FULL):
@@ -510,7 +495,8 @@ def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
     """Exact solution of the fully linear coupled system (g = 0).
 
     Evaluates the per-mode 2x2 matrix exponential at each requested time,
-    measured from ``initial.time``; times may be arbitrary.
+    measured from ``initial.time``; times may be arbitrary.  By default
+    T - initial.time must be a multiple of StepSpec()'s sample interval.
     """
     times = _comparator_times(T, sample_times, initial.time)
 
@@ -537,7 +523,8 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
                        phi_hat_k(0),
 
     with a 3-term series in (omega0 - |k|^2) t through each resonant mode
-    |k|^2 = omega0.
+    |k|^2 = omega0.  By default T must be a multiple of StepSpec()'s
+    sample interval.
     """
     times = _comparator_times(T, sample_times)
 
@@ -575,7 +562,8 @@ def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, reco
     """Comparator that follows system A on [0, t1] and system B after,
     with t1 = C1 * sqrt(epsilon) and the A-state at t1 handed to B
     exactly (the fields are continuous across t1 by construction).
-    C1 = 0 degenerates to pure system B from (phi0, 0)."""
+    C1 = 0 degenerates to pure system B from (phi0, 0).  By default T
+    must be a multiple of StepSpec()'s sample interval."""
     if C1 < 0 or epsilon < 0:
         raise ValueError("C1 and epsilon must be nonnegative")
     t1 = C1 * np.sqrt(epsilon)

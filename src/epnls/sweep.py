@@ -167,6 +167,8 @@ class SweepConfig:
             raise ValueError("epsilon_floor must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.outdir:
+            raise ValueError(f"outdir must name a directory, got {self.outdir!r}")
         t1 = self.c1 * np.sqrt(eps[0])
         if self.comparator == COMPARATOR_COMPOSITE and not 0 <= t1 <= self.T:
             raise ValueError(
@@ -303,14 +305,6 @@ def solver_setup(c):
     return grid, _model_params(c), _solver_step(c)
 
 
-def _compact(index, n):
-    """Which of n slots ``index`` still points at, as a mask, and ``index``
-    renumbered onto the slots kept."""
-    used = np.zeros(n, dtype=bool)
-    used[index] = True
-    return used, (np.cumsum(used) - 1)[index]
-
-
 def _curve_batch(c, specs, stops=None):
     """Error curves of the (delta, eps_comp) specs of a config,
     with every distinct delta stepped at once on a leading batch axis.
@@ -382,9 +376,9 @@ def _curve_batch(c, specs, stops=None):
                 a[running] for a in (live, stop, member, comp_of, curve_phi0_hat))
             if not len(live):
                 break
-            kept, member = _compact(member, rows)
-            if not kept.all():
-                keep, rows = kept, int(kept.sum())
+            kept, member = np.unique(member, return_inverse=True)
+            if len(kept) < rows:
+                keep, rows = kept, len(kept)
     return [
         ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end], epsilon_comp=e)
         for j, ((d, e), end) in enumerate(zip(specs, ends))

@@ -135,8 +135,10 @@ def test_config_error_exit_code(tmp_path, capsys):
      "needs 576 points, which exceeds the memory cap of 100 points"),
     ("[grid]\nN = 64\nmax_points = 2000\n[sweep]\ncomparator = composite\n",
      "needs 2496 points, which exceeds the memory cap of 2000 points"),
+    # an empty dir would write every output into the working directory
+    ("[output]\ndir =\n", "outdir must name a directory"),
 ], ids=["dt", "negative_dt", "T", "n", "max_points", "max_points_member",
-        "max_points_composite"])
+        "max_points_composite", "empty_outdir"])
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_text(text)

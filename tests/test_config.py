@@ -1,3 +1,5 @@
+import os
+import re
 from dataclasses import fields
 
 import pytest
@@ -28,6 +30,15 @@ def test_empty_document_yields_spec_defaults():
 
 def test_none_path_equals_empty_document():
     assert parse_config(None) == parse_config_text("")
+
+
+def test_readme_example_parses_to_the_defaults():
+    # the dialect has no inline comments: a "; ..." after a value is part
+    # of it, so the README's example keeps its comments on lines of their own
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        (block,) = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+    assert parse_config_text(block) == SweepConfig()
 
 
 def test_s_auto_tracks_dimension():

@@ -502,13 +502,16 @@ def test_ep_kernel_matches_the_stacked_loop(grid):
     assert t_new == pytest.approx(0.2)
 
 
-@pytest.mark.parametrize("drop_at", [0, 2])
-def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at):
+@pytest.mark.parametrize("drop_at, keep_rows", [
+    (0, [True, False, True]), (2, [True, False, True]), (0, [0, 2]), (2, [0, 2]),
+], ids=["0", "2", "0-rows", "2-rows"])
+def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at, keep_rows):
     # the samples are at sample_times, t = 0 first; rows dropped at a
-    # sample, the first included, leave the survivors' bits unchanged
+    # sample, the first included, by a boolean mask or by the row indices
+    # the sweep sends, leave the survivors' bits unchanged
     step = StepSpec(dt=1e-3, samples_per_unit_time=100)
     phi0 = np.stack([gaussian_initial(GRID, d).values for d in (1.0, 0.6, 0.3)])
-    kept = np.array([True, False, True])
+    kept = np.array(keep_rows)
 
     def samples(drop):
         stream = model_stream(EP, GRID, PARAMS, step, 4, np.fft.fftn(phi0, axes=(-1,)))
@@ -657,6 +660,25 @@ def test_relative_error_requires_identical_times():
     b = evolve_linear_b(gauss_state(), PARAMS, sample_times=a.times + 1e-6)
     with pytest.raises(ValueError, match="identical"):
         relative_error_curve(b, a, 1.0)
+
+
+@pytest.mark.parametrize("T", [0.58, 1.14, 1.0])
+def test_default_comparator_times_are_the_kernel_sample_times(T):
+    # at T = 0.58 and 1.14, start + linspace(0, T, n + 1) is 1 ulp off
+    # index * interval at some sample; the comparators sample the kernel's
+    # grid, so a default comparator and a default run pair up
+    truth = evolve_ep(gauss_state(), PARAMS, StepSpec(), T)
+    phi0 = gaussian_initial(GRID, 1.0)
+    for comp in (evolve_linear_b(gauss_state(), PARAMS, T=T),
+                 evolve_system_a(phi0, PARAMS, T=T),
+                 evolve_composite_tilde(phi0, PARAMS, C1=1.0, epsilon=0.01, T=T)):
+        assert comp.times.tobytes() == truth.times.tobytes()
+        relative_error_curve(comp, truth, 1.0)
+
+
+def test_default_comparator_horizon_is_a_multiple_of_the_sample_interval():
+    with pytest.raises(ValueError, match="not a positive multiple"):
+        evolve_linear_b(gauss_state(), PARAMS, T=0.55)
 
 
 def test_ep_vs_b_early_time_power_law():
