@@ -19,7 +19,6 @@ from .grid import (
     l2_norm,
     make_grid,
     sobolev_norm,
-    spectral_transform,
 )
 from .evolution import (
     EPState,
@@ -108,7 +107,6 @@ __all__ = [
     "run_error_curves",
     "serialize_config",
     "sobolev_norm",
-    "spectral_transform",
     "y1_pow_p_series",
     "y1_series",
     "y_star",

@@ -54,7 +54,6 @@ import numpy as np
 
 from .grid import (
     Field,
-    PHYSICAL,
     default_sobolev_index,
     free_symbol,
     hs_norm_from_fft,
@@ -101,6 +100,9 @@ class ModelParams:
     s: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.p > 1:
             raise ValueError(f"nonlinearity power p must exceed 1, got {self.p}")
         if self.gamma < 0:
@@ -134,7 +136,7 @@ class EPState:
 def zero_state(phi0):
     """EPState with the given photon field and an absent exciton field."""
     grid = phi0.grid
-    psi = Field(grid, np.zeros(grid.shape, dtype=np.complex128), PHYSICAL)
+    psi = Field(grid, np.zeros(grid.shape, dtype=np.complex128))
     return EPState(phi=phi0, psi=psi, time=0.0)
 
 
@@ -310,7 +312,7 @@ def _record(samples, grid, params, policy):
         norms.append(hs_norm_from_fft(hats, grid, s))
         l2.append(hs_norm_from_fft(hats, grid, 0.0))
         if policy == FULL:
-            states.append([Field(grid, f, PHYSICAL) for f in grid.ifft(hats)])
+            states.append([Field(grid, f) for f in grid.ifft(hats)])
     # one row per field, then None for an absent psi
     norms = [np.array(row) for row in np.transpose(norms)] + [None]
     states = [list(row) for row in zip(*states)] + [None] if policy == FULL else [None] * 2
@@ -324,7 +326,8 @@ def _record(samples, grid, params, policy):
 
 
 def _sample_count(T, spec):
-    n = round(T / spec.sample_interval)
+    ratio = T / spec.sample_interval
+    n = round(ratio) if np.isfinite(ratio) else 0
     if n < 1 or abs(n * spec.sample_interval - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(
             f"horizon T = {T} is not a positive multiple of the sampling "
@@ -558,7 +561,8 @@ def composite_seed(grid, params, t1):
     return _pair_map(back, *system_a_symbols(grid, params, t1))
 
 
-def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, record=FULL):
+def evolve_composite_tilde(phi0, params, C1, epsilon, T=None, sample_times=None,
+                           record=FULL):
     """Comparator that follows system A on [0, t1] and system B after,
     with t1 = C1 * sqrt(epsilon) and the A-state at t1 handed to B
     exactly (the fields are continuous across t1 by construction).
@@ -567,9 +571,10 @@ def evolve_composite_tilde(phi0, params, C1, epsilon, T, sample_times=None, reco
     if C1 < 0 or epsilon < 0:
         raise ValueError("C1 and epsilon must be nonnegative")
     t1 = C1 * np.sqrt(epsilon)
-    if t1 > T:
-        raise ValueError(f"A-phase end t1 = {t1:.6g} exceeds the horizon T = {T}")
     times = _comparator_times(T, sample_times)
+    if t1 > times[-1]:
+        raise ValueError(f"A-phase end t1 = {t1:.6g} exceeds the horizon, the last "
+                         f"sample time {times[-1]:.6g}")
 
     grid = phi0.grid
     phi0_hat = grid.fft(phi0.values)

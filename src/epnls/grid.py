@@ -3,17 +3,15 @@ Schrodinger propagator.
 
 The spatial domain is the periodic box [-L, L)^n sampled on N points per
 axis, so the wavenumber lattice is k = (pi/L) * m with integer offsets
-m in [-N/2, N/2).  The forward transform uses the Riemann-sum convention
+m in [-N/2, N/2).  Every spectrum is a plain (unscaled) Grid.fft u_hat,
+and the discrete Sobolev norm scales it by dx^n:
 
-    u_hat(k) = dx^n * sum_j u(x_j) exp(-i k . x_j),
+    ||u||_{H^s} = ( (2L)^{-n} * sum_k (1 + |k|^2)^s |dx^n u_hat(k)|^2 )^{1/2}.
 
-which makes the discrete Sobolev norm
-
-    ||u||_{H^s} = ( (2L)^{-n} * sum_k (1 + |k|^2)^s |u_hat(k)|^2 )^{1/2}
-
-a direct approximation of the continuum norm, comparable across
-resolutions.  For s = 0 this reproduces the discrete L2 norm exactly
-(Parseval).
+dx^n |u_hat(k)| is the modulus of the Riemann sum of the continuum
+Fourier transform, so the norm approximates the continuum norm,
+comparable across resolutions.  For s = 0 it reproduces the discrete L2
+norm exactly (Parseval).
 """
 
 from __future__ import annotations
@@ -46,10 +44,8 @@ class Grid:
         Half-width of the box; the axis runs over [-L, L).
 
     Derived arrays (set once, then immutable): ``axis_x`` and ``axis_k``
-    are the 1D point and wavenumber axes (k in FFT storage order),
-    ``k_squared`` is |k|^2 on the full n-dimensional lattice, and
-    ``mode_parity`` holds (-1)^(m1+...+mn), the phase relating the plain
-    FFT to the transform centered at x = -L.
+    are the 1D point and wavenumber axes (k in FFT storage order), and
+    ``k_squared`` is |k|^2 on the full n-dimensional lattice.
     """
 
     n: int
@@ -62,22 +58,17 @@ class Grid:
         axis_x = -self.L + dx * np.arange(self.N)
         # k = 2*pi*fftfreq(N, dx) = (pi/L) * m, m in [-N/2, N/2) (FFT order)
         axis_k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=dx)
-        offsets = np.rint(axis_k * self.L / np.pi).astype(int)
-        parity_1d = np.where(offsets % 2 == 0, 1.0, -1.0)
 
         k_sq = np.zeros((self.N,) * self.n)
-        parity = np.ones((self.N,) * self.n)
         for axis in range(self.n):
             shape = [1] * self.n
             shape[axis] = self.N
             k_sq = k_sq + (axis_k**2).reshape(shape)
-            parity = parity * parity_1d.reshape(shape)
 
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "axis_x", axis_x)
         object.__setattr__(self, "axis_k", axis_k)
         object.__setattr__(self, "k_squared", k_sq)
-        object.__setattr__(self, "mode_parity", parity)
 
     @property
     def shape(self):
@@ -128,8 +119,8 @@ def check_grid_args(n, N, L, max_points=None):
         raise ValueError(f"dimension n must be 1, 2, or 3, got {n}")
     if N % 2 != 0 or N < 4:
         raise ValueError(f"N must be even and >= 4, got {N}")
-    if not L > 0:
-        raise ValueError(f"half-width L must be positive, got {L}")
+    if not 0 < L < np.inf:
+        raise ValueError(f"half-width L must be positive and finite, got {L}")
     if max_points is not None and N**n > max_points:
         raise ValueError(
             f"grid with N^n = {N**n} points exceeds the memory cap of "
@@ -143,23 +134,17 @@ def make_grid(n, N, L, max_points=DEFAULT_MAX_POINTS):
     return Grid(n=int(n), N=int(N), L=float(L))
 
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
-
 @dataclass(eq=False)
 class Field:
     """Complex scalar field sampled on a Grid.
 
-    ``values`` has shape grid.shape (row-major axis order) and is always
-    complex128.  ``rep`` tags whether the samples live in physical or
-    spectral space; transforms check the tag.  Construction rejects
-    non-finite entries outright.
+    ``values`` holds the physical samples, of shape grid.shape (row-major
+    axis order), always complex128; a spectrum is a plain Grid.fft array.
+    Construction rejects non-finite entries outright.
     """
 
     grid: Grid
     values: np.ndarray
-    rep: str = PHYSICAL
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -167,43 +152,16 @@ class Field:
             raise ValueError(
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        if self.rep not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation tag {self.rep!r}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field contains NaN or Inf entries")
         self.values = vals
-
-    def copy(self):
-        return Field(self.grid, self.values.copy(), self.rep)
 
 
 def gaussian_initial(grid, amplitude):
     """Radial Gaussian amplitude * exp(-|x|^2 / 2), stored as complex."""
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
-    vals = amplitude * np.exp(-0.5 * grid.radius_squared())
-    return Field(grid, vals.astype(np.complex128), PHYSICAL)
-
-
-def spectral_transform(field, direction):
-    """Forward or inverse transform between physical and spectral space.
-
-    Forward maps physical samples to u_hat(k) = dx^n sum_j u(x_j) e^{-ik.x_j};
-    inverse is its exact discrete inverse, so a roundtrip is the identity to
-    rounding error.
-    """
-    grid = field.grid
-    if direction == "forward":
-        if field.rep != PHYSICAL:
-            raise ValueError("forward transform expects a physical-space field")
-        hat = grid.cell_volume * grid.mode_parity * grid.fft(field.values)
-        return Field(grid, hat, SPECTRAL)
-    if direction == "inverse":
-        if field.rep != SPECTRAL:
-            raise ValueError("inverse transform expects a spectral-space field")
-        vals = grid.ifft(field.values * grid.mode_parity) / grid.cell_volume
-        return Field(grid, vals, PHYSICAL)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return Field(grid, amplitude * np.exp(-0.5 * grid.radius_squared()))
 
 
 def hs_norm_from_fft(plain_fft, grid, s):
@@ -226,15 +184,11 @@ def sobolev_norm(field, s):
     """Discrete H^s norm; s = 0 gives the L2 norm via Parseval."""
     if s < 0:
         raise ValueError("Sobolev index s must be nonnegative")
-    if field.rep == SPECTRAL:  # values are dx^n times a plain Grid.fft
-        return hs_norm_from_fft(field.values / field.grid.cell_volume, field.grid, s)
     return hs_norm_from_fft(field.grid.fft(field.values), field.grid, s)
 
 
 def l2_norm(field):
     """Physical-space discrete L2 norm (sum |u|^2 dx^n)^(1/2)."""
-    if field.rep != PHYSICAL:
-        raise ValueError("l2_norm expects a physical-space field")
     return float(np.sqrt(np.sum(np.abs(field.values) ** 2) * field.grid.cell_volume))
 
 
@@ -245,11 +199,9 @@ def free_propagate(field, t):
     Nyquist mode is treated like any other mode.
     """
     grid = field.grid
-    if field.rep != PHYSICAL:
-        raise ValueError("free_propagate expects a physical-space field")
     hat = grid.fft(field.values)
     hat *= free_symbol(grid, t)
-    return Field(grid, grid.ifft(hat), PHYSICAL)
+    return Field(grid, grid.ifft(hat))
 
 
 def free_symbol(grid, t):

@@ -151,8 +151,8 @@ class SweepConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon_set must be strictly decreasing")
         alphas = tuple(float(a) for a in self.alpha_set)
-        if not alphas or any(a < 0 for a in alphas):
-            raise ValueError("alpha_set must be nonempty with alpha >= 0")
+        if not alphas or any(not 0 <= a < np.inf for a in alphas):
+            raise ValueError("alpha_set must be nonempty with finite alpha >= 0")
         valid = (
             (COMPARATOR_SYSTEM_B, COMPARATOR_COMPOSITE)
             if self.model == EP
@@ -163,8 +163,8 @@ class SweepConfig:
                 f"comparator {self.comparator!r} is not valid for model "
                 f"{self.model!r} (expected one of {valid})"
             )
-        if self.epsilon_floor < 0:
-            raise ValueError("epsilon_floor must be nonnegative")
+        if not 0 <= self.epsilon_floor < np.inf:
+            raise ValueError("epsilon_floor must be finite and nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.outdir:

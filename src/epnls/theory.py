@@ -283,7 +283,8 @@ def y_star_series(t, epsilon, params, M, Kp, alpha):
 
 
 def existence_horizon(N, r, gamma, g, Ktilde=1.0):
-    """Guaranteed existence time (1 - r) / (2 gamma + |g| Ktilde N^2).
+    """Guaranteed existence time (1 - r) / (2 gamma + |g| Ktilde N^2), inf
+    for the free flow (no coupling and no nonlinearity).
 
     Advisory only: simulations past this horizon are not necessarily
     invalid, but the contraction argument no longer vouches for them.
@@ -294,4 +295,5 @@ def existence_horizon(N, r, gamma, g, Ktilde=1.0):
         raise ValueError("N must be positive")
     # N * N, not N**2: a float power raises OverflowError past ~1e154,
     # where the product rounds to inf and the horizon to 0
-    return (1.0 - r) / (2.0 * gamma + abs(g) * Ktilde * (N * N))
+    rate = 2.0 * gamma + abs(g) * Ktilde * (N * N)
+    return (1.0 - r) / rate if rate > 0 else float("inf")

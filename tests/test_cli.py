@@ -97,8 +97,9 @@ def test_lemma_no_roots(capsys):
     (["lemma", "--eta", "0.1", "--delta", "0.5", "--p", "1"], "p must exceed 1"),
     (["simulate", "--delta", "nan"], "--delta must be finite"),
     (["simulate", "--delta", "inf"], "--delta must be finite"),
+    (["predict", "--alpha", "0", "--g", "nan"], "g must be finite, got nan"),
 ], ids=["predict-p", "predict-alpha", "lemma-eta", "lemma-p", "simulate-nan",
-        "simulate-inf"])
+        "simulate-inf", "predict-g-nan"])
 def test_invalid_arguments_are_usage_errors(tmp_path, capsys, argv, named):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path / "o")]
@@ -137,8 +138,16 @@ def test_config_error_exit_code(tmp_path, capsys):
      "needs 2496 points, which exceeds the memory cap of 2000 points"),
     # an empty dir would write every output into the working directory
     ("[output]\ndir =\n", "outdir must name a directory"),
+    # non-finite values are rejected by the object that owns each value
+    ("[solver]\nT = inf\n", "horizon T = inf is not a positive multiple"),
+    ("[sweep]\nalphas = nan\n", "alpha_set must be nonempty with finite alpha >= 0"),
+    ("[physics]\ngamma = nan\n", "gamma must be finite, got nan"),
+    ("[grid]\nL = inf\n", "half-width L must be positive and finite, got inf"),
+    ("[physics]\np = inf\n", "p must be finite, got inf"),
+    ("[sweep]\nepsilon_floor = nan\n", "epsilon_floor must be finite and nonnegative"),
 ], ids=["dt", "negative_dt", "T", "n", "max_points", "max_points_member",
-        "max_points_composite", "empty_outdir"])
+        "max_points_composite", "empty_outdir", "T_inf", "alphas_nan", "gamma_nan",
+        "L_inf", "p_inf", "epsilon_floor_nan"])
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_text(text)
@@ -245,6 +254,20 @@ def test_simulate_zero_amplitude_reports_absolute_drift(tmp_path, capsys, recwar
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["jobs"][0]["detail"] == "delta=0, mass drift 0.000e+00"
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("physics, delta, advisory", [
+    ("", "1", True),
+    ("gamma = 0\ng = 0\n", "1", False),
+    ("", "0", False),
+], ids=["coupled", "free_flow", "zero_field"])
+def test_simulate_existence_advisory(tmp_path, capsys, physics, delta, advisory):
+    # the free flow (no coupling, no nonlinearity) and a zero field exist
+    # for all time, so neither prints the existence-time advisory
+    cfg = write_cfg(tmp_path, f"[grid]\nN = 64\n[physics]\n{physics}[solver]\nT = 0.1\n")
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--delta", delta]
+    assert main(argv) == EXIT_OK
+    assert ("advisory:" in capsys.readouterr().out) == advisory
 
 
 def test_manifest_leaves_out_stray_temp_files(tmp_path, capsys):

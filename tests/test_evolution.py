@@ -53,6 +53,10 @@ def test_model_params_validation():
         ModelParams(p=1.0)
     with pytest.raises(ValueError, match="gamma"):
         ModelParams(gamma=-0.1)
+    for name in ("g", "gamma", "omega0", "p", "s"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ModelParams(**{name: value})
 
 
 def test_model_params_default_s_follows_dimension():
@@ -402,6 +406,20 @@ def test_composite_t1_beyond_horizon():
         evolve_composite_tilde(
             gaussian_initial(GRID, 1.0), PARAMS, C1=10.0, epsilon=1.0, T=1.0
         )
+
+
+def test_composite_takes_explicit_times_without_T():
+    # like its sibling comparators; t1 is checked against the last time
+    phi0 = gaussian_initial(GRID, 1.0)
+    times = np.linspace(0.0, 1.0, 6)
+    comp = evolve_composite_tilde(phi0, PARAMS, C1=1.0, epsilon=0.04,
+                                  sample_times=times, record="norms")
+    with_T = evolve_composite_tilde(phi0, PARAMS, C1=1.0, epsilon=0.04, T=1.0,
+                                    sample_times=times, record="norms")
+    assert np.array_equal(comp.norm_phi, with_T.norm_phi)
+    with pytest.raises(ValueError, match="horizon"):
+        evolve_composite_tilde(phi0, PARAMS, C1=1.0, epsilon=0.04,
+                               sample_times=[0.0, 0.1])
 
 
 def test_linear_norms_come_from_the_spectra(fft_calls):

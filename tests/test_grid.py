@@ -11,7 +11,6 @@ from epnls.grid import (
     l2_norm,
     make_grid,
     sobolev_norm,
-    spectral_transform,
 )
 
 
@@ -105,23 +104,12 @@ def test_gaussian_l2_norm_matches_quadrature():
 # ---------------------------------------------------------------- transforms
 
 
-def test_constant_field_is_dc_mode():
-    g = make_grid(2, 16, 3.0)
-    c = 0.7 - 0.2j
-    f = Field(g, np.full(g.shape, c))
-    hat = spectral_transform(f, "forward")
-    assert hat.values[0, 0] == pytest.approx(c * g.box_volume, rel=1e-13)
-    rest = hat.values.copy()
-    rest[0, 0] = 0
-    assert np.max(np.abs(rest)) < 1e-12 * abs(c) * g.box_volume
-
-
 @pytest.mark.parametrize("n,N", [(1, 8), (1, 256), (2, 16), (3, 8)])
 def test_transform_roundtrip(n, N):
     g = make_grid(n, N, 5.0)
     f = random_field(g, seed=n * 100 + N)
-    back = spectral_transform(spectral_transform(f, "forward"), "inverse")
-    err = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
+    back = g.ifft(g.fft(f.values))
+    err = np.max(np.abs(back - f.values)) / np.max(np.abs(f.values))
     assert err < 1e-13
 
 
@@ -138,24 +126,15 @@ def test_grid_transforms_are_bitwise_fftn(n, N):
 
 
 def test_single_mode_concentration():
+    # the solvers' symbols rely on axis_k matching Grid.fft's storage order
     g = make_grid(1, 32, np.pi)
     k0 = 3.0  # on the lattice since pi/L = 1
-    x = g.axis_x
-    f = Field(g, np.exp(1j * k0 * x))
-    hat = spectral_transform(f, "forward").values
+    hat = g.fft(Field(g, np.exp(1j * k0 * g.axis_x)).values)
     idx = np.argmin(np.abs(g.axis_k - k0))
-    assert hat[idx] == pytest.approx(g.box_volume, rel=1e-12)
+    # x starts at -L, so the mode carries the phase exp(-i k0 L) = (-1)^3
+    assert abs(hat[idx]) == pytest.approx(g.N, rel=1e-12)
     others = np.abs(np.delete(hat, idx))
-    assert np.max(others) < 1e-11 * g.box_volume
-
-
-def test_transform_tag_mismatch():
-    g = make_grid(1, 8, 1.0)
-    f = random_field(g)
-    with pytest.raises(ValueError, match="physical"):
-        spectral_transform(spectral_transform(f, "forward"), "forward")
-    with pytest.raises(ValueError, match="spectral"):
-        spectral_transform(f, "inverse")
+    assert np.max(others) < 1e-11 * g.N
 
 
 # ---------------------------------------------------------------- norms
@@ -191,14 +170,6 @@ def test_parseval(n, N):
     for seed in range(3):
         f = random_field(g, seed=seed)
         assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)
-
-
-def test_sobolev_norm_accepts_spectral_field():
-    g = make_grid(1, 64, 5.0)
-    f = random_field(g, seed=7)
-    hat = spectral_transform(f, "forward")
-    for s in (0.0, 1.0, 2.0):
-        assert sobolev_norm(hat, s) == pytest.approx(sobolev_norm(f, s), rel=1e-12)
 
 
 @pytest.mark.parametrize("n,N,s", [(1, 64, 1.0), (2, 16, 2.0), (3, 8, 0.0)])

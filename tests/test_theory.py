@@ -327,6 +327,11 @@ def test_existence_horizon_g_zero():
     assert existence_horizon(2.0, 0.25, gamma=1.5, g=0.0) == pytest.approx(0.25)
 
 
+def test_existence_horizon_of_the_free_flow_is_infinite():
+    # no coupling and no nonlinearity: nothing limits the existence time
+    assert existence_horizon(2.0, 0.5, gamma=0.0, g=0.0) == np.inf
+
+
 def test_existence_horizon_r_limit():
     assert existence_horizon(1.0, 1 - 1e-12, gamma=1.0, g=1.0) < 1e-12
 
