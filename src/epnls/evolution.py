@@ -20,15 +20,17 @@ splitting is second order with either substep outside; Thalhammer 2012,
 SIAM J. Numer. Anal. 50:3231).  Every substep is unitary and reversible,
 so the negative middle weight is harmless; halving dt divides the step
 error by 16.  Both default clocks take one triple jump per sample, and
-with the sweep's cubic crossings the sample spacing, not the step, limits
-the default crossings.  EP: dt = 2e-2 at 50 samples per unit time, within
-6.4e-7 (1D) and 3.4e-5 (2D composite) of fine references (dt = 1e-3 at
-1,000 samples per unit time in 1D, 2e-3 at 500 in 2D); in 1D the step and
-the sample spacing add about equally (6.3e-7 and 5.4e-7), in 2D the
-sample spacing dominates (3.4e-5, against 1.3e-7 from the step).  NLS:
-dt = 2.5e-4 at 4,000 samples per unit time, within 2.5e-9 of a triple
-jump at dt = 2e-5 with 50,000 samples per unit time (dt = 2.5e-5 at the
-same samples moves the crossings by 7e-12).
+with the sweep's crossing rules the sample spacing, not the step, limits
+the default crossings.  EP, read by a four-point cubic: dt = 2e-2 at 50
+samples per unit time, within 6.4e-7 (1D) and 3.4e-5 (2D composite) of
+fine references (dt = 1e-3 at 1,000 samples per unit time in 1D, 2e-3 at
+500 in 2D); in 1D the step and the sample spacing add about equally
+(6.3e-7 and 5.4e-7), in 2D the sample spacing dominates (3.4e-5, against
+1.3e-7 from the step).  NLS, read by cubic Hermite from the exact slope
+rho' (nls_forcing gives the flow's nonlinear term): dt = 5e-4 at 2,000
+samples per unit time, within 1.3e-9 of a triple jump at dt = 2e-5 with
+50,000 samples per unit time (dt = 2.5e-5 at the same samples moves the
+crossings by 7.5e-12).
 The kernel carries spectra and takes only the rotated field to physical
 space and back (McLachlan & Quispel 2002, Acta Numerica 11:341), so an EP
 step transforms psi alone and phi never leaves spectral space.  The
@@ -224,20 +226,27 @@ class Trajectory:
 class ErrorCurve:
     """Relative photon error rho(t) between a comparator and the truth,
     from the initial amplitude ``delta``; ``epsilon_comp`` is the tolerance
-    a composite comparator was built for (None for the others)."""
+    a composite comparator was built for (None for the others), and
+    ``drho`` the exact slope rho'(t) at the same samples, where the sweep
+    computes it (NLS), else None."""
 
     delta: float | None
     times: np.ndarray
     rho: np.ndarray
     epsilon_comp: float | None = None
+    drho: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.rho = np.asarray(self.rho, dtype=float)
-        if self.times.shape != self.rho.shape:
-            raise ValueError("times and rho must have matching shapes")
-        if not np.all(np.isfinite(self.rho)):
-            raise ValueError("rho contains non-finite samples")
+        columns = {"rho": self.rho}
+        if self.drho is not None:
+            self.drho = columns["drho"] = np.asarray(self.drho, dtype=float)
+        for name, values in columns.items():
+            if values.shape != self.times.shape:
+                raise ValueError(f"times and {name} must have matching shapes")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} contains non-finite samples")
 
 
 # --------------------------------------------------------------------------
@@ -272,6 +281,16 @@ def nonlinear_phase(values, g, p, dt):
     return out
 
 
+def _modulus_power(values, p):
+    # |u|^(p-1) as a new real array, squared by a product for the cubic
+    out = np.abs(values)
+    if p == 3.0:
+        out *= out
+    else:
+        out **= p - 1.0
+    return out
+
+
 def _rotate(values, g, p, dt):
     # nonlinear_phase in place on a complex array; returns the largest
     # |theta|.  The phase exp(-i theta), theta = g dt |u|^(p-1), is formed
@@ -281,11 +300,7 @@ def _rotate(values, g, p, dt):
     # |u|^(p-1) overflows
     if g == 0:
         return 0.0
-    tau = np.abs(values)
-    if p == 3.0:
-        tau *= tau
-    else:
-        tau **= p - 1.0
+    tau = _modulus_power(values, p)
     angle = abs(g * dt) * float(tau.max())
     tau *= 0.5 * g * dt
     np.tan(tau, out=tau)
@@ -455,6 +470,22 @@ def model_stream(model, grid, params, step, n_samples, phi_hat, psi=None):
         if keep is not None:
             spectra = [None if a is None else a[keep] for a in spectra]
             u = None if u is None else u[keep]
+
+
+def nls_forcing(grid, params, phi_hat):
+    """Spectrum F = Grid.fft(g |phi|^(p-1) phi) of the NLS nonlinearity at
+    the field whose plain FFT is phi_hat (leading batch axes allowed), so
+    that the NLS flow is phi_hat' = -i |k|^2 phi_hat - i F: an inverse and
+    a forward transform.  g = 0 gives zeros, even where |phi|^(p-1)
+    overflows."""
+    if params.g == 0:
+        return np.zeros_like(phi_hat)
+    u = grid.ifft(phi_hat)
+    rate = _modulus_power(u, params.p)
+    rate *= params.g
+    u *= rate
+    del rate  # before the transform allocates its result
+    return grid.fft(u)
 
 
 def evolve_ep(initial, params, step, T, record=FULL):

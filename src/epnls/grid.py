@@ -172,7 +172,9 @@ def hs_norm_from_fft(plain_fft, grid, s):
     mag = np.abs(plain_fft)
     rows = mag.reshape(-1, grid.k_squared.size)
     _, exponent = np.frexp(rows.max(axis=1))
-    sq = np.ldexp(rows, -exponent[:, None]) ** 2
+    # in place, so the one temporary is mag
+    sq = np.ldexp(rows, -exponent[:, None], out=rows)
+    sq *= sq
     if s != 0:
         sq *= ((1.0 + grid.k_squared) ** s).ravel()
     scale = grid.cell_volume**2 / grid.box_volume

@@ -9,6 +9,8 @@ import os
 import re
 import time
 
+import numpy as np
+
 
 _FLOAT = "%.17g"
 
@@ -46,15 +48,15 @@ def write_csv(path, header, rows):
 
 
 def read_curve_csv(path):
-    """Parse a two-column (t, rho) CSV written by write_csv."""
-    times, rho = [], []
+    """Parse a CSV of float columns written by write_csv, such as a curve's
+    t,rho: its header names and an array of rows, one column per name.
+    Raises ValueError on a row that is not one float per name."""
     with open(path) as fh:
-        next(fh)  # header
-        for line in fh:
-            a, b = line.strip().split(",")
-            times.append(float(a))
-            rho.append(float(b))
-    return times, rho
+        names = next(fh).strip().split(",")
+        rows = np.array([tuple(map(float, line.split(","))) for line in fh])
+    if rows.size and rows.shape[1:] != (len(names),):
+        raise ValueError(f"{path}: rows do not have one value per column of {names}")
+    return names, rows.reshape(-1, len(names))
 
 
 class OutputLock:

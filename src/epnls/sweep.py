@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,7 @@ from .evolution import (
     composite_seed,
     linear_pair_propagator,
     model_stream,
+    nls_forcing,
     sample_times,
 )
 from .grid import (
@@ -52,19 +52,20 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  Both
-# take one fourth-order triple jump per sample, so that with
-# find_crossing's cubic rule the sample spacing limits the crossings.  EP:
-# dt = 2e-2 at 50 samples per unit time, crossings within 6.4e-7 of a
-# fine reference in 1D and 3.4e-5 in 2D.  NLS: dt = 2.5e-4 at 4,000
-# samples per unit time, within 2.5e-9 of a triple jump at dt = 2e-5 with
-# 50,000 samples.  4,000 is the coarsest NLS rate whose earliest crossing
-# (t ~ 1.0e-3) lies past sample 3, where the cubic rule applies; at 2,500
-# and 2,000 the first crossings fall back to the linear rule and lose
+# take one fourth-order triple jump per sample, so that the sample spacing,
+# not the step, limits the crossings.  EP, read by find_crossing's cubic
+# rule: dt = 2e-2 at 50 samples per unit time, crossings within 6.4e-7 of
+# a fine reference in 1D and 3.4e-5 in 2D.  NLS curves carry rho', and
+# find_crossing reads them by cubic Hermite from the two samples that
+# bracket a crossing: dt = 5e-4 at 2,000 samples per unit time, within
+# 1.3e-9 of a triple jump at dt = 2e-5 with 50,000 samples (the cubic rule
+# needed 4,000 samples for 2.5e-9).  The earliest default crossing,
+# t ~ 1.0e-3, lies past sample 1, as the Hermite rule needs
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": DEFAULT_DT,
          "samples_per_unit_time": DEFAULT_SAMPLES_PER_UNIT_TIME,
          "comparator": COMPARATOR_SYSTEM_B},
-    NLS: {"T": 0.2, "dt": 2.5e-4, "samples_per_unit_time": 4000,
+    NLS: {"T": 0.2, "dt": 5e-4, "samples_per_unit_time": 2000,
           "comparator": COMPARATOR_LINEAR_NLS},
 }
 
@@ -74,21 +75,22 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 5, NLS: 4}
+SOLVER_REVISION = {EP: 5, NLS: 5}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
-# the peak of _curve_batch, measured and rounded up (EP ~6.2-6.5 with
-# system B and ~8.1-8.5 with the composite, NLS ~5.9; checked by
+# the peak of _curve_batch, measured and rounded up (EP ~5.0 with system B
+# and ~8.4-8.9 with the composite, NLS ~6.5; checked by
 # tests/test_sweep.py): the curve's phi_hat(0) copy, the spectra the
 # split-step loop owns (EP: phi_hat, and psi in whichever space it is in;
 # NLS: one field, whose spectrum is dropped while it is rotated), the
 # temporaries of a rotation or a 2x2 step, the truth-and-difference stack
-# of the one norm call per sample and, for the composite, the seed pair of
-# the curve's comparator epsilon.  Each further curve of one delta (the
-# composite's other epsilons) adds its phi_hat(0) copy, stack row, norm
-# temporaries and seed pair (~5.1-5.5).  max_points bounds grid x the sum
-# of these over a batch (_member_points).
-_ARRAYS_PER_MEMBER = {EP: 9, NLS: 6}
+# of the one norm call per sample (for NLS with its forcing row, which
+# rho' needs) and, for the composite, the seed pair of the curve's
+# comparator epsilon.  Each further curve of one delta (the composite's
+# other epsilons) adds its phi_hat(0) copy, stack row, norm temporaries
+# and seed pair (~5.4-5.8).  max_points bounds grid x the sum of these
+# over a batch (_member_points).
+_ARRAYS_PER_MEMBER = {EP: 9, NLS: 7}
 _ARRAYS_PER_EXTRA_CURVE = 6
 
 
@@ -314,7 +316,8 @@ def _curve_batch(c, specs, stops=None):
     comparator spectrum one closed-form multiplier per eps_comp (evaluated
     for every eps_comp of the batch) times each curve's phi_hat(0), the truth
     and difference norms are one batched call, and rho[spec, sample] is
-    filled in place.  No state is recorded, so memory is O(batch x grid).
+    filled in place.  For NLS, drho[spec, sample] holds rho' beside it
+    (_slope).  No state is recorded, so memory is O(batch x grid).
     Every operation acts on each batch row alone, so a curve's bits do not
     depend on the rest of its batch.
 
@@ -341,32 +344,45 @@ def _curve_batch(c, specs, stops=None):
     stream = model_stream(c.model, grid, params, step, len(times) - 1, phi_hat)
     del phi_hat  # the stream owns the photon spectra
     rho = np.empty((len(specs), len(times)))
+    drho = np.empty_like(rho) if _carries_slope(c) else None
     ends = np.full(len(specs), len(times))
 
     def rho_at(t, truth_hat):
-        # truth rows, then each curve's comparator-minus-truth row, built in
-        # place so the one norm call needs no further copy
-        stack = np.empty((len(truth_hat) + len(live),) + grid.shape, np.complex128)
-        stack[: len(truth_hat)] = truth_hat
-        diff = stack[len(truth_hat) :]
+        # truth rows, then each curve's comparator-minus-truth row and, for
+        # rho', each truth's forcing row, built in place so the one norm
+        # call needs no further copy
+        truths, curves = len(truth_hat), len(live)
+        forcing = None if drho is None else nls_forcing(grid, params, truth_hat)
+        rows = truths + curves + (0 if forcing is None else truths)
+        stack = np.empty((rows,) + grid.shape, np.complex128)
+        if forcing is not None:
+            stack[truths + curves :] = forcing
+            del forcing
+        stack[:truths] = truth_hat
+        diff = stack[truths : truths + curves]
         np.take(symbols(t), comp_of, axis=0, out=diff)
         diff *= curve_phi0_hat
         diff -= truth_hat[member]
         norms = hs_norm_from_fft(stack, grid, c.s)
-        den = norms[: len(truth_hat)][member]
+        den = norms[:truths][member]
         if np.any(den == 0.0):
             delta = specs[live[int(np.argmax(den == 0.0))]][0]
             raise ZeroDivisionError(
                 f"truth norm underflow at t = {t:.6g} for delta = {delta:.6g}"
             )
-        return norms[len(truth_hat) :] / den
+        r = norms[truths : truths + curves] / den
+        if drho is None:
+            return r, None
+        return r, _slope(grid, c.s, stack, norms, member, r)
 
     keep = None
     for i, t in enumerate(times):
         # no reference to a sample's arrays outlives rho_at, so a step
         # never holds the rows it has just dropped
-        r = rho_at(t, stream.send(keep)[1][0])
+        r, dr = rho_at(t, stream.send(keep)[1][0])
         rho[live, i] = r
+        if dr is not None:
+            drho[live, i] = dr
         keep = None
         done = r >= stop
         if done.any():
@@ -380,9 +396,54 @@ def _curve_batch(c, specs, stops=None):
             if len(kept) < rows:
                 keep, rows = kept, len(kept)
     return [
-        ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end], epsilon_comp=e)
+        ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end], epsilon_comp=e,
+                   drho=None if drho is None else drho[j, :end])
         for j, ((d, e), end) in enumerate(zip(specs, ends))
     ]
+
+
+def _carries_slope(c):
+    """Whether c's curves carry rho' (ErrorCurve.drho): NLS's, where the
+    flow gives it for two transforms per sample and buys a clock of half
+    the samples.  EP's would cost a transform and a comparator exciton row
+    per sample and buys no coarser clock, so EP curves carry rho alone."""
+    return c.model == NLS
+
+
+def _slope(grid, s, stack, norms, member, rho):
+    """rho' of NLS curves from a sample's stack of truth spectra T (one row
+    per batch member), comparator-minus-truth spectra D (one per curve, of
+    the member ``member`` gives) and forcings F = nls_forcing(T) (one per
+    member), their H^s norms, and rho.  Overwrites the stack.
+
+    T' = -i|k|^2 T - i F, and the free comparator makes D' = -i|k|^2 D +
+    i F.  The free part drops out of Re<X, X'>_s because the weight is
+    real, so rho'/rho = Re<D, D'>_s / ||D||^2 - Re<T, T'>_s / ||T||^2 is
+
+        rho' = ||F|| / ||T|| (cos(D, iF) + rho cos(T, iF)),
+
+    cos(X, iF) = Re<X, iF>_s / (||X|| ||F||).  At D = 0 (t = 0) D grows as
+    i F t, so cos(D, iF) takes its one-sided limit 1: rho' = ||F|| / ||T||.
+    Each row is first scaled by the power of two that brings its norm into
+    [1/2, 1), exactly, as hs_norm_from_fft scales before squaring, so no
+    product or sum under- or overflows at any amplitude."""
+    truths = (len(norms) - len(member)) // 2
+    split = truths + len(member)
+    _, exponent = np.frexp(norms)
+    flat = stack.reshape(len(norms), -1).view(np.float64)
+    np.ldexp(flat, -exponent[:, None], out=flat)
+    unit = np.ldexp(norms, -exponent)
+    # Re<X, iF>_s = Im of the weighted sum of X conj(F)
+    forcing = np.conj(stack[split:], out=stack[split:])
+    stack[:truths] *= forcing
+    stack[truths:split] *= forcing[member]
+    dot = stack[:split].reshape(split, -1).imag @ ((1.0 + grid.k_squared) ** s).ravel()
+    dot *= grid.cell_volume**2 / grid.box_volume
+    den = unit[:split] * unit[split:][np.concatenate([np.arange(truths), member])]
+    cos = np.divide(dot, den, out=np.zeros_like(dot), where=den > 0.0)
+    cos_diff = np.where(norms[truths:split] == 0.0, 1.0, cos[truths:])
+    ratio = norms[split:][member] / norms[:truths][member]
+    return ratio * (cos_diff + rho * cos[:truths][member])
 
 
 def compute_error_curve(config, delta, epsilon_comp=None):
@@ -432,32 +493,42 @@ def curve_path(root, config, delta, epsilon_comp=None):
     return os.path.join(root, "curves", config_hash(config), name + ".csv")
 
 
-def write_curves(root, config, curves):
+# a curve file's columns: t,rho, and drho where the cache keeps rho'
+_CURVE_COLUMNS = ["t", "rho", "drho"]
+
+
+def write_curves(root, config, curves, slopes=False):
     """Write each curve as a t,rho CSV at the curve_path of its (delta,
-    epsilon_comp) under root."""
+    epsilon_comp) under root.  With ``slopes``, a curve that carries rho'
+    gets it as a third column, drho: the form the cache keeps."""
     for curve in curves:
+        columns = [curve.times, curve.rho]
+        if slopes and curve.drho is not None:
+            columns.append(curve.drho)
         write_csv(curve_path(root, config, curve.delta, curve.epsilon_comp),
-                  ["t", "rho"], zip(curve.times, curve.rho))
+                  _CURVE_COLUMNS[: len(columns)], zip(*columns))
 
 
-def _read_cached(path, spec, times, tolerance):
+def _read_cached(c, path, spec, times, tolerance):
     """The curve of spec, its (delta, epsilon_comp), cached at path, cut at
     its stop sample (the first where rho reaches ``tolerance``), or None if
-    it is missing, unreadable, its times are not a prefix of the sample
-    grid ``times``, its rho is not finite, or it ends before both that
-    sample and T.  A cache written to
-    T or to a larger tolerance is served cut, so a warm run returns
-    bitwise the curve a cold run computes."""
+    it is missing, unreadable, lacks the drho column c's curves carry (or
+    has one they do not), its times are not a prefix of the sample grid
+    ``times``, its values are not finite, or it ends before both that
+    sample and T.  A cache written to T or to a larger tolerance is served
+    cut, so a warm run returns bitwise the curve a cold run computes."""
     if not os.path.exists(path):
         return None
     try:
-        t, rho = read_curve_csv(path)
+        names, rows = read_curve_csv(path)
     except (OSError, ValueError, StopIteration):
         return None
-    t, rho = np.asarray(t), np.asarray(rho)
+    if names != _CURVE_COLUMNS[: 3 if _carries_slope(c) else 2]:
+        return None
+    t, rho = rows[:, 0], rows[:, 1]
     if not 0 < len(t) <= len(times) or not np.array_equal(t, times[: len(t)]):
         return None
-    if not np.all(np.isfinite(rho)):
+    if not np.all(np.isfinite(rows)):
         return None
     reached = np.flatnonzero(rho >= tolerance)
     if len(reached):
@@ -466,7 +537,8 @@ def _read_cached(path, spec, times, tolerance):
         end = len(t)
     else:
         return None
-    return ErrorCurve(delta=spec[0], times=t[:end], rho=rho[:end], epsilon_comp=spec[1])
+    return ErrorCurve(delta=spec[0], times=t[:end], rho=rho[:end], epsilon_comp=spec[1],
+                      drho=rows[:end, 2] if len(names) == 3 else None)
 
 
 def _stop_tolerances(config):
@@ -506,8 +578,9 @@ def run_error_curves(config):
     does, so it is a bitwise prefix of compute_error_curve's full-horizon
     curve.  The cache serves prefixes: a cached curve that reaches that
     sample or runs to T is read back cut to it (_read_cached); the misses
-    are computed together and cached.  With config.workers > 1 the misses
-    are dealt to that many processes in interleaved batches."""
+    are computed together and cached, with rho' where the curves carry it.
+    With config.workers > 1 the misses are dealt to that many processes in
+    interleaved batches."""
     stops = _stop_tolerances(config)
     specs = list(stops)
     curves = {}
@@ -515,13 +588,17 @@ def run_error_curves(config):
         times = sample_times(config.T, _solver_step(config))
         for spec in specs:
             path = curve_path(config.cache_dir, config, *spec)
-            curve = _read_cached(path, spec, times, stops[spec])
+            curve = _read_cached(config, path, spec, times, stops[spec])
             if curve is not None:
                 curves[spec] = curve
     misses = [spec for spec in specs if spec not in curves]
     groups = _by_delta(misses)
     lanes = min(config.workers, len(groups))
     if lanes > 1:
+        # imported here: the pool's modules cost import time that a
+        # one-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         batches = [[s for g in groups[i::lanes] for s in g] for i in range(lanes)]
         with ProcessPoolExecutor(max_workers=lanes) as pool:
             computed = [curve for part in pool.map(_compute_curves, [config] * lanes, batches)
@@ -529,7 +606,7 @@ def run_error_curves(config):
     else:
         computed = _compute_curves(config, misses)
     if config.cache_dir:
-        write_curves(config.cache_dir, config, computed)
+        write_curves(config.cache_dir, config, computed, slopes=True)
     curves.update(((c.delta, c.epsilon_comp), c) for c in computed)
     return [curves[s] for s in specs]
 
@@ -539,17 +616,23 @@ def run_error_curves(config):
 
 
 def find_crossing(curve, epsilon, epsilon_floor=0.0):
-    """First time rho(t) reaches epsilon: log t as a cubic in log rho
-    through the four samples i-3..i, i the first sample with
-    rho >= epsilon (four-point Lagrange; cf. event location by
-    interpolating stored steps, Shampine & Thompson 2000).  The window
-    ends at sample i, so nothing past the curve's stop sample is read.
-    The rule falls back to linear interpolation in (log t, log rho)
-    between samples i-1 and i when i < 4, when a window sample has
-    t <= 0 or rho <= 0, when log rho is not strictly increasing over the
-    window, or when the cubic leaves the bracket (t[i-1], t[i]].  On the
-    default EP clock (one triple jump per sample of 1/50) the crossings
-    are within 6.4e-7 (1D) and 3.4e-5 (2D composite) of fine references."""
+    """First time rho(t) reaches epsilon, read off the samples up to i, the
+    first with rho >= epsilon, so nothing past the curve's stop sample is
+    read (event location by interpolating stored steps: Hairer, Norsett &
+    Wanner, Solving ODEs I, Sec. II.6; Shampine & Thompson 2000).
+
+    A curve that carries rho' (NLS) gives log t as a cubic Hermite in
+    log rho on the bracket [t[i-1], t[i]], from its end values and slopes
+    d log t / d log rho = rho / (t rho').  Otherwise, or when rho' <= 0 at
+    either end or the Hermite value leaves the bracket (t[i-1], t[i]],
+    log t is a cubic in log rho through the four samples i-3..i
+    (four-point Lagrange).  That falls back to linear interpolation in
+    (log t, log rho) between samples i-1 and i when i < 4, when a window
+    sample has t <= 0 or rho <= 0, when log rho is not strictly increasing
+    over the window, or when the cubic leaves the bracket.  A crossing
+    before the first positive sample (t[i-1] = 0) raises NoCrossingError.
+    On the default clocks the crossings are within 6.4e-7 (EP 1D), 3.4e-5
+    (2D composite) and 1.3e-9 (NLS) of fine references."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon < epsilon_floor:
@@ -569,7 +652,8 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
         raise NoCrossingError(
             f"curve already exceeds epsilon = {epsilon:.6g} at its first sample"
         )
-    tl, tr, rl, rr = t[i - 1], t[i], rho[i - 1], rho[i]
+    # Python floats, which overflow to inf without a warning
+    (tl, tr), (rl, rr) = t[i - 1 : i + 1].tolist(), rho[i - 1 : i + 1].tolist()
     if rr == epsilon:
         return float(tr)
     if rl <= 0.0 or tl <= 0.0:
@@ -577,6 +661,19 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
             f"crossing of epsilon = {epsilon:.6g} falls before the first "
             "positive sample; increase the sampling cadence"
         )
+    slopes = None if curve.drho is None else curve.drho[i - 1 : i + 1].tolist()
+    if slopes is not None and min(slopes) > 0.0:
+        # cubic Hermite in x = log rho on [x0, x1], in u = (x - x0) / h,
+        # with its end slopes scaled by h: y0 + m0 u + c u^2 + d u^3
+        x0, x1 = math.log(rl), math.log(rr)
+        y0, y1 = math.log(tl), math.log(tr)
+        h, rise = x1 - x0, y1 - y0
+        m0 = h * rl / (tl * slopes[0])
+        m1 = h * rr / (tr * slopes[1])
+        u = (math.log(epsilon) - x0) / h
+        log_t = y0 + u * (m0 + u * (3.0 * rise - 2.0 * m0 - m1 + u * (m0 + m1 - 2.0 * rise)))
+        if y0 < log_t <= y1:
+            return math.exp(log_t)
     window = slice(i - 3, i + 1)
     if i >= 4 and rho[window].min() > 0.0 and t[window].min() > 0.0:
         x, y = np.log(rho[window]).tolist(), np.log(t[window]).tolist()

@@ -9,6 +9,7 @@ contraction-argument existence horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .evolution import ModelParams
@@ -24,6 +25,14 @@ class NoRealRootsError(ValueError):
     small-parameter regime (the minimum of Q over y > 0 is positive)."""
 
 
+def _check_finite(**values):
+    # as ModelParams checks its constants: a nan or inf argument would
+    # come out as a nan or infinite result
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LemmaQInput:
     """Parameters (eta, delta, p) of Q(y) = eta*y^p - y + delta."""
@@ -37,10 +46,7 @@ class LemmaQInput:
             raise ValueError("eta and delta must be nonnegative")
         if not self.p > 1:
             raise ValueError("nonlinearity power p must exceed 1")
-        for name in ("eta", "delta", "p"):
-            v = getattr(self, name)
-            if v != v or v in (float("inf"), float("-inf")):
-                raise ValueError(f"{name} must be finite")
+        _check_finite(eta=self.eta, delta=self.delta, p=self.p)
 
     @property
     def z(self):
@@ -189,6 +195,7 @@ class BetaPrediction:
 
 def beta_predict(alpha, p, model):
     """beta(alpha): 1-(p-1)*alpha for NLS, divided by (p+2) for EP."""
+    _check_finite(alpha=alpha, p=p)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if not p > 1:
@@ -227,6 +234,7 @@ def bound_constants(params, M, Kp, C, C1, C2, alpha):
     """B = |g| Kp C M^(p-1); B1 = gamma^2 C1^2 / 2; B2 adds the C2 term
     (1/(p+2)) |g| Kp gamma^(p+1) M^(p-1) C2^(p+2) when alpha <= 1/2;
     q = min(2, 1 + p/2 + alpha (p-1))."""
+    _check_finite(M=M, Kp=Kp, C=C, C1=C1, C2=C2, alpha=alpha)
     for name, v in (("M", M), ("Kp", Kp), ("C", C), ("C1", C1), ("C2", C2), ("alpha", alpha)):
         if v < 0:
             raise ValueError(f"{name} must be nonnegative")

@@ -98,8 +98,12 @@ def test_lemma_no_roots(capsys):
     (["simulate", "--delta", "nan"], "--delta must be finite"),
     (["simulate", "--delta", "inf"], "--delta must be finite"),
     (["predict", "--alpha", "0", "--g", "nan"], "g must be finite, got nan"),
+    (["predict", "--alpha", "0.1", "--M", "nan"], "M must be finite, got nan"),
+    (["predict", "--alpha", "0.1", "--C2", "inf"], "C2 must be finite, got inf"),
+    (["predict", "--alpha", "inf"], "alpha must be finite, got inf"),
 ], ids=["predict-p", "predict-alpha", "lemma-eta", "lemma-p", "simulate-nan",
-        "simulate-inf", "predict-g-nan"])
+        "simulate-inf", "predict-g-nan", "predict-M-nan", "predict-C2-inf",
+        "predict-alpha-inf"])
 def test_invalid_arguments_are_usage_errors(tmp_path, capsys, argv, named):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path / "o")]
@@ -366,6 +370,29 @@ def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkey
     cold, warm = (outputs(out) for out in runs)
     assert len([name for name in cold if name.startswith("curves")]) == 4
     assert warm == cold
+
+
+def test_nls_sweep_writes_t_rho_and_caches_drho(tmp_path, capsys, monkeypatch):
+    # the cache keeps rho' for the Hermite crossings; the output curve
+    # files keep their t,rho form, and a warm run writes the cold run's
+    # bytes
+    cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n[solver]\nT = 0.1\n"
+                    "[sweep]\nalphas = 0,0.2\nepsilons = 1e-2,5e-3,3e-3\n"
+                    f"[output]\ncache_dir = {tmp_path / 'cache'}\n")
+    runs = [tmp_path / "cold", tmp_path / "warm"]
+    assert main(["sweep", "--config", cfg, "--out", str(runs[0])]) == EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("the warm run computed a curve")
+
+    monkeypatch.setattr(epnls.sweep, "_curve_batch", refuse)
+    assert main(["sweep", "--config", cfg, "--out", str(runs[1])]) == EXIT_OK
+    cached = sorted((tmp_path / "cache").rglob("*.csv"))
+    written = [sorted(out.rglob("curves/*/*.csv")) for out in runs]
+    assert len(cached) == len(written[0]) == 4
+    assert all(p.read_text().startswith("t,rho,drho\n") for p in cached)
+    assert all(p.read_text().startswith("t,rho\n0,0\n") for p in written[0])
+    assert [p.read_bytes() for p in written[0]] == [p.read_bytes() for p in written[1]]
 
 
 def test_composite_sweep_writes_one_curve_file_per_epsilon(tmp_path, capsys):

@@ -53,8 +53,8 @@ def test_nls_model_defaults():
     assert cfg == SweepConfig(model="nls")
     assert cfg.comparator == "linear-nls"
     assert cfg.T == 0.2
-    assert cfg.dt == 2.5e-4
-    assert cfg.samples_per_unit_time == 4000
+    assert cfg.dt == 5e-4
+    assert cfg.samples_per_unit_time == 2000
 
 
 def test_p_constraint_named_in_error():
@@ -122,7 +122,7 @@ def test_config_hash_sensitivity():
 
 @pytest.mark.parametrize("doc, pinned", [
     ("", "db5585ed50aa6712"),
-    ("[physics]\nmodel = nls\n", "e2fa8204957d6fef"),
+    ("[physics]\nmodel = nls\n", "5401e32fefdac046"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
      "alphas = 0,0.2\n", "46d91a9b7a021055"),
 ])

@@ -16,7 +16,7 @@ from epnls.evolution import (
     relative_error_curve,
     zero_state,
 )
-from epnls.grid import free_propagate, gaussian_initial, make_grid
+from epnls.grid import Field, free_propagate, gaussian_initial, make_grid, sobolev_norm
 from epnls.runio import write_csv
 from epnls.sweep import (
     SOLVER_REVISION,
@@ -86,7 +86,7 @@ def test_config_resolution_defaults():
     assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 2e-2, "systemB", 1.0)
     assert ep.samples_per_unit_time == 50
     nls = SweepConfig(model="nls", n=2, N=32)
-    assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 2.5e-4, 4000)
+    assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 5e-4, 2000)
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
     assert ep.resolved() is ep and ep.to_sweep_config() is ep
@@ -188,6 +188,46 @@ def test_find_crossing_cubic_beats_linear():
         assert cubic * 10 <= linear
 
 
+def _analytic_curve(times, with_slope):
+    """rho = C t^5 (1 + a t), no power law, with its exact rho' if asked."""
+    times = np.asarray(times, dtype=float)
+    rho = 0.01 * times**5 * (1.0 + 0.7 * times)
+    drho = 0.01 * times**4 * (5.0 + 6.0 * 0.7 * times) if with_slope else None
+    return ErrorCurve(delta=1.0, times=times, rho=rho, drho=drho)
+
+
+def test_find_crossing_hermite_beats_cubic():
+    # with the exact rho', the cubic Hermite on the bracket lands >= 10x
+    # closer to the root than the four-point cubic on the default EP
+    # sample spacing (measured 15-500x)
+    from scipy.optimize import brentq
+
+    t = np.arange(101) * 0.02
+    plain, sloped = _analytic_curve(t, False), _analytic_curve(t, True)
+    for eps in (1e-4, 1e-3, 3e-3, 1e-2):
+        root = brentq(lambda s: _analytic_curve([s], False).rho[0] - eps, 1e-3, 2.0,
+                      xtol=1e-15, rtol=1e-15)
+        hermite = abs(find_crossing(sloped, eps) - root)
+        cubic = abs(find_crossing(plain, eps) - root)
+        assert hermite * 10 <= cubic
+
+
+@pytest.mark.parametrize("left, right", [
+    (0.0, 1.0),  # rho' <= 0 at either end
+    (1.0, -1.0),
+    (1e-6, 1e-6),  # slopes 10^6 too steep: the Hermite value leaves the bracket
+], ids=["zero-left", "negative-right", "outside-bracket"])
+def test_find_crossing_hermite_falls_back_to_the_cubic_rule(left, right):
+    # rho' scaled by left and right at the ends of the bracket
+    t = np.arange(101) * 0.02
+    eps = 1.0005e-3  # a quarter into its bracket
+    curve = _analytic_curve(t, True)
+    i = int(np.argmax(curve.rho >= eps))
+    curve.drho[i - 1] *= left
+    curve.drho[i] *= right
+    assert find_crossing(curve, eps) == find_crossing(_analytic_curve(t, False), eps)
+
+
 @pytest.mark.parametrize("times, rho, eps", [
     # the first sample at or above epsilon is sample 3 < 4 (every sample
     # positive, so only the index rules the cubic out)
@@ -265,6 +305,69 @@ def test_tiny_amplitude_curve_is_finite():
     curve = compute_error_curve(cfg, 1e-220)
     assert np.all(np.isfinite(curve.rho))
     assert curve.rho[0] == 0.0
+
+
+# a small NLS config for the slope tests
+SMALL_NLS = dict(model="nls", N=64, T=0.02)
+
+
+def test_drho_matches_a_centred_difference_of_a_fine_curve():
+    # rho' at every interior sample of a curve sampled 10x finer than the
+    # default against (rho[i+1] - rho[i-1]) / 2h, whose own error is
+    # O(h^2) times the third derivative of rho
+    cfg = SweepConfig(**SMALL_NLS, dt=5e-5, samples_per_unit_time=20000)
+    curve = compute_error_curve(cfg, 0.8)
+    h = 1.0 / cfg.samples_per_unit_time
+    centred = (curve.rho[2:] - curve.rho[:-2]) / (2.0 * h)
+    assert np.all(curve.drho > 0.0)
+    assert np.max(np.abs(curve.drho[1:-1] - centred) / curve.drho[1:-1]) < 1e-7
+
+
+@pytest.mark.parametrize("g", [1.0, -0.5])
+def test_drho_at_t0_is_the_forcing_over_the_truth_norm(g):
+    # at t = 0, D = 0 and D' = i g N_hat: rho' takes its one-sided limit
+    # |g| ||N_hat||_s / ||T||_s, N = |phi|^(p-1) phi
+    cfg = SweepConfig(**SMALL_NLS, g=g)
+    grid = make_grid(cfg.n, cfg.N, cfg.L)
+    phi = gaussian_initial(grid, 0.7).values
+    forcing = Field(grid, np.abs(phi) ** 2 * phi)
+    expected = abs(g) * sobolev_norm(forcing, cfg.s) / sobolev_norm(Field(grid, phi), cfg.s)
+    curve = compute_error_curve(cfg, 0.7)
+    assert curve.rho[0] == 0.0
+    assert curve.drho[0] == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("delta", [1e-220, 1e-150, 1e6])
+def test_drho_is_finite_at_extreme_amplitudes(delta):
+    # |phi|^(p-1) phi underflows or grows as delta^p; the slope's inner
+    # products are scaled row by row by powers of two, so rho' stays
+    # finite and no RuntimeWarning (an error in these tests) is raised
+    curve = compute_error_curve(SweepConfig(**SMALL_NLS), delta)
+    assert np.all(np.isfinite(curve.drho)) and len(curve.drho) == len(curve.times)
+
+
+def test_drho_is_exact_where_unscaled_products_overflow():
+    # phi = delta psi turns g into g delta^2, so g = 1e-308 at delta = 1e154
+    # is the delta = 1, g = 1 flow.  Its spectra reach ~1e155, and their
+    # unscaled products would overflow; scaled, rho' is that flow's
+    curve = compute_error_curve(SweepConfig(**SMALL_NLS, g=1e-308), 1e154)
+    unit = compute_error_curve(SweepConfig(**SMALL_NLS), 1.0)
+    assert curve.drho == pytest.approx(unit.drho, rel=1e-13)
+
+
+def test_nls_cache_without_drho_is_recomputed(tmp_path):
+    # a t,rho file at an NLS curve's cache path lacks the rho' column
+    # find_crossing reads, so it misses, and the cache is mended
+    cfg = SweepConfig(**SMALL_NLS, alpha_set=(0.0,), epsilon_set=(1e-2, 3e-3),
+                      cache_dir=str(tmp_path))
+    (cold,) = run_error_curves(cfg)
+    path = Path(curve_path(str(tmp_path), cfg, 1.0))
+    blob = path.read_text()
+    assert blob.startswith("t,rho,drho\n")
+    write_csv(str(path), ["t", "rho"], zip(cold.times, cold.rho))
+    (again,) = run_error_curves(cfg)
+    assert _bits([again]) == _bits([cold])
+    assert path.read_text() == blob
 
 
 def test_single_curve_serves_all_epsilons():
@@ -370,7 +473,8 @@ FOUR_CURVES = dict(model="ep", N=64, T=1.0, alpha_set=(0.0, 0.2),
 
 
 def _bits(curves):
-    return [(c.delta, c.times.tobytes(), c.rho.tobytes()) for c in curves]
+    return [(c.delta, c.times.tobytes(), c.rho.tobytes(),
+             None if c.drho is None else c.drho.tobytes()) for c in curves]
 
 
 def _needed_tolerance(cfg, spec):
@@ -388,7 +492,8 @@ def _stop_prefix(cfg, spec, curve):
     never does."""
     above = np.flatnonzero(curve.rho >= _needed_tolerance(cfg, spec))
     end = above[0] + 1 if len(above) else len(curve.rho)
-    return ErrorCurve(delta=curve.delta, times=curve.times[:end], rho=curve.rho[:end])
+    return ErrorCurve(delta=curve.delta, times=curve.times[:end], rho=curve.rho[:end],
+                      drho=None if curve.drho is None else curve.drho[:end])
 
 
 def _reference_curve(c, delta, epsilon_comp=None):
@@ -616,7 +721,7 @@ def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
         cfg = SweepConfig(model="ep", N=32, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     else:  # the default clock
-        cfg = SweepConfig(model="nls", N=32, T=0.025, alpha_set=(0.0, 0.1),
+        cfg = SweepConfig(model="nls", N=32, T=0.05, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     specs = curve_specs(cfg)
     lengths = [len(_stop_prefix(cfg, spec, compute_error_curve(cfg, *spec)).times)
@@ -628,13 +733,15 @@ def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
     assert [len(c.times) for c in curves] == lengths
     # one transform of the initial photon fields, then 2 per inner substep
     # of each model's triple jump (3 per step: EP's linear substeps, NLS's
-    # rotations) and none per sample: both loops carry the truth's photon
-    # spectrum.  Every call moves one field of the amplitudes still
-    # stepping (EP transforms only psi): those whose curves need a sample
-    # past this step.  Stepping ends with the last one.
-    per_step = 2 * 3
-    live = [sum(n > k for n in lengths) for k in range(1, max(lengths))]
-    assert fft_calls == [4 * 32] + [m * 32 for m in live for _ in range(per_step)]
+    # rotations).  Both loops carry the truth's photon spectrum, so rho
+    # costs no transform; NLS's rho' costs 2 per sample, t = 0 included
+    # (nls_forcing's inverse and forward transform).  Every call moves one
+    # field of the amplitudes still stepping (EP transforms only psi):
+    # those whose curves need this sample.  Stepping ends with the last one.
+    per_step, per_sample = 2 * 3, (2 if model == "nls" else 0)
+    live = [sum(n > k for n in lengths) for k in range(max(lengths))]
+    assert fft_calls == [4 * 32] + [m * 32 for k, m in enumerate(live)
+                                    for _ in range((per_step if k else 0) + per_sample)]
 
 
 def _traced_peak(cfg, specs):
@@ -680,29 +787,41 @@ def test_guard_counts_the_arrays_of_every_composite_curve(n, N):
 
 def test_default_nls_dt_is_converged():
     # crossings of the delta = 1 curve at the default clock (one triple
-    # jump of 2.5e-4 per sample of 1/4000) against a 4x finer step at the
+    # jump of 5e-4 per sample of 1/2000) against a 4x finer step at the
     # same samples: the step is not what limits the crossings (measured
-    # 6.4e-14 apart; the whole default sweep is within 6.7e-12 of
+    # 1.2e-12 apart; the whole default sweep is within 7.5e-12 of
     # dt = 2.5e-5)
     coarse = compute_error_curve(SweepConfig(model="nls"), 1.0)
-    fine = compute_error_curve(SweepConfig(model="nls", dt=6.25e-5), 1.0)
+    fine = compute_error_curve(SweepConfig(model="nls", dt=1.25e-4), 1.0)
     for eps in SweepConfig(model="nls").epsilon_set:
         t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
         assert t_coarse == pytest.approx(t_fine, rel=1e-6)
 
 
 @pytest.mark.parametrize("power", [0.997, 1.0, 1.003])
-def test_default_nls_crossings_lie_past_sample_3(power):
-    # find_crossing falls back to its linear rule for a crossing before
-    # sample 4.  4,000 samples per unit time is the coarsest NLS rate that
-    # keeps every default crossing past it with the tolerances raised to
-    # 1 -+ 0.003, the benchmark's ladder jitter: the earliest, alpha = 0
-    # at the smallest epsilon, lies at t ~ 1.0e-3 > 3 / 4000
+def test_default_nls_crossings_lie_past_sample_1(power):
+    # find_crossing's Hermite rule reads a crossing off the bracket
+    # [t[i-1], t[i]] and needs t[i-1] > 0, so every default crossing must
+    # lie past sample 1, also with the tolerances raised to 1 -+ 0.003, the
+    # benchmark's ladder jitter: the earliest, alpha = 0 at the smallest
+    # epsilon, lies at t ~ 1.0e-3, sample 2 of 1/2000.  Every crossing is
+    # then read by the Hermite rule, as scipy's spline through the bracket
+    # reads it
+    from scipy.interpolate import CubicHermiteSpline
+
     ladder = tuple(e**power for e in SweepConfig(model="nls").epsilon_set)
     cfg = SweepConfig(model="nls", epsilon_set=ladder)
     result = run_algorithm_a(cfg)
     assert not result.failures and len(result.crossings) == 24
-    assert min(c.t_cross for c in result.crossings) * cfg.samples_per_unit_time > 3
+    assert min(c.t_cross for c in result.crossings) * cfg.samples_per_unit_time > 1
+    curves = {c.delta: c for c in result.curves}
+    for record in result.crossings:
+        curve = curves[record.delta]
+        i = int(np.argmax(curve.rho >= record.epsilon))
+        t, rho, drho = (a[i - 1 : i + 1] for a in (curve.times, curve.rho, curve.drho))
+        spline = CubicHermiteSpline(np.log(rho), np.log(t), rho / (t * drho))
+        assert record.t_cross == pytest.approx(np.exp(spline(np.log(record.epsilon))),
+                                               rel=1e-13)
 
 
 def test_default_ep_dt_is_converged():
@@ -719,9 +838,9 @@ def test_default_ep_dt_is_converged():
 
 
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 5, "nls": 4}
+    assert SOLVER_REVISION == {"ep": 5, "nls": 5}
     assert "solver=5" in physics_signature(SweepConfig(**FAST_EP))
-    assert "solver=4" in physics_signature(SweepConfig(model="nls"))
+    assert "solver=5" in physics_signature(SweepConfig(model="nls"))
 
 
 @pytest.mark.parametrize("corrupt", [
