@@ -41,6 +41,9 @@ Three linear comparators, each a per-mode multiplier of the initial
 spectra, are evaluated in closed form with no stepping error: the fully
 linear coupling (g = 0, "system B"), the free photon driving the exciton
 linearly ("system A"), and the composite of A up to t1 and B after.
+Every per-mode symbol (free_symbol, linear_pair_propagator,
+system_a_symbols, composite_seed) is a function of |k|^2 alone, evaluated
+on the grid's distinct values k_levels and gathered onto the lattice.
 
 Every sample comes from a stream of (t, spectra, u): the kernel yields
 its fields at t = 0 and after each sample interval, and a comparator its
@@ -56,6 +59,7 @@ import numpy as np
 
 from .grid import (
     Field,
+    _free_symbol_of,
     default_sobolev_index,
     free_symbol,
     hs_norm_from_fft,
@@ -256,9 +260,13 @@ class ErrorCurve:
 def linear_pair_propagator(grid, gamma, omega0, t):
     """Per-mode entries (U11, U12, U22) of exp(-i t H_k) for the Hermitian
     symbol H_k = [[|k|^2, gamma], [gamma, omega0]]; U21 = U12."""
-    a = grid.k_squared
-    mu = 0.5 * (a + omega0)
-    d = 0.5 * (a - omega0)
+    return tuple(grid.gather(_pair_propagator_of(grid.k_levels, gamma, omega0, t)))
+
+
+def _pair_propagator_of(k_sq, gamma, omega0, t):
+    # linear_pair_propagator on an array of |k|^2 values
+    mu = 0.5 * (k_sq + omega0)
+    d = 0.5 * (k_sq - omega0)
     big_omega = np.sqrt(d * d + gamma * gamma)
     phase = np.exp(-1j * mu * t)
     angle = big_omega * t
@@ -571,7 +579,12 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
 def system_a_symbols(grid, params, t):
     """Per-mode multipliers (A_phi, A_psi) taking phi_hat(0) to the
     system-A photon and exciton spectra at time t (exciton starting at 0)."""
-    gap = params.omega0 - grid.k_squared
+    return tuple(grid.gather(_system_a_of(grid.k_levels, params, t)))
+
+
+def _system_a_of(k_sq, params, t):
+    # system_a_symbols on an array of |k|^2 values
+    gap = params.omega0 - k_sq
     resonant = np.abs(gap) < _RESONANCE_GAP
     gap_safe = np.where(resonant, 1.0, gap)
     theta = gap * t
@@ -581,15 +594,20 @@ def system_a_symbols(grid, params, t):
         (np.exp(1j * gap_safe * t) - 1.0) / (1j * gap_safe),
     )
     a_psi = -1j * params.gamma * np.exp(-1j * params.omega0 * t) * ramp
-    return free_symbol(grid, t), a_psi
+    return _free_symbol_of(k_sq, t), a_psi
 
 
 def composite_seed(grid, params, t1):
     """Per-mode (B_phi, B_psi) = U(-t1) (A_phi(t1), A_psi(t1)), so that the
     composite's multipliers after t1 are U(t) (B_phi, B_psi): one linear
     propagator U(t) serves every t1."""
-    back = linear_pair_propagator(grid, params.gamma, params.omega0, -t1)
-    return _pair_map(back, *system_a_symbols(grid, params, t1))
+    return tuple(grid.gather(_composite_seed_of(grid.k_levels, params, t1)))
+
+
+def _composite_seed_of(k_sq, params, t1):
+    # composite_seed on an array of |k|^2 values
+    back = _pair_propagator_of(k_sq, params.gamma, params.omega0, -t1)
+    return _pair_map(back, *_system_a_of(k_sq, params, t1))
 
 
 def evolve_composite_tilde(phi0, params, C1, epsilon, T=None, sample_times=None,

@@ -28,14 +28,15 @@ from .evolution import (
     ErrorCurve,
     ModelParams,
     StepSpec,
-    composite_seed,
-    linear_pair_propagator,
+    _composite_seed_of,
+    _pair_propagator_of,
     model_stream,
     nls_forcing,
     sample_times,
 )
 from .grid import (
     DEFAULT_MAX_POINTS,
+    _free_symbol_of,
     check_grid_args,
     default_sobolev_index,
     free_symbol,
@@ -78,18 +79,19 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 SOLVER_REVISION = {EP: 5, NLS: 5}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
-# the peak of _curve_batch, measured and rounded up (EP ~5.0 with system B
-# and ~8.4-8.9 with the composite, NLS ~6.5; checked by
+# the peak of _curve_batch, measured and rounded up (EP ~5.7 with system B
+# and ~7.2-8.3 with the composite, NLS ~6.5; checked by
 # tests/test_sweep.py): the curve's phi_hat(0) copy, the spectra the
 # split-step loop owns (EP: phi_hat, and psi in whichever space it is in;
 # NLS: one field, whose spectrum is dropped while it is rotated), the
 # temporaries of a rotation or a 2x2 step, the truth-and-difference stack
 # of the one norm call per sample (for NLS with its forcing row, which
 # rho' needs) and, for the composite, the seed pair of the curve's
-# comparator epsilon.  Each further curve of one delta (the composite's
-# other epsilons) adds its phi_hat(0) copy, stack row, norm temporaries
-# and seed pair (~5.4-5.8).  max_points bounds grid x the sum of these
-# over a batch (_member_points).
+# comparator epsilon, which lives on the |k|^2 levels (half a grid array
+# in 1D, less in 2D).  Each further curve of one delta (the composite's
+# other epsilons) adds its phi_hat(0) copy, stack row, norm temporaries,
+# comparator row and seed pair (~4.2-4.8).  max_points bounds grid x the
+# sum of these over a batch (_member_points).
 _ARRAYS_PER_MEMBER = {EP: 9, NLS: 7}
 _ARRAYS_PER_EXTRA_CURVE = 6
 
@@ -275,20 +277,23 @@ def _comparator_symbols(c, grid, params, comps):
     sample: comparator_hat(t) = M(t)[j] phi_hat(0).  NLS's is the free
     flow (one row); EP's follow system A (a free photon) up to t1 = c1
     sqrt(epsilon), 0 for system B, and U(t) times their composite_seed
-    after, all sharing one free symbol and one U(t) per t."""
+    after, all sharing one free symbol and one U(t) per t.  The rows are
+    built on the grid's levels of |k|^2 and gathered onto the lattice in
+    one take."""
     if c.comparator == COMPARATOR_LINEAR_NLS:
         return lambda t: free_symbol(grid, t)[None]
     if c.comparator == COMPARATOR_COMPOSITE and None in comps:
         raise ValueError("the composite comparator needs a comparator epsilon")
+    k_sq = grid.k_levels
     t1s = [0.0 if e is None else c.c1 * np.sqrt(e) for e in comps]
-    seeds = [composite_seed(grid, params, t1) for t1 in t1s]
+    seeds = [_composite_seed_of(k_sq, params, t1) for t1 in t1s]
 
     def symbols(t):
-        free = free_symbol(grid, t) if t <= max(t1s) else None
+        free = _free_symbol_of(k_sq, t) if t <= max(t1s) else None
         if t > min(t1s):
-            u11, u12, _ = linear_pair_propagator(grid, c.gamma, c.omega0, t)
-        return np.stack([free if t <= t1 else u11 * b_phi + u12 * b_psi
-                         for t1, (b_phi, b_psi) in zip(t1s, seeds)])
+            u11, u12, _ = _pair_propagator_of(k_sq, c.gamma, c.omega0, t)
+        return grid.gather(np.stack([free if t <= t1 else u11 * b_phi + u12 * b_psi
+                                     for t1, (b_phi, b_psi) in zip(t1s, seeds)]))
 
     return symbols
 

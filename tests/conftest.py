@@ -6,7 +6,9 @@ import pytest
 def fft_calls(monkeypatch):
     """A list that grows by one entry with every numpy.fft.fft / ifft /
     fftn / ifftn call: the number of complex points that call transforms.
-    fftn does not reach the counted fft, so no transform counts twice."""
+    Grid.fft and Grid.ifft make one fft or ifft call per grid axis, so an
+    n-D transform counts n times and a 1D transform once.  fftn does not
+    reach the counted fft, so no direct fftn call counts twice."""
     calls = []
     for name in ("fft", "ifft", "fftn", "ifftn"):
         orig = getattr(numpy.fft, name)

@@ -20,6 +20,7 @@ from epnls.evolution import (
     SolverBlowupError,
     StepSpec,
     Trajectory,
+    composite_seed,
     evolve_composite_tilde,
     evolve_ep,
     evolve_linear_b,
@@ -30,6 +31,7 @@ from epnls.evolution import (
     nonlinear_phase,
     relative_error_curve,
     sample_times,
+    system_a_symbols,
     zero_state,
 )
 
@@ -152,6 +154,75 @@ def test_linear_pair_propagator_unitary_per_mode():
         assert np.max(np.abs(row1 - 1)) < 1e-13
         assert np.max(np.abs(row2 - 1)) < 1e-13
         assert np.max(np.abs(cross)) < 1e-13
+
+
+# Each public symbol is evaluated on the grid's |k|^2 levels and gathered;
+# these are the formulas evaluated directly on the full lattice, the
+# reference the gathered symbols must equal bitwise.
+
+
+def direct_pair_propagator(grid, gamma, omega0, t):
+    a = grid.k_squared
+    mu = 0.5 * (a + omega0)
+    d = 0.5 * (a - omega0)
+    big_omega = np.sqrt(d * d + gamma * gamma)
+    phase = np.exp(-1j * mu * t)
+    angle = big_omega * t
+    cos_t = np.cos(angle)
+    denom = np.where(big_omega == 0.0, 1.0, big_omega)
+    sinc_t = np.where(big_omega == 0.0, t, np.sin(angle) / denom)
+    return (phase * (cos_t - 1j * d * sinc_t), phase * (-1j * gamma * sinc_t),
+            phase * (cos_t + 1j * d * sinc_t))
+
+
+def direct_system_a_symbols(grid, params, t):
+    gap = params.omega0 - grid.k_squared
+    resonant = np.abs(gap) < 1e-8
+    gap_safe = np.where(resonant, 1.0, gap)
+    theta = gap * t
+    ramp = np.where(
+        resonant,
+        t * (1.0 + 0.5j * theta - theta**2 / 6.0),
+        (np.exp(1j * gap_safe * t) - 1.0) / (1j * gap_safe),
+    )
+    a_psi = -1j * params.gamma * np.exp(-1j * params.omega0 * t) * ramp
+    return np.exp(-1j * grid.k_squared * t), a_psi
+
+
+def direct_composite_seed(grid, params, t1):
+    u11, u12, u22 = direct_pair_propagator(grid, params.gamma, params.omega0, -t1)
+    a_phi, a_psi = direct_system_a_symbols(grid, params, t1)
+    return u11 * a_phi + u12 * a_psi, u12 * a_phi + u22 * a_psi
+
+
+def _symbol_cases():
+    # the default coupling; omega0 on a lattice level, so that one mode is
+    # exactly resonant (system A's series branch); gamma = 0 there too, so
+    # that Omega = 0 at that mode (U's sinc branch)
+    grids = [make_grid(1, 256, 10.0), make_grid(2, 64, 10.0), make_grid(3, 8, 10.0)]
+    for grid in grids:
+        level = float(grid.k_levels[3])
+        for params in (ModelParams(), ModelParams(gamma=0.7, omega0=level),
+                       ModelParams(gamma=0.0, omega0=level)):
+            yield grid, params
+
+
+@pytest.mark.parametrize("grid, params", list(_symbol_cases()),
+                         ids=[f"{n}d-{c}" for n in (1, 2, 3)
+                              for c in ("default", "resonant", "omega0")])
+@pytest.mark.parametrize("t", [0.0, 0.37, -0.41])
+def test_symbols_are_bitwise_their_full_lattice_formulas(grid, params, t):
+    def equal(got, want):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    gamma, omega0 = params.gamma, params.omega0
+    equal(linear_pair_propagator(grid, gamma, omega0, t),
+          direct_pair_propagator(grid, gamma, omega0, t))
+    equal(system_a_symbols(grid, params, t), direct_system_a_symbols(grid, params, t))
+    # composite_seed takes t1 >= 0 and applies U(-t1)
+    equal(composite_seed(grid, params, abs(t)), direct_composite_seed(grid, params, abs(t)))
+    assert np.array_equal(free_symbol(grid, t), np.exp(-1j * grid.k_squared * t))
 
 
 # ---------------------------------------------------------------- evolve_ep

@@ -125,6 +125,23 @@ def test_grid_transforms_are_bitwise_fftn(n, N):
         assert np.array_equal(g.ifft(a), np.fft.ifftn(a, axes=axes))
 
 
+@pytest.mark.parametrize("n, N, levels", [(1, 256, 129), (2, 64, 526), (3, 8, 42)],
+                         ids=["1", "2", "3"])
+def test_levels_gather_to_k_squared_exactly(n, N, levels):
+    # the sorted distinct |k|^2 values; 526 of 4,096 modes on the default 2D
+    # grid and 129 of 256 points in 1D are what every symbol is evaluated on.
+    # Levels are distinct floats: in 3D one sum of squares can round apart
+    # from the same squares summed in another axis order
+    g = make_grid(n, N, 10.0)
+    assert g.k_levels.size == levels
+    assert np.all(np.diff(g.k_levels) > 0)
+    assert g.level_index.shape == g.shape
+    assert np.array_equal(g.k_levels[g.level_index], g.k_squared)
+    assert np.array_equal(g.gather(g.k_levels), g.k_squared)
+    stacked = np.stack([g.k_levels, -g.k_levels])
+    assert np.array_equal(g.gather(stacked), np.stack([g.k_squared, -g.k_squared]))
+
+
 def test_single_mode_concentration():
     # the solvers' symbols rely on axis_k matching Grid.fft's storage order
     g = make_grid(1, 32, np.pi)

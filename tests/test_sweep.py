@@ -9,14 +9,23 @@ from epnls.evolution import (
     ModelParams,
     StepSpec,
     Trajectory,
+    composite_seed,
     evolve_composite_tilde,
     evolve_ep,
     evolve_linear_b,
     evolve_nls,
+    linear_pair_propagator,
     relative_error_curve,
     zero_state,
 )
-from epnls.grid import Field, free_propagate, gaussian_initial, make_grid, sobolev_norm
+from epnls.grid import (
+    Field,
+    free_propagate,
+    free_symbol,
+    gaussian_initial,
+    make_grid,
+    sobolev_norm,
+)
 from epnls.runio import write_csv
 from epnls.sweep import (
     SOLVER_REVISION,
@@ -451,6 +460,61 @@ def test_composite_comparator_runs():
     res = run_algorithm_a(cfg)
     assert len(res.curves) == 3  # one per epsilon: t1 depends on epsilon
     assert len(res.crossings) == 3
+
+
+def _full_lattice_comparator_symbols(c, grid, params, comps):
+    """_comparator_symbols as it was before its rows were built on the
+    |k|^2 levels: the same symbols and products on the full lattice (the
+    public symbols equal their full-lattice formulas bitwise, as
+    tests/test_evolution.py checks)."""
+    if c.comparator == "linear-nls":
+        return lambda t: free_symbol(grid, t)[None]
+    t1s = [0.0 if e is None else c.c1 * np.sqrt(e) for e in comps]
+    seeds = [composite_seed(grid, params, t1) for t1 in t1s]
+
+    def symbols(t):
+        free = free_symbol(grid, t) if t <= max(t1s) else None
+        if t > min(t1s):
+            u11, u12, _ = linear_pair_propagator(grid, c.gamma, c.omega0, t)
+        return np.stack([free if t <= t1 else u11 * b_phi + u12 * b_psi
+                         for t1, (b_phi, b_psi) in zip(t1s, seeds)])
+
+    return symbols
+
+
+@pytest.mark.parametrize("kw, comps", [
+    (dict(model="ep"), [None]),
+    (dict(model="ep", n=2, N=64), [None]),
+    (dict(model="nls"), [None]),
+    (dict(model="ep", comparator="composite", c1=1.0), [1e-2, 3e-3, 1e-3]),
+    (dict(model="ep", n=2, N=64, comparator="composite", c1=1.0), [1e-2, 3e-3, 1e-3]),
+], ids=["systemB-1d", "systemB-2d", "nls", "composite-1d", "composite-2d"])
+def test_comparator_rows_on_levels_are_bitwise_the_full_lattice_rows(
+        monkeypatch, kw, comps):
+    c = SweepConfig(**kw)
+    grid, params, _ = epnls.sweep.solver_setup(c)
+    sizes = []
+
+    def spy(name):
+        orig = getattr(epnls.sweep, name)
+
+        def counted(k_sq, *args):
+            sizes.append(k_sq.size)
+            return orig(k_sq, *args)
+
+        monkeypatch.setattr(epnls.sweep, name, counted)
+
+    for name in ("_free_symbol_of", "_pair_propagator_of", "_composite_seed_of"):
+        spy(name)
+    rows = epnls.sweep._comparator_symbols(c, grid, params, comps)
+    reference = _full_lattice_comparator_symbols(c, grid, params, comps)
+    # the composite's t1 = sqrt(epsilon) are 0.1, 0.055 and 0.032: times
+    # before, at, between and after them
+    for t in (0.0, 0.02, 0.04, 0.1, 0.2, 1.5):
+        assert np.array_equal(rows(t), reference(t))
+    # every EP symbol the sweep evaluates itself is evaluated on the levels:
+    # 526 of 4,096 modes in 2D, 129 of 256 in 1D
+    assert set(sizes) == (set() if c.model == "nls" else {grid.k_levels.size})
 
 
 def test_nls_meta_fit_small():
