@@ -49,14 +49,18 @@ def write_csv(path, header, rows):
 
 def read_curve_csv(path):
     """Parse a CSV of float columns written by write_csv, such as a curve's
-    t,rho: its header names and an array of rows, one column per name.
-    Raises ValueError on a row that is not one float per name."""
+    t,rho: its header names and an array of rows, one column per name (no
+    rows for a header alone).  Raises ValueError on a row that is not one
+    float per name; a '#' line is such a row, not a comment."""
     with open(path) as fh:
         names = next(fh).strip().split(",")
-        rows = np.array([tuple(map(float, line.split(","))) for line in fh])
-    if rows.size and rows.shape[1:] != (len(names),):
+        body = fh.read()
+    if not body.strip():  # np.loadtxt would warn on no data
+        return names, np.empty((0, len(names)))
+    rows = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2)
+    if rows.shape[1] != len(names):
         raise ValueError(f"{path}: rows do not have one value per column of {names}")
-    return names, rows.reshape(-1, len(names))
+    return names, rows
 
 
 class OutputLock:

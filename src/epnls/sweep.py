@@ -27,6 +27,7 @@ from .evolution import (
     NLS,
     ErrorCurve,
     ModelParams,
+    SolverBlowupError,
     StepSpec,
     _composite_seed_of,
     _pair_propagator_of,
@@ -39,7 +40,6 @@ from .grid import (
     _free_symbol_of,
     check_grid_args,
     default_sobolev_index,
-    free_symbol,
     gaussian_initial,
     hs_norm_from_fft,
     make_grid,
@@ -79,21 +79,30 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 SOLVER_REVISION = {EP: 5, NLS: 5}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
-# the peak of _curve_batch, measured and rounded up (EP ~5.7 with system B
-# and ~7.2-8.3 with the composite, NLS ~6.5; checked by
-# tests/test_sweep.py): the curve's phi_hat(0) copy, the spectra the
-# split-step loop owns (EP: phi_hat, and psi in whichever space it is in;
-# NLS: one field, whose spectrum is dropped while it is rotated), the
+# the peak of _curve_batch, one sample per block, measured and rounded up
+# (EP ~6.2 with system B and ~6.2-6.7 with the composite, NLS ~6.5;
+# checked by tests/test_sweep.py): the curve's phi_hat(0) copy, the spectra
+# the split-step loop owns (EP: phi_hat, and psi in whichever space it is
+# in; NLS: one field, whose spectrum is dropped while it is rotated), the
 # temporaries of a rotation or a 2x2 step, the truth-and-difference stack
-# of the one norm call per sample (for NLS with its forcing row, which
-# rho' needs) and, for the composite, the seed pair of the curve's
-# comparator epsilon, which lives on the |k|^2 levels (half a grid array
-# in 1D, less in 2D).  Each further curve of one delta (the composite's
-# other epsilons) adds its phi_hat(0) copy, stack row, norm temporaries,
-# comparator row and seed pair (~4.2-4.8).  max_points bounds grid x the
-# sum of these over a batch (_member_points).
+# of the sample's norm call (for NLS with its forcing row, which rho'
+# needs) and, for the composite, the seed pair of the curve's comparator
+# epsilon, which lives on the |k|^2 levels (half a grid array in 1D, less
+# in 2D).  Each further curve of one delta (the composite's other
+# epsilons) adds its phi_hat(0) copy, stack row, norm temporaries and seed
+# pair (~3.1-5.5; a 4096-point amplitude takes blocks of two samples).
+# max_points bounds grid x the sum of these over a batch (_batch_points).
+# A block of K > 1 samples holds its whole stack while it steps, so it is
+# taken only where max_points leaves room for twice its stack rows beside
+# the batch (_curve_batch).
 _ARRAYS_PER_MEMBER = {EP: 9, NLS: 7}
 _ARRAYS_PER_EXTRA_CURVE = 6
+
+# Truth points (batch rows x N^n x samples) _curve_batch measures in one
+# block: one norm call, forcing and comparator gather per block, not per
+# sample.  A 1D sweep's 18-amplitude head on 256 points keeps one sample
+# per block; NLS's tail, one amplitude, gets 32.
+_BLOCK_POINTS = 2**13
 
 
 class NoCrossingError(RuntimeError):
@@ -182,7 +191,7 @@ class SweepConfig:
             )
         object.__setattr__(self, "epsilon_set", eps)
         object.__setattr__(self, "alpha_set", alphas)
-        points = _member_points(self, max(map(len, _by_delta(curve_specs(self)))))
+        points = _batch_points(self, 1, max(map(len, _by_delta(curve_specs(self)))))
         if points > self.max_points:
             raise ValueError(f"one amplitude's batch needs {points} points, which "
                              f"exceeds the memory cap of {self.max_points} points")
@@ -272,28 +281,35 @@ class AlgorithmAResult:
 
 
 def _comparator_symbols(c, grid, params, comps):
-    """Function of t giving M(t), one row of per-mode multipliers per
-    comparator epsilon in ``comps``, evaluated for all of them at every
-    sample: comparator_hat(t) = M(t)[j] phi_hat(0).  NLS's is the free
-    flow (one row); EP's follow system A (a free photon) up to t1 = c1
-    sqrt(epsilon), 0 for system B, and U(t) times their composite_seed
-    after, all sharing one free symbol and one U(t) per t.  The rows are
-    built on the grid's levels of |k|^2 and gathered onto the lattice in
-    one take."""
+    """Function of t giving M(t) on the grid's levels of |k|^2
+    (Grid.k_levels): one row of per-level multipliers per comparator
+    epsilon in ``comps``, so that comparator_hat(t) = grid.gather(M(t)[j])
+    phi_hat(0).  An array of times puts their rows on a leading axis, each
+    bitwise the rows of that time alone.  NLS's is the free flow (one row);
+    EP's follow system A (a free photon) up to t1 = c1 sqrt(epsilon), 0 for
+    system B, and U(t) times their composite_seed after, all sharing one
+    free symbol and one U(t) per t."""
+    k_sq = grid.k_levels
     if c.comparator == COMPARATOR_LINEAR_NLS:
-        return lambda t: free_symbol(grid, t)[None]
+        return lambda t: _free_symbol_of(k_sq, np.asarray(t)[..., None, None])
     if c.comparator == COMPARATOR_COMPOSITE and None in comps:
         raise ValueError("the composite comparator needs a comparator epsilon")
-    k_sq = grid.k_levels
     t1s = [0.0 if e is None else c.c1 * np.sqrt(e) for e in comps]
     seeds = [_composite_seed_of(k_sq, params, t1) for t1 in t1s]
 
     def symbols(t):
-        free = _free_symbol_of(k_sq, t) if t <= max(t1s) else None
-        if t > min(t1s):
+        t = np.asarray(t)[..., None]
+        first, last = float(t.min()), float(t.max())
+        free = _free_symbol_of(k_sq, t) if first <= max(t1s) else None
+        if last > min(t1s):
             u11, u12, _ = _pair_propagator_of(k_sq, c.gamma, c.omega0, t)
-        return grid.gather(np.stack([free if t <= t1 else u11 * b_phi + u12 * b_psi
-                                     for t1, (b_phi, b_psi) in zip(t1s, seeds)]))
+        rows = []
+        for t1, (b_phi, b_psi) in zip(t1s, seeds):
+            row = free if last <= t1 else u11 * b_phi + u12 * b_psi
+            if first <= t1 < last:  # times on both sides of t1
+                row = np.where(t <= t1, free, row)
+            rows.append(row)
+        return np.stack(rows, axis=-2)
 
     return symbols
 
@@ -317,20 +333,34 @@ def _curve_batch(c, specs, stops=None):
     with every distinct delta stepped at once on a leading batch axis.
 
     Every sample, t = 0 included, is read from model_stream: the truth
-    spectrum is the photon spectrum it yields as spectra[0], the
-    comparator spectrum one closed-form multiplier per eps_comp (evaluated
-    for every eps_comp of the batch) times each curve's phi_hat(0), the truth
-    and difference norms are one batched call, and rho[spec, sample] is
-    filled in place.  For NLS, drho[spec, sample] holds rho' beside it
-    (_slope).  No state is recorded, so memory is O(batch x grid).
-    Every operation acts on each batch row alone, so a curve's bits do not
-    depend on the rest of its batch.
+    spectrum is the photon spectrum it yields as spectra[0], the comparator
+    spectrum one closed-form multiplier per eps_comp times each curve's
+    phi_hat(0).  Samples are measured in blocks of K consecutive ones
+    (K = max(1, _BLOCK_POINTS // (batch rows x N^n)), 1 where max_points
+    leaves no room for more): the block's truth spectra, each curve's
+    comparator-minus-truth rows and, for NLS, the forcing rows of rho'
+    (_slope) form one stack, whose norms are one batched call, and
+    rho[spec, sample] (drho beside it) is filled for the whole block.  No
+    state is recorded and at most one block is held, so memory is
+    O(batch x grid).  Every operation acts on each batch row alone, so a
+    curve's bits depend neither on the rest of its batch nor on K.
 
     ``stops`` gives each spec the tolerance that ends its curve: the curve
     stops at the first sample where rho reaches it, a delta leaves the
-    batch once all its curves have stopped, and stepping ends when no delta
-    is left or at T.  Without ``stops`` every curve runs to T.
+    batch at the end of the block in which all its curves have stopped,
+    and stepping ends when no delta is left or at T.  Without ``stops``
+    every curve runs to T.  A kernel error inside a block may come from a
+    row whose curves stopped earlier in it, and the stream cannot rewind,
+    so the batch is then rerun with K = 1: it fails exactly where a
+    running curve needs the failing sample.
     """
+    curves = _measure_batch(c, specs, stops, _BLOCK_POINTS)
+    return _measure_batch(c, specs, stops, 1) if curves is None else curves
+
+
+def _measure_batch(c, specs, stops, block_points):
+    """_curve_batch in blocks of at most block_points truth points, or
+    None where a kernel error inside a block calls for a rerun."""
     grid, params, step = solver_setup(c)
     times = sample_times(c.T, step)
     deltas = list(dict.fromkeys(d for d, _ in specs))
@@ -351,47 +381,100 @@ def _curve_batch(c, specs, stops=None):
     rho = np.empty((len(specs), len(times)))
     drho = np.empty_like(rho) if _carries_slope(c) else None
     ends = np.full(len(specs), len(times))
+    per_truth = 1 if drho is None else 2  # stack rows: a truth and its forcing
 
-    def rho_at(t, truth_hat):
-        # truth rows, then each curve's comparator-minus-truth row and, for
-        # rho', each truth's forcing row, built in place so the one norm
-        # call needs no further copy
-        truths, curves = len(truth_hat), len(live)
-        forcing = None if drho is None else nls_forcing(grid, params, truth_hat)
-        rows = truths + curves + (0 if forcing is None else truths)
-        stack = np.empty((rows,) + grid.shape, np.complex128)
+    def block_size(i):
+        # the largest K of at most block_points truth points whose stack
+        # rows, counted twice for their temporaries, fit in what max_points
+        # leaves beside the batch; 1 in any case
+        points = grid.k_squared.size
+        room = c.max_points - _batch_points(c, rows, len(live))
+        per_sample = 2 * points * (per_truth * rows + len(live))
+        k = min(block_points // (rows * points), room // per_sample, len(times) - i)
+        return max(1, k)
+
+    def new_stack(k):
+        # per sample: the truth rows, each curve's comparator-minus-truth
+        # row and each truth's forcing row
+        return np.empty((k * (per_truth * rows + len(live)),) + grid.shape, np.complex128)
+
+    def block(i, k, keep):
+        # rho, rho' (or None) and where the truth norm is 0, each of
+        # (sample, curve), at the k samples from i; None for a rerun.  No
+        # reference to a block's arrays outlives it, so a step never holds
+        # the rows it has just dropped.  At k = 1 the stack follows the
+        # step and the forcing, as it always did; a longer block copies its
+        # truths into the stack as they are stepped
+        if k == 1:
+            stack, truth = None, stream.send(keep)[1][0][None]
+        else:
+            stack = new_stack(k)
+            truth = stack[: k * rows].reshape((k, rows) + grid.shape)
+            for j in range(k):
+                try:
+                    truth[j] = stream.send(None if j else keep)[1][0]
+                except SolverBlowupError:
+                    if j:  # a row past its curves' stops may have failed
+                        return None
+                    raise
+        forcing = None if drho is None else nls_forcing(grid, params, truth)
+        if stack is None:
+            stack = new_stack(k)
+            stack[:rows] = truth[0]
+        truths, curves = k * rows, k * len(live)
+        split = truths + curves
         if forcing is not None:
-            stack[truths + curves :] = forcing
+            stack[split:] = forcing.reshape(stack[split:].shape)
             del forcing
-        stack[:truths] = truth_hat
-        diff = stack[truths : truths + curves]
-        np.take(symbols(t), comp_of, axis=0, out=diff)
+        diff = stack[truths:split].reshape((k, len(live)) + grid.shape)
+        # level_index is in range, so mode="clip" only spares take a buffer
+        np.take(symbols(times[i : i + k])[:, comp_of], grid.level_index, axis=-1,
+                out=diff, mode="clip")
         diff *= curve_phi0_hat
-        diff -= truth_hat[member]
+        diff -= truth[:, member]
+        del truth
         norms = hs_norm_from_fft(stack, grid, c.s)
-        den = norms[:truths][member]
-        if np.any(den == 0.0):
-            delta = specs[live[int(np.argmax(den == 0.0))]][0]
-            raise ZeroDivisionError(
-                f"truth norm underflow at t = {t:.6g} for delta = {delta:.6g}"
-            )
-        r = norms[truths : truths + curves] / den
-        if drho is None:
-            return r, None
-        return r, _slope(grid, c.s, stack, norms, member, r)
+        shape = (k, len(live))
+        den = norms[:truths].reshape(k, rows)[:, member]
+        # a zero truth norm is an error where a running curve needs it; the
+        # caller decides that
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = norms[truths:split].reshape(shape) / den
+            if drho is None:
+                return r, None, den == 0.0
+            # each difference row's truth row
+            pair = (rows * np.arange(k)[:, None] + member).ravel()
+            dr = _slope(grid, c.s, stack, norms, pair, r.ravel())
+        return r, dr.reshape(shape), den == 0.0
 
-    keep = None
-    for i, t in enumerate(times):
-        # no reference to a sample's arrays outlives rho_at, so a step
-        # never holds the rows it has just dropped
-        r, dr = rho_at(t, stream.send(keep)[1][0])
-        rho[live, i] = r
-        if dr is not None:
-            drho[live, i] = dr
+    keep, i = None, 0
+    while i < len(times):
+        k = block_size(i)
+        measured = block(i, k, keep)
+        if measured is None:
+            return None
+        r, dr, vanished = measured
         keep = None
-        done = r >= stop
+        reached = r >= stop
+        done = reached.any(axis=0)
+        if vanished.any():
+            # an error at the first sample where a curve that has not
+            # stopped before it needs a zero norm
+            first = np.where(done, reached.argmax(axis=0), k)
+            vanished &= np.arange(k)[:, None] <= first
+            if vanished.any():
+                j, curve = np.unravel_index(np.argmax(vanished), vanished.shape)
+                raise ZeroDivisionError(
+                    f"truth norm underflow at t = {times[i + j]:.6g} for delta = "
+                    f"{specs[live[curve]][0]:.6g}"
+                )
+        rho[live, i : i + k] = r.T
+        if dr is not None:
+            drho[live, i : i + k] = dr.T
+        i += k
         if done.any():
-            ends[live[done]] = i + 1
+            # each stopped curve ends at the first sample that reached its stop
+            ends[live[done]] = i - k + reached[:, done].argmax(axis=0) + 1
             running = ~done
             live, stop, member, comp_of, curve_phi0_hat = (
                 a[running] for a in (live, stop, member, comp_of, curve_phi0_hat))
@@ -415,11 +498,11 @@ def _carries_slope(c):
     return c.model == NLS
 
 
-def _slope(grid, s, stack, norms, member, rho):
-    """rho' of NLS curves from a sample's stack of truth spectra T (one row
-    per batch member), comparator-minus-truth spectra D (one per curve, of
-    the member ``member`` gives) and forcings F = nls_forcing(T) (one per
-    member), their H^s norms, and rho.  Overwrites the stack.
+def _slope(grid, s, stack, norms, pair, rho):
+    """rho' of NLS curves from a block's stack of truth spectra T,
+    comparator-minus-truth spectra D (one per curve and sample, of the
+    truth row ``pair`` gives) and forcings F = nls_forcing(T) (one per
+    truth row), their H^s norms, and rho.  Overwrites the stack.
 
     T' = -i|k|^2 T - i F, and the free comparator makes D' = -i|k|^2 D +
     i F.  The free part drops out of Re<X, X'>_s because the weight is
@@ -432,8 +515,8 @@ def _slope(grid, s, stack, norms, member, rho):
     Each row is first scaled by the power of two that brings its norm into
     [1/2, 1), exactly, as hs_norm_from_fft scales before squaring, so no
     product or sum under- or overflows at any amplitude."""
-    truths = (len(norms) - len(member)) // 2
-    split = truths + len(member)
+    truths = (len(norms) - len(pair)) // 2
+    split = truths + len(pair)
     _, exponent = np.frexp(norms)
     flat = stack.reshape(len(norms), -1).view(np.float64)
     np.ldexp(flat, -exponent[:, None], out=flat)
@@ -441,14 +524,14 @@ def _slope(grid, s, stack, norms, member, rho):
     # Re<X, iF>_s = Im of the weighted sum of X conj(F)
     forcing = np.conj(stack[split:], out=stack[split:])
     stack[:truths] *= forcing
-    stack[truths:split] *= forcing[member]
+    stack[truths:split] *= forcing[pair]
     dot = stack[:split].reshape(split, -1).imag @ ((1.0 + grid.k_squared) ** s).ravel()
     dot *= grid.cell_volume**2 / grid.box_volume
-    den = unit[:split] * unit[split:][np.concatenate([np.arange(truths), member])]
+    den = unit[:split] * unit[split:][np.concatenate([np.arange(truths), pair])]
     cos = np.divide(dot, den, out=np.zeros_like(dot), where=den > 0.0)
     cos_diff = np.where(norms[truths:split] == 0.0, 1.0, cos[truths:])
-    ratio = norms[split:][member] / norms[:truths][member]
-    return ratio * (cos_diff + rho * cos[:truths][member])
+    ratio = norms[split:][pair] / norms[:truths][pair]
+    return ratio * (cos_diff + rho * cos[:truths][pair])
 
 
 def compute_error_curve(config, delta, epsilon_comp=None):
@@ -465,10 +548,11 @@ def _by_delta(specs):
     return list(groups.values())
 
 
-def _member_points(c, curves):
-    """Grid points a batch member with ``curves`` curves of one delta
-    holds at the peak of _curve_batch."""
-    return c.N**c.n * (_ARRAYS_PER_MEMBER[c.model] + _ARRAYS_PER_EXTRA_CURVE * (curves - 1))
+def _batch_points(c, members, curves):
+    """Grid points a batch of ``members`` deltas with ``curves`` curves in
+    all holds at the peak of _curve_batch, one sample per block."""
+    return c.N**c.n * (_ARRAYS_PER_MEMBER[c.model] * members
+                       + _ARRAYS_PER_EXTRA_CURVE * (curves - members))
 
 
 def _compute_curves(c, specs):
@@ -477,7 +561,7 @@ def _compute_curves(c, specs):
     max_points admits (specs sharing a delta share a batch)."""
     chunks, points = [], 0
     for group in _by_delta(specs):
-        cost = _member_points(c, len(group))
+        cost = _batch_points(c, 1, len(group))
         if not chunks or points + cost > c.max_points:
             chunks.append([])
             points = 0

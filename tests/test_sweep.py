@@ -7,6 +7,7 @@ import epnls.sweep
 from epnls.evolution import (
     ErrorCurve,
     ModelParams,
+    SolverBlowupError,
     StepSpec,
     Trajectory,
     composite_seed,
@@ -510,11 +511,17 @@ def test_comparator_rows_on_levels_are_bitwise_the_full_lattice_rows(
     reference = _full_lattice_comparator_symbols(c, grid, params, comps)
     # the composite's t1 = sqrt(epsilon) are 0.1, 0.055 and 0.032: times
     # before, at, between and after them
-    for t in (0.0, 0.02, 0.04, 0.1, 0.2, 1.5):
-        assert np.array_equal(rows(t), reference(t))
-    # every EP symbol the sweep evaluates itself is evaluated on the levels:
+    times = (0.0, 0.02, 0.04, 0.1, 0.2, 1.5)
+    for t in times:
+        assert rows(t).shape == (len(comps), grid.k_levels.size)
+        assert np.array_equal(grid.gather(rows(t)), reference(t))
+    # a block of times, on both sides of every t1, and blocks on one side:
+    # each time's rows bitwise its rows alone
+    for block in (times, times[:2], times[-2:]):
+        assert np.array_equal(rows(np.array(block)), np.stack([rows(t) for t in block]))
+    # every symbol the sweep evaluates itself is evaluated on the levels:
     # 526 of 4,096 modes in 2D, 129 of 256 in 1D
-    assert set(sizes) == (set() if c.model == "nls" else {grid.k_levels.size})
+    assert set(sizes) == {grid.k_levels.size}
 
 
 def test_nls_meta_fit_small():
@@ -624,6 +631,153 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, comparator, n_curves):
     assert any(len(p.times) < len(c.times) for p, c in zip(prefixes, alone))
     for curves in (full, pooled, half_warm):
         assert _bits(curves) == _bits(prefixes)
+
+
+# four NLS curves from four distinct amplitudes
+FOUR_NLS_CURVES = dict(model="nls", N=64, T=0.02, alpha_set=(0.0, 0.2),
+                       epsilon_set=(1e-2, 3e-3, 1e-3))
+
+
+def _sweep_bits(result):
+    return _bits(result.curves), [(r.alpha, r.epsilon, r.t_cross) for r in result.crossings]
+
+
+@pytest.mark.parametrize("kw", [
+    FOUR_CURVES,
+    dict(FOUR_CURVES, n=2, N=32, comparator="composite", c1=0.5),
+    FOUR_NLS_CURVES,
+], ids=["systemB-1d", "composite-2d", "nls"])
+def test_curve_bits_do_not_depend_on_the_block(monkeypatch, kw):
+    # one sample per block, the default blocks, and the whole horizon in
+    # one block: the same curves (t, rho, rho') and crossings, bitwise
+    cfg = SweepConfig(**kw)
+    default = _sweep_bits(run_algorithm_a(cfg))
+    for block_points in (1, 2**40):
+        monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", block_points)
+        assert _sweep_bits(run_algorithm_a(cfg)) == default
+    assert len(default[1]) >= 3
+
+
+def _patch_streams(monkeypatch, at_sample):
+    """Make epnls.sweep.model_stream call at_sample(j, rows, spectra) on
+    each sample j it yields, rows the initial batch rows it still steps."""
+    stream = epnls.sweep.model_stream
+
+    def patched(model, grid, params, step, n_samples, phi_hat, psi=None):
+        rows = np.arange(len(phi_hat))
+        inner = stream(model, grid, params, step, n_samples, phi_hat, psi)
+        keep = None
+        for j in range(n_samples + 1):
+            if keep is not None:
+                rows = rows[keep]
+            sample = inner.send(keep)
+            at_sample(j, rows, sample[1])
+            keep = yield sample
+
+    monkeypatch.setattr(epnls.sweep, "model_stream", patched)
+
+
+def _sample_by_sample(monkeypatch, cfg):
+    """The curves of cfg measured one sample per block, and the number of
+    samples each batch row (one curve each) needs."""
+    monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 1)
+    curves = run_error_curves(cfg)
+    monkeypatch.undo()
+    ends = np.array([len(c.times) for c in curves])
+    assert len(set(ends)) > 1
+    return curves, ends
+
+
+def test_kernel_error_past_a_stop_reruns_the_batch_sample_by_sample(monkeypatch):
+    # a kernel error while a row whose curve has stopped is still stepped
+    # is one a sweep measured sample by sample never meets, so the sweep
+    # must still return its curves
+    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    reference, ends = _sample_by_sample(monkeypatch, cfg)
+    raised = []
+
+    def fail(j, rows, spectra):
+        if np.any(ends[rows] <= j):
+            raised.append(j)
+            raise SolverBlowupError(j / cfg.samples_per_unit_time, j)
+
+    _patch_streams(monkeypatch, fail)
+    assert _bits(run_error_curves(cfg)) == _bits(reference)
+    assert raised  # the blocks stepped a stopped row, and the batch reran
+
+
+def test_vanishing_truth_past_a_stop_is_no_error(monkeypatch):
+    # a zero truth norm is an error only at a sample a curve needs
+    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    reference, ends = _sample_by_sample(monkeypatch, cfg)
+    zeroed = []
+
+    def vanish(j, rows, spectra):
+        stopped = ends[rows] <= j
+        zeroed.append(stopped.any())
+        spectra[0][stopped] = 0.0
+
+    _patch_streams(monkeypatch, vanish)
+    assert _bits(run_error_curves(cfg)) == _bits(reference)
+    assert any(zeroed)
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("error", ["kernel", "vanishing-truth"])
+def test_an_error_a_curve_needs_is_the_sweeps_error(monkeypatch, which, error):
+    # at the last sample of the shortest curve or of the longest: the same
+    # error and message whatever the block
+    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    _, ends = _sample_by_sample(monkeypatch, cfg)
+    sample = (min(ends) if which == "first" else max(ends)) - 1
+    row = int(np.argmin(ends) if which == "first" else np.argmax(ends))
+
+    def fail(j, rows, spectra):
+        if j == sample and error == "kernel":
+            raise SolverBlowupError(j / cfg.samples_per_unit_time, j)
+        if j == sample:
+            spectra[0][rows == row] = 0.0
+
+    kind = SolverBlowupError if error == "kernel" else ZeroDivisionError
+    messages = []
+    for block_points in (1, epnls.sweep._BLOCK_POINTS):
+        monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", block_points)
+        _patch_streams(monkeypatch, fail)
+        with pytest.raises(kind) as err:
+            run_error_curves(cfg)
+        messages.append(str(err.value))
+        monkeypatch.undo()
+    assert messages[0] == messages[1]
+    if error == "vanishing-truth":
+        delta = curve_specs(cfg)[row][0]
+        assert messages[0] == (f"truth norm underflow at t = {sample / 2000:.6g} "
+                               f"for delta = {delta:.6g}")
+
+
+def _norm_calls(monkeypatch):
+    calls = []
+    norm = epnls.sweep.hs_norm_from_fft
+
+    def counted(*args):
+        calls.append(1)
+        return norm(*args)
+
+    monkeypatch.setattr(epnls.sweep, "hs_norm_from_fft", counted)
+    return calls
+
+
+def test_max_points_without_room_for_a_block_measures_each_sample(monkeypatch):
+    # four amplitudes of 64 points: 32 samples per block by default, one
+    # where max_points is just the batch's own arrays
+    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    batch = epnls.sweep._batch_points(cfg, 4, 4)  # the four amplitudes' arrays
+    calls = _norm_calls(monkeypatch)
+    blocks = run_error_curves(cfg)
+    assert len(calls) < 10
+    calls.clear()
+    tight = run_error_curves(SweepConfig(**FOUR_NLS_CURVES, max_points=batch))
+    assert len(calls) == max(len(c.times) for c in tight)
+    assert _bits(tight) == _bits(blocks)
 
 
 @pytest.mark.parametrize("kw", [
@@ -781,6 +935,20 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
 
 @pytest.mark.parametrize("model, steps, samples", [("ep", 100, 101), ("nls", 100, 101)])
 def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
+    # one block of 64 samples holds every stop
+    assert _fft_call_blocks(fft_calls, model, steps, samples) == [0, 64]
+
+
+@pytest.mark.parametrize("model", ["ep", "nls"])
+def test_fft_calls_per_step_and_sample_in_small_blocks(fft_calls, monkeypatch, model):
+    # 2^9 points: blocks of 4 to 16 samples
+    monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 2**9)
+    assert len(_fft_call_blocks(fft_calls, model, 100, 101)) > 5
+
+
+def _fft_call_blocks(fft_calls, model, steps, samples):
+    """Check the exact transform sizes of a 4-amplitude sweep of 32-point
+    fields and return the first sample of each block (and the end)."""
     if model == "ep":
         cfg = SweepConfig(model="ep", N=32, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
@@ -798,14 +966,26 @@ def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
     # one transform of the initial photon fields, then 2 per inner substep
     # of each model's triple jump (3 per step: EP's linear substeps, NLS's
     # rotations).  Both loops carry the truth's photon spectrum, so rho
-    # costs no transform; NLS's rho' costs 2 per sample, t = 0 included
-    # (nls_forcing's inverse and forward transform).  Every call moves one
-    # field of the amplitudes still stepping (EP transforms only psi):
-    # those whose curves need this sample.  Stepping ends with the last one.
-    per_step, per_sample = 2 * 3, (2 if model == "nls" else 0)
-    live = [sum(n > k for n in lengths) for k in range(max(lengths))]
-    assert fft_calls == [4 * 32] + [m * 32 for k, m in enumerate(live)
-                                    for _ in range((per_step if k else 0) + per_sample)]
+    # costs no transform; NLS's rho' costs 2 per block of samples, t = 0
+    # included (nls_forcing's inverse and forward transform of the block's
+    # truths).  A block from sample i holds K = _BLOCK_POINTS // (m x 32) samples
+    # (fewer at T), m the amplitudes that some curve needs at sample i; they
+    # are stepped through the block, and leave the batch after it.  Every
+    # step moves one field of them (EP transforms only psi).  Stepping ends
+    # with the last block.  The count is exact, not a bound: a bound would
+    # pass blocks that step members longer than they must
+    per_step = 2 * 3
+    expected, blocks = [4 * 32], [0]
+    while blocks[-1] < max(lengths):
+        i = blocks[-1]
+        m = sum(n > i for n in lengths)
+        k = max(1, min(epnls.sweep._BLOCK_POINTS // (m * 32), samples - i))
+        expected += [m * 32] * (per_step * (k - (i == 0)))  # sample 0: no step
+        if model == "nls":
+            expected += [k * m * 32] * 2
+        blocks.append(i + k)
+    assert fft_calls == expected
+    return blocks
 
 
 def _traced_peak(cfg, specs):
