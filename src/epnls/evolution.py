@@ -480,20 +480,23 @@ def model_stream(model, grid, params, step, n_samples, phi_hat, psi=None):
             u = None if u is None else u[keep]
 
 
-def nls_forcing(grid, params, phi_hat):
+def nls_forcing(grid, params, phi_hat, out=None):
     """Spectrum F = Grid.fft(g |phi|^(p-1) phi) of the NLS nonlinearity at
     the field whose plain FFT is phi_hat (leading batch axes allowed), so
     that the NLS flow is phi_hat' = -i |k|^2 phi_hat - i F: an inverse and
-    a forward transform.  g = 0 gives zeros, even where |phi|^(p-1)
-    overflows."""
+    a forward transform, both into ``out`` (a complex array of phi_hat's
+    shape, new if None), which is returned.  g = 0 gives zeros, even where
+    |phi|^(p-1) overflows."""
+    if out is None:
+        out = np.empty(np.shape(phi_hat), np.complex128)
     if params.g == 0:
-        return np.zeros_like(phi_hat)
-    u = grid.ifft(phi_hat)
+        out.fill(0.0)
+        return out
+    u = grid.ifft(phi_hat, out=out)
     rate = _modulus_power(u, params.p)
     rate *= params.g
     u *= rate
-    del rate  # before the transform allocates its result
-    return grid.fft(u)
+    return grid.fft(u, out=u)
 
 
 def evolve_ep(initial, params, step, T, record=FULL):

@@ -97,19 +97,20 @@ class Grid:
         """(2L)^n, the measure of the periodic box."""
         return (2.0 * self.L) ** self.n
 
-    def fft(self, a):
+    def fft(self, a, out=None):
         """Plain (unscaled) forward FFT of ``a`` over the grid's n trailing
         axes; leading axes are a batch.  One np.fft.fft per axis, last axis
         first, as fftn orders them: fftn's bits without its n-D wrapper, a
-        fixed cost per call."""
+        fixed cost per call.  ``out`` (which may be ``a``) takes the result
+        in place of a new array, with the same bits."""
         for axis in range(-1, -self.n - 1, -1):
-            a = np.fft.fft(a, axis=axis)
+            a = np.fft.fft(a, axis=axis, out=out)
         return a
 
-    def ifft(self, a):
+    def ifft(self, a, out=None):
         """Inverse of fft, over the same axes."""
         for axis in range(-1, -self.n - 1, -1):
-            a = np.fft.ifft(a, axis=axis)
+            a = np.fft.ifft(a, axis=axis, out=out)
         return a
 
     def gather(self, levels):

@@ -86,11 +86,12 @@ SOLVER_REVISION = {EP: 5, NLS: 5}
 # in; NLS: one field, whose spectrum is dropped while it is rotated), the
 # temporaries of a rotation or a 2x2 step, the truth-and-difference stack
 # of the sample's norm call (for NLS with its forcing row, which rho'
-# needs) and, for the composite, the seed pair of the curve's comparator
-# epsilon, which lives on the |k|^2 levels (half a grid array in 1D, less
-# in 2D).  Each further curve of one delta (the composite's other
-# epsilons) adds its phi_hat(0) copy, stack row, norm temporaries and seed
-# pair (~3.1-5.5; a 4096-point amplitude takes blocks of two samples).
+# needs and nls_forcing writes in place) and, for the composite, the seed
+# pair of the curve's comparator epsilon, which lives on the |k|^2 levels
+# (half a grid array in 1D, less in 2D).  Each further curve of one delta
+# (the composite's other epsilons) adds its phi_hat(0) copy, stack row,
+# norm temporaries and seed pair (~3.1-5.5; a 4096-point amplitude takes
+# blocks of two samples).
 # max_points bounds grid x the sum of these over a batch (_batch_points).
 # A block of K > 1 samples holds its whole stack while it steps, so it is
 # taken only where max_points leaves room for twice its stack rows beside
@@ -100,8 +101,12 @@ _ARRAYS_PER_EXTRA_CURVE = 6
 
 # Truth points (batch rows x N^n x samples) _curve_batch measures in one
 # block: one norm call, forcing and comparator gather per block, not per
-# sample.  A 1D sweep's 18-amplitude head on 256 points keeps one sample
-# per block; NLS's tail, one amplitude, gets 32.
+# sample.  A default 1D sweep's 18-amplitude head on 128 points takes
+# three samples per block, and its one-amplitude tail 64, cut where its
+# last curve is predicted to stop.  Per default sweep at N = 128 (CPU
+# time on a shared 2-core x86 box), 2^11, 2^12, 2^13 and 2^14 points
+# measured 42, 40, 32 and 31 ms (EP) and 123, 106, 99 and 92 ms (NLS):
+# smaller blocks lose, and 2^14 gains a few per cent for twice the stack.
 _BLOCK_POINTS = 2**13
 
 
@@ -121,11 +126,18 @@ class SweepConfig:
     objects they describe (check_grid_args, ModelParams, StepSpec and
     sample_times), and max_points by the largest batch member the sweep
     needs, so an invalid config fails here, before any run.
+
+    The default grid, N = 128 on [-10, 10), is set by measured spatial
+    convergence: the Gaussian's spectrum exp(-k^2/2) and its p-th power
+    nonlinearity's exp(-k^2/(2p)) are below 1e-17 at k_max = 20.1 for
+    p <= 5, and every default crossing (p = 3 and 5) is within 2.3e-12
+    relative of N = 512, as at N = 256.  N = 64 moves NLS at p = 5 by
+    3.7e-8, above the NLS clock's 1.3e-9.
     """
 
     model: str = EP
     n: int = 1
-    N: int = 256
+    N: int = 128
     L: float = 10.0
     p: float = ModelParams.p
     g: float = ModelParams.g
@@ -386,46 +398,46 @@ def _measure_batch(c, specs, stops, block_points):
     def block_size(i):
         # the largest K of at most block_points truth points whose stack
         # rows, counted twice for their temporaries, fit in what max_points
-        # leaves beside the batch; 1 in any case
+        # leaves beside the batch, and that ends no later than the sample
+        # where the last live curve is predicted to stop; 1 in any case.
+        # Rows that stop inside a block are still stepped to its end: the
+        # blocks that a cap at every curve's stop would add cost the
+        # default EP sweep more than those rows' steps
         points = grid.k_squared.size
         room = c.max_points - _batch_points(c, rows, len(live))
         per_sample = 2 * points * (per_truth * rows + len(live))
         k = min(block_points // (rows * points), room // per_sample, len(times) - i)
+        if i >= 3:  # two samples past t = 0, where log t is -inf
+            hit = _predicted_stop(times[i - 2 : i], rho[live, i - 2 : i], stop)
+            k = min(k, int(np.searchsorted(times, hit)) - i + 1)
         return max(1, k)
-
-    def new_stack(k):
-        # per sample: the truth rows, each curve's comparator-minus-truth
-        # row and each truth's forcing row
-        return np.empty((k * (per_truth * rows + len(live)),) + grid.shape, np.complex128)
 
     def block(i, k, keep):
         # rho, rho' (or None) and where the truth norm is 0, each of
         # (sample, curve), at the k samples from i; None for a rerun.  No
         # reference to a block's arrays outlives it, so a step never holds
-        # the rows it has just dropped.  At k = 1 the stack follows the
-        # step and the forcing, as it always did; a longer block copies its
-        # truths into the stack as they are stepped
-        if k == 1:
-            stack, truth = None, stream.send(keep)[1][0][None]
-        else:
-            stack = new_stack(k)
-            truth = stack[: k * rows].reshape((k, rows) + grid.shape)
-            for j in range(k):
-                try:
-                    truth[j] = stream.send(None if j else keep)[1][0]
-                except SolverBlowupError:
-                    if j:  # a row past its curves' stops may have failed
-                        return None
-                    raise
-        forcing = None if drho is None else nls_forcing(grid, params, truth)
-        if stack is None:
-            stack = new_stack(k)
-            stack[:rows] = truth[0]
+        # the rows it has just dropped.  The stack, per sample the truth
+        # rows, each curve's comparator-minus-truth row and each truth's
+        # forcing row, is made after the block's first step, so at K = 1 it
+        # never coexists with a step's temporaries
+        truth = None
+        for j in range(k):
+            try:
+                photon = stream.send(None if j else keep)[1][0]
+            except SolverBlowupError:
+                if j:  # a row past its curves' stops may have failed
+                    return None
+                raise
+            if truth is None:
+                stack = np.empty((k * (per_truth * rows + len(live)),) + grid.shape,
+                                 np.complex128)
+                truth = stack[: k * rows].reshape((k, rows) + grid.shape)
+            truth[j] = photon
+            del photon  # or the next step would keep it alive
         truths, curves = k * rows, k * len(live)
         split = truths + curves
-        if forcing is not None:
-            stack[split:] = forcing.reshape(stack[split:].shape)
-            del forcing
+        if drho is not None:
+            nls_forcing(grid, params, truth, out=stack[split:].reshape(truth.shape))
         diff = stack[truths:split].reshape((k, len(live)) + grid.shape)
         # level_index is in range, so mode="clip" only spares take a buffer
         np.take(symbols(times[i : i + k])[:, comp_of], grid.level_index, axis=-1,
@@ -488,6 +500,17 @@ def _measure_batch(c, specs, stops, block_points):
                    drho=None if drho is None else drho[j, :end])
         for j, ((d, e), end) in enumerate(zip(specs, ends))
     ]
+
+
+def _predicted_stop(t, rho, stop):
+    """The time at which every curve is predicted to have reached its
+    stop, from each curve's rho (a row of ``rho``) at the two positive
+    times ``t``: log rho extrapolated linearly in log t.  inf where a
+    curve's rho is not rising, or is 0, as that predicts nothing."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rate = np.log(rho[:, 1] / rho[:, 0]) / math.log(t[1] / t[0])
+        hit = t[1] * (stop / rho[:, 1]) ** (1.0 / rate)
+    return float(np.max(np.where(rate > 0.0, hit, np.inf)))
 
 
 def _carries_slope(c):

@@ -17,7 +17,7 @@ def test_empty_document_yields_spec_defaults():
     cfg = parse_config_text("")
     assert cfg == SweepConfig()
     assert (cfg.p, cfg.g, cfg.gamma, cfg.omega0) == (3.0, 1.0, 1.0, 1.0)
-    assert (cfg.n, cfg.N, cfg.L) == (1, 256, 10.0)
+    assert (cfg.n, cfg.N, cfg.L) == (1, 128, 10.0)
     assert cfg.s == 1.0  # floor(n/2 + 1) for n = 1
     assert cfg.model == "ep"
     assert cfg.comparator == "systemB"
@@ -121,8 +121,8 @@ def test_config_hash_sensitivity():
 
 
 @pytest.mark.parametrize("doc, pinned", [
-    ("", "db5585ed50aa6712"),
-    ("[physics]\nmodel = nls\n", "5401e32fefdac046"),
+    ("", "869ce3e792842646"),
+    ("[physics]\nmodel = nls\n", "f3c404d3e291840d"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
      "alphas = 0,0.2\n", "46d91a9b7a021055"),
 ])

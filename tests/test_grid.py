@@ -123,6 +123,14 @@ def test_grid_transforms_are_bitwise_fftn(n, N):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.array_equal(g.fft(a), np.fft.fftn(a, axes=axes))
         assert np.array_equal(g.ifft(a), np.fft.ifftn(a, axes=axes))
+        # into another array or in place, with the same bits
+        for transform, reference in ((g.fft, np.fft.fftn), (g.ifft, np.fft.ifftn)):
+            out = np.empty_like(a)
+            assert transform(a, out=out) is out
+            assert np.array_equal(out, reference(a, axes=axes))
+            b = a.copy()
+            assert transform(b, out=b) is b
+            assert np.array_equal(b, out)
 
 
 @pytest.mark.parametrize("n, N, levels", [(1, 256, 129), (2, 64, 526), (3, 8, 42)],
