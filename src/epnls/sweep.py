@@ -102,11 +102,11 @@ _ARRAYS_PER_EXTRA_CURVE = 6
 # Truth points (batch rows x N^n x samples) _curve_batch measures in one
 # block: one norm call, forcing and comparator gather per block, not per
 # sample.  A default 1D sweep's 18-amplitude head on 128 points takes
-# three samples per block, and its one-amplitude tail 64, cut where its
-# last curve is predicted to stop.  Per default sweep at N = 128 (CPU
-# time on a shared 2-core x86 box), 2^11, 2^12, 2^13 and 2^14 points
-# measured 42, 40, 32 and 31 ms (EP) and 123, 106, 99 and 92 ms (NLS):
-# smaller blocks lose, and 2^14 gains a few per cent for twice the stack.
+# three samples per block, and its one-amplitude tail 64.  Per default
+# sweep at N = 128 (CPU time on a shared 2-core x86 box), 2^11, 2^12, 2^13
+# and 2^14 points measured 46, 43, 39 and 37 ms (EP) and 122, 107, 100
+# and 100 ms (NLS): smaller blocks lose, and 2^14 gains little for twice
+# the stack.
 _BLOCK_POINTS = 2**13
 
 
@@ -398,18 +398,11 @@ def _measure_batch(c, specs, stops, block_points):
     def block_size(i):
         # the largest K of at most block_points truth points whose stack
         # rows, counted twice for their temporaries, fit in what max_points
-        # leaves beside the batch, and that ends no later than the sample
-        # where the last live curve is predicted to stop; 1 in any case.
-        # Rows that stop inside a block are still stepped to its end: the
-        # blocks that a cap at every curve's stop would add cost the
-        # default EP sweep more than those rows' steps
+        # leaves beside the batch; 1 in any case
         points = grid.k_squared.size
         room = c.max_points - _batch_points(c, rows, len(live))
         per_sample = 2 * points * (per_truth * rows + len(live))
         k = min(block_points // (rows * points), room // per_sample, len(times) - i)
-        if i >= 3:  # two samples past t = 0, where log t is -inf
-            hit = _predicted_stop(times[i - 2 : i], rho[live, i - 2 : i], stop)
-            k = min(k, int(np.searchsorted(times, hit)) - i + 1)
         return max(1, k)
 
     def block(i, k, keep):
@@ -500,17 +493,6 @@ def _measure_batch(c, specs, stops, block_points):
                    drho=None if drho is None else drho[j, :end])
         for j, ((d, e), end) in enumerate(zip(specs, ends))
     ]
-
-
-def _predicted_stop(t, rho, stop):
-    """The time at which every curve is predicted to have reached its
-    stop, from each curve's rho (a row of ``rho``) at the two positive
-    times ``t``: log rho extrapolated linearly in log t.  inf where a
-    curve's rho is not rising, or is 0, as that predicts nothing."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rate = np.log(rho[:, 1] / rho[:, 0]) / math.log(t[1] / t[0])
-        hit = t[1] * (stop / rho[:, 1]) ** (1.0 / rate)
-    return float(np.max(np.where(rate > 0.0, hit, np.inf)))
 
 
 def _carries_slope(c):

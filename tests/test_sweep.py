@@ -946,48 +946,6 @@ def test_fft_calls_per_step_and_sample_in_small_blocks(fft_calls, monkeypatch, m
     assert len(_fft_call_blocks(fft_calls, model, 100, 101)) > 5
 
 
-@pytest.mark.parametrize("model", ["ep", "nls"])
-def test_blocks_end_where_the_last_curve_is_predicted_to_stop(monkeypatch, model):
-    # the default ladder on 64 points: 18 amplitudes, blocks of up to 7
-    # samples in the head and 128 in the tail.  Blocks that end where the
-    # last live curve is predicted to stop step the batch exactly to the
-    # last sample a curve needs, 65 (EP) and 338 (NLS) sample intervals,
-    # and fewer amplitude samples than blocks of the full K (measured: 951
-    # against 986 for EP and 2,020 against 2,082 for NLS, of 862 and 1,895
-    # needed)
-    model_stream = epnls.sweep.model_stream
-
-    def stepped(predicted_stop):
-        rows = []
-
-        def counting_stream(*args):
-            stream = model_stream(*args)
-            keep = yield next(stream)
-            while True:
-                try:
-                    sample = stream.send(keep)
-                except StopIteration:
-                    return
-                rows.append(len(sample[1][0]))
-                keep = yield sample
-
-        monkeypatch.setattr(epnls.sweep, "model_stream", counting_stream)
-        monkeypatch.setattr(epnls.sweep, "_predicted_stop", predicted_stop)
-        curves = run_error_curves(SweepConfig(model=model, N=64))
-        return curves, rows
-
-    curves, rows = stepped(epnls.sweep._predicted_stop)
-    needed = {}
-    for curve in curves:
-        needed[curve.delta] = max(needed.get(curve.delta, 0), len(curve.times) - 1)
-    assert len(needed) == 18
-    assert len(rows) == max(needed.values())
-    full_k_curves, full_k_rows = stepped(lambda *args: np.inf)
-    assert [c.rho.tobytes() for c in full_k_curves] == [c.rho.tobytes() for c in curves]
-    assert len(full_k_rows) > len(rows)
-    assert sum(needed.values()) <= sum(rows) < sum(full_k_rows)
-
-
 def _fft_call_blocks(fft_calls, model, steps, samples):
     """Check the exact transform sizes of a 4-amplitude sweep of 32-point
     fields and return the first sample of each block (and the end)."""
@@ -998,8 +956,8 @@ def _fft_call_blocks(fft_calls, model, steps, samples):
         cfg = SweepConfig(model="nls", N=32, T=0.05, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     specs = curve_specs(cfg)
-    full = [compute_error_curve(cfg, *spec) for spec in specs]
-    lengths = [len(_stop_prefix(cfg, spec, curve).times) for spec, curve in zip(specs, full)]
+    lengths = [len(_stop_prefix(cfg, spec, compute_error_curve(cfg, *spec)).times)
+               for spec in specs]
     assert len(specs) == 4 and steps + 1 == samples >= max(lengths)
     assert min(lengths) < samples  # some member leaves the batch early
     fft_calls.clear()
@@ -1011,28 +969,17 @@ def _fft_call_blocks(fft_calls, model, steps, samples):
     # costs no transform; NLS's rho' costs 2 per block of samples, t = 0
     # included (nls_forcing's inverse and forward transform of the block's
     # truths).  A block from sample i holds K = _BLOCK_POINTS // (m x 32) samples
-    # (fewer at T), m the amplitudes that some curve needs at sample i, and
-    # from sample 3 on it ends no later than the sample where the last of
-    # them is predicted to stop: rho extrapolated as a power of t through
-    # samples i-2 and i-1.  They are stepped through the block, and leave
-    # the batch after it.  Every step moves one field of them (EP transforms
-    # only psi).  Stepping ends with the last block.  The count is exact,
-    # not a bound: a bound would pass blocks that step members longer than
-    # they must
-    times = full[0].times
+    # (fewer at T), m the amplitudes that some curve needs at sample i; they
+    # are stepped through the block, and leave the batch after it.  Every
+    # step moves one field of them (EP transforms only psi).  Stepping ends
+    # with the last block.  The count is exact, not a bound: a bound would
+    # pass blocks that step members longer than they must
     per_step = 2 * 3
     expected, blocks = [4 * 32], [0]
     while blocks[-1] < max(lengths):
         i = blocks[-1]
         m = sum(n > i for n in lengths)
         k = max(1, min(epnls.sweep._BLOCK_POINTS // (m * 32), samples - i))
-        if i >= 3:
-            t0, t1 = times[i - 2 : i]
-            hits = [t1 * (_needed_tolerance(cfg, spec) / r1) ** (np.log(t1 / t0) / np.log(r1 / r0))
-                    if r1 > r0 > 0.0 else np.inf
-                    for spec, curve, n in zip(specs, full, lengths) if n > i
-                    for r0, r1 in [curve.rho[i - 2 : i]]]
-            k = max(1, min(k, np.searchsorted(times, max(hits)) - i + 1))
         expected += [m * 32] * (per_step * (k - (i == 0)))  # sample 0: no step
         if model == "nls":
             expected += [k * m * 32] * 2
