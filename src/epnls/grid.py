@@ -19,6 +19,18 @@ grid, 129 of 256 on a 256-point axis).  The grid keeps those values,
 sorted, as ``k_levels``; every symbol is evaluated on them once and
 spread over the lattice by Grid.gather, which gives the bits of the
 evaluation on the full lattice, since each mode sees the same |k|^2.
+
+EvenGrid holds the fields that are even in every coordinate, as the
+sweep's are (a Gaussian stays even under both models), on the N/2 + 1
+points x >= 0 of each axis and the N/2 + 1 modes m >= 0 (Boyd, Chebyshev
+and Fourier Spectral Methods, 2nd ed., 2001, ch. 8).  Its fft and ifft
+are Grid's transforms of the mirrored field, on the stored modes and
+points, as one real cosine matrix per axis, so every spectrum is still a
+plain Grid.fft; the H^s norm weighs each stored mode by the number of
+lattice modes it stands for.  A symbol, a rotation or a norm then acts
+on (N/2 + 1)^n values in place of N^n.  The dense matrices cost
+O(N^(n+1)) per transform against the FFT's O(N^n log N), and BLAS,
+not pocketfft, sets their rounding.
 """
 
 from __future__ import annotations
@@ -64,14 +76,12 @@ class Grid:
     def __post_init__(self):
         check_grid_args(self.n, self.N, self.L)
         dx = 2.0 * self.L / self.N
-        axis_x = -self.L + dx * np.arange(self.N)
-        # k = 2*pi*fftfreq(N, dx) = (pi/L) * m, m in [-N/2, N/2) (FFT order)
-        axis_k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=dx)
+        axis_x, axis_k = self._axes(dx)
 
-        k_sq = np.zeros((self.N,) * self.n)
+        k_sq = np.zeros((axis_k.size,) * self.n)
         for axis in range(self.n):
             shape = [1] * self.n
-            shape[axis] = self.N
+            shape[axis] = axis_k.size
             k_sq = k_sq + (axis_k**2).reshape(shape)
 
         levels, index = np.unique(k_sq, return_inverse=True)
@@ -83,9 +93,15 @@ class Grid:
         object.__setattr__(self, "k_levels", levels)
         object.__setattr__(self, "level_index", index.reshape(self.shape))
 
+    def _axes(self, dx):
+        axis_x = -self.L + dx * np.arange(self.N)
+        # k = 2*pi*fftfreq(N, dx) = (pi/L) * m, m in [-N/2, N/2) (FFT order)
+        axis_k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=dx)
+        return axis_x, axis_k
+
     @property
     def shape(self):
-        return (self.N,) * self.n
+        return (self.axis_x.size,) * self.n
 
     @property
     def cell_volume(self):
@@ -113,6 +129,10 @@ class Grid:
             a = np.fft.ifft(a, axis=axis, out=out)
         return a
 
+    def hs_weight(self, s):
+        """Per mode, its weight (1 + |k|^2)^s in the H^s norm."""
+        return (1.0 + self.k_squared) ** s
+
     def gather(self, levels):
         """The per-mode array (grid shape, after any leading axes) of a
         function of |k|^2 from its values on k_levels, along the last axis."""
@@ -129,6 +149,80 @@ class Grid:
         for ax in self.meshgrid():
             r2 += ax**2
         return r2
+
+
+@dataclass(frozen=True, eq=False)
+class EvenGrid(Grid):
+    """The fields of Grid(n, N, L) that are even in every coordinate,
+    u(..., -x_i, ...) = u(..., x_i, ...), stored on M = N/2 + 1 points per
+    axis: point r at x = r dx (full index N/2 + r mod N, whose x it takes)
+    and mode m at k = m pi/L.  The rest of the lattice is their mirror
+    image, and k_levels are the full lattice's exactly.
+
+    fft and ifft are Grid's transforms of the mirrored field restricted to
+    the stored modes and points: along each axis, the real matrices
+
+        F[m, r] = (-1)^m w_r cos(2 pi m r / N),
+        G[r, m] = (-1)^m w_m cos(2 pi m r / N) / N,
+
+    w_0 = w_{N/2} = 1 and 2 otherwise, the (-1)^m shifting the origin to
+    x = -L as Grid's points are.  ``multiplicity`` (grid shape) is the
+    product of w over the axes: the number of lattice modes each stored
+    one stands for, which hs_weight folds into the norm.  Physical-space
+    sums such as l2_norm would need it too; the sweep takes none.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        m = np.arange(self.N // 2 + 1)
+        w = np.where((m == 0) | (m == self.N // 2), 1.0, 2.0)
+        # cos(2 pi m r / N), its argument reduced exactly to [0, 2 pi)
+        cos = np.cos(2.0 * np.pi * (np.outer(m, m) % self.N) / self.N)
+        sign = 1.0 - 2.0 * (m % 2)
+        mult = np.ones(())
+        for _ in range(self.n):
+            mult = np.multiply.outer(mult, w)
+        object.__setattr__(self, "forward_matrix", sign[:, None] * cos * w)
+        object.__setattr__(self, "inverse_matrix", cos * (sign * w / self.N))
+        object.__setattr__(self, "multiplicity", mult)
+
+    def _axes(self, dx):
+        axis_x, axis_k = super()._axes(dx)
+        m = np.arange(self.N // 2 + 1)
+        return axis_x[(self.N // 2 + m) % self.N], np.abs(axis_k[m])
+
+    def hs_weight(self, s):
+        """Grid's weight times each stored mode's multiplicity, a power of
+        two, so the product is exact."""
+        return self.multiplicity * super().hs_weight(s)
+
+    def fft(self, a, out=None):
+        """Grid.fft of the mirrored field, on the stored modes; leading axes
+        are a batch.  ``out`` (which may be ``a``) takes the result."""
+        return self._transform(self.forward_matrix, a, out)
+
+    def ifft(self, a, out=None):
+        """Inverse of fft: Grid.ifft of the mirrored spectrum, on the
+        stored points."""
+        return self._transform(self.inverse_matrix, a, out)
+
+    def _transform(self, matrix, a, out):
+        # the real matrix along each axis in turn, applied to the float64
+        # view of the complex data as one stacked matmul: for every batch
+        # row the same gemms of one fixed shape, so a row's bits do not
+        # depend on the rest of the batch (one gemm over the folded batch
+        # would change shape with it, and BLAS its rounding)
+        a = np.ascontiguousarray(a, dtype=np.complex128)
+        size = len(matrix)
+        for axis in range(self.n):
+            rows = a.view(np.float64).reshape(-1, size, 2 * size ** (self.n - 1 - axis))
+            into = None
+            if out is not None and axis == self.n - 1:
+                if not out.flags.c_contiguous:
+                    raise ValueError("out must be C-contiguous")
+                into = out.view(np.float64).reshape(rows.shape)
+            a = np.matmul(matrix, rows, out=into).view(np.complex128).reshape(a.shape)
+        return a if out is None else out
 
 
 def check_grid_args(n, N, L, max_points=None):
@@ -194,8 +288,7 @@ def hs_norm_from_fft(plain_fft, grid, s):
     # in place, so the one temporary is mag
     sq = np.ldexp(rows, -exponent[:, None], out=rows)
     sq *= sq
-    if s != 0:
-        sq *= ((1.0 + grid.k_squared) ** s).ravel()
+    sq *= grid.hs_weight(s).ravel()
     scale = grid.cell_volume**2 / grid.box_volume
     norms = np.ldexp(np.sqrt(np.sum(sq, axis=1) * scale), exponent)
     return float(norms[0]) if mag.ndim == grid.n else norms.reshape(mag.shape[:-grid.n])

@@ -37,6 +37,8 @@ from .evolution import (
 )
 from .grid import (
     DEFAULT_MAX_POINTS,
+    EvenGrid,
+    Grid,
     _free_symbol_of,
     check_grid_args,
     default_sobolev_index,
@@ -76,7 +78,7 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 5, NLS: 5}
+SOLVER_REVISION = {EP: 6, NLS: 6}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
 # the peak of _curve_batch, one sample per block, measured and rounded up
@@ -92,22 +94,40 @@ SOLVER_REVISION = {EP: 5, NLS: 5}
 # (the composite's other epsilons) adds its phi_hat(0) copy, stack row,
 # norm temporaries and seed pair (~3.1-5.5; a 4096-point amplitude takes
 # blocks of two samples).
-# max_points bounds grid x the sum of these over a batch (_batch_points).
+# max_points bounds N^n x the sum of these over a batch (_batch_points).
+# On the even subspace an array holds (N/2 + 1)^n points, so the guard
+# over-counts by up to 2^n there and never admits a batch the full grid
+# would not.
 # A block of K > 1 samples holds its whole stack while it steps, so it is
 # taken only where max_points leaves room for twice its stack rows beside
 # the batch (_curve_batch).
 _ARRAYS_PER_MEMBER = {EP: 9, NLS: 7}
 _ARRAYS_PER_EXTRA_CURVE = 6
 
-# Truth points (batch rows x N^n x samples) _curve_batch measures in one
-# block: one norm call, forcing and comparator gather per block, not per
-# sample.  A default 1D sweep's 18-amplitude head on 128 points takes
-# three samples per block, and its one-amplitude tail 64.  Per default
-# sweep at N = 128 (CPU time on a shared 2-core x86 box), 2^11, 2^12, 2^13
-# and 2^14 points measured 46, 43, 39 and 37 ms (EP) and 122, 107, 100
-# and 100 ms (NLS): smaller blocks lose, and 2^14 gains little for twice
-# the stack.
+# Truth points (batch rows x N^n x samples, counted as max_points counts
+# them) _curve_batch measures in one block: one norm call, forcing and
+# comparator gather per block, not per sample.  A default 1D sweep's
+# 18-amplitude head on 128 points takes three samples per block, and its
+# one-amplitude tail 64.  Per default sweep at N = 128 on the even
+# subspace (CPU time, in process, interleaved, on a shared 2-core x86
+# box), 2^11, 2^12, 2^13 and 2^14 points measured 30, 28, 26 and 25 ms
+# (EP, 80 rounds) and 85, 73, 72 and 69 ms (NLS, 40 rounds); 2^13 against
+# 2^14 alone, alternating, 24.7 and 24.4 ms (EP, 150 rounds) and 72 and
+# 74 ms (NLS, 60), inside quartile spreads of 6-19 ms: smaller blocks
+# lose, and 2^14 gains nothing measurable for twice the stack.
 _BLOCK_POINTS = 2**13
+
+# Largest N at which the sweep steps on the even subspace (EvenGrid): its
+# dense cosine transforms cost O(N^(n+1)) per row against the FFT's
+# O(N^n log N), and pay at small N, where they replace an FFT of twice
+# the points per axis and every pointwise step acts on (N/2 + 1)^n
+# values.  Whole default-ladder sweeps, full grid -> even subspace
+# (median wall, in process, interleaved, 15 rounds; 2D composite is the
+# ep_2d_composite sweep, 5 rounds at N = 128; shared 2-core x86 box):
+# EP 1D N = 128 33 -> 28 ms, 256 52 -> 47, 512 83 -> 113; NLS 1D N = 128
+# 95 -> 78 ms, 256 121 -> 121, 512 215 -> 324; 2D composite N = 32
+# 72 -> 34 ms, 64 232 -> 83, 128 836 -> 268.
+_EVEN_MAX_N = 256
 
 
 class NoCrossingError(RuntimeError):
@@ -340,9 +360,22 @@ def solver_setup(c):
     return grid, _model_params(c), _solver_step(c)
 
 
+def _sweep_grid(c):
+    """The grid _curve_batch steps on: the even subspace of c's grid
+    (EvenGrid) up to _EVEN_MAX_N points per axis, the full grid above."""
+    kind = EvenGrid if c.N <= _EVEN_MAX_N else Grid
+    return kind(n=int(c.n), N=int(c.N), L=float(c.L))
+
+
 def _curve_batch(c, specs, stops=None):
     """Error curves of the (delta, eps_comp) specs of a config,
     with every distinct delta stepped at once on a leading batch axis.
+
+    The batch steps on _sweep_grid(c), up to _EVEN_MAX_N points per axis
+    the even subspace: phi(0) = delta x the Gaussian and psi(0) = 0 are
+    even in every coordinate, and both models, every comparator and the
+    H^s norm commute with x_i -> -x_i (each per-mode symbol depends on
+    |k|^2 alone), so the fields stay even and it holds them whole.
 
     Every sample, t = 0 included, is read from model_stream: the truth
     spectrum is the photon spectrum it yields as spectra[0], the comparator
@@ -373,7 +406,7 @@ def _curve_batch(c, specs, stops=None):
 def _measure_batch(c, specs, stops, block_points):
     """_curve_batch in blocks of at most block_points truth points, or
     None where a kernel error inside a block calls for a rerun."""
-    grid, params, step = solver_setup(c)
+    grid, params, step = _sweep_grid(c), _model_params(c), _solver_step(c)
     times = sample_times(c.T, step)
     deltas = list(dict.fromkeys(d for d, _ in specs))
     comps = list(dict.fromkeys(e for _, e in specs))
@@ -399,7 +432,7 @@ def _measure_batch(c, specs, stops, block_points):
         # the largest K of at most block_points truth points whose stack
         # rows, counted twice for their temporaries, fit in what max_points
         # leaves beside the batch; 1 in any case
-        points = grid.k_squared.size
+        points = c.N**c.n  # per row, as max_points counts (_batch_points)
         room = c.max_points - _batch_points(c, rows, len(live))
         per_sample = 2 * points * (per_truth * rows + len(live))
         k = min(block_points // (rows * points), room // per_sample, len(times) - i)
@@ -530,7 +563,7 @@ def _slope(grid, s, stack, norms, pair, rho):
     forcing = np.conj(stack[split:], out=stack[split:])
     stack[:truths] *= forcing
     stack[truths:split] *= forcing[pair]
-    dot = stack[:split].reshape(split, -1).imag @ ((1.0 + grid.k_squared) ** s).ravel()
+    dot = stack[:split].reshape(split, -1).imag @ grid.hs_weight(s).ravel()
     dot *= grid.cell_volume**2 / grid.box_volume
     den = unit[:split] * unit[split:][np.concatenate([np.arange(truths), pair])]
     cos = np.divide(dot, den, out=np.zeros_like(dot), where=den > 0.0)

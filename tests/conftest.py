@@ -1,6 +1,8 @@
 import numpy.fft
 import pytest
 
+from epnls.grid import EvenGrid
+
 
 @pytest.fixture
 def fft_calls(monkeypatch):
@@ -19,4 +21,21 @@ def fft_calls(monkeypatch):
             return out
 
         monkeypatch.setattr(numpy.fft, name, counted)
+    return calls
+
+
+@pytest.fixture
+def even_transforms(monkeypatch):
+    """A list that grows by one entry with every EvenGrid.fft / ifft call:
+    the number of complex points that call transforms, over all its axes."""
+    calls = []
+    for name in ("fft", "ifft"):
+        orig = getattr(EvenGrid, name)
+
+        def counted(self, *args, _orig=orig, **kwargs):
+            out = _orig(self, *args, **kwargs)
+            calls.append(out.size)
+            return out
+
+        monkeypatch.setattr(EvenGrid, name, counted)
     return calls

@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from epnls.grid import (
+    EvenGrid,
     Field,
+    Grid,
     default_sobolev_index,
     free_propagate,
     gaussian_initial,
@@ -148,6 +150,75 @@ def test_levels_gather_to_k_squared_exactly(n, N, levels):
     assert np.array_equal(g.gather(g.k_levels), g.k_squared)
     stacked = np.stack([g.k_levels, -g.k_levels])
     assert np.array_equal(g.gather(stacked), np.stack([g.k_squared, -g.k_squared]))
+
+
+def _mirrored(grid, even, spectral):
+    """The full-grid array of data on the even subspace: physical point j
+    of an axis is stored point |j - N/2|, mode j stored mode min(j, N - j)."""
+    j = np.arange(grid.N)
+    stored = np.minimum(j, grid.N - j) if spectral else np.abs(j - grid.N // 2)
+    for axis in range(-grid.n, 0):
+        even = np.take(even, stored, axis=axis)
+    return even
+
+
+def _stored(grid, full, spectral):
+    """The even subspace's entries of a full-grid array."""
+    m = np.arange(grid.N // 2 + 1)
+    index = m if spectral else (grid.N // 2 + m) % grid.N
+    for axis in range(-grid.n, 0):
+        full = np.take(full, index, axis=axis)
+    return full
+
+
+@pytest.mark.parametrize("n, N", [(1, 128), (2, 16), (3, 8)], ids=["1", "2", "3"])
+def test_even_grid_transforms_are_grid_transforms_of_the_mirrored_field(n, N):
+    full, even = Grid(n, N, 10.0), EvenGrid(n, N, 10.0)
+    assert even.shape == (N // 2 + 1,) * n
+    assert np.array_equal(_stored(full, full.meshgrid()[-1], False), even.meshgrid()[-1])
+    rng = np.random.default_rng(n)
+    shape = (3,) + even.shape
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for transform, spectral in (("fft", False), ("ifft", True)):
+        got = getattr(even, transform)(data)
+        want = _stored(full, getattr(full, transform)(_mirrored(full, data, spectral)),
+                       not spectral)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    back = even.ifft(even.fft(data))
+    assert np.max(np.abs(back - data)) < 1e-13 * np.max(np.abs(data))
+    # each batch row alone, and into out (which may be the input), bitwise
+    spectra = even.fft(data)
+    for row, spectrum in zip(data, spectra):
+        assert np.array_equal(even.fft(row), spectrum)
+    assert np.array_equal(even.fft(data[1:]), spectra[1:])
+    out = np.empty_like(data)
+    assert even.fft(data, out=out) is out and np.array_equal(out, spectra)
+    assert even.fft(out, out=out) is out and np.array_equal(out, even.fft(spectra))
+
+
+@pytest.mark.parametrize("n, N", [(1, 128), (2, 16), (3, 8)], ids=["1", "2", "3"])
+@pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
+def test_even_grid_norms_are_the_mirrored_fields_norms(n, N, s):
+    full, even = Grid(n, N, 10.0), EvenGrid(n, N, 10.0)
+    rng = np.random.default_rng(n)
+    shape = (2,) + even.shape
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mirrored = _mirrored(full, data, False)
+    got = hs_norm_from_fft(even.fft(data), even, s)
+    want = hs_norm_from_fft(full.fft(mirrored), full, s)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n, N, levels", [(1, 128, 65), (2, 64, 526), (3, 8, 42)],
+                         ids=["1", "2", "3"])
+def test_even_grid_has_the_full_lattices_levels(n, N, levels):
+    # every |k|^2 of the lattice is that of a mode with offsets m >= 0: 65
+    # of 65 stored modes in 1D, 526 of 1,089 in 2D
+    full, even = Grid(n, N, 10.0), EvenGrid(n, N, 10.0)
+    assert np.array_equal(even.k_levels, full.k_levels)
+    assert even.k_levels.size == levels
+    assert np.array_equal(even.gather(even.k_levels), even.k_squared)
+    assert np.array_equal(even.k_squared, _stored(full, full.k_squared, True))
 
 
 def test_single_mode_concentration():

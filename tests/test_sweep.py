@@ -610,6 +610,35 @@ def test_engine_matches_full_state_reference(kw, delta, eps_comp):
     assert np.max(rel) < 1e-9
 
 
+@pytest.mark.parametrize("kw", [
+    dict(model="ep", N=64),
+    dict(model="ep", n=2, N=64, comparator="composite", c1=1.0, alpha_set=(0.0, 0.2),
+         epsilon_set=tuple(np.logspace(-2.0, -3.0, 4))),
+    dict(model="nls", N=64),
+], ids=["ep-1d", "composite-2d", "nls"])
+def test_even_subspace_sweep_matches_the_full_grid(monkeypatch, kw):
+    # the sweep's initial data are even in every coordinate and stay so:
+    # stepped on the even subspace and on the full grid, the curves agree
+    # to rounding, and so do the crossings
+    cfg = SweepConfig(**kw)
+    results = []
+    for cutoff in (64, 32):  # even subspace, then the full grid
+        monkeypatch.setattr(epnls.sweep, "_EVEN_MAX_N", cutoff)
+        grid = epnls.sweep._sweep_grid(cfg)
+        assert grid.shape == ((33,) if cutoff == 64 else (64,)) * cfg.n
+        results.append(run_algorithm_a(cfg))
+    even, full = results
+    assert [len(c.times) for c in even.curves] == [len(c.times) for c in full.curves]
+    for a, b in zip(even.curves, full.curves):
+        visible = b.rho > 1e-6
+        assert visible.sum() > len(b.rho) // 2
+        np.testing.assert_allclose(a.rho[visible], b.rho[visible], rtol=1e-10, atol=0)
+    assert len(even.crossings) == len(full.crossings) >= 8
+    for a, b in zip(even.crossings, full.crossings):
+        assert (a.alpha, a.epsilon) == (b.alpha, b.epsilon)
+        assert a.t_cross == pytest.approx(b.t_cross, rel=1e-11, abs=0.0)
+
+
 @pytest.mark.parametrize("comparator, n_curves", [("systemB", 4), ("composite", 6)])
 def test_curve_bits_do_not_depend_on_the_batch(tmp_path, comparator, n_curves):
     # composite: delta = 1 serves three comparator epsilons in one batch
@@ -934,33 +963,47 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
 
 
 @pytest.mark.parametrize("model, steps, samples", [("ep", 100, 101), ("nls", 100, 101)])
-def test_fft_calls_per_step_and_sample(fft_calls, model, steps, samples):
-    # one block of 64 samples holds every stop
-    assert _fft_call_blocks(fft_calls, model, steps, samples) == [0, 64]
+def test_fft_calls_per_step_and_sample(fft_calls, even_transforms, model, steps, samples):
+    # one block of 64 samples holds every stop; N = 32 steps the even
+    # subspace, whose transforms are no numpy.fft calls
+    assert _fft_call_blocks(even_transforms, model, steps, samples) == [0, 64]
+    assert fft_calls == []
 
 
 @pytest.mark.parametrize("model", ["ep", "nls"])
-def test_fft_calls_per_step_and_sample_in_small_blocks(fft_calls, monkeypatch, model):
+def test_fft_calls_per_step_and_sample_in_small_blocks(even_transforms, monkeypatch, model):
     # 2^9 points: blocks of 4 to 16 samples
     monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 2**9)
-    assert len(_fft_call_blocks(fft_calls, model, 100, 101)) > 5
+    assert len(_fft_call_blocks(even_transforms, model, 100, 101)) > 5
 
 
-def _fft_call_blocks(fft_calls, model, steps, samples):
-    """Check the exact transform sizes of a 4-amplitude sweep of 32-point
-    fields and return the first sample of each block (and the end)."""
+@pytest.mark.parametrize("model", ["ep", "nls"])
+def test_fft_calls_per_step_and_sample_above_the_even_cutoff(fft_calls, even_transforms,
+                                                             model):
+    # N = 512 steps the full grid: numpy.fft calls on 512-point rows, in
+    # blocks of 4 samples while all four amplitudes step
+    assert epnls.sweep._EVEN_MAX_N < 512
+    assert _fft_call_blocks(fft_calls, model, 100, 101, N=512)[:3] == [0, 4, 8]
+    assert even_transforms == []
+
+
+def _fft_call_blocks(calls, model, steps, samples, N=32):
+    """Check the exact transform sizes of a 4-amplitude sweep of N-point
+    fields, as ``calls`` records them (the sweep grid's transforms, each a
+    numpy.fft call on the full grid), and return the first sample of each
+    block (and the end)."""
     if model == "ep":
-        cfg = SweepConfig(model="ep", N=32, alpha_set=(0.0, 0.1),
+        cfg = SweepConfig(model="ep", N=N, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     else:  # the default clock
-        cfg = SweepConfig(model="nls", N=32, T=0.05, alpha_set=(0.0, 0.1),
+        cfg = SweepConfig(model="nls", N=N, T=0.05, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     specs = curve_specs(cfg)
     lengths = [len(_stop_prefix(cfg, spec, compute_error_curve(cfg, *spec)).times)
                for spec in specs]
     assert len(specs) == 4 and steps + 1 == samples >= max(lengths)
     assert min(lengths) < samples  # some member leaves the batch early
-    fft_calls.clear()
+    calls.clear()
     curves = run_error_curves(cfg)
     assert [len(c.times) for c in curves] == lengths
     # one transform of the initial photon fields, then 2 per inner substep
@@ -968,23 +1011,25 @@ def _fft_call_blocks(fft_calls, model, steps, samples):
     # rotations).  Both loops carry the truth's photon spectrum, so rho
     # costs no transform; NLS's rho' costs 2 per block of samples, t = 0
     # included (nls_forcing's inverse and forward transform of the block's
-    # truths).  A block from sample i holds K = _BLOCK_POINTS // (m x 32) samples
-    # (fewer at T), m the amplitudes that some curve needs at sample i; they
-    # are stepped through the block, and leave the batch after it.  Every
-    # step moves one field of them (EP transforms only psi).  Stepping ends
-    # with the last block.  The count is exact, not a bound: a bound would
-    # pass blocks that step members longer than they must
+    # truths).  A block from sample i holds K = _BLOCK_POINTS // (m x N)
+    # samples (fewer at T), m the amplitudes that some curve needs at sample
+    # i; they are stepped through the block, and leave the batch after it.
+    # Every step moves one field of them (EP transforms only psi), of N
+    # points a row on the full grid and N/2 + 1 on the even subspace.
+    # Stepping ends with the last block.  The count is exact, not a bound:
+    # a bound would pass blocks that step members longer than they must
+    points = N if N > epnls.sweep._EVEN_MAX_N else N // 2 + 1
     per_step = 2 * 3
-    expected, blocks = [4 * 32], [0]
+    expected, blocks = [4 * points], [0]
     while blocks[-1] < max(lengths):
         i = blocks[-1]
         m = sum(n > i for n in lengths)
-        k = max(1, min(epnls.sweep._BLOCK_POINTS // (m * 32), samples - i))
-        expected += [m * 32] * (per_step * (k - (i == 0)))  # sample 0: no step
+        k = max(1, min(epnls.sweep._BLOCK_POINTS // (m * N), samples - i))
+        expected += [m * points] * (per_step * (k - (i == 0)))  # sample 0: no step
         if model == "nls":
-            expected += [k * m * 32] * 2
+            expected += [k * m * points] * 2
         blocks.append(i + k)
-    assert fft_calls == expected
+    assert calls == expected
     return blocks
 
 
@@ -1101,9 +1146,9 @@ def test_default_ep_dt_is_converged():
 
 
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 5, "nls": 5}
-    assert "solver=5" in physics_signature(SweepConfig(**FAST_EP))
-    assert "solver=5" in physics_signature(SweepConfig(model="nls"))
+    assert SOLVER_REVISION == {"ep": 6, "nls": 6}
+    assert "solver=6" in physics_signature(SweepConfig(**FAST_EP))
+    assert "solver=6" in physics_signature(SweepConfig(model="nls"))
 
 
 @pytest.mark.parametrize("corrupt", [
