@@ -13,29 +13,28 @@ field (its modulus is invariant) and the exact per-mode linear flow, for
 EP the 2x2 matrix exponential of H_k = [[|k|^2, gamma], [gamma, omega0]],
 for NLS the free phase.  Mass is conserved to rounding error at any dt.
 Both take Yoshida's fourth-order triple jump (Yoshida 1990, Phys. Lett. A
-150:262): Strang steps outside(w dt/2), inside(w dt), outside(w dt/2) of
-weights w1, w0, w1, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0, with the
-rotation outside for EP and the linear flow outside for NLS (Strang
-splitting is second order with either substep outside; Thalhammer 2012,
-SIAM J. Numer. Anal. 50:3231).  Every substep is unitary and reversible,
-so the negative middle weight is harmless; halving dt divides the step
-error by 16.  Both default clocks take one triple jump per sample, and
-with the sweep's crossing rules the sample spacing, not the step, limits
-the default crossings.  EP, read by a four-point cubic: dt = 2e-2 at 50
-samples per unit time, within 6.4e-7 (1D) and 3.4e-5 (2D composite) of
-fine references (dt = 1e-3 at 1,000 samples per unit time in 1D, 2e-3 at
-500 in 2D); in 1D the step and the sample spacing add about equally
-(6.3e-7 and 5.4e-7), in 2D the sample spacing dominates (3.4e-5, against
-1.3e-7 from the step).  NLS, read by cubic Hermite from the exact slope
-rho' (nls_forcing gives the flow's nonlinear term): dt = 5e-4 at 2,000
-samples per unit time, within 1.3e-9 of a triple jump at dt = 2e-5 with
-50,000 samples per unit time (dt = 2.5e-5 at the same samples moves the
-crossings by 7.5e-12).
+150:262): Strang steps flow(w dt/2), rotation(w dt), flow(w dt/2) of
+weights w1, w0, w1, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0.  Every
+substep is unitary and reversible, so the negative middle weight is
+harmless; halving dt divides the step error by 16.  Both default clocks
+take one triple jump per sample, and with the sweep's crossing rules the
+sample spacing, not the step, limits the default crossings.  EP, read by
+a four-point cubic: dt = 2e-2 at 50 samples per unit time, within 5.5e-7
+(1D) and 3.4e-5 (2D composite) of fine references (dt = 1e-3 at 1,000
+samples per unit time in 1D, 2e-3 at 500 in 2D); the sample spacing
+gives 5.4e-7 and 3.4e-5 of that, the step 5.5e-8 and 1.1e-8.  (With the
+rotation outside each Strang step, as Thalhammer 2012, SIAM J. Numer.
+Anal. 50:3231, allows too, the step gave 6.3e-7 and 1.3e-7.)  NLS, read
+by cubic Hermite from the exact slope rho' (nls_forcing gives the flow's
+nonlinear term): dt = 5e-4 at 2,000 samples per unit time, within 1.3e-9
+of a triple jump at dt = 2e-5 with 50,000 samples per unit time (dt =
+2.5e-5 at the same samples moves the crossings by 7.5e-12).
 The kernel carries spectra and takes only the rotated field to physical
-space and back (McLachlan & Quispel 2002, Acta Numerica 11:341), so an EP
-step transforms psi alone and phi never leaves spectral space.  The
-rotation exp(-i theta), theta = g dt |u|^(p-1), is evaluated as
-(1 - i tau)^2 / (1 + tau^2) with tau = tan(theta/2).
+space and back, for each rotation (McLachlan & Quispel 2002,
+Acta Numerica 11:341): an EP step transforms psi alone and phi never
+leaves spectral space.  The rotation exp(-i theta), theta = g dt
+|u|^(p-1), is evaluated as (1 - i tau)^2 / (1 + tau^2) with tau =
+tan(theta/2).
 
 Three linear comparators, each a per-mode multiplier of the initial
 spectra, are evaluated in closed form with no stepping error: the fully
@@ -45,10 +44,10 @@ Every per-mode symbol (free_symbol, linear_pair_propagator,
 system_a_symbols, composite_seed) is a function of |k|^2 alone, evaluated
 on the grid's distinct values k_levels and gathered onto the lattice.
 
-Every sample comes from a stream of (t, spectra, u): the kernel yields
-its fields at t = 0 and after each sample interval, and a comparator its
-spectra at each requested time.  One loop, _record, turns any such
-stream into a Trajectory.
+Every sample comes from a stream of (t, spectra), every field spectral:
+the kernel yields its spectra at t = 0 and after each sample interval,
+and a comparator its spectra at each requested time.  One loop, _record,
+turns any such stream into a Trajectory.
 """
 
 from __future__ import annotations
@@ -322,15 +321,13 @@ def _rotate(values, g, p, dt):
 
 
 def _record(samples, grid, params, policy):
-    """The Trajectory of a stream of (t, spectra, u) samples: spectra lists
-    the plain FFTs of phi (and psi), and an entry that is None is the field
-    held in physical space as u.  Norms come from the spectra (u gets one
-    Grid.fft) and mass from Parseval; 'full' states are one Grid.ifft of
-    them."""
+    """The Trajectory of a stream of (t, spectra) samples, spectra the
+    plain FFTs of phi (and psi).  Norms come from the spectra and mass from
+    Parseval; 'full' states are one Grid.ifft of them."""
     s = params.resolve_s(grid)
     times, norms, l2, states = [], [], [], []
-    for t, spectra, u in samples:
-        hats = np.stack([grid.fft(u) if a is None else a for a in spectra])
+    for t, spectra in samples:
+        hats = np.stack(spectra)
         times.append(t)
         norms.append(hs_norm_from_fft(hats, grid, s))
         l2.append(hs_norm_from_fft(hats, grid, 0.0))
@@ -413,71 +410,61 @@ def _apply_linear(hats, symbols):
     hats[1] += mix_psi
 
 
-def model_stream(model, grid, params, step, n_samples, phi_hat, psi=None):
+def model_stream(model, grid, params, step, n_samples, phi_hat, psi_hat=None):
     """The split-step loop of ``model`` from the photon spectra phi_hat
     (with any leading batch axes), as a stream of its samples from t = 0.
 
-    EP steps the 2x2 flow exp(-i tau H_k) and rotates psi, the exciton in
-    physical space (zero if None), with the rotation outside; NLS steps
-    the free flow and rotates phi, with the flow outside.  Each step is
-    Yoshida's triple jump, Strang steps outside(w/2), inside(w),
-    outside(w/2) of weights w1, w0, w1, chained over a sample interval
-    with the outside half-steps that meet merged; one linear map is built
-    per distinct weight.  The stream owns phi_hat and psi.  It yields (t,
-    spectra, u) at t = 0 and after each of n_samples sample intervals, at
-    the times sample_times gives.  spectra lists the fields' plain FFTs
-    and u the rotated field in physical space, where only that field's
-    entry or u is set, and the arrays change in place once it resumes.
-    spectra[0] is the photon spectrum at every sample: EP's phi never
-    leaves spectral space, and NLS ends each interval on a linear
-    substep.  Raises SolverBlowupError once a sample is not finite or a
-    rotation angle reaches 2^52 rad.  ``stream.send(keep)``, keep a
+    EP steps the 2x2 flow exp(-i tau H_k) of (phi_hat, psi_hat), the
+    exciton spectrum zero if None, and rotates psi; NLS steps the free flow
+    and rotates phi.  Each step is Yoshida's triple jump, Strang steps
+    flow(w/2), rotation(w), flow(w/2) of weights w1, w0, w1, chained over a
+    sample interval with the half flows that meet merged; one linear map is
+    built per distinct weight.  A rotation takes its field to physical
+    space and back.  The stream owns phi_hat and psi_hat.  It yields (t,
+    spectra) at t = 0 and after each of n_samples sample intervals, at the
+    times sample_times gives: spectra lists the fields' plain FFTs, photon
+    first, and the list and its arrays change once it resumes.  Raises
+    SolverBlowupError once a sample is not finite or a rotation angle
+    reaches 2^52 rad.  ``stream.send(keep)``, keep a
     boolean mask or row indices over the leading batch axis, shrinks the
     batch to those rows in new arrays before the next step; each row
     steps alone, so the survivors' bits do not change."""
     if model == EP:
         gamma, omega0 = params.gamma, params.omega0
         linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
-        spectra, field = [phi_hat, None], 1
-        u = np.zeros_like(phi_hat) if psi is None else psi
+        spectra = [phi_hat, np.zeros_like(phi_hat) if psi_hat is None else psi_hat]
     else:
         linear = lambda tau: (free_symbol(grid, tau),)
-        spectra, field, u = [phi_hat], 0, None
-    # the stream's arrays are spectra and u alone: a name left bound here
-    # would hold the initial fields for the whole run, after a batch
-    # shrink or an NLS rotation has replaced them
-    del phi_hat, psi
+        spectra = [phi_hat]
+    # the stream's arrays are spectra alone: a name left bound here would
+    # hold the initial fields for the whole run, after a batch shrink has
+    # replaced them
+    del phi_hat, psi_hat
     dt, per_block = step.dt, step.steps_per_sample
-    # (rotate?, weight) substeps of a sample interval; the outside
-    # half-steps of neighbouring jumps a, b merge into 0.5 (a + b), which
-    # is 0.5 a + 0.5 b exactly
+    # the half flows of neighbouring jumps a, b merge into 0.5 (a + b),
+    # which is 0.5 a + 0.5 b exactly
     jumps = (_W1, _W0, _W1) * per_block
     halves = [0.5 * (a + b) for a, b in zip((0.0,) + jumps, jumps + (0.0,))]
-    rotate_outside = model == EP
-    substeps = [substep for half, w in zip(halves, jumps)
-                for substep in ((rotate_outside, half), (not rotate_outside, w))]
-    substeps.append((rotate_outside, halves[-1]))
-    maps = {w: linear(w * dt) for rotate, w in substeps if not rotate}
+    maps = {w: linear(w * dt) for w in halves}
     for block in range(n_samples + 1):
-        for rotate, weight in substeps if block else ():  # sample 0: no step
-            if rotate:
-                if u is None:
-                    u, spectra[field] = grid.ifft(spectra[field]), None
+        if block:  # sample 0: no step
+            for half, weight in zip(halves, jumps):
+                _apply_linear(spectra, maps[half])
+                # the rotated field is the last spectrum: EP's psi, NLS's phi
+                u = grid.ifft(spectra.pop())
                 angle = _rotate(u, params.g, params.p, weight * dt)
                 if angle >= _MAX_ANGLE:
                     raise SolverBlowupError((block - 1) * step.sample_interval,
                                             (block - 1) * per_block + 1, angle)
-            else:
-                if u is not None:
-                    spectra[field], u = grid.fft(u), None
-                _apply_linear(spectra, maps[weight])
+                spectra.append(grid.fft(u))
+                del u  # or it would live on through the next linear substep
+            _apply_linear(spectra, maps[halves[-1]])
         t = block * step.sample_interval
-        if not all(np.all(np.isfinite(a)) for a in spectra + [u] if a is not None):
+        if not all(np.all(np.isfinite(a)) for a in spectra):
             raise SolverBlowupError(t, block * per_block)
-        keep = yield t, spectra, u
+        keep = yield t, spectra
         if keep is not None:
-            spectra = [None if a is None else a[keep] for a in spectra]
-            u = None if u is None else u[keep]
+            spectra = [a[keep] for a in spectra]
 
 
 def nls_forcing(grid, params, phi_hat, out=None):
@@ -503,8 +490,8 @@ def evolve_ep(initial, params, step, T, record=FULL):
     """Integrate the full photon-exciton system from t = 0 to T.
 
     Each step is Yoshida's fourth-order triple jump (model_stream): three
-    Strang steps of w1 dt, w0 dt, w1 dt, each a half rotation of psi, the
-    exact 2x2 linear step for (phi_hat, psi_hat) and a half rotation
+    Strang steps of w1 dt, w0 dt, w1 dt, each a half exact 2x2 linear step
+    for (phi_hat, psi_hat), the rotation of psi and a half linear step
     again.  Aborts with SolverBlowupError if any field stops being finite
     or a rotation angle reaches 2^52 rad.
     """
@@ -513,7 +500,7 @@ def evolve_ep(initial, params, step, T, record=FULL):
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
     stream = model_stream(EP, grid, params, step, samples, grid.fft(initial.phi.values),
-                          initial.psi.values.copy())
+                          grid.fft(initial.psi.values))
     return _record(stream, grid, params, record)
 
 
@@ -553,7 +540,7 @@ def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
         u = linear_pair_propagator(grid, params.gamma, params.omega0, t - initial.time)
         return _pair_map(u, phi0_hat, psi0_hat)
 
-    return _record(((t, spectra(t), None) for t in times), grid, params, record)
+    return _record(((t, spectra(t)) for t in times), grid, params, record)
 
 
 _RESONANCE_GAP = 1e-8
@@ -576,7 +563,7 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
     grid = phi0.grid
     phi0_hat = grid.fft(phi0.values)
     spectra = lambda t: [m * phi0_hat for m in system_a_symbols(grid, params, t)]
-    return _record(((t, spectra(t), None) for t in times), grid, params, record)
+    return _record(((t, spectra(t)) for t in times), grid, params, record)
 
 
 def system_a_symbols(grid, params, t):
@@ -638,7 +625,7 @@ def evolve_composite_tilde(phi0, params, C1, epsilon, T=None, sample_times=None,
         u = linear_pair_propagator(grid, params.gamma, params.omega0, t)
         return _pair_map(u, b_phi, b_psi)
 
-    return _record(((t, spectra(t), None) for t in times), grid, params, record)
+    return _record(((t, spectra(t)) for t in times), grid, params, record)
 
 
 # --------------------------------------------------------------------------

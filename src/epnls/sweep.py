@@ -57,8 +57,9 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  Both
 # take one fourth-order triple jump per sample, so that the sample spacing,
 # not the step, limits the crossings.  EP, read by find_crossing's cubic
-# rule: dt = 2e-2 at 50 samples per unit time, crossings within 6.4e-7 of
-# a fine reference in 1D and 3.4e-5 in 2D.  NLS curves carry rho', and
+# rule: dt = 2e-2 at 50 samples per unit time, crossings within 5.5e-7 of
+# a fine reference in 1D and 3.4e-5 in 2D, of which the step gives 5.5e-8
+# and 1.1e-8 and the sample spacing the rest.  NLS curves carry rho', and
 # find_crossing reads them by cubic Hermite from the two samples that
 # bracket a crossing: dt = 5e-4 at 2,000 samples per unit time, within
 # 1.3e-9 of a triple jump at dt = 2e-5 with 50,000 samples (the cubic rule
@@ -78,14 +79,14 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 6, NLS: 6}
+SOLVER_REVISION = {EP: 7, NLS: 6}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
 # the peak of _curve_batch, one sample per block, measured and rounded up
 # (EP ~6.2 with system B and ~6.2-6.7 with the composite, NLS ~6.5;
 # checked by tests/test_sweep.py): the curve's phi_hat(0) copy, the spectra
-# the split-step loop owns (EP: phi_hat, and psi in whichever space it is
-# in; NLS: one field, whose spectrum is dropped while it is rotated), the
+# the split-step loop owns (EP: phi_hat and psi_hat; NLS: phi_hat; the
+# rotated field's spectrum is dropped while it is rotated), the
 # temporaries of a rotation or a 2x2 step, the truth-and-difference stack
 # of the sample's norm call (for NLS with its forcing row, which rho'
 # needs and nls_forcing writes in place) and, for the composite, the seed
@@ -531,8 +532,9 @@ def _measure_batch(c, specs, stops, block_points):
 def _carries_slope(c):
     """Whether c's curves carry rho' (ErrorCurve.drho): NLS's, where the
     flow gives it for two transforms per sample and buys a clock of half
-    the samples.  EP's would cost a transform and a comparator exciton row
-    per sample and buys no coarser clock, so EP curves carry rho alone."""
+    the samples.  EP's would need the truth's psi_hat, which the stream
+    yields, and a comparator exciton row per sample, and buys no coarser
+    clock, so EP curves carry rho alone."""
     return c.model == NLS
 
 
@@ -758,8 +760,9 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
     sample has t <= 0 or rho <= 0, when log rho is not strictly increasing
     over the window, or when the cubic leaves the bracket.  A crossing
     before the first positive sample (t[i-1] = 0) raises NoCrossingError.
-    On the default clocks the crossings are within 6.4e-7 (EP 1D), 3.4e-5
-    (2D composite) and 1.3e-9 (NLS) of fine references."""
+    On the default clocks the crossings are within 5.5e-7 (EP 1D), 3.4e-5
+    (2D composite) and 1.3e-9 (NLS) of fine references; EP's is nearly all
+    the cubic's (the step gives 5.5e-8 and 1.1e-8)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon < epsilon_floor:

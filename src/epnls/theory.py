@@ -166,11 +166,10 @@ def y1_pow_p_series(inp, order):
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     _check_series_regime(inp)
-    p = inp.p
-    z = inp.z
-    coeffs = (1.0, p, p * p + 0.5 * p * (p - 1.0))
-    total = sum(coeffs[k] * z**k for k in range(order + 1))
-    return inp.delta**p * total
+    # y1^p = (y1 - delta) / eta, so its z^k coefficient is y1's z^(k+1) one
+    c = _y1_coeffs(inp.p)
+    total = sum(c[k + 1] * inp.z**k for k in range(order + 1))
+    return inp.delta**inp.p * total
 
 
 EXACT = "exact"

@@ -524,16 +524,17 @@ def test_ep_records_norms_transforming_psi_only(fft_calls):
                      StepSpec(dt=1e-3, samples_per_unit_time=100), 0.1,
                      record="norms")
     assert len(traj.times) == 11
-    # phi's initial spectrum, then psi alone: its norm at t = 0, 2 per
-    # linear substep (3 per triple-jump step) and 1 per later sample;
-    # phi_hat never leaves spectral space
-    assert fft_calls == [256] * (2 + 3 * 2 * 100 + 10)
+    # the initial spectra of phi and psi, then psi alone, 2 per rotation
+    # (3 per triple-jump step) and none per sample: every sample is
+    # spectral, and phi_hat never leaves spectral space
+    assert fft_calls == [256] * (2 + 3 * 2 * 100)
 
 
 # ---------------------------------------------------------------- kernel
 # frozen copies of the loops the split-step kernel replaced, each here
-# running Yoshida's triple jump of unmerged Strang steps: the stacked EP
-# loop (both fields through every transform) and the NLS loop
+# running Yoshida's triple jump of unmerged Strang steps flow(h/2),
+# rotation(h), flow(h/2): the stacked EP loop (both fields through every
+# transform) and the NLS loop
 
 
 def frozen_ep_samples(fields, params, step, n_samples, grid):
@@ -541,19 +542,20 @@ def frozen_ep_samples(fields, params, step, n_samples, grid):
     g, p = params.g, params.p
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     jumps = [w * step.dt for w in (w1, 1.0 - 2.0 * w1, w1)]
-    maps = [linear_pair_propagator(grid, params.gamma, params.omega0, h)
-            for h in jumps]
-    fields = np.array(fields, dtype=np.complex128)
+    halves = [linear_pair_propagator(grid, params.gamma, params.omega0, 0.5 * h)
+              for h in jumps]
+
+    def flow(hat, u11, u12, u22):
+        return np.stack([u11 * hat[0] + u12 * hat[1], u12 * hat[0] + u22 * hat[1]])
+
+    hat = np.fft.fftn(np.array(fields, dtype=np.complex128), axes=axes)
     for block in range(n_samples):
         for _ in range(step.steps_per_sample):
-            for h, (u11, u12, u22) in zip(jumps, maps):
-                fields[1] = nonlinear_phase(fields[1], g, p, 0.5 * h)
-                hat = np.fft.fftn(fields, axes=axes)
-                spectrum = np.stack([u11 * hat[0] + u12 * hat[1],
-                                     u12 * hat[0] + u22 * hat[1]])
-                fields = np.fft.ifftn(spectrum, axes=axes)
-                fields[1] = nonlinear_phase(fields[1], g, p, 0.5 * h)
-        yield (block + 1) * step.sample_interval, spectrum[0], fields[1]
+            for h, half in zip(jumps, halves):
+                fields = np.fft.ifftn(flow(hat, *half), axes=axes)
+                fields[1] = nonlinear_phase(fields[1], g, p, h)
+                hat = flow(np.fft.fftn(fields, axes=axes), *half)
+        yield (block + 1) * step.sample_interval, hat
 
 
 def frozen_nls_samples(phi_hat, params, step, n_samples, grid):
@@ -579,16 +581,15 @@ def test_ep_kernel_matches_the_stacked_loop(grid):
     phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.6)])
     psi0 = 0.3j * phi0[::-1]
     old = frozen_ep_samples([phi0, psi0], PARAMS, step, 20, grid)
-    phi0_hat = np.fft.fftn(phi0, axes=axes)
-    new = model_stream(EP, grid, PARAMS, step, 20, phi0_hat, psi0.copy())
-    # the kernel's first sample is the given fields at t = 0
-    t0, (phi_hat, _), psi = next(new)
-    assert t0 == 0.0 and phi_hat is phi0_hat and np.array_equal(psi, psi0)
-    for (t_old, phi_hat_old, psi_old), (t_new, (phi_hat, _), psi) in zip(old, new):
+    phi0_hat, psi0_hat = (np.fft.fftn(f, axes=axes) for f in (phi0, psi0))
+    new = model_stream(EP, grid, PARAMS, step, 20, phi0_hat, psi0_hat.copy())
+    # the kernel's first sample is the given spectra at t = 0
+    t0, (phi_hat, psi_hat) = next(new)
+    assert t0 == 0.0 and phi_hat is phi0_hat and np.array_equal(psi_hat, psi0_hat)
+    for (t_old, hat_old), (t_new, spectra) in zip(old, new):
         assert t_new == t_old
-        scale = np.max(np.abs(phi_hat_old))
-        assert np.max(np.abs(phi_hat - phi_hat_old)) <= 1e-12 * scale
-        assert np.max(np.abs(psi - psi_old)) <= 1e-12 * np.max(np.abs(psi_old))
+        for hat, field_old in zip(spectra, hat_old, strict=True):
+            assert np.max(np.abs(hat - field_old)) <= 1e-12 * np.max(np.abs(field_old))
     assert t_new == pytest.approx(0.2)
 
 
@@ -606,8 +607,8 @@ def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at, keep_rows)
     def samples(drop):
         stream = model_stream(EP, GRID, PARAMS, step, 4, np.fft.fftn(phi0, axes=(-1,)))
         keep, out = None, []
-        for t, (phi_hat, _), psi in iter(lambda: stream.send(keep), None):
-            out.append((t, phi_hat.copy(), psi.copy()))
+        for t, (phi_hat, psi_hat) in iter(lambda: stream.send(keep), None):
+            out.append((t, phi_hat.copy(), psi_hat.copy()))
             keep = kept if len(out) - 1 == drop else None
         return out
 
@@ -633,10 +634,10 @@ def test_nls_kernel_matches_the_stacked_loop(grid, clock):
     phi0_hat = np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))
     old = frozen_nls_samples(phi0_hat, PARAMS, step, 20, grid)
     new = model_stream(NLS, grid, PARAMS, step, 20, phi0_hat.copy())
-    t0, (hat0,), u = next(new)
-    assert t0 == 0.0 and u is None and np.array_equal(hat0, phi0_hat)
-    for (t_old, hat_old), (t_new, (hat,), u) in zip(old, new):
-        assert t_new == t_old and u is None  # the flow is outside
+    t0, (hat0,) = next(new)
+    assert t0 == 0.0 and np.array_equal(hat0, phi0_hat)
+    for (t_old, hat_old), (t_new, (hat,)) in zip(old, new):
+        assert t_new == t_old
         assert np.max(np.abs(hat - hat_old)) <= 1e-12 * np.max(np.abs(hat_old))
     assert t_new == pytest.approx(20 * step.sample_interval)
 
@@ -644,19 +645,17 @@ def test_nls_kernel_matches_the_stacked_loop(grid, clock):
 @pytest.mark.parametrize("model", [EP, NLS])
 def test_model_stream_yields_the_photon_spectrum_at_every_sample(model):
     # the sweep reads the truth off spectra[0] at every sample, t = 0
-    # included: it is never None, and it is the photon field's plain FFT
+    # included: it is the photon field's plain FFT, for EP from psi = 0
     step = StepSpec(dt=1e-3, samples_per_unit_time=250)
     phi0 = np.stack([gaussian_initial(GRID, d).values for d in (1.0, 0.5)])
     phi0_hat = np.fft.fft(phi0)
     if model == EP:
-        old = [hat for _, hat, _ in
+        old = [hat[0] for _, hat in
                frozen_ep_samples([phi0, np.zeros_like(phi0)], PARAMS, step, 10, GRID)]
     else:
         old = [hat for _, hat in frozen_nls_samples(phi0_hat, PARAMS, step, 10, GRID)]
-    hats = []
-    for _, spectra, _ in model_stream(model, GRID, PARAMS, step, 10, phi0_hat.copy()):
-        assert spectra[0] is not None
-        hats.append(spectra[0].copy())
+    hats = [spectra[0].copy() for _, spectra in
+            model_stream(model, GRID, PARAMS, step, 10, phi0_hat.copy())]
     assert np.array_equal(hats[0], phi0_hat)
     for hat, hat_old in zip(hats[1:], old, strict=True):
         assert np.max(np.abs(hat - hat_old)) <= 1e-12 * np.max(np.abs(hat_old))

@@ -692,9 +692,9 @@ def _patch_streams(monkeypatch, at_sample):
     each sample j it yields, rows the initial batch rows it still steps."""
     stream = epnls.sweep.model_stream
 
-    def patched(model, grid, params, step, n_samples, phi_hat, psi=None):
+    def patched(model, grid, params, step, n_samples, phi_hat, psi_hat=None):
         rows = np.arange(len(phi_hat))
-        inner = stream(model, grid, params, step, n_samples, phi_hat, psi)
+        inner = stream(model, grid, params, step, n_samples, phi_hat, psi_hat)
         keep = None
         for j in range(n_samples + 1):
             if keep is not None:
@@ -1136,7 +1136,7 @@ def test_default_ep_dt_is_converged():
     # crossings of the delta = 1 curve at the default clock (one triple
     # jump of 2e-2 per sample of 1/50) against a 4x finer step and sample
     # rate, so that both the step and the cubic crossing error shrink:
-    # measured 6.4e-7 apart
+    # measured 7.3e-8 apart (5.5e-8 from the step, 2.9e-8 from the cubic)
     coarse = compute_error_curve(SweepConfig(model="ep"), 1.0)
     fine = compute_error_curve(
         SweepConfig(model="ep", dt=5e-3, samples_per_unit_time=200), 1.0)
@@ -1145,9 +1145,22 @@ def test_default_ep_dt_is_converged():
         assert t_coarse == pytest.approx(t_fine, rel=1e-6)
 
 
+def test_default_ep_step_error_is_below_1e_7():
+    # the step's part of the crossing error alone: the delta = 1 curve at
+    # the default dt = 2e-2 against dt = 1e-3 on the same 50 samples per
+    # unit time, so the cubic reads both at the same sample times:
+    # measured 5.5e-8 apart with the linear flow outside each Strang step,
+    # 6.3e-7 with the rotation outside
+    coarse = compute_error_curve(SweepConfig(model="ep"), 1.0)
+    fine = compute_error_curve(SweepConfig(model="ep", dt=1e-3), 1.0)
+    for eps in SweepConfig(model="ep").epsilon_set:
+        assert find_crossing(coarse, eps) == pytest.approx(find_crossing(fine, eps),
+                                                           rel=1e-7)
+
+
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 6, "nls": 6}
-    assert "solver=6" in physics_signature(SweepConfig(**FAST_EP))
+    assert SOLVER_REVISION == {"ep": 7, "nls": 6}
+    assert "solver=7" in physics_signature(SweepConfig(**FAST_EP))
     assert "solver=6" in physics_signature(SweepConfig(model="nls"))
 
 

@@ -207,6 +207,18 @@ def test_pow_p_series_order_of_accuracy():
         assert slope == pytest.approx(order + 1, abs=0.2)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0, 2.5])
+@pytest.mark.parametrize("order", [1, 2])
+def test_pow_p_series_is_the_y1_series_shifted_by_one_power(p, order):
+    # y1 = delta + eta y1^p, so the z^k coefficient of y1^p / delta^p is
+    # the z^(k+1) one of y1 / delta; the difference below loses about
+    # log10(1/z) digits to cancellation
+    delta = 0.5
+    inp = LemmaQInput(eta=0.1 / delta ** (p - 1.0), delta=delta, p=p)  # z = 0.1
+    shifted = (y1_series(inp, order + 1) - delta) / inp.eta
+    assert y1_pow_p_series(inp, order) == pytest.approx(shifted, rel=1e-14)
+
+
 # ---------------------------------------------------------------- beta
 
 
