@@ -470,20 +470,21 @@ def model_stream(model, grid, params, step, n_samples, phi_hat, psi_hat=None):
 def nls_forcing(grid, params, phi_hat, out=None):
     """Spectrum F = Grid.fft(g |phi|^(p-1) phi) of the NLS nonlinearity at
     the field whose plain FFT is phi_hat (leading batch axes allowed), so
-    that the NLS flow is phi_hat' = -i |k|^2 phi_hat - i F: an inverse and
-    a forward transform, both into ``out`` (a complex array of phi_hat's
-    shape, new if None), which is returned.  g = 0 gives zeros, even where
-    |phi|^(p-1) overflows."""
-    if out is None:
-        out = np.empty(np.shape(phi_hat), np.complex128)
+    that the NLS flow is phi_hat' = -i |k|^2 phi_hat - i F: an inverse
+    transform into a new array and a forward one into ``out`` (a complex
+    array of phi_hat's shape, new if None), which is returned; a 1D
+    EvenGrid transform into its own input would copy it first.  g = 0
+    gives zeros, even where |phi|^(p-1) overflows."""
     if params.g == 0:
+        if out is None:
+            return np.zeros(np.shape(phi_hat), np.complex128)
         out.fill(0.0)
         return out
-    u = grid.ifft(phi_hat, out=out)
+    u = grid.ifft(phi_hat)
     rate = _modulus_power(u, params.p)
     rate *= params.g
     u *= rate
-    return grid.fft(u, out=u)
+    return grid.fft(u, out=out)
 
 
 def evolve_ep(initial, params, step, T, record=FULL):

@@ -30,7 +30,10 @@ plain Grid.fft; the H^s norm weighs each stored mode by the number of
 lattice modes it stands for.  A symbol, a rotation or a norm then acts
 on (N/2 + 1)^n values in place of N^n.  The dense matrices cost
 O(N^(n+1)) per transform against the FFT's O(N^n log N), and BLAS,
-not pocketfft, sets their rounding.
+not pocketfft, sets their rounding: each axis is one gemm per batch row,
+of one shape whatever the axis or the batch (Goto and van de Geijn,
+Anatomy of high-performance matrix multiplication, ACM TOMS 34(3), 2008,
+on why wide gemms pay and narrow ones do not).
 """
 
 from __future__ import annotations
@@ -170,6 +173,10 @@ class EvenGrid(Grid):
     product of w over the axes: the number of lattice modes each stored
     one stands for, which hs_weight folds into the norm.  Physical-space
     sums such as l2_norm would need it too; the sweep takes none.
+
+    A transform takes n steps, one per axis, each on the leading grid
+    axis: one (M x M) @ (M x 2 M^(n-1)) gemm per batch row on the float64
+    view of the data, then a transpose copy that moves the axis last.
     """
 
     def __post_init__(self):
@@ -207,22 +214,32 @@ class EvenGrid(Grid):
         return self._transform(self.inverse_matrix, a, out)
 
     def _transform(self, matrix, a, out):
-        # the real matrix along each axis in turn, applied to the float64
-        # view of the complex data as one stacked matmul: for every batch
-        # row the same gemms of one fixed shape, so a row's bits do not
-        # depend on the rest of the batch (one gemm over the folded batch
-        # would change shape with it, and BLAS its rounding)
+        # Every row goes through gemms of one fixed shape, so its bits do
+        # not depend on the rest of the batch (one gemm over the folded
+        # batch would change shape with it, and BLAS its rounding).  Moving
+        # each transformed axis last puts the next one first, and after n
+        # steps the axes are back in order; in 1D nothing moves, and the
+        # matmul writes the result itself.  Only the first matmul reads
+        # the input, so ``out`` may be it.
         a = np.ascontiguousarray(a, dtype=np.complex128)
+        if out is None:
+            out = np.empty_like(a)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
         size = len(matrix)
-        for axis in range(self.n):
-            rows = a.view(np.float64).reshape(-1, size, 2 * size ** (self.n - 1 - axis))
-            into = None
-            if out is not None and axis == self.n - 1:
-                if not out.flags.c_contiguous:
-                    raise ValueError("out must be C-contiguous")
-                into = out.view(np.float64).reshape(rows.shape)
-            a = np.matmul(matrix, rows, out=into).view(np.complex128).reshape(a.shape)
-        return a if out is None else out
+        lines = size ** (self.n - 1)
+        shape = (-1, size, 2 * lines)
+        if lines == 1:
+            np.matmul(matrix, a.view(np.float64).reshape(shape),
+                      out=out.view(np.float64).reshape(shape))
+            return out
+        moved = out.reshape(-1, lines, size)
+        product = None
+        for _ in range(self.n):
+            product = np.matmul(matrix, a.view(np.float64).reshape(shape), out=product)
+            np.copyto(moved, product.view(np.complex128).transpose(0, 2, 1))
+            a = out
+        return out
 
 
 def check_grid_args(n, N, L, max_points=None):

@@ -79,7 +79,7 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 7, NLS: 6}
+SOLVER_REVISION = {EP: 8, NLS: 7}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
 # the peak of _curve_batch, one sample per block, measured and rounded up
@@ -122,12 +122,14 @@ _BLOCK_POINTS = 2**13
 # dense cosine transforms cost O(N^(n+1)) per row against the FFT's
 # O(N^n log N), and pay at small N, where they replace an FFT of twice
 # the points per axis and every pointwise step acts on (N/2 + 1)^n
-# values.  Whole default-ladder sweeps, full grid -> even subspace
-# (median wall, in process, interleaved, 15 rounds; 2D composite is the
-# ep_2d_composite sweep, 5 rounds at N = 128; shared 2-core x86 box):
-# EP 1D N = 128 33 -> 28 ms, 256 52 -> 47, 512 83 -> 113; NLS 1D N = 128
-# 95 -> 78 ms, 256 121 -> 121, 512 215 -> 324; 2D composite N = 32
-# 72 -> 34 ms, 64 232 -> 83, 128 836 -> 268.
+# values.  Whole sweeps, full grid -> even subspace (median wall, in
+# process, interleaved, shared 2-core x86 box).  Default ladders, 15
+# rounds: EP 1D N = 128 33 -> 28 ms, 256 52 -> 47, 512 83 -> 113; NLS 1D
+# N = 128 95 -> 78 ms, 256 121 -> 121, 512 215 -> 324.  Alphas 0, 0.2 and
+# epsilons 1e-2..1e-3, one BLAS thread, 15 rounds (5 at 2D N = 128 and 3D
+# N = 32, 3 at 2D N = 256, 1 at 3D N = 64): 2D composite N = 32
+# 71 -> 33 ms, 64 211 -> 60, 128 850 -> 214, 256 3,220 -> 1,086; 3D EP
+# system B N = 16 294 -> 61 ms, 32 2,680 -> 252, 64 35,100 -> 2,400.
 _EVEN_MAX_N = 256
 
 

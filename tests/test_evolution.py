@@ -3,7 +3,9 @@ import pytest
 from scipy.linalg import expm
 
 from epnls.grid import (
+    EvenGrid,
     Field,
+    Grid,
     free_propagate,
     free_symbol,
     gaussian_initial,
@@ -665,12 +667,15 @@ def test_model_stream_yields_the_photon_spectrum_at_every_sample(model):
 
 
 @pytest.mark.parametrize("p, g", [(3.0, 1.0), (5.0, -0.5), (3.0, 0.0)], ids=["p3", "p5", "g0"])
-@pytest.mark.parametrize("n, N", [(1, 128), (2, 16)], ids=["1d", "2d"])
-def test_nls_forcing_into_out_is_bitwise_its_returned_form(n, N, p, g):
+@pytest.mark.parametrize("kind, n, N", [
+    (Grid, 1, 128), (Grid, 2, 16), (EvenGrid, 1, 128), (EvenGrid, 2, 16),
+], ids=["1d", "2d", "even-1d", "even-2d"])
+def test_nls_forcing_into_out_is_bitwise_its_returned_form(kind, n, N, p, g):
     # F = fft(g |u|^(p-1) u) for a batch of spectra, returned as a new
     # array or written into rows of a larger stack, as the sweep does; both
-    # bitwise the transforms of the product formed out of place
-    grid = make_grid(n, N, 10.0)
+    # bitwise the transforms of the product formed out of place, on the
+    # full grid and on the even subspace the sweep steps
+    grid = kind(n, N, 10.0)
     params = ModelParams(g=g, p=p)
     rng = np.random.default_rng(n)
     shape = (2, 3) + grid.shape

@@ -196,6 +196,33 @@ def test_even_grid_transforms_are_grid_transforms_of_the_mirrored_field(n, N):
     assert even.fft(out, out=out) is out and np.array_equal(out, even.fft(spectra))
 
 
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 16), (3, 8)], ids=["1", "2", "3"])
+def test_even_grid_transforms_make_one_matmul_per_axis(monkeypatch, n, N):
+    # each transform is n stacked matmuls, one per axis, each one gemm of
+    # the shape (M, M) @ (M, 2 M^(n-1)) per batch row: the leading axis is
+    # transformed and then moved last, not each grid line on its own
+    even = EvenGrid(n, N, 10.0)
+    size = N // 2 + 1
+    shapes = []
+    matmul = np.matmul
+
+    def counted(x1, x2, *args, **kwargs):
+        shapes.append((x1.shape, x2.shape))
+        return matmul(x1, x2, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    for batch in ((), (1,), (3,), (2, 2)):
+        data = np.ones(batch + even.shape, np.complex128)
+        rows = int(np.prod(batch))
+        copy = data.copy()
+        for transform in (even.fft, even.ifft):
+            # a new result, into out, and in place
+            for a, out in ((data, None), (data, np.empty_like(data)), (copy, copy)):
+                shapes.clear()
+                transform(a, out=out)
+                assert shapes == [((size, size), (rows, size, 2 * size ** (n - 1)))] * n
+
+
 @pytest.mark.parametrize("n, N", [(1, 128), (2, 16), (3, 8)], ids=["1", "2", "3"])
 @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
 def test_even_grid_norms_are_the_mirrored_fields_norms(n, N, s):

@@ -639,10 +639,16 @@ def test_even_subspace_sweep_matches_the_full_grid(monkeypatch, kw):
         assert a.t_cross == pytest.approx(b.t_cross, rel=1e-11, abs=0.0)
 
 
-@pytest.mark.parametrize("comparator, n_curves", [("systemB", 4), ("composite", 6)])
-def test_curve_bits_do_not_depend_on_the_batch(tmp_path, comparator, n_curves):
-    # composite: delta = 1 serves three comparator epsilons in one batch
-    kw = dict(FOUR_CURVES, comparator=comparator, c1=0.5)
+@pytest.mark.parametrize("kw, n_curves", [
+    (dict(FOUR_CURVES, comparator="systemB", c1=0.5), 4),
+    (dict(FOUR_CURVES, comparator="composite", c1=0.5), 6),
+    (dict(FOUR_CURVES, n=2, N=16, comparator="composite", c1=0.5), 6),
+    (dict(FOUR_CURVES, n=3, N=8, comparator="systemB"), 4),
+], ids=["systemB-4", "composite-6", "composite-2d", "systemB-3d"])
+def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
+    # composite: delta = 1 serves three comparator epsilons in one batch;
+    # in 2D and 3D each even-grid transform is a gemm per batch row and
+    # axis, of one shape whatever the batch
     cfg = SweepConfig(**kw)
     specs = curve_specs(cfg)
     alone = [compute_error_curve(cfg, d, e) for d, e in specs]
@@ -1159,9 +1165,9 @@ def test_default_ep_step_error_is_below_1e_7():
 
 
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 7, "nls": 6}
-    assert "solver=7" in physics_signature(SweepConfig(**FAST_EP))
-    assert "solver=6" in physics_signature(SweepConfig(model="nls"))
+    assert SOLVER_REVISION == {"ep": 8, "nls": 7}
+    assert "solver=8" in physics_signature(SweepConfig(**FAST_EP))
+    assert "solver=7" in physics_signature(SweepConfig(model="nls"))
 
 
 @pytest.mark.parametrize("corrupt", [
