@@ -45,8 +45,8 @@ system_a_symbols, composite_seed) is a function of |k|^2 alone, evaluated
 on the grid's distinct values k_levels and gathered onto the lattice.
 
 Every sample comes from a stream of (t, spectra), every field spectral:
-the kernel yields its spectra at t = 0 and after each sample interval,
-and a comparator its spectra at each requested time.  One loop, _record,
+the kernel yields its spectra at the times sample_times gives, and a
+comparator its spectra at each requested time.  One loop, _record,
 turns any such stream into a Trajectory.
 """
 
@@ -345,21 +345,18 @@ def _record(samples, grid, params, policy):
     )
 
 
-def _sample_count(T, spec):
-    ratio = T / spec.sample_interval
+def sample_times(T, step):
+    """The times model_stream yields for evolve_ep, evolve_nls and the
+    sweep alike: 0 and every sample interval up to T, a positive multiple
+    of it, each computed as (index * interval)."""
+    ratio = T / step.sample_interval
     n = round(ratio) if np.isfinite(ratio) else 0
-    if n < 1 or abs(n * spec.sample_interval - T) > 1e-9 * max(1.0, abs(T)):
+    if n < 1 or abs(n * step.sample_interval - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(
             f"horizon T = {T} is not a positive multiple of the sampling "
-            f"interval {spec.sample_interval}"
+            f"interval {step.sample_interval}"
         )
-    return int(n)
-
-
-def sample_times(T, step):
-    """The times evolve_ep and evolve_nls record at: 0 and every sample
-    interval up to T, each computed as (index * interval)."""
-    return np.arange(_sample_count(T, step) + 1) * step.sample_interval
+    return np.arange(n + 1) * step.sample_interval
 
 
 def _comparator_times(T, given, start=0.0):
@@ -410,9 +407,9 @@ def _apply_linear(hats, symbols):
     hats[1] += mix_psi
 
 
-def model_stream(model, grid, params, step, n_samples, phi_hat, psi_hat=None):
+def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     """The split-step loop of ``model`` from the photon spectra phi_hat
-    (with any leading batch axes), as a stream of its samples from t = 0.
+    (with any leading batch axes), as a stream of its samples at ``times``.
 
     EP steps the 2x2 flow exp(-i tau H_k) of (phi_hat, psi_hat), the
     exciton spectrum zero if None, and rotates psi; NLS steps the free flow
@@ -420,15 +417,16 @@ def model_stream(model, grid, params, step, n_samples, phi_hat, psi_hat=None):
     flow(w/2), rotation(w), flow(w/2) of weights w1, w0, w1, chained over a
     sample interval with the half flows that meet merged; one linear map is
     built per distinct weight.  A rotation takes its field to physical
-    space and back.  The stream owns phi_hat and psi_hat.  It yields (t,
-    spectra) at t = 0 and after each of n_samples sample intervals, at the
-    times sample_times gives: spectra lists the fields' plain FFTs, photon
+    space and back.  The stream owns phi_hat and psi_hat.  It yields
+    (times[j], spectra): the given spectra at times[0], then each further
+    one a sample interval of ``step`` on, so ``times`` is sample_times(T,
+    step) or a prefix.  spectra lists the fields' plain FFTs, photon
     first, and the list and its arrays change once it resumes.  Raises
     SolverBlowupError once a sample is not finite or a rotation angle
-    reaches 2^52 rad.  ``stream.send(keep)``, keep a
-    boolean mask or row indices over the leading batch axis, shrinks the
-    batch to those rows in new arrays before the next step; each row
-    steps alone, so the survivors' bits do not change."""
+    reaches 2^52 rad.  ``stream.send(keep)``, keep a boolean mask or row
+    indices over the leading batch axis, shrinks the batch to those rows
+    in new arrays before the next step; each row steps alone, so the
+    survivors' bits do not change."""
     if model == EP:
         gamma, omega0 = params.gamma, params.omega0
         linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
@@ -446,7 +444,7 @@ def model_stream(model, grid, params, step, n_samples, phi_hat, psi_hat=None):
     jumps = (_W1, _W0, _W1) * per_block
     halves = [0.5 * (a + b) for a, b in zip((0.0,) + jumps, jumps + (0.0,))]
     maps = {w: linear(w * dt) for w in halves}
-    for block in range(n_samples + 1):
+    for block, t in enumerate(times):
         if block:  # sample 0: no step
             for half, weight in zip(halves, jumps):
                 _apply_linear(spectra, maps[half])
@@ -454,12 +452,11 @@ def model_stream(model, grid, params, step, n_samples, phi_hat, psi_hat=None):
                 u = grid.ifft(spectra.pop())
                 angle = _rotate(u, params.g, params.p, weight * dt)
                 if angle >= _MAX_ANGLE:
-                    raise SolverBlowupError((block - 1) * step.sample_interval,
-                                            (block - 1) * per_block + 1, angle)
+                    raise SolverBlowupError(times[block - 1], (block - 1) * per_block + 1,
+                                            angle)
                 spectra.append(grid.fft(u))
                 del u  # or it would live on through the next linear substep
             _apply_linear(spectra, maps[halves[-1]])
-        t = block * step.sample_interval
         if not all(np.all(np.isfinite(a)) for a in spectra):
             raise SolverBlowupError(t, block * per_block)
         keep = yield t, spectra
@@ -496,11 +493,11 @@ def evolve_ep(initial, params, step, T, record=FULL):
     again.  Aborts with SolverBlowupError if any field stops being finite
     or a rotation angle reaches 2^52 rad.
     """
-    samples = _sample_count(T, step)
+    times = sample_times(T, step)
     if initial.time != 0:
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
-    stream = model_stream(EP, grid, params, step, samples, grid.fft(initial.phi.values),
+    stream = model_stream(EP, grid, params, step, times, grid.fft(initial.phi.values),
                           grid.fft(initial.psi.values))
     return _record(stream, grid, params, record)
 
@@ -514,9 +511,9 @@ def evolve_nls(phi0, params, step, T, record=FULL):
     SolverBlowupError if the field stops being finite or a rotation angle
     reaches 2^52 rad.
     """
-    samples = _sample_count(T, step)
     grid = phi0.grid
-    stream = model_stream(NLS, grid, params, step, samples, grid.fft(phi0.values))
+    stream = model_stream(NLS, grid, params, step, sample_times(T, step),
+                          grid.fft(phi0.values))
     return _record(stream, grid, params, record)
 
 

@@ -44,7 +44,6 @@ from .grid import (
     default_sobolev_index,
     gaussian_initial,
     hs_norm_from_fft,
-    make_grid,
 )
 from .runio import fmt, read_curve_csv, sha256_hex, write_csv
 from .theory import EXACT, beta_predict
@@ -118,10 +117,10 @@ _ARRAYS_PER_EXTRA_CURVE = 6
 # lose, and 2^14 gains nothing measurable for twice the stack.
 _BLOCK_POINTS = 2**13
 
-# Largest N at which the sweep steps on the even subspace (EvenGrid): its
-# dense cosine transforms cost O(N^(n+1)) per row against the FFT's
-# O(N^n log N), and pay at small N, where they replace an FFT of twice
-# the points per axis and every pointwise step acts on (N/2 + 1)^n
+# Largest N at which solver_setup gives a config's runs the even subspace
+# (EvenGrid): its dense cosine transforms cost O(N^(n+1)) per row against
+# the FFT's O(N^n log N), and pay at small N, where they replace an FFT of
+# twice the points per axis and every pointwise step acts on (N/2 + 1)^n
 # values.  Whole sweeps, full grid -> even subspace (median wall, in
 # process, interleaved, shared 2-core x86 box).  Default ladders, 15
 # rounds: EP 1D N = 128 33 -> 28 ms, 256 52 -> 47, 512 83 -> 113; NLS 1D
@@ -358,32 +357,28 @@ def _model_params(c):
 
 
 def solver_setup(c):
-    """The grid, model parameters and step spec a config describes."""
-    grid = make_grid(c.n, c.N, c.L, max_points=None)  # SweepConfig checks the cap
-    return grid, _model_params(c), _solver_step(c)
-
-
-def _sweep_grid(c):
-    """The grid _curve_batch steps on: the even subspace of c's grid
-    (EvenGrid) up to _EVEN_MAX_N points per axis, the full grid above."""
+    """The grid, model parameters and step spec of a config, for the sweep
+    and epnls simulate alike.  The grid is the even subspace (EvenGrid) up
+    to _EVEN_MAX_N points per axis, the full grid above: phi(0) = delta x
+    the Gaussian and psi(0) = 0 are even in every coordinate, and both
+    models, every comparator and the H^s norm commute with x_i -> -x_i
+    (each per-mode symbol depends on |k|^2 alone), so the fields stay even
+    and the even subspace holds them whole.  SweepConfig checks max_points."""
     kind = EvenGrid if c.N <= _EVEN_MAX_N else Grid
-    return kind(n=int(c.n), N=int(c.N), L=float(c.L))
+    grid = kind(n=int(c.n), N=int(c.N), L=float(c.L))
+    return grid, _model_params(c), _solver_step(c)
 
 
 def _curve_batch(c, specs, stops=None):
     """Error curves of the (delta, eps_comp) specs of a config,
     with every distinct delta stepped at once on a leading batch axis.
 
-    The batch steps on _sweep_grid(c), up to _EVEN_MAX_N points per axis
-    the even subspace: phi(0) = delta x the Gaussian and psi(0) = 0 are
-    even in every coordinate, and both models, every comparator and the
-    H^s norm commute with x_i -> -x_i (each per-mode symbol depends on
-    |k|^2 alone), so the fields stay even and it holds them whole.
-
-    Every sample, t = 0 included, is read from model_stream: the truth
-    spectrum is the photon spectrum it yields as spectra[0], the comparator
-    spectrum one closed-form multiplier per eps_comp times each curve's
-    phi_hat(0).  Samples are measured in blocks of K consecutive ones
+    The batch steps on solver_setup(c)'s grid, up to _EVEN_MAX_N points per
+    axis the even subspace.  Every sample, t = 0 included, is read from
+    model_stream at the times sample_times gives: the truth spectrum is the
+    photon spectrum it yields as spectra[0], the comparator spectrum one
+    closed-form multiplier per eps_comp times each curve's phi_hat(0).
+    Samples are measured in blocks of K consecutive ones
     (K = max(1, _BLOCK_POINTS // (batch rows x N^n)), 1 where max_points
     leaves no room for more): the block's truth spectra, each curve's
     comparator-minus-truth rows and, for NLS, the forcing rows of rho'
@@ -409,7 +404,7 @@ def _curve_batch(c, specs, stops=None):
 def _measure_batch(c, specs, stops, block_points):
     """_curve_batch in blocks of at most block_points truth points, or
     None where a kernel error inside a block calls for a rerun."""
-    grid, params, step = _sweep_grid(c), _model_params(c), _solver_step(c)
+    grid, params, step = solver_setup(c)
     times = sample_times(c.T, step)
     deltas = list(dict.fromkeys(d for d, _ in specs))
     comps = list(dict.fromkeys(e for _, e in specs))
@@ -424,7 +419,7 @@ def _measure_batch(c, specs, stops, block_points):
 
     phi_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
     curve_phi0_hat = phi_hat[member]
-    stream = model_stream(c.model, grid, params, step, len(times) - 1, phi_hat)
+    stream = model_stream(c.model, grid, params, step, times, phi_hat)
     del phi_hat  # the stream owns the photon spectra
     rho = np.empty((len(specs), len(times)))
     drho = np.empty_like(rho) if _carries_slope(c) else None
@@ -614,29 +609,31 @@ def _compute_curves(c, specs):
             for curve in _curve_batch(c, chunk, [stops[s] for s in chunk])]
 
 
-def curve_path(root, config, delta, epsilon_comp=None):
-    """Where a curve lives under an output or cache directory:
+def curve_path(root, config, delta, epsilon_comp=None, cache=False):
+    """Where a curve lives under an output directory:
     curves/<config hash>/delta=<v>.csv, with __eps=<e> before the suffix
-    for a composite comparator's per-epsilon curves."""
+    for a composite comparator's per-epsilon curves; with ``cache``, under
+    curve_cache/ in place of curves/, so one directory can hold both."""
     name = f"delta={fmt(delta)}"
     if epsilon_comp is not None:
         name += f"__eps={fmt(epsilon_comp)}"
-    return os.path.join(root, "curves", config_hash(config), name + ".csv")
+    folder = "curve_cache" if cache else "curves"
+    return os.path.join(root, folder, config_hash(config), name + ".csv")
 
 
 # a curve file's columns: t,rho, and drho where the cache keeps rho'
 _CURVE_COLUMNS = ["t", "rho", "drho"]
 
 
-def write_curves(root, config, curves, slopes=False):
+def write_curves(root, config, curves, cache=False):
     """Write each curve as a t,rho CSV at the curve_path of its (delta,
-    epsilon_comp) under root.  With ``slopes``, a curve that carries rho'
-    gets it as a third column, drho: the form the cache keeps."""
+    epsilon_comp) under root; with ``cache``, at its cache path and with
+    rho' as a third column, drho, where it carries one."""
     for curve in curves:
         columns = [curve.times, curve.rho]
-        if slopes and curve.drho is not None:
+        if cache and curve.drho is not None:
             columns.append(curve.drho)
-        write_csv(curve_path(root, config, curve.delta, curve.epsilon_comp),
+        write_csv(curve_path(root, config, curve.delta, curve.epsilon_comp, cache),
                   _CURVE_COLUMNS[: len(columns)], zip(*columns))
 
 
@@ -718,7 +715,7 @@ def run_error_curves(config):
     if config.cache_dir:
         times = sample_times(config.T, _solver_step(config))
         for spec in specs:
-            path = curve_path(config.cache_dir, config, *spec)
+            path = curve_path(config.cache_dir, config, *spec, cache=True)
             curve = _read_cached(config, path, spec, times, stops[spec])
             if curve is not None:
                 curves[spec] = curve
@@ -737,7 +734,7 @@ def run_error_curves(config):
     else:
         computed = _compute_curves(config, misses)
     if config.cache_dir:
-        write_curves(config.cache_dir, config, computed, slopes=True)
+        write_curves(config.cache_dir, config, computed, cache=True)
     curves.update(((c.delta, c.epsilon_comp), c) for c in computed)
     return [curves[s] for s in specs]
 

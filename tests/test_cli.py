@@ -15,7 +15,8 @@ from epnls.cli import (
     main,
 )
 from epnls.config import ConfigError, parse_config, parse_config_text
-from epnls.evolution import ModelParams
+from epnls.evolution import ModelParams, evolve_ep, evolve_nls, zero_state
+from epnls.grid import EvenGrid, Grid, gaussian_initial
 from epnls.sweep import config_hash
 
 FAST_SWEEP_INI = """\
@@ -202,6 +203,29 @@ def test_simulate_writes_trajectory_and_manifest(tmp_path, capsys):
     # the same hash a sweep of this config writes; delta goes in the detail
     assert manifest["config_hash"] == config_hash(parse_config(cfg))
     assert manifest["jobs"][0]["detail"].startswith("delta=1,")
+
+
+@pytest.mark.parametrize("model", ["ep", "nls"])
+def test_simulate_steps_the_sweeps_grid_and_matches_the_full_grid(tmp_path, capsys, model):
+    # simulate steps solver_setup's grid, the even subspace at the default
+    # N = 128, at sample_times; evolve_ep and evolve_nls on the full lattice
+    # give the same times bitwise and the same norms and mass to rounding
+    path = write_cfg(tmp_path, f"[physics]\nmodel = {model}\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    cfg = parse_config(path)
+    grid, params, step = epnls.sweep.solver_setup(cfg)
+    assert isinstance(grid, EvenGrid)
+    phi0 = gaussian_initial(Grid(cfg.n, cfg.N, cfg.L), 1.0)
+    if model == "ep":
+        traj = evolve_ep(zero_state(phi0), params, step, cfg.T, record="norms")
+        columns = [traj.times, traj.norm_phi, traj.norm_psi, traj.mass]
+    else:
+        traj = evolve_nls(phi0, params, step, cfg.T, record="norms")
+        columns = [traj.times, traj.norm_phi, traj.mass]
+    assert rows[:, 0].tobytes() == traj.times.tobytes()
+    np.testing.assert_allclose(rows, np.column_stack(columns), rtol=1e-12, atol=0)
 
 
 def test_simulate_huge_amplitude_is_a_numerical_failure(tmp_path, capsys):
@@ -393,6 +417,36 @@ def test_nls_sweep_writes_t_rho_and_caches_drho(tmp_path, capsys, monkeypatch):
     assert all(p.read_text().startswith("t,rho,drho\n") for p in cached)
     assert all(p.read_text().startswith("t,rho\n0,0\n") for p in written[0])
     assert [p.read_bytes() for p in written[0]] == [p.read_bytes() for p in written[1]]
+
+
+def test_sweep_into_its_own_cache_dir_computes_no_curve_again(tmp_path, capsys,
+                                                            monkeypatch):
+    # an output directory that is also the cache keeps both forms, the
+    # output's t,rho curve files and the cache's t,rho,drho ones, so a
+    # rerun into it is served from the cache and writes the same bytes
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n[solver]\nT = 0.1\n"
+                    "[sweep]\nalphas = 0,0.2\nepsilons = 1e-2,5e-3,3e-3\n"
+                    f"[output]\ncache_dir = {out}\n")
+    computed, compute = [], epnls.sweep._compute_curves
+
+    def counted(c, specs):
+        computed.append(len(specs))
+        return compute(c, specs)
+
+    monkeypatch.setattr(epnls.sweep, "_compute_curves", counted)
+    blobs = []
+    for _ in range(3):
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        written = sorted(out.glob("curves/*/*.csv"))
+        assert len(written) == 4
+        assert all(p.read_text().startswith("t,rho\n") for p in written)
+        blobs.append([p.read_bytes() for p in written])
+    assert computed == [4, 0, 0]
+    assert blobs[0] == blobs[1] == blobs[2]
+    cached = sorted(out.glob("curve_cache/*/*.csv"))
+    assert len(cached) == 4
+    assert all(p.read_text().startswith("t,rho,drho\n") for p in cached)
 
 
 def test_composite_sweep_writes_one_curve_file_per_epsilon(tmp_path, capsys):

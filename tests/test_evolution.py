@@ -584,7 +584,8 @@ def test_ep_kernel_matches_the_stacked_loop(grid):
     psi0 = 0.3j * phi0[::-1]
     old = frozen_ep_samples([phi0, psi0], PARAMS, step, 20, grid)
     phi0_hat, psi0_hat = (np.fft.fftn(f, axes=axes) for f in (phi0, psi0))
-    new = model_stream(EP, grid, PARAMS, step, 20, phi0_hat, psi0_hat.copy())
+    new = model_stream(EP, grid, PARAMS, step, sample_times(0.2, step), phi0_hat,
+                       psi0_hat.copy())
     # the kernel's first sample is the given spectra at t = 0
     t0, (phi_hat, psi_hat) = next(new)
     assert t0 == 0.0 and phi_hat is phi0_hat and np.array_equal(psi_hat, psi0_hat)
@@ -607,7 +608,8 @@ def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at, keep_rows)
     kept = np.array(keep_rows)
 
     def samples(drop):
-        stream = model_stream(EP, GRID, PARAMS, step, 4, np.fft.fftn(phi0, axes=(-1,)))
+        stream = model_stream(EP, GRID, PARAMS, step, sample_times(0.04, step),
+                              np.fft.fftn(phi0, axes=(-1,)))
         keep, out = None, []
         for t, (phi_hat, psi_hat) in iter(lambda: stream.send(keep), None):
             out.append((t, phi_hat.copy(), psi_hat.copy()))
@@ -635,7 +637,8 @@ def test_nls_kernel_matches_the_stacked_loop(grid, clock):
     phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.5, 0.1)])
     phi0_hat = np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))
     old = frozen_nls_samples(phi0_hat, PARAMS, step, 20, grid)
-    new = model_stream(NLS, grid, PARAMS, step, 20, phi0_hat.copy())
+    times = sample_times(20 * step.sample_interval, step)
+    new = model_stream(NLS, grid, PARAMS, step, times, phi0_hat.copy())
     t0, (hat0,) = next(new)
     assert t0 == 0.0 and np.array_equal(hat0, phi0_hat)
     for (t_old, hat_old), (t_new, (hat,)) in zip(old, new):
@@ -656,11 +659,26 @@ def test_model_stream_yields_the_photon_spectrum_at_every_sample(model):
                frozen_ep_samples([phi0, np.zeros_like(phi0)], PARAMS, step, 10, GRID)]
     else:
         old = [hat for _, hat in frozen_nls_samples(phi0_hat, PARAMS, step, 10, GRID)]
-    hats = [spectra[0].copy() for _, spectra in
-            model_stream(model, GRID, PARAMS, step, 10, phi0_hat.copy())]
+    stream = model_stream(model, GRID, PARAMS, step, sample_times(0.04, step),
+                          phi0_hat.copy())
+    hats = [spectra[0].copy() for _, spectra in stream]
     assert np.array_equal(hats[0], phi0_hat)
     for hat, hat_old in zip(hats[1:], old, strict=True):
         assert np.max(np.abs(hat - hat_old)) <= 1e-12 * np.max(np.abs(hat_old))
+
+
+@pytest.mark.parametrize("model", [EP, NLS])
+def test_model_stream_yields_the_sample_times_it_is_given(model):
+    # at T = 0.58, 18 of the 30 index * interval differ in their last bits
+    # from a running sum of intervals: the stream yields sample_times
+    # itself, bitwise, and a prefix of them ends it there
+    step = StepSpec()
+    times = sample_times(0.58, step)
+    phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
+    stream = model_stream(model, GRID, PARAMS, step, times, phi0_hat.copy())
+    assert np.array([t for t, _ in stream]).tobytes() == times.tobytes()
+    prefix = model_stream(model, GRID, PARAMS, step, times[:3], phi0_hat.copy())
+    assert [t for t, _ in prefix] == list(times[:3])
 
 
 # ---------------------------------------------------------------- NLS

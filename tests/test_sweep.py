@@ -20,7 +20,9 @@ from epnls.evolution import (
     zero_state,
 )
 from epnls.grid import (
+    EvenGrid,
     Field,
+    Grid,
     free_propagate,
     free_symbol,
     gaussian_initial,
@@ -371,7 +373,7 @@ def test_nls_cache_without_drho_is_recomputed(tmp_path):
     cfg = SweepConfig(**SMALL_NLS, alpha_set=(0.0,), epsilon_set=(1e-2, 3e-3),
                       cache_dir=str(tmp_path))
     (cold,) = run_error_curves(cfg)
-    path = Path(curve_path(str(tmp_path), cfg, 1.0))
+    path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
     blob = path.read_text()
     assert blob.startswith("t,rho,drho\n")
     write_csv(str(path), ["t", "rho"], zip(cold.times, cold.rho))
@@ -493,7 +495,8 @@ def _full_lattice_comparator_symbols(c, grid, params, comps):
 def test_comparator_rows_on_levels_are_bitwise_the_full_lattice_rows(
         monkeypatch, kw, comps):
     c = SweepConfig(**kw)
-    grid, params, _ = epnls.sweep.solver_setup(c)
+    even, params, _ = epnls.sweep.solver_setup(c)
+    assert isinstance(even, EvenGrid)
     sizes = []
 
     def spy(name):
@@ -507,20 +510,25 @@ def test_comparator_rows_on_levels_are_bitwise_the_full_lattice_rows(
 
     for name in ("_free_symbol_of", "_pair_propagator_of", "_composite_seed_of"):
         spy(name)
-    rows = epnls.sweep._comparator_symbols(c, grid, params, comps)
-    reference = _full_lattice_comparator_symbols(c, grid, params, comps)
-    # the composite's t1 = sqrt(epsilon) are 0.1, 0.055 and 0.032: times
-    # before, at, between and after them
-    times = (0.0, 0.02, 0.04, 0.1, 0.2, 1.5)
-    for t in times:
-        assert rows(t).shape == (len(comps), grid.k_levels.size)
-        assert np.array_equal(grid.gather(rows(t)), reference(t))
-    # a block of times, on both sides of every t1, and blocks on one side:
-    # each time's rows bitwise its rows alone
-    for block in (times, times[:2], times[-2:]):
-        assert np.array_equal(rows(np.array(block)), np.stack([rows(t) for t in block]))
-    # every symbol the sweep evaluates itself is evaluated on the levels:
-    # 526 of 4,096 modes in 2D, 129 of 256 in 1D
+    # the sweep's grid, and the full lattice it stands for
+    for grid in (even, Grid(c.n, c.N, c.L)):
+        rows = epnls.sweep._comparator_symbols(c, grid, params, comps)
+        reference = _full_lattice_comparator_symbols(c, grid, params, comps)
+        # the composite's t1 = sqrt(epsilon) are 0.1, 0.055 and 0.032: times
+        # before, at, between and after them
+        times = (0.0, 0.02, 0.04, 0.1, 0.2, 1.5)
+        for t in times:
+            assert rows(t).shape == (len(comps), grid.k_levels.size)
+            assert np.array_equal(grid.gather(rows(t)), reference(t))
+        # a block of times, on both sides of every t1, and blocks on one
+        # side: each time's rows bitwise its rows alone
+        for block in (times, times[:2], times[-2:]):
+            assert np.array_equal(rows(np.array(block)),
+                                  np.stack([rows(t) for t in block]))
+    # both grids have the same levels, and every symbol the sweep evaluates
+    # itself is evaluated on them: 526 of 4,096 modes (1,089 stored) in 2D
+    # at N = 64, 65 of 128 (65 stored) in 1D at N = 128
+    assert np.array_equal(even.k_levels, grid.k_levels)
     assert set(sizes) == {grid.k_levels.size}
 
 
@@ -624,7 +632,7 @@ def test_even_subspace_sweep_matches_the_full_grid(monkeypatch, kw):
     results = []
     for cutoff in (64, 32):  # even subspace, then the full grid
         monkeypatch.setattr(epnls.sweep, "_EVEN_MAX_N", cutoff)
-        grid = epnls.sweep._sweep_grid(cfg)
+        grid, _, _ = epnls.sweep.solver_setup(cfg)
         assert grid.shape == ((33,) if cutoff == 64 else (64,)) * cfg.n
         results.append(run_algorithm_a(cfg))
     even, full = results
@@ -657,7 +665,7 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
     # half-warm cache: every other curve cached (to T), the rest computed
     # together
     cached = SweepConfig(**kw, cache_dir=str(tmp_path))
-    write_curves(str(tmp_path), cached, alone[::2])
+    write_curves(str(tmp_path), cached, alone[::2], cache=True)
     half_warm = run_error_curves(cached)
     assert len(alone) == n_curves
     # each curve stops where its batch left it: a bitwise prefix of its
@@ -698,11 +706,11 @@ def _patch_streams(monkeypatch, at_sample):
     each sample j it yields, rows the initial batch rows it still steps."""
     stream = epnls.sweep.model_stream
 
-    def patched(model, grid, params, step, n_samples, phi_hat, psi_hat=None):
+    def patched(model, grid, params, step, times, phi_hat, psi_hat=None):
         rows = np.arange(len(phi_hat))
-        inner = stream(model, grid, params, step, n_samples, phi_hat, psi_hat)
+        inner = stream(model, grid, params, step, times, phi_hat, psi_hat)
         keep = None
-        for j in range(n_samples + 1):
+        for j in range(len(times)):
             if keep is not None:
                 rows = rows[keep]
             sample = inner.send(keep)
@@ -899,7 +907,7 @@ def test_full_length_cache_is_served_cut(tmp_path, monkeypatch):
     specs = curve_specs(cfg)
     full = [compute_error_curve(cfg, *spec) for spec in specs]
     cold = run_error_curves(SweepConfig(**FOUR_CURVES))
-    write_curves(str(tmp_path), cfg, full)
+    write_curves(str(tmp_path), cfg, full, cache=True)
     files = sorted(tmp_path.rglob("*.csv"))
     blobs = [f.read_bytes() for f in files]
     _no_batches(monkeypatch)
@@ -913,7 +921,7 @@ def test_cached_prefix_short_of_its_tolerance_is_recomputed(tmp_path):
     cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
     (cold,) = run_error_curves(cfg)
     assert len(cold.times) < 101  # stopped at 1e-2, before T
-    path = Path(curve_path(str(tmp_path), cfg, 1.0))
+    path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
     blob = path.read_text()
     write_csv(str(path), ["t", "rho"], zip(cold.times[:-1], cold.rho[:-1]))
     (again,) = run_error_curves(cfg)
@@ -1180,7 +1188,7 @@ def test_signature_carries_the_solver_revision():
 def test_invalid_cached_curve_is_recomputed(tmp_path, corrupt):
     cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
     (cold,) = run_error_curves(cfg)
-    path = Path(curve_path(str(tmp_path), cfg, 1.0))
+    path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
     blob = path.read_text()
     bad = corrupt(blob.splitlines())
     path.write_text("\n".join(bad) + ("\n" if bad else ""))
