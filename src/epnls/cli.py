@@ -57,7 +57,7 @@ from .runio import (
     sha256_hex,
     write_csv,
 )
-from .sweep import config_hash, run_algorithm_a, solver_setup, write_curves
+from .sweep import config_hash, run_algorithm_a, solver_setup, sweep_times, write_curves
 from .theory import (
     LemmaQInput,
     NoRealRootsError,
@@ -220,6 +220,8 @@ def cmd_sweep(args):
             ],
             "solver": {"T": cfg.T, "dt": cfg.dt,
                        "samples_per_unit_time": cfg.samples_per_unit_time,
+                       "sample_growth": cfg.sample_growth,
+                       "samples": len(sweep_times(cfg)),
                        "comparator": cfg.comparator},
             "curves": [
                 {"delta": curve.delta, "epsilon_comp": curve.epsilon_comp,

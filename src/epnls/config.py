@@ -5,10 +5,11 @@ A parsed config is a SweepConfig.  Most keys carry their field's name;
 three do not: [sweep] alphas -> alpha_set, [sweep] epsilons ->
 epsilon_set and [output] dir -> outdir.  An absent key keeps the
 field's default, and the keys that accept 'auto' (s, epsilons,
-comparator, T, dt, samples_per_unit_time) take the model's default
-for it.  Unknown sections or keys are rejected, and SweepConfig's own
-validation errors surface as ConfigError.  serialize_config writes
-every key explicitly, so parse -> serialize -> parse is the identity.
+comparator, T, dt, samples_per_unit_time, sample_growth) take the
+model's default for it.  Unknown sections or keys are rejected, and
+SweepConfig's own validation errors surface as ConfigError.
+serialize_config writes every key explicitly, so parse -> serialize ->
+parse is the identity.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ _KEYS = (
     ("solver", "T", "T", float, fmt, True),
     ("solver", "dt", "dt", float, fmt, True),
     ("solver", "samples_per_unit_time", "samples_per_unit_time", int, str, True),
+    ("solver", "sample_growth", "sample_growth", float, fmt, True),
     ("solver", "workers", "workers", int, str, False),
     ("output", "dir", "outdir", str, str, False),
     ("output", "cache_dir", "cache_dir",

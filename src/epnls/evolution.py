@@ -26,9 +26,14 @@ gives 5.4e-7 and 3.4e-5 of that, the step 5.5e-8 and 1.1e-8.  (With the
 rotation outside each Strang step, as Thalhammer 2012, SIAM J. Numer.
 Anal. 50:3231, allows too, the step gave 6.3e-7 and 1.3e-7.)  NLS, read
 by cubic Hermite from the exact slope rho' (nls_forcing gives the flow's
-nonlinear term): dt = 5e-4 at 2,000 samples per unit time, within 1.3e-9
-of a triple jump at dt = 2e-5 with 50,000 samples per unit time (dt =
-2.5e-5 at the same samples moves the crossings by 7.5e-12).
+nonlinear term), an error set by the spacing relative to t: dt = 5e-4 at
+2,000 samples per unit time, on a clock graded by sample_growth = 1/32
+(sample_times: uniform up to t = 0.032, then spacing at most t/32, an
+interval of m base intervals taking its triple jump at m dt), so 147
+samples on [0, 0.2] where a uniform clock has 401.  Its crossings are
+within 1.3e-9 of a uniform triple jump at dt = 2e-5 with 50,000 samples
+per unit time, the largest in the uniform head, as on the uniform clock
+(5.4e-10 past it); dt = 2.5e-5 at the same samples moves them by 7.5e-12.
 The kernel carries spectra and takes only the rotated field to physical
 space and back, for each rotation (McLachlan & Quispel 2002,
 Acta Numerica 11:341): an EP step transforms psi alone and phi never
@@ -151,17 +156,26 @@ class StepSpec:
 
     ``dt`` may be negative to integrate the system backward in time
     (used by the time-reversal check); its magnitude must divide the
-    sampling interval 1/samples_per_unit_time exactly.
+    sampling interval 1/samples_per_unit_time exactly.  ``sample_growth``
+    (q) grades the clock (sample_times): 0 samples at every interval, and
+    q > 0 lets the sample interval from t span up to max(1, q t
+    samples_per_unit_time) of them, stepped steps_per_sample times at a
+    step as many times dt.
     """
 
     dt: float = DEFAULT_DT
     samples_per_unit_time: int = DEFAULT_SAMPLES_PER_UNIT_TIME
+    sample_growth: float = 0.0
 
     def __post_init__(self):
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
         if self.samples_per_unit_time < 1:
             raise ValueError("samples_per_unit_time must be a positive integer")
+        if not 0 <= self.sample_growth < np.inf:
+            raise ValueError(
+                f"sample_growth must be finite and nonnegative, got {self.sample_growth}"
+            )
         interval = 1.0 / self.samples_per_unit_time
         ratio = interval / abs(self.dt)
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
@@ -347,16 +361,29 @@ def _record(samples, grid, params, policy):
 
 def sample_times(T, step):
     """The times model_stream yields for evolve_ep, evolve_nls and the
-    sweep alike: 0 and every sample interval up to T, a positive multiple
-    of it, each computed as (index * interval)."""
-    ratio = T / step.sample_interval
+    sweep alike: u_j x the sample interval, each computed as that product,
+    for integers u_0 = 0 < u_1 < ... up to T / interval, which must be a
+    positive integer.  Without growth u_j = j.  With growth q > 0 the
+    interval from u_j spans m_j units, the largest power of two with
+    m_j <= max(1, q u_j) that divides u_j, clipped at T; so the spacing is
+    at most max(interval, q t_j), the clock is uniform up to u ~ 2 / q
+    (bitwise the times of q = 0 there) and then doubles its spacing each
+    time t doubles, in steps that start on a multiple of the new spacing."""
+    interval = step.sample_interval
+    ratio = T / interval
     n = round(ratio) if np.isfinite(ratio) else 0
-    if n < 1 or abs(n * step.sample_interval - T) > 1e-9 * max(1.0, abs(T)):
+    if n < 1 or abs(n * interval - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(
             f"horizon T = {T} is not a positive multiple of the sampling "
-            f"interval {step.sample_interval}"
+            f"interval {interval}"
         )
-    return np.arange(n + 1) * step.sample_interval
+    units = [0]
+    while units[-1] < n:
+        u, m = units[-1], 1
+        while 2 * m <= step.sample_growth * u and u % (2 * m) == 0:
+            m *= 2
+        units.append(min(u + m, n))
+    return np.array(units) * interval
 
 
 def _comparator_times(T, given, start=0.0):
@@ -416,17 +443,21 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     and rotates phi.  Each step is Yoshida's triple jump, Strang steps
     flow(w/2), rotation(w), flow(w/2) of weights w1, w0, w1, chained over a
     sample interval with the half flows that meet merged; one linear map is
-    built per distinct weight.  A rotation takes its field to physical
-    space and back.  The stream owns phi_hat and psi_hat.  It yields
-    (times[j], spectra): the given spectra at times[0], then each further
-    one a sample interval of ``step`` on, so ``times`` is sample_times(T,
-    step) or a prefix.  spectra lists the fields' plain FFTs, photon
-    first, and the list and its arrays change once it resumes.  Raises
-    SolverBlowupError once a sample is not finite or a rotation angle
-    reaches 2^52 rad.  ``stream.send(keep)``, keep a boolean mask or row
-    indices over the leading batch axis, shrinks the batch to those rows
-    in new arrays before the next step; each row steps alone, so the
-    survivors' bits do not change."""
+    built per distinct weight and interval length.  A rotation takes its
+    field to physical space and back.  The stream owns phi_hat and
+    psi_hat.  It yields (times[j], spectra): the given spectra at
+    times[0], then each further one m sample intervals of ``step`` on,
+    reached by steps_per_sample triple jumps of m dt, m read off the times;
+    so ``times`` is sample_times(T, step) or a prefix (times a positive
+    whole number of intervals apart, else ValueError), and m is 1
+    throughout on a clock without growth.  spectra lists the fields' plain
+    FFTs, photon first, and the list and its arrays change once it
+    resumes.  Raises SolverBlowupError once a sample is not finite or a
+    rotation angle reaches 2^52 rad, with the number of triple jumps taken
+    (for an angle, counting the one in progress).  ``stream.send(keep)``,
+    keep a boolean mask or row indices over the leading batch axis, shrinks
+    the batch to those rows in new arrays before the next step; each row
+    steps alone, so the survivors' bits do not change."""
     if model == EP:
         gamma, omega0 = params.gamma, params.omega0
         linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
@@ -438,27 +469,38 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     # hold the initial fields for the whole run, after a batch shrink has
     # replaced them
     del phi_hat, psi_hat
-    dt, per_block = step.dt, step.steps_per_sample
+    per_block = step.steps_per_sample
     # the half flows of neighbouring jumps a, b merge into 0.5 (a + b),
     # which is 0.5 a + 0.5 b exactly
     jumps = (_W1, _W0, _W1) * per_block
     halves = [0.5 * (a + b) for a, b in zip((0.0,) + jumps, jumps + (0.0,))]
-    maps = {w: linear(w * dt) for w in halves}
+    # an interval of m sample intervals takes its steps at m dt
+    spans = np.diff(times) / step.sample_interval
+    units = np.rint(spans)
+    if np.any(units < 1) or np.any(np.abs(spans - units) > 1e-6):
+        raise ValueError("sample times must be a positive whole number of sample "
+                         f"intervals {step.sample_interval:.6g} apart")
+    step_dt = (units * step.dt).tolist()
+    # per step, the linear map of each distinct half flow
+    maps = {dt: {w: linear(w * dt) for w in halves} for dt in dict.fromkeys(step_dt)}
+    steps = 0  # triple jumps taken
     for block, t in enumerate(times):
         if block:  # sample 0: no step
-            for half, weight in zip(halves, jumps):
-                _apply_linear(spectra, maps[half])
+            dt = step_dt[block - 1]
+            flows = maps[dt]
+            for i, (half, weight) in enumerate(zip(halves, jumps)):
+                _apply_linear(spectra, flows[half])
                 # the rotated field is the last spectrum: EP's psi, NLS's phi
                 u = grid.ifft(spectra.pop())
                 angle = _rotate(u, params.g, params.p, weight * dt)
                 if angle >= _MAX_ANGLE:
-                    raise SolverBlowupError(times[block - 1], (block - 1) * per_block + 1,
-                                            angle)
+                    raise SolverBlowupError(times[block - 1], steps + i // 3 + 1, angle)
                 spectra.append(grid.fft(u))
                 del u  # or it would live on through the next linear substep
-            _apply_linear(spectra, maps[halves[-1]])
+            _apply_linear(spectra, flows[halves[-1]])
+            steps += per_block
         if not all(np.all(np.isfinite(a)) for a in spectra):
-            raise SolverBlowupError(t, block * per_block)
+            raise SolverBlowupError(t, steps)
         keep = yield t, spectra
         if keep is not None:
             spectra = [a[keep] for a in spectra]

@@ -60,16 +60,24 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # a fine reference in 1D and 3.4e-5 in 2D, of which the step gives 5.5e-8
 # and 1.1e-8 and the sample spacing the rest.  NLS curves carry rho', and
 # find_crossing reads them by cubic Hermite from the two samples that
-# bracket a crossing: dt = 5e-4 at 2,000 samples per unit time, within
-# 1.3e-9 of a triple jump at dt = 2e-5 with 50,000 samples (the cubic rule
-# needed 4,000 samples for 2.5e-9).  The earliest default crossing,
-# t ~ 1.0e-3, lies past sample 1, as the Hermite rule needs
+# bracket a crossing, with an error set by the spacing relative to t.  The
+# NLS crossings (beta = 1 - (p-1) alpha) span two decades, t ~ 1.0e-3 to
+# 0.17, so its clock is graded: dt = 5e-4 at 2,000 samples per unit time,
+# uniform up to t = 0.032 and then spacing at most t/32 (sample_growth,
+# sample_times), 147 samples against 401.  Its crossings are within
+# 1.3e-9 of a uniform triple jump at dt = 2e-5 with 50,000 samples, as on
+# the uniform clock: the largest lie in the uniform head, and past it the
+# error is 5.4e-10 (q = 1/24: 9.9e-10; q = 1/20: 1.5e-9, above the
+# head's).  The cubic rule needed 4,000 uniform samples for 2.5e-9.  The
+# earliest default crossing, t ~ 1.0e-3, lies past sample 1, as the
+# Hermite rule needs.  EP keeps a uniform clock: its crossings, at
+# t ~ 0.3-1.5, span less than a decade
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": DEFAULT_DT,
          "samples_per_unit_time": DEFAULT_SAMPLES_PER_UNIT_TIME,
-         "comparator": COMPARATOR_SYSTEM_B},
+         "sample_growth": 0.0, "comparator": COMPARATOR_SYSTEM_B},
     NLS: {"T": 0.2, "dt": 5e-4, "samples_per_unit_time": 2000,
-          "comparator": COMPARATOR_LINEAR_NLS},
+          "sample_growth": 1.0 / 32, "comparator": COMPARATOR_LINEAR_NLS},
 }
 
 DEFAULT_ALPHAS = (0.0, 0.1, 0.2, 0.3)
@@ -78,7 +86,7 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 8, NLS: 7}
+SOLVER_REVISION = {EP: 8, NLS: 8}
 
 # Complex grid-sized arrays a batch member with one curve keeps alive at
 # the peak of _curve_batch, one sample per block, measured and rounded up
@@ -142,12 +150,14 @@ class SweepConfig:
     """Declarative description of one full run: grid, physics, amplitude
     ladder, solver clock and output places.
 
-    Fields left None (s, T, dt, samples_per_unit_time, comparator) are
-    filled with the model's defaults at construction, so every instance
-    is fully resolved.  Grid, physics and clock are checked by the
-    objects they describe (check_grid_args, ModelParams, StepSpec and
-    sample_times), and max_points by the largest batch member the sweep
-    needs, so an invalid config fails here, before any run.
+    Fields left None (s, T, dt, samples_per_unit_time, sample_growth,
+    comparator) are filled with the model's defaults at construction, so
+    every instance is fully resolved.  Grid, physics and clock are checked
+    by the objects they describe (check_grid_args, ModelParams, StepSpec
+    and sample_times), and max_points by the largest batch member the
+    sweep needs, so an invalid config fails here, before any run.
+    sample_growth grades the clock (StepSpec, sample_times); a fine
+    reference sets it to 0, as a graded clock is no finer at late t.
 
     The default grid, N = 128 on [-10, 10), is set by measured spatial
     convergence: the Gaussian's spectrum exp(-k^2/2) and its p-th power
@@ -171,6 +181,7 @@ class SweepConfig:
     T: float | None = None
     dt: float | None = None
     samples_per_unit_time: int | None = None
+    sample_growth: float | None = None
     comparator: str | None = None
     c1: float = 0.0
     epsilon_floor: float = 1e-6
@@ -191,7 +202,7 @@ class SweepConfig:
         check_grid_args(self.n, self.N, self.L)
         if not self.dt > 0:  # StepSpec admits dt < 0, for stepping back
             raise ValueError(f"dt must be positive for a sweep, got {self.dt}")
-        sample_times(self.T, _solver_step(self))
+        sweep_times(self)
         eps = tuple(float(e) for e in self.epsilon_set)
         if not eps or any(not 0 < e <= 1 for e in eps):
             raise ValueError("epsilon_set values must lie in (0, 1]")
@@ -267,6 +278,8 @@ def physics_signature(config):
     ]
     if config.comparator == COMPARATOR_COMPOSITE:
         parts.append(f"c1={fmt(config.c1)}")
+    if config.sample_growth > 0:  # a uniform clock keeps its former hash
+        parts.append(f"growth={fmt(config.sample_growth)}")
     return ";".join(parts)
 
 
@@ -349,7 +362,13 @@ def _comparator_symbols(c, grid, params, comps):
 
 
 def _solver_step(c):
-    return StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time)
+    return StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time,
+                    sample_growth=c.sample_growth)
+
+
+def sweep_times(c):
+    """The sample times of c's runs, on its clock (sample_times)."""
+    return sample_times(c.T, _solver_step(c))
 
 
 def _model_params(c):
@@ -405,7 +424,7 @@ def _measure_batch(c, specs, stops, block_points):
     """_curve_batch in blocks of at most block_points truth points, or
     None where a kernel error inside a block calls for a rerun."""
     grid, params, step = solver_setup(c)
-    times = sample_times(c.T, step)
+    times = sweep_times(c)
     deltas = list(dict.fromkeys(d for d, _ in specs))
     comps = list(dict.fromkeys(e for _, e in specs))
     symbols = _comparator_symbols(c, grid, params, comps)
@@ -713,7 +732,7 @@ def run_error_curves(config):
     specs = list(stops)
     curves = {}
     if config.cache_dir:
-        times = sample_times(config.T, _solver_step(config))
+        times = sweep_times(config)
         for spec in specs:
             path = curve_path(config.cache_dir, config, *spec, cache=True)
             curve = _read_cached(config, path, spec, times, stops[spec])
@@ -759,9 +778,13 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
     sample has t <= 0 or rho <= 0, when log rho is not strictly increasing
     over the window, or when the cubic leaves the bracket.  A crossing
     before the first positive sample (t[i-1] = 0) raises NoCrossingError.
-    On the default clocks the crossings are within 5.5e-7 (EP 1D), 3.4e-5
-    (2D composite) and 1.3e-9 (NLS) of fine references; EP's is nearly all
-    the cubic's (the step gives 5.5e-8 and 1.1e-8)."""
+    Both rules read log t against log rho, so their error is set by the
+    spacing relative to t, h / t, not by h: hence NLS's graded clock
+    (sample_times), whose spacing grows with t past its uniform head.  On
+    the default clocks the crossings are within 5.5e-7 (EP 1D), 3.4e-5
+    (2D composite) and 1.3e-9 (NLS; 5.4e-10 on its graded part) of fine
+    references on uniform clocks; EP's is nearly all the cubic's (the step
+    gives 5.5e-8 and 1.1e-8)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon < epsilon_floor:

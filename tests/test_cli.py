@@ -369,6 +369,20 @@ def test_summary_records_each_curves_stop_time(tmp_path, capsys):
     assert float(last_time) == curve["t_stop"]
 
 
+@pytest.mark.parametrize("growth, samples", [("auto", 147), ("0", 401)])
+def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, growth, samples):
+    # the NLS default clock, graded by 1/32, against the uniform one: the
+    # summary's solver block records the growth and the clock's samples
+    cfg = write_cfg(tmp_path, f"[physics]\nmodel = nls\n[solver]\nsample_growth = {growth}\n"
+                    "[sweep]\nalphas = 0\nepsilons = 1e-2,5e-3,3e-3\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    solver = json.loads((out / "summary.json").read_text())["solver"]
+    assert solver["sample_growth"] == (1.0 / 32 if growth == "auto" else 0.0)
+    assert solver["samples"] == samples
+    assert all(np.isfinite(solver[key]) for key in ("sample_growth", "samples"))
+
+
 def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(
         tmp_path,

@@ -55,6 +55,26 @@ def test_nls_model_defaults():
     assert cfg.T == 0.2
     assert cfg.dt == 5e-4
     assert cfg.samples_per_unit_time == 2000
+    assert cfg.sample_growth == 1.0 / 32
+    assert parse_config_text("").sample_growth == 0.0
+
+
+@pytest.mark.parametrize("model", ["ep", "nls"])
+@pytest.mark.parametrize("growth", ["auto", "0", "0.125"])
+def test_sample_growth_roundtrips(model, growth):
+    # 'auto' takes the model's default (EP 0, NLS 1/32); an explicit value,
+    # 0 included, is kept; and serialize writes it back explicitly
+    cfg = parse_config_text(f"[physics]\nmodel = {model}\n[solver]\nsample_growth = {growth}\n")
+    default = {"ep": 0.0, "nls": 1.0 / 32}[model]
+    assert cfg.sample_growth == (default if growth == "auto" else float(growth))
+    assert "sample_growth = " in serialize_config(cfg)
+    assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("value", ["-0.5", "inf", "nan", "fast"])
+def test_bad_sample_growth(value):
+    with pytest.raises(ConfigError, match="sample_growth"):
+        parse_config_text(f"[solver]\nsample_growth = {value}\n")
 
 
 def test_p_constraint_named_in_error():
@@ -122,7 +142,7 @@ def test_config_hash_sensitivity():
 
 @pytest.mark.parametrize("doc, pinned", [
     ("", "fb1d0432e5465ffb"),
-    ("[physics]\nmodel = nls\n", "c0bd8eeac4e2b9fd"),
+    ("[physics]\nmodel = nls\n", "b2e6d0865ee37109"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
      "alphas = 0,0.2\n", "bedc49adde809a4f"),
 ], ids=["ep", "nls", "composite-2d"])
@@ -156,6 +176,7 @@ epsilon_floor = 1e-7
 T = 1.5
 dt = 0.002
 samples_per_unit_time = 20
+sample_growth = 0.25
 workers = 2
 [output]
 dir = out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import epnls.evolution
 from epnls.grid import (
     EvenGrid,
     Field,
@@ -83,6 +84,9 @@ def test_step_spec_validation():
         StepSpec(dt=3e-3, samples_per_unit_time=100)
     assert StepSpec(dt=-1e-3).steps_per_sample == 20
     assert StepSpec(dt=1e-3, samples_per_unit_time=100).sample_interval == 0.01
+    for growth in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sample_growth"):
+            StepSpec(sample_growth=growth)
 
 
 def test_trajectory_times_must_increase():
@@ -679,6 +683,102 @@ def test_model_stream_yields_the_sample_times_it_is_given(model):
     assert np.array([t for t, _ in stream]).tobytes() == times.tobytes()
     prefix = model_stream(model, GRID, PARAMS, step, times[:3], phi0_hat.copy())
     assert [t for t, _ in prefix] == list(times[:3])
+
+
+@pytest.mark.parametrize("T, spu, growth", [
+    (0.2, 2000, 1.0 / 32), (0.198, 2000, 1.0 / 32), (2.0, 50, 0.3), (1.0, 1000, 1.0),
+    (0.01, 2000, 1.0 / 32),
+])
+def test_graded_sample_times(T, spu, growth):
+    # integer units u_j times the interval, each spacing m_j <= max(1, q u_j)
+    # a power of two dividing u_j (the last one clipped at T), bitwise the
+    # uniform clock up to the first spacing of 2, and T last as there
+    graded = StepSpec(dt=1.0 / spu, samples_per_unit_time=spu, sample_growth=growth)
+    uniform = StepSpec(dt=1.0 / spu, samples_per_unit_time=spu)
+    times, flat = sample_times(T, graded), sample_times(T, uniform)
+    interval = uniform.sample_interval
+    units = np.rint(times / interval).astype(int)
+    assert times.tobytes() == (units * interval).tobytes()
+    assert units[0] == 0 and times[-1] == flat[-1] == pytest.approx(T)
+    spacing = np.diff(units)
+    assert np.all(spacing >= 1)
+    assert np.all(spacing <= np.maximum(1.0, growth * units[:-1]))
+    # h <= max(1/spu, q t) in time, too
+    assert np.all(np.diff(times) <= np.maximum(interval, growth * times[:-1]) * (1 + 1e-12))
+    powers = spacing[:-1]
+    assert np.all(powers & (powers - 1) == 0) and np.all(units[:-2] % powers == 0)
+    head = np.argmax(spacing > 1) if np.any(spacing > 1) else len(spacing)
+    assert times[: head + 1].tobytes() == flat[: head + 1].tobytes()
+    # the first even u with q u >= 2
+    assert head == min(len(flat) - 1, 2 * int(np.ceil(1.0 / growth)))
+
+
+@pytest.mark.parametrize("model, T", [(NLS, 0.2), (NLS, 0.198), (EP, 0.1)])
+def test_graded_stream_is_a_uniform_stream_per_interval(model, T):
+    # over each interval of m units the graded kernel is, bitwise, a
+    # uniform stream of one sample of m dt from the state at its start
+    # the default NLS clock: graded by 1/32 past t = 0.032
+    grid = EvenGrid(1, 32, 10.0)
+    step = StepSpec(dt=5e-4, samples_per_unit_time=2000, sample_growth=1.0 / 32)
+    times = sample_times(T, step)
+    phi0_hat = grid.fft(np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.6)]))
+    samples = [[a.copy() for a in spectra]
+               for _, spectra in model_stream(model, grid, PARAMS, step, times, phi0_hat)]
+    spans = np.rint(np.diff(times) / step.sample_interval).astype(int)
+    assert set(spans) == ({1, 2, 4} if model == EP else {1, 2, 4, 8})
+    for j, m in enumerate(spans):
+        coarse = StepSpec(dt=m * step.dt, samples_per_unit_time=2000 // m)
+        start = [a.copy() for a in samples[j]]
+        one = model_stream(model, grid, PARAMS, coarse, times[j : j + 2], *start)
+        next(one)
+        t, spectra = next(one)
+        assert t == times[j + 1]
+        assert all(np.array_equal(a, b) for a, b in zip(spectra, samples[j + 1], strict=True))
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.0015], [0.0, 0.001, 0.001], [0.0, -0.001]])
+def test_model_stream_refuses_times_off_the_sample_grid(times):
+    # an interval it cannot step exactly is an error, not a rounded step
+    step = StepSpec(dt=1e-3, samples_per_unit_time=1000)
+    phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
+    with pytest.raises(ValueError, match="whole number of sample intervals"):
+        list(model_stream(NLS, GRID, PARAMS, step, times, phi0_hat))
+
+
+@pytest.mark.parametrize("per_block", [1, 2])
+@pytest.mark.parametrize("failure", ["angle", "non-finite"])
+def test_blowup_on_a_graded_clock_reports_the_steps_taken(monkeypatch, per_block, failure):
+    # a failure in the rotation of triple jump s (from 1) of the sample
+    # interval from times[j - 1]: an angle reports s and that interval's
+    # start, a non-finite field the jumps taken by the sample it spoils,
+    # j steps_per_sample, and that sample's time
+    step = StepSpec(dt=5e-4 / per_block, samples_per_unit_time=2000, sample_growth=1 / 32)
+    times = sample_times(0.2, step)
+    rotate, calls = epnls.evolution._rotate, []
+    target = 3 * per_block * 100 + 3 * (per_block - 1) + 1  # a middle rotation
+
+    def failing(values, g, p, dt):
+        calls.append(dt)
+        angle = rotate(values, g, p, dt)
+        if len(calls) - 1 == target:
+            if failure == "angle":
+                return 2.0**52
+            values[...] = np.nan
+        return angle
+
+    monkeypatch.setattr(epnls.evolution, "_rotate", failing)
+    phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
+    with pytest.raises(SolverBlowupError) as err:
+        for _ in model_stream(NLS, GRID, PARAMS, step, times, phi0_hat):
+            pass
+    j = target // (3 * per_block) + 1  # the sample the failing interval ends at
+    assert j == 101 and times[j] - times[j - 1] == pytest.approx(4 * step.sample_interval)
+    if failure == "angle":
+        assert err.value.step_index == target // 3 + 1 == 100 * per_block + per_block
+        assert err.value.time == times[j - 1]
+    else:
+        assert err.value.step_index == j * per_block
+        assert err.value.time == times[j]
 
 
 # ---------------------------------------------------------------- NLS

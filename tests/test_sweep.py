@@ -45,6 +45,7 @@ from epnls.sweep import (
     regress_loglog,
     run_algorithm_a,
     run_error_curves,
+    sweep_times,
     write_curves,
 )
 
@@ -327,7 +328,7 @@ def test_drho_matches_a_centred_difference_of_a_fine_curve():
     # rho' at every interior sample of a curve sampled 10x finer than the
     # default against (rho[i+1] - rho[i-1]) / 2h, whose own error is
     # O(h^2) times the third derivative of rho
-    cfg = SweepConfig(**SMALL_NLS, dt=5e-5, samples_per_unit_time=20000)
+    cfg = SweepConfig(**SMALL_NLS, dt=5e-5, samples_per_unit_time=20000, sample_growth=0)
     curve = compute_error_curve(cfg, 0.8)
     h = 1.0 / cfg.samples_per_unit_time
     centred = (curve.rho[2:] - curve.rho[:-2]) / (2.0 * h)
@@ -580,7 +581,8 @@ def _reference_curve(c, delta, epsilon_comp=None):
     comparator, diffed in physical space."""
     grid = make_grid(c.n, c.N, c.L)
     params = ModelParams(g=c.g, gamma=c.gamma, omega0=c.omega0, p=c.p, s=c.s)
-    step = StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time)
+    step = StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time,
+                    sample_growth=c.sample_growth)
     phi0 = gaussian_initial(grid, delta)
     if c.model == "nls":
         truth = evolve_nls(phi0, params, step, c.T)
@@ -603,6 +605,8 @@ def _reference_curve(c, delta, epsilon_comp=None):
           c1=1.0), 1.0, 4e-2),
     (dict(model="nls", N=64, T=0.02, dt=1e-4, samples_per_unit_time=1000),
      0.7, None),
+    (dict(model="nls", N=64, T=0.05, dt=1e-4, samples_per_unit_time=1000,
+          sample_growth=0.25), 0.7, None),
 ])
 def test_engine_matches_full_state_reference(kw, delta, eps_comp):
     cfg = SweepConfig(**kw)
@@ -677,7 +681,8 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
 
 
 # four NLS curves from four distinct amplitudes
-FOUR_NLS_CURVES = dict(model="nls", N=64, T=0.02, alpha_set=(0.0, 0.2),
+# on a uniform clock, so that sample j is at j / samples_per_unit_time
+FOUR_NLS_CURVES = dict(model="nls", N=64, T=0.02, sample_growth=0, alpha_set=(0.0, 0.2),
                        epsilon_set=(1e-2, 3e-3, 1e-3))
 
 
@@ -689,7 +694,8 @@ def _sweep_bits(result):
     FOUR_CURVES,
     dict(FOUR_CURVES, n=2, N=32, comparator="composite", c1=0.5),
     FOUR_NLS_CURVES,
-], ids=["systemB-1d", "composite-2d", "nls"])
+    dict(FOUR_NLS_CURVES, T=0.1, sample_growth=1 / 32),  # a curve to t = 0.066
+], ids=["systemB-1d", "composite-2d", "nls", "nls-graded"])
 def test_curve_bits_do_not_depend_on_the_block(monkeypatch, kw):
     # one sample per block, the default blocks, and the whole horizon in
     # one block: the same curves (t, rho, rho') and crossings, bitwise
@@ -1009,8 +1015,8 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     if model == "ep":
         cfg = SweepConfig(model="ep", N=N, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
-    else:  # the default clock
-        cfg = SweepConfig(model="nls", N=N, T=0.05, alpha_set=(0.0, 0.1),
+    else:  # the default clock, uniform: T x samples_per_unit_time + 1 samples
+        cfg = SweepConfig(model="nls", N=N, T=0.05, sample_growth=0, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     specs = curve_specs(cfg)
     lengths = [len(_stop_prefix(cfg, spec, compute_error_curve(cfg, *spec)).times)
@@ -1112,12 +1118,52 @@ def test_default_nls_dt_is_converged():
     # jump of 5e-4 per sample of 1/2000) against a 4x finer step at the
     # same samples: the step is not what limits the crossings (measured
     # 1.2e-12 apart; the whole default sweep is within 7.5e-12 of
-    # dt = 2.5e-5)
+    # dt = 2.5e-5).  These crossings all lie in the clock's uniform head,
+    # t < 0.032; the graded rest is checked below
     coarse = compute_error_curve(SweepConfig(model="nls"), 1.0)
     fine = compute_error_curve(SweepConfig(model="nls", dt=1.25e-4), 1.0)
     for eps in SweepConfig(model="nls").epsilon_set:
         t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
         assert t_coarse == pytest.approx(t_fine, rel=1e-6)
+
+
+def test_default_nls_graded_clock_is_converged():
+    # the default NLS clock, graded by 1/32 past t = 0.032 (147 samples on
+    # [0, 0.2]), against a uniform one 4x finer in samples and step: every
+    # crossing of the default sweep within 2e-9, as the uniform default
+    # clock was (measured 1.3e-9 apart, the largest in the uniform head;
+    # 5.4e-10 past it).  Both sweeps take ~0.4 s together
+    default = run_algorithm_a(SweepConfig(model="nls"))
+    fine = run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4, samples_per_unit_time=8000,
+                                       sample_growth=0))
+    assert not default.failures and len(default.crossings) == len(fine.crossings) == 24
+    late = 0
+    for a, b in zip(default.crossings, fine.crossings, strict=True):
+        assert (a.alpha, a.epsilon) == (b.alpha, b.epsilon)
+        assert a.t_cross == pytest.approx(b.t_cross, rel=2e-9, abs=0.0)
+        late += b.t_cross > 0.032
+    assert late >= 8  # crossings read off the graded part of the clock
+
+
+def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
+    # EP keeps the uniform clock (sample_growth 0): its times are bitwise
+    # np.arange(n + 1) x interval, and its default sweep's curves are
+    # bitwise those of a kernel fed those times and a step without growth
+    c = SweepConfig(model="ep")
+    interval = 1.0 / c.samples_per_unit_time
+    uniform = np.arange(round(c.T / interval) + 1) * interval
+    assert sweep_times(c).tobytes() == uniform.tobytes()
+    curves = run_error_curves(c)
+    kernel, fed = epnls.sweep.model_stream, []
+
+    def on_uniform_clock(model, grid, params, step, times, *spectra):
+        fed.append(times)
+        plain = StepSpec(dt=step.dt, samples_per_unit_time=step.samples_per_unit_time)
+        return kernel(model, grid, params, plain, uniform[: len(times)], *spectra)
+
+    monkeypatch.setattr(epnls.sweep, "model_stream", on_uniform_clock)
+    assert _bits(run_error_curves(c)) == _bits(curves)
+    assert fed and all(t.tobytes() == uniform.tobytes() for t in fed)
 
 
 @pytest.mark.parametrize("power", [0.997, 1.0, 1.003])
@@ -1173,9 +1219,17 @@ def test_default_ep_step_error_is_below_1e_7():
 
 
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 8, "nls": 7}
+    assert SOLVER_REVISION == {"ep": 8, "nls": 8}
     assert "solver=8" in physics_signature(SweepConfig(**FAST_EP))
-    assert "solver=7" in physics_signature(SweepConfig(model="nls"))
+    assert "solver=8" in physics_signature(SweepConfig(model="nls"))
+
+
+def test_signature_carries_a_graded_clock_only():
+    # a uniform clock adds nothing, so EP hashes and caches stay valid
+    nls = physics_signature(SweepConfig(model="nls"))
+    assert nls.endswith(";growth=0.03125")
+    assert "growth" not in physics_signature(SweepConfig(model="nls", sample_growth=0))
+    assert "growth" not in physics_signature(SweepConfig(**FAST_EP))
 
 
 @pytest.mark.parametrize("corrupt", [
