@@ -137,6 +137,7 @@ class EPState:
             self.phi.grid.n != self.psi.grid.n
             or self.phi.grid.N != self.psi.grid.N
             or self.phi.grid.L != self.psi.grid.L
+            or self.phi.grid.shape != self.psi.grid.shape
         ):
             raise ValueError("phi and psi must share one grid")
         if self.time < 0:

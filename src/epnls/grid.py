@@ -26,14 +26,15 @@ points x >= 0 of each axis and the N/2 + 1 modes m >= 0 (Boyd, Chebyshev
 and Fourier Spectral Methods, 2nd ed., 2001, ch. 8).  Its fft and ifft
 are Grid's transforms of the mirrored field, on the stored modes and
 points, as one real cosine matrix per axis, so every spectrum is still a
-plain Grid.fft; the H^s norm weighs each stored mode by the number of
-lattice modes it stands for.  A symbol, a rotation or a norm then acts
-on (N/2 + 1)^n values in place of N^n.  The dense matrices cost
-O(N^(n+1)) per transform against the FFT's O(N^n log N), and BLAS,
-not pocketfft, sets their rounding: each axis is one gemm per batch row,
-of one shape whatever the axis or the batch (Goto and van de Geijn,
-Anatomy of high-performance matrix multiplication, ACM TOMS 34(3), 2008,
-on why wide gemms pay and narrow ones do not).
+plain Grid.fft; the H^s norm weighs each stored mode, and l2_norm each
+stored point, by the number of lattice modes or points it stands for.  A
+symbol, a rotation or a norm then acts on (N/2 + 1)^n values in place of
+N^n.  The dense matrices cost O(N^(n+1)) per transform against the
+FFT's O(N^n log N), and BLAS, not pocketfft, sets their rounding: each
+axis is one gemm per batch row, of one shape whatever the axis or the
+batch (Goto and van de Geijn, Anatomy of high-performance matrix
+multiplication, ACM TOMS 34(3), 2008, on why wide gemms pay and narrow
+ones do not).
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class Grid:
     ``k_squared`` is |k|^2 on the full n-dimensional lattice, ``k_levels``
     its sorted distinct values and ``level_index`` (grid shape) the level
     of each mode: k_levels[level_index] == k_squared exactly.
+    ``multiplicity`` is the number of lattice modes (and points) each
+    stored one stands for: 1 here, more on EvenGrid.
     """
 
     n: int
@@ -95,6 +98,7 @@ class Grid:
         object.__setattr__(self, "k_squared", k_sq)
         object.__setattr__(self, "k_levels", levels)
         object.__setattr__(self, "level_index", index.reshape(self.shape))
+        object.__setattr__(self, "multiplicity", 1.0)
 
     def _axes(self, dx):
         axis_x = -self.L + dx * np.arange(self.N)
@@ -133,8 +137,9 @@ class Grid:
         return a
 
     def hs_weight(self, s):
-        """Per mode, its weight (1 + |k|^2)^s in the H^s norm."""
-        return (1.0 + self.k_squared) ** s
+        """Per stored mode, its weight (1 + |k|^2)^s in the H^s norm times
+        its multiplicity, a power of two, so the product is exact."""
+        return self.multiplicity * (1.0 + self.k_squared) ** s
 
     def gather(self, levels):
         """The per-mode array (grid shape, after any leading axes) of a
@@ -171,8 +176,8 @@ class EvenGrid(Grid):
     w_0 = w_{N/2} = 1 and 2 otherwise, the (-1)^m shifting the origin to
     x = -L as Grid's points are.  ``multiplicity`` (grid shape) is the
     product of w over the axes: the number of lattice modes each stored
-    one stands for, which hs_weight folds into the norm.  Physical-space
-    sums such as l2_norm would need it too; the sweep takes none.
+    mode stands for, and of points each stored point does (point r sits
+    at x = r dx and its mirror -r dx, one point at r = 0 and N/2).
 
     A transform takes n steps, one per axis, each on the leading grid
     axis: one (M x M) @ (M x 2 M^(n-1)) gemm per batch row on the float64
@@ -197,11 +202,6 @@ class EvenGrid(Grid):
         axis_x, axis_k = super()._axes(dx)
         m = np.arange(self.N // 2 + 1)
         return axis_x[(self.N // 2 + m) % self.N], np.abs(axis_k[m])
-
-    def hs_weight(self, s):
-        """Grid's weight times each stored mode's multiplicity, a power of
-        two, so the product is exact."""
-        return self.multiplicity * super().hs_weight(s)
 
     def fft(self, a, out=None):
         """Grid.fft of the mirrored field, on the stored modes; leading axes
@@ -319,8 +319,11 @@ def sobolev_norm(field, s):
 
 
 def l2_norm(field):
-    """Physical-space discrete L2 norm (sum |u|^2 dx^n)^(1/2)."""
-    return float(np.sqrt(np.sum(np.abs(field.values) ** 2) * field.grid.cell_volume))
+    """Physical-space discrete L2 norm (sum |u|^2 dx^n)^(1/2), each stored
+    point weighed by its multiplicity."""
+    grid = field.grid
+    return float(np.sqrt(np.sum(np.abs(field.values) ** 2 * grid.multiplicity)
+                         * grid.cell_volume))
 
 
 def free_propagate(field, t):

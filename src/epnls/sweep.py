@@ -411,18 +411,20 @@ def _curve_batch(c, specs, stops=None):
     stops at the first sample where rho reaches it, a delta leaves the
     batch at the end of the block in which all its curves have stopped,
     and stepping ends when no delta is left or at T.  Without ``stops``
-    every curve runs to T.  A kernel error inside a block may come from a
-    row whose curves stopped earlier in it, and the stream cannot rewind,
-    so the batch is then rerun with K = 1: it fails exactly where a
-    running curve needs the failing sample.
+    every curve runs to T.  A solver blow-up or a zero truth norm at any
+    sample is an error.  Inside a block it may come from a row whose curves
+    stopped earlier in it, and the stream cannot rewind, so the batch is
+    then measured again with K = 1: it fails exactly where a running curve
+    needs the failing sample.
     """
-    curves = _measure_batch(c, specs, stops, _BLOCK_POINTS)
-    return _measure_batch(c, specs, stops, 1) if curves is None else curves
+    try:
+        return _measure_batch(c, specs, stops, _BLOCK_POINTS)
+    except (SolverBlowupError, ZeroDivisionError):
+        return _measure_batch(c, specs, stops, 1)
 
 
 def _measure_batch(c, specs, stops, block_points):
-    """_curve_batch in blocks of at most block_points truth points, or
-    None where a kernel error inside a block calls for a rerun."""
+    """_curve_batch in blocks of at most block_points truth points."""
     grid, params, step = solver_setup(c)
     times = sweep_times(c)
     deltas = list(dict.fromkeys(d for d, _ in specs))
@@ -456,21 +458,15 @@ def _measure_batch(c, specs, stops, block_points):
         return max(1, k)
 
     def block(i, k, keep):
-        # rho, rho' (or None) and where the truth norm is 0, each of
-        # (sample, curve), at the k samples from i; None for a rerun.  No
-        # reference to a block's arrays outlives it, so a step never holds
-        # the rows it has just dropped.  The stack, per sample the truth
-        # rows, each curve's comparator-minus-truth row and each truth's
-        # forcing row, is made after the block's first step, so at K = 1 it
-        # never coexists with a step's temporaries
+        # rho and rho' (or None), each of (sample, curve), at the k samples
+        # from i.  No reference to a block's arrays outlives it, so a step
+        # never holds the rows it has just dropped.  The stack, per sample
+        # the truth rows, each curve's comparator-minus-truth row and each
+        # truth's forcing row, is made after the block's first step, so at
+        # K = 1 it never coexists with a step's temporaries
         truth = None
         for j in range(k):
-            try:
-                photon = stream.send(None if j else keep)[1][0]
-            except SolverBlowupError:
-                if j:  # a row past its curves' stops may have failed
-                    return None
-                raise
+            photon = stream.send(None if j else keep)[1][0]
             if truth is None:
                 stack = np.empty((k * (per_truth * rows + len(live)),) + grid.shape,
                                  np.complex128)
@@ -491,38 +487,27 @@ def _measure_batch(c, specs, stops, block_points):
         norms = hs_norm_from_fft(stack, grid, c.s)
         shape = (k, len(live))
         den = norms[:truths].reshape(k, rows)[:, member]
-        # a zero truth norm is an error where a running curve needs it; the
-        # caller decides that
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = norms[truths:split].reshape(shape) / den
-            if drho is None:
-                return r, None, den == 0.0
-            # each difference row's truth row
-            pair = (rows * np.arange(k)[:, None] + member).ravel()
-            dr = _slope(grid, c.s, stack, norms, pair, r.ravel())
-        return r, dr.reshape(shape), den == 0.0
+        vanished = den == 0.0
+        if vanished.any():
+            j, curve = np.unravel_index(np.argmax(vanished), shape)
+            raise ZeroDivisionError(
+                f"truth norm underflow at t = {times[i + j]:.6g} for delta = "
+                f"{specs[live[curve]][0]:.6g}"
+            )
+        r = norms[truths:split].reshape(shape) / den
+        if drho is None:
+            return r, None
+        # each difference row's truth row
+        pair = (rows * np.arange(k)[:, None] + member).ravel()
+        return r, _slope(grid, c.s, stack, norms, pair, r.ravel()).reshape(shape)
 
     keep, i = None, 0
     while i < len(times):
         k = block_size(i)
-        measured = block(i, k, keep)
-        if measured is None:
-            return None
-        r, dr, vanished = measured
+        r, dr = block(i, k, keep)
         keep = None
         reached = r >= stop
         done = reached.any(axis=0)
-        if vanished.any():
-            # an error at the first sample where a curve that has not
-            # stopped before it needs a zero norm
-            first = np.where(done, reached.argmax(axis=0), k)
-            vanished &= np.arange(k)[:, None] <= first
-            if vanished.any():
-                j, curve = np.unravel_index(np.argmax(vanished), vanished.shape)
-                raise ZeroDivisionError(
-                    f"truth norm underflow at t = {times[i + j]:.6g} for delta = "
-                    f"{specs[live[curve]][0]:.6g}"
-                )
         rho[live, i : i + k] = r.T
         if dr is not None:
             drho[live, i : i + k] = dr.T

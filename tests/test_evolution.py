@@ -72,9 +72,10 @@ def test_model_params_default_s_follows_dimension():
 
 
 def test_ep_state_grid_mismatch():
-    other = make_grid(1, 128, 10.0)
-    with pytest.raises(ValueError, match="grid"):
-        EPState(gaussian_initial(GRID, 1.0), gaussian_initial(other, 1.0))
+    # another N, or the even subspace of the same (n, N, L)
+    for other in (make_grid(1, 128, 10.0), EvenGrid(1, GRID.N, GRID.L)):
+        with pytest.raises(ValueError, match="phi and psi must share one grid"):
+            EPState(gaussian_initial(other, 1.0), gaussian_initial(GRID, 1.0))
 
 
 def test_step_spec_validation():

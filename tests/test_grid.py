@@ -287,9 +287,14 @@ def test_sobolev_s1_gaussian_matches_fourier_quadrature():
     assert sobolev_norm(f, 1.0) == pytest.approx(oracle, abs=1e-12)
 
 
-@pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 8)])
-def test_parseval(n, N):
-    g = make_grid(n, N, 4.0)
+@pytest.mark.parametrize("n,N,kind", [
+    (1, 64, Grid), (2, 16, Grid), (3, 8, Grid),
+    (1, 64, EvenGrid), (2, 16, EvenGrid), (3, 8, EvenGrid),
+], ids=["1-64", "2-16", "3-8", "1-64-even", "2-16-even", "3-8-even"])
+def test_parseval(n, N, kind):
+    # on EvenGrid a random field is the restriction of an even one, and
+    # both norms weigh each stored mode or point by its multiplicity
+    g = kind(n, N, 4.0)
     for seed in range(3):
         f = random_field(g, seed=seed)
         assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)

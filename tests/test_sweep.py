@@ -759,16 +759,21 @@ def test_vanishing_truth_past_a_stop_is_no_error(monkeypatch):
     # a zero truth norm is an error only at a sample a curve needs
     cfg = SweepConfig(**FOUR_NLS_CURVES)
     reference, ends = _sample_by_sample(monkeypatch, cfg)
-    zeroed = []
+    zeroed, streams = [], []
 
     def vanish(j, rows, spectra):
         stopped = ends[rows] <= j
         zeroed.append(stopped.any())
         spectra[0][stopped] = 0.0
+        if j == 0:
+            streams.append(rows)
 
     _patch_streams(monkeypatch, vanish)
     assert _bits(run_error_curves(cfg)) == _bits(reference)
     assert any(zeroed)
+    # the blocks met the zero norm, and the batch was measured again one
+    # sample per block, where no stopped row is stepped (one pass when clean)
+    assert len(streams) == 2
 
 
 @pytest.mark.parametrize("which", ["first", "last"])
