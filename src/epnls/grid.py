@@ -147,12 +147,12 @@ class Grid:
         return np.take(levels, self.level_index, axis=-1)
 
     def meshgrid(self):
-        """Physical coordinate arrays, one per axis, each of full shape."""
-        axes = np.meshgrid(*([self.axis_x] * self.n), indexing="ij")
-        return axes
+        """Coordinate arrays of the stored points, one per axis, each of
+        grid shape: the whole lattice on Grid, x >= 0 on EvenGrid."""
+        return np.meshgrid(*([self.axis_x] * self.n), indexing="ij")
 
     def radius_squared(self):
-        """|x|^2 on the full grid."""
+        """|x|^2 at the stored points (grid shape)."""
         r2 = np.zeros(self.shape)
         for ax in self.meshgrid():
             r2 += ax**2

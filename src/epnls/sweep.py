@@ -88,42 +88,36 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # solver wrote.
 SOLVER_REVISION = {EP: 8, NLS: 8}
 
-# Complex grid-sized arrays a batch member with one curve keeps alive at
-# the peak of _curve_batch, one sample per block, measured and rounded up
-# (EP ~6.2 with system B and ~6.2-6.7 with the composite, NLS ~6.5;
-# checked by tests/test_sweep.py): the curve's phi_hat(0) copy, the spectra
-# the split-step loop owns (EP: phi_hat and psi_hat; NLS: phi_hat; the
-# rotated field's spectrum is dropped while it is rotated), the
-# temporaries of a rotation or a 2x2 step, the truth-and-difference stack
-# of the sample's norm call (for NLS with its forcing row, which rho'
-# needs and nls_forcing writes in place) and, for the composite, the seed
-# pair of the curve's comparator epsilon, which lives on the |k|^2 levels
-# (half a grid array in 1D, less in 2D).  Each further curve of one delta
-# (the composite's other epsilons) adds its phi_hat(0) copy, stack row,
-# norm temporaries and seed pair (~3.1-5.5; a 4096-point amplitude takes
-# blocks of two samples).
-# max_points bounds N^n x the sum of these over a batch (_batch_points).
-# On the even subspace an array holds (N/2 + 1)^n points, so the guard
-# over-counts by up to 2^n there and never admits a batch the full grid
-# would not.
-# A block of K > 1 samples holds its whole stack while it steps, so it is
-# taken only where max_points leaves room for twice its stack rows beside
-# the batch (_curve_batch).
-_ARRAYS_PER_MEMBER = {EP: 9, NLS: 7}
+# Complex arrays of _grid_points points a batch member with one curve
+# keeps alive at the peak of _curve_batch, one sample per block, measured
+# and rounded up (tracemalloc: EP ~5.7-6.0 with system B and ~6.4-6.7 with
+# the composite, NLS ~6.5 on the full grid and ~7.5 on the even subspace in
+# 2D and 3D; checked by tests/test_sweep.py): the curve's phi_hat(0) copy,
+# the spectra the split-step loop owns (EP: phi_hat and psi_hat; NLS:
+# phi_hat; the rotated field's spectrum is dropped while it is rotated),
+# the temporaries of a rotation or a 2x2 step, the truth-and-difference
+# stack of the sample's norm call (for NLS with its forcing row, which
+# rho' needs and nls_forcing writes in place) and, for the composite, the
+# seed pair of the curve's comparator epsilon, on the |k|^2 levels.  Each
+# further curve of one delta (the composite's other epsilons) adds its
+# phi_hat(0) copy, stack row, norm temporaries and seed pair (~3.3-3.7).
+# max_points bounds the sum of these over a batch (_batch_points), and a
+# block of K > 1 samples the room it leaves (_curve_batch).
+_ARRAYS_PER_MEMBER = {EP: 9, NLS: 8}
 _ARRAYS_PER_EXTRA_CURVE = 6
 
-# Truth points (batch rows x N^n x samples, counted as max_points counts
-# them) _curve_batch measures in one block: one norm call, forcing and
-# comparator gather per block, not per sample.  A default 1D sweep's
-# 18-amplitude head on 128 points takes three samples per block, and its
-# one-amplitude tail 64.  Per default sweep at N = 128 on the even
-# subspace (CPU time, in process, interleaved, on a shared 2-core x86
-# box), 2^11, 2^12, 2^13 and 2^14 points measured 30, 28, 26 and 25 ms
-# (EP, 80 rounds) and 85, 73, 72 and 69 ms (NLS, 40 rounds); 2^13 against
-# 2^14 alone, alternating, 24.7 and 24.4 ms (EP, 150 rounds) and 72 and
-# 74 ms (NLS, 60), inside quartile spreads of 6-19 ms: smaller blocks
-# lose, and 2^14 gains nothing measurable for twice the stack.
-_BLOCK_POINTS = 2**13
+# Truth points (batch rows x _grid_points x samples) _curve_batch measures
+# in one block: one norm call, forcing and comparator gather per block, not
+# per sample.  A default 1D sweep's 18 amplitudes on 65 stored points take
+# three samples per block, and its one-amplitude tail 63.  Per default
+# sweep at N = 128 (CPU time, in process, interleaved, shared 2-core x86
+# box), blocks of 2^11 to 2^14 points counted as 128 per row (about 2^10
+# to 2^13 stored) measured 30, 28, 26 and 25 ms (EP, 80 rounds) and 85,
+# 73, 72 and 69 ms (NLS, 40 rounds); the largest two alone, alternating,
+# 24.7 and 24.4 ms (EP, 150 rounds) and 72 and 74 ms (NLS, 60), inside
+# quartile spreads of 6-19 ms: smaller blocks lose, and the largest gains
+# nothing measurable for twice the stack, so the third is taken.
+_BLOCK_POINTS = 2**12
 
 # Largest N at which solver_setup gives a config's runs the even subspace
 # (EvenGrid): its dense cosine transforms cost O(N^(n+1)) per row against
@@ -388,20 +382,24 @@ def solver_setup(c):
     return grid, _model_params(c), _solver_step(c)
 
 
+def _grid_points(c):
+    """Points one array of solver_setup(c)'s grid stores, without building it."""
+    return (c.N // 2 + 1 if c.N <= _EVEN_MAX_N else c.N) ** c.n
+
+
 def _curve_batch(c, specs, stops=None):
     """Error curves of the (delta, eps_comp) specs of a config,
     with every distinct delta stepped at once on a leading batch axis.
 
-    The batch steps on solver_setup(c)'s grid, up to _EVEN_MAX_N points per
-    axis the even subspace.  Every sample, t = 0 included, is read from
-    model_stream at the times sample_times gives: the truth spectrum is the
-    photon spectrum it yields as spectra[0], the comparator spectrum one
-    closed-form multiplier per eps_comp times each curve's phi_hat(0).
-    Samples are measured in blocks of K consecutive ones
-    (K = max(1, _BLOCK_POINTS // (batch rows x N^n)), 1 where max_points
-    leaves no room for more): the block's truth spectra, each curve's
-    comparator-minus-truth rows and, for NLS, the forcing rows of rho'
-    (_slope) form one stack, whose norms are one batched call, and
+    The batch steps on solver_setup(c)'s grid.  Every sample, t = 0
+    included, is read from model_stream at the times sample_times gives:
+    the truth spectrum is the photon spectrum it yields as spectra[0], the
+    comparator spectrum one closed-form multiplier per eps_comp times each
+    curve's phi_hat(0).  Samples are measured in blocks of K consecutive
+    ones (K = max(1, _BLOCK_POINTS // (batch rows x _grid_points(c))), 1
+    where max_points leaves no room for more): the block's truth spectra,
+    each curve's comparator-minus-truth rows and, for NLS, the forcing rows
+    of rho' (_slope) form one stack, whose norms are one batched call, and
     rho[spec, sample] (drho beside it) is filled for the whole block.  No
     state is recorded and at most one block is held, so memory is
     O(batch x grid).  Every operation acts on each batch row alone, so a
@@ -412,19 +410,18 @@ def _curve_batch(c, specs, stops=None):
     batch at the end of the block in which all its curves have stopped,
     and stepping ends when no delta is left or at T.  Without ``stops``
     every curve runs to T.  A solver blow-up or a zero truth norm at any
-    sample is an error.  Inside a block it may come from a row whose curves
-    stopped earlier in it, and the stream cannot rewind, so the batch is
-    then measured again with K = 1: it fails exactly where a running curve
-    needs the failing sample.
+    sample is an error.  In a block of K > 1 samples it may come from a row
+    whose curves stopped earlier in it, and the stream cannot rewind, so the
+    batch is then measured again with K = 1, where every row stepped has a
+    running curve: it fails exactly where one needs the failing sample.
     """
-    try:
-        return _measure_batch(c, specs, stops, _BLOCK_POINTS)
-    except (SolverBlowupError, ZeroDivisionError):
-        return _measure_batch(c, specs, stops, 1)
+    curves = _measure_batch(c, specs, stops, _BLOCK_POINTS)
+    return _measure_batch(c, specs, stops, 1) if curves is None else curves
 
 
 def _measure_batch(c, specs, stops, block_points):
-    """_curve_batch in blocks of at most block_points truth points."""
+    """_curve_batch in blocks of at most block_points truth points, or None
+    if a block of more than one sample fails."""
     grid, params, step = solver_setup(c)
     times = sweep_times(c)
     deltas = list(dict.fromkeys(d for d, _ in specs))
@@ -446,16 +443,14 @@ def _measure_batch(c, specs, stops, block_points):
     drho = np.empty_like(rho) if _carries_slope(c) else None
     ends = np.full(len(specs), len(times))
     per_truth = 1 if drho is None else 2  # stack rows: a truth and its forcing
+    points = _grid_points(c)
 
     def block_size(i):
         # the largest K of at most block_points truth points whose stack
-        # rows, counted twice for their temporaries, fit in what max_points
-        # leaves beside the batch; 1 in any case
-        points = c.N**c.n  # per row, as max_points counts (_batch_points)
+        # rows, twice over for their temporaries, fit beside the batch in max_points
         room = c.max_points - _batch_points(c, rows, len(live))
         per_sample = 2 * points * (per_truth * rows + len(live))
-        k = min(block_points // (rows * points), room // per_sample, len(times) - i)
-        return max(1, k)
+        return max(1, min(block_points // (rows * points), room // per_sample, len(times) - i))
 
     def block(i, k, keep):
         # rho and rho' (or None), each of (sample, curve), at the k samples
@@ -504,7 +499,12 @@ def _measure_batch(c, specs, stops, block_points):
     keep, i = None, 0
     while i < len(times):
         k = block_size(i)
-        r, dr = block(i, k, keep)
+        try:
+            r, dr = block(i, k, keep)
+        except (SolverBlowupError, ZeroDivisionError):
+            if k == 1:
+                raise
+            return None
         keep = None
         reached = r >= stop
         done = reached.any(axis=0)
@@ -590,10 +590,10 @@ def _by_delta(specs):
 
 
 def _batch_points(c, members, curves):
-    """Grid points a batch of ``members`` deltas with ``curves`` curves in
-    all holds at the peak of _curve_batch, one sample per block."""
-    return c.N**c.n * (_ARRAYS_PER_MEMBER[c.model] * members
-                       + _ARRAYS_PER_EXTRA_CURVE * (curves - members))
+    """Points (_grid_points) a batch of ``members`` deltas with ``curves``
+    curves in all holds at the peak of _curve_batch, one sample per block."""
+    return _grid_points(c) * (_ARRAYS_PER_MEMBER[c.model] * members
+                              + _ARRAYS_PER_EXTRA_CURVE * (curves - members))
 
 
 def _compute_curves(c, specs):

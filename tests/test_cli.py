@@ -135,12 +135,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[solver]\nT = 1.005\n", "not a positive multiple of the sampling interval"),
     ("[grid]\nn = 4\n", "dimension n must be 1, 2, or 3"),
     ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
-    # one amplitude of 64 points x 9 arrays, alone or with 5 further
-    # composite tolerances of 6 arrays
+    # one amplitude of 9 arrays of the 33 points N = 64 stores, alone or
+    # with 5 further composite tolerances of 6 arrays
     ("[grid]\nN = 64\nmax_points = 100\n[sweep]\nalphas = 0\n",
-     "needs 576 points, which exceeds the memory cap of 100 points"),
-    ("[grid]\nN = 64\nmax_points = 2000\n[sweep]\ncomparator = composite\n",
-     "needs 2496 points, which exceeds the memory cap of 2000 points"),
+     "needs 297 points, which exceeds the memory cap of 100 points"),
+    ("[grid]\nN = 64\nmax_points = 1000\n[sweep]\ncomparator = composite\n",
+     "needs 1287 points, which exceeds the memory cap of 1000 points"),
     # an empty dir would write every output into the working directory
     ("[output]\ndir =\n", "outdir must name a directory"),
     # non-finite values are rejected by the object that owns each value

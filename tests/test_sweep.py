@@ -20,6 +20,7 @@ from epnls.evolution import (
     zero_state,
 )
 from epnls.grid import (
+    DEFAULT_MAX_POINTS,
     EvenGrid,
     Field,
     Grid,
@@ -780,28 +781,39 @@ def test_vanishing_truth_past_a_stop_is_no_error(monkeypatch):
 @pytest.mark.parametrize("error", ["kernel", "vanishing-truth"])
 def test_an_error_a_curve_needs_is_the_sweeps_error(monkeypatch, which, error):
     # at the last sample of the shortest curve or of the longest: the same
-    # error and message whatever the block
+    # error and message whatever the block.  Blocks of one sample (by
+    # _BLOCK_POINTS, or by a max_points with no room for more) step only
+    # rows with a running curve, so they stream the batch once; the default
+    # blocks may step a stopped row, so they stream it again
     cfg = SweepConfig(**FOUR_NLS_CURVES)
     _, ends = _sample_by_sample(monkeypatch, cfg)
     sample = (min(ends) if which == "first" else max(ends)) - 1
     row = int(np.argmin(ends) if which == "first" else np.argmax(ends))
+    streams = []
 
     def fail(j, rows, spectra):
+        if j == 0:
+            streams.append(rows)
         if j == sample and error == "kernel":
             raise SolverBlowupError(j / cfg.samples_per_unit_time, j)
         if j == sample:
             spectra[0][rows == row] = 0.0
 
     kind = SolverBlowupError if error == "kernel" else ZeroDivisionError
-    messages = []
-    for block_points in (1, epnls.sweep._BLOCK_POINTS):
+    no_room = epnls.sweep._batch_points(cfg, 4, 4)  # the four amplitudes' arrays
+    messages, passes = [], []
+    for block_points, max_points in ((1, cfg.max_points), (epnls.sweep._BLOCK_POINTS, no_room),
+                                     (epnls.sweep._BLOCK_POINTS, cfg.max_points)):
         monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", block_points)
         _patch_streams(monkeypatch, fail)
+        streams.clear()
         with pytest.raises(kind) as err:
-            run_error_curves(cfg)
+            run_error_curves(SweepConfig(**FOUR_NLS_CURVES, max_points=max_points))
         messages.append(str(err.value))
+        passes.append(len(streams))
         monkeypatch.undo()
-    assert messages[0] == messages[1]
+    assert messages == messages[:1] * 3
+    assert passes == [1, 1, 2]
     if error == "vanishing-truth":
         delta = curve_specs(cfg)[row][0]
         assert messages[0] == (f"truth norm underflow at t = {sample / 2000:.6g} "
@@ -854,18 +866,39 @@ def test_curves_carry_their_curve_specs_key(tmp_path, monkeypatch, kw):
 def test_max_points_bounds_one_amplitudes_batch():
     # a config whose largest batch member cannot fit is rejected before any
     # run: one amplitude alone, and delta = 1 serving three composite
-    # tolerances
-    member = 64 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
-    extra = 64 * epnls.sweep._ARRAYS_PER_EXTRA_CURVE
+    # tolerances, on arrays of the 33 points the N = 64 even subspace stores
+    member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    extra = 33 * epnls.sweep._ARRAYS_PER_EXTRA_CURVE
     composite = dict(FAST_EP, comparator="composite", c1=0.5)
     for kw, points in ((FAST_EP, member), (composite, member + 2 * extra)):
         assert SweepConfig(**kw, max_points=points).max_points == points
         with pytest.raises(ValueError, match=f"needs {points} points, which exceeds "
                            f"the memory cap of {points - 1} points"):
             SweepConfig(**kw, max_points=points - 1)
-    # 128^3 grid points fit the default cap of 2^24; 9 arrays of them do not
-    with pytest.raises(ValueError, match="needs 18874368 points"):
-        SweepConfig(n=3, N=128)
+    # 9 arrays of the 65^3 points a 3D N = 128 sweep stores fit the default
+    # cap of 2^24; 9 of the 512^3 full grid do not
+    assert SweepConfig(n=3, N=128).max_points == DEFAULT_MAX_POINTS
+    with pytest.raises(ValueError, match="needs 1207959552 points"):
+        SweepConfig(n=3, N=512)
+
+
+@pytest.mark.parametrize("n, N, even_max_n", [
+    (1, 256, None), (1, 512, None), (2, 256, None), (2, 512, None), (3, 256, None),
+    (3, 32, 16),  # a 512^3 Grid's own arrays take gigabytes, so a lower cutoff
+])
+def test_the_guard_counts_the_points_the_sweep_grid_stores(monkeypatch, n, N, even_max_n):
+    # one unit on both sides of _EVEN_MAX_N: (N/2 + 1)^n on the even
+    # subspace, N^n on the full grid
+    if even_max_n is not None:
+        monkeypatch.setattr(epnls.sweep, "_EVEN_MAX_N", even_max_n)
+    kw = dict(n=n, N=N, T=0.04, alpha_set=(0.0,), epsilon_set=(1e-2,), max_points=2**26)
+    cfg = SweepConfig(**kw)
+    points = epnls.sweep.solver_setup(cfg)[0].level_index.size
+    assert points == (N // 2 + 1 if N <= epnls.sweep._EVEN_MAX_N else N) ** n
+    assert epnls.sweep._grid_points(cfg) == points
+    member = epnls.sweep._ARRAYS_PER_MEMBER["ep"] * points
+    with pytest.raises(ValueError, match=f"needs {member} points, which exceeds"):
+        SweepConfig(**dict(kw, max_points=member - 1))
 
 
 def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
@@ -878,7 +911,7 @@ def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
         return batch(c, specs, stops)
 
     monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
-    per_member = 64 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    per_member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]  # N = 64 stores 33 points
     split = run_error_curves(SweepConfig(**FOUR_CURVES, max_points=3 * per_member))
     assert sizes == [3, 1]
     assert _bits(split) == _bits(whole)
@@ -979,7 +1012,7 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
     monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
     member = epnls.sweep._ARRAYS_PER_MEMBER["ep"]
     extra = epnls.sweep._ARRAYS_PER_EXTRA_CURVE
-    max_points = 64 * (2 * member + 2 * extra)
+    max_points = 33 * (2 * member + 2 * extra)  # arrays of 33 stored points
     split = run_error_curves(SweepConfig(**kw, max_points=max_points))
     # delta = 1 serves three comparator epsilons (member + 2 extra), so it
     # shares its batch with one more delta only
@@ -989,16 +1022,17 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
 
 @pytest.mark.parametrize("model, steps, samples", [("ep", 100, 101), ("nls", 100, 101)])
 def test_fft_calls_per_step_and_sample(fft_calls, even_transforms, model, steps, samples):
-    # one block of 64 samples holds every stop; N = 32 steps the even
-    # subspace, whose transforms are no numpy.fft calls
-    assert _fft_call_blocks(even_transforms, model, steps, samples) == [0, 64]
+    # one block of 60 samples (2^12 // (4 x 17 stored points)) holds every
+    # stop; N = 32 steps the even subspace, whose transforms are no
+    # numpy.fft calls
+    assert _fft_call_blocks(even_transforms, model, steps, samples) == [0, 60]
     assert fft_calls == []
 
 
 @pytest.mark.parametrize("model", ["ep", "nls"])
 def test_fft_calls_per_step_and_sample_in_small_blocks(even_transforms, monkeypatch, model):
-    # 2^9 points: blocks of 4 to 16 samples
-    monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 2**9)
+    # 2^8 points of 17 per row: blocks of 3 to 15 samples
+    monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 2**8)
     assert len(_fft_call_blocks(even_transforms, model, 100, 101)) > 5
 
 
@@ -1006,9 +1040,9 @@ def test_fft_calls_per_step_and_sample_in_small_blocks(even_transforms, monkeypa
 def test_fft_calls_per_step_and_sample_above_the_even_cutoff(fft_calls, even_transforms,
                                                              model):
     # N = 512 steps the full grid: numpy.fft calls on 512-point rows, in
-    # blocks of 4 samples while all four amplitudes step
+    # blocks of 2 samples while all four amplitudes step
     assert epnls.sweep._EVEN_MAX_N < 512
-    assert _fft_call_blocks(fft_calls, model, 100, 101, N=512)[:3] == [0, 4, 8]
+    assert _fft_call_blocks(fft_calls, model, 100, 101, N=512)[:3] == [0, 2, 4]
     assert even_transforms == []
 
 
@@ -1036,11 +1070,12 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     # rotations).  Both loops carry the truth's photon spectrum, so rho
     # costs no transform; NLS's rho' costs 2 per block of samples, t = 0
     # included (nls_forcing's inverse and forward transform of the block's
-    # truths).  A block from sample i holds K = _BLOCK_POINTS // (m x N)
+    # truths).  A block from sample i holds K = _BLOCK_POINTS // (m x P)
     # samples (fewer at T), m the amplitudes that some curve needs at sample
-    # i; they are stepped through the block, and leave the batch after it.
-    # Every step moves one field of them (EP transforms only psi), of N
-    # points a row on the full grid and N/2 + 1 on the even subspace.
+    # i and P the points a row stores: N on the full grid and N/2 + 1 on the
+    # even subspace.  They are stepped through the block, and leave the
+    # batch after it.  Every step moves one field of them (EP transforms
+    # only psi).
     # Stepping ends with the last block.  The count is exact, not a bound:
     # a bound would pass blocks that step members longer than they must
     points = N if N > epnls.sweep._EVEN_MAX_N else N // 2 + 1
@@ -1049,7 +1084,7 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     while blocks[-1] < max(lengths):
         i = blocks[-1]
         m = sum(n > i for n in lengths)
-        k = max(1, min(epnls.sweep._BLOCK_POINTS // (m * N), samples - i))
+        k = max(1, min(epnls.sweep._BLOCK_POINTS // (m * points), samples - i))
         expected += [m * points] * (per_step * (k - (i == 0)))  # sample 0: no step
         if model == "nls":
             expected += [k * m * points] * 2
@@ -1059,24 +1094,27 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
 
 
 def _traced_peak(cfg, specs):
-    """tracemalloc peak, in complex grid-sized arrays, of one batch."""
+    """tracemalloc peak of one batch, in complex arrays of the points the
+    sweep's grid stores."""
     import tracemalloc
 
+    points = epnls.sweep.solver_setup(cfg)[0].level_index.size
     tracemalloc.start()
     try:
         epnls.sweep._curve_batch(cfg, specs)
-        return tracemalloc.get_traced_memory()[1] / (cfg.N**cfg.n * 16)
+        return tracemalloc.get_traced_memory()[1] / (points * 16)
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("model", ["ep", "nls"])
-def test_arrays_per_member_bounds_the_measured_footprint(model):
-    # a grid large enough that grid-sized arrays dominate the peak
-    if model == "ep":
-        cfg = SweepConfig(model="ep", N=4096, T=0.02)
-    else:
-        cfg = SweepConfig(model="nls", N=4096, T=0.002)
+@pytest.mark.parametrize("model, n, N", [
+    ("ep", 1, 4096), ("nls", 1, 4096), ("ep", 2, 128), ("nls", 2, 128), ("ep", 3, 32),
+    ("nls", 3, 32),
+], ids=["ep", "nls", "ep-2d-even", "nls-2d-even", "ep-3d-even", "nls-3d-even"])
+def test_arrays_per_member_bounds_the_measured_footprint(model, n, N):
+    # grids large enough that their arrays dominate the peak: the full grid
+    # in 1D, the even subspace (65^2 and 17^3 stored points) in 2D and 3D
+    cfg = SweepConfig(model=model, n=n, N=N, T=0.02 if model == "ep" else 0.002)
 
     def peak(batch):
         return _traced_peak(cfg, [(1.0 - 0.1 * i, None) for i in range(batch)])
@@ -1085,7 +1123,7 @@ def test_arrays_per_member_bounds_the_measured_footprint(model):
     assert per_member <= epnls.sweep._ARRAYS_PER_MEMBER[model]
 
 
-@pytest.mark.parametrize("n, N", [(1, 4096), (2, 128)])
+@pytest.mark.parametrize("n, N", [(1, 4096), (2, 128), (3, 32)])
 def test_guard_counts_the_arrays_of_every_composite_curve(n, N):
     cfg = SweepConfig(model="ep", n=n, N=N, T=0.02, comparator="composite", c1=0.1)
     eps = [1e-2 / (i + 1) for i in range(6)]
