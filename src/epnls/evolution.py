@@ -17,23 +17,27 @@ Both take Yoshida's fourth-order triple jump (Yoshida 1990, Phys. Lett. A
 weights w1, w0, w1, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0.  Every
 substep is unitary and reversible, so the negative middle weight is
 harmless; halving dt divides the step error by 16.  Both default clocks
-take one triple jump per sample, and with the sweep's crossing rules the
-sample spacing, not the step, limits the default crossings.  EP, read by
-a four-point cubic: dt = 2e-2 at 50 samples per unit time, within 5.5e-7
-(1D) and 3.4e-5 (2D composite) of fine references (dt = 1e-3 at 1,000
-samples per unit time in 1D, 2e-3 at 500 in 2D); the sample spacing
-gives 5.4e-7 and 3.4e-5 of that, the step 5.5e-8 and 1.1e-8.  (With the
-rotation outside each Strang step, as Thalhammer 2012, SIAM J. Numer.
-Anal. 50:3231, allows too, the step gave 6.3e-7 and 1.3e-7.)  NLS, read
-by cubic Hermite from the exact slope rho' (nls_forcing gives the flow's
-nonlinear term), an error set by the spacing relative to t: dt = 5e-4 at
-2,000 samples per unit time, on a clock graded by sample_growth = 1/32
-(sample_times: uniform up to t = 0.032, then spacing at most t/32, an
-interval of m base intervals taking its triple jump at m dt), so 147
-samples on [0, 0.2] where a uniform clock has 401.  Its crossings are
-within 1.3e-9 of a uniform triple jump at dt = 2e-5 with 50,000 samples
-per unit time, the largest in the uniform head, as on the uniform clock
-(5.4e-10 past it); dt = 2.5e-5 at the same samples moves them by 7.5e-12.
+take one triple jump per sample.  EP's crossings are located by re-stepping
+the integrator inside their brackets (jump, from the state at the
+bracket's left sample), so the step alone limits them, and its default
+clock is per dimension: dt = 1/30 at 30 samples per unit time in 1D and
+3D, 0.1 at 10 in 2D.  Its default crossings are within 4.5e-7 (1D) and
+1.9e-5 (2D composite) of the same sweeps re-stepped on fine clocks (dt =
+1e-3 at 1,000 samples per unit time in 1D, 2e-3 at 500 in 2D), where the
+former clock, dt = 2e-2 at 50 read by a four-point cubic, gave 5.5e-7 and
+3.4e-5, nearly all of it the cubic's.  (With the rotation outside each
+Strang step, as Thalhammer 2012, SIAM J. Numer. Anal. 50:3231, allows
+too, the step gave 6.3e-7 and 1.3e-7 at dt = 2e-2, against 5.5e-8 and
+1.1e-8.)  NLS, read by cubic Hermite from the exact slope rho'
+(nls_forcing gives the flow's nonlinear term), has an error set by the
+spacing relative to t: dt = 5e-4 at 2,000 samples per unit time, on a
+clock graded by sample_growth = 1/32 (sample_times: uniform up to t =
+0.032, then spacing at most t/32, an interval of m base intervals taking
+its triple jump at m dt), so 147 samples on [0, 0.2] where a uniform
+clock has 401.  Its crossings are within 1.3e-9 of a uniform triple jump
+at dt = 2e-5 with 50,000 samples per unit time, the largest in the
+uniform head, as on the uniform clock (5.4e-10 past it); dt = 2.5e-5 at
+the same samples moves them by 7.5e-12.
 The kernel carries spectra and takes only the rotated field to physical
 space and back, for each rotation (McLachlan & Quispel 2002,
 Acta Numerica 11:341): an EP step transforms psi alone and phi never
@@ -244,15 +248,17 @@ class Trajectory:
 class ErrorCurve:
     """Relative photon error rho(t) between a comparator and the truth,
     from the initial amplitude ``delta``; ``epsilon_comp`` is the tolerance
-    a composite comparator was built for (None for the others), and
-    ``drho`` the exact slope rho'(t) at the same samples, where the sweep
-    computes it (NLS), else None."""
+    a composite comparator was built for (None for the others), ``drho``
+    the exact slope rho'(t) at the same samples, where the sweep computes
+    it (NLS), else None, and ``crossings`` {tolerance: crossing time} of
+    the crossings the sweep re-stepped on it (EP), else None."""
 
     delta: float | None
     times: np.ndarray
     rho: np.ndarray
     epsilon_comp: float | None = None
     drho: np.ndarray | None = None
+    crossings: dict | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -318,12 +324,14 @@ def _rotate(values, g, p, dt):
     # |theta|.  The phase exp(-i theta), theta = g dt |u|^(p-1), is formed
     # as (1 - i tau)^2 / (1 + tau^2) with tau = tan(theta / 2): the same
     # unitary factor to rounding at any angle, and np.tan costs a fraction
-    # of sin, cos or a complex exp.  g = 0 is the identity, even where
-    # |u|^(p-1) overflows
+    # of sin, cos or a complex exp.  dt may be an array that broadcasts
+    # against values, one step per batch row.  g = 0 is the identity, even
+    # where |u|^(p-1) overflows
     if g == 0:
         return 0.0
     tau = _modulus_power(values, p)
-    angle = abs(g * dt) * float(tau.max())
+    step = abs(g * dt)
+    angle = float(step.max() if isinstance(step, np.ndarray) else step) * float(tau.max())
     tau *= 0.5 * g * dt
     np.tan(tau, out=tau)
     tau_sq = tau * tau
@@ -435,6 +443,54 @@ def _apply_linear(hats, symbols):
     hats[1] += mix_psi
 
 
+def _flows(model, grid, params, count, dt):
+    """The rotation weights of ``count`` chained triple jumps of dt and the
+    linear maps of ``model`` (EP's 2x2 exp(-i tau H_k), NLS's free phase)
+    of the half flows around them: one before each rotation and one after
+    the last, built once per distinct weight.  The half flows of
+    neighbouring jumps a, b merge into 0.5 (a + b), which is 0.5 a + 0.5 b
+    exactly.  dt of shape (rows, 1) gives one map per batch row."""
+    weights = (_W1, _W0, _W1) * count
+    halves = [0.5 * (a + b) for a, b in zip((0.0,) + weights, weights + (0.0,))]
+    if model == EP:
+        linear = lambda tau: linear_pair_propagator(grid, params.gamma, params.omega0, tau)
+    else:
+        linear = lambda tau: (free_symbol(grid, tau),)
+    maps = {w: linear(w * dt) for w in dict.fromkeys(halves)}
+    return weights, [maps[w] for w in halves]
+
+
+def _jump(spectra, grid, params, flows, weights, dt, start=0.0, steps=0):
+    """Chained triple jumps in place on ``spectra`` (photon first, the
+    rotated field, EP's psi or NLS's phi, last): per rotation weight w its
+    linear map flows[i], then the rotation of the last field over w dt, and
+    flows[-1] after the last.  dt is a float, or an array that broadcasts
+    against the spectra with one step per batch row, as flows then holds
+    one map per row.  A rotation takes its field to physical space and
+    back.  Raises SolverBlowupError once a rotation angle reaches 2^52
+    rad, for the sample interval from ``start`` after ``steps`` triple
+    jumps, counting the one in progress."""
+    for i, weight in enumerate(weights):
+        _apply_linear(spectra, flows[i])
+        u = grid.ifft(spectra.pop())
+        angle = _rotate(u, params.g, params.p, weight * dt)
+        if angle >= _MAX_ANGLE:
+            raise SolverBlowupError(start, steps + i // 3 + 1, angle)
+        spectra.append(grid.fft(u))
+        del u  # or it would live on through the next linear substep
+    _apply_linear(spectra, flows[-1])
+
+
+def jump(model, grid, params, spectra, h, count=1):
+    """Advance ``spectra`` (photon first; EP's exciton after it) in place
+    by ``count`` triple jumps of h / count each, h an array of one step
+    per leading batch row: the split-step of model_stream, whose bits each
+    row keeps whatever the rest of the batch."""
+    dt = np.asarray(h, dtype=float) / count
+    weights, flows = _flows(model, grid, params, count, dt[:, None])
+    _jump(spectra, grid, params, flows, weights, dt.reshape(dt.shape + (1,) * grid.n))
+
+
 def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     """The split-step loop of ``model`` from the photon spectra phi_hat
     (with any leading batch axes), as a stream of its samples at ``times``.
@@ -443,16 +499,15 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     exciton spectrum zero if None, and rotates psi; NLS steps the free flow
     and rotates phi.  Each step is Yoshida's triple jump, Strang steps
     flow(w/2), rotation(w), flow(w/2) of weights w1, w0, w1, chained over a
-    sample interval with the half flows that meet merged; one linear map is
-    built per distinct weight and interval length.  A rotation takes its
-    field to physical space and back.  The stream owns phi_hat and
-    psi_hat.  It yields (times[j], spectra): the given spectra at
-    times[0], then each further one m sample intervals of ``step`` on,
-    reached by steps_per_sample triple jumps of m dt, m read off the times;
-    so ``times`` is sample_times(T, step) or a prefix (times a positive
-    whole number of intervals apart, else ValueError), and m is 1
-    throughout on a clock without growth.  spectra lists the fields' plain
-    FFTs, photon first, and the list and its arrays change once it
+    sample interval with the half flows that meet merged (_jump); one
+    linear map is built per distinct weight and interval length.  The
+    stream owns phi_hat and psi_hat.  It yields (times[j], spectra): the
+    given spectra at times[0], then each further one m sample intervals of
+    ``step`` on, reached by steps_per_sample triple jumps of m dt, m read
+    off the times; so ``times`` is sample_times(T, step) or a prefix (times
+    a positive whole number of intervals apart, else ValueError), and m is
+    1 throughout on a clock without growth.  spectra lists the fields'
+    plain FFTs, photon first, and the list and its arrays change once it
     resumes.  Raises SolverBlowupError once a sample is not finite or a
     rotation angle reaches 2^52 rad, with the number of triple jumps taken
     (for an angle, counting the one in progress).  ``stream.send(keep)``,
@@ -460,21 +515,14 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     the batch to those rows in new arrays before the next step; each row
     steps alone, so the survivors' bits do not change."""
     if model == EP:
-        gamma, omega0 = params.gamma, params.omega0
-        linear = lambda tau: linear_pair_propagator(grid, gamma, omega0, tau)
         spectra = [phi_hat, np.zeros_like(phi_hat) if psi_hat is None else psi_hat]
     else:
-        linear = lambda tau: (free_symbol(grid, tau),)
         spectra = [phi_hat]
     # the stream's arrays are spectra alone: a name left bound here would
     # hold the initial fields for the whole run, after a batch shrink has
     # replaced them
     del phi_hat, psi_hat
     per_block = step.steps_per_sample
-    # the half flows of neighbouring jumps a, b merge into 0.5 (a + b),
-    # which is 0.5 a + 0.5 b exactly
-    jumps = (_W1, _W0, _W1) * per_block
-    halves = [0.5 * (a + b) for a, b in zip((0.0,) + jumps, jumps + (0.0,))]
     # an interval of m sample intervals takes its steps at m dt
     spans = np.diff(times) / step.sample_interval
     units = np.rint(spans)
@@ -482,23 +530,13 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
         raise ValueError("sample times must be a positive whole number of sample "
                          f"intervals {step.sample_interval:.6g} apart")
     step_dt = (units * step.dt).tolist()
-    # per step, the linear map of each distinct half flow
-    maps = {dt: {w: linear(w * dt) for w in halves} for dt in dict.fromkeys(step_dt)}
+    flows = {dt: _flows(model, grid, params, per_block, dt) for dt in dict.fromkeys(step_dt)}
     steps = 0  # triple jumps taken
     for block, t in enumerate(times):
         if block:  # sample 0: no step
             dt = step_dt[block - 1]
-            flows = maps[dt]
-            for i, (half, weight) in enumerate(zip(halves, jumps)):
-                _apply_linear(spectra, flows[half])
-                # the rotated field is the last spectrum: EP's psi, NLS's phi
-                u = grid.ifft(spectra.pop())
-                angle = _rotate(u, params.g, params.p, weight * dt)
-                if angle >= _MAX_ANGLE:
-                    raise SolverBlowupError(times[block - 1], steps + i // 3 + 1, angle)
-                spectra.append(grid.fft(u))
-                del u  # or it would live on through the next linear substep
-            _apply_linear(spectra, flows[halves[-1]])
+            weights, maps = flows[dt]
+            _jump(spectra, grid, params, maps, weights, dt, times[block - 1], steps)
             steps += per_block
         if not all(np.all(np.isfinite(a)) for a in spectra):
             raise SolverBlowupError(t, steps)

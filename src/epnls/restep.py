@@ -1,0 +1,163 @@
+"""Crossing location by re-stepping the integrator inside its bracket, for
+the sweep's EP curves.
+
+Event location on the integrator as its own continuous extension (Hairer,
+Norsett & Wanner, Solving ODEs I, 2nd ed., Sec. II.6; Shampine & Thompson
+2000, Comput. Math. Appl. 39:43): where rho first reaches a tolerance
+between the samples t_left and t_right, one triple jump of h from the
+state at t_left gives the state at t_left + h with the step's own
+accuracy, and a safeguarded secant on log rho against log t finds the h
+where rho equals the tolerance.  The sweep (sweep._measure_batch) holds
+each crossing's photon and exciton spectra at t_left (_Held) and runs the
+secants of a batch together (_restep_crossings).  Read this way, the
+default EP clocks need 61 % (1D) to a fifth (2D) of the samples that
+interpolating the stored samples (sweep.find_crossing) needs for the same
+error.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .evolution import jump
+from .grid import gaussian_initial, hs_norm_from_fft
+
+
+@dataclass
+class _Held:
+    """A crossing of ``tolerance`` on curve ``curve`` (amplitude delta,
+    comparator row comp) whose bracket starts at t_left: the photon and
+    exciton spectra of its batch row there, and the secant (_secant) that
+    locates it inside the bracket."""
+
+    curve: int
+    tolerance: float
+    delta: float
+    comp: int
+    t_left: float
+    phi: np.ndarray
+    psi: np.ndarray
+    secant: object
+
+
+def _restep_crossings(c, grid, params, symbols, held, rows):
+    """The times of the held crossings (_Held), each located by re-stepping
+    the integrator inside its bracket.  Each crossing runs a safeguarded
+    secant (_secant) from its guess, and all of them share one set of
+    rounds: a round evaluates rho at each open crossing's next time t
+    (_restepped_rho), ``rows`` crossings at a time, as many as the batch
+    stepped amplitudes, so that a round holds about what the stream held.
+    Every operation acts on each row alone, so a crossing's bits depend
+    neither on the batch nor on when it is located."""
+    deltas = list(dict.fromkeys(h.delta for h in held))
+    phi0_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
+    found = [None] * len(held)
+    asks = [(n, next(h.secant)) for n, h in enumerate(held)]  # open crossings
+    while asks:
+        still = []
+        for start in range(0, len(asks), rows):
+            part = asks[start : start + rows]
+            rho = _restepped_rho(c, grid, params, symbols, phi0_hat, deltas,
+                                 [held[n] for n, _ in part], np.array([t for _, t in part]))
+            for (n, _), value in zip(part, rho.tolist()):
+                try:
+                    still.append((n, held[n].secant.send(value)))
+                except StopIteration as result:
+                    found[n] = result.value
+        asks = still
+    return found
+
+
+def _restepped_rho(c, grid, params, symbols, phi0_hat, deltas, held, t):
+    """rho of each held crossing at its time t: one triple jump
+    (evolution.jump) of the row's own h = t - t_left from its held spectra
+    (_JUMPS_FROM_ZERO of them from t = 0), the comparator of
+    sweep._comparator_symbols at t and one norm call."""
+    m, t_left = len(held), np.array([h.t_left for h in held])
+    stack = None  # made after the first jump, whose maps it would outlive
+    for count, part in ((1, t_left > 0.0), (_JUMPS_FROM_ZERO, t_left == 0.0)):
+        if part.any():
+            spectra = [np.array([h.phi for h, p in zip(held, part) if p]),
+                       np.array([h.psi for h, p in zip(held, part) if p])]
+            jump(c.model, grid, params, spectra, t[part] - t_left[part], count)
+            if stack is None:
+                stack = np.empty((2 * m,) + grid.shape, np.complex128)
+            stack[:m][part] = spectra[0]
+            del spectra
+    np.take(symbols(t)[np.arange(m), [h.comp for h in held]], grid.level_index,
+            axis=-1, out=stack[m:], mode="clip")
+    stack[m:] *= phi0_hat[[deltas.index(h.delta) for h in held]]
+    stack[m:] -= stack[:m]
+    norms = hs_norm_from_fft(stack, grid, c.s)
+    return norms[m:] / norms[:m]
+
+
+# Triple jumps that re-step a bracket from t = 0, where one jump's local
+# error is of the order of rho itself (both grow as t^(p+2)): one jump
+# reads EP crossings there 3.6 % early, 8 jumps 9e-6 and 16 about 6e-7
+# (h^4 per jump), the error of the default 1D clock
+_JUMPS_FROM_ZERO = 16
+
+# A re-stepped crossing is accepted once its estimated relative error is
+# at most this: far below the step error of any clock the sweep runs
+# (4.5e-7 for the default 1D EP clock, 1.9e-5 for 2D)
+_SECANT_TOL = 1e-10
+_SECANT_EVALUATIONS = 60
+
+
+def _secant(eps, t_left, rho_left, t_right, rho_right, guess, order):
+    """The time in (t_left, t_right) where rho reaches eps, given rho_left
+    < eps < rho_right: a safeguarded secant on f = log(rho / eps) against
+    x = log t, as a generator that yields each time to evaluate, is sent
+    rho there and returns the crossing.  It starts at ``guess`` and keeps a
+    bracket (a, b) with f(a) < 0 < f(b).  Each next point is the inverse
+    quadratic through the last three points (the first time through the
+    bracket ends and the guess), else the secant through the last two,
+    kept inside the bracket by bisection.  While the left end is t = 0 or a
+    zero rho, where f is -inf, the leading law rho ~ t^order through the
+    right end stands in for the inverse quadratic.  A step s after a step
+    s' (the bracket's width before the first) leaves the new point about
+    s^2 / s' from the root, as the steps converge superlinearly; once that
+    is at most _SECANT_TOL, the new point is returned without evaluating
+    it.  Measured on the default sweeps: 1.0-1.1 evaluations per crossing
+    in 1D, 3.1-3.3 (at most 4) in 2D."""
+
+    def f(rho):
+        return math.log(rho / eps) if rho > 0.0 else -math.inf
+
+    b, fb = math.log(t_right), f(rho_right)
+    if t_left > 0.0 and rho_left > 0.0:
+        a = math.log(t_left)
+        recent, last_step = [(a, f(rho_left)), (b, fb)], b - a
+    else:
+        a, recent, last_step = -math.inf, [(b, fb)], 1.0
+    x = math.log(guess)
+    for _ in range(_SECANT_EVALUATIONS):
+        if not a < x < b:
+            x = b - fb / order if a == -math.inf else 0.5 * (a + b)
+        fx = f((yield math.exp(x)))
+        if fx == 0.0:
+            return math.exp(x)
+        if fx < 0.0:
+            a = x
+        else:
+            b, fb = x, fx
+        recent = (recent + [(x, fx)])[-3:]
+        values = [v for _, v in recent]
+        new = None
+        if len(recent) == 3 and math.isfinite(min(values)) and len(set(values)) == 3:
+            new = sum(xi * math.prod(fm / (fm - fi) for _, fm in recent if fm != fi)
+                      for xi, fi in recent)
+        if not (new is not None and a < new < b) and len(recent) > 1:
+            (x0, f0), (x1, f1) = recent[-2:]
+            new = x1 - f1 * (x1 - x0) / (f1 - f0) if math.isfinite(f0) and f0 != f1 else None
+        if new is None or not a < new < b:
+            new = b - fb / order if a == -math.inf else 0.5 * (a + b)
+        step = abs(new - x)
+        if step * step <= _SECANT_TOL * last_step:
+            return math.exp(new)
+        x, last_step = new, step
+    return math.exp(x)

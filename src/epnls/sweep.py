@@ -14,6 +14,7 @@ beta = (1 - (p-1) alpha)/(p+2) for the coupled system.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import (
-    DEFAULT_DT,
-    DEFAULT_SAMPLES_PER_UNIT_TIME,
     EP,
     NLS,
     ErrorCurve,
@@ -45,7 +44,7 @@ from .grid import (
     gaussian_initial,
     hs_norm_from_fft,
 )
-from .runio import fmt, read_curve_csv, sha256_hex, write_csv
+from .runio import atomic_write_text, fmt, read_curve_csv, sha256_hex, write_csv
 from .theory import EXACT, beta_predict
 
 COMPARATOR_SYSTEM_B = "systemB"
@@ -54,27 +53,34 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  Both
-# take one fourth-order triple jump per sample, so that the sample spacing,
-# not the step, limits the crossings.  EP, read by find_crossing's cubic
-# rule: dt = 2e-2 at 50 samples per unit time, crossings within 5.5e-7 of
-# a fine reference in 1D and 3.4e-5 in 2D, of which the step gives 5.5e-8
-# and 1.1e-8 and the sample spacing the rest.  NLS curves carry rho', and
-# find_crossing reads them by cubic Hermite from the two samples that
-# bracket a crossing, with an error set by the spacing relative to t.  The
-# NLS crossings (beta = 1 - (p-1) alpha) span two decades, t ~ 1.0e-3 to
-# 0.17, so its clock is graded: dt = 5e-4 at 2,000 samples per unit time,
-# uniform up to t = 0.032 and then spacing at most t/32 (sample_growth,
-# sample_times), 147 samples against 401.  Its crossings are within
-# 1.3e-9 of a uniform triple jump at dt = 2e-5 with 50,000 samples, as on
-# the uniform clock: the largest lie in the uniform head, and past it the
-# error is 5.4e-10 (q = 1/24: 9.9e-10; q = 1/20: 1.5e-9, above the
-# head's).  The cubic rule needed 4,000 uniform samples for 2.5e-9.  The
-# earliest default crossing, t ~ 1.0e-3, lies past sample 1, as the
-# Hermite rule needs.  EP keeps a uniform clock: its crossings, at
-# t ~ 0.3-1.5, span less than a decade
+# take one fourth-order triple jump per sample.  EP crossings are re-stepped
+# inside their brackets (epnls.restep), so the step alone limits them,
+# and EP's clock is per dimension n: dt = 1/30 at 30 samples per unit time
+# in 1D and 3D, 0.1 at 10 in 2D.  Against re-stepped fine clocks (dt = 1e-3
+# at 1,000 in 1D, 2e-3 at 500 in 2D and 3D) the default sweeps read within
+# 4.5e-7 (1D), 1.9e-5 (2D composite) and 2.2e-7 (3D system B, N = 16), each
+# no more than the former clock (dt = 2e-2 at 50, read by the cubic rule:
+# 5.5e-7, 3.4e-5 and 3.6e-7).  One dt for every n would be bound by 1D and
+# 3D: 1D breaks that rule past 1/30 (0.04: 1.0e-6), 3D at 0.05 (1.1e-6),
+# while the 2D composite keeps it at 0.1 (0.125: 9.2e-5), where its sweep
+# takes half the time it takes at 1/30.  2D system B (N = 64), whose
+# samples the cubic read within 3.9e-7, reads 1.6e-5 at 0.1.  NLS curves
+# carry rho', and find_crossing reads them by cubic Hermite from the two
+# samples that bracket a crossing, with an error set by the spacing
+# relative to t.  The NLS crossings (beta = 1 - (p-1) alpha) span two
+# decades, t ~ 1.0e-3 to 0.17, so its clock is graded: dt = 5e-4 at 2,000
+# samples per unit time, uniform up to t = 0.032 and then spacing at most
+# t/32 (sample_growth, sample_times), 147 samples against 401.  Its
+# crossings are within 1.3e-9 of a uniform triple jump at dt = 2e-5 with
+# 50,000 samples, as on the uniform clock: the largest lie in the uniform
+# head, and past it the error is 5.4e-10 (q = 1/24: 9.9e-10; q = 1/20:
+# 1.5e-9, above the head's).  The cubic rule needed 4,000 uniform samples
+# for 2.5e-9.  The earliest default crossing, t ~ 1.0e-3, lies past sample
+# 1, as the Hermite rule needs.  EP keeps a uniform clock: its crossings,
+# at t ~ 0.3-1.5, span less than a decade
 _MODEL_DEFAULTS = {
-    EP: {"T": 2.0, "dt": DEFAULT_DT,
-         "samples_per_unit_time": DEFAULT_SAMPLES_PER_UNIT_TIME,
+    EP: {"T": 2.0, "dt": {1: 1.0 / 30, 2: 0.1, 3: 1.0 / 30},
+         "samples_per_unit_time": {1: 30, 2: 10, 3: 30},
          "sample_growth": 0.0, "comparator": COMPARATOR_SYSTEM_B},
     NLS: {"T": 0.2, "dt": 5e-4, "samples_per_unit_time": 2000,
           "sample_growth": 1.0 / 32, "comparator": COMPARATOR_LINEAR_NLS},
@@ -86,25 +92,34 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 8, NLS: 8}
+SOLVER_REVISION = {EP: 9, NLS: 8}
 
 # Complex arrays of _grid_points points a batch member with one curve
 # keeps alive at the peak of _curve_batch, one sample per block, measured
-# and rounded up (tracemalloc: EP ~5.7-6.0 with system B and ~6.4-6.7 with
+# and rounded up (tracemalloc: EP ~8.7-9.0 with system B and ~9.4-9.7 with
 # the composite, NLS ~6.5 on the full grid and ~7.5 on the even subspace in
 # 2D and 3D; checked by tests/test_sweep.py): the curve's phi_hat(0) copy,
 # the spectra the split-step loop owns (EP: phi_hat and psi_hat; NLS:
 # phi_hat; the rotated field's spectrum is dropped while it is rotated),
 # the temporaries of a rotation or a 2x2 step, the truth-and-difference
-# stack of the sample's norm call (for NLS with its forcing row, which
-# rho' needs and nls_forcing writes in place) and, for the composite, the
+# stack of the sample's norm call with one more row per truth (NLS: its
+# forcing, which rho' needs and nls_forcing writes in place; EP: its
+# exciton, which a held crossing may need), for EP the photon and exciton
+# spectra of the sample before the block, and, for the composite, the
 # seed pair of the curve's comparator epsilon, on the |k|^2 levels.  Each
 # further curve of one delta (the composite's other epsilons) adds its
 # phi_hat(0) copy, stack row, norm temporaries and seed pair (~3.3-3.7).
+# Each crossing an EP batch holds to re-step adds its photon and exciton
+# spectra (2.0) and, while a round evaluates it, its row of the round
+# (~12): the jump's copies of them, the two distinct per-row linear maps
+# of a triple jump, a rotation's temporaries and the truth-and-difference
+# pair of the norm call.  A round takes at most as many rows as the batch
+# has amplitudes, also when it runs beside the stream (an early flush).
 # max_points bounds the sum of these over a batch (_batch_points), and a
 # block of K > 1 samples the room it leaves (_curve_batch).
-_ARRAYS_PER_MEMBER = {EP: 9, NLS: 8}
+_ARRAYS_PER_MEMBER = {EP: 10, NLS: 8}
 _ARRAYS_PER_EXTRA_CURVE = 6
+_ARRAYS_PER_CROSSING = 14
 
 # Truth points (batch rows x _grid_points x samples) _curve_batch measures
 # in one block: one norm call, forcing and comparator gather per block, not
@@ -135,8 +150,11 @@ _EVEN_MAX_N = 256
 
 
 class NoCrossingError(RuntimeError):
-    """The error curve never reaches the requested tolerance (or reaches
-    it before the first positive sample, i.e. the cadence is too coarse)."""
+    """The error curve never reaches the requested tolerance, or, read by
+    find_crossing off stored samples, reaches it before the first positive
+    sample (the cadence is too coarse there).  The sweep re-steps EP
+    crossings, those before sample 1 from t = 0, so for EP only the first
+    holds."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +207,8 @@ class SweepConfig:
             raise ValueError(f"model must be '{EP}' or '{NLS}', got {self.model!r}")
         for name, value in _MODEL_DEFAULTS[self.model].items():
             if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
+                per_n = isinstance(value, dict)
+                object.__setattr__(self, name, value.get(self.n) if per_n else value)
         if self.s is None:
             object.__setattr__(self, "s", default_sobolev_index(self.n))
         _model_params(self)
@@ -230,7 +249,8 @@ class SweepConfig:
             )
         object.__setattr__(self, "epsilon_set", eps)
         object.__setattr__(self, "alpha_set", alphas)
-        points = _batch_points(self, 1, max(map(len, _by_delta(curve_specs(self)))))
+        points = _batch_points(self, 1, max(map(len, _by_delta(curve_specs(self)))),
+                               1 if _restepped(self) else 0)
         if points > self.max_points:
             raise ValueError(f"one amplitude's batch needs {points} points, which "
                              f"exceeds the memory cap of {self.max_points} points")
@@ -283,10 +303,18 @@ def config_hash(config):
 
 @dataclass(frozen=True)
 class CrossingRecord:
+    """One crossing time t_cross of rho through epsilon.  interp_shift is
+    the relative distance |t_read - t_cross| / t_cross of find_crossing's
+    reading of the stored samples from a re-stepped t_cross: a free check
+    of how much re-stepping moved it.  None where the crossing was not
+    re-stepped (NLS) or lies before the first positive sample, where
+    find_crossing reads none."""
+
     alpha: float
     delta: float
     epsilon: float
     t_cross: float
+    interp_shift: float | None = None
 
 
 @dataclass(frozen=True)
@@ -387,7 +415,7 @@ def _grid_points(c):
     return (c.N // 2 + 1 if c.N <= _EVEN_MAX_N else c.N) ** c.n
 
 
-def _curve_batch(c, specs, stops=None):
+def _curve_batch(c, specs, tolerances=None):
     """Error curves of the (delta, eps_comp) specs of a config,
     with every distinct delta stepped at once on a leading batch axis.
 
@@ -405,21 +433,26 @@ def _curve_batch(c, specs, stops=None):
     O(batch x grid).  Every operation acts on each batch row alone, so a
     curve's bits depend neither on the rest of its batch nor on K.
 
-    ``stops`` gives each spec the tolerance that ends its curve: the curve
-    stops at the first sample where rho reaches it, a delta leaves the
-    batch at the end of the block in which all its curves have stopped,
-    and stepping ends when no delta is left or at T.  Without ``stops``
-    every curve runs to T.  A solver blow-up or a zero truth norm at any
+    ``tolerances`` gives each spec the tolerances read off its curve: the
+    curve stops at the first sample where rho reaches the largest (its
+    first sample if there is none), a delta leaves the batch at the end of
+    the block in which all its curves have stopped, and stepping ends when
+    no delta is left or at T.  Without ``tolerances`` every curve runs to
+    T.  EP curves carry their crossings re-stepped (ErrorCurve.crossings):
+    the stack also holds each block sample's exciton spectra, and when a
+    curve's rho first reaches one of its tolerances, the photon and
+    exciton spectra of its row at the bracket's left sample are held
+    (epnls.restep).  A solver blow-up or a zero truth norm at any
     sample is an error.  In a block of K > 1 samples it may come from a row
     whose curves stopped earlier in it, and the stream cannot rewind, so the
     batch is then measured again with K = 1, where every row stepped has a
     running curve: it fails exactly where one needs the failing sample.
     """
-    curves = _measure_batch(c, specs, stops, _BLOCK_POINTS)
-    return _measure_batch(c, specs, stops, 1) if curves is None else curves
+    curves = _measure_batch(c, specs, tolerances, _BLOCK_POINTS)
+    return _measure_batch(c, specs, tolerances, 1) if curves is None else curves
 
 
-def _measure_batch(c, specs, stops, block_points):
+def _measure_batch(c, specs, tolerances, block_points):
     """_curve_batch in blocks of at most block_points truth points, or None
     if a block of more than one sample fails."""
     grid, params, step = solver_setup(c)
@@ -430,10 +463,22 @@ def _measure_batch(c, specs, stops, block_points):
     # the running curves (rows of rho), their stop tolerances, batch rows
     # and comparator rows, and the number of batch rows
     live = np.arange(len(specs))
-    stop = np.full(len(specs), np.inf) if stops is None else np.asarray(stops, float)
+    if tolerances is None:
+        tolerances = [()] * len(specs)
+        stop = np.full(len(specs), np.inf)
+    else:
+        stop = np.array([max(t, default=0.0) for t in tolerances])
     member = np.array([deltas.index(d) for d, _ in specs])
     comp_of = np.array([comps.index(e) for _, e in specs])
     rows = len(deltas)
+    restep = _restepped(c)
+    if restep:  # imported here: an NLS run never needs the module
+        from .restep import _Held, _restep_crossings, _secant
+    # EP: each curve's tolerances not yet reached, ascending, the least of
+    # them (inf past the last), the held crossings and the found ones
+    pending = [sorted(t) if restep else [] for t in tolerances]
+    next_tol = np.array([p[0] if p else np.inf for p in pending])
+    held, crossings = [], [{} for _ in specs]
 
     phi_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
     curve_phi0_hat = phi_hat[member]
@@ -442,44 +487,46 @@ def _measure_batch(c, specs, stops, block_points):
     rho = np.empty((len(specs), len(times)))
     drho = np.empty_like(rho) if _carries_slope(c) else None
     ends = np.full(len(specs), len(times))
-    per_truth = 1 if drho is None else 2  # stack rows: a truth and its forcing
     points = _grid_points(c)
 
     def block_size(i):
         # the largest K of at most block_points truth points whose stack
         # rows, twice over for their temporaries, fit beside the batch in max_points
-        room = c.max_points - _batch_points(c, rows, len(live))
-        per_sample = 2 * points * (per_truth * rows + len(live))
+        room = c.max_points - _batch_points(c, rows, len(live), len(held))
+        per_sample = 2 * points * (2 * rows + len(live))
         return max(1, min(block_points // (rows * points), room // per_sample, len(times) - i))
 
     def block(i, k, keep):
-        # rho and rho' (or None), each of (sample, curve), at the k samples
-        # from i.  No reference to a block's arrays outlives it, so a step
-        # never holds the rows it has just dropped.  The stack, per sample
-        # the truth rows, each curve's comparator-minus-truth row and each
-        # truth's forcing row, is made after the block's first step, so at
-        # K = 1 it never coexists with a step's temporaries
+        # rho, rho' (or None) and the (truth, exciton) spectra (or None),
+        # each of (sample, curve) or (sample, row), at the k samples from i.
+        # No reference to a block's arrays outlives the block's measuring,
+        # so a step never holds the rows it has just dropped.  The stack,
+        # per sample the truth rows, each curve's comparator-minus-truth row
+        # and each truth's forcing row (NLS) or exciton row (EP), is made
+        # after the block's first step, so at K = 1 it never coexists with
+        # a step's temporaries
         truth = None
         for j in range(k):
-            photon = stream.send(None if j else keep)[1][0]
+            spectra = stream.send(None if j else keep)[1]
             if truth is None:
-                stack = np.empty((k * (per_truth * rows + len(live)),) + grid.shape,
-                                 np.complex128)
+                stack = np.empty((k * (2 * rows + len(live)),) + grid.shape, np.complex128)
                 truth = stack[: k * rows].reshape((k, rows) + grid.shape)
-            truth[j] = photon
-            del photon  # or the next step would keep it alive
+                extra = stack[k * (rows + len(live)) :].reshape(truth.shape)
+            truth[j] = spectra[0]
+            if restep:
+                extra[j] = spectra[1]
+            del spectra  # or the next step would keep its arrays alive
         truths, curves = k * rows, k * len(live)
         split = truths + curves
         if drho is not None:
-            nls_forcing(grid, params, truth, out=stack[split:].reshape(truth.shape))
+            nls_forcing(grid, params, truth, out=extra)
         diff = stack[truths:split].reshape((k, len(live)) + grid.shape)
         # level_index is in range, so mode="clip" only spares take a buffer
         np.take(symbols(times[i : i + k])[:, comp_of], grid.level_index, axis=-1,
                 out=diff, mode="clip")
         diff *= curve_phi0_hat
         diff -= truth[:, member]
-        del truth
-        norms = hs_norm_from_fft(stack, grid, c.s)
+        norms = hs_norm_from_fft(stack if drho is not None else stack[:split], grid, c.s)
         shape = (k, len(live))
         den = norms[:truths].reshape(k, rows)[:, member]
         vanished = den == 0.0
@@ -491,16 +538,46 @@ def _measure_batch(c, specs, stops, block_points):
             )
         r = norms[truths:split].reshape(shape) / den
         if drho is None:
-            return r, None
+            return r, None, (truth, extra) if restep else None
         # each difference row's truth row
         pair = (rows * np.arange(k)[:, None] + member).ravel()
-        return r, _slope(grid, c.s, stack, norms, pair, r.ravel()).reshape(shape)
+        return r, _slope(grid, c.s, stack, norms, pair, r.ravel()).reshape(shape), None
+
+    def flush():
+        found = _restep_crossings(c, grid, params, symbols, held, len(deltas))
+        for h, t in zip(held, found):
+            crossings[h.curve][h.tolerance] = t
+        held.clear()
+
+    def hold(i, pos, g, tolerance, states, prev):
+        # curve live[pos] first reaches tolerance at sample g; its bracket's
+        # left sample g - 1 lies in the block from i, or is the sample
+        # before it (prev)
+        j, left = live[pos], g - 1
+        t_right, rho_right = float(times[g]), float(rho[j, g])
+        if rho_right == tolerance:  # find_crossing's reading too
+            crossings[j][tolerance] = t_right
+            return
+        t_left, rho_left = float(times[left]), float(rho[j, left])
+        if t_left > 0.0 and rho_left > 0.0:
+            guess = find_crossing(ErrorCurve(delta=specs[j][0], times=times[: g + 1],
+                                             rho=rho[j, : g + 1]), tolerance)
+        else:  # the leading law rho ~ t^(p+2) through the right sample
+            guess = t_right * (tolerance / rho_right) ** (1.0 / (c.p + 2.0))
+        secant = _secant(tolerance, t_left, rho_left, t_right, rho_right, guess, c.p + 2.0)
+        source = prev if left < i else [a[left - i] for a in states]
+        if held and _batch_points(c, rows, len(live), len(held) + 1) > c.max_points:
+            flush()
+        row = member[pos]
+        held.append(_Held(j, tolerance, specs[j][0], comp_of[pos], t_left,
+                          source[0][row].copy(), source[1][row].copy(), secant))
 
     keep, i = None, 0
+    prev = None  # EP: each row's photon and exciton spectra at the sample before the block
     while i < len(times):
         k = block_size(i)
         try:
-            r, dr = block(i, k, keep)
+            r, dr, states = block(i, k, keep)
         except (SolverBlowupError, ZeroDivisionError):
             if k == 1:
                 raise
@@ -511,6 +588,17 @@ def _measure_batch(c, specs, stops, block_points):
         rho[live, i : i + k] = r.T
         if dr is not None:
             drho[live, i : i + k] = dr.T
+        if restep:
+            for pos in np.flatnonzero(r.max(axis=0) >= next_tol[live]):
+                j, column = live[pos], r[:, pos]
+                while pending[j] and column.max() >= pending[j][0]:
+                    tolerance = pending[j].pop(0)
+                    hold(i, pos, i + int(np.argmax(column >= tolerance)), tolerance,
+                         states, prev)
+                next_tol[j] = pending[j][0] if pending[j] else np.inf
+            prev = None  # before the new copies are made
+            prev = [a[-1].copy() for a in states]
+            del states
         i += k
         if done.any():
             # each stopped curve ends at the first sample that reached its stop
@@ -523,11 +611,28 @@ def _measure_batch(c, specs, stops, block_points):
             kept, member = np.unique(member, return_inverse=True)
             if len(kept) < rows:
                 keep, rows = kept, len(kept)
+                if restep:
+                    prev = [a[kept] for a in prev]
+    # the stream's spectra and the curves' phi_hat(0) go before the rounds
+    stream.close()
+    del curve_phi0_hat, prev
+    if held:
+        flush()
     return [
         ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end], epsilon_comp=e,
-                   drho=None if drho is None else drho[j, :end])
+                   drho=None if drho is None else drho[j, :end],
+                   crossings=crossings[j] if restep else None)
         for j, ((d, e), end) in enumerate(zip(specs, ends))
     ]
+
+
+def _restepped(c):
+    """Whether c's crossings are located by re-stepping the integrator
+    inside their brackets (epnls.restep): EP's, where it reads them
+    from a clock of 61 % (1D) to a fifth (2D) of the samples the cubic
+    rule needs.  NLS's keep find_crossing's Hermite rule, whose error its
+    graded clock already holds at 1.3e-9."""
+    return c.model == EP
 
 
 def _carries_slope(c):
@@ -589,28 +694,32 @@ def _by_delta(specs):
     return list(groups.values())
 
 
-def _batch_points(c, members, curves):
+def _batch_points(c, members, curves, crossings=0):
     """Points (_grid_points) a batch of ``members`` deltas with ``curves``
-    curves in all holds at the peak of _curve_batch, one sample per block."""
+    curves in all, holding ``crossings`` crossings to re-step, holds at the
+    peak of _curve_batch, one sample per block."""
     return _grid_points(c) * (_ARRAYS_PER_MEMBER[c.model] * members
-                              + _ARRAYS_PER_EXTRA_CURVE * (curves - members))
+                              + _ARRAYS_PER_EXTRA_CURVE * (curves - members)
+                              + _ARRAYS_PER_CROSSING * crossings)
 
 
 def _compute_curves(c, specs):
     """The curves of specs, each ending at its stop sample
-    (_stop_tolerances), in batches of as many distinct amplitudes as
-    max_points admits (specs sharing a delta share a batch)."""
+    (_curve_tolerances), in batches of as many distinct amplitudes as
+    max_points admits with room for every crossing they re-step (specs
+    sharing a delta share a batch)."""
+    tolerances = _curve_tolerances(c)
     chunks, points = [], 0
     for group in _by_delta(specs):
-        cost = _batch_points(c, 1, len(group))
+        held = sum(len(tolerances[s]) for s in group) if _restepped(c) else 0
+        cost = _batch_points(c, 1, len(group), held)
         if not chunks or points + cost > c.max_points:
             chunks.append([])
             points = 0
         chunks[-1] += group
         points += cost
-    stops = _stop_tolerances(c)
     return [curve for chunk in chunks
-            for curve in _curve_batch(c, chunk, [stops[s] for s in chunk])]
+            for curve in _curve_batch(c, chunk, [tolerances[s] for s in chunk])]
 
 
 def curve_path(root, config, delta, epsilon_comp=None, cache=False):
@@ -629,26 +738,39 @@ def curve_path(root, config, delta, epsilon_comp=None, cache=False):
 _CURVE_COLUMNS = ["t", "rho", "drho"]
 
 
+def _crossings_path(path):
+    """The sidecar beside a cached curve file that keeps its re-stepped
+    crossings: a JSON list of [tolerance, t_cross] pairs."""
+    return path[: -len(".csv")] + ".crossings.json"
+
+
 def write_curves(root, config, curves, cache=False):
     """Write each curve as a t,rho CSV at the curve_path of its (delta,
-    epsilon_comp) under root; with ``cache``, at its cache path and with
-    rho' as a third column, drho, where it carries one."""
+    epsilon_comp) under root; with ``cache``, at its cache path, with rho'
+    as a third column, drho, where it carries one, and its re-stepped
+    crossings in a sidecar (_crossings_path) where it carries them."""
     for curve in curves:
+        path = curve_path(root, config, curve.delta, curve.epsilon_comp, cache)
         columns = [curve.times, curve.rho]
         if cache and curve.drho is not None:
             columns.append(curve.drho)
-        write_csv(curve_path(root, config, curve.delta, curve.epsilon_comp, cache),
-                  _CURVE_COLUMNS[: len(columns)], zip(*columns))
+        write_csv(path, _CURVE_COLUMNS[: len(columns)], zip(*columns))
+        if cache and curve.crossings is not None:
+            atomic_write_text(_crossings_path(path),
+                              json.dumps(sorted(curve.crossings.items())))
 
 
-def _read_cached(c, path, spec, times, tolerance):
+def _read_cached(c, path, spec, times, tolerances):
     """The curve of spec, its (delta, epsilon_comp), cached at path, cut at
-    its stop sample (the first where rho reaches ``tolerance``), or None if
-    it is missing, unreadable, lacks the drho column c's curves carry (or
-    has one they do not), its times are not a prefix of the sample grid
-    ``times``, its values are not finite, or it ends before both that
-    sample and T.  A cache written to T or to a larger tolerance is served
-    cut, so a warm run returns bitwise the curve a cold run computes."""
+    its stop sample (the first where rho reaches the largest of
+    ``tolerances``), or None if it is missing, unreadable, lacks the drho
+    column c's curves carry (or has one they do not), its times are not a
+    prefix of the sample grid ``times``, its values are not finite, or it
+    ends before both that sample and T.  A cache written to T or to a
+    larger tolerance is served cut, so a warm run returns bitwise the curve
+    a cold run computes.  Where c's crossings are re-stepped, the curve
+    carries those of the tolerances its cut rho reaches, read from its
+    sidecar, and one missing there (or an unreadable sidecar) is a miss."""
     if not os.path.exists(path):
         return None
     try:
@@ -662,31 +784,46 @@ def _read_cached(c, path, spec, times, tolerance):
         return None
     if not np.all(np.isfinite(rows)):
         return None
-    reached = np.flatnonzero(rho >= tolerance)
+    reached = np.flatnonzero(rho >= max(tolerances, default=0.0))
     if len(reached):
         end = reached[0] + 1
     elif len(t) == len(times):
         end = len(t)
     else:
         return None
+    crossings = None
+    if _restepped(c):
+        try:
+            with open(_crossings_path(path)) as fh:
+                stored = {float(e): float(t_cross) for e, t_cross in json.load(fh)}
+        except (OSError, ValueError, TypeError):
+            return None
+        peak = rho[:end].max()
+        needed = [e for e in tolerances if peak >= e]
+        if any(e not in stored for e in needed):
+            return None
+        crossings = {e: stored[e] for e in needed}
     return ErrorCurve(delta=spec[0], times=t[:end], rho=rho[:end], epsilon_comp=spec[1],
-                      drho=rows[:end, 2] if len(names) == 3 else None)
+                      drho=rows[:end, 2] if len(names) == 3 else None, crossings=crossings)
 
 
-def _stop_tolerances(config):
-    """{(delta, comparator-epsilon): the tolerance that ends its curve},
-    in descending delta order.  find_crossing reads nothing past the first
-    sample where rho reaches epsilon, so a curve is complete once rho has
-    reached the largest epsilon >= epsilon_floor among the (alpha, epsilon)
-    read off it (0, i.e. its first sample, if there is none)."""
-    stops = {}
+def _curve_tolerances(config):
+    """{(delta, comparator-epsilon): the tolerances read off its curve,
+    ascending}, in descending delta order: the epsilons >= epsilon_floor
+    among the (alpha, epsilon) whose crossing it gives.  find_crossing
+    reads nothing past the first sample where rho reaches epsilon, and a
+    re-stepped crossing nothing past its bracket, so a curve is complete
+    once rho has reached the largest (at its first sample if there is
+    none)."""
+    tolerances = {}
     for alpha in config.alpha_set:
         for eps in config.epsilon_set:
             key = (config.delta_for(alpha, eps), _comparator_epsilon(config, eps))
-            needed = eps if eps >= config.epsilon_floor else 0.0
-            stops[key] = max(stops.get(key, 0.0), needed)
-    order = sorted(stops, key=lambda k: (-k[0], -(k[1] if k[1] is not None else 0.0)))
-    return {key: stops[key] for key in order}
+            needed = tolerances.setdefault(key, set())
+            if eps >= config.epsilon_floor:
+                needed.add(eps)
+    order = sorted(tolerances, key=lambda k: (-k[0], -(k[1] if k[1] is not None else 0.0)))
+    return {key: tuple(sorted(tolerances[key])) for key in order}
 
 
 def _comparator_epsilon(config, epsilon):
@@ -699,7 +836,7 @@ def _comparator_epsilon(config, epsilon):
 def curve_specs(config):
     """Distinct (delta, comparator-epsilon) pairs the sweep needs, in
     descending delta order."""
-    return list(_stop_tolerances(config))
+    return list(_curve_tolerances(config))
 
 
 def run_error_curves(config):
@@ -713,14 +850,14 @@ def run_error_curves(config):
     are computed together and cached, with rho' where the curves carry it.
     With config.workers > 1 the misses are dealt to that many processes in
     interleaved batches."""
-    stops = _stop_tolerances(config)
-    specs = list(stops)
+    tolerances = _curve_tolerances(config)
+    specs = list(tolerances)
     curves = {}
     if config.cache_dir:
         times = sweep_times(config)
         for spec in specs:
             path = curve_path(config.cache_dir, config, *spec, cache=True)
-            curve = _read_cached(config, path, spec, times, stops[spec])
+            curve = _read_cached(config, path, spec, times, tolerances[spec])
             if curve is not None:
                 curves[spec] = curve
     misses = [spec for spec in specs if spec not in curves]
@@ -765,11 +902,15 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
     before the first positive sample (t[i-1] = 0) raises NoCrossingError.
     Both rules read log t against log rho, so their error is set by the
     spacing relative to t, h / t, not by h: hence NLS's graded clock
-    (sample_times), whose spacing grows with t past its uniform head.  On
-    the default clocks the crossings are within 5.5e-7 (EP 1D), 3.4e-5
-    (2D composite) and 1.3e-9 (NLS; 5.4e-10 on its graded part) of fine
-    references on uniform clocks; EP's is nearly all the cubic's (the step
-    gives 5.5e-8 and 1.1e-8)."""
+    (sample_times), whose spacing grows with t past its uniform head.
+
+    This is the public reader of a stored curve and the sweep's rule for
+    NLS, whose default crossings it reads within 1.3e-9 of a fine
+    reference (5.4e-10 on the graded part of the clock).  The sweep
+    re-steps EP crossings instead (epnls.restep), from this reading
+    where there is one, and records how far this reading lies from them
+    (CrossingRecord.interp_shift): on the default EP clocks about 4e-6 in
+    1D and up to 9 % in 2D, whose samples lie 0.1 apart."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon < epsilon_floor:
@@ -825,6 +966,22 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
     return float(np.exp(np.log(tl) + frac * (np.log(tr) - np.log(tl))))
 
 
+def _read_crossing(curve, epsilon, epsilon_floor):
+    """(t_cross, interp_shift) of a sweep curve at epsilon: its re-stepped
+    crossing where it carries one, with find_crossing's relative distance
+    from it (None where find_crossing reads none); else find_crossing's
+    reading and None.  Raises as find_crossing does where no crossing
+    exists."""
+    restepped = None if curve.crossings is None else curve.crossings.get(epsilon)
+    if restepped is None:
+        return find_crossing(curve, epsilon, epsilon_floor), None
+    try:
+        read = find_crossing(curve, epsilon, epsilon_floor)
+    except NoCrossingError:
+        return restepped, None
+    return restepped, abs(read - restepped) / restepped
+
+
 def regress_loglog(records):
     """OLS fit of log t_cross against log epsilon for one alpha; the slope
     is the measured beta, the intercept is log C of t = C eps^beta."""
@@ -873,15 +1030,14 @@ def run_algorithm_a(config):
             delta = config.delta_for(alpha, eps)
             curve = by_key[delta, _comparator_epsilon(config, eps)]
             try:
-                t_cross = find_crossing(curve, eps, config.epsilon_floor)
+                t_cross, shift = _read_crossing(curve, eps, config.epsilon_floor)
             except (NoCrossingError, ValueError) as err:
                 failures.append(
                     {"alpha": alpha, "delta": delta, "epsilon": eps, "error": str(err)}
                 )
                 continue
-            records.append(
-                CrossingRecord(alpha=alpha, delta=delta, epsilon=eps, t_cross=t_cross)
-            )
+            records.append(CrossingRecord(alpha=alpha, delta=delta, epsilon=eps,
+                                          t_cross=t_cross, interp_shift=shift))
         crossings.extend(records)
         try:
             betas.append(regress_loglog(records))

@@ -135,12 +135,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[solver]\nT = 1.005\n", "not a positive multiple of the sampling interval"),
     ("[grid]\nn = 4\n", "dimension n must be 1, 2, or 3"),
     ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
-    # one amplitude of 9 arrays of the 33 points N = 64 stores, alone or
-    # with 5 further composite tolerances of 6 arrays
+    # one amplitude of 10 arrays of the 33 points N = 64 stores, alone or
+    # with 5 further composite tolerances of 6 arrays, and room for one
+    # crossing to re-step (14 arrays)
     ("[grid]\nN = 64\nmax_points = 100\n[sweep]\nalphas = 0\n",
-     "needs 297 points, which exceeds the memory cap of 100 points"),
+     "needs 792 points, which exceeds the memory cap of 100 points"),
     ("[grid]\nN = 64\nmax_points = 1000\n[sweep]\ncomparator = composite\n",
-     "needs 1287 points, which exceeds the memory cap of 1000 points"),
+     "needs 1782 points, which exceeds the memory cap of 1000 points"),
     # an empty dir would write every output into the working directory
     ("[output]\ndir =\n", "outdir must name a directory"),
     # non-finite values are rejected by the object that owns each value
@@ -251,8 +252,11 @@ def test_simulate_amplitude_extremes_exit_cleanly(tmp_path, capsys, recwarn,
     # A nonlinear rotation angle past 2^52 rad carries no phase: at 1e150
     # it is ~1e295 rad (and inf once |u|^2 overflows), at 1e7 below 1e11.
     # The mass column is inf where the L2 norm passes ~1e154, as documented
+    # T = 0.04 is not a whole number of the default EP sample interval
+    # 1/30, so EP runs take the clock of dt = 0.02 at 50 samples per unit time
+    clock = "" if physics == "model = nls" else "dt = 0.02\nsamples_per_unit_time = 50\n"
     cfg = write_cfg(tmp_path, f"[grid]\nN = 64\n[physics]\n{physics}\n"
-                              "[solver]\nT = 0.04\n")
+                              f"[solver]\nT = 0.04\n{clock}")
     out = tmp_path / "out"
     code = main(["simulate", "--config", cfg, "--out", str(out), "--delta", repr(delta)])
     captured = capsys.readouterr()
@@ -367,6 +371,27 @@ def test_summary_records_each_curves_stop_time(tmp_path, capsys):
     (path,) = (out / "curves").rglob("*.csv")
     last_time = path.read_text().splitlines()[-1].split(",")[0]
     assert float(last_time) == curve["t_stop"]
+
+
+@pytest.mark.parametrize("model", ["ep", "nls"])
+def test_summary_records_each_crossings_interpolation_shift(tmp_path, capsys, model):
+    # EP crossings are re-stepped, and the summary gives, per crossing, how
+    # far find_crossing's interpolated reading lies from it (relative):
+    # present and finite, and below 1e-4 on the default 1D clock, where the
+    # cubic reads within ~4e-6.  NLS crossings are the interpolated reading
+    # itself, so theirs is null
+    text = FAST_SWEEP_INI if model == "ep" else "[physics]\nmodel = nls\n[sweep]\nalphas = 0\n"
+    out = tmp_path / "sweep"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    shifts = json.loads((out / "summary.json").read_text())["interp_shift"]
+    rows = (out / "crossings.csv").read_text().splitlines()[1:]
+    assert len(shifts) == len(rows) >= 3  # one per crossings.csv row
+    for shift in shifts:
+        if model == "ep":
+            assert np.isfinite(shift) and 0 <= shift < 1e-4
+        else:
+            assert shift is None
 
 
 @pytest.mark.parametrize("growth, samples", [("auto", 147), ("0", 401)])

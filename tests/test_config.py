@@ -21,7 +21,7 @@ def test_empty_document_yields_spec_defaults():
     assert cfg.s == 1.0  # floor(n/2 + 1) for n = 1
     assert cfg.model == "ep"
     assert cfg.comparator == "systemB"
-    assert (cfg.T, cfg.dt, cfg.samples_per_unit_time) == (2.0, 2e-2, 50)
+    assert (cfg.T, cfg.dt, cfg.samples_per_unit_time) == (2.0, 1.0 / 30, 30)
     assert len(cfg.epsilon_set) == 6
     assert cfg.epsilon_set[0] == pytest.approx(1e-2)
     assert cfg.epsilon_set[-1] == pytest.approx(1e-3)
@@ -136,15 +136,15 @@ def test_config_hash_sensitivity():
     assert config_hash(base) == config_hash(relad)
     phys = parse_config_text("[physics]\ngamma = 2\n")
     assert config_hash(base) != config_hash(phys)
-    clock = parse_config_text("[solver]\ndt = 5e-4\n")
+    clock = parse_config_text("[solver]\ndt = 0.0125\nsamples_per_unit_time = 40\n")
     assert config_hash(base) != config_hash(clock)
 
 
 @pytest.mark.parametrize("doc, pinned", [
-    ("", "fb1d0432e5465ffb"),
+    ("", "c32c15fb357cd530"),
     ("[physics]\nmodel = nls\n", "b2e6d0865ee37109"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
-     "alphas = 0,0.2\n", "bedc49adde809a4f"),
+     "alphas = 0,0.2\n", "6f5ef019832ccc53"),
 ], ids=["ep", "nls", "composite-2d"])
 def test_config_hash_is_pinned(doc, pinned):
     # the hash keys curve caches, so it may only change on purpose: a

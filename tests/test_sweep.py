@@ -1,8 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epnls.restep
 import epnls.sweep
 from epnls.evolution import (
     ErrorCurve,
@@ -97,8 +99,12 @@ def test_config_validation():
 def test_config_resolution_defaults():
     # a constructed config is already resolved
     ep = SweepConfig(model="ep")
-    assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 2e-2, "systemB", 1.0)
-    assert ep.samples_per_unit_time == 50
+    assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 1.0 / 30, "systemB", 1.0)
+    assert ep.samples_per_unit_time == 30
+    # EP's clock is per dimension: 2D takes a coarser one
+    ep_2d, ep_3d = SweepConfig(model="ep", n=2, N=16), SweepConfig(model="ep", n=3, N=16)
+    assert (ep_2d.dt, ep_2d.samples_per_unit_time) == (0.1, 10)
+    assert (ep_3d.dt, ep_3d.samples_per_unit_time) == (ep.dt, ep.samples_per_unit_time)
     nls = SweepConfig(model="nls", n=2, N=32)
     assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 5e-4, 2000)
     assert nls.comparator == "linear-nls"
@@ -430,6 +436,31 @@ def test_cache_cold_vs_warm_identical(tmp_path):
     assert [b.beta for b in cold.betas] == [b.beta for b in warm.betas]
 
 
+def test_warm_ep_rerun_returns_the_cold_crossings_bitwise(tmp_path, monkeypatch):
+    # a re-stepped crossing is no function of the cached (t, rho): the cache
+    # keeps each curve's crossings in a sidecar keyed by tolerance, a warm
+    # rerun serves them bitwise, and a tolerance the sidecar lacks is a miss
+    kw = dict(FOUR_CURVES, comparator="composite", c1=0.5)
+    cfg = SweepConfig(**kw, cache_dir=str(tmp_path))
+    cold = run_algorithm_a(cfg)
+    sidecars = sorted(tmp_path.rglob("*.crossings.json"))
+    assert len(sidecars) == len(cold.curves) == 6
+    blobs = [p.read_bytes() for p in sidecars]
+    with monkeypatch.context() as patch:
+        _no_batches(patch)
+        warm = run_algorithm_a(cfg)
+    assert [(r.alpha, r.epsilon, r.t_cross, r.interp_shift) for r in warm.crossings] == \
+        [(r.alpha, r.epsilon, r.t_cross, r.interp_shift) for r in cold.crossings]
+    assert [p.read_bytes() for p in sidecars] == blobs
+    # delta = 1 with the comparator of 1e-3: its sidecar loses its crossing
+    path = Path(epnls.sweep._crossings_path(curve_path(str(tmp_path), cfg, 1.0, 1e-3,
+                                                       cache=True)))
+    path.write_text("[]")
+    again = run_algorithm_a(cfg)
+    assert [r.t_cross for r in again.crossings] == [r.t_cross for r in cold.crossings]
+    assert [p.read_bytes() for p in sidecars] == blobs  # recomputed and mended
+
+
 def test_repeat_runs_bitwise_identical():
     cfg = SweepConfig(**FAST_EP)
     a = run_algorithm_a(cfg)
@@ -665,20 +696,28 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
     cfg = SweepConfig(**kw)
     specs = curve_specs(cfg)
     alone = [compute_error_curve(cfg, d, e) for d, e in specs]
+    # each spec's curve computed alone to its stop, with its crossings
+    # re-stepped in a batch of one
+    tolerances = epnls.sweep._curve_tolerances(cfg)
+    single = [epnls.sweep._curve_batch(cfg, [spec], [tolerances[spec]])[0] for spec in specs]
     full = run_error_curves(cfg)
     pooled = run_error_curves(SweepConfig(**kw, workers=2))
-    # half-warm cache: every other curve cached (to T), the rest computed
-    # together
+    # half-warm cache: every other curve cached (to T, with the crossings
+    # computed alone), the rest computed together
     cached = SweepConfig(**kw, cache_dir=str(tmp_path))
-    write_curves(str(tmp_path), cached, alone[::2], cache=True)
+    write_curves(str(tmp_path), cached,
+                 [replace(a, crossings=s.crossings) for a, s in zip(alone, single)][::2],
+                 cache=True)
     half_warm = run_error_curves(cached)
     assert len(alone) == n_curves
     # each curve stops where its batch left it: a bitwise prefix of its
     # full-horizon curve computed alone
     prefixes = [_stop_prefix(cfg, spec, c) for spec, c in zip(specs, alone)]
     assert any(len(p.times) < len(c.times) for p, c in zip(prefixes, alone))
+    assert sum(len(s.crossings) for s in single) >= 4
     for curves in (full, pooled, half_warm):
         assert _bits(curves) == _bits(prefixes)
+        assert [c.crossings for c in curves] == [s.crossings for s in single]
 
 
 # four NLS curves from four distinct amplitudes
@@ -866,8 +905,9 @@ def test_curves_carry_their_curve_specs_key(tmp_path, monkeypatch, kw):
 def test_max_points_bounds_one_amplitudes_batch():
     # a config whose largest batch member cannot fit is rejected before any
     # run: one amplitude alone, and delta = 1 serving three composite
-    # tolerances, on arrays of the 33 points the N = 64 even subspace stores
-    member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    # tolerances, on arrays of the 33 points the N = 64 even subspace stores,
+    # each with room to re-step one crossing
+    member = 33 * (epnls.sweep._ARRAYS_PER_MEMBER["ep"] + epnls.sweep._ARRAYS_PER_CROSSING)
     extra = 33 * epnls.sweep._ARRAYS_PER_EXTRA_CURVE
     composite = dict(FAST_EP, comparator="composite", c1=0.5)
     for kw, points in ((FAST_EP, member), (composite, member + 2 * extra)):
@@ -875,10 +915,10 @@ def test_max_points_bounds_one_amplitudes_batch():
         with pytest.raises(ValueError, match=f"needs {points} points, which exceeds "
                            f"the memory cap of {points - 1} points"):
             SweepConfig(**kw, max_points=points - 1)
-    # 9 arrays of the 65^3 points a 3D N = 128 sweep stores fit the default
-    # cap of 2^24; 9 of the 512^3 full grid do not
+    # 24 arrays of the 65^3 points a 3D N = 128 sweep stores fit the default
+    # cap of 2^24; 24 of the 512^3 full grid do not
     assert SweepConfig(n=3, N=128).max_points == DEFAULT_MAX_POINTS
-    with pytest.raises(ValueError, match="needs 1207959552 points"):
+    with pytest.raises(ValueError, match="needs 3221225472 points"):
         SweepConfig(n=3, N=512)
 
 
@@ -891,30 +931,49 @@ def test_the_guard_counts_the_points_the_sweep_grid_stores(monkeypatch, n, N, ev
     # subspace, N^n on the full grid
     if even_max_n is not None:
         monkeypatch.setattr(epnls.sweep, "_EVEN_MAX_N", even_max_n)
-    kw = dict(n=n, N=N, T=0.04, alpha_set=(0.0,), epsilon_set=(1e-2,), max_points=2**26)
+    kw = dict(n=n, N=N, T=0.1, alpha_set=(0.0,), epsilon_set=(1e-2,), max_points=2**26)
     cfg = SweepConfig(**kw)
     points = epnls.sweep.solver_setup(cfg)[0].level_index.size
     assert points == (N // 2 + 1 if N <= epnls.sweep._EVEN_MAX_N else N) ** n
     assert epnls.sweep._grid_points(cfg) == points
-    member = epnls.sweep._ARRAYS_PER_MEMBER["ep"] * points
+    member = (epnls.sweep._ARRAYS_PER_MEMBER["ep"] + epnls.sweep._ARRAYS_PER_CROSSING) * points
     with pytest.raises(ValueError, match=f"needs {member} points, which exceeds"):
         SweepConfig(**dict(kw, max_points=member - 1))
 
 
 def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
     whole = run_error_curves(SweepConfig(**FOUR_CURVES))
-    sizes = []
-    batch = epnls.sweep._curve_batch
+    sizes, held = [], []
+    batch, restep = epnls.sweep._curve_batch, epnls.restep._restep_crossings
 
-    def spy(c, specs, stops=None):
+    def spy(c, specs, tolerances=None):
         sizes.append(len(specs))
-        return batch(c, specs, stops)
+        return batch(c, specs, tolerances)
+
+    def spy_restep(c, grid, params, symbols, crossings, rows):
+        held.append(len(crossings))
+        return restep(c, grid, params, symbols, crossings, rows)
 
     monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
-    per_member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]  # N = 64 stores 33 points
-    split = run_error_curves(SweepConfig(**FOUR_CURVES, max_points=3 * per_member))
-    assert sizes == [3, 1]
-    assert _bits(split) == _bits(whole)
+    monkeypatch.setattr(epnls.restep, "_restep_crossings", spy_restep)
+    # N = 64 stores 33 points; delta = 1 re-steps three crossings, two
+    # other amplitudes one each, and 1e-2^0.2 stays below 1e-2 up to T
+    member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    crossing = 33 * epnls.sweep._ARRAYS_PER_CROSSING
+    # room for two amplitudes with four crossings: two batches, each
+    # re-stepping all its crossings in one set of rounds at its end ...
+    split = run_error_curves(SweepConfig(**FOUR_CURVES, max_points=2 * member + 4 * crossing))
+    assert (sizes, held) == ([2, 2], [3, 2])
+    # ... and for one amplitude holding one crossing: one batch per
+    # amplitude, and delta = 1 runs the rounds of each held crossing before
+    # it holds the next (an early flush)
+    sizes.clear(), held.clear()
+    tight = run_error_curves(SweepConfig(**FOUR_CURVES, max_points=member + crossing))
+    assert (sizes, held) == ([1, 1, 1, 1], [1] * 5)
+    for curves in (split, tight):
+        assert _bits(curves) == _bits(whole)
+        assert [c.crossings for c in curves] == [c.crossings for c in whole]
+    assert [len(c.crossings) for c in whole] == [3, 0, 1, 1]
 
 
 # ---------------------------------------------------------------- stop rule
@@ -949,14 +1008,17 @@ def test_curves_end_at_their_last_needed_crossing(floor):
 def test_full_length_cache_is_served_cut(tmp_path, monkeypatch):
     cfg = SweepConfig(**FOUR_CURVES, cache_dir=str(tmp_path))
     specs = curve_specs(cfg)
-    full = [compute_error_curve(cfg, *spec) for spec in specs]
     cold = run_error_curves(SweepConfig(**FOUR_CURVES))
+    # each full-horizon curve cached with the crossings a sweep re-steps
+    full = [replace(compute_error_curve(cfg, *spec), crossings=c.crossings)
+            for spec, c in zip(specs, cold)]
     write_curves(str(tmp_path), cfg, full, cache=True)
     files = sorted(tmp_path.rglob("*.csv"))
     blobs = [f.read_bytes() for f in files]
     _no_batches(monkeypatch)
     warm = run_error_curves(cfg)
     assert _bits(warm) == _bits(cold)
+    assert [w.crossings for w in warm] == [c.crossings for c in cold]
     assert any(len(w.times) < len(f.times) for w, f in zip(warm, full))
     assert [f.read_bytes() for f in files] == blobs  # a longer cache stays
 
@@ -1005,17 +1067,20 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
     sizes = []
     batch = epnls.sweep._curve_batch
 
-    def spy(c, specs, stops=None):
+    def spy(c, specs, tolerances=None):
         sizes.append(len(specs))
-        return batch(c, specs, stops)
+        return batch(c, specs, tolerances)
 
     monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
     member = epnls.sweep._ARRAYS_PER_MEMBER["ep"]
     extra = epnls.sweep._ARRAYS_PER_EXTRA_CURVE
-    max_points = 33 * (2 * member + 2 * extra)  # arrays of 33 stored points
+    crossing = epnls.sweep._ARRAYS_PER_CROSSING
+    # arrays of 33 stored points: two amplitudes, two extra curves and
+    # four crossings
+    max_points = 33 * (2 * member + 2 * extra + 4 * crossing)
     split = run_error_curves(SweepConfig(**kw, max_points=max_points))
-    # delta = 1 serves three comparator epsilons (member + 2 extra), so it
-    # shares its batch with one more delta only
+    # delta = 1 serves three comparator epsilons (member + 2 extra, and
+    # one crossing each), so it shares its batch with one more delta only
     assert sizes == [4, 2]
     assert _bits(split) == _bits(whole)
 
@@ -1051,9 +1116,9 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     fields, as ``calls`` records them (the sweep grid's transforms, each a
     numpy.fft call on the full grid), and return the first sample of each
     block (and the end)."""
-    if model == "ep":
-        cfg = SweepConfig(model="ep", N=N, alpha_set=(0.0, 0.1),
-                          epsilon_set=(1e-2, 3e-3, 1e-3))
+    if model == "ep":  # a uniform clock of 101 samples, one triple jump each
+        cfg = SweepConfig(model="ep", N=N, dt=0.02, samples_per_unit_time=50,
+                          alpha_set=(0.0, 0.1), epsilon_set=(1e-2, 3e-3, 1e-3))
     else:  # the default clock, uniform: T x samples_per_unit_time + 1 samples
         cfg = SweepConfig(model="nls", N=N, T=0.05, sample_growth=0, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
@@ -1062,8 +1127,16 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
                for spec in specs]
     assert len(specs) == 4 and steps + 1 == samples >= max(lengths)
     assert min(lengths) < samples  # some member leaves the batch early
+    rounds, jump = [], epnls.restep.jump
+
+    def counted_jump(model, grid, params, spectra, h, count=1):
+        rounds.append(len(h))
+        return jump(model, grid, params, spectra, h, count)
+
     calls.clear()
-    curves = run_error_curves(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(epnls.restep, "jump", counted_jump)
+        curves = run_error_curves(cfg)
     assert [len(c.times) for c in curves] == lengths
     # one transform of the initial photon fields, then 2 per inner substep
     # of each model's triple jump (3 per step: EP's linear substeps, NLS's
@@ -1076,8 +1149,11 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     # even subspace.  They are stepped through the block, and leave the
     # batch after it.  Every step moves one field of them (EP transforms
     # only psi).
-    # Stepping ends with the last block.  The count is exact, not a bound:
-    # a bound would pass blocks that step members longer than they must
+    # Stepping ends with the last block.  EP then re-steps its crossings:
+    # one transform of the photon fields of the amplitudes they lie on, and
+    # per secant round one triple jump of m rows per slice of m open
+    # crossings, 2 transforms per substep.  The count is exact, not a bound: a bound
+    # would pass blocks that step members longer than they must
     points = N if N > epnls.sweep._EVEN_MAX_N else N // 2 + 1
     per_step = 2 * 3
     expected, blocks = [4 * points], [0]
@@ -1089,11 +1165,20 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
         if model == "nls":
             expected += [k * m * points] * 2
         blocks.append(i + k)
+    if model == "ep":
+        # the first round evaluates all six crossings, at most as many at
+        # once as the batch stepped amplitudes
+        assert sum(len(c.crossings) for c in curves) == 6 and rounds[:2] == [4, 2]
+        expected += [len({c.delta for c in curves if c.crossings}) * points]
+        for m in rounds:
+            expected += [m * points] * per_step
+    else:
+        assert rounds == []
     assert calls == expected
     return blocks
 
 
-def _traced_peak(cfg, specs):
+def _traced_peak(cfg, specs, tolerances=None):
     """tracemalloc peak of one batch, in complex arrays of the points the
     sweep's grid stores."""
     import tracemalloc
@@ -1101,7 +1186,7 @@ def _traced_peak(cfg, specs):
     points = epnls.sweep.solver_setup(cfg)[0].level_index.size
     tracemalloc.start()
     try:
-        epnls.sweep._curve_batch(cfg, specs)
+        epnls.sweep._curve_batch(cfg, specs, tolerances)
         return tracemalloc.get_traced_memory()[1] / (points * 16)
     finally:
         tracemalloc.stop()
@@ -1113,8 +1198,10 @@ def _traced_peak(cfg, specs):
 ], ids=["ep", "nls", "ep-2d-even", "nls-2d-even", "ep-3d-even", "nls-3d-even"])
 def test_arrays_per_member_bounds_the_measured_footprint(model, n, N):
     # grids large enough that their arrays dominate the peak: the full grid
-    # in 1D, the even subspace (65^2 and 17^3 stored points) in 2D and 3D
-    cfg = SweepConfig(model=model, n=n, N=N, T=0.02 if model == "ep" else 0.002)
+    # in 1D, the even subspace (65^2 and 17^3 stored points) in 2D and 3D.
+    # EP runs two samples of the clock dt = 0.02 at 50 samples per unit time
+    clock = dict(T=0.02, dt=0.02, samples_per_unit_time=50) if model == "ep" else {"T": 0.002}
+    cfg = SweepConfig(model=model, n=n, N=N, **clock)
 
     def peak(batch):
         return _traced_peak(cfg, [(1.0 - 0.1 * i, None) for i in range(batch)])
@@ -1124,8 +1211,31 @@ def test_arrays_per_member_bounds_the_measured_footprint(model, n, N):
 
 
 @pytest.mark.parametrize("n, N", [(1, 4096), (2, 128), (3, 32)])
+def test_arrays_per_crossing_bounds_the_measured_footprint(n, N):
+    # EP with held crossings: one amplitude re-stepping 12 crossings against
+    # 2 (each adds its photon and exciton spectra; the rounds take one row
+    # at a time: measured 2.0 arrays), and 6 amplitudes with one crossing
+    # each against 2 (a round row each beside the held spectra: measured
+    # 14.0).  The guard's count of the whole batch bounds each peak
+    cfg = SweepConfig(model="ep", n=n, N=N, T=1.0, dt=0.1, samples_per_unit_time=10,
+                      max_points=2**26)
+    points = epnls.sweep._grid_points(cfg)
+    member = epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    crossing = epnls.sweep._ARRAYS_PER_CROSSING
+    many = tuple(np.logspace(-2.0, -3.0, 12))
+    peaks = [_traced_peak(cfg, [(1.0, None)], [tolerances]) for tolerances in (many, many[:2])]
+    assert (peaks[0] - peaks[1]) / 10 <= crossing
+    assert peaks[0] <= epnls.sweep._batch_points(cfg, 1, 1, len(many)) / points
+    peaks = [_traced_peak(cfg, [(1.0 - 0.05 * i, None) for i in range(k)], [(1e-3,)] * k)
+             for k in (6, 2)]
+    assert (peaks[0] - peaks[1]) / 4 <= member + crossing
+    assert peaks[0] <= epnls.sweep._batch_points(cfg, 6, 6, 6) / points
+
+
+@pytest.mark.parametrize("n, N", [(1, 4096), (2, 128), (3, 32)])
 def test_guard_counts_the_arrays_of_every_composite_curve(n, N):
-    cfg = SweepConfig(model="ep", n=n, N=N, T=0.02, comparator="composite", c1=0.1)
+    cfg = SweepConfig(model="ep", n=n, N=N, T=0.02, dt=0.02, samples_per_unit_time=50,
+                      comparator="composite", c1=0.1)
     eps = [1e-2 / (i + 1) for i in range(6)]
     # one curve per delta, each with its own comparator epsilon ...
     members = [(1.0 - 0.1 * i, e) for i, e in enumerate(eps)]
@@ -1236,10 +1346,10 @@ def test_default_nls_crossings_lie_past_sample_1(power):
 
 
 def test_default_ep_dt_is_converged():
-    # crossings of the delta = 1 curve at the default clock (one triple
-    # jump of 2e-2 per sample of 1/50) against a 4x finer step and sample
-    # rate, so that both the step and the cubic crossing error shrink:
-    # measured 7.3e-8 apart (5.5e-8 from the step, 2.9e-8 from the cubic)
+    # find_crossing's reading of the delta = 1 curve at the default clock
+    # (one triple jump of 1/30 per sample of 1/30) against a 6x finer step
+    # and sample rate: measured 5.2e-7 apart.  The sweep itself reads EP
+    # crossings re-stepped (test_default_ep_clock_is_converged)
     coarse = compute_error_curve(SweepConfig(model="ep"), 1.0)
     fine = compute_error_curve(
         SweepConfig(model="ep", dt=5e-3, samples_per_unit_time=200), 1.0)
@@ -1248,22 +1358,83 @@ def test_default_ep_dt_is_converged():
         assert t_coarse == pytest.approx(t_fine, rel=1e-6)
 
 
-def test_default_ep_step_error_is_below_1e_7():
-    # the step's part of the crossing error alone: the delta = 1 curve at
-    # the default dt = 2e-2 against dt = 1e-3 on the same 50 samples per
-    # unit time, so the cubic reads both at the same sample times:
-    # measured 5.5e-8 apart with the linear flow outside each Strang step,
-    # 6.3e-7 with the rotation outside
-    coarse = compute_error_curve(SweepConfig(model="ep"), 1.0)
-    fine = compute_error_curve(SweepConfig(model="ep", dt=1e-3), 1.0)
-    for eps in SweepConfig(model="ep").epsilon_set:
-        assert find_crossing(coarse, eps) == pytest.approx(find_crossing(fine, eps),
-                                                           rel=1e-7)
+COMPOSITE_2D = dict(model="ep", n=2, N=64, comparator="composite", c1=1.0,
+                    alpha_set=(0.0, 0.2), epsilon_set=tuple(np.logspace(-2.0, -3.0, 4)))
+
+
+@pytest.mark.parametrize("kw, fine, largest", [
+    (dict(model="ep"), dict(dt=1e-3, samples_per_unit_time=1000), 5.5e-7),
+    (COMPOSITE_2D, dict(dt=2e-3, samples_per_unit_time=500), 3.4e-5),
+    (dict(model="ep", n=3, N=16, alpha_set=(0.0, 0.2)),
+     dict(dt=2e-3, samples_per_unit_time=500), 3.6e-7),
+], ids=["1d", "2d", "3d"])
+def test_default_ep_clock_is_converged(kw, fine, largest):
+    # every crossing of a default EP sweep, re-stepped on its clock (1D and
+    # 3D: dt = 1/30 at 30 samples per unit time, 2D: 0.1 at 10), against
+    # the same sweep re-stepped on a fine one, within the largest error of
+    # the former defaults (dt = 2e-2 at 50, read by the cubic rule): 5.5e-7
+    # in 1D, 3.4e-5 for the 2D composite, 3.6e-7 in 3D system B (N = 16,
+    # all four default alphas).  Measured 4.5e-7, 1.9e-5 and 2.2e-7; the
+    # 3D clock at dt = 0.1 reads 1.9e-5 and at 0.05 1.1e-6.  About 0.6 s,
+    # 0.7 s and 1 s, nearly all in the fine sweep
+    default = run_algorithm_a(SweepConfig(**kw))
+    reference = run_algorithm_a(SweepConfig(**kw, **fine))
+    assert not default.failures and len(default.crossings) == len(reference.crossings) >= 8
+    for a, b in zip(default.crossings, reference.crossings, strict=True):
+        assert (a.alpha, a.epsilon) == (b.alpha, b.epsilon)
+        assert a.t_cross == pytest.approx(b.t_cross, rel=largest, abs=0.0)
+
+
+@pytest.mark.parametrize("kw, agree", [(dict(model="ep"), 1e-7), (COMPOSITE_2D, 5e-5)],
+                         ids=["1d", "2d"])
+def test_one_jump_of_h_matches_eight_of_h_over_8(monkeypatch, kw, agree):
+    # each secant evaluation re-steps its bracket by one triple jump of h
+    # from the left sample; eight jumps of h/8 move every default crossing
+    # by one jump's local error: measured 6.1e-8 in 1D, and 3.3e-5 in 2D,
+    # where a crossing lies 4 to 12 steps of 0.1 from t = 0, so one jump's
+    # error is of the order of the stream's (the fine reference above is
+    # 1.9e-5 from one jump and 2.8e-5 from eight)
+    cfg = SweepConfig(**kw)
+    one = run_algorithm_a(cfg)
+    jump = epnls.restep.jump
+    monkeypatch.setattr(epnls.restep, "jump",
+                        lambda model, grid, params, spectra, h, count=1:
+                        jump(model, grid, params, spectra, h, 8 * count))
+    eight = run_algorithm_a(cfg)
+    assert len(one.crossings) == len(eight.crossings) >= 8
+    shifts = [abs(a.t_cross / b.t_cross - 1) for a, b in zip(one.crossings, eight.crossings)]
+    assert 0 < max(shifts) < agree
+
+
+def test_ep_crossing_before_the_first_positive_sample_is_re_stepped_from_t0():
+    # on the default 1D clock sample 1 is t = 1/30, where delta = 1 has rho
+    # ~ 2e-9: tolerances 1e-9 to 1e-11 cross before it.  find_crossing
+    # reads no such crossing; the sweep re-steps it from t = 0 (16 jumps,
+    # _JUMPS_FROM_ZERO) and reports no interpolation shift.  They lie within
+    # 3e-6 of a fine clock's (dt = 1e-3 at 1,000 samples per unit time;
+    # measured 5.4e-7, 2.3e-7 and 1.4e-6, the last 11 fine steps from t = 0)
+    # and on the leading law rho ~ t^(p+2): a decade of tolerance moves the
+    # crossing by 10^(-1/5) (measured within 4e-4)
+    kw = dict(model="ep", T=0.1, alpha_set=(0.0,), epsilon_set=(1e-9, 1e-10, 1e-11),
+              epsilon_floor=1e-12)
+    result = run_algorithm_a(SweepConfig(**kw))
+    fine = run_algorithm_a(SweepConfig(**kw, dt=1e-3, samples_per_unit_time=1000))
+    assert not result.failures and len(result.crossings) == 3
+    (curve,) = result.curves
+    for record, reference in zip(result.crossings, fine.crossings, strict=True):
+        assert 0 < record.t_cross < curve.times[1]
+        assert record.interp_shift is None
+        assert record.t_cross == pytest.approx(reference.t_cross, rel=3e-6, abs=0.0)
+        with pytest.raises(NoCrossingError, match="before the first positive sample"):
+            find_crossing(curve, record.epsilon)
+    times = [r.t_cross for r in result.crossings]
+    for early, earlier in zip(times, times[1:]):
+        assert earlier / early == pytest.approx(10 ** (-1 / 5), rel=1e-3)
 
 
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 8, "nls": 8}
-    assert "solver=8" in physics_signature(SweepConfig(**FAST_EP))
+    assert SOLVER_REVISION == {"ep": 9, "nls": 8}
+    assert "solver=9" in physics_signature(SweepConfig(**FAST_EP))
     assert "solver=8" in physics_signature(SweepConfig(model="nls"))
 
 
