@@ -17,9 +17,9 @@ Both take Yoshida's fourth-order triple jump (Yoshida 1990, Phys. Lett. A
 weights w1, w0, w1, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0.  Every
 substep is unitary and reversible, so the negative middle weight is
 harmless; halving dt divides the step error by 16.  Both default clocks
-take one triple jump per sample.  EP's crossings are located by re-stepping
+take one triple jump per sample.  Crossings are located by re-stepping
 the integrator inside their brackets (jump, from the state at the
-bracket's left sample), so the step alone limits them, and its default
+bracket's left sample), so the step alone limits them.  EP's default
 clock is per dimension: dt = 1/30 at 30 samples per unit time in 1D and
 3D, 0.1 at 10 in 2D.  Its default crossings are within 4.5e-7 (1D) and
 1.9e-5 (2D composite) of the same sweeps re-stepped on fine clocks (dt =
@@ -28,16 +28,13 @@ former clock, dt = 2e-2 at 50 read by a four-point cubic, gave 5.5e-7 and
 3.4e-5, nearly all of it the cubic's.  (With the rotation outside each
 Strang step, as Thalhammer 2012, SIAM J. Numer. Anal. 50:3231, allows
 too, the step gave 6.3e-7 and 1.3e-7 at dt = 2e-2, against 5.5e-8 and
-1.1e-8.)  NLS, read by cubic Hermite from the exact slope rho'
-(nls_forcing gives the flow's nonlinear term), has an error set by the
-spacing relative to t: dt = 5e-4 at 2,000 samples per unit time, on a
-clock graded by sample_growth = 1/32 (sample_times: uniform up to t =
-0.032, then spacing at most t/32, an interval of m base intervals taking
-its triple jump at m dt), so 147 samples on [0, 0.2] where a uniform
-clock has 401.  Its crossings are within 1.3e-9 of a uniform triple jump
-at dt = 2e-5 with 50,000 samples per unit time, the largest in the
-uniform head, as on the uniform clock (5.4e-10 past it); dt = 2.5e-5 at
-the same samples moves them by 7.5e-12.
+1.1e-8.)  NLS takes dt = 5e-4 at 2,000 samples per unit time, on a clock
+graded by sample_growth = 1/32 (sample_times: uniform up to t = 0.032,
+then spacing at most t/32, an interval of m base intervals taking its
+triple jump at m dt), so 147 samples on [0, 0.2] where a uniform clock
+has 401.  Its crossings are within 4.4e-11 of a uniform triple jump at
+dt = 2e-5 with 50,000 samples per unit time; dt = 2.5e-5 at the same
+samples moves them by 7.5e-12.
 The kernel carries spectra and takes only the rotated field to physical
 space and back, for each rotation (McLachlan & Quispel 2002,
 Acta Numerica 11:341): an EP step transforms psi alone and phi never
@@ -248,29 +245,23 @@ class Trajectory:
 class ErrorCurve:
     """Relative photon error rho(t) between a comparator and the truth,
     from the initial amplitude ``delta``; ``epsilon_comp`` is the tolerance
-    a composite comparator was built for (None for the others), ``drho``
-    the exact slope rho'(t) at the same samples, where the sweep computes
-    it (NLS), else None, and ``crossings`` {tolerance: crossing time} of
-    the crossings the sweep re-stepped on it (EP), else None."""
+    a composite comparator was built for (None for the others), and
+    ``crossings`` {tolerance: crossing time} of the crossings the sweep
+    re-stepped on it, else None."""
 
     delta: float | None
     times: np.ndarray
     rho: np.ndarray
     epsilon_comp: float | None = None
-    drho: np.ndarray | None = None
     crossings: dict | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.rho = np.asarray(self.rho, dtype=float)
-        columns = {"rho": self.rho}
-        if self.drho is not None:
-            self.drho = columns["drho"] = np.asarray(self.drho, dtype=float)
-        for name, values in columns.items():
-            if values.shape != self.times.shape:
-                raise ValueError(f"times and {name} must have matching shapes")
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} contains non-finite samples")
+        if self.rho.shape != self.times.shape:
+            raise ValueError("times and rho must have matching shapes")
+        if not np.all(np.isfinite(self.rho)):
+            raise ValueError("rho contains non-finite samples")
 
 
 # --------------------------------------------------------------------------
@@ -309,16 +300,6 @@ def nonlinear_phase(values, g, p, dt):
     return out
 
 
-def _modulus_power(values, p):
-    # |u|^(p-1) as a new real array, squared by a product for the cubic
-    out = np.abs(values)
-    if p == 3.0:
-        out *= out
-    else:
-        out **= p - 1.0
-    return out
-
-
 def _rotate(values, g, p, dt):
     # nonlinear_phase in place on a complex array; returns the largest
     # |theta|.  The phase exp(-i theta), theta = g dt |u|^(p-1), is formed
@@ -329,7 +310,11 @@ def _rotate(values, g, p, dt):
     # where |u|^(p-1) overflows
     if g == 0:
         return 0.0
-    tau = _modulus_power(values, p)
+    tau = np.abs(values)  # |u|^(p-1), squared by a product for the cubic
+    if p == 3.0:
+        tau *= tau
+    else:
+        tau **= p - 1.0
     step = abs(g * dt)
     angle = float(step.max() if isinstance(step, np.ndarray) else step) * float(tau.max())
     tau *= 0.5 * g * dt
@@ -543,26 +528,6 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
         keep = yield t, spectra
         if keep is not None:
             spectra = [a[keep] for a in spectra]
-
-
-def nls_forcing(grid, params, phi_hat, out=None):
-    """Spectrum F = Grid.fft(g |phi|^(p-1) phi) of the NLS nonlinearity at
-    the field whose plain FFT is phi_hat (leading batch axes allowed), so
-    that the NLS flow is phi_hat' = -i |k|^2 phi_hat - i F: an inverse
-    transform into a new array and a forward one into ``out`` (a complex
-    array of phi_hat's shape, new if None), which is returned; a 1D
-    EvenGrid transform into its own input would copy it first.  g = 0
-    gives zeros, even where |phi|^(p-1) overflows."""
-    if params.g == 0:
-        if out is None:
-            return np.zeros(np.shape(phi_hat), np.complex128)
-        out.fill(0.0)
-        return out
-    u = grid.ifft(phi_hat)
-    rate = _modulus_power(u, params.p)
-    rate *= params.g
-    u *= rate
-    return grid.fft(u, out=out)
 
 
 def evolve_ep(initial, params, step, T, record=FULL):

@@ -31,7 +31,6 @@ from .evolution import (
     _composite_seed_of,
     _pair_propagator_of,
     model_stream,
-    nls_forcing,
     sample_times,
 )
 from .grid import (
@@ -44,6 +43,7 @@ from .grid import (
     gaussian_initial,
     hs_norm_from_fft,
 )
+from .restep import _Held, _restep_crossings, _secant
 from .runio import atomic_write_text, fmt, read_curve_csv, sha256_hex, write_csv
 from .theory import EXACT, beta_predict
 
@@ -53,7 +53,7 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  Both
-# take one fourth-order triple jump per sample.  EP crossings are re-stepped
+# take one fourth-order triple jump per sample.  Crossings are re-stepped
 # inside their brackets (epnls.restep), so the step alone limits them,
 # and EP's clock is per dimension n: dt = 1/30 at 30 samples per unit time
 # in 1D and 3D, 0.1 at 10 in 2D.  Against re-stepped fine clocks (dt = 1e-3
@@ -64,20 +64,16 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # 3D: 1D breaks that rule past 1/30 (0.04: 1.0e-6), 3D at 0.05 (1.1e-6),
 # while the 2D composite keeps it at 0.1 (0.125: 9.2e-5), where its sweep
 # takes half the time it takes at 1/30.  2D system B (N = 64), whose
-# samples the cubic read within 3.9e-7, reads 1.6e-5 at 0.1.  NLS curves
-# carry rho', and find_crossing reads them by cubic Hermite from the two
-# samples that bracket a crossing, with an error set by the spacing
-# relative to t.  The NLS crossings (beta = 1 - (p-1) alpha) span two
-# decades, t ~ 1.0e-3 to 0.17, so its clock is graded: dt = 5e-4 at 2,000
-# samples per unit time, uniform up to t = 0.032 and then spacing at most
-# t/32 (sample_growth, sample_times), 147 samples against 401.  Its
-# crossings are within 1.3e-9 of a uniform triple jump at dt = 2e-5 with
-# 50,000 samples, as on the uniform clock: the largest lie in the uniform
-# head, and past it the error is 5.4e-10 (q = 1/24: 9.9e-10; q = 1/20:
-# 1.5e-9, above the head's).  The cubic rule needed 4,000 uniform samples
-# for 2.5e-9.  The earliest default crossing, t ~ 1.0e-3, lies past sample
-# 1, as the Hermite rule needs.  EP keeps a uniform clock: its crossings,
-# at t ~ 0.3-1.5, span less than a decade
+# samples the cubic read within 3.9e-7, reads 1.6e-5 at 0.1.  The NLS
+# crossings (beta = 1 - (p-1) alpha) span two decades, t ~ 1.0e-3 to
+# 0.17, so its clock is graded: dt = 5e-4 at 2,000 samples per unit time,
+# uniform up to t = 0.032 and then spacing at most t/32 (sample_growth,
+# sample_times), 147 samples against 401.  Its crossings are within
+# 4.4e-11 of a uniform triple jump at dt = 2e-5 with 50,000 samples; one
+# before sample 1 is re-stepped from t = 0, so deeper ladders read on the
+# same clock.  A faster-growing tail grows the step too: q = 1/8 reads
+# 7.0e-9.  EP keeps a uniform clock: its crossings, at t ~ 0.3-1.5, span
+# less than a decade
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": {1: 1.0 / 30, 2: 0.1, 3: 1.0 / 30},
          "samples_per_unit_time": {1: 30, 2: 10, 3: 30},
@@ -92,32 +88,32 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 9, NLS: 8}
+SOLVER_REVISION = {EP: 9, NLS: 9}
 
 # Complex arrays of _grid_points points a batch member with one curve
 # keeps alive at the peak of _curve_batch, one sample per block, measured
 # and rounded up (tracemalloc: EP ~8.7-9.0 with system B and ~9.4-9.7 with
-# the composite, NLS ~6.5 on the full grid and ~7.5 on the even subspace in
+# the composite, NLS ~6.0, on the full grid in 1D and the even subspace in
 # 2D and 3D; checked by tests/test_sweep.py): the curve's phi_hat(0) copy,
 # the spectra the split-step loop owns (EP: phi_hat and psi_hat; NLS:
 # phi_hat; the rotated field's spectrum is dropped while it is rotated),
 # the temporaries of a rotation or a 2x2 step, the truth-and-difference
-# stack of the sample's norm call with one more row per truth (NLS: its
-# forcing, which rho' needs and nls_forcing writes in place; EP: its
-# exciton, which a held crossing may need), for EP the photon and exciton
-# spectra of the sample before the block, and, for the composite, the
-# seed pair of the curve's comparator epsilon, on the |k|^2 levels.  Each
+# stack of the sample's norm call with one more row per further field the
+# stream yields (EP: its exciton), the spectra of the sample before the
+# block, which a held crossing may need, and, for the composite, the seed
+# pair of the curve's comparator epsilon, on the |k|^2 levels.  Each
 # further curve of one delta (the composite's other epsilons) adds its
 # phi_hat(0) copy, stack row, norm temporaries and seed pair (~3.3-3.7).
-# Each crossing an EP batch holds to re-step adds its photon and exciton
-# spectra (2.0) and, while a round evaluates it, its row of the round
-# (~12): the jump's copies of them, the two distinct per-row linear maps
+# Each crossing a batch holds to re-step adds its spectra (EP 2.0, NLS
+# 1.0) and, while a round evaluates it, its row of the round (EP ~12, NLS
+# ~7): the jump's copies of them, the two distinct per-row linear maps
 # of a triple jump, a rotation's temporaries and the truth-and-difference
-# pair of the norm call.  A round takes at most as many rows as the batch
-# has amplitudes, also when it runs beside the stream (an early flush).
-# max_points bounds the sum of these over a batch (_batch_points), and a
-# block of K > 1 samples the room it leaves (_curve_batch).
-_ARRAYS_PER_MEMBER = {EP: 10, NLS: 8}
+# pair of the norm call.  One count bounds both models.  A round takes at
+# most as many rows as the batch has amplitudes, also when it runs beside
+# the stream (an early flush).  max_points bounds the sum of these over a
+# batch (_batch_points), and a block of K > 1 samples the room it leaves
+# (_curve_batch).
+_ARRAYS_PER_MEMBER = {EP: 10, NLS: 7}
 _ARRAYS_PER_EXTRA_CURVE = 6
 _ARRAYS_PER_CROSSING = 14
 
@@ -152,8 +148,8 @@ _EVEN_MAX_N = 256
 class NoCrossingError(RuntimeError):
     """The error curve never reaches the requested tolerance, or, read by
     find_crossing off stored samples, reaches it before the first positive
-    sample (the cadence is too coarse there).  The sweep re-steps EP
-    crossings, those before sample 1 from t = 0, so for EP only the first
+    sample (the cadence is too coarse there).  The sweep re-steps its
+    crossings, those before sample 1 from t = 0, so there only the first
     holds."""
 
 
@@ -176,7 +172,7 @@ class SweepConfig:
     nonlinearity's exp(-k^2/(2p)) are below 1e-17 at k_max = 20.1 for
     p <= 5, and every default crossing (p = 3 and 5) is within 2.3e-12
     relative of N = 512, as at N = 256.  N = 64 moves NLS at p = 5 by
-    3.7e-8, above the NLS clock's 1.3e-9.
+    3.7e-8, above the NLS clock's 4.4e-11.
     """
 
     model: str = EP
@@ -249,8 +245,7 @@ class SweepConfig:
             )
         object.__setattr__(self, "epsilon_set", eps)
         object.__setattr__(self, "alpha_set", alphas)
-        points = _batch_points(self, 1, max(map(len, _by_delta(curve_specs(self)))),
-                               1 if _restepped(self) else 0)
+        points = _batch_points(self, 1, max(map(len, _by_delta(curve_specs(self)))), 1)
         if points > self.max_points:
             raise ValueError(f"one amplitude's batch needs {points} points, which "
                              f"exceeds the memory cap of {self.max_points} points")
@@ -306,9 +301,8 @@ class CrossingRecord:
     """One crossing time t_cross of rho through epsilon.  interp_shift is
     the relative distance |t_read - t_cross| / t_cross of find_crossing's
     reading of the stored samples from a re-stepped t_cross: a free check
-    of how much re-stepping moved it.  None where the crossing was not
-    re-stepped (NLS) or lies before the first positive sample, where
-    find_crossing reads none."""
+    of how much re-stepping moved it.  None where the crossing lies before
+    the first positive sample, where find_crossing reads none."""
 
     alpha: float
     delta: float
@@ -425,12 +419,12 @@ def _curve_batch(c, specs, tolerances=None):
     comparator spectrum one closed-form multiplier per eps_comp times each
     curve's phi_hat(0).  Samples are measured in blocks of K consecutive
     ones (K = max(1, _BLOCK_POINTS // (batch rows x _grid_points(c))), 1
-    where max_points leaves no room for more): the block's truth spectra,
-    each curve's comparator-minus-truth rows and, for NLS, the forcing rows
-    of rho' (_slope) form one stack, whose norms are one batched call, and
-    rho[spec, sample] (drho beside it) is filled for the whole block.  No
-    state is recorded and at most one block is held, so memory is
-    O(batch x grid).  Every operation acts on each batch row alone, so a
+    where max_points leaves no room for more): the block's truth spectra
+    and each curve's comparator-minus-truth rows form one stack, whose
+    norms are one batched call, beside the rows of the stream's other
+    fields (EP's exciton), and rho[spec, sample] is filled for the whole
+    block.  No state is recorded and at most one block is held, so memory
+    is O(batch x grid).  Every operation acts on each batch row alone, so a
     curve's bits depend neither on the rest of its batch nor on K.
 
     ``tolerances`` gives each spec the tolerances read off its curve: the
@@ -438,13 +432,12 @@ def _curve_batch(c, specs, tolerances=None):
     first sample if there is none), a delta leaves the batch at the end of
     the block in which all its curves have stopped, and stepping ends when
     no delta is left or at T.  Without ``tolerances`` every curve runs to
-    T.  EP curves carry their crossings re-stepped (ErrorCurve.crossings):
-    the stack also holds each block sample's exciton spectra, and when a
-    curve's rho first reaches one of its tolerances, the photon and
-    exciton spectra of its row at the bracket's left sample are held
-    (epnls.restep).  A solver blow-up or a zero truth norm at any
-    sample is an error.  In a block of K > 1 samples it may come from a row
-    whose curves stopped earlier in it, and the stream cannot rewind, so the
+    T.  Curves carry their crossings re-stepped (ErrorCurve.crossings):
+    when a curve's rho first reaches one of its tolerances, the spectra of
+    every field of its row at the bracket's left sample are held
+    (epnls.restep).  A solver blow-up or a zero truth norm at any sample is
+    an error.  In a block of K > 1 samples it may come from a row whose
+    curves stopped earlier in it, and the stream cannot rewind, so the
     batch is then measured again with K = 1, where every row stepped has a
     running curve: it fails exactly where one needs the failing sample.
     """
@@ -471,77 +464,73 @@ def _measure_batch(c, specs, tolerances, block_points):
     member = np.array([deltas.index(d) for d, _ in specs])
     comp_of = np.array([comps.index(e) for _, e in specs])
     rows = len(deltas)
-    restep = _restepped(c)
-    if restep:  # imported here: an NLS run never needs the module
-        from .restep import _Held, _restep_crossings, _secant
-    # EP: each curve's tolerances not yet reached, ascending, the least of
-    # them (inf past the last), the held crossings and the found ones
-    pending = [sorted(t) if restep else [] for t in tolerances]
+    # each curve's tolerances not yet reached, ascending, the least of them
+    # (inf past the last), the held crossings and the found ones
+    pending = [sorted(t) for t in tolerances]
     next_tol = np.array([p[0] if p else np.inf for p in pending])
     held, crossings = [], [{} for _ in specs]
+    # rho grows as t^(1/law) at leading order (p + 2 for EP, 1 for NLS), and
+    # a crossing at delta = 1 as eps^law
+    law = beta_predict(0.0, c.p, c.model).beta
 
     phi_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
     curve_phi0_hat = phi_hat[member]
     stream = model_stream(c.model, grid, params, step, times, phi_hat)
     del phi_hat  # the stream owns the photon spectra
     rho = np.empty((len(specs), len(times)))
-    drho = np.empty_like(rho) if _carries_slope(c) else None
     ends = np.full(len(specs), len(times))
     points = _grid_points(c)
 
     def block_size(i):
         # the largest K of at most block_points truth points whose stack
-        # rows, twice over for their temporaries, fit beside the batch in max_points
-        room = c.max_points - _batch_points(c, rows, len(live), len(held))
+        # rows (at most two fields per batch row and a difference per
+        # curve), twice over for their temporaries, fit in max_points beside
+        # the batch and every crossing it holds or will hold
+        waiting = sum(map(len, pending))
+        room = c.max_points - _batch_points(c, rows, len(live), len(held) + waiting)
         per_sample = 2 * points * (2 * rows + len(live))
         return max(1, min(block_points // (rows * points), room // per_sample, len(times) - i))
 
     def block(i, k, keep):
-        # rho, rho' (or None) and the (truth, exciton) spectra (or None),
-        # each of (sample, curve) or (sample, row), at the k samples from i.
-        # No reference to a block's arrays outlives the block's measuring,
-        # so a step never holds the rows it has just dropped.  The stack,
-        # per sample the truth rows, each curve's comparator-minus-truth row
-        # and each truth's forcing row (NLS) or exciton row (EP), is made
-        # after the block's first step, so at K = 1 it never coexists with
-        # a step's temporaries
-        truth = None
+        # rho of (sample, curve) and each field's spectra of (sample, row) at
+        # the k samples from i.  No reference to a block's arrays outlives
+        # the block's measuring, so a step never holds the rows it has just
+        # dropped.  The stack, per sample the truth rows, each curve's
+        # comparator-minus-truth row and the rows of the stream's other
+        # fields, is made after the block's first step, so at K = 1 it never
+        # coexists with a step's temporaries
+        states = None
         for j in range(k):
             spectra = stream.send(None if j else keep)[1]
-            if truth is None:
-                stack = np.empty((k * (2 * rows + len(live)),) + grid.shape, np.complex128)
+            if states is None:
+                fields = len(spectra)
+                stack = np.empty((k * (fields * rows + len(live)),) + grid.shape,
+                                 np.complex128)
                 truth = stack[: k * rows].reshape((k, rows) + grid.shape)
-                extra = stack[k * (rows + len(live)) :].reshape(truth.shape)
-            truth[j] = spectra[0]
-            if restep:
-                extra[j] = spectra[1]
+                others = stack[k * (rows + len(live)) :].reshape(
+                    (fields - 1, k, rows) + grid.shape)
+                states = [truth, *others]
+            for state, spectrum in zip(states, spectra):
+                state[j] = spectrum
             del spectra  # or the next step would keep its arrays alive
-        truths, curves = k * rows, k * len(live)
-        split = truths + curves
-        if drho is not None:
-            nls_forcing(grid, params, truth, out=extra)
+        truths = k * rows
+        split = truths + k * len(live)
         diff = stack[truths:split].reshape((k, len(live)) + grid.shape)
         # level_index is in range, so mode="clip" only spares take a buffer
         np.take(symbols(times[i : i + k])[:, comp_of], grid.level_index, axis=-1,
                 out=diff, mode="clip")
         diff *= curve_phi0_hat
         diff -= truth[:, member]
-        norms = hs_norm_from_fft(stack if drho is not None else stack[:split], grid, c.s)
-        shape = (k, len(live))
+        norms = hs_norm_from_fft(stack[:split], grid, c.s)
         den = norms[:truths].reshape(k, rows)[:, member]
         vanished = den == 0.0
         if vanished.any():
-            j, curve = np.unravel_index(np.argmax(vanished), shape)
+            j, curve = np.unravel_index(np.argmax(vanished), vanished.shape)
             raise ZeroDivisionError(
                 f"truth norm underflow at t = {times[i + j]:.6g} for delta = "
                 f"{specs[live[curve]][0]:.6g}"
             )
-        r = norms[truths:split].reshape(shape) / den
-        if drho is None:
-            return r, None, (truth, extra) if restep else None
-        # each difference row's truth row
-        pair = (rows * np.arange(k)[:, None] + member).ravel()
-        return r, _slope(grid, c.s, stack, norms, pair, r.ravel()).reshape(shape), None
+        return norms[truths:split].reshape(k, len(live)) / den, states
 
     def flush():
         found = _restep_crossings(c, grid, params, symbols, held, len(deltas))
@@ -562,22 +551,22 @@ def _measure_batch(c, specs, tolerances, block_points):
         if t_left > 0.0 and rho_left > 0.0:
             guess = find_crossing(ErrorCurve(delta=specs[j][0], times=times[: g + 1],
                                              rho=rho[j, : g + 1]), tolerance)
-        else:  # the leading law rho ~ t^(p+2) through the right sample
-            guess = t_right * (tolerance / rho_right) ** (1.0 / (c.p + 2.0))
-        secant = _secant(tolerance, t_left, rho_left, t_right, rho_right, guess, c.p + 2.0)
+        else:  # the leading law through the right sample
+            guess = t_right * (tolerance / rho_right) ** law
+        secant = _secant(tolerance, t_left, rho_left, t_right, rho_right, guess, 1.0 / law)
         source = prev if left < i else [a[left - i] for a in states]
         if held and _batch_points(c, rows, len(live), len(held) + 1) > c.max_points:
             flush()
         row = member[pos]
         held.append(_Held(j, tolerance, specs[j][0], comp_of[pos], t_left,
-                          source[0][row].copy(), source[1][row].copy(), secant))
+                          [a[row].copy() for a in source], secant))
 
     keep, i = None, 0
-    prev = None  # EP: each row's photon and exciton spectra at the sample before the block
+    prev = None  # each row's spectra at the sample before the block
     while i < len(times):
         k = block_size(i)
         try:
-            r, dr, states = block(i, k, keep)
+            r, states = block(i, k, keep)
         except (SolverBlowupError, ZeroDivisionError):
             if k == 1:
                 raise
@@ -586,19 +575,16 @@ def _measure_batch(c, specs, tolerances, block_points):
         reached = r >= stop
         done = reached.any(axis=0)
         rho[live, i : i + k] = r.T
-        if dr is not None:
-            drho[live, i : i + k] = dr.T
-        if restep:
-            for pos in np.flatnonzero(r.max(axis=0) >= next_tol[live]):
-                j, column = live[pos], r[:, pos]
-                while pending[j] and column.max() >= pending[j][0]:
-                    tolerance = pending[j].pop(0)
-                    hold(i, pos, i + int(np.argmax(column >= tolerance)), tolerance,
-                         states, prev)
-                next_tol[j] = pending[j][0] if pending[j] else np.inf
-            prev = None  # before the new copies are made
-            prev = [a[-1].copy() for a in states]
-            del states
+        for pos in np.flatnonzero(r.max(axis=0) >= next_tol[live]):
+            j, column = live[pos], r[:, pos]
+            while pending[j] and column.max() >= pending[j][0]:
+                tolerance = pending[j].pop(0)
+                hold(i, pos, i + int(np.argmax(column >= tolerance)), tolerance,
+                     states, prev)
+            next_tol[j] = pending[j][0] if pending[j] else np.inf
+        prev = None  # before the new copies are made
+        prev = [a[-1].copy() for a in states]
+        del states
         i += k
         if done.any():
             # each stopped curve ends at the first sample that reached its stop
@@ -611,8 +597,7 @@ def _measure_batch(c, specs, tolerances, block_points):
             kept, member = np.unique(member, return_inverse=True)
             if len(kept) < rows:
                 keep, rows = kept, len(kept)
-                if restep:
-                    prev = [a[kept] for a in prev]
+                prev = [a[kept] for a in prev]
     # the stream's spectra and the curves' phi_hat(0) go before the rounds
     stream.close()
     del curve_phi0_hat, prev
@@ -620,64 +605,9 @@ def _measure_batch(c, specs, tolerances, block_points):
         flush()
     return [
         ErrorCurve(delta=d, times=times[:end].copy(), rho=rho[j, :end], epsilon_comp=e,
-                   drho=None if drho is None else drho[j, :end],
-                   crossings=crossings[j] if restep else None)
+                   crossings=crossings[j])
         for j, ((d, e), end) in enumerate(zip(specs, ends))
     ]
-
-
-def _restepped(c):
-    """Whether c's crossings are located by re-stepping the integrator
-    inside their brackets (epnls.restep): EP's, where it reads them
-    from a clock of 61 % (1D) to a fifth (2D) of the samples the cubic
-    rule needs.  NLS's keep find_crossing's Hermite rule, whose error its
-    graded clock already holds at 1.3e-9."""
-    return c.model == EP
-
-
-def _carries_slope(c):
-    """Whether c's curves carry rho' (ErrorCurve.drho): NLS's, where the
-    flow gives it for two transforms per sample and buys a clock of half
-    the samples.  EP's would need the truth's psi_hat, which the stream
-    yields, and a comparator exciton row per sample, and buys no coarser
-    clock, so EP curves carry rho alone."""
-    return c.model == NLS
-
-
-def _slope(grid, s, stack, norms, pair, rho):
-    """rho' of NLS curves from a block's stack of truth spectra T,
-    comparator-minus-truth spectra D (one per curve and sample, of the
-    truth row ``pair`` gives) and forcings F = nls_forcing(T) (one per
-    truth row), their H^s norms, and rho.  Overwrites the stack.
-
-    T' = -i|k|^2 T - i F, and the free comparator makes D' = -i|k|^2 D +
-    i F.  The free part drops out of Re<X, X'>_s because the weight is
-    real, so rho'/rho = Re<D, D'>_s / ||D||^2 - Re<T, T'>_s / ||T||^2 is
-
-        rho' = ||F|| / ||T|| (cos(D, iF) + rho cos(T, iF)),
-
-    cos(X, iF) = Re<X, iF>_s / (||X|| ||F||).  At D = 0 (t = 0) D grows as
-    i F t, so cos(D, iF) takes its one-sided limit 1: rho' = ||F|| / ||T||.
-    Each row is first scaled by the power of two that brings its norm into
-    [1/2, 1), exactly, as hs_norm_from_fft scales before squaring, so no
-    product or sum under- or overflows at any amplitude."""
-    truths = (len(norms) - len(pair)) // 2
-    split = truths + len(pair)
-    _, exponent = np.frexp(norms)
-    flat = stack.reshape(len(norms), -1).view(np.float64)
-    np.ldexp(flat, -exponent[:, None], out=flat)
-    unit = np.ldexp(norms, -exponent)
-    # Re<X, iF>_s = Im of the weighted sum of X conj(F)
-    forcing = np.conj(stack[split:], out=stack[split:])
-    stack[:truths] *= forcing
-    stack[truths:split] *= forcing[pair]
-    dot = stack[:split].reshape(split, -1).imag @ grid.hs_weight(s).ravel()
-    dot *= grid.cell_volume**2 / grid.box_volume
-    den = unit[:split] * unit[split:][np.concatenate([np.arange(truths), pair])]
-    cos = np.divide(dot, den, out=np.zeros_like(dot), where=den > 0.0)
-    cos_diff = np.where(norms[truths:split] == 0.0, 1.0, cos[truths:])
-    ratio = norms[split:][pair] / norms[:truths][pair]
-    return ratio * (cos_diff + rho * cos[:truths][pair])
 
 
 def compute_error_curve(config, delta, epsilon_comp=None):
@@ -711,7 +641,7 @@ def _compute_curves(c, specs):
     tolerances = _curve_tolerances(c)
     chunks, points = [], 0
     for group in _by_delta(specs):
-        held = sum(len(tolerances[s]) for s in group) if _restepped(c) else 0
+        held = sum(len(tolerances[s]) for s in group)
         cost = _batch_points(c, 1, len(group), held)
         if not chunks or points + cost > c.max_points:
             chunks.append([])
@@ -734,10 +664,6 @@ def curve_path(root, config, delta, epsilon_comp=None, cache=False):
     return os.path.join(root, folder, config_hash(config), name + ".csv")
 
 
-# a curve file's columns: t,rho, and drho where the cache keeps rho'
-_CURVE_COLUMNS = ["t", "rho", "drho"]
-
-
 def _crossings_path(path):
     """The sidecar beside a cached curve file that keeps its re-stepped
     crossings: a JSON list of [tolerance, t_cross] pairs."""
@@ -746,38 +672,35 @@ def _crossings_path(path):
 
 def write_curves(root, config, curves, cache=False):
     """Write each curve as a t,rho CSV at the curve_path of its (delta,
-    epsilon_comp) under root; with ``cache``, at its cache path, with rho'
-    as a third column, drho, where it carries one, and its re-stepped
-    crossings in a sidecar (_crossings_path) where it carries them."""
+    epsilon_comp) under root; with ``cache``, at its cache path, with its
+    re-stepped crossings in a sidecar (_crossings_path) where it carries
+    them."""
     for curve in curves:
         path = curve_path(root, config, curve.delta, curve.epsilon_comp, cache)
-        columns = [curve.times, curve.rho]
-        if cache and curve.drho is not None:
-            columns.append(curve.drho)
-        write_csv(path, _CURVE_COLUMNS[: len(columns)], zip(*columns))
+        write_csv(path, ["t", "rho"], zip(curve.times, curve.rho))
         if cache and curve.crossings is not None:
             atomic_write_text(_crossings_path(path),
                               json.dumps(sorted(curve.crossings.items())))
 
 
-def _read_cached(c, path, spec, times, tolerances):
+def _read_cached(path, spec, times, tolerances):
     """The curve of spec, its (delta, epsilon_comp), cached at path, cut at
     its stop sample (the first where rho reaches the largest of
-    ``tolerances``), or None if it is missing, unreadable, lacks the drho
-    column c's curves carry (or has one they do not), its times are not a
-    prefix of the sample grid ``times``, its values are not finite, or it
-    ends before both that sample and T.  A cache written to T or to a
-    larger tolerance is served cut, so a warm run returns bitwise the curve
-    a cold run computes.  Where c's crossings are re-stepped, the curve
-    carries those of the tolerances its cut rho reaches, read from its
-    sidecar, and one missing there (or an unreadable sidecar) is a miss."""
+    ``tolerances``), or None if it is missing, unreadable, not a t,rho
+    file, its times are not a prefix of the sample grid ``times``, its
+    values are not finite, or it ends before both that sample and T.  A
+    cache written to T or to a larger tolerance is served cut, so a warm
+    run returns bitwise the curve a cold run computes.  The curve carries
+    the re-stepped crossings of the tolerances its cut rho reaches, read
+    from its sidecar, and one missing there (or a missing or unreadable
+    sidecar) is a miss."""
     if not os.path.exists(path):
         return None
     try:
         names, rows = read_curve_csv(path)
     except (OSError, ValueError, StopIteration):
         return None
-    if names != _CURVE_COLUMNS[: 3 if _carries_slope(c) else 2]:
+    if names != ["t", "rho"]:
         return None
     t, rho = rows[:, 0], rows[:, 1]
     if not 0 < len(t) <= len(times) or not np.array_equal(t, times[: len(t)]):
@@ -791,20 +714,17 @@ def _read_cached(c, path, spec, times, tolerances):
         end = len(t)
     else:
         return None
-    crossings = None
-    if _restepped(c):
-        try:
-            with open(_crossings_path(path)) as fh:
-                stored = {float(e): float(t_cross) for e, t_cross in json.load(fh)}
-        except (OSError, ValueError, TypeError):
-            return None
-        peak = rho[:end].max()
-        needed = [e for e in tolerances if peak >= e]
-        if any(e not in stored for e in needed):
-            return None
-        crossings = {e: stored[e] for e in needed}
+    try:
+        with open(_crossings_path(path)) as fh:
+            stored = {float(e): float(t_cross) for e, t_cross in json.load(fh)}
+    except (OSError, ValueError, TypeError):
+        return None
+    peak = rho[:end].max()
+    needed = [e for e in tolerances if peak >= e]
+    if any(e not in stored for e in needed):
+        return None
     return ErrorCurve(delta=spec[0], times=t[:end], rho=rho[:end], epsilon_comp=spec[1],
-                      drho=rows[:end, 2] if len(names) == 3 else None, crossings=crossings)
+                      crossings={e: stored[e] for e in needed})
 
 
 def _curve_tolerances(config):
@@ -847,7 +767,7 @@ def run_error_curves(config):
     does, so it is a bitwise prefix of compute_error_curve's full-horizon
     curve.  The cache serves prefixes: a cached curve that reaches that
     sample or runs to T is read back cut to it (_read_cached); the misses
-    are computed together and cached, with rho' where the curves carry it.
+    are computed together and cached, with their re-stepped crossings.
     With config.workers > 1 the misses are dealt to that many processes in
     interleaved batches."""
     tolerances = _curve_tolerances(config)
@@ -857,7 +777,7 @@ def run_error_curves(config):
         times = sweep_times(config)
         for spec in specs:
             path = curve_path(config.cache_dir, config, *spec, cache=True)
-            curve = _read_cached(config, path, spec, times, tolerances[spec])
+            curve = _read_cached(path, spec, times, tolerances[spec])
             if curve is not None:
                 curves[spec] = curve
     misses = [spec for spec in specs if spec not in curves]
@@ -890,27 +810,23 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
     read (event location by interpolating stored steps: Hairer, Norsett &
     Wanner, Solving ODEs I, Sec. II.6; Shampine & Thompson 2000).
 
-    A curve that carries rho' (NLS) gives log t as a cubic Hermite in
-    log rho on the bracket [t[i-1], t[i]], from its end values and slopes
-    d log t / d log rho = rho / (t rho').  Otherwise, or when rho' <= 0 at
-    either end or the Hermite value leaves the bracket (t[i-1], t[i]],
     log t is a cubic in log rho through the four samples i-3..i
     (four-point Lagrange).  That falls back to linear interpolation in
     (log t, log rho) between samples i-1 and i when i < 4, when a window
     sample has t <= 0 or rho <= 0, when log rho is not strictly increasing
-    over the window, or when the cubic leaves the bracket.  A crossing
-    before the first positive sample (t[i-1] = 0) raises NoCrossingError.
-    Both rules read log t against log rho, so their error is set by the
-    spacing relative to t, h / t, not by h: hence NLS's graded clock
-    (sample_times), whose spacing grows with t past its uniform head.
+    over the window, or when the cubic leaves the bracket (t[i-1], t[i]].
+    A crossing before the first positive sample (t[i-1] = 0) raises
+    NoCrossingError.  Both rules read log t against log rho, so their error
+    is set by the spacing relative to t, h / t, not by h.
 
-    This is the public reader of a stored curve and the sweep's rule for
-    NLS, whose default crossings it reads within 1.3e-9 of a fine
-    reference (5.4e-10 on the graded part of the clock).  The sweep
-    re-steps EP crossings instead (epnls.restep), from this reading
-    where there is one, and records how far this reading lies from them
-    (CrossingRecord.interp_shift): on the default EP clocks about 4e-6 in
-    1D and up to 9 % in 2D, whose samples lie 0.1 apart."""
+    This is the public reader of a stored curve.  The sweep re-steps every
+    crossing (epnls.restep), from this reading where there is one, and
+    records how far this reading lies from it
+    (CrossingRecord.interp_shift): on the default clocks about 4e-6 for EP
+    in 1D, up to 9 % in 2D, whose samples lie 0.1 apart, and up to 8e-8
+    for NLS.  As the re-step's first guess, the cubic takes 1.08
+    evaluations per default 1D EP crossing where the linear rule takes
+    1.88."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon < epsilon_floor:
@@ -939,19 +855,6 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
             f"crossing of epsilon = {epsilon:.6g} falls before the first "
             "positive sample; increase the sampling cadence"
         )
-    slopes = None if curve.drho is None else curve.drho[i - 1 : i + 1].tolist()
-    if slopes is not None and min(slopes) > 0.0:
-        # cubic Hermite in x = log rho on [x0, x1], in u = (x - x0) / h,
-        # with its end slopes scaled by h: y0 + m0 u + c u^2 + d u^3
-        x0, x1 = math.log(rl), math.log(rr)
-        y0, y1 = math.log(tl), math.log(tr)
-        h, rise = x1 - x0, y1 - y0
-        m0 = h * rl / (tl * slopes[0])
-        m1 = h * rr / (tr * slopes[1])
-        u = (math.log(epsilon) - x0) / h
-        log_t = y0 + u * (m0 + u * (3.0 * rise - 2.0 * m0 - m1 + u * (m0 + m1 - 2.0 * rise)))
-        if y0 < log_t <= y1:
-            return math.exp(log_t)
     window = slice(i - 3, i + 1)
     if i >= 4 and rho[window].min() > 0.0 and t[window].min() > 0.0:
         x, y = np.log(rho[window]).tolist(), np.log(t[window]).tolist()
@@ -968,11 +871,11 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
 
 def _read_crossing(curve, epsilon, epsilon_floor):
     """(t_cross, interp_shift) of a sweep curve at epsilon: its re-stepped
-    crossing where it carries one, with find_crossing's relative distance
-    from it (None where find_crossing reads none); else find_crossing's
-    reading and None.  Raises as find_crossing does where no crossing
-    exists."""
-    restepped = None if curve.crossings is None else curve.crossings.get(epsilon)
+    crossing, with find_crossing's relative distance from it (None where
+    find_crossing reads none).  A sweep curve carries a crossing of each
+    tolerance from the floor up that it reaches, so where it carries none
+    this raises as find_crossing does."""
+    restepped = curve.crossings.get(epsilon)
     if restepped is None:
         return find_crossing(curve, epsilon, epsilon_floor), None
     try:

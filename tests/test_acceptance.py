@@ -2,7 +2,8 @@
 one printed pass/fail line per criterion.
 
 The sweep-based criteria run the production harness at its default
-epsilon ladder (six points, log-spaced over [1e-3, 1e-2]).  The solver
+epsilon ladder (six points, log-spaced over [1e-3, 1e-2]), but for
+criterion 11, which reads NLS crossings on a ladder three decades deep.  The solver
 exactness checks (criterion 6 and the root residual of criterion 9) are
 the battery `epnls verify` runs, asserted here at this file's own
 tolerances.
@@ -22,9 +23,16 @@ from epnls.evolution import (
     zero_state,
 )
 from epnls.grid import gaussian_initial, make_grid, sobolev_norm
-from epnls.sweep import SweepConfig, compute_error_curve, run_algorithm_a
+from epnls.sweep import (
+    SweepConfig,
+    compute_error_curve,
+    regress_loglog,
+    run_algorithm_a,
+    sweep_times,
+)
 from epnls.theory import (
     LemmaQInput,
+    beta_predict,
     bound_constants,
     lemma_roots,
     q_eval,
@@ -254,4 +262,41 @@ def test_criterion_10_bound_constant_arithmetic():
         10,
         all(checks),
         f"{sum(checks)}/{len(checks)} exact-rational constant checks within 1e-14",
+    )
+
+
+def test_criterion_11_deep_nls_ladder():
+    # the default NLS sweep on a ladder three decades deep, to 1e-5: 11 of
+    # its crossings lie before the clock's first positive sample and are
+    # re-stepped from t = 0.  Those lie within 1e-9 of a uniform clock of
+    # dt = 2e-5 at 50,000 samples per unit time (measured 2.2e-13; the
+    # whole ladder within 1.2e-10), whose short run to T = 2e-3 holds them
+    # all, and the last decade's OLS beta (eps 1e-4 to 1e-5, five points)
+    # lies within 1e-3 of theory for every default alpha (measured 1.1e-8,
+    # 2.9e-7, 1.1e-5 and 3.8e-4).  The ladder takes ~0.04 s
+    kw = dict(model="nls", epsilon_set=tuple(np.logspace(-2.0, -5.0, 13)),
+              epsilon_floor=1e-6)
+    cfg = SweepConfig(**kw)
+    start = time.monotonic()
+    result = run_algorithm_a(cfg)
+    elapsed = time.monotonic() - start
+    assert not result.failures, result.failures
+    fine = run_algorithm_a(SweepConfig(**kw, T=2e-3, dt=2e-5, samples_per_unit_time=50000,
+                                       sample_growth=0))
+    reference = {(r.alpha, r.epsilon): r.t_cross for r in fine.crossings}
+    first = sweep_times(cfg)[1]
+    early = [abs(r.t_cross / reference[r.alpha, r.epsilon] - 1)
+             for r in result.crossings if r.t_cross < first]
+    last_decade = cfg.epsilon_set[-5:]
+    errs = [abs(regress_loglog([r for r in result.crossings
+                                if r.alpha == alpha and r.epsilon in last_decade]).beta
+                - beta_predict(alpha, cfg.p, "nls").beta)
+            for alpha in cfg.alpha_set]
+    ok = len(early) == 11 and max(early) <= 1e-9 and max(errs) <= 1e-3 and elapsed < 5
+    report(
+        11,
+        ok,
+        f"NLS ladder to 1e-5: {len(early)} crossings before sample 1 (expected 11), "
+        f"within {max(early):.2e} of a fine clock (tol 1e-9); last-decade beta "
+        f"|err| {[f'{e:.1e}' for e in errs]} (tol 1e-3); {elapsed:.2f}s (budget 5s)",
     )

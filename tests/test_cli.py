@@ -375,11 +375,10 @@ def test_summary_records_each_curves_stop_time(tmp_path, capsys):
 
 @pytest.mark.parametrize("model", ["ep", "nls"])
 def test_summary_records_each_crossings_interpolation_shift(tmp_path, capsys, model):
-    # EP crossings are re-stepped, and the summary gives, per crossing, how
+    # crossings are re-stepped, and the summary gives, per crossing, how
     # far find_crossing's interpolated reading lies from it (relative):
-    # present and finite, and below 1e-4 on the default 1D clock, where the
-    # cubic reads within ~4e-6.  NLS crossings are the interpolated reading
-    # itself, so theirs is null
+    # present and finite, and below 1e-4 on the default 1D clocks, where the
+    # cubic reads within ~4e-6 (EP) and ~8e-8 (NLS)
     text = FAST_SWEEP_INI if model == "ep" else "[physics]\nmodel = nls\n[sweep]\nalphas = 0\n"
     out = tmp_path / "sweep"
     cfg = write_cfg(tmp_path, text)
@@ -388,10 +387,7 @@ def test_summary_records_each_crossings_interpolation_shift(tmp_path, capsys, mo
     rows = (out / "crossings.csv").read_text().splitlines()[1:]
     assert len(shifts) == len(rows) >= 3  # one per crossings.csv row
     for shift in shifts:
-        if model == "ep":
-            assert np.isfinite(shift) and 0 <= shift < 1e-4
-        else:
-            assert shift is None
+        assert np.isfinite(shift) and 0 <= shift < 1e-4
 
 
 @pytest.mark.parametrize("growth, samples", [("auto", 147), ("0", 401)])
@@ -435,10 +431,10 @@ def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkey
     assert warm == cold
 
 
-def test_nls_sweep_writes_t_rho_and_caches_drho(tmp_path, capsys, monkeypatch):
-    # the cache keeps rho' for the Hermite crossings; the output curve
-    # files keep their t,rho form, and a warm run writes the cold run's
-    # bytes
+def test_nls_sweep_writes_t_rho_and_caches_crossings(tmp_path, capsys, monkeypatch):
+    # the cache keeps each curve as t,rho beside the sidecar of its
+    # re-stepped crossings; the output curve files keep their t,rho form,
+    # and a warm run writes the cold run's bytes
     cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n[solver]\nT = 0.1\n"
                     "[sweep]\nalphas = 0,0.2\nepsilons = 1e-2,5e-3,3e-3\n"
                     f"[output]\ncache_dir = {tmp_path / 'cache'}\n")
@@ -451,18 +447,19 @@ def test_nls_sweep_writes_t_rho_and_caches_drho(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(epnls.sweep, "_curve_batch", refuse)
     assert main(["sweep", "--config", cfg, "--out", str(runs[1])]) == EXIT_OK
     cached = sorted((tmp_path / "cache").rglob("*.csv"))
+    sidecars = sorted((tmp_path / "cache").rglob("*.crossings.json"))
     written = [sorted(out.rglob("curves/*/*.csv")) for out in runs]
-    assert len(cached) == len(written[0]) == 4
-    assert all(p.read_text().startswith("t,rho,drho\n") for p in cached)
+    assert len(cached) == len(sidecars) == len(written[0]) == 4
+    assert all(p.read_text().startswith("t,rho\n0,0\n") for p in cached)
     assert all(p.read_text().startswith("t,rho\n0,0\n") for p in written[0])
     assert [p.read_bytes() for p in written[0]] == [p.read_bytes() for p in written[1]]
 
 
 def test_sweep_into_its_own_cache_dir_computes_no_curve_again(tmp_path, capsys,
                                                             monkeypatch):
-    # an output directory that is also the cache keeps both forms, the
-    # output's t,rho curve files and the cache's t,rho,drho ones, so a
-    # rerun into it is served from the cache and writes the same bytes
+    # an output directory that is also the cache keeps both, the output's
+    # curve files and the cache's with their crossing sidecars, so a rerun
+    # into it is served from the cache and writes the same bytes
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n[solver]\nT = 0.1\n"
                     "[sweep]\nalphas = 0,0.2\nepsilons = 1e-2,5e-3,3e-3\n"
@@ -484,8 +481,8 @@ def test_sweep_into_its_own_cache_dir_computes_no_curve_again(tmp_path, capsys,
     assert computed == [4, 0, 0]
     assert blobs[0] == blobs[1] == blobs[2]
     cached = sorted(out.glob("curve_cache/*/*.csv"))
-    assert len(cached) == 4
-    assert all(p.read_text().startswith("t,rho,drho\n") for p in cached)
+    assert len(cached) == len(list(out.glob("curve_cache/*/*.crossings.json"))) == 4
+    assert all(p.read_text().startswith("t,rho\n") for p in cached)
 
 
 def test_composite_sweep_writes_one_curve_file_per_epsilon(tmp_path, capsys):

@@ -142,7 +142,7 @@ def test_config_hash_sensitivity():
 
 @pytest.mark.parametrize("doc, pinned", [
     ("", "c32c15fb357cd530"),
-    ("[physics]\nmodel = nls\n", "b2e6d0865ee37109"),
+    ("[physics]\nmodel = nls\n", "6021561696611aec"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
      "alphas = 0,0.2\n", "6f5ef019832ccc53"),
 ], ids=["ep", "nls", "composite-2d"])

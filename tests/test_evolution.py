@@ -6,7 +6,6 @@ import epnls.evolution
 from epnls.grid import (
     EvenGrid,
     Field,
-    Grid,
     free_propagate,
     free_symbol,
     gaussian_initial,
@@ -31,7 +30,6 @@ from epnls.evolution import (
     evolve_system_a,
     linear_pair_propagator,
     model_stream,
-    nls_forcing,
     nonlinear_phase,
     relative_error_curve,
     sample_times,
@@ -783,31 +781,6 @@ def test_blowup_on_a_graded_clock_reports_the_steps_taken(monkeypatch, per_block
 
 
 # ---------------------------------------------------------------- NLS
-
-
-@pytest.mark.parametrize("p, g", [(3.0, 1.0), (5.0, -0.5), (3.0, 0.0)], ids=["p3", "p5", "g0"])
-@pytest.mark.parametrize("kind, n, N", [
-    (Grid, 1, 128), (Grid, 2, 16), (EvenGrid, 1, 128), (EvenGrid, 2, 16),
-], ids=["1d", "2d", "even-1d", "even-2d"])
-def test_nls_forcing_into_out_is_bitwise_its_returned_form(kind, n, N, p, g):
-    # F = fft(g |u|^(p-1) u) for a batch of spectra, returned as a new
-    # array or written into rows of a larger stack, as the sweep does; both
-    # bitwise the transforms of the product formed out of place, on the
-    # full grid and on the even subspace the sweep steps
-    grid = kind(n, N, 10.0)
-    params = ModelParams(g=g, p=p)
-    rng = np.random.default_rng(n)
-    shape = (2, 3) + grid.shape
-    phi_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    returned = nls_forcing(grid, params, phi_hat)
-    stack = np.full((8,) + grid.shape, np.nan + 0j)
-    out = stack[2:].reshape(shape)
-    assert nls_forcing(grid, params, phi_hat, out=out) is out
-    assert np.array_equal(out, returned)
-    assert np.isnan(stack[:2]).all()
-    u = grid.ifft(phi_hat)
-    rate = np.abs(u) * np.abs(u) if p == 3.0 else np.abs(u) ** (p - 1.0)
-    assert np.array_equal(returned, grid.fft(u * (rate * g)))
 
 
 def test_nls_g_zero_is_free_propagation():
