@@ -218,9 +218,7 @@ def cmd_sweep(args):
                  "r_squared": b.r_squared, "npoints": b.npoints}
                 for b in result.betas
             ],
-            "solver": {"T": cfg.T, "dt": cfg.dt,
-                       "samples_per_unit_time": cfg.samples_per_unit_time,
-                       "sample_growth": cfg.sample_growth,
+            "solver": {"T": cfg.T, "dt": cfg.dt, "sample_growth": cfg.sample_growth,
                        "samples": len(sweep_times(cfg)),
                        "comparator": cfg.comparator},
             "curves": [

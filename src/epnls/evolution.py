@@ -16,25 +16,13 @@ Both take Yoshida's fourth-order triple jump (Yoshida 1990, Phys. Lett. A
 150:262): Strang steps flow(w dt/2), rotation(w dt), flow(w dt/2) of
 weights w1, w0, w1, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0.  Every
 substep is unitary and reversible, so the negative middle weight is
-harmless; halving dt divides the step error by 16.  Both default clocks
-take one triple jump per sample.  Crossings are located by re-stepping
-the integrator inside their brackets (jump, from the state at the
-bracket's left sample), so the step alone limits them.  EP's default
-clock is per dimension: dt = 1/30 at 30 samples per unit time in 1D and
-3D, 0.1 at 10 in 2D.  Its default crossings are within 4.5e-7 (1D) and
-1.9e-5 (2D composite) of the same sweeps re-stepped on fine clocks (dt =
-1e-3 at 1,000 samples per unit time in 1D, 2e-3 at 500 in 2D), where the
-former clock, dt = 2e-2 at 50 read by a four-point cubic, gave 5.5e-7 and
-3.4e-5, nearly all of it the cubic's.  (With the rotation outside each
-Strang step, as Thalhammer 2012, SIAM J. Numer. Anal. 50:3231, allows
-too, the step gave 6.3e-7 and 1.3e-7 at dt = 2e-2, against 5.5e-8 and
-1.1e-8.)  NLS takes dt = 5e-4 at 2,000 samples per unit time, on a clock
-graded by sample_growth = 1/32 (sample_times: uniform up to t = 0.032,
-then spacing at most t/32, an interval of m base intervals taking its
-triple jump at m dt), so 147 samples on [0, 0.2] where a uniform clock
-has 401.  Its crossings are within 4.4e-11 of a uniform triple jump at
-dt = 2e-5 with 50,000 samples per unit time; dt = 2.5e-5 at the same
-samples moves them by 7.5e-12.
+harmless; halving dt divides the step error by 16.  With the rotation
+outside each Strang step, as Thalhammer 2012 (SIAM J. Numer. Anal.
+50:3231) allows too, the step gave 6.3e-7 and 1.3e-7 on the default 1D
+and 2D EP sweeps at dt = 2e-2, against 5.5e-8 and 1.1e-8.  The sweep's
+clock is dt alone, every sample one triple jump of dt, and its crossings
+are re-stepped inside their brackets (jump), so the step alone limits
+them; sweep._MODEL_DEFAULTS gives the default clocks and their accuracy.
 The kernel carries spectra and takes only the rotated field to physical
 space and back, for each rotation (McLachlan & Quispel 2002,
 Acta Numerica 11:341): an EP step transforms psi alone and phi never

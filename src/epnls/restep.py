@@ -7,9 +7,13 @@ Norsett & Wanner, Solving ODEs I, 2nd ed., Sec. II.6; Shampine & Thompson
 between the samples t_left and t_right, one triple jump of h from the
 state at t_left gives the state at t_left + h with the step's own
 accuracy, and a safeguarded secant on log rho against log t finds the h
-where rho equals the tolerance.  The sweep (sweep._measure_batch) holds
-each crossing's spectra at t_left (_Held: EP's photon and exciton, NLS's
-photon) and runs the secants of a batch together (_restep_crossings).
+where rho equals the tolerance.  Every sweep sample is one triple jump
+of dt (of m dt on an interval of m units), so h is at most the bracket's
+width: a re-step's jump is never longer than the stream's step across
+its bracket; only a bracket from t = 0 takes _JUMPS_FROM_ZERO shorter
+ones.  The sweep (sweep._measure_batch) holds each crossing's spectra at
+t_left (_Held: EP's photon and exciton, NLS's photon) and runs the
+secants of a batch together (_restep_crossings).
 Read this way, the default EP clocks need 61 % (1D) to a fifth (2D) of the
 samples that interpolating the stored samples (sweep.find_crossing) needs
 for the same error, and NLS's default crossings lie within 4.4e-11 of a

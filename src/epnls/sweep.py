@@ -52,34 +52,33 @@ COMPARATOR_COMPOSITE = "composite"
 COMPARATOR_LINEAR_NLS = "linear-nls"
 
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
-# crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  Both
-# take one fourth-order triple jump per sample.  Crossings are re-stepped
-# inside their brackets (epnls.restep), so the step alone limits them,
-# and EP's clock is per dimension n: dt = 1/30 at 30 samples per unit time
-# in 1D and 3D, 0.1 at 10 in 2D.  Against re-stepped fine clocks (dt = 1e-3
-# at 1,000 in 1D, 2e-3 at 500 in 2D and 3D) the default sweeps read within
-# 4.5e-7 (1D), 1.9e-5 (2D composite) and 2.2e-7 (3D system B, N = 16), each
-# no more than the former clock (dt = 2e-2 at 50, read by the cubic rule:
-# 5.5e-7, 3.4e-5 and 3.6e-7).  One dt for every n would be bound by 1D and
-# 3D: 1D breaks that rule past 1/30 (0.04: 1.0e-6), 3D at 0.05 (1.1e-6),
-# while the 2D composite keeps it at 0.1 (0.125: 9.2e-5), where its sweep
-# takes half the time it takes at 1/30.  2D system B (N = 64), whose
-# samples the cubic read within 3.9e-7, reads 1.6e-5 at 0.1.  The NLS
-# crossings (beta = 1 - (p-1) alpha) span two decades, t ~ 1.0e-3 to
-# 0.17, so its clock is graded: dt = 5e-4 at 2,000 samples per unit time,
-# uniform up to t = 0.032 and then spacing at most t/32 (sample_growth,
-# sample_times), 147 samples against 401.  Its crossings are within
-# 4.4e-11 of a uniform triple jump at dt = 2e-5 with 50,000 samples; one
-# before sample 1 is re-stepped from t = 0, so deeper ladders read on the
-# same clock.  A faster-growing tail grows the step too: q = 1/8 reads
-# 7.0e-9.  EP keeps a uniform clock: its crossings, at t ~ 0.3-1.5, span
-# less than a decade
+# crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  The
+# clock is dt alone: every sample is one fourth-order triple jump of dt
+# (of m dt on an interval of m units, sample_growth).  Crossings are
+# re-stepped inside their brackets (epnls.restep), so the step alone
+# limits them, and EP's clock is per dimension n: dt = 1/30 in 1D and 3D,
+# 0.1 in 2D.  Against re-stepped fine clocks (dt = 1e-3 in 1D, 2e-3 in 2D
+# and 3D) the default sweeps read within 4.5e-7 (1D), 1.9e-5 (2D
+# composite) and 2.2e-7 (3D system B, N = 16), each no more than the
+# former clock (dt = 2e-2, read by the cubic rule: 5.5e-7, 3.4e-5 and
+# 3.6e-7).  One dt for every n would be bound by 1D and 3D: 1D breaks that
+# rule past 1/30 (0.04: 1.0e-6), 3D at 0.05 (1.1e-6), while the 2D
+# composite keeps it at 0.1 (0.125: 9.2e-5), where its sweep takes half the
+# time it takes at 1/30.  2D system B (N = 64), whose samples the cubic
+# read within 3.9e-7, reads 1.6e-5 at 0.1.  The NLS crossings (beta = 1 -
+# (p-1) alpha) span two decades, t ~ 1.0e-3 to 0.17, so its clock is
+# graded: dt = 5e-4, uniform up to t = 0.032 and then spacing at most t/32
+# (sample_growth, sample_times), 147 samples against 401.  Its crossings
+# are within 4.4e-11 of a uniform triple jump at dt = 2e-5; one before
+# sample 1 is re-stepped from t = 0, so deeper ladders read on the same
+# clock.  A faster-growing tail grows the step too: q = 1/8 reads 7.0e-9.
+# EP keeps a uniform clock: its crossings, at t ~ 0.3-1.5, span less than
+# a decade
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": {1: 1.0 / 30, 2: 0.1, 3: 1.0 / 30},
-         "samples_per_unit_time": {1: 30, 2: 10, 3: 30},
          "sample_growth": 0.0, "comparator": COMPARATOR_SYSTEM_B},
-    NLS: {"T": 0.2, "dt": 5e-4, "samples_per_unit_time": 2000,
-          "sample_growth": 1.0 / 32, "comparator": COMPARATOR_LINEAR_NLS},
+    NLS: {"T": 0.2, "dt": 5e-4, "sample_growth": 1.0 / 32,
+          "comparator": COMPARATOR_LINEAR_NLS},
 }
 
 DEFAULT_ALPHAS = (0.0, 0.1, 0.2, 0.3)
@@ -158,14 +157,17 @@ class SweepConfig:
     """Declarative description of one full run: grid, physics, amplitude
     ladder, solver clock and output places.
 
-    Fields left None (s, T, dt, samples_per_unit_time, sample_growth,
-    comparator) are filled with the model's defaults at construction, so
-    every instance is fully resolved.  Grid, physics and clock are checked
-    by the objects they describe (check_grid_args, ModelParams, StepSpec
-    and sample_times), and max_points by the largest batch member the
-    sweep needs, so an invalid config fails here, before any run.
-    sample_growth grades the clock (StepSpec, sample_times); a fine
-    reference sets it to 0, as a graded clock is no finer at late t.
+    Fields left None (s, T, dt, sample_growth, comparator) are filled
+    with the model's defaults at construction, so every instance is fully
+    resolved.  Grid, physics and clock are checked by the objects they
+    describe (check_grid_args, ModelParams, StepSpec and sample_times), and
+    max_points by the largest batch member the sweep needs, so an invalid
+    config fails here, before any run.  The clock is dt alone, which must
+    be 1/n for a whole n >= 1: every sample is one triple jump of dt, so a
+    finer dt samples as finely and a re-stepped crossing jumps no further
+    than its bracket's step.  sample_growth grades the clock (StepSpec,
+    sample_times); a fine reference sets it to 0, as a graded clock is no
+    finer at late t.
 
     The default grid, N = 128 on [-10, 10), is set by measured spatial
     convergence: the Gaussian's spectrum exp(-k^2/2) and its p-th power
@@ -188,7 +190,6 @@ class SweepConfig:
     epsilon_set: tuple = DEFAULT_EPSILONS
     T: float | None = None
     dt: float | None = None
-    samples_per_unit_time: int | None = None
     sample_growth: float | None = None
     comparator: str | None = None
     c1: float = 0.0
@@ -281,7 +282,7 @@ def physics_signature(config):
         f"s={fmt(config.s)}",
         f"T={fmt(config.T)}",
         f"dt={fmt(config.dt)}",
-        f"spu={config.samples_per_unit_time}",
+        f"spu={round(1 / config.dt)}",  # the clock's samples per unit time
         f"comparator={config.comparator}",
         f"solver={SOLVER_REVISION[config.model]}",
     ]
@@ -378,8 +379,13 @@ def _comparator_symbols(c, grid, params, comps):
 
 
 def _solver_step(c):
-    return StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time,
-                    sample_growth=c.sample_growth)
+    """c's clock: one sample per triple jump of c.dt (of m dt on an m-unit
+    interval), so dt must be 1/n for a whole n >= 1."""
+    per_unit = round(1 / c.dt)  # 0 for dt = inf
+    if per_unit < 1 or abs(per_unit * c.dt - 1) > 1e-9:
+        raise ValueError(f"dt = {c.dt} is not 1/n for a whole n >= 1, "
+                         "as a sweep samples every step")
+    return StepSpec(dt=c.dt, samples_per_unit_time=per_unit, sample_growth=c.sample_growth)
 
 
 def sweep_times(c):
@@ -477,18 +483,22 @@ def _measure_batch(c, specs, tolerances, block_points):
     curve_phi0_hat = phi_hat[member]
     stream = model_stream(c.model, grid, params, step, times, phi_hat)
     del phi_hat  # the stream owns the photon spectra
+    # sample 0, taken before the first block so that its field count sizes
+    # every block's stack
+    first = [next(stream)[1]]
+    fields = len(first[0])
     rho = np.empty((len(specs), len(times)))
     ends = np.full(len(specs), len(times))
     points = _grid_points(c)
 
     def block_size(i):
         # the largest K of at most block_points truth points whose stack
-        # rows (at most two fields per batch row and a difference per
-        # curve), twice over for their temporaries, fit in max_points beside
-        # the batch and every crossing it holds or will hold
+        # rows (each field's per batch row and a difference per curve),
+        # twice over for their temporaries, fit in max_points beside the
+        # batch and every crossing it holds or will hold
         waiting = sum(map(len, pending))
         room = c.max_points - _batch_points(c, rows, len(live), len(held) + waiting)
-        per_sample = 2 * points * (2 * rows + len(live))
+        per_sample = 2 * points * (fields * rows + len(live))
         return max(1, min(block_points // (rows * points), room // per_sample, len(times) - i))
 
     def block(i, k, keep):
@@ -501,9 +511,8 @@ def _measure_batch(c, specs, tolerances, block_points):
         # coexists with a step's temporaries
         states = None
         for j in range(k):
-            spectra = stream.send(None if j else keep)[1]
+            spectra = first.pop() if first else stream.send(None if j else keep)[1]
             if states is None:
-                fields = len(spectra)
                 stack = np.empty((k * (fields * rows + len(live)),) + grid.shape,
                                  np.complex128)
                 truth = stack[: k * rows].reshape((k, rows) + grid.shape)

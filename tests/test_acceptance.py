@@ -281,8 +281,7 @@ def test_criterion_11_deep_nls_ladder():
     result = run_algorithm_a(cfg)
     elapsed = time.monotonic() - start
     assert not result.failures, result.failures
-    fine = run_algorithm_a(SweepConfig(**kw, T=2e-3, dt=2e-5, samples_per_unit_time=50000,
-                                       sample_growth=0))
+    fine = run_algorithm_a(SweepConfig(**kw, T=2e-3, dt=2e-5, sample_growth=0))
     reference = {(r.alpha, r.epsilon): r.t_cross for r in fine.crossings}
     first = sweep_times(cfg)[1]
     early = [abs(r.t_cross / reference[r.alpha, r.epsilon] - 1)

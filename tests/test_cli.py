@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -130,8 +131,12 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[solver]\ndt = 3e-3\n", "does not divide the sampling interval"),
+    # a sweep samples every step, so its dt is 1/n for a whole n
+    ("[solver]\ndt = 3e-3\n", "dt = 0.003 is not 1/n for a whole n >= 1"),
     ("[solver]\ndt = -1e-3\n", "dt must be positive"),
+    # the sweep's clock is dt alone
+    ("[solver]\nsamples_per_unit_time = 30\n",
+     "unknown key 'samples_per_unit_time' in section [solver]"),
     ("[solver]\nT = 1.005\n", "not a positive multiple of the sampling interval"),
     ("[grid]\nn = 4\n", "dimension n must be 1, 2, or 3"),
     ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
@@ -151,11 +156,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[grid]\nL = inf\n", "half-width L must be positive and finite, got inf"),
     ("[physics]\np = inf\n", "p must be finite, got inf"),
     ("[sweep]\nepsilon_floor = nan\n", "epsilon_floor must be finite and nonnegative"),
-], ids=["dt", "negative_dt", "T", "n", "max_points", "max_points_member",
-        "max_points_composite", "empty_outdir", "T_inf", "alphas_nan", "gamma_nan",
-        "L_inf", "p_inf", "epsilon_floor_nan"])
+], ids=["dt", "negative_dt", "samples_per_unit_time", "T", "n", "max_points",
+        "max_points_member", "max_points_composite", "empty_outdir", "T_inf", "alphas_nan",
+        "gamma_nan", "L_inf", "p_inf", "epsilon_floor_nan"])
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config_text(text)
     out = tmp_path / "o"
     argv = ["sweep", "--config", write_cfg(tmp_path, text), "--out", str(out)]
@@ -252,9 +257,9 @@ def test_simulate_amplitude_extremes_exit_cleanly(tmp_path, capsys, recwarn,
     # A nonlinear rotation angle past 2^52 rad carries no phase: at 1e150
     # it is ~1e295 rad (and inf once |u|^2 overflows), at 1e7 below 1e11.
     # The mass column is inf where the L2 norm passes ~1e154, as documented
-    # T = 0.04 is not a whole number of the default EP sample interval
-    # 1/30, so EP runs take the clock of dt = 0.02 at 50 samples per unit time
-    clock = "" if physics == "model = nls" else "dt = 0.02\nsamples_per_unit_time = 50\n"
+    # T = 0.04 is not a whole number of the default EP step 1/30, so EP
+    # runs take dt = 0.02
+    clock = "" if physics == "model = nls" else "dt = 0.02\n"
     cfg = write_cfg(tmp_path, f"[grid]\nN = 64\n[physics]\n{physics}\n"
                               f"[solver]\nT = 0.04\n{clock}")
     out = tmp_path / "out"
@@ -393,7 +398,8 @@ def test_summary_records_each_crossings_interpolation_shift(tmp_path, capsys, mo
 @pytest.mark.parametrize("growth, samples", [("auto", 147), ("0", 401)])
 def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, growth, samples):
     # the NLS default clock, graded by 1/32, against the uniform one: the
-    # summary's solver block records the growth and the clock's samples
+    # summary's solver block records the growth and the clock's samples,
+    # and no sample rate of its own, as the clock is dt alone
     cfg = write_cfg(tmp_path, f"[physics]\nmodel = nls\n[solver]\nsample_growth = {growth}\n"
                     "[sweep]\nalphas = 0\nepsilons = 1e-2,5e-3,3e-3\n")
     out = tmp_path / "sweep"
@@ -402,6 +408,7 @@ def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, growth,
     assert solver["sample_growth"] == (1.0 / 32 if growth == "auto" else 0.0)
     assert solver["samples"] == samples
     assert all(np.isfinite(solver[key]) for key in ("sample_growth", "samples"))
+    assert "samples_per_unit_time" not in solver
 
 
 def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ def test_empty_document_yields_spec_defaults():
     assert cfg.s == 1.0  # floor(n/2 + 1) for n = 1
     assert cfg.model == "ep"
     assert cfg.comparator == "systemB"
-    assert (cfg.T, cfg.dt, cfg.samples_per_unit_time) == (2.0, 1.0 / 30, 30)
+    assert (cfg.T, cfg.dt) == (2.0, 1.0 / 30)
     assert len(cfg.epsilon_set) == 6
     assert cfg.epsilon_set[0] == pytest.approx(1e-2)
     assert cfg.epsilon_set[-1] == pytest.approx(1e-3)
@@ -54,7 +54,6 @@ def test_nls_model_defaults():
     assert cfg.comparator == "linear-nls"
     assert cfg.T == 0.2
     assert cfg.dt == 5e-4
-    assert cfg.samples_per_unit_time == 2000
     assert cfg.sample_growth == 1.0 / 32
     assert parse_config_text("").sample_growth == 0.0
 
@@ -111,7 +110,7 @@ def test_roundtrip_identity():
 
 
 def test_explicit_solver_values_survive_roundtrip():
-    doc = "[solver]\nT = 1.25\ndt = 2.5e-4\nsamples_per_unit_time = 200\n"
+    doc = "[solver]\nT = 1.25\ndt = 2.5e-4\n"
     cfg = parse_config_text(doc)
     assert cfg.T == 1.25
     rt = parse_config_text(serialize_config(cfg))
@@ -136,7 +135,7 @@ def test_config_hash_sensitivity():
     assert config_hash(base) == config_hash(relad)
     phys = parse_config_text("[physics]\ngamma = 2\n")
     assert config_hash(base) != config_hash(phys)
-    clock = parse_config_text("[solver]\ndt = 0.0125\nsamples_per_unit_time = 40\n")
+    clock = parse_config_text("[solver]\ndt = 0.0125\n")
     assert config_hash(base) != config_hash(clock)
 
 
@@ -175,7 +174,6 @@ epsilon_floor = 1e-7
 [solver]
 T = 1.5
 dt = 0.002
-samples_per_unit_time = 20
 sample_growth = 0.25
 workers = 2
 [output]

@@ -46,6 +46,7 @@ from epnls.sweep import (
     regress_loglog,
     run_algorithm_a,
     run_error_curves,
+    solver_setup,
     sweep_times,
     write_curves,
 )
@@ -92,19 +93,28 @@ def test_config_validation():
         SweepConfig(comparator="composite", c1=100.0)  # t1 = 10 > T = 2
     # c1 is ignored by the other comparators
     assert SweepConfig(c1=100.0).c1 == 100.0
+    # the clock is dt alone, one sample per step, so dt is 1/n for a whole n
+    with pytest.raises(TypeError, match="samples_per_unit_time"):
+        SweepConfig(samples_per_unit_time=30)
+    with pytest.raises(ValueError, match=r"^dt = 0\.03 is not 1/n for a whole n >= 1"):
+        SweepConfig(dt=0.03)
+    with pytest.raises(ValueError, match=r"^dt = 2\.0 is not 1/n"):
+        SweepConfig(T=2.0, dt=2.0)
 
 
 def test_config_resolution_defaults():
     # a constructed config is already resolved
     ep = SweepConfig(model="ep")
     assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 1.0 / 30, "systemB", 1.0)
-    assert ep.samples_per_unit_time == 30
     # EP's clock is per dimension: 2D takes a coarser one
     ep_2d, ep_3d = SweepConfig(model="ep", n=2, N=16), SweepConfig(model="ep", n=3, N=16)
-    assert (ep_2d.dt, ep_2d.samples_per_unit_time) == (0.1, 10)
-    assert (ep_3d.dt, ep_3d.samples_per_unit_time) == (ep.dt, ep.samples_per_unit_time)
+    assert (ep_2d.dt, ep_3d.dt) == (0.1, ep.dt)
     nls = SweepConfig(model="nls", n=2, N=32)
-    assert (nls.T, nls.dt, nls.samples_per_unit_time) == (0.2, 5e-4, 2000)
+    assert (nls.T, nls.dt) == (0.2, 5e-4)
+    # each clock takes one sample per triple jump of dt
+    steps = [solver_setup(c)[2] for c in (ep, ep_2d, ep_3d, nls)]
+    assert [(s.dt, s.samples_per_unit_time, s.steps_per_sample) for s in steps] == [
+        (1.0 / 30, 30, 1), (0.1, 10, 1), (1.0 / 30, 30, 1), (5e-4, 2000, 1)]
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
     assert ep.resolved() is ep and ep.to_sweep_config() is ep
@@ -310,10 +320,11 @@ def test_crossing_monotone_in_epsilon():
 
 
 def test_crossing_stable_under_cadence_halving():
+    # the cadence is the step: halving it doubles dt
     base = SweepConfig(model="ep", N=64, T=1.5, alpha_set=(0.0,), dt=1e-2,
-                       epsilon_set=(1e-2,), samples_per_unit_time=100)
-    halved = SweepConfig(model="ep", N=64, T=1.5, alpha_set=(0.0,), dt=1e-2,
-                         epsilon_set=(1e-2,), samples_per_unit_time=50)
+                       epsilon_set=(1e-2,))
+    halved = SweepConfig(model="ep", N=64, T=1.5, alpha_set=(0.0,), dt=2e-2,
+                         epsilon_set=(1e-2,))
     t_base = run_algorithm_a(base).crossings[0].t_cross
     t_halved = run_algorithm_a(halved).crossings[0].t_cross
     assert abs(t_base - t_halved) < 1.0 / 50  # local sample spacing
@@ -499,7 +510,6 @@ def test_comparator_rows_on_levels_are_bitwise_the_full_lattice_rows(
 
 def test_nls_meta_fit_small():
     cfg = SweepConfig(model="nls", N=128, T=0.05, dt=5e-5,
-                      samples_per_unit_time=2000,
                       alpha_set=(0.0, 0.1), epsilon_set=(1e-2, 3e-3, 1e-3))
     res = run_algorithm_a(cfg)
     assert isinstance(res, AlgorithmAResult)
@@ -543,8 +553,7 @@ def _reference_curve(c, delta, epsilon_comp=None):
     comparator, diffed in physical space."""
     grid = make_grid(c.n, c.N, c.L)
     params = ModelParams(g=c.g, gamma=c.gamma, omega0=c.omega0, p=c.p, s=c.s)
-    step = StepSpec(dt=c.dt, samples_per_unit_time=c.samples_per_unit_time,
-                    sample_growth=c.sample_growth)
+    step = solver_setup(c)[2]
     phi0 = gaussian_initial(grid, delta)
     if c.model == "nls":
         truth = evolve_nls(phi0, params, step, c.T)
@@ -565,10 +574,8 @@ def _reference_curve(c, delta, epsilon_comp=None):
     (dict(model="ep", N=64, T=1.0), 0.5, None),
     (dict(model="ep", n=2, N=16, L=6.0, T=1.0, dt=1e-2, comparator="composite",
           c1=1.0), 1.0, 4e-2),
-    (dict(model="nls", N=64, T=0.02, dt=1e-4, samples_per_unit_time=1000),
-     0.7, None),
-    (dict(model="nls", N=64, T=0.05, dt=1e-4, samples_per_unit_time=1000,
-          sample_growth=0.25), 0.7, None),
+    (dict(model="nls", N=64, T=0.02, dt=1e-4), 0.7, None),
+    (dict(model="nls", N=64, T=0.05, dt=1e-4, sample_growth=0.25), 0.7, None),
 ])
 def test_engine_matches_full_state_reference(kw, delta, eps_comp):
     cfg = SweepConfig(**kw)
@@ -651,7 +658,7 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
 
 
 # four NLS curves from four distinct amplitudes
-# on a uniform clock, so that sample j is at j / samples_per_unit_time
+# on a uniform clock, so that sample j is at j dt
 FOUR_NLS_CURVES = dict(model="nls", N=64, T=0.02, sample_growth=0, alpha_set=(0.0, 0.2),
                        epsilon_set=(1e-2, 3e-3, 1e-3))
 
@@ -718,7 +725,7 @@ def test_kernel_error_past_a_stop_reruns_the_batch_sample_by_sample(monkeypatch)
     def fail(j, rows, spectra):
         if np.any(ends[rows] <= j):
             raised.append(j)
-            raise SolverBlowupError(j / cfg.samples_per_unit_time, j)
+            raise SolverBlowupError(j * cfg.dt, j)
 
     _patch_streams(monkeypatch, fail)
     assert _bits(run_error_curves(cfg)) == _bits(reference)
@@ -746,6 +753,35 @@ def test_vanishing_truth_past_a_stop_is_no_error(monkeypatch):
     assert len(streams) == 2
 
 
+def test_nls_blocks_fill_the_room_max_points_leaves(monkeypatch):
+    # an NLS block's stack holds one field row per batch row, where EP's
+    # holds two: a max_points that leaves room for three samples of the
+    # four amplitudes' stack (4 truth and 4 difference rows, twice over
+    # for temporaries) beside their arrays and six crossings gives every
+    # block three samples while all four amplitudes step, the first
+    # block included
+    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    points = epnls.sweep._grid_points(cfg)
+    room = epnls.sweep._batch_points(cfg, 4, 4, 6) + 2 * points * (4 + 4) * 3
+    sizes, symbols = [], epnls.sweep._comparator_symbols
+
+    def recorded(*args):
+        inner = symbols(*args)
+
+        def at(t):  # each block's sample times, then each re-step round's
+            sizes.append(np.size(t))
+            return inner(t)
+
+        return at
+
+    monkeypatch.setattr(epnls.sweep, "_comparator_symbols", recorded)
+    curves = run_error_curves(SweepConfig(**FOUR_NLS_CURVES, max_points=room))
+    shortest, blocks = min(len(c.times) for c in curves), []
+    while sum(blocks) < shortest:
+        blocks.append(sizes[len(blocks)])
+    assert blocks == [3] * 8
+
+
 @pytest.mark.parametrize("which", ["first", "last"])
 @pytest.mark.parametrize("error", ["kernel", "vanishing-truth"])
 def test_an_error_a_curve_needs_is_the_sweeps_error(monkeypatch, which, error):
@@ -764,7 +800,7 @@ def test_an_error_a_curve_needs_is_the_sweeps_error(monkeypatch, which, error):
         if j == 0:
             streams.append(rows)
         if j == sample and error == "kernel":
-            raise SolverBlowupError(j / cfg.samples_per_unit_time, j)
+            raise SolverBlowupError(j * cfg.dt, j)
         if j == sample:
             spectra[0][rows == row] = 0.0
 
@@ -1049,9 +1085,9 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     numpy.fft call on the full grid), and return the first sample of each
     block (and the end)."""
     if model == "ep":  # a uniform clock of 101 samples, one triple jump each
-        cfg = SweepConfig(model="ep", N=N, dt=0.02, samples_per_unit_time=50,
-                          alpha_set=(0.0, 0.1), epsilon_set=(1e-2, 3e-3, 1e-3))
-    else:  # the default clock, uniform: T x samples_per_unit_time + 1 samples
+        cfg = SweepConfig(model="ep", N=N, dt=0.02, alpha_set=(0.0, 0.1),
+                          epsilon_set=(1e-2, 3e-3, 1e-3))
+    else:  # the default dt on a uniform clock: T / dt + 1 samples
         cfg = SweepConfig(model="nls", N=N, T=0.05, sample_growth=0, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     specs = curve_specs(cfg)
@@ -1125,8 +1161,8 @@ def _traced_peak(cfg, specs, tolerances=None):
 def test_arrays_per_member_bounds_the_measured_footprint(model, n, N):
     # grids large enough that their arrays dominate the peak: the full grid
     # in 1D, the even subspace (65^2 and 17^3 stored points) in 2D and 3D.
-    # EP runs two samples of the clock dt = 0.02 at 50 samples per unit time
-    clock = dict(T=0.02, dt=0.02, samples_per_unit_time=50) if model == "ep" else {"T": 0.002}
+    # EP runs two samples of the clock dt = 0.02
+    clock = dict(T=0.02, dt=0.02) if model == "ep" else {"T": 0.002}
     cfg = SweepConfig(model=model, n=n, N=N, **clock)
 
     def peak(batch):
@@ -1147,7 +1183,7 @@ def test_arrays_per_crossing_bounds_the_measured_footprint(model, n, N):
     # amplitudes with one crossing each against 2 (a round row each beside
     # the held spectra: measured 14.0 and 8.0).  The guard's count of the
     # whole batch bounds each peak
-    clock = dict(T=1.0, dt=0.1, samples_per_unit_time=10) if model == "ep" else {"T": 0.02}
+    clock = dict(T=1.0, dt=0.1) if model == "ep" else {"T": 0.02}
     cfg = SweepConfig(model=model, n=n, N=N, max_points=2**26, **clock)
     points = epnls.sweep._grid_points(cfg)
     member = epnls.sweep._ARRAYS_PER_MEMBER[model]
@@ -1164,8 +1200,8 @@ def test_arrays_per_crossing_bounds_the_measured_footprint(model, n, N):
 
 @pytest.mark.parametrize("n, N", [(1, 4096), (2, 128), (3, 32)])
 def test_guard_counts_the_arrays_of_every_composite_curve(n, N):
-    cfg = SweepConfig(model="ep", n=n, N=N, T=0.02, dt=0.02, samples_per_unit_time=50,
-                      comparator="composite", c1=0.1)
+    cfg = SweepConfig(model="ep", n=n, N=N, T=0.02, dt=0.02, comparator="composite",
+                      c1=0.1)
     eps = [1e-2 / (i + 1) for i in range(6)]
     # one curve per delta, each with its own comparator epsilon ...
     members = [(1.0 - 0.1 * i, e) for i, e in enumerate(eps)]
@@ -1197,17 +1233,18 @@ def test_default_grid_is_converged(kwargs):
 
 
 def test_default_nls_dt_is_converged():
-    # crossings of the delta = 1 curve at the default clock (one triple
-    # jump of 5e-4 per sample of 1/2000) against a 4x finer step at the
-    # same samples: the step is not what limits the crossings (measured
-    # 1.2e-12 apart; the whole default sweep is within 7.5e-12 of
-    # dt = 2.5e-5).  These crossings all lie in the clock's uniform head,
+    # the re-stepped crossings of the delta = 1 curve at the default clock
+    # (one triple jump of 5e-4 per sample) against a 4x finer dt, which
+    # samples 4x as finely too: the step is not what limits the crossings
+    # (measured 1.1e-12 apart; the whole default sweep is within 4.4e-11
+    # of dt = 2e-5).  These crossings all lie in the clock's uniform head,
     # t < 0.032; the graded rest is checked below
-    coarse = compute_error_curve(SweepConfig(model="nls"), 1.0)
-    fine = compute_error_curve(SweepConfig(model="nls", dt=1.25e-4), 1.0)
-    for eps in SweepConfig(model="nls").epsilon_set:
-        t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
-        assert t_coarse == pytest.approx(t_fine, rel=1e-6)
+    coarse = run_algorithm_a(SweepConfig(model="nls", alpha_set=(0.0,)))
+    fine = run_algorithm_a(SweepConfig(model="nls", alpha_set=(0.0,), dt=1.25e-4))
+    assert len(coarse.crossings) == 6
+    for a, b in zip(coarse.crossings, fine.crossings, strict=True):
+        assert a.epsilon == b.epsilon and a.t_cross < 0.032
+        assert a.t_cross == pytest.approx(b.t_cross, rel=1e-6)
 
 
 def test_default_nls_graded_clock_is_converged():
@@ -1217,8 +1254,7 @@ def test_default_nls_graded_clock_is_converged():
     # (measured 3.1e-11, the largest past the uniform head, 1.1e-12 in it;
     # 1.6x margin).  Both sweeps take ~0.35 s together
     default = run_algorithm_a(SweepConfig(model="nls"))
-    fine = run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4, samples_per_unit_time=8000,
-                                       sample_growth=0))
+    fine = run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4, sample_growth=0))
     assert not default.failures and len(default.crossings) == len(fine.crossings) == 24
     late = 0
     for a, b in zip(default.crossings, fine.crossings, strict=True):
@@ -1233,7 +1269,9 @@ def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
     # np.arange(n + 1) x interval, and its default sweep's curves are
     # bitwise those of a kernel fed those times and a step without growth
     c = SweepConfig(model="ep")
-    interval = 1.0 / c.samples_per_unit_time
+    step = solver_setup(c)[2]
+    interval = step.sample_interval
+    assert interval == c.dt
     uniform = np.arange(round(c.T / interval) + 1) * interval
     assert sweep_times(c).tobytes() == uniform.tobytes()
     curves = run_error_curves(c)
@@ -1251,12 +1289,11 @@ def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
 
 def test_default_ep_dt_is_converged():
     # find_crossing's reading of the delta = 1 curve at the default clock
-    # (one triple jump of 1/30 per sample of 1/30) against a 6x finer step
-    # and sample rate: measured 5.2e-7 apart.  The sweep itself reads EP
-    # crossings re-stepped (test_default_ep_clock_is_converged)
+    # (one triple jump of 1/30 per sample) against a 6x finer dt, which
+    # samples 6x as finely too: measured 5.2e-7 apart.  The sweep itself
+    # reads EP crossings re-stepped (test_default_ep_clock_is_converged)
     coarse = compute_error_curve(SweepConfig(model="ep"), 1.0)
-    fine = compute_error_curve(
-        SweepConfig(model="ep", dt=5e-3, samples_per_unit_time=200), 1.0)
+    fine = compute_error_curve(SweepConfig(model="ep", dt=5e-3), 1.0)
     for eps in SweepConfig(model="ep").epsilon_set:
         t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
         assert t_coarse == pytest.approx(t_fine, rel=1e-6)
@@ -1267,26 +1304,45 @@ COMPOSITE_2D = dict(model="ep", n=2, N=64, comparator="composite", c1=1.0,
 
 
 @pytest.mark.parametrize("kw, fine, largest", [
-    (dict(model="ep"), dict(dt=1e-3, samples_per_unit_time=1000), 5.5e-7),
-    (COMPOSITE_2D, dict(dt=2e-3, samples_per_unit_time=500), 3.4e-5),
-    (dict(model="ep", n=3, N=16, alpha_set=(0.0, 0.2)),
-     dict(dt=2e-3, samples_per_unit_time=500), 3.6e-7),
+    (dict(model="ep"), 1e-3, 5.5e-7),
+    (COMPOSITE_2D, 2e-3, 3.4e-5),
+    (dict(model="ep", n=3, N=16, alpha_set=(0.0, 0.2)), 2e-3, 3.6e-7),
 ], ids=["1d", "2d", "3d"])
 def test_default_ep_clock_is_converged(kw, fine, largest):
     # every crossing of a default EP sweep, re-stepped on its clock (1D and
-    # 3D: dt = 1/30 at 30 samples per unit time, 2D: 0.1 at 10), against
-    # the same sweep re-stepped on a fine one, within the largest error of
-    # the former defaults (dt = 2e-2 at 50, read by the cubic rule): 5.5e-7
-    # in 1D, 3.4e-5 for the 2D composite, 3.6e-7 in 3D system B (N = 16,
-    # all four default alphas).  Measured 4.5e-7, 1.9e-5 and 2.2e-7; the
-    # 3D clock at dt = 0.1 reads 1.9e-5 and at 0.05 1.1e-6.  About 0.6 s,
-    # 0.7 s and 1 s, nearly all in the fine sweep
+    # 3D: dt = 1/30, 2D: 0.1), against the same sweep re-stepped at a fine
+    # dt, within the largest error of the former defaults (dt = 2e-2, read
+    # by the cubic rule): 5.5e-7 in 1D, 3.4e-5 for the 2D composite, 3.6e-7
+    # in 3D system B (N = 16, all four default alphas).  Measured 4.5e-7,
+    # 1.9e-5 and 2.2e-7; the 3D clock at dt = 0.1 reads 1.9e-5 and at 0.05
+    # 1.1e-6.  About 0.6 s, 0.7 s and 1 s, nearly all in the fine sweep
     default = run_algorithm_a(SweepConfig(**kw))
-    reference = run_algorithm_a(SweepConfig(**kw, **fine))
+    reference = run_algorithm_a(SweepConfig(**kw, dt=fine))
     assert not default.failures and len(default.crossings) == len(reference.crossings) >= 8
     for a, b in zip(default.crossings, reference.crossings, strict=True):
         assert (a.alpha, a.epsilon) == (b.alpha, b.epsilon)
         assert a.t_cross == pytest.approx(b.t_cross, rel=largest, abs=0.0)
+
+
+def test_finer_dt_buys_its_own_crossing_accuracy(monkeypatch):
+    # every sample is one triple jump of dt, so a re-step never jumps
+    # further than the stream's step: at dt = 1/300 the default 1D EP
+    # sweep reads within 1e-10 of dt = 1/900 (measured 4.4e-11; dt = 1/120
+    # reads 1.7e-9).  Sampled 30 times per unit time, as before the clock
+    # was dt alone, each re-step jumps up to 1/30 and throws the finer
+    # step away: 6.1e-8, one such jump's error
+    # (test_one_jump_of_h_matches_eight_of_h_over_8).  The reference
+    # re-steps by eight jumps of h/8, so it is fine whatever it samples
+    result = run_algorithm_a(SweepConfig(model="ep", dt=1 / 300))
+    jump = epnls.restep.jump
+    monkeypatch.setattr(epnls.restep, "jump",
+                        lambda model, grid, params, spectra, h, count=1:
+                        jump(model, grid, params, spectra, h, 8 * count))
+    reference = run_algorithm_a(SweepConfig(model="ep", dt=1 / 900))
+    assert not result.failures and len(result.crossings) == len(reference.crossings) == 24
+    for a, b in zip(result.crossings, reference.crossings, strict=True):
+        assert (a.alpha, a.epsilon) == (b.alpha, b.epsilon)
+        assert a.t_cross == pytest.approx(b.t_cross, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("kw, agree", [(dict(model="ep"), 1e-7), (COMPOSITE_2D, 5e-5)],
@@ -1342,7 +1398,7 @@ def test_ep_crossing_before_the_first_positive_sample_is_re_stepped_from_t0():
     _check_crossings_re_stepped_from_t0(
         dict(model="ep", T=0.1, alpha_set=(0.0,), epsilon_set=(1e-9, 1e-10, 1e-11),
              epsilon_floor=1e-12),
-        dict(dt=1e-3, samples_per_unit_time=1000), 3e-6, 10 ** (-1 / 5))
+        dict(dt=1e-3), 3e-6, 10 ** (-1 / 5))
 
 
 def test_nls_crossing_before_the_first_positive_sample_is_re_stepped_from_t0():
@@ -1355,7 +1411,7 @@ def test_nls_crossing_before_the_first_positive_sample_is_re_stepped_from_t0():
     _check_crossings_re_stepped_from_t0(
         dict(model="nls", T=0.002, alpha_set=(0.0,), epsilon_set=(3e-4, 3e-5, 3e-6),
              epsilon_floor=1e-7),
-        dict(T=0.001, dt=1e-6, samples_per_unit_time=10**6), 1e-11, 0.1)
+        dict(T=0.001, dt=1e-6), 1e-11, 0.1)
 
 
 def test_signature_carries_the_solver_revision():
