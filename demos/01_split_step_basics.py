@@ -33,13 +33,13 @@ print(f"\ninitial photon pulse: ||phi0||_L2 = {l2_norm(phi0):.6f} "
 print(f"                      ||phi0||_H1 = {sobolev_norm(phi0, 1.0):.6f}")
 
 params = ModelParams(g=1.0, gamma=1.0, omega0=1.0, p=3.0, s=1.0)
-step = StepSpec(dt=1e-3, samples_per_unit_time=10)
+step = StepSpec(dt=1e-3)  # one sample per step
 
 print("\nevolving the nonlinear system to T = 2 ...")
 traj = evolve_ep(zero_state(phi0), params, step, T=2.0, record="norms")
 
 print(f"{'t':>6} {'||phi||_H1':>12} {'||psi||_H1':>12} {'mass':>20}")
-for i in range(0, len(traj.times), 4):
+for i in range(0, len(traj.times), 400):
     print(f"{traj.times[i]:6.1f} {traj.norm_phi[i]:12.6f} "
           f"{traj.norm_psi[i]:12.6f} {traj.mass[i]:20.15f}")
 

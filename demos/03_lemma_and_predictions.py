@@ -47,9 +47,7 @@ phi0 = gaussian_initial(grid, 1.0)
 m = sobolev_norm(phi0, 1.0)
 
 print("\na-priori exciton bound y_star(t) against the measured ||psi(t)||")
-traj = evolve_ep(zero_state(phi0), params,
-                 StepSpec(dt=1e-3, samples_per_unit_time=100), 0.1,
-                 record="norms")
+traj = evolve_ep(zero_state(phi0), params, StepSpec(dt=1e-3), 0.1, record="norms")
 print(f"{'t':>6} {'||psi||':>12} {'y_star':>12} {'ratio':>8}")
 for i in range(10, len(traj.times), 30):
     t = traj.times[i]

@@ -19,10 +19,11 @@ substep is unitary and reversible, so the negative middle weight is
 harmless; halving dt divides the step error by 16.  With the rotation
 outside each Strang step, as Thalhammer 2012 (SIAM J. Numer. Anal.
 50:3231) allows too, the step gave 6.3e-7 and 1.3e-7 on the default 1D
-and 2D EP sweeps at dt = 2e-2, against 5.5e-8 and 1.1e-8.  The sweep's
-clock is dt alone, every sample one triple jump of dt, and its crossings
-are re-stepped inside their brackets (jump), so the step alone limits
-them; sweep._MODEL_DEFAULTS gives the default clocks and their accuracy.
+and 2D EP sweeps at dt = 2e-2, against 5.5e-8 and 1.1e-8.  Every run's
+clock is dt alone (StepSpec), every sample one triple jump of dt (of m dt
+on a graded interval of m steps), and the sweep re-steps its crossings
+inside their brackets (jump), so the step alone limits them;
+sweep._MODEL_DEFAULTS gives the default clocks and their accuracy.
 The kernel carries spectra and takes only the rotated field to physical
 space and back, for each rotation (McLachlan & Quispel 2002,
 Acta Numerica 11:341): an EP step transforms psi alone and phi never
@@ -59,7 +60,6 @@ from .grid import (
 )
 
 DEFAULT_DT = 2e-2
-DEFAULT_SAMPLES_PER_UNIT_TIME = 50
 
 EP = "ep"
 NLS = "nls"
@@ -142,44 +142,26 @@ def zero_state(phi0):
 
 @dataclass
 class StepSpec:
-    """Step size and output cadence for the split-step integrators.
+    """The clock of the split-step integrators: every sample is one triple
+    jump of ``dt``.
 
-    ``dt`` may be negative to integrate the system backward in time
-    (used by the time-reversal check); its magnitude must divide the
-    sampling interval 1/samples_per_unit_time exactly.  ``sample_growth``
-    (q) grades the clock (sample_times): 0 samples at every interval, and
-    q > 0 lets the sample interval from t span up to max(1, q t
-    samples_per_unit_time) of them, stepped steps_per_sample times at a
-    step as many times dt.
+    ``dt`` may be negative to integrate the system backward in time (used
+    by the time-reversal check).  ``sample_growth`` (q) grades the clock
+    (sample_times): 0 samples every step, and q > 0 lets the interval from
+    t span up to max(1, q t / |dt|) steps, taken as one triple jump of as
+    many times dt.
     """
 
     dt: float = DEFAULT_DT
-    samples_per_unit_time: int = DEFAULT_SAMPLES_PER_UNIT_TIME
     sample_growth: float = 0.0
 
     def __post_init__(self):
-        if self.dt == 0:
-            raise ValueError("dt must be nonzero")
-        if self.samples_per_unit_time < 1:
-            raise ValueError("samples_per_unit_time must be a positive integer")
+        if self.dt == 0 or not np.isfinite(self.dt):
+            raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
         if not 0 <= self.sample_growth < np.inf:
             raise ValueError(
                 f"sample_growth must be finite and nonnegative, got {self.sample_growth}"
             )
-        interval = 1.0 / self.samples_per_unit_time
-        ratio = interval / abs(self.dt)
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError(
-                f"dt = {self.dt} does not divide the sampling interval {interval}"
-            )
-
-    @property
-    def sample_interval(self):
-        return 1.0 / self.samples_per_unit_time
-
-    @property
-    def steps_per_sample(self):
-        return int(round(self.sample_interval / abs(self.dt)))
 
 
 @dataclass
@@ -341,31 +323,37 @@ def _record(samples, grid, params, policy):
     )
 
 
+def _step_count(T, dt):
+    """T / |dt| as a whole number n >= 1, the steps of a run to T, without
+    building its clock; ValueError naming T and dt otherwise."""
+    ratio = T / abs(dt)
+    n = round(ratio) if np.isfinite(ratio) else 0
+    if n < 1 or abs(n * abs(dt) - T) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError(
+            f"horizon T = {T} is not a positive multiple of the step size |dt| = {abs(dt)}"
+        )
+    return n
+
+
 def sample_times(T, step):
     """The times model_stream yields for evolve_ep, evolve_nls and the
-    sweep alike: u_j x the sample interval, each computed as that product,
-    for integers u_0 = 0 < u_1 < ... up to T / interval, which must be a
-    positive integer.  Without growth u_j = j.  With growth q > 0 the
-    interval from u_j spans m_j units, the largest power of two with
-    m_j <= max(1, q u_j) that divides u_j, clipped at T; so the spacing is
-    at most max(interval, q t_j), the clock is uniform up to u ~ 2 / q
-    (bitwise the times of q = 0 there) and then doubles its spacing each
-    time t doubles, in steps that start on a multiple of the new spacing."""
-    interval = step.sample_interval
-    ratio = T / interval
-    n = round(ratio) if np.isfinite(ratio) else 0
-    if n < 1 or abs(n * interval - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(
-            f"horizon T = {T} is not a positive multiple of the sampling "
-            f"interval {interval}"
-        )
+    sweep alike: u_j |dt|, each computed as that product, for integers
+    u_0 = 0 < u_1 < ... up to T / |dt|, which must be a positive integer
+    (_step_count).  Without growth u_j = j, one sample per step.  With
+    growth q > 0 the interval from u_j spans m_j steps, the largest power
+    of two with m_j <= max(1, q u_j) that divides u_j, clipped at T; so the
+    spacing is at most max(|dt|, q t_j), the clock is uniform up to
+    u ~ 2 / q (bitwise the times of q = 0 there) and then doubles its
+    spacing each time t doubles, in steps that start on a multiple of the
+    new spacing."""
+    n = _step_count(T, step.dt)
     units = [0]
     while units[-1] < n:
         u, m = units[-1], 1
         while 2 * m <= step.sample_growth * u and u % (2 * m) == 0:
             m *= 2
         units.append(min(u + m, n))
-    return np.array(units) * interval
+    return np.array(units) * abs(step.dt)
 
 
 def _comparator_times(T, given, start=0.0):
@@ -470,23 +458,22 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
 
     EP steps the 2x2 flow exp(-i tau H_k) of (phi_hat, psi_hat), the
     exciton spectrum zero if None, and rotates psi; NLS steps the free flow
-    and rotates phi.  Each step is Yoshida's triple jump, Strang steps
-    flow(w/2), rotation(w), flow(w/2) of weights w1, w0, w1, chained over a
-    sample interval with the half flows that meet merged (_jump); one
-    linear map is built per distinct weight and interval length.  The
-    stream owns phi_hat and psi_hat.  It yields (times[j], spectra): the
-    given spectra at times[0], then each further one m sample intervals of
-    ``step`` on, reached by steps_per_sample triple jumps of m dt, m read
-    off the times; so ``times`` is sample_times(T, step) or a prefix (times
-    a positive whole number of intervals apart, else ValueError), and m is
-    1 throughout on a clock without growth.  spectra lists the fields'
-    plain FFTs, photon first, and the list and its arrays change once it
-    resumes.  Raises SolverBlowupError once a sample is not finite or a
-    rotation angle reaches 2^52 rad, with the number of triple jumps taken
-    (for an angle, counting the one in progress).  ``stream.send(keep)``,
-    keep a boolean mask or row indices over the leading batch axis, shrinks
-    the batch to those rows in new arrays before the next step; each row
-    steps alone, so the survivors' bits do not change."""
+    and rotates phi.  Each sample interval is one of Yoshida's triple
+    jumps, Strang steps flow(w/2), rotation(w), flow(w/2) of weights w1,
+    w0, w1 (_jump), with one set of linear maps built per interval length.
+    The stream owns phi_hat and psi_hat.  It yields (times[j], spectra):
+    the given spectra at times[0], then each further one m steps of
+    ``step`` on, reached by one triple jump of m dt, m read off the times;
+    so ``times`` is sample_times(T, step) or a prefix (times a positive
+    whole number of steps |dt| apart, else ValueError), and m is 1
+    throughout on a clock without growth.  spectra lists the fields' plain
+    FFTs, photon first, and the list and its arrays change once it resumes.
+    Raises SolverBlowupError once a sample is not finite or a rotation
+    angle reaches 2^52 rad, with the number of triple jumps taken (for an
+    angle, counting the one in progress).  ``stream.send(keep)``, keep a
+    boolean mask or row indices over the leading batch axis, shrinks the
+    batch to those rows in new arrays before the next step; each row steps
+    alone, so the survivors' bits do not change."""
     if model == EP:
         spectra = [phi_hat, np.zeros_like(phi_hat) if psi_hat is None else psi_hat]
     else:
@@ -495,24 +482,21 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     # hold the initial fields for the whole run, after a batch shrink has
     # replaced them
     del phi_hat, psi_hat
-    per_block = step.steps_per_sample
-    # an interval of m sample intervals takes its steps at m dt
-    spans = np.diff(times) / step.sample_interval
+    # an interval of m steps is one triple jump of m dt
+    spans = np.diff(times) / abs(step.dt)
     units = np.rint(spans)
     if np.any(units < 1) or np.any(np.abs(spans - units) > 1e-6):
-        raise ValueError("sample times must be a positive whole number of sample "
-                         f"intervals {step.sample_interval:.6g} apart")
+        raise ValueError("sample times must be a positive whole number of steps "
+                         f"|dt| = {abs(step.dt):.6g} apart")
     step_dt = (units * step.dt).tolist()
-    flows = {dt: _flows(model, grid, params, per_block, dt) for dt in dict.fromkeys(step_dt)}
-    steps = 0  # triple jumps taken
-    for block, t in enumerate(times):
-        if block:  # sample 0: no step
-            dt = step_dt[block - 1]
+    flows = {dt: _flows(model, grid, params, 1, dt) for dt in dict.fromkeys(step_dt)}
+    for j, t in enumerate(times):
+        if j:  # sample 0: no step
+            dt = step_dt[j - 1]
             weights, maps = flows[dt]
-            _jump(spectra, grid, params, maps, weights, dt, times[block - 1], steps)
-            steps += per_block
+            _jump(spectra, grid, params, maps, weights, dt, times[j - 1], j - 1)
         if not all(np.all(np.isfinite(a)) for a in spectra):
-            raise SolverBlowupError(t, steps)
+            raise SolverBlowupError(t, j)
         keep = yield t, spectra
         if keep is not None:
             spectra = [a[keep] for a in spectra]
@@ -560,7 +544,7 @@ def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
 
     Evaluates the per-mode 2x2 matrix exponential at each requested time,
     measured from ``initial.time``; times may be arbitrary.  By default
-    T - initial.time must be a multiple of StepSpec()'s sample interval.
+    T - initial.time must be a multiple of StepSpec()'s step dt.
     """
     times = _comparator_times(T, sample_times, initial.time)
 
@@ -588,7 +572,7 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
 
     with a 3-term series in (omega0 - |k|^2) t through each resonant mode
     |k|^2 = omega0.  By default T must be a multiple of StepSpec()'s
-    sample interval.
+    step dt.
     """
     times = _comparator_times(T, sample_times)
 
@@ -638,7 +622,7 @@ def evolve_composite_tilde(phi0, params, C1, epsilon, T=None, sample_times=None,
     with t1 = C1 * sqrt(epsilon) and the A-state at t1 handed to B
     exactly (the fields are continuous across t1 by construction).
     C1 = 0 degenerates to pure system B from (phi0, 0).  By default T
-    must be a multiple of StepSpec()'s sample interval."""
+    must be a multiple of StepSpec()'s step dt."""
     if C1 < 0 or epsilon < 0:
         raise ValueError("C1 and epsilon must be nonnegative")
     t1 = C1 * np.sqrt(epsilon)

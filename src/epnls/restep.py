@@ -8,7 +8,7 @@ between the samples t_left and t_right, one triple jump of h from the
 state at t_left gives the state at t_left + h with the step's own
 accuracy, and a safeguarded secant on log rho against log t finds the h
 where rho equals the tolerance.  Every sweep sample is one triple jump
-of dt (of m dt on an interval of m units), so h is at most the bracket's
+of dt (of m dt on an interval of m steps), so h is at most the bracket's
 width: a re-step's jump is never longer than the stream's step across
 its bracket; only a bracket from t = 0 takes _JUMPS_FROM_ZERO shorter
 ones.  The sweep (sweep._measure_batch) holds each crossing's spectra at

@@ -30,6 +30,7 @@ from .evolution import (
     StepSpec,
     _composite_seed_of,
     _pair_propagator_of,
+    _step_count,
     model_stream,
     sample_times,
 )
@@ -54,7 +55,7 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  The
 # clock is dt alone: every sample is one fourth-order triple jump of dt
-# (of m dt on an interval of m units, sample_growth).  Crossings are
+# (of m dt on an interval of m steps, sample_growth).  Crossings are
 # re-stepped inside their brackets (epnls.restep), so the step alone
 # limits them, and EP's clock is per dimension n: dt = 1/30 in 1D and 3D,
 # 0.1 in 2D.  Against re-stepped fine clocks (dt = 1e-3 in 1D, 2e-3 in 2D
@@ -111,14 +112,16 @@ SOLVER_REVISION = {EP: 9, NLS: 9}
 # most as many rows as the batch has amplitudes, also when it runs beside
 # the stream (an early flush).  max_points bounds the sum of these over a
 # batch (_batch_points), and a block of K > 1 samples the room it leaves
-# (_curve_batch).
+# (_curve_batch).  Each curve also keeps its rho row and, once it is
+# returned, its own times row: one point (16 bytes) per sample, counted at
+# the most samples the clock can take, T / dt + 1.
 _ARRAYS_PER_MEMBER = {EP: 10, NLS: 7}
 _ARRAYS_PER_EXTRA_CURVE = 6
 _ARRAYS_PER_CROSSING = 14
 
 # Truth points (batch rows x _grid_points x samples) _curve_batch measures
-# in one block: one norm call, forcing and comparator gather per block, not
-# per sample.  A default 1D sweep's 18 amplitudes on 65 stored points take
+# in one block: one norm call and one comparator gather per block, not per
+# sample.  A default 1D sweep's 18 amplitudes on 65 stored points take
 # three samples per block, and its one-amplitude tail 63.  Per default
 # sweep at N = 128 (CPU time, in process, interleaved, shared 2-core x86
 # box), blocks of 2^11 to 2^14 points counted as 128 per row (about 2^10
@@ -160,14 +163,15 @@ class SweepConfig:
     Fields left None (s, T, dt, sample_growth, comparator) are filled
     with the model's defaults at construction, so every instance is fully
     resolved.  Grid, physics and clock are checked by the objects they
-    describe (check_grid_args, ModelParams, StepSpec and sample_times), and
-    max_points by the largest batch member the sweep needs, so an invalid
-    config fails here, before any run.  The clock is dt alone, which must
-    be 1/n for a whole n >= 1: every sample is one triple jump of dt, so a
-    finer dt samples as finely and a re-stepped crossing jumps no further
-    than its bracket's step.  sample_growth grades the clock (StepSpec,
-    sample_times); a fine reference sets it to 0, as a graded clock is no
-    finer at late t.
+    describe (check_grid_args, ModelParams, StepSpec) and by the arithmetic
+    of sample_times (T a whole number of steps dt > 0), and max_points by the
+    largest batch member the sweep needs, its samples included, so an
+    invalid config fails here, before any run builds anything.  The clock
+    is dt alone, as for every run (StepSpec): every sample is one triple
+    jump of dt, so a finer dt samples as finely and a re-stepped crossing
+    jumps no further than its bracket's step.  sample_growth grades the
+    clock (sample_times); a fine reference sets it to 0, as a graded clock
+    is no finer at late t.
 
     The default grid, N = 128 on [-10, 10), is set by measured spatial
     convergence: the Gaussian's spectrum exp(-k^2/2) and its p-th power
@@ -212,7 +216,8 @@ class SweepConfig:
         check_grid_args(self.n, self.N, self.L)
         if not self.dt > 0:  # StepSpec admits dt < 0, for stepping back
             raise ValueError(f"dt must be positive for a sweep, got {self.dt}")
-        sweep_times(self)
+        _solver_step(self)
+        _step_count(self.T, self.dt)
         eps = tuple(float(e) for e in self.epsilon_set)
         if not eps or any(not 0 < e <= 1 for e in eps):
             raise ValueError("epsilon_set values must lie in (0, 1]")
@@ -249,7 +254,9 @@ class SweepConfig:
         points = _batch_points(self, 1, max(map(len, _by_delta(curve_specs(self)))), 1)
         if points > self.max_points:
             raise ValueError(f"one amplitude's batch needs {points} points, which "
-                             f"exceeds the memory cap of {self.max_points} points")
+                             f"exceeds the memory cap of {self.max_points} points "
+                             f"(with {_max_samples(self)} samples per curve at "
+                             f"dt = {self.dt:g} to T = {self.T:g})")
 
     def resolved(self):
         """This config itself, as is to_sweep_config(): a SweepConfig is
@@ -282,7 +289,9 @@ def physics_signature(config):
         f"s={fmt(config.s)}",
         f"T={fmt(config.T)}",
         f"dt={fmt(config.dt)}",
-        f"spu={round(1 / config.dt)}",  # the clock's samples per unit time
+        # steps per unit time, from the former two-knob clock: kept only so
+        # that every config hash and curve cache stays valid
+        f"spu={round(1 / config.dt)}",
         f"comparator={config.comparator}",
         f"solver={SOLVER_REVISION[config.model]}",
     ]
@@ -379,13 +388,7 @@ def _comparator_symbols(c, grid, params, comps):
 
 
 def _solver_step(c):
-    """c's clock: one sample per triple jump of c.dt (of m dt on an m-unit
-    interval), so dt must be 1/n for a whole n >= 1."""
-    per_unit = round(1 / c.dt)  # 0 for dt = inf
-    if per_unit < 1 or abs(per_unit * c.dt - 1) > 1e-9:
-        raise ValueError(f"dt = {c.dt} is not 1/n for a whole n >= 1, "
-                         "as a sweep samples every step")
-    return StepSpec(dt=c.dt, samples_per_unit_time=per_unit, sample_growth=c.sample_growth)
+    return StepSpec(dt=c.dt, sample_growth=c.sample_growth)
 
 
 def sweep_times(c):
@@ -491,13 +494,18 @@ def _measure_batch(c, specs, tolerances, block_points):
     ends = np.full(len(specs), len(times))
     points = _grid_points(c)
 
+    def used(crossings):
+        # _batch_points of the batch as it steps now, holding ``crossings``,
+        # beside the rho rows of the curves that have stopped
+        return (_batch_points(c, rows, len(live), crossings)
+                + (len(specs) - len(live)) * _max_samples(c))
+
     def block_size(i):
         # the largest K of at most block_points truth points whose stack
         # rows (each field's per batch row and a difference per curve),
         # twice over for their temporaries, fit in max_points beside the
         # batch and every crossing it holds or will hold
-        waiting = sum(map(len, pending))
-        room = c.max_points - _batch_points(c, rows, len(live), len(held) + waiting)
+        room = c.max_points - used(len(held) + sum(map(len, pending)))
         per_sample = 2 * points * (fields * rows + len(live))
         return max(1, min(block_points // (rows * points), room // per_sample, len(times) - i))
 
@@ -564,7 +572,7 @@ def _measure_batch(c, specs, tolerances, block_points):
             guess = t_right * (tolerance / rho_right) ** law
         secant = _secant(tolerance, t_left, rho_left, t_right, rho_right, guess, 1.0 / law)
         source = prev if left < i else [a[left - i] for a in states]
-        if held and _batch_points(c, rows, len(live), len(held) + 1) > c.max_points:
+        if held and used(len(held) + 1) > c.max_points:
             flush()
         row = member[pos]
         held.append(_Held(j, tolerance, specs[j][0], comp_of[pos], t_left,
@@ -636,10 +644,17 @@ def _by_delta(specs):
 def _batch_points(c, members, curves, crossings=0):
     """Points (_grid_points) a batch of ``members`` deltas with ``curves``
     curves in all, holding ``crossings`` crossings to re-step, holds at the
-    peak of _curve_batch, one sample per block."""
-    return _grid_points(c) * (_ARRAYS_PER_MEMBER[c.model] * members
-                              + _ARRAYS_PER_EXTRA_CURVE * (curves - members)
-                              + _ARRAYS_PER_CROSSING * crossings)
+    peak of _curve_batch, one sample per block, and one point per curve
+    per sample (_ARRAYS_PER_MEMBER)."""
+    return (_grid_points(c) * (_ARRAYS_PER_MEMBER[c.model] * members
+                               + _ARRAYS_PER_EXTRA_CURVE * (curves - members)
+                               + _ARRAYS_PER_CROSSING * crossings)
+            + curves * _max_samples(c))
+
+
+def _max_samples(c):
+    """The most samples c's clock can take, T / dt + 1 (the uniform one's)."""
+    return round(c.T / c.dt) + 1
 
 
 def _compute_curves(c, specs):

@@ -131,22 +131,31 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    # a sweep samples every step, so its dt is 1/n for a whole n
-    ("[solver]\ndt = 3e-3\n", "dt = 0.003 is not 1/n for a whole n >= 1"),
+    # a sweep samples every step, so T is a whole number of steps dt
+    ("[solver]\ndt = 3e-3\n",
+     "horizon T = 2.0 is not a positive multiple of the step size |dt| = 0.003"),
     ("[solver]\ndt = -1e-3\n", "dt must be positive"),
     # the sweep's clock is dt alone
     ("[solver]\nsamples_per_unit_time = 30\n",
      "unknown key 'samples_per_unit_time' in section [solver]"),
-    ("[solver]\nT = 1.005\n", "not a positive multiple of the sampling interval"),
+    ("[solver]\nT = 1.005\n", "horizon T = 1.005 is not a positive multiple of the step size"),
     ("[grid]\nn = 4\n", "dimension n must be 1, 2, or 3"),
     ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
     # one amplitude of 10 arrays of the 33 points N = 64 stores, alone or
     # with 5 further composite tolerances of 6 arrays, and room for one
-    # crossing to re-step (14 arrays)
+    # crossing to re-step (14 arrays), and one point per curve for each of
+    # the 61 samples of dt = 1/30 to T = 2
     ("[grid]\nN = 64\nmax_points = 100\n[sweep]\nalphas = 0\n",
-     "needs 792 points, which exceeds the memory cap of 100 points"),
+     "needs 853 points, which exceeds the memory cap of 100 points (with 61 samples "
+     "per curve at dt = 0.0333333 to T = 2)"),
     ("[grid]\nN = 64\nmax_points = 1000\n[sweep]\ncomparator = composite\n",
-     "needs 1782 points, which exceeds the memory cap of 1000 points"),
+     "needs 2148 points, which exceeds the memory cap of 1000 points"),
+    # a clock far too fine for the cap is refused by arithmetic, before
+    # any sample time is built: 20,001 samples of dt = 1e-5 to T = 0.2
+    ("[physics]\nmodel = nls\n[grid]\nN = 16\nmax_points = 190\n[sweep]\nalphas = 0\n"
+     "[solver]\ndt = 1e-5\n",
+     "needs 20190 points, which exceeds the memory cap of 190 points (with 20001 "
+     "samples per curve at dt = 1e-05 to T = 0.2)"),
     # an empty dir would write every output into the working directory
     ("[output]\ndir =\n", "outdir must name a directory"),
     # non-finite values are rejected by the object that owns each value
@@ -157,7 +166,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[physics]\np = inf\n", "p must be finite, got inf"),
     ("[sweep]\nepsilon_floor = nan\n", "epsilon_floor must be finite and nonnegative"),
 ], ids=["dt", "negative_dt", "samples_per_unit_time", "T", "n", "max_points",
-        "max_points_member", "max_points_composite", "empty_outdir", "T_inf", "alphas_nan",
+        "max_points_member", "max_points_composite", "max_points_samples", "empty_outdir", "T_inf", "alphas_nan",
         "gamma_nan", "L_inf", "p_inf", "epsilon_floor_nan"])
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -28,6 +30,7 @@ from epnls.evolution import (
     evolve_linear_b,
     evolve_nls,
     evolve_system_a,
+    jump,
     linear_pair_propagator,
     model_stream,
     nonlinear_phase,
@@ -77,15 +80,19 @@ def test_ep_state_grid_mismatch():
 
 
 def test_step_spec_validation():
-    with pytest.raises(ValueError):
-        StepSpec(dt=0.0)
-    with pytest.raises(ValueError, match="divide"):
-        StepSpec(dt=3e-3, samples_per_unit_time=100)
-    assert StepSpec(dt=-1e-3).steps_per_sample == 20
-    assert StepSpec(dt=1e-3, samples_per_unit_time=100).sample_interval == 0.01
+    # the clock is dt alone: every sample is one triple jump of dt
+    assert [f.name for f in dataclasses.fields(StepSpec)] == ["dt", "sample_growth"]
+    assert StepSpec(dt=-1e-3).dt == -1e-3  # stepping back
+    assert StepSpec(dt=3e-3).dt == 3e-3  # no cadence for it to divide
     for growth in (-0.1, np.inf, np.nan):
         with pytest.raises(ValueError, match="sample_growth"):
             StepSpec(sample_growth=growth)
+
+
+@pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
+def test_step_spec_refuses_a_bad_dt_by_name(dt):
+    with pytest.raises(ValueError, match=f"^dt must be finite and nonzero, got {dt}$"):
+        StepSpec(dt=dt)
 
 
 def test_trajectory_times_must_increase():
@@ -141,7 +148,7 @@ def test_mass_drift_stays_finite_where_the_mass_overflows():
     # the mass overflows to inf, and its drift is bitwise that at amplitude 1,
     # which is the unscaled formula's
     params = ModelParams(g=0.0, gamma=1.0, omega0=1.0, p=3.0, s=1.0)
-    step = StepSpec(dt=1e-2, samples_per_unit_time=10)
+    step = StepSpec(dt=1e-2)
     unit = evolve_ep(gauss_state(), params, step, 0.5, record="norms")
     huge = evolve_ep(gauss_state(2.0**600), params, step, 0.5, record="norms")
     assert np.all(huge.mass == np.inf) and np.all(np.isfinite(huge.l2))
@@ -259,7 +266,10 @@ def test_ep_mass_conserved():
     # 6); a halved-dt run reproduces the same mass to splitting accuracy
     traj = evolve_ep(gauss_state(), PARAMS, StepSpec(dt=1e-3), 1.0, record="norms")
     half = evolve_ep(gauss_state(), PARAMS, StepSpec(dt=5e-4), 1.0, record="norms")
-    assert np.max(np.abs(half.mass - traj.mass)) / traj.mass[0] <= 1e-10
+    # every run samples every step, so the halved run's even samples are
+    # the other's
+    assert np.allclose(half.times[::2], traj.times, rtol=0, atol=1e-12)
+    assert np.max(np.abs(half.mass[::2] - traj.mass)) / traj.mass[0] <= 1e-10
 
 
 def test_ep_requires_initial_time_zero():
@@ -271,8 +281,8 @@ def test_ep_requires_initial_time_zero():
 
 @pytest.mark.parametrize("T", [0.0, -0.1, 0.15])
 def test_horizon_must_be_a_positive_multiple_of_the_interval(T):
-    step = StepSpec(dt=1e-2, samples_per_unit_time=10)
-    with pytest.raises(ValueError, match="positive multiple"):
+    step = StepSpec(dt=0.1)
+    with pytest.raises(ValueError, match=r"positive multiple of the step size \|dt\| = 0.1$"):
         evolve_ep(gauss_state(), PARAMS, step, T)
     with pytest.raises(ValueError, match="positive multiple"):
         evolve_nls(gaussian_initial(GRID, 1.0), PARAMS, step, T)
@@ -305,7 +315,7 @@ def test_rotation_angles_past_2_to_52_are_a_blowup(margin):
     # a uniform field keeps |u| = a under the free flow, so every rotation
     # of weight w turns it by |w| dt a^2; the largest weight is |w0|.  One
     # ulp of an angle past 2^52 rad exceeds 1 rad
-    step = StepSpec(dt=1e-2, samples_per_unit_time=10)
+    step = StepSpec(dt=1e-2)
     w0 = 1.0 - 2.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     a = np.sqrt(margin * 2.0**52 / (abs(w0) * step.dt))
     uniform = Field(GRID, np.full(GRID.shape, a, dtype=complex))
@@ -516,19 +526,16 @@ def test_linear_norms_come_from_the_spectra(fft_calls):
 
 
 def test_nls_records_norms_without_extra_transforms(fft_calls):
-    traj = evolve_nls(gaussian_initial(GRID, 1.0), PARAMS,
-                      StepSpec(dt=1e-3, samples_per_unit_time=100), 0.1,
+    traj = evolve_nls(gaussian_initial(GRID, 1.0), PARAMS, StepSpec(dt=1e-3), 0.1,
                       record="norms")
-    assert len(traj.times) == 11
+    assert len(traj.times) == 101
     # the initial spectrum, then 2 per rotation, 3 per triple-jump step
     assert fft_calls == [256] * (1 + 3 * 2 * 100)
 
 
 def test_ep_records_norms_transforming_psi_only(fft_calls):
-    traj = evolve_ep(gauss_state(), PARAMS,
-                     StepSpec(dt=1e-3, samples_per_unit_time=100), 0.1,
-                     record="norms")
-    assert len(traj.times) == 11
+    traj = evolve_ep(gauss_state(), PARAMS, StepSpec(dt=1e-3), 0.1, record="norms")
+    assert len(traj.times) == 101
     # the initial spectra of phi and psi, then psi alone, 2 per rotation
     # (3 per triple-jump step) and none per sample: every sample is
     # spectral, and phi_hat never leaves spectral space
@@ -542,11 +549,11 @@ def test_ep_records_norms_transforming_psi_only(fft_calls):
 # transform) and the NLS loop
 
 
-def frozen_ep_samples(fields, params, step, n_samples, grid):
+def frozen_ep_samples(fields, params, dt, n_samples, grid, steps=1):
     axes = tuple(range(-grid.n, 0))
     g, p = params.g, params.p
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    jumps = [w * step.dt for w in (w1, 1.0 - 2.0 * w1, w1)]
+    jumps = [w * dt for w in (w1, 1.0 - 2.0 * w1, w1)]
     halves = [linear_pair_propagator(grid, params.gamma, params.omega0, 0.5 * h)
               for h in jumps]
 
@@ -555,48 +562,43 @@ def frozen_ep_samples(fields, params, step, n_samples, grid):
 
     hat = np.fft.fftn(np.array(fields, dtype=np.complex128), axes=axes)
     for block in range(n_samples):
-        for _ in range(step.steps_per_sample):
+        for _ in range(steps):
             for h, half in zip(jumps, halves):
                 fields = np.fft.ifftn(flow(hat, *half), axes=axes)
                 fields[1] = nonlinear_phase(fields[1], g, p, h)
                 hat = flow(np.fft.fftn(fields, axes=axes), *half)
-        yield (block + 1) * step.sample_interval, hat
+        yield (block + 1) * steps * dt, hat
 
 
-def frozen_nls_samples(phi_hat, params, step, n_samples, grid):
+def frozen_nls_samples(phi_hat, params, dt, n_samples, grid):
     axes = tuple(range(-grid.n, 0))
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    jumps = [w * step.dt for w in (w1, 1.0 - 2.0 * w1, w1)]
+    jumps = [w * dt for w in (w1, 1.0 - 2.0 * w1, w1)]
     halves = [free_symbol(grid, 0.5 * h) for h in jumps]
     hat = np.array(phi_hat, dtype=np.complex128)
     for block in range(n_samples):
-        for _ in range(step.steps_per_sample):
-            for h, half in zip(jumps, halves):
-                hat = hat * half
-                phi = nonlinear_phase(np.fft.ifftn(hat, axes=axes), params.g, params.p, h)
-                hat = np.fft.fftn(phi, axes=axes) * half
-        yield (block + 1) * step.sample_interval, hat
+        for h, half in zip(jumps, halves):
+            hat = hat * half
+            phi = nonlinear_phase(np.fft.ifftn(hat, axes=axes), params.g, params.p, h)
+            hat = np.fft.fftn(phi, axes=axes) * half
+        yield (block + 1) * dt, hat
 
 
 @pytest.mark.parametrize("grid", [GRID, make_grid(2, 32, 8.0)], ids=["1d", "2d"])
 def test_ep_kernel_matches_the_stacked_loop(grid):
-    # 200 triple-jump steps of 10 per sample; a batch of two amplitudes
-    step = StepSpec(dt=1e-3, samples_per_unit_time=100)
+    # 200 triple-jump steps, chained ten at a time by jump (count = 10),
+    # which merges the half flows of neighbouring jumps, as a re-step of
+    # several jumps does; a batch of two amplitudes
+    dt = 1e-3
     axes = tuple(range(-grid.n, 0))
     phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.6)])
     psi0 = 0.3j * phi0[::-1]
-    old = frozen_ep_samples([phi0, psi0], PARAMS, step, 20, grid)
-    phi0_hat, psi0_hat = (np.fft.fftn(f, axes=axes) for f in (phi0, psi0))
-    new = model_stream(EP, grid, PARAMS, step, sample_times(0.2, step), phi0_hat,
-                       psi0_hat.copy())
-    # the kernel's first sample is the given spectra at t = 0
-    t0, (phi_hat, psi_hat) = next(new)
-    assert t0 == 0.0 and phi_hat is phi0_hat and np.array_equal(psi_hat, psi0_hat)
-    for (t_old, hat_old), (t_new, spectra) in zip(old, new):
-        assert t_new == t_old
+    old = frozen_ep_samples([phi0, psi0], PARAMS, dt, 20, grid, steps=10)
+    spectra = [np.fft.fftn(f, axes=axes) for f in (phi0, psi0)]
+    for _, hat_old in old:
+        jump(EP, grid, PARAMS, spectra, np.full(2, 10 * dt), count=10)
         for hat, field_old in zip(spectra, hat_old, strict=True):
             assert np.max(np.abs(hat - field_old)) <= 1e-12 * np.max(np.abs(field_old))
-    assert t_new == pytest.approx(0.2)
 
 
 @pytest.mark.parametrize("drop_at, keep_rows", [
@@ -606,7 +608,7 @@ def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at, keep_rows)
     # the samples are at sample_times, t = 0 first; rows dropped at a
     # sample, the first included, by a boolean mask or by the row indices
     # the sweep sends, leave the survivors' bits unchanged
-    step = StepSpec(dt=1e-3, samples_per_unit_time=100)
+    step = StepSpec(dt=1e-2)
     phi0 = np.stack([gaussian_initial(GRID, d).values for d in (1.0, 0.6, 0.3)])
     kept = np.array(keep_rows)
 
@@ -627,41 +629,37 @@ def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at, keep_rows)
         assert np.array_equal(psi[rows], psi_cut)
 
 
-@pytest.mark.parametrize("grid, clock", [
-    (GRID, dict(dt=1e-3, samples_per_unit_time=100)),
-    (GRID, dict(dt=2.5e-4, samples_per_unit_time=4000)),
-    (make_grid(2, 32, 8.0), dict(dt=1e-3, samples_per_unit_time=100)),
+@pytest.mark.parametrize("grid, dt", [
+    (GRID, 1e-3), (GRID, 2.5e-4), (make_grid(2, 32, 8.0), 1e-3),
 ], ids=["1d", "1d-default-clock", "2d"])
-def test_nls_kernel_matches_the_stacked_loop(grid, clock):
-    # 20 samples of 10 triple-jump steps (merged across steps by the
-    # kernel), or of one step at the default clock; a batch of three
-    # amplitudes
-    step = StepSpec(**clock)
+def test_nls_kernel_matches_the_stacked_loop(grid, dt):
+    # 20 samples of one triple-jump step each; a batch of three amplitudes
+    step = StepSpec(dt=dt)
     phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.5, 0.1)])
     phi0_hat = np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))
-    old = frozen_nls_samples(phi0_hat, PARAMS, step, 20, grid)
-    times = sample_times(20 * step.sample_interval, step)
+    old = frozen_nls_samples(phi0_hat, PARAMS, dt, 20, grid)
+    times = sample_times(20 * dt, step)
     new = model_stream(NLS, grid, PARAMS, step, times, phi0_hat.copy())
     t0, (hat0,) = next(new)
     assert t0 == 0.0 and np.array_equal(hat0, phi0_hat)
     for (t_old, hat_old), (t_new, (hat,)) in zip(old, new):
         assert t_new == t_old
         assert np.max(np.abs(hat - hat_old)) <= 1e-12 * np.max(np.abs(hat_old))
-    assert t_new == pytest.approx(20 * step.sample_interval)
+    assert t_new == pytest.approx(20 * dt)
 
 
 @pytest.mark.parametrize("model", [EP, NLS])
 def test_model_stream_yields_the_photon_spectrum_at_every_sample(model):
     # the sweep reads the truth off spectra[0] at every sample, t = 0
     # included: it is the photon field's plain FFT, for EP from psi = 0
-    step = StepSpec(dt=1e-3, samples_per_unit_time=250)
+    step = StepSpec(dt=4e-3)
     phi0 = np.stack([gaussian_initial(GRID, d).values for d in (1.0, 0.5)])
     phi0_hat = np.fft.fft(phi0)
     if model == EP:
         old = [hat[0] for _, hat in
-               frozen_ep_samples([phi0, np.zeros_like(phi0)], PARAMS, step, 10, GRID)]
+               frozen_ep_samples([phi0, np.zeros_like(phi0)], PARAMS, step.dt, 10, GRID)]
     else:
-        old = [hat for _, hat in frozen_nls_samples(phi0_hat, PARAMS, step, 10, GRID)]
+        old = [hat for _, hat in frozen_nls_samples(phi0_hat, PARAMS, step.dt, 10, GRID)]
     stream = model_stream(model, GRID, PARAMS, step, sample_times(0.04, step),
                           phi0_hat.copy())
     hats = [spectra[0].copy() for _, spectra in stream]
@@ -689,20 +687,21 @@ def test_model_stream_yields_the_sample_times_it_is_given(model):
     (0.01, 2000, 1.0 / 32),
 ])
 def test_graded_sample_times(T, spu, growth):
-    # integer units u_j times the interval, each spacing m_j <= max(1, q u_j)
-    # a power of two dividing u_j (the last one clipped at T), bitwise the
-    # uniform clock up to the first spacing of 2, and T last as there
-    graded = StepSpec(dt=1.0 / spu, samples_per_unit_time=spu, sample_growth=growth)
-    uniform = StepSpec(dt=1.0 / spu, samples_per_unit_time=spu)
+    # integer units u_j times the step dt = 1 / spu, each spacing
+    # m_j <= max(1, q u_j) a power of two dividing u_j (the last one
+    # clipped at T), bitwise the uniform clock up to the first spacing of
+    # 2, and T last as there
+    graded = StepSpec(dt=1.0 / spu, sample_growth=growth)
+    uniform = StepSpec(dt=1.0 / spu)
     times, flat = sample_times(T, graded), sample_times(T, uniform)
-    interval = uniform.sample_interval
+    interval = uniform.dt
     units = np.rint(times / interval).astype(int)
     assert times.tobytes() == (units * interval).tobytes()
     assert units[0] == 0 and times[-1] == flat[-1] == pytest.approx(T)
     spacing = np.diff(units)
     assert np.all(spacing >= 1)
     assert np.all(spacing <= np.maximum(1.0, growth * units[:-1]))
-    # h <= max(1/spu, q t) in time, too
+    # h <= max(dt, q t) in time, too
     assert np.all(np.diff(times) <= np.maximum(interval, growth * times[:-1]) * (1 + 1e-12))
     powers = spacing[:-1]
     assert np.all(powers & (powers - 1) == 0) and np.all(units[:-2] % powers == 0)
@@ -714,19 +713,19 @@ def test_graded_sample_times(T, spu, growth):
 
 @pytest.mark.parametrize("model, T", [(NLS, 0.2), (NLS, 0.198), (EP, 0.1)])
 def test_graded_stream_is_a_uniform_stream_per_interval(model, T):
-    # over each interval of m units the graded kernel is, bitwise, a
+    # over each interval of m steps the graded kernel is, bitwise, a
     # uniform stream of one sample of m dt from the state at its start
     # the default NLS clock: graded by 1/32 past t = 0.032
     grid = EvenGrid(1, 32, 10.0)
-    step = StepSpec(dt=5e-4, samples_per_unit_time=2000, sample_growth=1.0 / 32)
+    step = StepSpec(dt=5e-4, sample_growth=1.0 / 32)
     times = sample_times(T, step)
     phi0_hat = grid.fft(np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.6)]))
     samples = [[a.copy() for a in spectra]
                for _, spectra in model_stream(model, grid, PARAMS, step, times, phi0_hat)]
-    spans = np.rint(np.diff(times) / step.sample_interval).astype(int)
+    spans = np.rint(np.diff(times) / step.dt).astype(int)
     assert set(spans) == ({1, 2, 4} if model == EP else {1, 2, 4, 8})
     for j, m in enumerate(spans):
-        coarse = StepSpec(dt=m * step.dt, samples_per_unit_time=2000 // m)
+        coarse = StepSpec(dt=m * step.dt)
         start = [a.copy() for a in samples[j]]
         one = model_stream(model, grid, PARAMS, coarse, times[j : j + 2], *start)
         next(one)
@@ -738,23 +737,22 @@ def test_graded_stream_is_a_uniform_stream_per_interval(model, T):
 @pytest.mark.parametrize("times", [[0.0, 0.0015], [0.0, 0.001, 0.001], [0.0, -0.001]])
 def test_model_stream_refuses_times_off_the_sample_grid(times):
     # an interval it cannot step exactly is an error, not a rounded step
-    step = StepSpec(dt=1e-3, samples_per_unit_time=1000)
+    step = StepSpec(dt=1e-3)
     phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
-    with pytest.raises(ValueError, match="whole number of sample intervals"):
+    with pytest.raises(ValueError, match=r"whole number of steps \|dt\| = 0.001 apart"):
         list(model_stream(NLS, GRID, PARAMS, step, times, phi0_hat))
 
 
-@pytest.mark.parametrize("per_block", [1, 2])
 @pytest.mark.parametrize("failure", ["angle", "non-finite"])
-def test_blowup_on_a_graded_clock_reports_the_steps_taken(monkeypatch, per_block, failure):
-    # a failure in the rotation of triple jump s (from 1) of the sample
-    # interval from times[j - 1]: an angle reports s and that interval's
-    # start, a non-finite field the jumps taken by the sample it spoils,
-    # j steps_per_sample, and that sample's time
-    step = StepSpec(dt=5e-4 / per_block, samples_per_unit_time=2000, sample_growth=1 / 32)
+def test_blowup_on_a_graded_clock_reports_the_steps_taken(monkeypatch, failure):
+    # a failure in the middle rotation of triple jump j, the one of the
+    # sample interval from times[j - 1], a graded interval of four steps:
+    # an angle reports j and that interval's start, a non-finite field the
+    # j jumps taken by the sample it spoils, and that sample's time
+    step = StepSpec(dt=5e-4, sample_growth=1 / 32)
     times = sample_times(0.2, step)
     rotate, calls = epnls.evolution._rotate, []
-    target = 3 * per_block * 100 + 3 * (per_block - 1) + 1  # a middle rotation
+    target = 3 * 100 + 1  # the middle rotation of jump 101
 
     def failing(values, g, p, dt):
         calls.append(dt)
@@ -770,14 +768,10 @@ def test_blowup_on_a_graded_clock_reports_the_steps_taken(monkeypatch, per_block
     with pytest.raises(SolverBlowupError) as err:
         for _ in model_stream(NLS, GRID, PARAMS, step, times, phi0_hat):
             pass
-    j = target // (3 * per_block) + 1  # the sample the failing interval ends at
-    assert j == 101 and times[j] - times[j - 1] == pytest.approx(4 * step.sample_interval)
-    if failure == "angle":
-        assert err.value.step_index == target // 3 + 1 == 100 * per_block + per_block
-        assert err.value.time == times[j - 1]
-    else:
-        assert err.value.step_index == j * per_block
-        assert err.value.time == times[j]
+    j = target // 3 + 1  # the jump, and the sample its interval ends at
+    assert j == 101 and times[j] - times[j - 1] == pytest.approx(4 * step.dt)
+    assert err.value.step_index == j
+    assert err.value.time == (times[j - 1] if failure == "angle" else times[j])
 
 
 # ---------------------------------------------------------------- NLS
@@ -803,9 +797,7 @@ def test_nls_fourth_order_in_dt():
     T = 0.2
     outs = {}
     for dt in (2e-2, 1e-2, 5e-3):
-        outs[dt] = evolve_nls(
-            phi0, PARAMS, StepSpec(dt=dt, samples_per_unit_time=5), T
-        ).phi[-1].values
+        outs[dt] = evolve_nls(phi0, PARAMS, StepSpec(dt=dt), T).phi[-1].values
     err1 = np.max(np.abs(outs[2e-2] - outs[1e-2]))
     err2 = np.max(np.abs(outs[1e-2] - outs[5e-3]))
     assert 16.0 / 1.5 <= err1 / err2 <= 16.0 * 1.5
@@ -816,8 +808,7 @@ def test_ep_fourth_order_in_dt():
     T = 0.2
     outs = {}
     for dt in (2e-2, 1e-2, 5e-3):
-        final = evolve_ep(gauss_state(), PARAMS,
-                          StepSpec(dt=dt, samples_per_unit_time=5), T).final_state()
+        final = evolve_ep(gauss_state(), PARAMS, StepSpec(dt=dt), T).final_state()
         outs[dt] = np.concatenate([final.phi.values, final.psi.values])
     err1 = np.max(np.abs(outs[2e-2] - outs[1e-2]))
     err2 = np.max(np.abs(outs[1e-2] - outs[5e-3]))
@@ -903,7 +894,7 @@ def test_ep_vs_b_early_time_power_law():
 
 def test_relative_error_of_a_tiny_amplitude_is_finite():
     # a truth norm of ~1e-305 is exact, so only a zero truth is refused
-    step = StepSpec(dt=1e-2, samples_per_unit_time=10)
+    step = StepSpec(dt=1e-2)
     truth = evolve_ep(gauss_state(1e-305), PARAMS, step, 0.5)
     comp = evolve_linear_b(gauss_state(1e-305), PARAMS, sample_times=truth.times)
     curve = relative_error_curve(comp, truth, 1.0)

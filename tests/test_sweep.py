@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,13 +94,30 @@ def test_config_validation():
         SweepConfig(comparator="composite", c1=100.0)  # t1 = 10 > T = 2
     # c1 is ignored by the other comparators
     assert SweepConfig(c1=100.0).c1 == 100.0
-    # the clock is dt alone, one sample per step, so dt is 1/n for a whole n
+    # the clock is dt alone, one sample per step, so T is a whole number
+    # of steps dt (test_any_dt_that_divides_t_is_a_sweep_clock)
     with pytest.raises(TypeError, match="samples_per_unit_time"):
         SweepConfig(samples_per_unit_time=30)
-    with pytest.raises(ValueError, match=r"^dt = 0\.03 is not 1/n for a whole n >= 1"):
+    with pytest.raises(ValueError, match=r"^horizon T = 2\.0 is not a positive multiple "
+                       r"of the step size \|dt\| = 0\.03$"):
         SweepConfig(dt=0.03)
-    with pytest.raises(ValueError, match=r"^dt = 2\.0 is not 1/n"):
-        SweepConfig(T=2.0, dt=2.0)
+    with pytest.raises(ValueError, match=r"^horizon T = 2\.0 .* \|dt\| = 0\.3$"):
+        SweepConfig(T=2.0, dt=0.3)
+
+
+@pytest.mark.parametrize("dt, samples, rel", [(0.04, 51, 2e-6), (0.08, 26, 5e-5)])
+def test_any_dt_that_divides_t_is_a_sweep_clock(dt, samples, rel):
+    # no 1/n rule: a dt that divides T = 2, 1/25 or 2/25, gives samples
+    # dt apart, each one triple jump of dt, and the sweep runs on it; its
+    # crossings lie within rel of the default clock's (dt = 1/30; measured
+    # 5.5e-7 and 1.7e-5)
+    cfg = SweepConfig(model="ep", dt=dt)
+    assert sweep_times(cfg).tobytes() == (np.arange(samples) * dt).tobytes()
+    result, default = run_algorithm_a(cfg), run_algorithm_a(SweepConfig(model="ep"))
+    assert not result.failures and len(result.crossings) == 24
+    for a, b in zip(result.crossings, default.crossings, strict=True):
+        assert (a.alpha, a.epsilon) == (b.alpha, b.epsilon)
+        assert a.t_cross == pytest.approx(b.t_cross, rel=rel)
 
 
 def test_config_resolution_defaults():
@@ -111,10 +129,10 @@ def test_config_resolution_defaults():
     assert (ep_2d.dt, ep_3d.dt) == (0.1, ep.dt)
     nls = SweepConfig(model="nls", n=2, N=32)
     assert (nls.T, nls.dt) == (0.2, 5e-4)
-    # each clock takes one sample per triple jump of dt
+    # each clock is its dt alone, one sample per triple jump of dt
     steps = [solver_setup(c)[2] for c in (ep, ep_2d, ep_3d, nls)]
-    assert [(s.dt, s.samples_per_unit_time, s.steps_per_sample) for s in steps] == [
-        (1.0 / 30, 30, 1), (0.1, 10, 1), (1.0 / 30, 30, 1), (5e-4, 2000, 1)]
+    assert steps == [StepSpec(dt=1.0 / 30), StepSpec(dt=0.1), StepSpec(dt=1.0 / 30),
+                     StepSpec(dt=5e-4, sample_growth=1.0 / 32)]
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
     assert ep.resolved() is ep and ep.to_sweep_config() is ep
@@ -874,9 +892,10 @@ def test_max_points_bounds_one_amplitudes_batch():
     # a config whose largest batch member cannot fit is rejected before any
     # run: one amplitude alone, and delta = 1 serving three composite
     # tolerances, on arrays of the 33 points the N = 64 even subspace stores,
-    # each with room to re-step one crossing
-    member = 33 * (epnls.sweep._ARRAYS_PER_MEMBER["ep"] + epnls.sweep._ARRAYS_PER_CROSSING)
-    extra = 33 * epnls.sweep._ARRAYS_PER_EXTRA_CURVE
+    # each with room to re-step one crossing, and one point per curve for
+    # each of the 31 samples of dt = 1/30 to T = 1
+    member = 33 * (epnls.sweep._ARRAYS_PER_MEMBER["ep"] + epnls.sweep._ARRAYS_PER_CROSSING) + 31
+    extra = 33 * epnls.sweep._ARRAYS_PER_EXTRA_CURVE + 31
     composite = dict(FAST_EP, comparator="composite", c1=0.5)
     for kw, points in ((FAST_EP, member), (composite, member + 2 * extra)):
         assert SweepConfig(**kw, max_points=points).max_points == points
@@ -884,10 +903,28 @@ def test_max_points_bounds_one_amplitudes_batch():
                            f"the memory cap of {points - 1} points"):
             SweepConfig(**kw, max_points=points - 1)
     # 24 arrays of the 65^3 points a 3D N = 128 sweep stores fit the default
-    # cap of 2^24; 24 of the 512^3 full grid do not
+    # cap of 2^24; 24 of the 512^3 full grid do not (and 61 samples)
     assert SweepConfig(n=3, N=128).max_points == DEFAULT_MAX_POINTS
-    with pytest.raises(ValueError, match="needs 3221225472 points"):
+    with pytest.raises(ValueError, match="needs 3221225533 points"):
         SweepConfig(n=3, N=512)
+
+
+def test_max_points_counts_every_sample_before_any_is_built(monkeypatch):
+    # one point per curve per sample, of at most T / dt + 1 samples, checked
+    # by arithmetic: 20,001 samples of dt = 1e-5 to T = 0.2 exceed a cap
+    # just above the grid's arrays, and no sample time is built
+    kw = dict(model="nls", N=16, T=0.2, alpha_set=(0.0,), epsilon_set=(1e-2,))
+    grid_arrays = 9 * (epnls.sweep._ARRAYS_PER_MEMBER["nls"] + epnls.sweep._ARRAYS_PER_CROSSING)
+    assert SweepConfig(**kw, max_points=grid_arrays + 401).max_points == grid_arrays + 401
+
+    def refuse(*args):
+        raise AssertionError("sample times were built")
+
+    monkeypatch.setattr(epnls.sweep, "sample_times", refuse)
+    message = (f"needs {grid_arrays + 20001} points, which exceeds the memory cap of "
+               f"{grid_arrays + 1} points (with 20001 samples per curve at dt = 1e-05 to T = 0.2)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepConfig(**kw, dt=1e-5, max_points=grid_arrays + 1)
 
 
 @pytest.mark.parametrize("n, N, even_max_n", [
@@ -904,7 +941,9 @@ def test_the_guard_counts_the_points_the_sweep_grid_stores(monkeypatch, n, N, ev
     points = epnls.sweep.solver_setup(cfg)[0].level_index.size
     assert points == (N // 2 + 1 if N <= epnls.sweep._EVEN_MAX_N else N) ** n
     assert epnls.sweep._grid_points(cfg) == points
+    # and one point for each sample of the one curve
     member = (epnls.sweep._ARRAYS_PER_MEMBER["ep"] + epnls.sweep._ARRAYS_PER_CROSSING) * points
+    member += round(cfg.T / cfg.dt) + 1
     with pytest.raises(ValueError, match=f"needs {member} points, which exceeds"):
         SweepConfig(**dict(kw, max_points=member - 1))
 
@@ -925,8 +964,9 @@ def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
     monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
     monkeypatch.setattr(epnls.sweep, "_restep_crossings", spy_restep)
     # N = 64 stores 33 points; delta = 1 re-steps three crossings, two
-    # other amplitudes one each, and 1e-2^0.2 stays below 1e-2 up to T
-    member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"]
+    # other amplitudes one each, and 1e-2^0.2 stays below 1e-2 up to T.
+    # Each curve counts one point per sample, 31 of dt = 1/30 to T = 1
+    member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"] + 31
     crossing = 33 * epnls.sweep._ARRAYS_PER_CROSSING
     # room for two amplitudes with four crossings: two batches, each
     # re-stepping all its crossings in one set of rounds at its end ...
@@ -1044,8 +1084,8 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
     extra = epnls.sweep._ARRAYS_PER_EXTRA_CURVE
     crossing = epnls.sweep._ARRAYS_PER_CROSSING
     # arrays of 33 stored points: two amplitudes, two extra curves and
-    # four crossings
-    max_points = 33 * (2 * member + 2 * extra + 4 * crossing)
+    # four crossings, and one point per curve for each of the 31 samples
+    max_points = 33 * (2 * member + 2 * extra + 4 * crossing) + 4 * 31
     split = run_error_curves(SweepConfig(**kw, max_points=max_points))
     # delta = 1 serves three comparator epsilons (member + 2 extra, and
     # one crossing each), so it shares its batch with one more delta only
@@ -1270,16 +1310,15 @@ def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
     # bitwise those of a kernel fed those times and a step without growth
     c = SweepConfig(model="ep")
     step = solver_setup(c)[2]
-    interval = step.sample_interval
-    assert interval == c.dt
-    uniform = np.arange(round(c.T / interval) + 1) * interval
+    assert step == StepSpec(dt=c.dt)
+    uniform = np.arange(round(c.T / c.dt) + 1) * c.dt
     assert sweep_times(c).tobytes() == uniform.tobytes()
     curves = run_error_curves(c)
     kernel, fed = epnls.sweep.model_stream, []
 
     def on_uniform_clock(model, grid, params, step, times, *spectra):
         fed.append(times)
-        plain = StepSpec(dt=step.dt, samples_per_unit_time=step.samples_per_unit_time)
+        plain = StepSpec(dt=step.dt)
         return kernel(model, grid, params, plain, uniform[: len(times)], *spectra)
 
     monkeypatch.setattr(epnls.sweep, "model_stream", on_uniform_clock)
