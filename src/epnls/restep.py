@@ -10,10 +10,11 @@ accuracy, and a safeguarded secant on log rho against log t finds the h
 where rho equals the tolerance.  Every sweep sample is one triple jump
 of dt (of m dt on an interval of m steps), so h is at most the bracket's
 width: a re-step's jump is never longer than the stream's step across
-its bracket; only a bracket from t = 0 takes _JUMPS_FROM_ZERO shorter
-ones.  The sweep (sweep._measure_batch) holds each crossing's spectra at
-t_left (_Held: EP's photon and exciton, NLS's photon) and runs the
-secants of a batch together (_restep_crossings).
+its bracket; only a bracket from t = 0 on a curve whose rho grows
+faster than t takes shorter ones (_jumps_from_zero).  The sweep
+(sweep._measure_batch) holds each crossing's spectra at t_left (_Held:
+EP's photon and exciton, NLS's photon) and runs the secants of a batch
+together (_restep_crossings).
 Read this way, the default EP clocks need 61 % (1D) to a fifth (2D) of the
 samples that interpolating the stored samples (sweep.find_crossing) needs
 for the same error, and NLS's default crossings lie within 4.4e-11 of a
@@ -29,6 +30,7 @@ import numpy as np
 
 from .evolution import jump
 from .grid import gaussian_initial, hs_norm_from_fft
+from .theory import beta_predict
 
 
 @dataclass
@@ -78,11 +80,12 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
 def _restepped_rho(c, grid, params, symbols, phi0_hat, deltas, held, t):
     """rho of each held crossing at its time t: one triple jump
     (evolution.jump) of the row's own h = t - t_left from its held spectra
-    (_JUMPS_FROM_ZERO of them from t = 0), the comparator of
+    (_jumps_from_zero of them from t = 0), the comparator of
     sweep._comparator_symbols at t and one norm call."""
     m, t_left = len(held), np.array([h.t_left for h in held])
     stack = None  # made after the first jump, whose maps it would outlive
-    for count, part in ((1, t_left > 0.0), (_JUMPS_FROM_ZERO, t_left == 0.0)):
+    from_zero = _jumps_from_zero(1.0 / _leading_law(c))
+    for count, part in ((1, t_left > 0.0), (from_zero, t_left == 0.0)):
         if part.any():
             spectra = [np.array(rows) for rows in
                        zip(*(h.spectra for h, p in zip(held, part) if p))]
@@ -99,18 +102,33 @@ def _restepped_rho(c, grid, params, symbols, phi0_hat, deltas, held, t):
     return norms[m:] / norms[:m]
 
 
-# Triple jumps that re-step a bracket from t = 0, where EP's one-jump local
-# error is of the order of rho itself (both grow as t^(p+2)): one jump
-# reads EP crossings there 3.6 % early, 8 jumps 9e-6 and 16 about 6e-7
-# (h^4 per jump), the error of the default 1D clock.  NLS's rho grows as t,
-# and 16 jumps read its crossings before sample 1 within 1e-12 of a fine
-# uniform clock
-_JUMPS_FROM_ZERO = 16
+def _leading_law(c):
+    """The leading law of the sweep c's curves at t = 0: rho grows as
+    t^(1/law) (p + 2 for EP, 1 for NLS), and a crossing at delta = 1 as
+    eps^law."""
+    return beta_predict(0.0, c.p, c.model).beta
+
+
+def _jumps_from_zero(order):
+    """Triple jumps that re-step a bracket from t = 0 on a curve whose rho
+    grows as t^order.  One jump of h has a local error of order h^5, so
+    its error relative to rho is of order h^(5 - order), and n jumps of
+    h/n cut it by n^4.  At order 1 (NLS) that is h^4, the relative
+    accuracy of any re-step, so one jump suffices at every h: on the
+    default clock it reads the 13 crossings of a ladder to eps = 1e-5
+    that lie before sample 1 within 3.3e-12 of a fine uniform clock, and
+    16 jumps within 3.5e-12.  Past order 1 no fixed count matches the
+    step's own accuracy at every h.  At EP's order p + 2 one jump's error
+    is of the order of rho itself: it reads EP crossings there 3.6 % early
+    (p = 3), 8 jumps 9e-6 and 16 about 6e-7, the error of the default 1D
+    clock."""
+    return 1 if order <= 1 else 16
+
 
 # A re-stepped crossing is accepted once its estimated relative error is
 # at most this: far below the step error of the default EP clocks (4.5e-7
 # in 1D, 1.9e-5 in 2D).  The estimate is loose: NLS's default crossings,
-# 4.4e-11 from a fine reference, move by 6e-14 at 1e-16
+# 4.4e-11 from a fine reference, move by 1.1e-12 at 1e-16
 _SECANT_TOL = 1e-10
 _SECANT_EVALUATIONS = 60
 
@@ -130,7 +148,9 @@ def _secant(eps, t_left, rho_left, t_right, rho_right, guess, order):
     s^2 / s' from the root, as the steps converge superlinearly; once that
     is at most _SECANT_TOL, the new point is returned without evaluating
     it.  Measured on the default sweeps: 1.0-1.1 evaluations per crossing
-    for EP in 1D, 3.1-3.3 (at most 4) in 2D, and 1.0 for NLS."""
+    for EP in 1D, 3.1-3.3 (at most 4) in 2D, and 1.0 for NLS (every
+    crossing of seeds 0-2, and of a ladder to eps = 1e-5, whose 13
+    crossings before sample 1 start from t = 0)."""
 
     def f(rho):
         return math.log(rho / eps) if rho > 0.0 else -math.inf

@@ -44,7 +44,7 @@ from .grid import (
     gaussian_initial,
     hs_norm_from_fft,
 )
-from .restep import _Held, _restep_crossings, _secant
+from .restep import _Held, _leading_law, _restep_crossings, _secant
 from .runio import atomic_write_text, fmt, read_curve_csv, sha256_hex, write_csv
 from .theory import EXACT, beta_predict
 
@@ -68,17 +68,20 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # time it takes at 1/30.  2D system B (N = 64), whose samples the cubic
 # read within 3.9e-7, reads 1.6e-5 at 0.1.  The NLS crossings (beta = 1 -
 # (p-1) alpha) span two decades, t ~ 1.0e-3 to 0.17, so its clock is
-# graded: dt = 5e-4, uniform up to t = 0.032 and then spacing at most t/32
-# (sample_growth, sample_times), 147 samples against 401.  Its crossings
-# are within 4.4e-11 of a uniform triple jump at dt = 2e-5; one before
-# sample 1 is re-stepped from t = 0, so deeper ladders read on the same
-# clock.  A faster-growing tail grows the step too: q = 1/8 reads 7.0e-9.
+# graded: dt = 1e-3, uniform up to t = 0.064 and then spacing at most t/32
+# (sample_growth, sample_times), 115 samples against 201.  Its crossings
+# are within 4.4e-11 of a uniform triple jump at dt = 2e-5 (seeds 0-2 of
+# the benchmark's ladder), where the fine clocks dt = 1e-4 and 1.25e-4
+# themselves read up to 3.7e-11: the former dt = 5e-4 read the same, and
+# dt = 2e-3 reads 2.8e-10.  One before sample 1 is re-stepped from t = 0,
+# so deeper ladders read on the same clock.  A faster-growing tail grows
+# the step too: q = 1/8 reads 7.0e-9.
 # EP keeps a uniform clock: its crossings, at t ~ 0.3-1.5, span less than
 # a decade
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": {1: 1.0 / 30, 2: 0.1, 3: 1.0 / 30},
          "sample_growth": 0.0, "comparator": COMPARATOR_SYSTEM_B},
-    NLS: {"T": 0.2, "dt": 5e-4, "sample_growth": 1.0 / 32,
+    NLS: {"T": 0.2, "dt": 1e-3, "sample_growth": 1.0 / 32,
           "comparator": COMPARATOR_LINEAR_NLS},
 }
 
@@ -478,9 +481,7 @@ def _measure_batch(c, specs, tolerances, block_points):
     pending = [sorted(t) for t in tolerances]
     next_tol = np.array([p[0] if p else np.inf for p in pending])
     held, crossings = [], [{} for _ in specs]
-    # rho grows as t^(1/law) at leading order (p + 2 for EP, 1 for NLS), and
-    # a crossing at delta = 1 as eps^law
-    law = beta_predict(0.0, c.p, c.model).beta
+    law = _leading_law(c)
 
     phi_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
     curve_phi0_hat = phi_hat[member]
@@ -847,7 +848,7 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
     crossing (epnls.restep), from this reading where there is one, and
     records how far this reading lies from it
     (CrossingRecord.interp_shift): on the default clocks about 4e-6 for EP
-    in 1D, up to 9 % in 2D, whose samples lie 0.1 apart, and up to 8e-8
+    in 1D, up to 9 % in 2D, whose samples lie 0.1 apart, and up to 1.3e-6
     for NLS.  As the re-step's first guess, the cubic takes 1.08
     evaluations per default 1D EP crossing where the linear rule takes
     1.88."""

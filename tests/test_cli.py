@@ -404,7 +404,7 @@ def test_summary_records_each_crossings_interpolation_shift(tmp_path, capsys, mo
         assert np.isfinite(shift) and 0 <= shift < 1e-4
 
 
-@pytest.mark.parametrize("growth, samples", [("auto", 147), ("0", 401)])
+@pytest.mark.parametrize("growth, samples", [("auto", 115), ("0", 201)])
 def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, growth, samples):
     # the NLS default clock, graded by 1/32, against the uniform one: the
     # summary's solver block records the growth and the clock's samples,

@@ -53,7 +53,7 @@ def test_nls_model_defaults():
     assert cfg == SweepConfig(model="nls")
     assert cfg.comparator == "linear-nls"
     assert cfg.T == 0.2
-    assert cfg.dt == 5e-4
+    assert cfg.dt == 1e-3
     assert cfg.sample_growth == 1.0 / 32
     assert parse_config_text("").sample_growth == 0.0
 
@@ -141,13 +141,16 @@ def test_config_hash_sensitivity():
 
 @pytest.mark.parametrize("doc, pinned", [
     ("", "c32c15fb357cd530"),
-    ("[physics]\nmodel = nls\n", "6021561696611aec"),
+    ("[physics]\nmodel = nls\n", "16ba6ab6d9ba7549"),
+    ("[physics]\nmodel = nls\n[solver]\ndt = 5e-4\n", "6021561696611aec"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
      "alphas = 0,0.2\n", "6f5ef019832ccc53"),
-], ids=["ep", "nls", "composite-2d"])
+], ids=["ep", "nls", "nls-dt-5e-4", "composite-2d"])
 def test_config_hash_is_pinned(doc, pinned):
     # the hash keys curve caches, so it may only change on purpose: a
-    # SOLVER_REVISION bump of the config's model or a new default
+    # SOLVER_REVISION bump of the config's model or a new default.  A new
+    # default changes only the default's hash: a config that sets the
+    # former NLS default (dt = 5e-4) keeps its hash, and its caches
     assert config_hash(parse_config_text(doc)) == pinned
 
 

@@ -128,11 +128,11 @@ def test_config_resolution_defaults():
     ep_2d, ep_3d = SweepConfig(model="ep", n=2, N=16), SweepConfig(model="ep", n=3, N=16)
     assert (ep_2d.dt, ep_3d.dt) == (0.1, ep.dt)
     nls = SweepConfig(model="nls", n=2, N=32)
-    assert (nls.T, nls.dt) == (0.2, 5e-4)
+    assert (nls.T, nls.dt) == (0.2, 1e-3)
     # each clock is its dt alone, one sample per triple jump of dt
     steps = [solver_setup(c)[2] for c in (ep, ep_2d, ep_3d, nls)]
     assert steps == [StepSpec(dt=1.0 / 30), StepSpec(dt=0.1), StepSpec(dt=1.0 / 30),
-                     StepSpec(dt=5e-4, sample_growth=1.0 / 32)]
+                     StepSpec(dt=1e-3, sample_growth=1.0 / 32)]
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
     assert ep.resolved() is ep and ep.to_sweep_config() is ep
@@ -777,8 +777,10 @@ def test_nls_blocks_fill_the_room_max_points_leaves(monkeypatch):
     # four amplitudes' stack (4 truth and 4 difference rows, twice over
     # for temporaries) beside their arrays and six crossings gives every
     # block three samples while all four amplitudes step, the first
-    # block included
-    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    # block included (on a clock of dt = 5e-4, whose shortest curve is
+    # eight such blocks long)
+    kw = dict(FOUR_NLS_CURVES, dt=5e-4)
+    cfg = SweepConfig(**kw)
     points = epnls.sweep._grid_points(cfg)
     room = epnls.sweep._batch_points(cfg, 4, 4, 6) + 2 * points * (4 + 4) * 3
     sizes, symbols = [], epnls.sweep._comparator_symbols
@@ -793,7 +795,7 @@ def test_nls_blocks_fill_the_room_max_points_leaves(monkeypatch):
         return at
 
     monkeypatch.setattr(epnls.sweep, "_comparator_symbols", recorded)
-    curves = run_error_curves(SweepConfig(**FOUR_NLS_CURVES, max_points=room))
+    curves = run_error_curves(SweepConfig(**kw, max_points=room))
     shortest, blocks = min(len(c.times) for c in curves), []
     while sum(blocks) < shortest:
         blocks.append(sizes[len(blocks)])
@@ -807,8 +809,10 @@ def test_an_error_a_curve_needs_is_the_sweeps_error(monkeypatch, which, error):
     # error and message whatever the block.  Blocks of one sample (by
     # _BLOCK_POINTS, or by a max_points with no room for more) step only
     # rows with a running curve, so they stream the batch once; the default
-    # blocks may step a stopped row, so they stream it again
-    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    # blocks may step a stopped row, so they stream it again.  On a clock
+    # of dt = 5e-4, sample j is at t = j / 2000
+    kw = dict(FOUR_NLS_CURVES, dt=5e-4)
+    cfg = SweepConfig(**kw)
     _, ends = _sample_by_sample(monkeypatch, cfg)
     sample = (min(ends) if which == "first" else max(ends)) - 1
     row = int(np.argmin(ends) if which == "first" else np.argmax(ends))
@@ -832,7 +836,7 @@ def test_an_error_a_curve_needs_is_the_sweeps_error(monkeypatch, which, error):
         _patch_streams(monkeypatch, fail)
         streams.clear()
         with pytest.raises(kind) as err:
-            run_error_curves(SweepConfig(**FOUR_NLS_CURVES, max_points=max_points))
+            run_error_curves(SweepConfig(**kw, max_points=max_points))
         messages.append(str(err.value))
         passes.append(len(streams))
         monkeypatch.undo()
@@ -1127,9 +1131,9 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     if model == "ep":  # a uniform clock of 101 samples, one triple jump each
         cfg = SweepConfig(model="ep", N=N, dt=0.02, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
-    else:  # the default dt on a uniform clock: T / dt + 1 samples
-        cfg = SweepConfig(model="nls", N=N, T=0.05, sample_growth=0, alpha_set=(0.0, 0.1),
-                          epsilon_set=(1e-2, 3e-3, 1e-3))
+    else:  # dt = 5e-4 on a uniform clock: T / dt + 1 samples
+        cfg = SweepConfig(model="nls", N=N, T=0.05, dt=5e-4, sample_growth=0,
+                          alpha_set=(0.0, 0.1), epsilon_set=(1e-2, 3e-3, 1e-3))
     specs = curve_specs(cfg)
     lengths = [len(_stop_prefix(cfg, spec, compute_error_curve(cfg, *spec)).times)
                for spec in specs]
@@ -1274,34 +1278,57 @@ def test_default_grid_is_converged(kwargs):
 
 def test_default_nls_dt_is_converged():
     # the re-stepped crossings of the delta = 1 curve at the default clock
-    # (one triple jump of 5e-4 per sample) against a 4x finer dt, which
-    # samples 4x as finely too: the step is not what limits the crossings
-    # (measured 1.1e-12 apart; the whole default sweep is within 4.4e-11
+    # (one triple jump of 1e-3 per sample) against an 8x finer dt, which
+    # samples 8x as finely too: the step is not what limits the crossings
+    # (measured 1.8e-11 apart; the whole default sweep is within 4.4e-11
     # of dt = 2e-5).  These crossings all lie in the clock's uniform head,
-    # t < 0.032; the graded rest is checked below
+    # t < 0.064; the graded rest is checked below
     coarse = run_algorithm_a(SweepConfig(model="nls", alpha_set=(0.0,)))
     fine = run_algorithm_a(SweepConfig(model="nls", alpha_set=(0.0,), dt=1.25e-4))
     assert len(coarse.crossings) == 6
     for a, b in zip(coarse.crossings, fine.crossings, strict=True):
-        assert a.epsilon == b.epsilon and a.t_cross < 0.032
+        assert a.epsilon == b.epsilon and a.t_cross < 0.064
         assert a.t_cross == pytest.approx(b.t_cross, rel=1e-6)
 
 
-def test_default_nls_graded_clock_is_converged():
-    # the default NLS clock, graded by 1/32 past t = 0.032 (147 samples on
-    # [0, 0.2]), against a uniform one 4x finer in samples and step, both
-    # re-stepped: every crossing of the default sweep within 5e-11
-    # (measured 3.1e-11, the largest past the uniform head, 1.1e-12 in it;
-    # 1.6x margin).  Both sweeps take ~0.35 s together
-    default = run_algorithm_a(SweepConfig(model="nls"))
-    fine = run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4, sample_growth=0))
-    assert not default.failures and len(default.crossings) == len(fine.crossings) == 24
-    late = 0
-    for a, b in zip(default.crossings, fine.crossings, strict=True):
+def _nls_crossing_errors(kw, fine):
+    """The relative distance of each crossing of the NLS sweep kw from the
+    same crossing of the sweep ``fine``, and the fine crossing's time."""
+    result = run_algorithm_a(SweepConfig(model="nls", **kw))
+    assert not result.failures and len(result.crossings) == len(fine.crossings) == 24
+    errors = []
+    for a, b in zip(result.crossings, fine.crossings, strict=True):
         assert (a.alpha, a.epsilon) == (b.alpha, b.epsilon)
-        assert a.t_cross == pytest.approx(b.t_cross, rel=5e-11, abs=0.0)
-        late += b.t_cross > 0.032
-    assert late >= 8  # crossings read off the graded part of the clock
+        errors.append((abs(a.t_cross / b.t_cross - 1), b.t_cross))
+    return errors
+
+
+def _nls_uniform_reference():
+    # a uniform clock 8x finer in samples and step than the default
+    return run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4, sample_growth=0))
+
+
+def test_default_nls_graded_clock_is_converged():
+    # the default NLS clock, graded by 1/32 past t = 0.064 (115 samples on
+    # [0, 0.2]), against a uniform one 8x finer in samples and step, both
+    # re-stepped: every crossing of the default sweep within 5e-11
+    # (measured 3.08e-11, the largest past the uniform head, 1.8e-11 in it;
+    # 1.6x margin).  Both sweeps take ~0.2 s together
+    errors = _nls_crossing_errors({}, _nls_uniform_reference())
+    assert max(e for e, _ in errors) <= 5e-11
+    # seven crossings are read off the graded part of the clock
+    assert sum(t > 0.064 for _, t in errors) >= 7
+
+
+def test_default_nls_dt_is_the_coarsest_that_keeps_the_bound():
+    # twice the default step, dt = 2e-3, leaves the 5e-11 bound the test
+    # above holds the default to (measured 2.8e-10 against the same
+    # reference), so the default is the coarsest power-of-two step that
+    # keeps it
+    dt = 2 * SweepConfig(model="nls").dt
+    assert dt == 2e-3
+    errors = _nls_crossing_errors(dict(dt=dt), _nls_uniform_reference())
+    assert max(e for e, _ in errors) > 5e-11
 
 
 def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
@@ -1405,14 +1432,23 @@ def test_one_jump_of_h_matches_eight_of_h_over_8(monkeypatch, kw, agree):
     assert 0 < max(shifts) < agree
 
 
-def _check_crossings_re_stepped_from_t0(kw, fine, agree, decade):
+def _check_crossings_re_stepped_from_t0(monkeypatch, kw, fine, agree, decade, jumps):
     """Every crossing of the one-curve sweep kw lies before its first
     positive sample, where find_crossing reads none: the sweep re-steps it
-    from t = 0 (_JUMPS_FROM_ZERO jumps) and reports no interpolation
-    shift.  Each lies within ``agree`` of the same sweep on the ``fine``
-    clock, and a decade of tolerance moves it by the leading law's
-    ``decade`` (within 1e-3)."""
+    from t = 0, by ``jumps`` triple jumps per evaluation, and reports no
+    interpolation shift.  Each lies within ``agree`` of the same sweep on
+    the ``fine`` clock, and a decade of tolerance moves it by the leading
+    law's ``decade`` (within 1e-3)."""
+    counts, jump = [], epnls.restep.jump
+
+    def counted_jump(model, grid, params, spectra, h, count=1):
+        counts.append(count)
+        return jump(model, grid, params, spectra, h, count)
+
+    monkeypatch.setattr(epnls.restep, "jump", counted_jump)
     result = run_algorithm_a(SweepConfig(**kw))
+    monkeypatch.undo()
+    assert counts and set(counts) == {jumps}
     reference = run_algorithm_a(SweepConfig(**{**kw, **fine}))
     assert not result.failures and len(result.crossings) == 3
     (curve,) = result.curves
@@ -1427,30 +1463,35 @@ def _check_crossings_re_stepped_from_t0(kw, fine, agree, decade):
         assert earlier / early == pytest.approx(decade, rel=1e-3)
 
 
-def test_ep_crossing_before_the_first_positive_sample_is_re_stepped_from_t0():
+def test_ep_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(monkeypatch):
     # on the default 1D clock sample 1 is t = 1/30, where delta = 1 has rho
-    # ~ 2e-9: tolerances 1e-9 to 1e-11 cross before it.  They lie within
+    # ~ 2e-9: tolerances 1e-9 to 1e-11 cross before it.  One jump from
+    # t = 0 reads them 3.6 % early, as rho ~ t^(p+2) grows as fast as the
+    # jump's error, so each evaluation takes 16 jumps.  They lie within
     # 3e-6 of a fine clock's (dt = 1e-3 at 1,000 samples per unit time;
     # measured 5.4e-7, 2.3e-7 and 1.4e-6, the last 11 fine steps from t = 0)
-    # and on the leading law rho ~ t^(p+2): a decade of tolerance moves the
-    # crossing by 10^(-1/5) (measured within 4e-4)
+    # and on the leading law: a decade of tolerance moves the crossing by
+    # 10^(-1/5) (measured within 4e-4)
     _check_crossings_re_stepped_from_t0(
+        monkeypatch,
         dict(model="ep", T=0.1, alpha_set=(0.0,), epsilon_set=(1e-9, 1e-10, 1e-11),
              epsilon_floor=1e-12),
-        dict(dt=1e-3), 3e-6, 10 ** (-1 / 5))
+        dict(dt=1e-3), 3e-6, 10 ** (-1 / 5), 16)
 
 
-def test_nls_crossing_before_the_first_positive_sample_is_re_stepped_from_t0():
-    # on the default NLS clock sample 1 is t = 5e-4, where delta = 1 has rho
-    # ~ 4.9e-4: tolerances 3e-4 to 3e-6 cross before it.  They lie within
-    # 1e-11 of a clock of dt = 1e-6 at 10^6 samples per unit time, which
-    # brackets each past its own sample 1 (measured 1.5e-13 at most), and
-    # on the leading law rho ~ t: a decade of tolerance moves the crossing
-    # by a decade (measured within 2.4e-7)
+def test_nls_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(monkeypatch):
+    # on the default NLS clock sample 1 is t = 1e-3, where delta = 1 has rho
+    # ~ 9.8e-4: tolerances 3e-4 to 3e-6 cross before it.  rho ~ t, so one
+    # jump from t = 0 is as accurate as any re-step.  They lie within 1e-11
+    # of a clock of dt = 1e-6 at 10^6 samples per unit time, which brackets
+    # each past its own sample 1 (measured 3.4e-12 at most), and on the
+    # leading law: a decade of tolerance moves the crossing by a decade
+    # (measured within 2.4e-7)
     _check_crossings_re_stepped_from_t0(
+        monkeypatch,
         dict(model="nls", T=0.002, alpha_set=(0.0,), epsilon_set=(3e-4, 3e-5, 3e-6),
              epsilon_floor=1e-7),
-        dict(T=0.001, dt=1e-6), 1e-11, 0.1)
+        dict(T=0.001, dt=1e-6), 1e-11, 0.1, 1)
 
 
 def test_signature_carries_the_solver_revision():
