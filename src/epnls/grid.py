@@ -120,20 +120,19 @@ class Grid:
         """(2L)^n, the measure of the periodic box."""
         return (2.0 * self.L) ** self.n
 
-    def fft(self, a, out=None):
+    def fft(self, a):
         """Plain (unscaled) forward FFT of ``a`` over the grid's n trailing
         axes; leading axes are a batch.  One np.fft.fft per axis, last axis
         first, as fftn orders them: fftn's bits without its n-D wrapper, a
-        fixed cost per call.  ``out`` (which may be ``a``) takes the result
-        in place of a new array, with the same bits."""
+        fixed cost per call."""
         for axis in range(-1, -self.n - 1, -1):
-            a = np.fft.fft(a, axis=axis, out=out)
+            a = np.fft.fft(a, axis=axis)
         return a
 
-    def ifft(self, a, out=None):
+    def ifft(self, a):
         """Inverse of fft, over the same axes."""
         for axis in range(-1, -self.n - 1, -1):
-            a = np.fft.ifft(a, axis=axis, out=out)
+            a = np.fft.ifft(a, axis=axis)
         return a
 
     def hs_weight(self, s):
@@ -203,29 +202,25 @@ class EvenGrid(Grid):
         m = np.arange(self.N // 2 + 1)
         return axis_x[(self.N // 2 + m) % self.N], np.abs(axis_k[m])
 
-    def fft(self, a, out=None):
+    def fft(self, a):
         """Grid.fft of the mirrored field, on the stored modes; leading axes
-        are a batch.  ``out`` (which may be ``a``) takes the result."""
-        return self._transform(self.forward_matrix, a, out)
+        are a batch."""
+        return self._transform(self.forward_matrix, a)
 
-    def ifft(self, a, out=None):
+    def ifft(self, a):
         """Inverse of fft: Grid.ifft of the mirrored spectrum, on the
         stored points."""
-        return self._transform(self.inverse_matrix, a, out)
+        return self._transform(self.inverse_matrix, a)
 
-    def _transform(self, matrix, a, out):
+    def _transform(self, matrix, a):
         # Every row goes through gemms of one fixed shape, so its bits do
         # not depend on the rest of the batch (one gemm over the folded
         # batch would change shape with it, and BLAS its rounding).  Moving
         # each transformed axis last puts the next one first, and after n
         # steps the axes are back in order; in 1D nothing moves, and the
-        # matmul writes the result itself.  Only the first matmul reads
-        # the input, so ``out`` may be it.
+        # matmul writes the result itself.
         a = np.ascontiguousarray(a, dtype=np.complex128)
-        if out is None:
-            out = np.empty_like(a)
-        elif not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
+        out = np.empty_like(a)
         size = len(matrix)
         lines = size ** (self.n - 1)
         shape = (-1, size, 2 * lines)

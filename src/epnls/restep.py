@@ -37,8 +37,9 @@ from .theory import beta_predict
 class _Held:
     """A crossing of ``tolerance`` on curve ``curve`` (amplitude delta,
     comparator row comp) whose bracket starts at t_left: the spectra of
-    its batch row there, one per field the model steps (photon first), and
-    the secant (_secant) that locates it inside the bracket."""
+    its batch row there, one per field the model steps (photon first), the
+    secant (_secant) that locates it inside the bracket, and its first
+    guess read off the samples (sweep.find_crossing), else None."""
 
     curve: int
     tolerance: float
@@ -47,6 +48,7 @@ class _Held:
     t_left: float
     spectra: list
     secant: object
+    read: float | None
 
 
 def _restep_crossings(c, grid, params, symbols, held, rows):

@@ -278,8 +278,8 @@ class SweepConfig:
 
 def physics_signature(config):
     """Canonical string of every field that affects a single error curve
-    (grid, physics, solver clock, comparator); cosmetic and sweep-ladder
-    fields are excluded so equivalent runs share cached curves."""
+    (grid, physics, the clock's dt and growth, comparator); cosmetic and
+    sweep-ladder fields are excluded so equivalent runs share cached curves."""
     parts = [
         f"model={config.model}",
         f"n={config.n}",
@@ -292,16 +292,12 @@ def physics_signature(config):
         f"s={fmt(config.s)}",
         f"T={fmt(config.T)}",
         f"dt={fmt(config.dt)}",
-        # steps per unit time, from the former two-knob clock: kept only so
-        # that every config hash and curve cache stays valid
-        f"spu={round(1 / config.dt)}",
+        f"growth={fmt(config.sample_growth)}",
         f"comparator={config.comparator}",
         f"solver={SOLVER_REVISION[config.model]}",
     ]
     if config.comparator == COMPARATOR_COMPOSITE:
         parts.append(f"c1={fmt(config.c1)}")
-    if config.sample_growth > 0:  # a uniform clock keeps its former hash
-        parts.append(f"growth={fmt(config.sample_growth)}")
     return ";".join(parts)
 
 
@@ -315,7 +311,8 @@ class CrossingRecord:
     the relative distance |t_read - t_cross| / t_cross of find_crossing's
     reading of the stored samples from a re-stepped t_cross: a free check
     of how much re-stepping moved it.  None where the crossing lies before
-    the first positive sample, where find_crossing reads none."""
+    the first positive sample, where find_crossing reads none.  A sweep
+    curve records both once, as it re-steps (ErrorCurve.crossings)."""
 
     alpha: float
     delta: float
@@ -447,11 +444,13 @@ def _curve_batch(c, specs, tolerances=None):
     T.  Curves carry their crossings re-stepped (ErrorCurve.crossings):
     when a curve's rho first reaches one of its tolerances, the spectra of
     every field of its row at the bracket's left sample are held
-    (epnls.restep).  A solver blow-up or a zero truth norm at any sample is
-    an error.  In a block of K > 1 samples it may come from a row whose
-    curves stopped earlier in it, and the stream cannot rewind, so the
-    batch is then measured again with K = 1, where every row stepped has a
-    running curve: it fails exactly where one needs the failing sample.
+    (epnls.restep) with find_crossing's reading, the secant's first guess,
+    and recorded once as (t_cross, interp_shift) (CrossingRecord).  A
+    solver blow-up or a zero truth norm at any sample is an error.  In a
+    block of K > 1 samples it may come from a row whose curves stopped
+    earlier in it, and the stream cannot rewind, so the batch is then
+    measured again with K = 1, where every row stepped has a running
+    curve: it fails exactly where one needs the failing sample.
     """
     curves = _measure_batch(c, specs, tolerances, _BLOCK_POINTS)
     return _measure_batch(c, specs, tolerances, 1) if curves is None else curves
@@ -553,7 +552,8 @@ def _measure_batch(c, specs, tolerances, block_points):
     def flush():
         found = _restep_crossings(c, grid, params, symbols, held, len(deltas))
         for h, t in zip(held, found):
-            crossings[h.curve][h.tolerance] = t
+            shift = None if h.read is None else abs(h.read - t) / t
+            crossings[h.curve][h.tolerance] = (t, shift)
         held.clear()
 
     def hold(i, pos, g, tolerance, states, prev):
@@ -563,12 +563,14 @@ def _measure_batch(c, specs, tolerances, block_points):
         j, left = live[pos], g - 1
         t_right, rho_right = float(times[g]), float(rho[j, g])
         if rho_right == tolerance:  # find_crossing's reading too
-            crossings[j][tolerance] = t_right
+            crossings[j][tolerance] = (t_right, 0.0)
             return
         t_left, rho_left = float(times[left]), float(rho[j, left])
+        read = None
         if t_left > 0.0 and rho_left > 0.0:
-            guess = find_crossing(ErrorCurve(delta=specs[j][0], times=times[: g + 1],
-                                             rho=rho[j, : g + 1]), tolerance)
+            guess = read = find_crossing(
+                ErrorCurve(delta=specs[j][0], times=times[: g + 1], rho=rho[j, : g + 1]),
+                tolerance)
         else:  # the leading law through the right sample
             guess = t_right * (tolerance / rho_right) ** law
         secant = _secant(tolerance, t_left, rho_left, t_right, rho_right, guess, 1.0 / law)
@@ -577,7 +579,7 @@ def _measure_batch(c, specs, tolerances, block_points):
             flush()
         row = member[pos]
         held.append(_Held(j, tolerance, specs[j][0], comp_of[pos], t_left,
-                          [a[row].copy() for a in source], secant))
+                          [a[row].copy() for a in source], secant, read))
 
     keep, i = None, 0
     prev = None  # each row's spectra at the sample before the block
@@ -691,21 +693,22 @@ def curve_path(root, config, delta, epsilon_comp=None, cache=False):
 
 def _crossings_path(path):
     """The sidecar beside a cached curve file that keeps its re-stepped
-    crossings: a JSON list of [tolerance, t_cross] pairs."""
+    crossings: a JSON list of [tolerance, t_cross, interp_shift] triples,
+    interp_shift null where find_crossing reads none."""
     return path[: -len(".csv")] + ".crossings.json"
 
 
 def write_curves(root, config, curves, cache=False):
     """Write each curve as a t,rho CSV at the curve_path of its (delta,
-    epsilon_comp) under root; with ``cache``, at its cache path, with its
-    re-stepped crossings in a sidecar (_crossings_path) where it carries
-    them."""
+    epsilon_comp) under root; with ``cache``, at its cache path, with the
+    records (t_cross, interp_shift) of its re-stepped crossings in a
+    sidecar (_crossings_path) where it carries them."""
     for curve in curves:
         path = curve_path(root, config, curve.delta, curve.epsilon_comp, cache)
         write_csv(path, ["t", "rho"], zip(curve.times, curve.rho))
         if cache and curve.crossings is not None:
-            atomic_write_text(_crossings_path(path),
-                              json.dumps(sorted(curve.crossings.items())))
+            atomic_write_text(_crossings_path(path), json.dumps(
+                [[e, *record] for e, record in sorted(curve.crossings.items())]))
 
 
 def _read_cached(path, spec, times, tolerances):
@@ -716,9 +719,9 @@ def _read_cached(path, spec, times, tolerances):
     values are not finite, or it ends before both that sample and T.  A
     cache written to T or to a larger tolerance is served cut, so a warm
     run returns bitwise the curve a cold run computes.  The curve carries
-    the re-stepped crossings of the tolerances its cut rho reaches, read
-    from its sidecar, and one missing there (or a missing or unreadable
-    sidecar) is a miss."""
+    the records (t_cross, interp_shift) of the tolerances its cut rho
+    reaches, whole from its sidecar; one missing there, or a missing,
+    unreadable or otherwise shaped sidecar, is a miss."""
     if not os.path.exists(path):
         return None
     try:
@@ -741,7 +744,8 @@ def _read_cached(path, spec, times, tolerances):
         return None
     try:
         with open(_crossings_path(path)) as fh:
-            stored = {float(e): float(t_cross) for e, t_cross in json.load(fh)}
+            stored = {float(e): (float(t_cross), None if shift is None else float(shift))
+                      for e, t_cross, shift in json.load(fh)}
     except (OSError, ValueError, TypeError):
         return None
     peak = rho[:end].max()
@@ -846,7 +850,7 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
 
     This is the public reader of a stored curve.  The sweep re-steps every
     crossing (epnls.restep), from this reading where there is one, and
-    records how far this reading lies from it
+    records how far this one reading lies from it
     (CrossingRecord.interp_shift): on the default clocks about 4e-6 for EP
     in 1D, up to 9 % in 2D, whose samples lie 0.1 apart, and up to 1.3e-6
     for NLS.  As the re-step's first guess, the cubic takes 1.08
@@ -892,22 +896,6 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
                 return math.exp(log_t)
     frac = (np.log(epsilon) - np.log(rl)) / (np.log(rr) - np.log(rl))
     return float(np.exp(np.log(tl) + frac * (np.log(tr) - np.log(tl))))
-
-
-def _read_crossing(curve, epsilon, epsilon_floor):
-    """(t_cross, interp_shift) of a sweep curve at epsilon: its re-stepped
-    crossing, with find_crossing's relative distance from it (None where
-    find_crossing reads none).  A sweep curve carries a crossing of each
-    tolerance from the floor up that it reaches, so where it carries none
-    this raises as find_crossing does."""
-    restepped = curve.crossings.get(epsilon)
-    if restepped is None:
-        return find_crossing(curve, epsilon, epsilon_floor), None
-    try:
-        read = find_crossing(curve, epsilon, epsilon_floor)
-    except NoCrossingError:
-        return restepped, None
-    return restepped, abs(read - restepped) / restepped
 
 
 def regress_loglog(records):
@@ -958,7 +946,9 @@ def run_algorithm_a(config):
             delta = config.delta_for(alpha, eps)
             curve = by_key[delta, _comparator_epsilon(config, eps)]
             try:
-                t_cross, shift = _read_crossing(curve, eps, config.epsilon_floor)
+                # where a curve carries no crossing, find_crossing says why
+                t_cross, shift = curve.crossings.get(eps) or (
+                    find_crossing(curve, eps, config.epsilon_floor), None)
             except (NoCrossingError, ValueError) as err:
                 failures.append(
                     {"alpha": alpha, "delta": delta, "epsilon": eps, "error": str(err)}

@@ -125,14 +125,6 @@ def test_grid_transforms_are_bitwise_fftn(n, N):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.array_equal(g.fft(a), np.fft.fftn(a, axes=axes))
         assert np.array_equal(g.ifft(a), np.fft.ifftn(a, axes=axes))
-        # into another array or in place, with the same bits
-        for transform, reference in ((g.fft, np.fft.fftn), (g.ifft, np.fft.ifftn)):
-            out = np.empty_like(a)
-            assert transform(a, out=out) is out
-            assert np.array_equal(out, reference(a, axes=axes))
-            b = a.copy()
-            assert transform(b, out=b) is b
-            assert np.array_equal(b, out)
 
 
 @pytest.mark.parametrize("n, N, levels", [(1, 256, 129), (2, 64, 526), (3, 8, 42)],
@@ -186,14 +178,11 @@ def test_even_grid_transforms_are_grid_transforms_of_the_mirrored_field(n, N):
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
     back = even.ifft(even.fft(data))
     assert np.max(np.abs(back - data)) < 1e-13 * np.max(np.abs(data))
-    # each batch row alone, and into out (which may be the input), bitwise
+    # each batch row alone, bitwise
     spectra = even.fft(data)
     for row, spectrum in zip(data, spectra):
         assert np.array_equal(even.fft(row), spectrum)
     assert np.array_equal(even.fft(data[1:]), spectra[1:])
-    out = np.empty_like(data)
-    assert even.fft(data, out=out) is out and np.array_equal(out, spectra)
-    assert even.fft(out, out=out) is out and np.array_equal(out, even.fft(spectra))
 
 
 @pytest.mark.parametrize("n, N", [(1, 16), (2, 16), (3, 8)], ids=["1", "2", "3"])
@@ -214,13 +203,10 @@ def test_even_grid_transforms_make_one_matmul_per_axis(monkeypatch, n, N):
     for batch in ((), (1,), (3,), (2, 2)):
         data = np.ones(batch + even.shape, np.complex128)
         rows = int(np.prod(batch))
-        copy = data.copy()
         for transform in (even.fft, even.ifft):
-            # a new result, into out, and in place
-            for a, out in ((data, None), (data, np.empty_like(data)), (copy, copy)):
-                shapes.clear()
-                transform(a, out=out)
-                assert shapes == [((size, size), (rows, size, 2 * size ** (n - 1)))] * n
+            shapes.clear()
+            transform(data)
+            assert shapes == [((size, size), (rows, size, 2 * size ** (n - 1)))] * n
 
 
 @pytest.mark.parametrize("n, N", [(1, 128), (2, 16), (3, 8)], ids=["1", "2", "3"])

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from epnls.grid import (
     gaussian_initial,
     make_grid,
 )
-from epnls.runio import write_csv
+from epnls.runio import fmt, write_csv
 from epnls.sweep import (
     SOLVER_REVISION,
     AlgorithmAResult,
@@ -420,6 +421,57 @@ def test_nls_cache_curve_without_its_sidecar_is_a_miss(tmp_path, monkeypatch):
     assert _bits(again.curves) == _bits(cold.curves)
     assert [r.t_cross for r in again.crossings] == [r.t_cross for r in cold.crossings]
     assert (path.read_bytes(), sidecar.read_bytes()) == blobs
+
+
+def test_a_sweep_reads_each_crossing_once(tmp_path, monkeypatch):
+    # the re-step's first guess is find_crossing's reading, and the same
+    # reading gives the crossing's interp_shift: one call per crossing
+    # read off the samples, none for a crossing served from cache
+    cfg = SweepConfig(**FOUR_NLS_CURVES, cache_dir=str(tmp_path))
+    calls, read = [], epnls.sweep.find_crossing
+
+    def counted(curve, epsilon, *args):
+        calls.append(epsilon)
+        return read(curve, epsilon, *args)
+
+    monkeypatch.setattr(epnls.sweep, "find_crossing", counted)
+    cold = run_algorithm_a(cfg)
+    assert all(r.interp_shift is not None for r in cold.crossings)
+    # a crossing a curve never reaches within T: one call, to say why
+    missed = [f["epsilon"] for f in cold.failures if "epsilon" in f]
+    assert len(cold.crossings) == 4 and len(missed) == 2
+    assert sorted(calls) == sorted([r.epsilon for r in cold.crossings] + missed)
+    calls.clear()
+    warm = run_algorithm_a(cfg)
+    assert sorted(calls) == sorted(missed)
+    assert [(r.t_cross, r.interp_shift) for r in warm.crossings] == \
+        [(r.t_cross, r.interp_shift) for r in cold.crossings]
+
+
+def test_a_two_column_sidecar_is_a_miss(tmp_path, monkeypatch):
+    # a sidecar of [tolerance, t_cross] pairs, the former format, lacks
+    # the interp_shift a warm run serves: the curve is recomputed and its
+    # sidecar rewritten as [tolerance, t_cross, interp_shift] triples
+    cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
+    cold = run_algorithm_a(cfg)
+    sidecar = Path(epnls.sweep._crossings_path(curve_path(str(tmp_path), cfg, 1.0,
+                                                           cache=True)))
+    triples = json.loads(sidecar.read_text())
+    assert len(triples) == 3 and all(len(entry) == 3 for entry in triples)
+    blob = sidecar.read_bytes()
+    sidecar.write_text(json.dumps([entry[:2] for entry in triples]))
+    computed, compute = [], epnls.sweep._compute_curves
+
+    def counted(c, specs):
+        computed.append(specs)
+        return compute(c, specs)
+
+    monkeypatch.setattr(epnls.sweep, "_compute_curves", counted)
+    warm = run_algorithm_a(cfg)
+    assert computed == [[(1.0, None)]]
+    assert sidecar.read_bytes() == blob
+    assert [(r.t_cross, r.interp_shift) for r in warm.crossings] == \
+        [(r.t_cross, r.interp_shift) for r in cold.crossings]
 
 
 def test_repeat_runs_bitwise_identical():
@@ -1500,12 +1552,15 @@ def test_signature_carries_the_solver_revision():
     assert "solver=9" in physics_signature(SweepConfig(model="nls"))
 
 
-def test_signature_carries_a_graded_clock_only():
-    # a uniform clock adds nothing, so EP hashes and caches stay valid
-    nls = physics_signature(SweepConfig(model="nls"))
-    assert nls.endswith(";growth=0.03125")
-    assert "growth" not in physics_signature(SweepConfig(model="nls", sample_growth=0))
-    assert "growth" not in physics_signature(SweepConfig(**FAST_EP))
+def test_signature_carries_growth_for_every_clock_and_no_spu():
+    # the clock is dt and sample_growth, each written once, also at q = 0
+    for cfg, growth in [(SweepConfig(model="nls"), "0.03125"),
+                        (SweepConfig(model="nls", sample_growth=0), "0"),
+                        (SweepConfig(**FAST_EP), "0")]:
+        parts = physics_signature(cfg).split(";")
+        assert [p for p in parts if p.startswith(("dt=", "growth="))] == \
+            [f"dt={fmt(cfg.dt)}", f"growth={growth}"]
+        assert not any(p.startswith("spu=") for p in parts)
 
 
 @pytest.mark.parametrize("corrupt", [
