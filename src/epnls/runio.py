@@ -1,5 +1,7 @@
-"""Small IO utilities: 17-digit float formatting, atomic writes, run
-manifests, and output-directory locking."""
+"""Small IO utilities: 17-digit float formatting, CSVs whose floats read
+back bit-exactly by float(), atomic writes, run manifests, and
+output-directory locking.  The curve cache's records are sweep's own
+(epnls.sweep._write_cached)."""
 
 from __future__ import annotations
 
@@ -8,8 +10,6 @@ import json
 import os
 import re
 import time
-
-import numpy as np
 
 
 _FLOAT = "%.17g"
@@ -45,22 +45,6 @@ def write_csv(path, header, rows):
             template = ",".join(_FLOAT if isinstance(v, float) else "%s" for v in row)
         lines.append(template % tuple(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_curve_csv(path):
-    """Parse a CSV of float columns written by write_csv, such as a curve's
-    t,rho: its header names and an array of rows, one column per name (no
-    rows for a header alone).  Raises ValueError on a row that is not one
-    float per name; a '#' line is such a row, not a comment."""
-    with open(path) as fh:
-        names = next(fh).strip().split(",")
-        body = fh.read()
-    if not body.strip():  # np.loadtxt would warn on no data
-        return names, np.empty((0, len(names)))
-    rows = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2)
-    if rows.shape[1] != len(names):
-        raise ValueError(f"{path}: rows do not have one value per column of {names}")
-    return names, rows
 
 
 class OutputLock:

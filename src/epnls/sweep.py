@@ -45,7 +45,7 @@ from .grid import (
     hs_norm_from_fft,
 )
 from .restep import _Held, _leading_law, _restep_crossings, _secant
-from .runio import atomic_write_text, fmt, read_curve_csv, sha256_hex, write_csv
+from .runio import atomic_write_text, fmt, sha256_hex, write_csv
 from .theory import EXACT, beta_predict
 
 COMPARATOR_SYSTEM_B = "systemB"
@@ -229,6 +229,8 @@ class SweepConfig:
         alphas = tuple(float(a) for a in self.alpha_set)
         if not alphas or any(not 0 <= a < np.inf for a in alphas):
             raise ValueError("alpha_set must be nonempty with finite alpha >= 0")
+        if len(set(alphas)) < len(alphas):
+            raise ValueError("alpha_set must not repeat a value")
         valid = (
             (COMPARATOR_SYSTEM_B, COMPARATOR_COMPOSITE)
             if self.model == EP
@@ -682,58 +684,64 @@ def _compute_curves(c, specs):
 def curve_path(root, config, delta, epsilon_comp=None, cache=False):
     """Where a curve lives under an output directory:
     curves/<config hash>/delta=<v>.csv, with __eps=<e> before the suffix
-    for a composite comparator's per-epsilon curves; with ``cache``, under
-    curve_cache/ in place of curves/, so one directory can hold both."""
+    for a composite comparator's per-epsilon curves; with ``cache``, its
+    record curve_cache/<config hash>/delta=<v>[__eps=<e>].json
+    (_write_cached), so one directory can hold both."""
     name = f"delta={fmt(delta)}"
     if epsilon_comp is not None:
         name += f"__eps={fmt(epsilon_comp)}"
-    folder = "curve_cache" if cache else "curves"
-    return os.path.join(root, folder, config_hash(config), name + ".csv")
+    if cache:
+        return os.path.join(root, "curve_cache", config_hash(config), name + ".json")
+    return os.path.join(root, "curves", config_hash(config), name + ".csv")
 
 
-def _crossings_path(path):
-    """The sidecar beside a cached curve file that keeps its re-stepped
-    crossings: a JSON list of [tolerance, t_cross, interp_shift] triples,
-    interp_shift null where find_crossing reads none."""
-    return path[: -len(".csv")] + ".crossings.json"
-
-
-def write_curves(root, config, curves, cache=False):
+def write_curves(root, config, curves):
     """Write each curve as a t,rho CSV at the curve_path of its (delta,
-    epsilon_comp) under root; with ``cache``, at its cache path, with the
-    records (t_cross, interp_shift) of its re-stepped crossings in a
-    sidecar (_crossings_path) where it carries them."""
+    epsilon_comp) under root."""
     for curve in curves:
-        path = curve_path(root, config, curve.delta, curve.epsilon_comp, cache)
-        write_csv(path, ["t", "rho"], zip(curve.times, curve.rho))
-        if cache and curve.crossings is not None:
-            atomic_write_text(_crossings_path(path), json.dumps(
-                [[e, *record] for e, record in sorted(curve.crossings.items())]))
+        write_csv(curve_path(root, config, curve.delta, curve.epsilon_comp),
+                  ["t", "rho"], zip(curve.times, curve.rho))
+
+
+def _write_cached(root, config, curves):
+    """Cache each curve as one JSON record at its cache curve_path under
+    root: {"t": [...], "rho": [...], "crossings": [[tolerance, t_cross,
+    interp_shift], ...]}, interp_shift null where find_crossing reads none.
+    JSON writes each float as its shortest repr, which reads back bitwise."""
+    for curve in curves:
+        crossings = sorted((curve.crossings or {}).items())
+        record = {"t": curve.times.tolist(), "rho": curve.rho.tolist(),
+                  "crossings": [[e, *crossing] for e, crossing in crossings]}
+        atomic_write_text(curve_path(root, config, curve.delta, curve.epsilon_comp, cache=True),
+                          json.dumps(record))
 
 
 def _read_cached(path, spec, times, tolerances):
-    """The curve of spec, its (delta, epsilon_comp), cached at path, cut at
-    its stop sample (the first where rho reaches the largest of
-    ``tolerances``), or None if it is missing, unreadable, not a t,rho
-    file, its times are not a prefix of the sample grid ``times``, its
-    values are not finite, or it ends before both that sample and T.  A
-    cache written to T or to a larger tolerance is served cut, so a warm
-    run returns bitwise the curve a cold run computes.  The curve carries
-    the records (t_cross, interp_shift) of the tolerances its cut rho
-    reaches, whole from its sidecar; one missing there, or a missing,
-    unreadable or otherwise shaped sidecar, is a miss."""
-    if not os.path.exists(path):
-        return None
+    """The curve of spec, its (delta, epsilon_comp), from its record at path
+    (_write_cached), cut at its stop sample (the first where rho reaches
+    the largest of ``tolerances``), or None if the record is missing,
+    unreadable, not JSON or lacks a key, its t is not 1-D or not as long as
+    its rho, its times are not a prefix of the sample grid ``times``, its
+    rho is not finite, or it ends before both that sample and T.  A record
+    written to T or to a larger tolerance is served cut, so a warm run
+    returns bitwise the curve a cold run computes.  The curve carries the
+    records (t_cross, interp_shift) of the tolerances its cut rho reaches,
+    whole from its record; one missing there, or a crossing entry of
+    another shape, is a miss."""
     try:
-        names, rows = read_curve_csv(path)
-    except (OSError, ValueError, StopIteration):
+        with open(path) as fh:
+            record = json.load(fh)
+        t = np.array(record["t"], dtype=float)
+        rho = np.array(record["rho"], dtype=float)
+        stored = {float(e): (float(t_cross), None if shift is None else float(shift))
+                  for e, t_cross, shift in record["crossings"]}
+    except (OSError, ValueError, TypeError, KeyError):
         return None
-    if names != ["t", "rho"]:
+    if t.ndim != 1 or rho.shape != t.shape:
         return None
-    t, rho = rows[:, 0], rows[:, 1]
     if not 0 < len(t) <= len(times) or not np.array_equal(t, times[: len(t)]):
         return None
-    if not np.all(np.isfinite(rows)):
+    if not np.all(np.isfinite(rho)):
         return None
     reached = np.flatnonzero(rho >= max(tolerances, default=0.0))
     if len(reached):
@@ -741,12 +749,6 @@ def _read_cached(path, spec, times, tolerances):
     elif len(t) == len(times):
         end = len(t)
     else:
-        return None
-    try:
-        with open(_crossings_path(path)) as fh:
-            stored = {float(e): (float(t_cross), None if shift is None else float(shift))
-                      for e, t_cross, shift in json.load(fh)}
-    except (OSError, ValueError, TypeError):
         return None
     peak = rho[:end].max()
     needed = [e for e in tolerances if peak >= e]
@@ -794,9 +796,10 @@ def run_error_curves(config):
     Each curve ends at its last needed crossing: at the first sample where
     rho reaches the largest tolerance read off it, or at T if it never
     does, so it is a bitwise prefix of compute_error_curve's full-horizon
-    curve.  The cache serves prefixes: a cached curve that reaches that
+    curve.  The cache serves prefixes: a cached record that reaches that
     sample or runs to T is read back cut to it (_read_cached); the misses
-    are computed together and cached, with their re-stepped crossings.
+    are computed together and each cached as one record of its t, rho
+    and re-stepped crossings (_write_cached).
     With config.workers > 1 the misses are dealt to that many processes in
     interleaved batches."""
     tolerances = _curve_tolerances(config)
@@ -824,7 +827,7 @@ def run_error_curves(config):
     else:
         computed = _compute_curves(config, misses)
     if config.cache_dir:
-        write_curves(config.cache_dir, config, computed, cache=True)
+        _write_cached(config.cache_dir, config, computed)
     curves.update(((c.delta, c.epsilon_comp), c) for c in computed)
     return [curves[s] for s in specs]
 

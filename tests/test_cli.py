@@ -161,13 +161,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     # non-finite values are rejected by the object that owns each value
     ("[solver]\nT = inf\n", "horizon T = inf is not a positive multiple"),
     ("[sweep]\nalphas = nan\n", "alpha_set must be nonempty with finite alpha >= 0"),
+    # a repeated alpha would fit its betas through coincident points
+    ("[sweep]\nalphas = 0.1,0.1\n", "alpha_set must not repeat a value"),
     ("[physics]\ngamma = nan\n", "gamma must be finite, got nan"),
     ("[grid]\nL = inf\n", "half-width L must be positive and finite, got inf"),
     ("[physics]\np = inf\n", "p must be finite, got inf"),
     ("[sweep]\nepsilon_floor = nan\n", "epsilon_floor must be finite and nonnegative"),
 ], ids=["dt", "negative_dt", "samples_per_unit_time", "T", "n", "max_points",
         "max_points_member", "max_points_composite", "max_points_samples", "empty_outdir", "T_inf", "alphas_nan",
-        "gamma_nan", "L_inf", "p_inf", "epsilon_floor_nan"])
+        "alphas_repeat", "gamma_nan", "L_inf", "p_inf", "epsilon_floor_nan"])
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config_text(text)
@@ -447,8 +449,18 @@ def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkey
     assert warm == cold
 
 
+def _is_cache_record(path):
+    """Whether path is a cached curve's one record: a .json of its t and
+    rho from (0, 0) and its [tolerance, t_cross, interp_shift] crossings."""
+    record = json.loads(path.read_text())
+    return (path.suffix == ".json" and sorted(record) == ["crossings", "rho", "t"]
+            and record["t"][0] == record["rho"][0] == 0.0
+            and len(record["t"]) == len(record["rho"])
+            and bool(record["crossings"]) and all(len(c) == 3 for c in record["crossings"]))
+
+
 def test_nls_sweep_writes_t_rho_and_caches_crossings(tmp_path, capsys, monkeypatch):
-    # the cache keeps each curve as t,rho beside the sidecar of its
+    # the cache keeps each curve as one record of its t, rho and
     # re-stepped crossings; the output curve files keep their t,rho form,
     # and a warm run writes the cold run's bytes
     cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n[solver]\nT = 0.1\n"
@@ -462,11 +474,10 @@ def test_nls_sweep_writes_t_rho_and_caches_crossings(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(epnls.sweep, "_curve_batch", refuse)
     assert main(["sweep", "--config", cfg, "--out", str(runs[1])]) == EXIT_OK
-    cached = sorted((tmp_path / "cache").rglob("*.csv"))
-    sidecars = sorted((tmp_path / "cache").rglob("*.crossings.json"))
+    cached = sorted(p for p in (tmp_path / "cache").rglob("*") if p.is_file())
     written = [sorted(out.rglob("curves/*/*.csv")) for out in runs]
-    assert len(cached) == len(sidecars) == len(written[0]) == 4
-    assert all(p.read_text().startswith("t,rho\n0,0\n") for p in cached)
+    assert len(cached) == len(written[0]) == 4
+    assert all(_is_cache_record(p) for p in cached)
     assert all(p.read_text().startswith("t,rho\n0,0\n") for p in written[0])
     assert [p.read_bytes() for p in written[0]] == [p.read_bytes() for p in written[1]]
 
@@ -474,7 +485,7 @@ def test_nls_sweep_writes_t_rho_and_caches_crossings(tmp_path, capsys, monkeypat
 def test_sweep_into_its_own_cache_dir_computes_no_curve_again(tmp_path, capsys,
                                                             monkeypatch):
     # an output directory that is also the cache keeps both, the output's
-    # curve files and the cache's with their crossing sidecars, so a rerun
+    # curve files and the cache's records with their crossings, so a rerun
     # into it is served from the cache and writes the same bytes
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n[solver]\nT = 0.1\n"
@@ -496,9 +507,9 @@ def test_sweep_into_its_own_cache_dir_computes_no_curve_again(tmp_path, capsys,
         blobs.append([p.read_bytes() for p in written])
     assert computed == [4, 0, 0]
     assert blobs[0] == blobs[1] == blobs[2]
-    cached = sorted(out.glob("curve_cache/*/*.csv"))
-    assert len(cached) == len(list(out.glob("curve_cache/*/*.crossings.json"))) == 4
-    assert all(p.read_text().startswith("t,rho\n") for p in cached)
+    cached = sorted(p for p in out.rglob("curve_cache/**/*") if p.is_file())
+    assert len(cached) == 4
+    assert all(_is_cache_record(p) for p in cached)
 
 
 def test_composite_sweep_writes_one_curve_file_per_epsilon(tmp_path, capsys):

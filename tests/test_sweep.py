@@ -50,7 +50,6 @@ from epnls.sweep import (
     run_error_curves,
     solver_setup,
     sweep_times,
-    write_curves,
 )
 
 # small, fast sweep used by most machinery tests
@@ -73,6 +72,8 @@ def test_config_validation():
         SweepConfig(epsilon_set=(2.0, 1e-2))
     with pytest.raises(ValueError, match="alpha"):
         SweepConfig(alpha_set=(-0.1,))
+    with pytest.raises(ValueError, match="alpha_set must not repeat a value"):
+        SweepConfig(alpha_set=(0.1, 0.1))
     with pytest.raises(ValueError, match="comparator"):
         SweepConfig(model="nls", comparator="systemB")
     with pytest.raises(ValueError, match="comparator"):
@@ -352,8 +353,9 @@ def test_crossing_stable_under_cadence_halving():
 def test_cache_cold_vs_warm_identical(tmp_path):
     cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
     cold = run_algorithm_a(cfg)
-    cache_files = sorted(tmp_path.rglob("*.csv"))
-    assert len(cache_files) == 1
+    cache_files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert [p.relative_to(tmp_path).parts[0] for p in cache_files] == ["curve_cache"]
+    assert [p.suffix for p in cache_files] == [".json"]
     blob = cache_files[0].read_bytes()
     warm = run_algorithm_a(cfg)
     assert cache_files[0].read_bytes() == blob
@@ -364,25 +366,24 @@ def test_cache_cold_vs_warm_identical(tmp_path):
 def _check_warm_rerun_returns_the_cold_crossings(tmp_path, monkeypatch, cfg, n_curves,
                                                  spec):
     """A re-stepped crossing is no function of the cached (t, rho): the
-    cache keeps each curve's crossings in a sidecar keyed by tolerance, a
-    warm rerun of cfg serves them bitwise, and a tolerance the sidecar of
+    cache keeps each curve's crossings in its record keyed by tolerance, a
+    warm rerun of cfg serves them bitwise, and a tolerance the record of
     spec's curve lacks is a miss."""
     cold = run_algorithm_a(cfg)
-    sidecars = sorted(tmp_path.rglob("*.crossings.json"))
-    assert len(sidecars) == len(cold.curves) == n_curves
-    blobs = [p.read_bytes() for p in sidecars]
+    records = sorted(tmp_path.rglob("*.json"))
+    assert len(records) == len(cold.curves) == n_curves
+    blobs = [p.read_bytes() for p in records]
     with monkeypatch.context() as patch:
         _no_batches(patch)
         warm = run_algorithm_a(cfg)
     assert [(r.alpha, r.epsilon, r.t_cross, r.interp_shift) for r in warm.crossings] == \
         [(r.alpha, r.epsilon, r.t_cross, r.interp_shift) for r in cold.crossings]
-    assert [p.read_bytes() for p in sidecars] == blobs
-    path = Path(epnls.sweep._crossings_path(curve_path(str(tmp_path), cfg, *spec,
-                                                       cache=True)))
-    path.write_text("[]")
+    assert [p.read_bytes() for p in records] == blobs
+    path = Path(curve_path(str(tmp_path), cfg, *spec, cache=True))
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), crossings=[])))
     again = run_algorithm_a(cfg)
     assert [r.t_cross for r in again.crossings] == [r.t_cross for r in cold.crossings]
-    assert [p.read_bytes() for p in sidecars] == blobs  # recomputed and mended
+    assert [p.read_bytes() for p in records] == blobs  # recomputed and mended
 
 
 def test_warm_ep_rerun_returns_the_cold_crossings_bitwise(tmp_path, monkeypatch):
@@ -399,16 +400,18 @@ def test_warm_nls_rerun_returns_the_cold_crossings_bitwise(tmp_path, monkeypatch
         (1.0, None))
 
 
-def test_nls_cache_curve_without_its_sidecar_is_a_miss(tmp_path, monkeypatch):
-    # an NLS curve is cached as t,rho beside the sidecar of its re-stepped
-    # crossings; without the sidecar it is recomputed, and the cache mended
+def test_nls_cache_record_lacking_a_needed_tolerance_is_a_miss(tmp_path, monkeypatch):
+    # an NLS curve is cached as one record of its t, rho and re-stepped
+    # crossings; a record that lacks a tolerance its rho reaches is
+    # recomputed, and the cache mended
     cfg = SweepConfig(**FOUR_NLS_CURVES, cache_dir=str(tmp_path))
     cold = run_algorithm_a(cfg)
     path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
-    sidecar = Path(epnls.sweep._crossings_path(str(path)))
-    blobs = (path.read_bytes(), sidecar.read_bytes())
-    assert blobs[0].startswith(b"t,rho\n0,0\n")
-    sidecar.unlink()
+    blob = path.read_bytes()
+    record = json.loads(blob)
+    assert record["t"][0] == record["rho"][0] == 0.0
+    assert len(record["crossings"]) == 3
+    path.write_text(json.dumps(dict(record, crossings=record["crossings"][1:])))
     computed, compute = [], epnls.sweep._compute_curves
 
     def counted(c, specs):
@@ -420,7 +423,7 @@ def test_nls_cache_curve_without_its_sidecar_is_a_miss(tmp_path, monkeypatch):
     assert computed == [[(1.0, None)]]
     assert _bits(again.curves) == _bits(cold.curves)
     assert [r.t_cross for r in again.crossings] == [r.t_cross for r in cold.crossings]
-    assert (path.read_bytes(), sidecar.read_bytes()) == blobs
+    assert path.read_bytes() == blob
 
 
 def test_a_sweep_reads_each_crossing_once(tmp_path, monkeypatch):
@@ -448,18 +451,24 @@ def test_a_sweep_reads_each_crossing_once(tmp_path, monkeypatch):
         [(r.t_cross, r.interp_shift) for r in cold.crossings]
 
 
-def test_a_two_column_sidecar_is_a_miss(tmp_path, monkeypatch):
-    # a sidecar of [tolerance, t_cross] pairs, the former format, lacks
-    # the interp_shift a warm run serves: the curve is recomputed and its
-    # sidecar rewritten as [tolerance, t_cross, interp_shift] triples
-    cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
+def test_a_former_csv_and_sidecar_cache_is_ignored(tmp_path, monkeypatch):
+    # a cache of the former layout, each curve a t,rho CSV beside a JSON
+    # sidecar of its crossings, is never read: every curve is computed
+    # once and cached as one record, and the former files stay as they are
+    cfg = SweepConfig(**FOUR_NLS_CURVES, cache_dir=str(tmp_path))
     cold = run_algorithm_a(cfg)
-    sidecar = Path(epnls.sweep._crossings_path(curve_path(str(tmp_path), cfg, 1.0,
-                                                           cache=True)))
-    triples = json.loads(sidecar.read_text())
-    assert len(triples) == 3 and all(len(entry) == 3 for entry in triples)
-    blob = sidecar.read_bytes()
-    sidecar.write_text(json.dumps([entry[:2] for entry in triples]))
+    records = [Path(curve_path(str(tmp_path), cfg, *spec, cache=True))
+               for spec in curve_specs(cfg)]
+    blobs = [p.read_bytes() for p in records]
+    former = []
+    for path in records:
+        record = json.loads(path.read_text())
+        path.unlink()
+        write_csv(str(path.with_suffix(".csv")), ["t", "rho"],
+                  zip(record["t"], record["rho"]))
+        path.with_suffix(".crossings.json").write_text(json.dumps(record["crossings"]))
+        former += [path.with_suffix(".csv"), path.with_suffix(".crossings.json")]
+    former_blobs = [p.read_bytes() for p in former]
     computed, compute = [], epnls.sweep._compute_curves
 
     def counted(c, specs):
@@ -468,8 +477,10 @@ def test_a_two_column_sidecar_is_a_miss(tmp_path, monkeypatch):
 
     monkeypatch.setattr(epnls.sweep, "_compute_curves", counted)
     warm = run_algorithm_a(cfg)
-    assert computed == [[(1.0, None)]]
-    assert sidecar.read_bytes() == blob
+    assert computed == [curve_specs(cfg)]
+    assert [p.read_bytes() for p in records] == blobs
+    assert [p.read_bytes() for p in former] == former_blobs
+    assert len(list(tmp_path.rglob("*"))) == 2 + len(records) + len(former)  # 2 dirs
     assert [(r.t_cross, r.interp_shift) for r in warm.crossings] == \
         [(r.t_cross, r.interp_shift) for r in cold.crossings]
 
@@ -712,9 +723,9 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
     # half-warm cache: every other curve cached (to T, with the crossings
     # computed alone), the rest computed together
     cached = SweepConfig(**kw, cache_dir=str(tmp_path))
-    write_curves(str(tmp_path), cached,
-                 [replace(a, crossings=s.crossings) for a, s in zip(alone, single)][::2],
-                 cache=True)
+    epnls.sweep._write_cached(
+        str(tmp_path), cached,
+        [replace(a, crossings=s.crossings) for a, s in zip(alone, single)][::2])
     half_warm = run_error_curves(cached)
     assert len(alone) == n_curves
     # each curve stops where its batch left it: a bitwise prefix of its
@@ -1069,6 +1080,18 @@ def test_curves_end_at_their_last_needed_crossing(floor):
     assert kinds == (expected if floor < 1e-3 else expected | {"at its first sample"})
 
 
+def test_cache_record_reads_back_bitwise(tmp_path):
+    # JSON writes each float as its shortest repr: t and rho read back
+    # bitwise, and a curve that carries no crossings writes an empty list
+    cfg = SweepConfig(**FAST_EP)
+    curve = replace(compute_error_curve(cfg, 1.0), crossings=None)
+    epnls.sweep._write_cached(str(tmp_path), cfg, [curve])
+    record = json.loads(Path(curve_path(str(tmp_path), cfg, 1.0, cache=True)).read_text())
+    assert record["crossings"] == []
+    assert np.array(record["t"]).tobytes() == curve.times.tobytes()
+    assert np.array(record["rho"]).tobytes() == curve.rho.tobytes()
+
+
 def test_full_length_cache_is_served_cut(tmp_path, monkeypatch):
     cfg = SweepConfig(**FOUR_CURVES, cache_dir=str(tmp_path))
     specs = curve_specs(cfg)
@@ -1076,8 +1099,9 @@ def test_full_length_cache_is_served_cut(tmp_path, monkeypatch):
     # each full-horizon curve cached with the crossings a sweep re-steps
     full = [replace(compute_error_curve(cfg, *spec), crossings=c.crossings)
             for spec, c in zip(specs, cold)]
-    write_curves(str(tmp_path), cfg, full, cache=True)
-    files = sorted(tmp_path.rglob("*.csv"))
+    epnls.sweep._write_cached(str(tmp_path), cfg, full)
+    files = sorted(tmp_path.rglob("*.json"))
+    assert len(files) == len(full)
     blobs = [f.read_bytes() for f in files]
     _no_batches(monkeypatch)
     warm = run_error_curves(cfg)
@@ -1092,11 +1116,14 @@ def test_cached_prefix_short_of_its_tolerance_is_recomputed(tmp_path):
     (cold,) = run_error_curves(cfg)
     assert len(cold.times) < 101  # stopped at 1e-2, before T
     path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
-    blob = path.read_text()
-    write_csv(str(path), ["t", "rho"], zip(cold.times[:-1], cold.rho[:-1]))
+    blob = path.read_bytes()
+    # a record cut one sample short of its stop, with the crossings it carried
+    epnls.sweep._write_cached(str(tmp_path), cfg,
+                              [replace(cold, times=cold.times[:-1], rho=cold.rho[:-1])])
+    assert len(json.loads(path.read_text())["t"]) == len(cold.times) - 1
     (again,) = run_error_curves(cfg)
     assert _bits([again]) == _bits([cold])
-    assert path.read_text() == blob  # the cache is mended
+    assert path.read_bytes() == blob  # the cache is mended
 
 
 def test_write_csv_writes_floats_at_17_digits_and_the_rest_by_str(tmp_path):
@@ -1111,14 +1138,14 @@ def test_write_csv_writes_floats_at_17_digits_and_the_rest_by_str(tmp_path):
 def test_prefix_cached_under_a_larger_tolerance_is_accepted(tmp_path, monkeypatch):
     larger = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
     run_error_curves(larger)  # stops where rho reaches 1e-2
-    (path,) = tmp_path.rglob("*.csv")
+    (path,) = tmp_path.rglob("*.json")
     blob = path.read_bytes()
     kw = dict(FAST_EP, epsilon_set=(3e-3, 1e-3))
     (cold,) = run_error_curves(SweepConfig(**kw))
     _no_batches(monkeypatch)
     (warm,) = run_error_curves(SweepConfig(**kw, cache_dir=str(tmp_path)))
     assert _bits([warm]) == _bits([cold])
-    assert len(warm.times) < len(blob.splitlines()) - 1  # served cut
+    assert len(warm.times) < len(json.loads(blob)["t"])  # served cut
     assert path.read_bytes() == blob
 
 
@@ -1563,20 +1590,33 @@ def test_signature_carries_growth_for_every_clock_and_no_spu():
         assert not any(p.startswith("spu=") for p in parts)
 
 
+def _set(key, i, value):
+    """A corruption of a cache record: its key[i] set to value."""
+    def corrupt(record):
+        record[key][i] = value
+        return json.dumps(record)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda lines: [lines[0], lines[1], "0.0125," + lines[2].split(",")[1]] + lines[3:],
-    lambda lines: lines[:3] + [lines[3].split(",")[0] + ",nan"] + lines[4:],
-    lambda lines: lines[:-5],
-    lambda lines: lines[:2] + ["garbage"] + lines[3:],
-    lambda lines: [],
-], ids=["shifted-time", "nan-rho", "truncated", "garbage-row", "empty"])
+    _set("t", 1, 0.0125),
+    _set("rho", 2, float("nan")),  # written as the JSON token NaN
+    _set("rho", 2, float("inf")),  # written as the JSON token Infinity
+    lambda record: json.dumps(dict(record, t=record["t"][:-5], rho=record["rho"][:-5])),
+    _set("rho", 1, "garbage"),
+    lambda record: "",
+    lambda record: json.dumps(dict(record, rho=record["rho"][1:])),
+    lambda record: json.dumps({k: v for k, v in record.items() if k != "crossings"}),
+    lambda record: json.dumps(dict(record, crossings=[c[:2] for c in record["crossings"]])),
+    lambda record: json.dumps(dict(record, t=record["t"][0], rho=record["rho"][0])),
+], ids=["shifted-time", "nan-rho", "inf-rho", "truncated", "garbage-row", "empty", "ragged",
+        "no-crossings-key", "two-field-crossing", "t-not-1d"])
 def test_invalid_cached_curve_is_recomputed(tmp_path, corrupt):
     cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
     (cold,) = run_error_curves(cfg)
     path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
     blob = path.read_text()
-    bad = corrupt(blob.splitlines())
-    path.write_text("\n".join(bad) + ("\n" if bad else ""))
+    path.write_text(corrupt(json.loads(blob)))
     (again,) = run_error_curves(cfg)
     assert _bits([again]) == _bits([cold])
     assert path.read_text() == blob  # the cache is mended too
