@@ -41,7 +41,6 @@ from .evolution import (
     evolve_linear_b,
     evolve_nls,
     model_stream,
-    sample_times,
     zero_state,
 )
 from .grid import (
@@ -313,8 +312,8 @@ def verify_checks():
 
     # the reverse leg reads its last state alone, so only that is transformed
     fin, back = traj.final_state(), replace(step, dt=-step.dt)
-    for _, spectra in model_stream(EP, big, params, back, sample_times(1.0, back),
-                                   big.fft(fin.phi.values), big.fft(fin.psi.values)):
+    for _, spectra in model_stream(EP, big, params, back, 1.0, big.fft(fin.phi.values),
+                                   big.fft(fin.psi.values)):
         pass
     rev_phi, rev_psi = big.ifft(np.stack(spectra))
     rev_err = max(sobolev_norm(Field(big, rev_phi - phi0.values), 1.0),

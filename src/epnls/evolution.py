@@ -40,9 +40,9 @@ system_a_symbols, composite_seed) is a function of |k|^2 alone, evaluated
 on the grid's distinct values k_levels and gathered onto the lattice.
 
 Every sample comes from a stream of (t, spectra), every field spectral:
-the kernel yields its spectra at the times sample_times gives, and a
-comparator its spectra at each requested time.  One loop, _record,
-turns any such stream into a Trajectory.
+the kernel yields its spectra on the clock of T and its step
+(sample_times), and a comparator its spectra at each time it is given.
+One loop, _record, turns any such stream into a Trajectory.
 """
 
 from __future__ import annotations
@@ -52,14 +52,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    DEFAULT_MAX_POINTS,
     Field,
     _free_symbol_of,
     default_sobolev_index,
     free_symbol,
     hs_norm_from_fft,
 )
-
-DEFAULT_DT = 2e-2
 
 EP = "ep"
 NLS = "nls"
@@ -143,7 +142,8 @@ def zero_state(phi0):
 @dataclass
 class StepSpec:
     """The clock of the split-step integrators: every sample is one triple
-    jump of ``dt``.
+    jump of ``dt``, which has no default (sweep._MODEL_DEFAULTS holds each
+    model's).
 
     ``dt`` may be negative to integrate the system backward in time (used
     by the time-reversal check).  ``sample_growth`` (q) grades the clock
@@ -152,7 +152,7 @@ class StepSpec:
     many times dt.
     """
 
-    dt: float = DEFAULT_DT
+    dt: float
     sample_growth: float = 0.0
 
     def __post_init__(self):
@@ -336,38 +336,61 @@ def _step_count(T, dt):
 
 
 def sample_times(T, step):
-    """The times model_stream yields for evolve_ep, evolve_nls and the
-    sweep alike: u_j |dt|, each computed as that product, for integers
-    u_0 = 0 < u_1 < ... up to T / |dt|, which must be a positive integer
-    (_step_count).  Without growth u_j = j, one sample per step.  With
-    growth q > 0 the interval from u_j spans m_j steps, the largest power
-    of two with m_j <= max(1, q u_j) that divides u_j, clipped at T; so the
-    spacing is at most max(|dt|, q t_j), the clock is uniform up to
-    u ~ 2 / q (bitwise the times of q = 0 there) and then doubles its
-    spacing each time t doubles, in steps that start on a multiple of the
-    new spacing."""
+    """The times model_stream yields on the clock of T and step, for
+    evolve_ep, evolve_nls and the sweep alike: u_j |dt|, each computed as
+    that product, for integers u_0 = 0 < u_1 < ... up to T / |dt|, which
+    must be a positive integer (_step_count).  Without growth u_j = j, one
+    sample per step.  With growth q > 0 the interval from u_j spans m_j
+    steps, the largest power of two with m_j <= max(1, q u_j) that divides
+    u_j, clipped at T; so the spacing is at most max(|dt|, q t_j), the
+    clock is uniform up to u ~ 2 / q (bitwise the times of q = 0 there) and
+    then doubles its spacing each time t doubles, in steps that start on a
+    multiple of the new spacing."""
+    return _sample_units(T, step) * abs(step.dt)
+
+
+def _sample_units(T, step):
+    # the integers u_j of sample_times(T, step)
     n = _step_count(T, step.dt)
+    if not step.sample_growth:
+        return np.arange(n + 1)
     units = [0]
     while units[-1] < n:
         u, m = units[-1], 1
         while 2 * m <= step.sample_growth * u and u % (2 * m) == 0:
             m *= 2
         units.append(min(u + m, n))
-    return np.array(units) * abs(step.dt)
+    return np.array(units)
 
 
-def _comparator_times(T, given, start=0.0):
-    """A comparator's sample times, none before start: the given ones, or
-    start + sample_times(T - start, StepSpec()), bitwise evolve_ep's and
-    evolve_nls's default times from start = 0."""
-    if given is None:
-        if T is None:
-            raise ValueError("provide either T or explicit sample_times")
-        given = start + sample_times(T - start, StepSpec())
+def _given_times(given, start=0.0):
+    """A comparator's sample times as a float array; ValueError naming
+    sample_times unless they are a nonempty 1D, finite, strictly increasing
+    sequence none of whose times precedes start."""
     times = np.asarray(given, dtype=float)
-    if np.any(times < start - 1e-12):
-        raise ValueError(f"sample times precede the start time {start:.6g}")
+    if times.ndim != 1 or not times.size:
+        raise ValueError(f"sample_times must be a nonempty 1D sequence, got shape "
+                         f"{times.shape}")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample_times must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("sample_times must be strictly increasing")
+    if times[0] < start - 1e-12:
+        raise ValueError(f"sample_times precede the start time {start:.6g}")
     return times
+
+
+def _check_record(grid, fields, step, T, record):
+    """ValueError naming dt, T and the count, by arithmetic alone, unless
+    the samples of a run to T, times its ``fields`` fields' stored points
+    each for a 'full' record (one point for 'norms'), fit in
+    DEFAULT_MAX_POINTS."""
+    samples = _step_count(T, step.dt) + 1
+    count = samples * (fields * int(np.prod(grid.shape)) if record == FULL else 1)
+    if count > DEFAULT_MAX_POINTS:
+        raise ValueError(f"a {record!r} record of {samples} samples at dt = {step.dt:g} "
+                         f"to T = {T:g} holds {count} points, which exceeds the "
+                         f"memory cap of {DEFAULT_MAX_POINTS} points")
 
 
 # --------------------------------------------------------------------------
@@ -452,9 +475,10 @@ def jump(model, grid, params, spectra, h, count=1):
     _jump(spectra, grid, params, flows, weights, dt.reshape(dt.shape + (1,) * grid.n))
 
 
-def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
+def model_stream(model, grid, params, step, T, phi_hat, psi_hat=None):
     """The split-step loop of ``model`` from the photon spectra phi_hat
-    (with any leading batch axes), as a stream of its samples at ``times``.
+    (with any leading batch axes), as a stream of its samples on the clock
+    of T and ``step``, at times = sample_times(T, step).
 
     EP steps the 2x2 flow exp(-i tau H_k) of (phi_hat, psi_hat), the
     exciton spectrum zero if None, and rotates psi; NLS steps the free flow
@@ -462,12 +486,11 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     jumps, Strang steps flow(w/2), rotation(w), flow(w/2) of weights w1,
     w0, w1 (_jump), with one set of linear maps built per interval length.
     The stream owns phi_hat and psi_hat.  It yields (times[j], spectra):
-    the given spectra at times[0], then each further one m steps of
-    ``step`` on, reached by one triple jump of m dt, m read off the times;
-    so ``times`` is sample_times(T, step) or a prefix (times a positive
-    whole number of steps |dt| apart, else ValueError), and m is 1
-    throughout on a clock without growth.  spectra lists the fields' plain
-    FFTs, photon first, and the list and its arrays change once it resumes.
+    the given spectra at times[0] = 0, then each further one m steps of
+    ``step`` on, reached by one triple jump of m dt, m the difference of
+    the clock's whole units (1 throughout without growth); closing it
+    early yields a prefix.  spectra lists the fields' plain FFTs, photon
+    first, and the list and its arrays change once it resumes.
     Raises SolverBlowupError once a sample is not finite or a rotation
     angle reaches 2^52 rad, with the number of triple jumps taken (for an
     angle, counting the one in progress).  ``stream.send(keep)``, keep a
@@ -483,12 +506,9 @@ def model_stream(model, grid, params, step, times, phi_hat, psi_hat=None):
     # replaced them
     del phi_hat, psi_hat
     # an interval of m steps is one triple jump of m dt
-    spans = np.diff(times) / abs(step.dt)
-    units = np.rint(spans)
-    if np.any(units < 1) or np.any(np.abs(spans - units) > 1e-6):
-        raise ValueError("sample times must be a positive whole number of steps "
-                         f"|dt| = {abs(step.dt):.6g} apart")
-    step_dt = (units * step.dt).tolist()
+    units = _sample_units(T, step)
+    times = units * abs(step.dt)
+    step_dt = (np.diff(units) * step.dt).tolist()
     flows = {dt: _flows(model, grid, params, 1, dt) for dt in dict.fromkeys(step_dt)}
     for j, t in enumerate(times):
         if j:  # sample 0: no step
@@ -509,13 +529,14 @@ def evolve_ep(initial, params, step, T, record=FULL):
     Strang steps of w1 dt, w0 dt, w1 dt, each a half exact 2x2 linear step
     for (phi_hat, psi_hat), the rotation of psi and a half linear step
     again.  Aborts with SolverBlowupError if any field stops being finite
-    or a rotation angle reaches 2^52 rad.
+    or a rotation angle reaches 2^52 rad.  A record past DEFAULT_MAX_POINTS
+    points is a ValueError before any sample is taken (_check_record).
     """
-    times = sample_times(T, step)
     if initial.time != 0:
         raise ValueError("evolve_ep expects the initial state at time 0")
     grid = initial.phi.grid
-    stream = model_stream(EP, grid, params, step, times, grid.fft(initial.phi.values),
+    _check_record(grid, 2, step, T, record)
+    stream = model_stream(EP, grid, params, step, T, grid.fft(initial.phi.values),
                           grid.fft(initial.psi.values))
     return _record(stream, grid, params, record)
 
@@ -527,11 +548,12 @@ def evolve_nls(phi0, params, step, T, record=FULL):
     Strang steps of w1 dt, w0 dt, w1 dt, each a half exact spectral free
     step, the rotation of phi and a half free step again.  Aborts with
     SolverBlowupError if the field stops being finite or a rotation angle
-    reaches 2^52 rad.
+    reaches 2^52 rad.  A record past DEFAULT_MAX_POINTS points is a
+    ValueError before any sample is taken (_check_record).
     """
     grid = phi0.grid
-    stream = model_stream(NLS, grid, params, step, sample_times(T, step),
-                          grid.fft(phi0.values))
+    _check_record(grid, 1, step, T, record)
+    stream = model_stream(NLS, grid, params, step, T, grid.fft(phi0.values))
     return _record(stream, grid, params, record)
 
 
@@ -539,14 +561,14 @@ def evolve_nls(phi0, params, step, T, record=FULL):
 # linear comparators (closed form, no stepping error)
 
 
-def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
+def evolve_linear_b(initial, params, sample_times, record=FULL):
     """Exact solution of the fully linear coupled system (g = 0).
 
-    Evaluates the per-mode 2x2 matrix exponential at each requested time,
-    measured from ``initial.time``; times may be arbitrary.  By default
-    T - initial.time must be a multiple of StepSpec()'s step dt.
+    Evaluates the per-mode 2x2 matrix exponential at each given time,
+    measured from ``initial.time``; the times may be arbitrary, none before
+    initial.time (_given_times).
     """
-    times = _comparator_times(T, sample_times, initial.time)
+    times = _given_times(sample_times, initial.time)
 
     grid = initial.phi.grid
     phi0_hat = grid.fft(initial.phi.values)
@@ -562,7 +584,7 @@ def evolve_linear_b(initial, params, T=None, sample_times=None, record=FULL):
 _RESONANCE_GAP = 1e-8
 
 
-def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
+def evolve_system_a(phi0, params, sample_times, record=FULL):
     """Exact solution of the early-time approximation: phi propagates
     freely, the exciton starts at zero and is driven linearly,
 
@@ -571,10 +593,9 @@ def evolve_system_a(phi0, params, T=None, sample_times=None, record=FULL):
                        phi_hat_k(0),
 
     with a 3-term series in (omega0 - |k|^2) t through each resonant mode
-    |k|^2 = omega0.  By default T must be a multiple of StepSpec()'s
-    step dt.
+    |k|^2 = omega0, at each given time t >= 0 (_given_times).
     """
-    times = _comparator_times(T, sample_times)
+    times = _given_times(sample_times)
 
     grid = phi0.grid
     phi0_hat = grid.fft(phi0.values)
@@ -616,17 +637,16 @@ def _composite_seed_of(k_sq, params, t1):
     return _pair_map(back, *_system_a_of(k_sq, params, t1))
 
 
-def evolve_composite_tilde(phi0, params, C1, epsilon, T=None, sample_times=None,
-                           record=FULL):
+def evolve_composite_tilde(phi0, params, C1, epsilon, sample_times, record=FULL):
     """Comparator that follows system A on [0, t1] and system B after,
     with t1 = C1 * sqrt(epsilon) and the A-state at t1 handed to B
-    exactly (the fields are continuous across t1 by construction).
-    C1 = 0 degenerates to pure system B from (phi0, 0).  By default T
-    must be a multiple of StepSpec()'s step dt."""
+    exactly (the fields are continuous across t1 by construction), at each
+    given time t >= 0 (_given_times), the last not before t1.  C1 = 0
+    degenerates to pure system B from (phi0, 0)."""
     if C1 < 0 or epsilon < 0:
         raise ValueError("C1 and epsilon must be nonnegative")
     t1 = C1 * np.sqrt(epsilon)
-    times = _comparator_times(T, sample_times)
+    times = _given_times(sample_times)
     if t1 > times[-1]:
         raise ValueError(f"A-phase end t1 = {t1:.6g} exceeds the horizon, the last "
                          f"sample time {times[-1]:.6g}")

@@ -425,7 +425,7 @@ def _curve_batch(c, specs, tolerances=None):
     with every distinct delta stepped at once on a leading batch axis.
 
     The batch steps on solver_setup(c)'s grid.  Every sample, t = 0
-    included, is read from model_stream at the times sample_times gives:
+    included, is read from model_stream on c's clock (sweep_times):
     the truth spectrum is the photon spectrum it yields as spectra[0], the
     comparator spectrum one closed-form multiplier per eps_comp times each
     curve's phi_hat(0).  Samples are measured in blocks of K consecutive
@@ -486,7 +486,7 @@ def _measure_batch(c, specs, tolerances, block_points):
 
     phi_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
     curve_phi0_hat = phi_hat[member]
-    stream = model_stream(c.model, grid, params, step, times, phi_hat)
+    stream = model_stream(c.model, grid, params, step, c.T, phi_hat)
     del phi_hat  # the stream owns the photon spectra
     # sample 0, taken before the first block so that its field count sizes
     # every block's stack
@@ -659,7 +659,7 @@ def _batch_points(c, members, curves, crossings=0):
 
 def _max_samples(c):
     """The most samples c's clock can take, T / dt + 1 (the uniform one's)."""
-    return round(c.T / c.dt) + 1
+    return _step_count(c.T, c.dt) + 1
 
 
 def _compute_curves(c, specs):

@@ -173,11 +173,12 @@ def test_config_error_exit_code(tmp_path, capsys):
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config_text(text)
-    out = tmp_path / "o"
-    argv = ["sweep", "--config", write_cfg(tmp_path, text), "--out", str(out)]
-    assert main(argv) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    path = write_cfg(tmp_path, text)
+    for command in ("simulate", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_out_under_a_regular_file_is_a_path_error(tmp_path, capsys):

@@ -42,6 +42,8 @@ from epnls.evolution import (
 
 GRID = make_grid(1, 256, 10.0)
 PARAMS = ModelParams(g=1.0, gamma=1.0, omega0=1.0, p=3.0, s=1.0)
+# a coarse clock for the comparators' sample times: they have no default
+CLOCK = StepSpec(dt=2e-2)
 
 
 def gauss_state(amplitude=1.0):
@@ -86,7 +88,10 @@ def test_step_spec_validation():
     assert StepSpec(dt=3e-3).dt == 3e-3  # no cadence for it to divide
     for growth in (-0.1, np.inf, np.nan):
         with pytest.raises(ValueError, match="sample_growth"):
-            StepSpec(sample_growth=growth)
+            StepSpec(dt=1e-3, sample_growth=growth)
+    # no default clock: each model's is in sweep._MODEL_DEFAULTS alone
+    with pytest.raises(TypeError):
+        StepSpec()
 
 
 @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
@@ -387,7 +392,7 @@ def test_linear_b_matches_dense_expm_oracle():
 
 
 def test_linear_b_preserves_combined_weighted_norm():
-    traj = evolve_linear_b(gauss_state(), PARAMS, T=1.0)
+    traj = evolve_linear_b(gauss_state(), PARAMS, sample_times(1.0, CLOCK))
     combined = np.sqrt(traj.norm_phi**2 + traj.norm_psi**2)
     assert np.max(np.abs(combined - combined[0])) / combined[0] < 1e-12
 
@@ -445,7 +450,7 @@ def test_system_a_matches_duhamel_quadrature_oracle():
 def test_composite_c1_zero_equals_linear_b():
     phi0 = gaussian_initial(GRID, 0.5)
     times = np.linspace(0.0, 1.0, 11)
-    comp = evolve_composite_tilde(phi0, PARAMS, C1=0.0, epsilon=0.01, T=1.0,
+    comp = evolve_composite_tilde(phi0, PARAMS, C1=0.0, epsilon=0.01,
                                   sample_times=times)
     lin = evolve_linear_b(zero_state(phi0), PARAMS, sample_times=times)
     for a, b in zip(comp.phi, lin.phi):
@@ -458,7 +463,7 @@ def test_composite_gamma_zero_is_free_propagation():
     params = ModelParams(g=1.0, gamma=0.0, omega0=1.0, p=3.0, s=1.0)
     phi0 = gaussian_initial(GRID, 1.0)
     times = np.linspace(0.0, 1.0, 6)
-    comp = evolve_composite_tilde(phi0, params, C1=2.0, epsilon=0.04, T=1.0,
+    comp = evolve_composite_tilde(phi0, params, C1=2.0, epsilon=0.04,
                                   sample_times=times)
     for i, t in enumerate(times):
         assert hs_diff(comp.phi[i], free_propagate(phi0, t)) < 1e-12
@@ -470,7 +475,7 @@ def test_composite_handoff_continuity():
     c1, eps = 1.0, 0.04
     t1 = c1 * np.sqrt(eps)  # 0.2
     times = np.array([0.0, 0.1, t1, t1 + 1e-8, 0.5])
-    comp = evolve_composite_tilde(phi0, PARAMS, C1=c1, epsilon=eps, T=1.0,
+    comp = evolve_composite_tilde(phi0, PARAMS, C1=c1, epsilon=eps,
                                   sample_times=times)
     at_t1 = evolve_system_a(phi0, PARAMS, sample_times=[t1])
     # the sample at t1 comes from system A bitwise
@@ -490,20 +495,50 @@ def test_composite_handoff_continuity():
 
 def test_composite_t1_beyond_horizon():
     with pytest.raises(ValueError, match="horizon"):
-        evolve_composite_tilde(
-            gaussian_initial(GRID, 1.0), PARAMS, C1=10.0, epsilon=1.0, T=1.0
-        )
+        evolve_composite_tilde(gaussian_initial(GRID, 1.0), PARAMS, C1=10.0, epsilon=1.0,
+                               sample_times=sample_times(1.0, CLOCK))
+
+
+_COMPARATORS = {
+    "linear-b": lambda times: evolve_linear_b(gauss_state(), PARAMS, sample_times=times),
+    "system-a": lambda times: evolve_system_a(gaussian_initial(GRID, 1.0), PARAMS,
+                                              sample_times=times),
+    "composite": lambda times: evolve_composite_tilde(gaussian_initial(GRID, 1.0), PARAMS,
+                                                      C1=0.0, epsilon=0.01,
+                                                      sample_times=times),
+}
+
+
+@pytest.mark.parametrize("name", list(_COMPARATORS))
+@pytest.mark.parametrize("times, cause", [
+    ([], "nonempty 1D"),
+    ([[0.0, 0.1], [0.2, 0.3]], "nonempty 1D"),
+    ([0.0, np.nan], "finite"),
+    ([0.0, np.inf], "finite"),
+    ([0.0, 0.2, 0.1], "strictly increasing"),
+    ([0.0, 0.1, 0.1], "strictly increasing"),
+    ([-0.1, 0.1], "precede the start time 0"),
+], ids=["empty", "2d", "nan", "inf", "decreasing", "repeated", "before-start"])
+def test_comparators_refuse_bad_times_by_name(monkeypatch, name, times, cause):
+    # each is a ValueError naming sample_times, raised before any transform
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran before the times were checked")
+
+    monkeypatch.setattr(type(GRID), "fft", no_transform)
+    with pytest.raises(ValueError, match=f"^sample_times .*{cause}"):
+        _COMPARATORS[name](times)
 
 
 def test_composite_takes_explicit_times_without_T():
-    # like its sibling comparators; t1 is checked against the last time
+    # like its sibling comparators, by keyword or position; t1 is checked
+    # against the last time
     phi0 = gaussian_initial(GRID, 1.0)
     times = np.linspace(0.0, 1.0, 6)
     comp = evolve_composite_tilde(phi0, PARAMS, C1=1.0, epsilon=0.04,
                                   sample_times=times, record="norms")
-    with_T = evolve_composite_tilde(phi0, PARAMS, C1=1.0, epsilon=0.04, T=1.0,
-                                    sample_times=times, record="norms")
-    assert np.array_equal(comp.norm_phi, with_T.norm_phi)
+    positional = evolve_composite_tilde(phi0, PARAMS, 1.0, 0.04, times, record="norms")
+    assert np.array_equal(comp.times, times)
+    assert np.array_equal(comp.norm_phi, positional.norm_phi)
     with pytest.raises(ValueError, match="horizon"):
         evolve_composite_tilde(phi0, PARAMS, C1=1.0, epsilon=0.04,
                                sample_times=[0.0, 0.1])
@@ -613,8 +648,7 @@ def test_kernel_streams_from_t0_and_drops_rows_at_any_sample(drop_at, keep_rows)
     kept = np.array(keep_rows)
 
     def samples(drop):
-        stream = model_stream(EP, GRID, PARAMS, step, sample_times(0.04, step),
-                              np.fft.fftn(phi0, axes=(-1,)))
+        stream = model_stream(EP, GRID, PARAMS, step, 0.04, np.fft.fftn(phi0, axes=(-1,)))
         keep, out = None, []
         for t, (phi_hat, psi_hat) in iter(lambda: stream.send(keep), None):
             out.append((t, phi_hat.copy(), psi_hat.copy()))
@@ -638,8 +672,7 @@ def test_nls_kernel_matches_the_stacked_loop(grid, dt):
     phi0 = np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.5, 0.1)])
     phi0_hat = np.fft.fftn(phi0, axes=tuple(range(-grid.n, 0)))
     old = frozen_nls_samples(phi0_hat, PARAMS, dt, 20, grid)
-    times = sample_times(20 * dt, step)
-    new = model_stream(NLS, grid, PARAMS, step, times, phi0_hat.copy())
+    new = model_stream(NLS, grid, PARAMS, step, 20 * dt, phi0_hat.copy())
     t0, (hat0,) = next(new)
     assert t0 == 0.0 and np.array_equal(hat0, phi0_hat)
     for (t_old, hat_old), (t_new, (hat,)) in zip(old, new):
@@ -660,8 +693,7 @@ def test_model_stream_yields_the_photon_spectrum_at_every_sample(model):
                frozen_ep_samples([phi0, np.zeros_like(phi0)], PARAMS, step.dt, 10, GRID)]
     else:
         old = [hat for _, hat in frozen_nls_samples(phi0_hat, PARAMS, step.dt, 10, GRID)]
-    stream = model_stream(model, GRID, PARAMS, step, sample_times(0.04, step),
-                          phi0_hat.copy())
+    stream = model_stream(model, GRID, PARAMS, step, 0.04, phi0_hat.copy())
     hats = [spectra[0].copy() for _, spectra in stream]
     assert np.array_equal(hats[0], phi0_hat)
     for hat, hat_old in zip(hats[1:], old, strict=True):
@@ -671,15 +703,17 @@ def test_model_stream_yields_the_photon_spectrum_at_every_sample(model):
 @pytest.mark.parametrize("model", [EP, NLS])
 def test_model_stream_yields_the_sample_times_it_is_given(model):
     # at T = 0.58, 18 of the 30 index * interval differ in their last bits
-    # from a running sum of intervals: the stream yields sample_times
-    # itself, bitwise, and a prefix of them ends it there
-    step = StepSpec()
+    # from a running sum of intervals: the stream yields sample_times of
+    # its T and step itself, bitwise, and closing it early keeps a prefix
+    step = CLOCK
     times = sample_times(0.58, step)
     phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
-    stream = model_stream(model, GRID, PARAMS, step, times, phi0_hat.copy())
+    stream = model_stream(model, GRID, PARAMS, step, 0.58, phi0_hat.copy())
     assert np.array([t for t, _ in stream]).tobytes() == times.tobytes()
-    prefix = model_stream(model, GRID, PARAMS, step, times[:3], phi0_hat.copy())
-    assert [t for t, _ in prefix] == list(times[:3])
+    prefix = model_stream(model, GRID, PARAMS, step, 0.58, phi0_hat.copy())
+    assert [next(prefix)[0] for _ in range(3)] == list(times[:3])
+    prefix.close()
+    assert next(prefix, None) is None
 
 
 @pytest.mark.parametrize("T, spu, growth", [
@@ -721,26 +755,18 @@ def test_graded_stream_is_a_uniform_stream_per_interval(model, T):
     times = sample_times(T, step)
     phi0_hat = grid.fft(np.stack([gaussian_initial(grid, d).values for d in (1.0, 0.6)]))
     samples = [[a.copy() for a in spectra]
-               for _, spectra in model_stream(model, grid, PARAMS, step, times, phi0_hat)]
+               for _, spectra in model_stream(model, grid, PARAMS, step, T, phi0_hat)]
     spans = np.rint(np.diff(times) / step.dt).astype(int)
     assert set(spans) == ({1, 2, 4} if model == EP else {1, 2, 4, 8})
     for j, m in enumerate(spans):
+        # a restart from the interval's start, to T = m dt in one sample
         coarse = StepSpec(dt=m * step.dt)
         start = [a.copy() for a in samples[j]]
-        one = model_stream(model, grid, PARAMS, coarse, times[j : j + 2], *start)
+        one = model_stream(model, grid, PARAMS, coarse, coarse.dt, *start)
         next(one)
         t, spectra = next(one)
-        assert t == times[j + 1]
+        assert t == coarse.dt and times[j] + t == pytest.approx(times[j + 1])
         assert all(np.array_equal(a, b) for a, b in zip(spectra, samples[j + 1], strict=True))
-
-
-@pytest.mark.parametrize("times", [[0.0, 0.0015], [0.0, 0.001, 0.001], [0.0, -0.001]])
-def test_model_stream_refuses_times_off_the_sample_grid(times):
-    # an interval it cannot step exactly is an error, not a rounded step
-    step = StepSpec(dt=1e-3)
-    phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
-    with pytest.raises(ValueError, match=r"whole number of steps \|dt\| = 0.001 apart"):
-        list(model_stream(NLS, GRID, PARAMS, step, times, phi0_hat))
 
 
 @pytest.mark.parametrize("failure", ["angle", "non-finite"])
@@ -766,12 +792,31 @@ def test_blowup_on_a_graded_clock_reports_the_steps_taken(monkeypatch, failure):
     monkeypatch.setattr(epnls.evolution, "_rotate", failing)
     phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
     with pytest.raises(SolverBlowupError) as err:
-        for _ in model_stream(NLS, GRID, PARAMS, step, times, phi0_hat):
+        for _ in model_stream(NLS, GRID, PARAMS, step, 0.2, phi0_hat):
             pass
     j = target // 3 + 1  # the jump, and the sample its interval ends at
     assert j == 101 and times[j] - times[j - 1] == pytest.approx(4 * step.dt)
     assert err.value.step_index == j
     assert err.value.time == (times[j - 1] if failure == "angle" else times[j])
+
+
+@pytest.mark.parametrize("record", ["full", "norms"])
+@pytest.mark.parametrize("model", [EP, NLS])
+def test_a_record_past_the_memory_cap_is_refused_by_arithmetic(monkeypatch, model, record):
+    # 2e9 + 1 samples: refused before any time or state is built, so a
+    # clock that would be built fails the test at once instead of hanging
+    def no_clock(*args, **kwargs):
+        raise AssertionError("the clock was built")
+
+    for name in ("sample_times", "_sample_units"):
+        monkeypatch.setattr(epnls.evolution, name, no_clock, raising=False)
+    run = evolve_ep if model == EP else evolve_nls
+    start = gauss_state() if model == EP else gaussian_initial(GRID, 1.0)
+    points = ((2 if model == EP else 1) * GRID.N if record == "full" else 1) * 2000000001
+    with pytest.raises(ValueError, match=f"^a '{record}' record of 2000000001 samples at "
+                                         f"dt = 1e-09 to T = 2 holds {points} points, which "
+                                         "exceeds the memory cap of 16777216 points$"):
+        run(start, PARAMS, StepSpec(dt=1e-9), 2.0, record=record)
 
 
 # ---------------------------------------------------------------- NLS
@@ -827,13 +872,13 @@ def test_nls_blowup_detection():
 
 
 def test_relative_error_identical_trajectories():
-    traj = evolve_linear_b(gauss_state(), PARAMS, T=0.5)
+    traj = evolve_linear_b(gauss_state(), PARAMS, sample_times(0.5, CLOCK))
     curve = relative_error_curve(traj, traj, 1.0)
     assert np.all(curve.rho == 0.0)
 
 
 def test_relative_error_scalar_offset():
-    traj = evolve_linear_b(gauss_state(), PARAMS, T=0.2)
+    traj = evolve_linear_b(gauss_state(), PARAMS, sample_times(0.2, CLOCK))
     scaled = evolve_linear_b(gauss_state(1.01), PARAMS, sample_times=traj.times)
     curve = relative_error_curve(scaled, traj, 1.0)
     assert np.max(np.abs(curve.rho - 0.01)) < 1e-14
@@ -855,29 +900,10 @@ def test_relative_error_homogeneity():
 
 
 def test_relative_error_requires_identical_times():
-    a = evolve_linear_b(gauss_state(), PARAMS, T=0.2)
+    a = evolve_linear_b(gauss_state(), PARAMS, sample_times(0.2, CLOCK))
     b = evolve_linear_b(gauss_state(), PARAMS, sample_times=a.times + 1e-6)
     with pytest.raises(ValueError, match="identical"):
         relative_error_curve(b, a, 1.0)
-
-
-@pytest.mark.parametrize("T", [0.58, 1.14, 1.0])
-def test_default_comparator_times_are_the_kernel_sample_times(T):
-    # at T = 0.58 and 1.14, start + linspace(0, T, n + 1) is 1 ulp off
-    # index * interval at some sample; the comparators sample the kernel's
-    # grid, so a default comparator and a default run pair up
-    truth = evolve_ep(gauss_state(), PARAMS, StepSpec(), T)
-    phi0 = gaussian_initial(GRID, 1.0)
-    for comp in (evolve_linear_b(gauss_state(), PARAMS, T=T),
-                 evolve_system_a(phi0, PARAMS, T=T),
-                 evolve_composite_tilde(phi0, PARAMS, C1=1.0, epsilon=0.01, T=T)):
-        assert comp.times.tobytes() == truth.times.tobytes()
-        relative_error_curve(comp, truth, 1.0)
-
-
-def test_default_comparator_horizon_is_a_multiple_of_the_sample_interval():
-    with pytest.raises(ValueError, match="not a positive multiple"):
-        evolve_linear_b(gauss_state(), PARAMS, T=0.55)
 
 
 def test_ep_vs_b_early_time_power_law():

@@ -21,6 +21,7 @@ from epnls.evolution import (
     evolve_nls,
     linear_pair_propagator,
     relative_error_curve,
+    sample_times,
     zero_state,
 )
 from epnls.grid import (
@@ -643,8 +644,7 @@ def _reference_curve(c, delta, epsilon_comp=None):
     else:
         truth = evolve_ep(zero_state(phi0), params, step, c.T)
         if c.comparator == "composite":
-            comp = evolve_composite_tilde(phi0, params, c.c1, epsilon_comp, c.T,
-                                          sample_times=truth.times)
+            comp = evolve_composite_tilde(phi0, params, c.c1, epsilon_comp, truth.times)
         else:
             comp = evolve_linear_b(zero_state(phi0), params,
                                    sample_times=truth.times)
@@ -770,11 +770,11 @@ def _patch_streams(monkeypatch, at_sample):
     each sample j it yields, rows the initial batch rows it still steps."""
     stream = epnls.sweep.model_stream
 
-    def patched(model, grid, params, step, times, phi_hat, psi_hat=None):
+    def patched(model, grid, params, step, T, phi_hat, psi_hat=None):
         rows = np.arange(len(phi_hat))
-        inner = stream(model, grid, params, step, times, phi_hat, psi_hat)
+        inner = stream(model, grid, params, step, T, phi_hat, psi_hat)
         keep = None
-        for j in range(len(times)):
+        for j in range(len(sample_times(T, step))):
             if keep is not None:
                 rows = rows[keep]
             sample = inner.send(keep)
@@ -1413,7 +1413,8 @@ def test_default_nls_dt_is_the_coarsest_that_keeps_the_bound():
 def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
     # EP keeps the uniform clock (sample_growth 0): its times are bitwise
     # np.arange(n + 1) x interval, and its default sweep's curves are
-    # bitwise those of a kernel fed those times and a step without growth
+    # bitwise those of a kernel fed its T and a step without growth, which
+    # yields those times
     c = SweepConfig(model="ep")
     step = solver_setup(c)[2]
     assert step == StepSpec(dt=c.dt)
@@ -1422,14 +1423,17 @@ def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
     curves = run_error_curves(c)
     kernel, fed = epnls.sweep.model_stream, []
 
-    def on_uniform_clock(model, grid, params, step, times, *spectra):
-        fed.append(times)
-        plain = StepSpec(dt=step.dt)
-        return kernel(model, grid, params, plain, uniform[: len(times)], *spectra)
+    def on_uniform_clock(model, grid, params, step, T, *spectra):
+        fed.append((step, T))
+        inner, keep = kernel(model, grid, params, StepSpec(dt=step.dt), T, *spectra), None
+        for u in uniform:
+            t, sample = inner.send(keep)
+            assert t == u
+            keep = yield t, sample
 
     monkeypatch.setattr(epnls.sweep, "model_stream", on_uniform_clock)
     assert _bits(run_error_curves(c)) == _bits(curves)
-    assert fed and all(t.tobytes() == uniform.tobytes() for t in fed)
+    assert fed and all(f == (StepSpec(dt=c.dt), c.T) for f in fed)
 
 
 def test_default_ep_dt_is_converged():
