@@ -27,9 +27,9 @@ sweep._MODEL_DEFAULTS gives the default clocks and their accuracy.
 The kernel carries spectra and takes only the rotated field to physical
 space and back, for each rotation (McLachlan & Quispel 2002,
 Acta Numerica 11:341): an EP step transforms psi alone and phi never
-leaves spectral space.  The rotation exp(-i theta), theta = g dt
-|u|^(p-1), is evaluated as (1 - i tau)^2 / (1 + tau^2) with tau =
-tan(theta/2).
+leaves spectral space.  Every unit phase exp(-i theta), the rotation's
+(theta = g dt |u|^(p-1)) and the symbols' alike, is evaluated as
+(1 - i tau)^2 / (1 + tau^2) with tau = tan(theta/2) (grid._unit_phase).
 
 Three linear comparators, each a per-mode multiplier of the initial
 spectra, are evaluated in closed form with no stepping error: the fully
@@ -55,6 +55,7 @@ from .grid import (
     DEFAULT_MAX_POINTS,
     Field,
     _free_symbol_of,
+    _unit_phase,
     default_sobolev_index,
     free_symbol,
     hs_norm_from_fft,
@@ -249,13 +250,14 @@ def _pair_propagator_of(k_sq, gamma, omega0, t):
     mu = 0.5 * (k_sq + omega0)
     d = 0.5 * (k_sq - omega0)
     big_omega = np.sqrt(d * d + gamma * gamma)
-    phase = np.exp(-1j * mu * t)
-    angle = big_omega * t
-    cos_t = np.cos(angle)
-    # sin(Omega t)/Omega, continuous through Omega = 0; evaluating sin and
-    # cos at the same rounded angle keeps the 2x2 exactly unitary in fp
+    phase = _unit_phase(0.5 * mu * t)
+    # exp(-i Omega t) = cos - i sin, both from one tangent of the same
+    # rounded half angle, which keeps the 2x2 unitary to rounding;
+    # sin(Omega t)/Omega is continuous through Omega = 0
+    turn = _unit_phase(0.5 * big_omega * t)
+    cos_t = turn.real
     denom = np.where(big_omega == 0.0, 1.0, big_omega)
-    sinc_t = np.where(big_omega == 0.0, t, np.sin(angle) / denom)
+    sinc_t = np.where(big_omega == 0.0, t, -turn.imag / denom)
     u11 = phase * (cos_t - 1j * d * sinc_t)
     u12 = phase * (-1j * gamma * sinc_t)
     u22 = phase * (cos_t + 1j * d * sinc_t)
@@ -272,12 +274,10 @@ def nonlinear_phase(values, g, p, dt):
 
 def _rotate(values, g, p, dt):
     # nonlinear_phase in place on a complex array; returns the largest
-    # |theta|.  The phase exp(-i theta), theta = g dt |u|^(p-1), is formed
-    # as (1 - i tau)^2 / (1 + tau^2) with tau = tan(theta / 2): the same
-    # unitary factor to rounding at any angle, and np.tan costs a fraction
-    # of sin, cos or a complex exp.  dt may be an array that broadcasts
-    # against values, one step per batch row.  g = 0 is the identity, even
-    # where |u|^(p-1) overflows
+    # |theta|.  The phase exp(-i theta), theta = g dt |u|^(p-1), is
+    # _unit_phase(theta / 2).  dt may be an array that broadcasts against
+    # values, one step per batch row.  g = 0 is the identity, even where
+    # |u|^(p-1) overflows
     if g == 0:
         return 0.0
     tau = np.abs(values)  # |u|^(p-1), squared by a product for the cubic
@@ -288,13 +288,7 @@ def _rotate(values, g, p, dt):
     step = abs(g * dt)
     angle = float(step.max() if isinstance(step, np.ndarray) else step) * float(tau.max())
     tau *= 0.5 * g * dt
-    np.tan(tau, out=tau)
-    tau_sq = tau * tau
-    denom = tau_sq + 1.0
-    factor = np.empty(values.shape, dtype=np.complex128)
-    np.divide(1.0 - tau_sq, denom, out=factor.real)
-    np.divide(-2.0 * tau, denom, out=factor.imag)
-    values *= factor
+    values *= _unit_phase(tau)
     return angle
 
 
@@ -475,6 +469,44 @@ def jump(model, grid, params, spectra, h, count=1):
     _jump(spectra, grid, params, flows, weights, dt.reshape(dt.shape + (1,) * grid.n))
 
 
+def log_rho_rate(model, grid, params, spectra, diff, comparator_psi, norms, diff_norms):
+    """d log rho / dt of each leading batch row, rho = ||D||_s / ||T||_s the
+    relative photon error of the truth's spectra (model_stream's: photon T
+    first, then EP's exciton psi) against a linear comparator's photon C,
+    D = C - T (``diff``), ``norms`` and ``diff_norms`` the H^s norms of T
+    and D (s of params).  With <a, b> = sum w conj(a) b in the norm's
+    weights w, and each photon solving i phi_t = |k|^2 phi + F, whose
+    |k|^2 term is real and drops out:
+
+        EP:  gamma (Im<D, C_psi - psi> / ||D||^2 - Im<T, psi> / ||T||^2),
+        NLS: -g (Im<D, N> / ||D||^2 + Im<T, N> / ||T||^2),
+
+    C_psi (``comparator_psi``, EP only) the comparator's exciton, 0 where
+    its photon flows freely (system A), and N = FFT(|u|^(p-1) u), one
+    transform pair per row.  Every operation acts on each row alone, and
+    EP's exciton and C_psi are overwritten."""
+    weight = grid.hs_weight(params.resolve_s(grid)) * (grid.cell_volume**2 / grid.box_volume)
+    rows = (-1, weight.size)
+
+    def im_dot(a, weighted, norm):  # Im<a, b> / norm^2 per row, from weight b
+        return np.vecdot(a.reshape(rows), weighted.reshape(rows)).imag / norm / norm
+
+    photon = spectra[0]
+    if model == EP:
+        psi = spectra[1]
+        comparator_psi -= psi
+        comparator_psi *= weight
+        psi *= weight
+        return params.gamma * (im_dot(diff, comparator_psi, diff_norms)
+                               - im_dot(photon, psi, norms))
+    u = grid.ifft(photon)
+    u *= np.abs(u) ** (params.p - 1.0)
+    force = grid.fft(u)
+    del u
+    force *= weight
+    return -params.g * (im_dot(diff, force, diff_norms) + im_dot(photon, force, norms))
+
+
 def model_stream(model, grid, params, step, T, phi_hat, psi_hat=None):
     """The split-step loop of ``model`` from the photon spectra phi_hat
     (with any leading batch axes), as a stream of its samples on the clock
@@ -618,9 +650,9 @@ def _system_a_of(k_sq, params, t):
     ramp = np.where(
         resonant,
         t * (1.0 + 0.5j * theta - theta**2 / 6.0),
-        (np.exp(1j * gap_safe * t) - 1.0) / (1j * gap_safe),
+        (_unit_phase(-0.5 * gap_safe * t) - 1.0) / (1j * gap_safe),
     )
-    a_psi = -1j * params.gamma * np.exp(-1j * params.omega0 * t) * ramp
+    a_psi = -1j * params.gamma * _unit_phase(0.5 * params.omega0 * t) * ramp
     return _free_symbol_of(k_sq, t), a_psi
 
 

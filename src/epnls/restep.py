@@ -6,19 +6,23 @@ Norsett & Wanner, Solving ODEs I, 2nd ed., Sec. II.6; Shampine & Thompson
 2000, Comput. Math. Appl. 39:43): where rho first reaches a tolerance
 between the samples t_left and t_right, one triple jump of h from the
 state at t_left gives the state at t_left + h with the step's own
-accuracy, and a safeguarded secant on log rho against log t finds the h
-where rho equals the tolerance.  Every sweep sample is one triple jump
-of dt (of m dt on an interval of m steps), so h is at most the bracket's
-width: a re-step's jump is never longer than the stream's step across
-its bracket; only a bracket from t = 0 on a curve whose rho grows
-faster than t takes shorter ones (_jumps_from_zero).  The sweep
-(sweep._measure_batch) holds each crossing's spectra at t_left (_Held:
-EP's photon and exciton, NLS's photon) and runs the secants of a batch
-together (_restep_crossings).
-Read this way, the default EP clocks need 61 % (1D) to a fifth (2D) of the
-samples that interpolating the stored samples (sweep.find_crossing) needs
-for the same error, and NLS's default crossings lie within 4.4e-11 of a
-fine reference.
+accuracy, and a safeguarded Newton on log rho against log t finds the h
+where rho equals the tolerance.  rho's slope comes with every value, in
+closed form from the model's right-hand side (evolution.log_rho_rate),
+and the first guess is the cubic Hermite through the bracket ends'
+values and slopes.  Every sweep sample is one triple jump of dt (of m dt
+on an interval of m steps), so h is at most the bracket's width: a
+re-step's jump is never longer than the stream's step across its
+bracket; only a bracket from t = 0 on a curve whose rho grows faster
+than t takes shorter ones (_jumps_from_zero).  The sweep
+(sweep._measure_batch) holds each crossing's spectra at both bracket
+ends (_Held: EP's photon and exciton, NLS's photon) and runs the Newton
+iterations of a batch together (_restep_crossings): on the default sweeps
+1.0 evaluations per crossing in 1D (EP and NLS) and 1.875, at most 2, in
+2D.  Read this way, the default EP clocks need 61 % (1D) to a fifth (2D)
+of the samples that interpolating the stored samples (sweep.find_crossing)
+needs for the same error, and NLS's default crossings lie within 4.4e-11
+of a fine reference.
 """
 
 from __future__ import annotations
@@ -28,62 +32,92 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import jump
-from .grid import gaussian_initial, hs_norm_from_fft
+from .evolution import jump, log_rho_rate
+from .grid import gaussian_rows, hs_norm_from_fft
 from .theory import beta_predict
 
 
 @dataclass
 class _Held:
     """A crossing of ``tolerance`` on curve ``curve`` (amplitude delta,
-    comparator row comp) whose bracket starts at t_left: the spectra of
-    its batch row there, one per field the model steps (photon first), the
-    secant (_secant) that locates it inside the bracket, and its first
-    guess read off the samples (sweep.find_crossing), else None."""
+    comparator row comp) in the bracket of samples (t_left, t_right), where
+    rho is rho_left < tolerance < rho_right: the spectra of its batch row
+    at both ends, one per field the model steps (photon first; those at
+    the right end go once its slope is known), and find_crossing's reading
+    of the samples, else None."""
 
     curve: int
     tolerance: float
     delta: float
     comp: int
     t_left: float
+    rho_left: float
+    t_right: float
+    rho_right: float
     spectra: list
-    secant: object
+    right: list
     read: float | None
 
 
 def _restep_crossings(c, grid, params, symbols, held, rows):
     """The times of the held crossings (_Held), each located by re-stepping
-    the integrator inside its bracket.  Each crossing runs a safeguarded
-    secant (_secant) from its guess, and all of them share one set of
-    rounds: a round evaluates rho at each open crossing's next time t
-    (_restepped_rho), ``rows`` crossings at a time, as many as the batch
-    stepped amplitudes, so that a round holds about what the stream held.
-    Every operation acts on each row alone, so a crossing's bits depend
-    neither on the batch nor on when it is located."""
+    the integrator inside its bracket.  rho's slope at every bracket end
+    (_rho_and_slope) gives each crossing a safeguarded Newton (_newton),
+    and all of them share one set of rounds: a round evaluates rho and its
+    slope at each open crossing's next time t (_restepped).  The ends and
+    each round go ``rows`` rows at a time, as many as the batch stepped
+    amplitudes, so that they hold about what the stream held, and the
+    spectra at the right ends go once their slopes are known.  Every
+    operation acts on each row alone, so a crossing's bits depend neither
+    on the batch nor on when it is located."""
     deltas = list(dict.fromkeys(h.delta for h in held))
-    phi0_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
+    phi0_hat = grid.fft(gaussian_rows(grid, deltas))
+    initial = [deltas.index(h.delta) for h in held]
+    ends = [(n, h.t_left, h.spectra) for n, h in enumerate(held)
+            if h.t_left > 0.0 and h.rho_left > 0.0]
+    ends += [(n, h.t_right, h.right) for n, h in enumerate(held)]
+    slope = {}
+    for start in range(0, len(ends), rows):
+        part = ends[start : start + rows]
+        stack = np.empty((2 * len(part),) + grid.shape, np.complex128)
+        np.stack([spectra[0] for _, _, spectra in part], out=stack[: len(part)])
+        others = [np.array(f) for f in zip(*(spectra[1:] for _, _, spectra in part))]
+        t = np.array([t for _, t, _ in part])
+        _, slopes = _rho_and_slope(c, grid, params, symbols,
+                                   phi0_hat[[initial[n] for n, _, _ in part]],
+                                   [held[n].comp for n, _, _ in part], t, stack, others)
+        slope.update(((n, t), s) for (n, t, _), s in zip(part, slopes.tolist()))
+        del stack, others, part
+    del ends
+    for h in held:
+        h.right = None
+    order = 1.0 / _leading_law(c)
+    newtons = [_newton(h.tolerance, (h.t_left, h.rho_left, slope.get((n, h.t_left))),
+                       (h.t_right, h.rho_right, slope[n, h.t_right]), order)
+               for n, h in enumerate(held)]
     found = [None] * len(held)
-    asks = [(n, next(h.secant)) for n, h in enumerate(held)]  # open crossings
+    asks = [(n, next(newton)) for n, newton in enumerate(newtons)]  # open crossings
     while asks:
         still = []
         for start in range(0, len(asks), rows):
             part = asks[start : start + rows]
-            rho = _restepped_rho(c, grid, params, symbols, phi0_hat, deltas,
-                                 [held[n] for n, _ in part], np.array([t for _, t in part]))
-            for (n, _), value in zip(part, rho.tolist()):
+            values = _restepped(c, grid, params, symbols,
+                                phi0_hat[[initial[n] for n, _ in part]],
+                                [held[n] for n, _ in part], np.array([t for _, t in part]))
+            for (n, _), value in zip(part, zip(*(v.tolist() for v in values))):
                 try:
-                    still.append((n, held[n].secant.send(value)))
+                    still.append((n, newtons[n].send(value)))
                 except StopIteration as result:
                     found[n] = result.value
         asks = still
     return found
 
 
-def _restepped_rho(c, grid, params, symbols, phi0_hat, deltas, held, t):
-    """rho of each held crossing at its time t: one triple jump
-    (evolution.jump) of the row's own h = t - t_left from its held spectra
-    (_jumps_from_zero of them from t = 0), the comparator of
-    sweep._comparator_symbols at t and one norm call."""
+def _restepped(c, grid, params, symbols, phi0_hat, held, t):
+    """rho of each held crossing at its time t and its slope there
+    (_rho_and_slope): one triple jump (evolution.jump) of the row's own
+    h = t - t_left from its held spectra (_jumps_from_zero of them from
+    t = 0); phi0_hat holds each row's initial photon spectrum."""
     m, t_left = len(held), np.array([h.t_left for h in held])
     stack = None  # made after the first jump, whose maps it would outlive
     from_zero = _jumps_from_zero(1.0 / _leading_law(c))
@@ -94,14 +128,37 @@ def _restepped_rho(c, grid, params, symbols, phi0_hat, deltas, held, t):
             jump(c.model, grid, params, spectra, t[part] - t_left[part], count)
             if stack is None:
                 stack = np.empty((2 * m,) + grid.shape, np.complex128)
-            stack[:m][part] = spectra[0]
+                others = [np.empty_like(stack[:m]) for _ in spectra[1:]]
+            for field, a in zip([stack[:m], *others], spectra):
+                field[part] = a
             del spectra
-    np.take(symbols(t)[np.arange(m), [h.comp for h in held]], grid.level_index,
-            axis=-1, out=stack[m:], mode="clip")
-    stack[m:] *= phi0_hat[[deltas.index(h.delta) for h in held]]
+    return _rho_and_slope(c, grid, params, symbols, phi0_hat, [h.comp for h in held], t,
+                          stack, others)
+
+
+def _rho_and_slope(c, grid, params, symbols, phi0_hat, comps, t, stack, others):
+    """rho of each of the m rows at its time t and its slope d log rho /
+    d log t there, from the truth's spectra: its photon in stack[:m], of 2m
+    rows, and the spectra of the model's other fields (EP's exciton) in
+    ``others``.  The comparator is sweep._comparator_symbols' at t (row
+    comps[i], initial photon spectrum phi0_hat[i]), its difference from the
+    truth goes to stack[m:], and one norm call gives rho; the slope comes
+    from the model's right-hand side (evolution.log_rho_rate), which reuses
+    that call's norms."""
+    m = len(t)
+    photon, drive = symbols(t, rows=comps)
+    # level_index is in range, so mode="clip" only spares take a buffer
+    np.take(photon, grid.level_index, axis=-1, out=stack[m:], mode="clip")
+    del photon
+    stack[m:] *= phi0_hat
     stack[m:] -= stack[:m]
     norms = hs_norm_from_fft(stack, grid, c.s)
-    return norms[m:] / norms[:m]
+    if drive is not None:  # the comparator's exciton
+        drive = np.take(drive, grid.level_index, axis=-1)
+        drive *= phi0_hat
+    rate = log_rho_rate(c.model, grid, params, [stack[:m], *others], stack[m:], drive,
+                        norms[:m], norms[m:])
+    return norms[m:] / norms[:m], t * rate
 
 
 def _leading_law(c):
@@ -128,65 +185,116 @@ def _jumps_from_zero(order):
 
 
 # A re-stepped crossing is accepted once its estimated relative error is
-# at most this: far below the step error of the default EP clocks (4.5e-7
-# in 1D, 1.9e-5 in 2D).  The estimate is loose: NLS's default crossings,
-# 4.4e-11 from a fine reference, move by 1.1e-12 at 1e-16
-_SECANT_TOL = 1e-10
-_SECANT_EVALUATIONS = 60
+# at most this, far below the step error of the default EP clocks (4.5e-7
+# in 1D, 1.9e-5 in 2D).  The estimates (_newton) lay at most 1.07x below
+# the error of the step they judged (every step on the default sweeps at
+# seeds 0-2, 3D N = 16, p = 5 and NLS from t = 0, against runs stopped at
+# 1e-16), so this is set a decade below the 1e-10 that the crossings are
+# held to against such a run
+_NEWTON_TOL = 1e-11
+_NEWTON_EVALUATIONS = 60
 
 
-def _secant(eps, t_left, rho_left, t_right, rho_right, guess, order):
-    """The time in (t_left, t_right) where rho reaches eps, given rho_left
-    < eps < rho_right: a safeguarded secant on f = log(rho / eps) against
-    x = log t, as a generator that yields each time to evaluate, is sent
-    rho there and returns the crossing.  It starts at ``guess`` and keeps a
-    bracket (a, b) with f(a) < 0 < f(b).  Each next point is the inverse
-    quadratic through the last three points (the first time through the
-    bracket ends and the guess), else the secant through the last two,
-    kept inside the bracket by bisection.  While the left end is t = 0 or a
-    zero rho, where f is -inf, the leading law rho ~ t^order through the
-    right end stands in for the inverse quadratic.  A step s after a step
-    s' (the bracket's width before the first) leaves the new point about
-    s^2 / s' from the root, as the steps converge superlinearly; once that
-    is at most _SECANT_TOL, the new point is returned without evaluating
-    it.  Measured on the default sweeps: 1.0-1.1 evaluations per crossing
-    for EP in 1D, 3.1-3.3 (at most 4) in 2D, and 1.0 for NLS (every
-    crossing of seeds 0-2, and of a ladder to eps = 1e-5, whose 13
-    crossings before sample 1 start from t = 0)."""
+def _newton(eps, left, right, order):
+    """The time in (t_left, t_right) where rho reaches eps, given each end's
+    (t, rho, slope) with rho_left < eps < rho_right and slope = d log rho /
+    d log t (None at a left end of t = 0 or zero rho): a safeguarded Newton
+    on f = log(rho / eps) against x = log t, as a generator that yields
+    each time to evaluate, is sent (rho, slope) there and returns the
+    crossing.
 
-    def f(rho):
-        return math.log(rho / eps) if rho > 0.0 else -math.inf
+    The first guess is the root of the cubic Hermite through the bracket
+    ends (_hermite); while the left end is t = 0 or a zero rho, where f is
+    -inf, Newton's step from the right end stands in for it (the leading
+    law rho ~ t^order through it, if its slope is not positive).  It keeps
+    a bracket (a, b) with f(a) < 0 < f(b), and a step that leaves it gives
+    way to that guess on the bracket, or to bisection.  A Newton step s
+    leaves an error of about s times the rate the iteration contracts,
+    which is |s| / |s'| after a step s', and otherwise is read off the
+    first evaluation (_first_rate); once that error is at most _NEWTON_TOL
+    the step's point is returned without evaluating it.  The slope is the
+    model's at the re-stepped state, which differs from the re-step's own
+    slope in h by the derivative of its error: zero at t_left and growing
+    as h^4, up to 9e-4 relative at the right end of a default 2D bracket.
+    So Newton contracts linearly there, and the estimate must see it."""
+    right = _log_end(right, eps)
+    b, fb, gb = right
+    a, fa, ga = -math.inf, -math.inf, None
+    if left[2] is not None:
+        a, fa, ga = _log_end(left, eps)
 
-    b, fb = math.log(t_right), f(rho_right)
-    if t_left > 0.0 and rho_left > 0.0:
-        a = math.log(t_left)
-        recent, last_step = [(a, f(rho_left)), (b, fb)], b - a
-    else:
-        a, recent, last_step = -math.inf, [(b, fb)], 1.0
-    x = math.log(guess)
-    for _ in range(_SECANT_EVALUATIONS):
-        if not a < x < b:
-            x = b - fb / order if a == -math.inf else 0.5 * (a + b)
-        fx = f((yield math.exp(x)))
+    def guess():
+        if a == -math.inf:
+            return b - fb / (gb if 0.0 < gb < math.inf else order)
+        if 0.0 < ga < math.inf and 0.0 < gb < math.inf:
+            return _hermite(a, fa, ga, b, fb, gb)
+        return 0.5 * (a + b)
+
+    first = (a, fa, ga, *right)
+    x, last = guess(), None
+    for _ in range(_NEWTON_EVALUATIONS):
+        rho, slope = yield math.exp(x)
+        fx = math.log(rho / eps) if rho > 0.0 else -math.inf
         if fx == 0.0:
             return math.exp(x)
         if fx < 0.0:
-            a = x
+            a, fa, ga = x, fx, slope
         else:
-            b, fb = x, fx
-        recent = (recent + [(x, fx)])[-3:]
-        values = [v for _, v in recent]
-        new = None
-        if len(recent) == 3 and math.isfinite(min(values)) and len(set(values)) == 3:
-            new = sum(xi * math.prod(fm / (fm - fi) for _, fm in recent if fm != fi)
-                      for xi, fi in recent)
-        if not (new is not None and a < new < b) and len(recent) > 1:
-            (x0, f0), (x1, f1) = recent[-2:]
-            new = x1 - f1 * (x1 - x0) / (f1 - f0) if math.isfinite(f0) and f0 != f1 else None
-        if new is None or not a < new < b:
-            new = b - fb / order if a == -math.inf else 0.5 * (a + b)
-        step = abs(new - x)
-        if step * step <= _SECANT_TOL * last_step:
-            return math.exp(new)
-        x, last_step = new, step
+            b, fb, gb = x, fx, slope
+        step = -fx / slope if 0.0 < slope < math.inf and fx > -math.inf else math.nan
+        if math.isfinite(step):
+            rate = abs(step) / last if last else _first_rate(*first, x, fx, slope, step)
+            if abs(step) * rate <= _NEWTON_TOL:
+                return math.exp(x + step)
+        x, last = x + step, abs(step)
+        if not a < x < b:
+            x, last = guess(), None
     return math.exp(x)
+
+
+def _log_end(end, eps):
+    # a bracket end (t, rho, slope) as (x, f, slope)
+    t, rho, slope = end
+    return math.log(t), math.log(rho / eps), slope
+
+
+def _first_rate(a, fa, ga, b, fb, gb, x, fx, slope, step):
+    """The rate at which a Newton step from the first evaluation (x, fx,
+    slope) inside the bracket (a, b) contracts.  On a bracket from t > 0,
+    slope's distance from the slope at x of the cubic through (a, fa) with
+    slope ga, (x, fx) and (b, fb), which takes no slope from where the
+    re-step's own one departs from the model's, plus |step| over the
+    bracket's width for the curvature.  From t = 0, where the re-step's
+    relative error does not grow with h to leading order, the curvature
+    term f'' |step| / (2 f') alone, f'' from the slopes at x and b."""
+    if a == -math.inf:
+        return abs(gb - slope) * abs(step) / (2.0 * slope * (b - x))
+    d, w = x - a, b - a
+    r0, rb = fx - fa - ga * d, fb - fa - ga * w
+    cubic = ga + (r0 * (2.0 * w - 3.0 * d) / d + rb * d * d / (w * w)) / (w - d)
+    return abs(cubic / slope - 1.0) + abs(step) / w
+
+
+def _hermite(a, fa, ga, b, fb, gb):
+    """The root in (a, b) of the cubic Hermite through (a, fa) and (b, fb)
+    with slopes ga and gb, fa < 0 < fb: a safeguarded Newton on it in
+    s = (x - a) / (b - a) from the linear interpolant's root."""
+    w = b - a
+    lo, hi, s = 0.0, 1.0, -fa / (fb - fa)
+    for _ in range(_NEWTON_EVALUATIONS):
+        u = 1.0 - s
+        value = (fa * (1.0 + 2.0 * s) * u * u + w * ga * s * u * u
+                 + fb * s * s * (3.0 - 2.0 * s) - w * gb * s * s * u)
+        slope = (6.0 * s * u * (fb - fa)
+                 + w * (ga * u * (1.0 - 3.0 * s) + gb * s * (3.0 * s - 2.0)))
+        if value < 0.0:
+            lo = s
+        else:
+            hi = s
+        new = s - value / slope if slope > 0.0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - s) <= 1e-8:  # Newton's next step would be ~1e-16
+            break
+        s = new
+    return a + new * w

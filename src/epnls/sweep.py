@@ -41,10 +41,10 @@ from .grid import (
     _free_symbol_of,
     check_grid_args,
     default_sobolev_index,
-    gaussian_initial,
+    gaussian_rows,
     hs_norm_from_fft,
 )
-from .restep import _Held, _leading_law, _restep_crossings, _secant
+from .restep import _Held, _restep_crossings
 from .runio import atomic_write_text, fmt, sha256_hex, write_csv
 from .theory import EXACT, beta_predict
 
@@ -91,7 +91,7 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 9, NLS: 9}
+SOLVER_REVISION = {EP: 10, NLS: 10}
 
 # Complex arrays of _grid_points points a batch member with one curve
 # keeps alive at the peak of _curve_batch, one sample per block, measured
@@ -107,14 +107,18 @@ SOLVER_REVISION = {EP: 9, NLS: 9}
 # pair of the curve's comparator epsilon, on the |k|^2 levels.  Each
 # further curve of one delta (the composite's other epsilons) adds its
 # phi_hat(0) copy, stack row, norm temporaries and seed pair (~3.3-3.7).
-# Each crossing a batch holds to re-step adds its spectra (EP 2.0, NLS
-# 1.0) and, while a round evaluates it, its row of the round (EP ~12, NLS
-# ~7): the jump's copies of them, the two distinct per-row linear maps
-# of a triple jump, a rotation's temporaries and the truth-and-difference
-# pair of the norm call.  One count bounds both models.  A round takes at
-# most as many rows as the batch has amplitudes, also when it runs beside
-# the stream (an early flush).  max_points bounds the sum of these over a
-# batch (_batch_points), and a block of K > 1 samples the room it leaves
+# Each crossing a batch holds to re-step adds its spectra at both bracket
+# ends (EP 4.0, NLS 2.0; the right end's go once its slope is known) and,
+# while a round evaluates it, its row of the round: the jump's copies of
+# them, the two distinct per-row linear maps of a triple jump, a
+# rotation's temporaries, the truth-and-difference pair of the norm call
+# and the slope's temporaries (EP's comparator exciton, NLS's transform
+# pair).  An amplitude with one crossing measured 17.4-20.4 arrays (EP)
+# and 13.0-15.0 (NLS) with its member's, against the 24 and 21 counted.
+# One count bounds both models.  A round, and the slopes at the bracket
+# ends, take at most as many rows as the batch has amplitudes, also when
+# they run beside the stream (an early flush).  max_points bounds the sum
+# of these over a batch (_batch_points), and a block of K > 1 samples the room it leaves
 # (_curve_batch).  Each curve also keeps its rho row and, once it is
 # returned, its own times row: one point (16 bytes) per sample, counted at
 # the most samples the clock can take, T / dt + 1.
@@ -363,16 +367,26 @@ def _comparator_symbols(c, grid, params, comps):
     bitwise the rows of that time alone.  NLS's is the free flow (one row);
     EP's follow system A (a free photon) up to t1 = c1 sqrt(epsilon), 0 for
     system B, and U(t) times their composite_seed after, all sharing one
-    free symbol and one U(t) per t."""
+    free symbol and one U(t) per t.  Given ``rows``, one comparator index
+    per time of a 1D t, it gives each time that row alone, bitwise as
+    above, and beside it the row of the comparator exciton that drives its
+    photon (evolution.log_rho_rate): 0 on system A's interval t <= t1, the
+    second row of U(t) times the seed after, and None for NLS."""
     k_sq = grid.k_levels
     if c.comparator == COMPARATOR_LINEAR_NLS:
-        return lambda t: _free_symbol_of(k_sq, np.asarray(t)[..., None, None])
+        def free(t, rows=None):
+            if rows is None:
+                return _free_symbol_of(k_sq, np.asarray(t)[..., None, None])
+            return _free_symbol_of(k_sq, np.asarray(t)[:, None]), None
+        return free
     if c.comparator == COMPARATOR_COMPOSITE and None in comps:
         raise ValueError("the composite comparator needs a comparator epsilon")
     t1s = [0.0 if e is None else c.c1 * np.sqrt(e) for e in comps]
     seeds = [_composite_seed_of(k_sq, params, t1) for t1 in t1s]
 
-    def symbols(t):
+    def symbols(t, rows=None):
+        if rows is not None:
+            return per_row(np.asarray(t)[:, None], rows)
         t = np.asarray(t)[..., None]
         first, last = float(t.min()), float(t.max())
         free = _free_symbol_of(k_sq, t) if first <= max(t1s) else None
@@ -385,6 +399,17 @@ def _comparator_symbols(c, grid, params, comps):
                 row = np.where(t <= t1, free, row)
             rows.append(row)
         return np.stack(rows, axis=-2)
+
+    def per_row(t, rows):
+        # each time's own comparator, as above, and its exciton's row
+        b_phi, b_psi = (np.array([seeds[j][i] for j in rows]) for i in (0, 1))
+        u11, u12, u22 = _pair_propagator_of(k_sq, c.gamma, c.omega0, t)
+        photon, drive = u11 * b_phi + u12 * b_psi, u12 * b_phi + u22 * b_psi
+        early = t <= np.array([t1s[j] for j in rows])[:, None]
+        if early.any():
+            photon = np.where(early, _free_symbol_of(k_sq, t), photon)
+            drive = np.where(early, 0.0, drive)
+        return photon, drive
 
     return symbols
 
@@ -445,9 +470,9 @@ def _curve_batch(c, specs, tolerances=None):
     no delta is left or at T.  Without ``tolerances`` every curve runs to
     T.  Curves carry their crossings re-stepped (ErrorCurve.crossings):
     when a curve's rho first reaches one of its tolerances, the spectra of
-    every field of its row at the bracket's left sample are held
-    (epnls.restep) with find_crossing's reading, the secant's first guess,
-    and recorded once as (t_cross, interp_shift) (CrossingRecord).  A
+    every field of its row at both samples of the bracket are held
+    (epnls.restep) with find_crossing's reading of the samples, and the
+    crossing is recorded once as (t_cross, interp_shift) (CrossingRecord).  A
     solver blow-up or a zero truth norm at any sample is an error.  In a
     block of K > 1 samples it may come from a row whose curves stopped
     earlier in it, and the stream cannot rewind, so the batch is then
@@ -482,9 +507,8 @@ def _measure_batch(c, specs, tolerances, block_points):
     pending = [sorted(t) for t in tolerances]
     next_tol = np.array([p[0] if p else np.inf for p in pending])
     held, crossings = [], [{} for _ in specs]
-    law = _leading_law(c)
 
-    phi_hat = grid.fft([gaussian_initial(grid, d).values for d in deltas])
+    phi_hat = grid.fft(gaussian_rows(grid, deltas))
     curve_phi0_hat = phi_hat[member]
     stream = model_stream(c.model, grid, params, step, c.T, phi_hat)
     del phi_hat  # the stream owns the photon spectra
@@ -569,19 +593,18 @@ def _measure_batch(c, specs, tolerances, block_points):
             return
         t_left, rho_left = float(times[left]), float(rho[j, left])
         read = None
-        if t_left > 0.0 and rho_left > 0.0:
-            guess = read = find_crossing(
-                ErrorCurve(delta=specs[j][0], times=times[: g + 1], rho=rho[j, : g + 1]),
+        if t_left > 0.0 and rho_left > 0.0:  # from samples g-3..g alone
+            window = slice(max(0, g - 4), g + 1)
+            read = find_crossing(
+                ErrorCurve(delta=specs[j][0], times=times[window], rho=rho[j, window]),
                 tolerance)
-        else:  # the leading law through the right sample
-            guess = t_right * (tolerance / rho_right) ** law
-        secant = _secant(tolerance, t_left, rho_left, t_right, rho_right, guess, 1.0 / law)
         source = prev if left < i else [a[left - i] for a in states]
         if held and used(len(held) + 1) > c.max_points:
             flush()
         row = member[pos]
-        held.append(_Held(j, tolerance, specs[j][0], comp_of[pos], t_left,
-                          [a[row].copy() for a in source], secant, read))
+        held.append(_Held(j, tolerance, specs[j][0], comp_of[pos], t_left, rho_left,
+                          t_right, rho_right, [a[row].copy() for a in source],
+                          [a[g - i][row].copy() for a in states], read))
 
     keep, i = None, 0
     prev = None  # each row's spectra at the sample before the block
@@ -852,13 +875,11 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
     is set by the spacing relative to t, h / t, not by h.
 
     This is the public reader of a stored curve.  The sweep re-steps every
-    crossing (epnls.restep), from this reading where there is one, and
-    records how far this one reading lies from it
+    crossing (epnls.restep) and records how far this reading lies from it
     (CrossingRecord.interp_shift): on the default clocks about 4e-6 for EP
     in 1D, up to 9 % in 2D, whose samples lie 0.1 apart, and up to 1.3e-6
-    for NLS.  As the re-step's first guess, the cubic takes 1.08
-    evaluations per default 1D EP crossing where the linear rule takes
-    1.88."""
+    for NLS.  The re-step's own first guess, the cubic Hermite through the
+    bracket ends' values and slopes, lies within 6.6e-5 of it in 2D."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon < epsilon_floor:

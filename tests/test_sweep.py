@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from epnls.evolution import (
     evolve_linear_b,
     evolve_nls,
     linear_pair_propagator,
+    model_stream,
     relative_error_curve,
     sample_times,
     zero_state,
@@ -31,6 +33,7 @@ from epnls.grid import (
     free_propagate,
     free_symbol,
     gaussian_initial,
+    gaussian_rows,
     make_grid,
 )
 from epnls.runio import fmt, write_csv
@@ -851,9 +854,9 @@ def test_nls_blocks_fill_the_room_max_points_leaves(monkeypatch):
     def recorded(*args):
         inner = symbols(*args)
 
-        def at(t):  # each block's sample times, then each re-step round's
+        def at(t, **kwargs):  # each block's sample times, then the re-step's
             sizes.append(np.size(t))
-            return inner(t)
+            return inner(t, **kwargs)
 
         return at
 
@@ -1241,9 +1244,12 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     # only psi).
     # Stepping ends with the last block.  The sweep then re-steps its
     # crossings: one transform of the photon fields of the amplitudes they
-    # lie on, and per secant round one triple jump of m rows per slice of m
-    # open crossings, 2 transforms per substep.  The count is exact, not a
-    # bound: a bound would pass blocks that step members longer than they must
+    # lie on, and per Newton round one triple jump of m rows per slice of m
+    # open crossings, 2 transforms per substep.  NLS's slope of rho takes a
+    # transform pair per row (evolution.log_rho_rate): at the bracket ends,
+    # as many at a time as the batch has amplitudes, and in each round.
+    # The count is exact, not a bound: a bound would pass blocks that step
+    # members longer than they must
     points = N if N > epnls.sweep._EVEN_MAX_N else N // 2 + 1
     per_step = 2 * 3
     expected, blocks = [4 * points], [0]
@@ -1257,8 +1263,11 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     # as the batch stepped amplitudes
     assert sum(len(c.crossings) for c in curves) == 6 and rounds[:2] == [4, 2]
     expected += [len({c.delta for c in curves if c.crossings}) * points]
+    slope = 2 if model == "nls" else 0
+    for start in range(0, 2 * 6, 4):  # both ends of six crossings
+        expected += [min(4, 2 * 6 - start) * points] * slope
     for m in rounds:
-        expected += [m * points] * per_step
+        expected += [m * points] * (per_step + slope)
     assert calls == expected
     return blocks
 
@@ -1301,11 +1310,11 @@ def test_arrays_per_member_bounds_the_measured_footprint(model, n, N):
 ], ids=["1-4096", "2-128", "3-32", "nls-1-4096", "nls-2-128", "nls-3-32"])
 def test_arrays_per_crossing_bounds_the_measured_footprint(model, n, N):
     # held crossings: one amplitude re-stepping 12 crossings against 2
-    # (each adds its spectra, EP's photon and exciton, NLS's photon; the
-    # rounds take one row at a time: measured 2.0 and 1.0 arrays), and 6
-    # amplitudes with one crossing each against 2 (a round row each beside
-    # the held spectra: measured 14.0 and 8.0).  The guard's count of the
-    # whole batch bounds each peak
+    # (each adds its spectra at both bracket ends, EP's photon and exciton,
+    # NLS's photon; the rounds take one row at a time: measured 4.0 and 2.0
+    # arrays), and 6 amplitudes with one crossing each against 2 (a round
+    # row each beside the held spectra: measured 17.4-20.4 and 13.0-15.0).
+    # The guard's count of the whole batch bounds each peak
     clock = dict(T=1.0, dt=0.1) if model == "ep" else {"T": 0.02}
     cfg = SweepConfig(model=model, n=n, N=N, max_points=2**26, **clock)
     points = epnls.sweep._grid_points(cfg)
@@ -1497,7 +1506,7 @@ def test_finer_dt_buys_its_own_crossing_accuracy(monkeypatch):
 @pytest.mark.parametrize("kw, agree", [(dict(model="ep"), 1e-7), (COMPOSITE_2D, 5e-5)],
                          ids=["1d", "2d"])
 def test_one_jump_of_h_matches_eight_of_h_over_8(monkeypatch, kw, agree):
-    # each secant evaluation re-steps its bracket by one triple jump of h
+    # each Newton evaluation re-steps its bracket by one triple jump of h
     # from the left sample; eight jumps of h/8 move every default crossing
     # by one jump's local error: measured 6.1e-8 in 1D, and 3.3e-5 in 2D,
     # where a crossing lies 4 to 12 steps of 0.1 from t = 0, so one jump's
@@ -1513,6 +1522,161 @@ def test_one_jump_of_h_matches_eight_of_h_over_8(monkeypatch, kw, agree):
     assert len(one.crossings) == len(eight.crossings) >= 8
     shifts = [abs(a.t_cross / b.t_cross - 1) for a, b in zip(one.crossings, eight.crossings)]
     assert 0 < max(shifts) < agree
+
+
+# the ladders whose crossings all lie before sample 1, re-stepped from t = 0
+EP_FROM_ZERO = dict(model="ep", T=0.1, alpha_set=(0.0,), epsilon_set=(1e-9, 1e-10, 1e-11),
+                    epsilon_floor=1e-12)
+NLS_FROM_ZERO = dict(model="nls", T=0.002, alpha_set=(0.0,),
+                     epsilon_set=(3e-4, 3e-5, 3e-6), epsilon_floor=1e-7)
+
+
+@pytest.mark.parametrize("kw, t0, h", [
+    (dict(model="ep"), 0.5, 1e-3),
+    (dict(model="ep", comparator="composite", c1=1.0), 0.5, 1e-3),
+    (dict(model="nls"), 0.05, 1e-4),
+], ids=["ep", "composite", "nls"])
+def test_the_slope_is_rhos_derivative(kw, t0, h):
+    # d log rho / d log t from the model's right-hand side
+    # (evolution.log_rho_rate) against t times the fourth-order centred
+    # difference of log rho over t0 -+ h, t0 -+ 2h on a fine uniform clock
+    # (h / 4): measured within 2.3e-11 (EP), 6.0e-10 (composite) and 1.3e-11
+    # (NLS)
+    cfg = SweepConfig(**kw)
+    grid, params, _ = epnls.sweep.solver_setup(cfg)
+    comp = cfg.epsilon_set[0] if cfg.comparator == "composite" else None
+    symbols = epnls.sweep._comparator_symbols(cfg, grid, params, [comp])
+    phi0_hat = grid.fft(gaussian_rows(grid, [1.0]))
+    clock, times, kept = StepSpec(dt=h / 4), [], []
+    last = round((t0 + 2 * h) / clock.dt)
+    stream = model_stream(cfg.model, grid, params, clock, t0 + 2 * h, phi0_hat.copy())
+    for j, (t, spectra) in enumerate(stream):
+        if (last - j) % 4 == 0 and last - j <= 16:
+            times.append(t)
+            kept.append([a[0].copy() for a in spectra])
+    stack = np.empty((10,) + grid.shape, np.complex128)
+    stack[:5] = [fields[0] for fields in kept]
+    others = [np.array(field) for field in list(zip(*kept))[1:]]
+    rho, slope = epnls.restep._rho_and_slope(cfg, grid, params, symbols, phi0_hat[[0] * 5],
+                                             [0] * 5, np.array(times), stack, others)
+    log_rho = np.log(rho)
+    rate = (log_rho[0] - 8 * log_rho[1] + 8 * log_rho[3] - log_rho[4]) / (12 * h)
+    assert times[2] == pytest.approx(t0, abs=1e-12)
+    assert slope[2] == pytest.approx(t0 * rate, rel=1e-9)
+
+
+@pytest.mark.parametrize("mismatch", [0.0, 1e-3])
+def test_newton_finds_a_known_crossing(mismatch):
+    # log rho = log eps + 5 u + 0.3 u^2 + 0.5 u^4, u = log(t / t*), crosses
+    # eps at t*.  Newton from the bracket [0.8 t*, 1.25 t*] lands within
+    # 1e-10 of t* in 2 evaluations (measured 2e-16 and 6.9e-13), also where
+    # the slope it is sent departs from rho's own as a re-step's does: not
+    # at all at the left end and by up to 1e-3 relative at the right,
+    # growing as h^4 (at 1e-2 it takes 3)
+    eps, t_star, t_left, t_right = 1e-3, 0.7, 0.56, 0.875
+    asked = []
+
+    def end(t):
+        u = math.log(t / t_star)
+        kappa = mismatch * ((t - t_left) / (t_right - t_left)) ** 4
+        return t, eps * math.exp(5 * u + 0.3 * u * u + 0.5 * u**4), \
+            (5 + 0.6 * u + 2 * u**3) * (1 + kappa)
+
+    newton = epnls.restep._newton(eps, end(t_left), end(t_right), 5.0)
+    try:
+        t = next(newton)
+        while True:
+            asked.append(t)
+            t = newton.send(end(t)[1:])
+    except StopIteration as stop:
+        found = stop.value
+    assert found == pytest.approx(t_star, rel=1e-10, abs=0.0) and len(asked) == 2
+    assert asked[0] == pytest.approx(t_star, rel=1e-3)  # the Hermite guess
+
+
+def _evaluations(monkeypatch, kw):
+    """The crossing records of the sweep kw, and its re-step evaluations:
+    the rows of every epnls.restep.jump and, one entry per crossing, those
+    each Newton iteration asked for."""
+    rows, each, jump, newton = [], [], epnls.restep.jump, epnls.restep._newton
+
+    def counted_jump(model, grid, params, spectra, h, count=1):
+        rows.append(len(h))
+        return jump(model, grid, params, spectra, h, count)
+
+    def counted_newton(*args):
+        each.append(0)
+        n, inner = len(each) - 1, newton(*args)
+        t = next(inner)
+        while True:
+            each[n] += 1
+            try:
+                t = inner.send((yield t))
+            except StopIteration as stop:
+                return stop.value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(epnls.restep, "jump", counted_jump)
+        patch.setattr(epnls.restep, "_newton", counted_newton)
+        result = run_algorithm_a(SweepConfig(**kw))
+    assert sum(rows) == sum(each) and len(each) == 24 if kw.get("n", 1) == 1 else 8
+    return result.crossings, each
+
+
+@pytest.mark.parametrize("kw, mean, most", [
+    (dict(model="ep"), 1.08, 1), (dict(model="nls"), 1.0, 1), (COMPOSITE_2D, 2.0, 2),
+], ids=["ep", "nls", "2d"])
+def test_newton_takes_few_evaluations_per_crossing(monkeypatch, kw, mean, most):
+    # the default sweeps, seed 0: the exact slope and the Hermite guess
+    # through the bracket ends' values and slopes take 1.0 evaluations per
+    # crossing in 1D (EP and NLS; the secant took 1.08 and 1.0) and 1.875,
+    # at most 2, for the 2D composite (the secant took 3.25, at most 4)
+    _, each = _evaluations(monkeypatch, kw)
+    assert sum(each) / len(each) <= mean and max(each) <= most
+
+
+@pytest.mark.parametrize("kw, agree", [
+    (dict(model="ep"), 1e-10),
+    (COMPOSITE_2D, 1e-10),
+    (dict(model="ep", n=3, N=16), 1e-10),
+    (dict(model="nls"), 1e-10),
+    (dict(model="ep", p=5.0), 1e-10),
+    (NLS_FROM_ZERO, 1e-10),
+    (EP_FROM_ZERO, 1e-6),
+], ids=["ep", "2d", "3d", "nls", "ep-p5", "nls-from-0", "ep-from-0"])
+def test_newton_stops_close_to_a_tight_run(monkeypatch, kw, agree):
+    # every crossing that Newton's estimated error stops at lies within
+    # 1e-10 of the same sweep stopped at 1e-16 (measured at most 8.7e-13,
+    # in 2D).  EP's ladder from t = 0 crosses at rho = 1e-9 to 1e-11, a
+    # difference of O(1) photon spectra that rounding leaves only to about
+    # 1e-6 relative: the tight run wanders within that floor (measured
+    # 8.7e-8 from it), and so does any stop
+    result = run_algorithm_a(SweepConfig(**kw))
+    monkeypatch.setattr(epnls.restep, "_NEWTON_TOL", 1e-16)
+    tight = run_algorithm_a(SweepConfig(**kw))
+    assert len(result.crossings) == len(tight.crossings) >= 3
+    for a, b in zip(result.crossings, tight.crossings, strict=True):
+        assert (a.alpha, a.epsilon) == (b.alpha, b.epsilon)
+        assert a.t_cross == pytest.approx(b.t_cross, rel=agree, abs=0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+@pytest.mark.parametrize("kw", [dict(model="ep"), dict(model="nls"), COMPOSITE_2D,
+                                NLS_FROM_ZERO], ids=["ep", "nls", "2d", "nls-from-0"])
+def test_a_crossing_is_bitwise_whatever_shares_its_round(monkeypatch, kw, rows):
+    # the rounds, and the slopes at the bracket ends, take as many rows at
+    # once as the batch has amplitudes; one row at a time, or every
+    # crossing of the batch at once, gives every crossing its bits
+    whole = run_error_curves(SweepConfig(**kw))
+    restep = epnls.sweep._restep_crossings
+
+    def in_rounds_of(c, grid, params, symbols, held, _):
+        return restep(c, grid, params, symbols, held, rows)
+
+    monkeypatch.setattr(epnls.sweep, "_restep_crossings", in_rounds_of)
+    again = run_error_curves(SweepConfig(**kw))
+    assert [c.crossings for c in again] == [c.crossings for c in whole]
+    assert sum(len(c.crossings) for c in whole) >= 3
 
 
 def _check_crossings_re_stepped_from_t0(monkeypatch, kw, fine, agree, decade, jumps):
@@ -1578,9 +1742,9 @@ def test_nls_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(mon
 
 
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 9, "nls": 9}
-    assert "solver=9" in physics_signature(SweepConfig(**FAST_EP))
-    assert "solver=9" in physics_signature(SweepConfig(model="nls"))
+    assert SOLVER_REVISION == {"ep": 10, "nls": 10}
+    assert "solver=10" in physics_signature(SweepConfig(**FAST_EP))
+    assert "solver=10" in physics_signature(SweepConfig(model="nls"))
 
 
 def test_signature_carries_growth_for_every_clock_and_no_spu():
