@@ -63,11 +63,12 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
     """The times of the held crossings (_Held), each located by re-stepping
     the integrator inside its bracket.  rho's slope at every bracket end
     (_rho_and_slope) gives each crossing a safeguarded Newton (_newton),
-    and all of them share one set of rounds: a round evaluates rho and its
-    slope at each open crossing's next time t (_restepped).  The ends and
-    each round go ``rows`` rows at a time, as many as the batch stepped
-    amplitudes, so that they hold about what the stream held, and the
-    spectra at the right ends go once their slopes are known.  Every
+    and all of them share one queue of rounds: a round evaluates rho and
+    its slope at the next time t (_restepped) of the first ``rows`` open
+    crossings, as many as the batch stepped amplitudes, so that it holds
+    about what the stream held, and puts those still open at the back.
+    The ends go as many at a time, and the spectra at the right ends go
+    once their slopes are known.  Every
     operation acts on each row alone, so a crossing's bits depend neither
     on the batch nor on when it is located."""
     deltas = list(dict.fromkeys(h.delta for h in held))
@@ -98,18 +99,14 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
     found = [None] * len(held)
     asks = [(n, next(newton)) for n, newton in enumerate(newtons)]  # open crossings
     while asks:
-        still = []
-        for start in range(0, len(asks), rows):
-            part = asks[start : start + rows]
-            values = _restepped(c, grid, params, symbols,
-                                phi0_hat[[initial[n] for n, _ in part]],
-                                [held[n] for n, _ in part], np.array([t for _, t in part]))
-            for (n, _), value in zip(part, zip(*(v.tolist() for v in values))):
-                try:
-                    still.append((n, newtons[n].send(value)))
-                except StopIteration as result:
-                    found[n] = result.value
-        asks = still
+        part, asks = asks[:rows], asks[rows:]
+        values = _restepped(c, grid, params, symbols, phi0_hat[[initial[n] for n, _ in part]],
+                            [held[n] for n, _ in part], np.array([t for _, t in part]))
+        for (n, _), value in zip(part, zip(*(v.tolist() for v in values))):
+            try:
+                asks.append((n, newtons[n].send(value)))
+            except StopIteration as result:
+                found[n] = result.value
     return found
 
 

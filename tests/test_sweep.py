@@ -1594,10 +1594,10 @@ def test_newton_finds_a_known_crossing(mismatch):
     assert asked[0] == pytest.approx(t_star, rel=1e-3)  # the Hermite guess
 
 
-def _evaluations(monkeypatch, kw):
-    """The crossing records of the sweep kw, and its re-step evaluations:
-    the rows of every epnls.restep.jump and, one entry per crossing, those
-    each Newton iteration asked for."""
+def _evaluations(kw):
+    """The re-step evaluations of each crossing of the sweep kw, one entry
+    per Newton iteration, checked against the rows of every
+    epnls.restep.jump."""
     rows, each, jump, newton = [], [], epnls.restep.jump, epnls.restep._newton
 
     def counted_jump(model, grid, params, spectra, h, count=1):
@@ -1618,20 +1618,21 @@ def _evaluations(monkeypatch, kw):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(epnls.restep, "jump", counted_jump)
         patch.setattr(epnls.restep, "_newton", counted_newton)
-        result = run_algorithm_a(SweepConfig(**kw))
-    assert sum(rows) == sum(each) and len(each) == 24 if kw.get("n", 1) == 1 else 8
-    return result.crossings, each
+        run_algorithm_a(SweepConfig(**kw))
+    assert sum(rows) == sum(each)
+    assert len(each) == (24 if kw.get("n", 1) == 1 else 8)
+    return each
 
 
 @pytest.mark.parametrize("kw, mean, most", [
     (dict(model="ep"), 1.08, 1), (dict(model="nls"), 1.0, 1), (COMPOSITE_2D, 2.0, 2),
 ], ids=["ep", "nls", "2d"])
-def test_newton_takes_few_evaluations_per_crossing(monkeypatch, kw, mean, most):
+def test_newton_takes_few_evaluations_per_crossing(kw, mean, most):
     # the default sweeps, seed 0: the exact slope and the Hermite guess
     # through the bracket ends' values and slopes take 1.0 evaluations per
     # crossing in 1D (EP and NLS; the secant took 1.08 and 1.0) and 1.875,
     # at most 2, for the 2D composite (the secant took 3.25, at most 4)
-    _, each = _evaluations(monkeypatch, kw)
+    each = _evaluations(kw)
     assert sum(each) / len(each) <= mean and max(each) <= most
 
 
