@@ -84,8 +84,8 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
         np.stack([spectra[0] for _, _, spectra in part], out=stack[: len(part)])
         others = [np.array(f) for f in zip(*(spectra[1:] for _, _, spectra in part))]
         t = np.array([t for _, t, _ in part])
-        _, slopes = _rho_and_slope(c, grid, params, symbols,
-                                   phi0_hat[[initial[n] for n, _, _ in part]],
+        _, slopes = _rho_and_slope(c, grid, params, symbols, phi0_hat,
+                                   [initial[n] for n, _, _ in part],
                                    [held[n].comp for n, _, _ in part], t, stack, others)
         slope.update(((n, t), s) for (n, t, _), s in zip(part, slopes.tolist()))
         del stack, others, part
@@ -100,7 +100,7 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
     asks = [(n, next(newton)) for n, newton in enumerate(newtons)]  # open crossings
     while asks:
         part, asks = asks[:rows], asks[rows:]
-        values = _restepped(c, grid, params, symbols, phi0_hat[[initial[n] for n, _ in part]],
+        values = _restepped(c, grid, params, symbols, phi0_hat, [initial[n] for n, _ in part],
                             [held[n] for n, _ in part], np.array([t for _, t in part]))
         for (n, _), value in zip(part, zip(*(v.tolist() for v in values))):
             try:
@@ -110,11 +110,11 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
     return found
 
 
-def _restepped(c, grid, params, symbols, phi0_hat, held, t):
+def _restepped(c, grid, params, symbols, phi0_hat, initial, held, t):
     """rho of each held crossing at its time t and its slope there
     (_rho_and_slope): one triple jump (evolution.jump) of the row's own
     h = t - t_left from its held spectra (_jumps_from_zero of them from
-    t = 0); phi0_hat holds each row's initial photon spectrum."""
+    t = 0); phi0_hat[initial[i]] is row i's initial photon spectrum."""
     m, t_left = len(held), np.array([h.t_left for h in held])
     stack = None  # made after the first jump, whose maps it would outlive
     from_zero = _jumps_from_zero(1.0 / _leading_law(c))
@@ -129,24 +129,26 @@ def _restepped(c, grid, params, symbols, phi0_hat, held, t):
             for field, a in zip([stack[:m], *others], spectra):
                 field[part] = a
             del spectra
-    return _rho_and_slope(c, grid, params, symbols, phi0_hat, [h.comp for h in held], t,
-                          stack, others)
+    return _rho_and_slope(c, grid, params, symbols, phi0_hat, initial, [h.comp for h in held],
+                          t, stack, others)
 
 
-def _rho_and_slope(c, grid, params, symbols, phi0_hat, comps, t, stack, others):
+def _rho_and_slope(c, grid, params, symbols, phi0_hat, initial, comps, t, stack, others):
     """rho of each of the m rows at its time t and its slope d log rho /
     d log t there, from the truth's spectra: its photon in stack[:m], of 2m
     rows, and the spectra of the model's other fields (EP's exciton) in
-    ``others``.  The comparator is sweep._comparator_symbols' at t (row
-    comps[i], initial photon spectrum phi0_hat[i]), its difference from the
-    truth goes to stack[m:], and one norm call gives rho; the slope comes
-    from the model's right-hand side (evolution.log_rho_rate), which reuses
-    that call's norms."""
+    ``others``.  The comparator is sweep._comparator_symbols' row comps[i]
+    at t times the initial photon spectrum phi0_hat[initial[i]], indexed
+    only here, after any jump, whose peak the rows' copy would raise.  Its
+    difference from the truth goes to stack[m:], one norm call gives rho,
+    and the slope comes from the model's right-hand side
+    (evolution.log_rho_rate), which reuses that call's norms."""
     m = len(t)
     photon, drive = symbols(t, rows=comps)
     # level_index is in range, so mode="clip" only spares take a buffer
     np.take(photon, grid.level_index, axis=-1, out=stack[m:], mode="clip")
     del photon
+    phi0_hat = phi0_hat[initial]
     stack[m:] *= phi0_hat
     stack[m:] -= stack[:m]
     norms = hs_norm_from_fft(stack, grid, c.s)

@@ -1557,7 +1557,7 @@ def test_the_slope_is_rhos_derivative(kw, t0, h):
     stack = np.empty((10,) + grid.shape, np.complex128)
     stack[:5] = [fields[0] for fields in kept]
     others = [np.array(field) for field in list(zip(*kept))[1:]]
-    rho, slope = epnls.restep._rho_and_slope(cfg, grid, params, symbols, phi0_hat[[0] * 5],
+    rho, slope = epnls.restep._rho_and_slope(cfg, grid, params, symbols, phi0_hat, [0] * 5,
                                              [0] * 5, np.array(times), stack, others)
     log_rho = np.log(rho)
     rate = (log_rho[0] - 8 * log_rho[1] + 8 * log_rho[3] - log_rho[4]) / (12 * h)
