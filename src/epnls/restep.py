@@ -68,9 +68,9 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
     crossings, as many as the batch stepped amplitudes, so that it holds
     about what the stream held, and puts those still open at the back.
     The ends go as many at a time, and the spectra at the right ends go
-    once their slopes are known.  Every
-    operation acts on each row alone, so a crossing's bits depend neither
-    on the batch nor on when it is located."""
+    once their slopes are known.  Every operation acts on each row alone,
+    so a crossing's bits depend neither on the batch nor on when it is
+    located."""
     deltas = list(dict.fromkeys(h.delta for h in held))
     phi0_hat = grid.fft(gaussian_rows(grid, deltas))
     initial = [deltas.index(h.delta) for h in held]
