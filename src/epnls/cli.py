@@ -228,10 +228,6 @@ def cmd_sweep(args):
                  "t_stop": float(curve.times[-1])}
                 for curve in result.curves
             ],
-            # per crossing, in crossings.csv's order: how far the
-            # interpolated reading of the stored samples lies from a
-            # re-stepped crossing (CrossingRecord.interp_shift)
-            "interp_shift": [r.interp_shift for r in result.crossings],
             "failures": result.failures,
         }
         atomic_write_text(

@@ -217,8 +217,8 @@ class ErrorCurve:
     """Relative photon error rho(t) between a comparator and the truth,
     from the initial amplitude ``delta``; ``epsilon_comp`` is the tolerance
     a composite comparator was built for (None for the others), and
-    ``crossings`` {tolerance: (t_cross, interp_shift)} of the crossings
-    the sweep re-stepped on it (CrossingRecord), else None."""
+    ``crossings`` {tolerance: t_cross} of the crossings the sweep
+    re-stepped on it (CrossingRecord), else None."""
 
     delta: float | None
     times: np.ndarray

@@ -19,10 +19,10 @@ than t takes shorter ones (_jumps_from_zero).  The sweep
 ends (_Held: EP's photon and exciton, NLS's photon) and runs the Newton
 iterations of a batch together (_restep_crossings): on the default sweeps
 1.0 evaluations per crossing in 1D (EP and NLS) and 1.875, at most 2, in
-2D.  Read this way, the default EP clocks need 61 % (1D) to a fifth (2D)
-of the samples that interpolating the stored samples (sweep.find_crossing)
-needs for the same error, and NLS's default crossings lie within 4.4e-11
-of a fine reference.
+2D.  This is the one reading of every sweep crossing.  Read this way, the
+default EP clocks need 61 % (1D) to a fifth (2D) of the samples that
+interpolating the stored samples needs for the same error, and NLS's
+default crossings lie within 4.4e-11 of a fine reference.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ class _Held:
     comparator row comp) in the bracket of samples (t_left, t_right), where
     rho is rho_left < tolerance < rho_right: the spectra of its batch row
     at both ends, one per field the model steps (photon first; those at
-    the right end go once its slope is known), and find_crossing's reading
-    of the samples, else None."""
+    the right end go once its slope is known)."""
 
     curve: int
     tolerance: float
@@ -56,7 +55,6 @@ class _Held:
     rho_right: float
     spectra: list
     right: list
-    read: float | None
 
 
 def _restep_crossings(c, grid, params, symbols, held, rows):

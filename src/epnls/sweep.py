@@ -15,7 +15,6 @@ beta = (1 - (p-1) alpha)/(p+2) for the coupled system.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -61,12 +60,11 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # 0.1 in 2D.  Against re-stepped fine clocks (dt = 1e-3 in 1D, 2e-3 in 2D
 # and 3D) the default sweeps read within 4.5e-7 (1D), 1.9e-5 (2D
 # composite) and 2.2e-7 (3D system B, N = 16), each no more than the
-# former clock (dt = 2e-2, read by the cubic rule: 5.5e-7, 3.4e-5 and
-# 3.6e-7).  One dt for every n would be bound by 1D and 3D: 1D breaks that
-# rule past 1/30 (0.04: 1.0e-6), 3D at 0.05 (1.1e-6), while the 2D
-# composite keeps it at 0.1 (0.125: 9.2e-5), where its sweep takes half the
-# time it takes at 1/30.  2D system B (N = 64), whose samples the cubic
-# read within 3.9e-7, reads 1.6e-5 at 0.1.  The NLS crossings (beta = 1 -
+# former clock (dt = 2e-2: 5.5e-7, 3.4e-5 and 3.6e-7).  One dt for every n
+# would be bound by 1D and 3D: 1D breaks that rule past 1/30 (0.04:
+# 1.0e-6), 3D at 0.05 (1.1e-6), while the 2D composite keeps it at 0.1
+# (0.125: 9.2e-5), where its sweep takes half the time it takes at 1/30.
+# 2D system B (N = 64) reads 1.6e-5 at 0.1.  The NLS crossings (beta = 1 -
 # (p-1) alpha) span two decades, t ~ 1.0e-3 to 0.17, so its clock is
 # graded: dt = 1e-3, uniform up to t = 0.064 and then spacing at most t/32
 # (sample_growth, sample_times), 115 samples against 201.  Its crossings
@@ -313,18 +311,13 @@ def config_hash(config):
 
 @dataclass(frozen=True)
 class CrossingRecord:
-    """One crossing time t_cross of rho through epsilon.  interp_shift is
-    the relative distance |t_read - t_cross| / t_cross of find_crossing's
-    reading of the stored samples from a re-stepped t_cross: a free check
-    of how much re-stepping moved it.  None where the crossing lies before
-    the first positive sample, where find_crossing reads none.  A sweep
-    curve records both once, as it re-steps (ErrorCurve.crossings)."""
+    """One crossing time t_cross of rho through epsilon, re-stepped once by
+    the sweep (ErrorCurve.crossings)."""
 
     alpha: float
     delta: float
     epsilon: float
     t_cross: float
-    interp_shift: float | None = None
 
 
 @dataclass(frozen=True)
@@ -471,8 +464,7 @@ def _curve_batch(c, specs, tolerances=None):
     T.  Curves carry their crossings re-stepped (ErrorCurve.crossings):
     when a curve's rho first reaches one of its tolerances, the spectra of
     every field of its row at both samples of the bracket are held
-    (epnls.restep) with find_crossing's reading of the samples, and the
-    crossing is recorded once as (t_cross, interp_shift) (CrossingRecord).  A
+    (epnls.restep), and the crossing's t_cross is recorded once.  A
     solver blow-up or a zero truth norm at any sample is an error.  In a
     block of K > 1 samples it may come from a row whose curves stopped
     earlier in it, and the stream cannot rewind, so the batch is then
@@ -578,8 +570,7 @@ def _measure_batch(c, specs, tolerances, block_points):
     def flush():
         found = _restep_crossings(c, grid, params, symbols, held, len(deltas))
         for h, t in zip(held, found):
-            shift = None if h.read is None else abs(h.read - t) / t
-            crossings[h.curve][h.tolerance] = (t, shift)
+            crossings[h.curve][h.tolerance] = t
         held.clear()
 
     def hold(i, pos, g, tolerance, states, prev):
@@ -588,23 +579,17 @@ def _measure_batch(c, specs, tolerances, block_points):
         # before it (prev)
         j, left = live[pos], g - 1
         t_right, rho_right = float(times[g]), float(rho[j, g])
-        if rho_right == tolerance:  # find_crossing's reading too
-            crossings[j][tolerance] = (t_right, 0.0)
+        if rho_right == tolerance:  # the sample is the crossing
+            crossings[j][tolerance] = t_right
             return
         t_left, rho_left = float(times[left]), float(rho[j, left])
-        read = None
-        if t_left > 0.0 and rho_left > 0.0:  # from samples g-3..g alone
-            window = slice(max(0, g - 4), g + 1)
-            read = find_crossing(
-                ErrorCurve(delta=specs[j][0], times=times[window], rho=rho[j, window]),
-                tolerance)
         source = prev if left < i else [a[left - i] for a in states]
         if held and used(len(held) + 1) > c.max_points:
             flush()
         row = member[pos]
         held.append(_Held(j, tolerance, specs[j][0], comp_of[pos], t_left, rho_left,
                           t_right, rho_right, [a[row].copy() for a in source],
-                          [a[g - i][row].copy() for a in states], read))
+                          [a[g - i][row].copy() for a in states]))
 
     keep, i = None, 0
     prev = None  # each row's spectra at the sample before the block
@@ -728,13 +713,12 @@ def write_curves(root, config, curves):
 
 def _write_cached(root, config, curves):
     """Cache each curve as one JSON record at its cache curve_path under
-    root: {"t": [...], "rho": [...], "crossings": [[tolerance, t_cross,
-    interp_shift], ...]}, interp_shift null where find_crossing reads none.
-    JSON writes each float as its shortest repr, which reads back bitwise."""
+    root: {"t": [...], "rho": [...], "crossings": [[tolerance, t_cross],
+    ...]}.  JSON writes each float as its shortest repr, which reads back
+    bitwise."""
     for curve in curves:
-        crossings = sorted((curve.crossings or {}).items())
         record = {"t": curve.times.tolist(), "rho": curve.rho.tolist(),
-                  "crossings": [[e, *crossing] for e, crossing in crossings]}
+                  "crossings": [[e, t] for e, t in sorted((curve.crossings or {}).items())]}
         atomic_write_text(curve_path(root, config, curve.delta, curve.epsilon_comp, cache=True),
                           json.dumps(record))
 
@@ -748,16 +732,15 @@ def _read_cached(path, spec, times, tolerances):
     rho is not finite, or it ends before both that sample and T.  A record
     written to T or to a larger tolerance is served cut, so a warm run
     returns bitwise the curve a cold run computes.  The curve carries the
-    records (t_cross, interp_shift) of the tolerances its cut rho reaches,
-    whole from its record; one missing there, or a crossing entry of
-    another shape, is a miss."""
+    t_cross of the tolerances its cut rho reaches, from its record; one
+    missing there, or a crossing entry other than a [tolerance, t_cross]
+    pair, is a miss."""
     try:
         with open(path) as fh:
             record = json.load(fh)
         t = np.array(record["t"], dtype=float)
         rho = np.array(record["rho"], dtype=float)
-        stored = {float(e): (float(t_cross), None if shift is None else float(shift))
-                  for e, t_cross, shift in record["crossings"]}
+        stored = {float(e): float(t_cross) for e, t_cross in record["crossings"]}
     except (OSError, ValueError, TypeError, KeyError):
         return None
     if t.ndim != 1 or rho.shape != t.shape:
@@ -784,11 +767,9 @@ def _read_cached(path, spec, times, tolerances):
 def _curve_tolerances(config):
     """{(delta, comparator-epsilon): the tolerances read off its curve,
     ascending}, in descending delta order: the epsilons >= epsilon_floor
-    among the (alpha, epsilon) whose crossing it gives.  find_crossing
-    reads nothing past the first sample where rho reaches epsilon, and a
-    re-stepped crossing nothing past its bracket, so a curve is complete
-    once rho has reached the largest (at its first sample if there is
-    none)."""
+    among the (alpha, epsilon) whose crossing it gives.  A re-stepped
+    crossing reads nothing past its bracket, so a curve is complete once
+    rho has reached the largest (at its first sample if there is none)."""
     tolerances = {}
     for alpha in config.alpha_set:
         for eps in config.epsilon_set:
@@ -860,26 +841,17 @@ def run_error_curves(config):
 
 
 def find_crossing(curve, epsilon, epsilon_floor=0.0):
-    """First time rho(t) reaches epsilon, read off the samples up to i, the
-    first with rho >= epsilon, so nothing past the curve's stop sample is
-    read (event location by interpolating stored steps: Hairer, Norsett &
-    Wanner, Solving ODEs I, Sec. II.6; Shampine & Thompson 2000).
-
-    log t is a cubic in log rho through the four samples i-3..i
-    (four-point Lagrange).  That falls back to linear interpolation in
-    (log t, log rho) between samples i-1 and i when i < 4, when a window
-    sample has t <= 0 or rho <= 0, when log rho is not strictly increasing
-    over the window, or when the cubic leaves the bracket (t[i-1], t[i]].
-    A crossing before the first positive sample (t[i-1] = 0) raises
-    NoCrossingError.  Both rules read log t against log rho, so their error
-    is set by the spacing relative to t, h / t, not by h.
+    """First time rho(t) reaches epsilon, read off a stored curve: linear
+    interpolation in (log t, log rho) between samples i-1 and i, where i is
+    the first sample with rho >= epsilon, so nothing past the curve's stop
+    sample is read.  The rule is exact on power laws rho = C t^q, and its
+    error is set by the spacing relative to t, h / t, not by h.  A crossing
+    before the first positive sample (t[i-1] = 0 or rho[i-1] = 0) raises
+    NoCrossingError.
 
     This is the public reader of a stored curve.  The sweep re-steps every
-    crossing (epnls.restep) and records how far this reading lies from it
-    (CrossingRecord.interp_shift): on the default clocks about 4e-6 for EP
-    in 1D, up to 9 % in 2D, whose samples lie 0.1 apart, and up to 1.3e-6
-    for NLS.  The re-step's own first guess, the cubic Hermite through the
-    bracket ends' values and slopes, lies within 6.6e-5 of it in 2D."""
+    crossing (epnls.restep) and calls this only to name why a curve
+    carries no crossing."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon < epsilon_floor:
@@ -908,16 +880,6 @@ def find_crossing(curve, epsilon, epsilon_floor=0.0):
             f"crossing of epsilon = {epsilon:.6g} falls before the first "
             "positive sample; increase the sampling cadence"
         )
-    window = slice(i - 3, i + 1)
-    if i >= 4 and rho[window].min() > 0.0 and t[window].min() > 0.0:
-        x, y = np.log(rho[window]).tolist(), np.log(t[window]).tolist()
-        if x[0] < x[1] < x[2] < x[3]:
-            # four-point Lagrange: sum_j y_j prod_{m != j} (x0 - x_m) / (x_j - x_m)
-            x0 = math.log(epsilon)
-            log_t = sum(yj * math.prod((x0 - xm) / (xj - xm) for xm in x if xm != xj)
-                        for xj, yj in zip(x, y))
-            if y[2] < log_t <= y[3]:
-                return math.exp(log_t)
     frac = (np.log(epsilon) - np.log(rl)) / (np.log(rr) - np.log(rl))
     return float(np.exp(np.log(tl) + frac * (np.log(tr) - np.log(tl))))
 
@@ -971,15 +933,15 @@ def run_algorithm_a(config):
             curve = by_key[delta, _comparator_epsilon(config, eps)]
             try:
                 # where a curve carries no crossing, find_crossing says why
-                t_cross, shift = curve.crossings.get(eps) or (
-                    find_crossing(curve, eps, config.epsilon_floor), None)
+                t_cross = curve.crossings.get(eps) or find_crossing(
+                    curve, eps, config.epsilon_floor)
             except (NoCrossingError, ValueError) as err:
                 failures.append(
                     {"alpha": alpha, "delta": delta, "epsilon": eps, "error": str(err)}
                 )
                 continue
             records.append(CrossingRecord(alpha=alpha, delta=delta, epsilon=eps,
-                                          t_cross=t_cross, interp_shift=shift))
+                                          t_cross=t_cross))
         crossings.extend(records)
         try:
             betas.append(regress_loglog(records))

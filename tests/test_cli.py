@@ -390,23 +390,6 @@ def test_summary_records_each_curves_stop_time(tmp_path, capsys):
     assert float(last_time) == curve["t_stop"]
 
 
-@pytest.mark.parametrize("model", ["ep", "nls"])
-def test_summary_records_each_crossings_interpolation_shift(tmp_path, capsys, model):
-    # crossings are re-stepped, and the summary gives, per crossing, how
-    # far find_crossing's interpolated reading lies from it (relative):
-    # present and finite, and below 1e-4 on the default 1D clocks, where the
-    # cubic reads within ~4e-6 (EP) and ~8e-8 (NLS)
-    text = FAST_SWEEP_INI if model == "ep" else "[physics]\nmodel = nls\n[sweep]\nalphas = 0\n"
-    out = tmp_path / "sweep"
-    cfg = write_cfg(tmp_path, text)
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    shifts = json.loads((out / "summary.json").read_text())["interp_shift"]
-    rows = (out / "crossings.csv").read_text().splitlines()[1:]
-    assert len(shifts) == len(rows) >= 3  # one per crossings.csv row
-    for shift in shifts:
-        assert np.isfinite(shift) and 0 <= shift < 1e-4
-
-
 @pytest.mark.parametrize("growth, samples", [("auto", 115), ("0", 201)])
 def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, growth, samples):
     # the NLS default clock, graded by 1/32, against the uniform one: the
@@ -452,12 +435,12 @@ def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkey
 
 def _is_cache_record(path):
     """Whether path is a cached curve's one record: a .json of its t and
-    rho from (0, 0) and its [tolerance, t_cross, interp_shift] crossings."""
+    rho from (0, 0) and its [tolerance, t_cross] crossings."""
     record = json.loads(path.read_text())
     return (path.suffix == ".json" and sorted(record) == ["crossings", "rho", "t"]
             and record["t"][0] == record["rho"][0] == 0.0
             and len(record["t"]) == len(record["rho"])
-            and bool(record["crossings"]) and all(len(c) == 3 for c in record["crossings"]))
+            and bool(record["crossings"]) and all(len(c) == 2 for c in record["crossings"]))
 
 
 def test_nls_sweep_writes_t_rho_and_caches_crossings(tmp_path, capsys, monkeypatch):

@@ -181,8 +181,8 @@ def test_find_crossing_quintic_curve():
 
 
 def test_find_crossing_loglog_exact_on_power_laws():
-    # coarse sampling, but log t is linear in log rho, which both the cubic
-    # and the linear rule reproduce
+    # coarse sampling, but log t is linear in log rho, which the log-linear
+    # rule reproduces
     t = np.logspace(-2, 0, 9)
     curve = synthetic_curve(np.concatenate([[0.0], t]),
                             np.concatenate([[0.0], t**3]))
@@ -222,37 +222,25 @@ def _linear_crossing(t, rho, epsilon):
     return float(np.exp(np.log(tl) + frac * (np.log(tr) - np.log(tl))))
 
 
-def test_find_crossing_cubic_beats_linear():
-    # rho = C t^q (1 + a t) is no power law, so neither rule is exact; on
-    # the default EP sample spacing the cubic rule lands >= 5000x closer
-    # to the root than the linear one
-    from scipy.optimize import brentq
-
-    def rho_of(t):
-        return 0.01 * t**5 * (1.0 + 0.7 * t)
-
+def _quintic(eps):
+    # rho = C t^q (1 + a t), no power law, on samples 0.02 apart
     t = np.arange(101) * 0.02
-    curve = synthetic_curve(t, rho_of(t))
-    for eps in (1e-4, 1e-3, 3e-3, 1e-2):
-        root = brentq(lambda s: rho_of(s) - eps, 1e-3, 2.0, xtol=1e-15, rtol=1e-15)
-        cubic = abs(find_crossing(curve, eps) - root)
-        linear = abs(_linear_crossing(t, curve.rho, eps) - root)
-        assert cubic * 10 <= linear
+    return t, 0.01 * t**5 * (1.0 + 0.7 * t), eps
 
 
 @pytest.mark.parametrize("times, rho, eps", [
-    # the first sample at or above epsilon is sample 3 < 4 (every sample
-    # positive, so only the index rules the cubic out)
+    # an early crossing, every sample positive
     ([0.5, 1.0, 2.0, 3.0, 4.0], [1e-4, 1e-3, 8e-3, 2.7e-2, 6.4e-2], 2e-2),
-    # a zero in the window i-3..i
+    # zeros before the bracket
     ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 8e-3, 2.7e-2, 6.4e-2, 0.125], 5e-2),
-    # log rho not strictly increasing over the window (the cubic through
-    # it would land inside the bracket)
+    # rho falls before the bracket
     ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 2e-3, 1e-3, 2.7e-2, 6.4e-2, 0.125], 5e-2),
-    # monotone, but the cubic leaves the bracket (t[i-1], t[i]]
+    # flat, then a steep bracket
     ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1e-3, 1.01e-3, 1.02e-3, 0.148], 1e-2),
-], ids=["i<4", "zero", "non-monotone", "outside-bracket"])
-def test_find_crossing_falls_back_to_the_linear_rule(times, rho, eps):
+    _quintic(1e-4), _quintic(1e-3), _quintic(3e-3), _quintic(1e-2),
+], ids=["early", "zero", "falling", "flat-then-steep",
+        "quintic-1e-4", "quintic-1e-3", "quintic-3e-3", "quintic-1e-2"])
+def test_find_crossing_is_the_loglinear_rule(times, rho, eps):
     curve = synthetic_curve(times, rho)
     assert find_crossing(curve, eps) == _linear_crossing(times, rho, eps)
 
@@ -380,8 +368,8 @@ def _check_warm_rerun_returns_the_cold_crossings(tmp_path, monkeypatch, cfg, n_c
     with monkeypatch.context() as patch:
         _no_batches(patch)
         warm = run_algorithm_a(cfg)
-    assert [(r.alpha, r.epsilon, r.t_cross, r.interp_shift) for r in warm.crossings] == \
-        [(r.alpha, r.epsilon, r.t_cross, r.interp_shift) for r in cold.crossings]
+    assert [(r.alpha, r.epsilon, r.t_cross) for r in warm.crossings] == \
+        [(r.alpha, r.epsilon, r.t_cross) for r in cold.crossings]
     assert [p.read_bytes() for p in records] == blobs
     path = Path(curve_path(str(tmp_path), cfg, *spec, cache=True))
     path.write_text(json.dumps(dict(json.loads(path.read_text()), crossings=[])))
@@ -404,10 +392,11 @@ def test_warm_nls_rerun_returns_the_cold_crossings_bitwise(tmp_path, monkeypatch
         (1.0, None))
 
 
-def test_nls_cache_record_lacking_a_needed_tolerance_is_a_miss(tmp_path, monkeypatch):
-    # an NLS curve is cached as one record of its t, rho and re-stepped
-    # crossings; a record that lacks a tolerance its rho reaches is
-    # recomputed, and the cache mended
+def _check_a_mangled_record_is_recomputed_once(tmp_path, monkeypatch, mangle):
+    """The delta = 1 record of a cold NLS sweep, its crossings passed
+    through ``mangle``, is a miss: a rerun recomputes that curve alone,
+    rewrites its record as the cold run wrote it, [tolerance, t_cross]
+    pairs, and returns every curve and crossing bitwise."""
     cfg = SweepConfig(**FOUR_NLS_CURVES, cache_dir=str(tmp_path))
     cold = run_algorithm_a(cfg)
     path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
@@ -415,7 +404,8 @@ def test_nls_cache_record_lacking_a_needed_tolerance_is_a_miss(tmp_path, monkeyp
     record = json.loads(blob)
     assert record["t"][0] == record["rho"][0] == 0.0
     assert len(record["crossings"]) == 3
-    path.write_text(json.dumps(dict(record, crossings=record["crossings"][1:])))
+    assert all(len(entry) == 2 for entry in record["crossings"])
+    path.write_text(json.dumps(dict(record, crossings=mangle(record["crossings"]))))
     computed, compute = [], epnls.sweep._compute_curves
 
     def counted(c, specs):
@@ -426,14 +416,30 @@ def test_nls_cache_record_lacking_a_needed_tolerance_is_a_miss(tmp_path, monkeyp
     again = run_algorithm_a(cfg)
     assert computed == [[(1.0, None)]]
     assert _bits(again.curves) == _bits(cold.curves)
-    assert [r.t_cross for r in again.crossings] == [r.t_cross for r in cold.crossings]
+    assert [r.t_cross.hex() for r in again.crossings] == \
+        [r.t_cross.hex() for r in cold.crossings]
     assert path.read_bytes() == blob
 
 
+def test_nls_cache_record_lacking_a_needed_tolerance_is_a_miss(tmp_path, monkeypatch):
+    # an NLS curve is cached as one record of its t, rho and re-stepped
+    # crossings; a record that lacks a tolerance its rho reaches is
+    # recomputed, and the cache mended
+    _check_a_mangled_record_is_recomputed_once(tmp_path, monkeypatch,
+                                               lambda crossings: crossings[1:])
+
+
+def test_a_cache_record_of_crossing_triples_is_recomputed_once(tmp_path, monkeypatch):
+    # a record of [tolerance, t_cross, null] triples, the former layout,
+    # is a miss, recomputed once and rewritten as pairs
+    _check_a_mangled_record_is_recomputed_once(
+        tmp_path, monkeypatch, lambda crossings: [[e, t, None] for e, t in crossings])
+
+
 def test_a_sweep_reads_each_crossing_once(tmp_path, monkeypatch):
-    # the re-step's first guess is find_crossing's reading, and the same
-    # reading gives the crossing's interp_shift: one call per crossing
-    # read off the samples, none for a crossing served from cache
+    # every crossing is read once, by its re-step: find_crossing reads
+    # none of them, cold or warm, and is called only to say why a curve
+    # never reaches a tolerance within T
     cfg = SweepConfig(**FOUR_NLS_CURVES, cache_dir=str(tmp_path))
     calls, read = [], epnls.sweep.find_crossing
 
@@ -443,16 +449,13 @@ def test_a_sweep_reads_each_crossing_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(epnls.sweep, "find_crossing", counted)
     cold = run_algorithm_a(cfg)
-    assert all(r.interp_shift is not None for r in cold.crossings)
-    # a crossing a curve never reaches within T: one call, to say why
     missed = [f["epsilon"] for f in cold.failures if "epsilon" in f]
     assert len(cold.crossings) == 4 and len(missed) == 2
-    assert sorted(calls) == sorted([r.epsilon for r in cold.crossings] + missed)
+    assert sorted(calls) == sorted(missed)
     calls.clear()
     warm = run_algorithm_a(cfg)
     assert sorted(calls) == sorted(missed)
-    assert [(r.t_cross, r.interp_shift) for r in warm.crossings] == \
-        [(r.t_cross, r.interp_shift) for r in cold.crossings]
+    assert [r.t_cross for r in warm.crossings] == [r.t_cross for r in cold.crossings]
 
 
 def test_a_former_csv_and_sidecar_cache_is_ignored(tmp_path, monkeypatch):
@@ -485,8 +488,7 @@ def test_a_former_csv_and_sidecar_cache_is_ignored(tmp_path, monkeypatch):
     assert [p.read_bytes() for p in records] == blobs
     assert [p.read_bytes() for p in former] == former_blobs
     assert len(list(tmp_path.rglob("*"))) == 2 + len(records) + len(former)  # 2 dirs
-    assert [(r.t_cross, r.interp_shift) for r in warm.crossings] == \
-        [(r.t_cross, r.interp_shift) for r in cold.crossings]
+    assert [r.t_cross for r in warm.crossings] == [r.t_cross for r in cold.crossings]
 
 
 def test_repeat_runs_bitwise_identical():
@@ -1445,18 +1447,6 @@ def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
     assert fed and all(f == (StepSpec(dt=c.dt), c.T) for f in fed)
 
 
-def test_default_ep_dt_is_converged():
-    # find_crossing's reading of the delta = 1 curve at the default clock
-    # (one triple jump of 1/30 per sample) against a 6x finer dt, which
-    # samples 6x as finely too: measured 5.2e-7 apart.  The sweep itself
-    # reads EP crossings re-stepped (test_default_ep_clock_is_converged)
-    coarse = compute_error_curve(SweepConfig(model="ep"), 1.0)
-    fine = compute_error_curve(SweepConfig(model="ep", dt=5e-3), 1.0)
-    for eps in SweepConfig(model="ep").epsilon_set:
-        t_coarse, t_fine = find_crossing(coarse, eps), find_crossing(fine, eps)
-        assert t_coarse == pytest.approx(t_fine, rel=1e-6)
-
-
 COMPOSITE_2D = dict(model="ep", n=2, N=64, comparator="composite", c1=1.0,
                     alpha_set=(0.0, 0.2), epsilon_set=tuple(np.logspace(-2.0, -3.0, 4)))
 
@@ -1469,9 +1459,9 @@ COMPOSITE_2D = dict(model="ep", n=2, N=64, comparator="composite", c1=1.0,
 def test_default_ep_clock_is_converged(kw, fine, largest):
     # every crossing of a default EP sweep, re-stepped on its clock (1D and
     # 3D: dt = 1/30, 2D: 0.1), against the same sweep re-stepped at a fine
-    # dt, within the largest error of the former defaults (dt = 2e-2, read
-    # by the cubic rule): 5.5e-7 in 1D, 3.4e-5 for the 2D composite, 3.6e-7
-    # in 3D system B (N = 16, all four default alphas).  Measured 4.5e-7,
+    # dt, within the largest error of the former defaults (dt = 2e-2):
+    # 5.5e-7 in 1D, 3.4e-5 for the 2D composite, 3.6e-7 in 3D system B
+    # (N = 16, all four default alphas).  Measured 4.5e-7,
     # 1.9e-5 and 2.2e-7; the 3D clock at dt = 0.1 reads 1.9e-5 and at 0.05
     # 1.1e-6.  About 0.6 s, 0.7 s and 1 s, nearly all in the fine sweep
     default = run_algorithm_a(SweepConfig(**kw))
@@ -1683,10 +1673,9 @@ def test_a_crossing_is_bitwise_whatever_shares_its_round(monkeypatch, kw, rows):
 def _check_crossings_re_stepped_from_t0(monkeypatch, kw, fine, agree, decade, jumps):
     """Every crossing of the one-curve sweep kw lies before its first
     positive sample, where find_crossing reads none: the sweep re-steps it
-    from t = 0, by ``jumps`` triple jumps per evaluation, and reports no
-    interpolation shift.  Each lies within ``agree`` of the same sweep on
-    the ``fine`` clock, and a decade of tolerance moves it by the leading
-    law's ``decade`` (within 1e-3)."""
+    from t = 0, by ``jumps`` triple jumps per evaluation.  Each lies
+    within ``agree`` of the same sweep on the ``fine`` clock, and a decade
+    of tolerance moves it by the leading law's ``decade`` (within 1e-3)."""
     counts, jump = [], epnls.restep.jump
 
     def counted_jump(model, grid, params, spectra, h, count=1):
@@ -1702,7 +1691,6 @@ def _check_crossings_re_stepped_from_t0(monkeypatch, kw, fine, agree, decade, ju
     (curve,) = result.curves
     for record, fine_record in zip(result.crossings, reference.crossings, strict=True):
         assert 0 < record.t_cross < curve.times[1]
-        assert record.interp_shift is None
         assert record.t_cross == pytest.approx(fine_record.t_cross, rel=agree, abs=0.0)
         with pytest.raises(NoCrossingError, match="before the first positive sample"):
             find_crossing(curve, record.epsilon)
