@@ -59,7 +59,7 @@ from .runio import (
     sha256_hex,
     write_csv,
 )
-from .sweep import config_hash, run_algorithm_a, solver_setup, sweep_times, write_curves
+from .sweep import config_hash, run_algorithm_a, sample_count, solver_setup, write_curves
 from .theory import (
     LemmaQInput,
     NoRealRootsError,
@@ -220,8 +220,7 @@ def cmd_sweep(args):
                  "r_squared": b.r_squared, "npoints": b.npoints}
                 for b in result.betas
             ],
-            "solver": {"T": cfg.T, "dt": cfg.dt, "sample_growth": cfg.sample_growth,
-                       "samples": len(sweep_times(cfg)),
+            "solver": {"T": cfg.T, "dt": cfg.dt, "samples": sample_count(cfg),
                        "comparator": cfg.comparator},
             "curves": [
                 {"delta": curve.delta, "epsilon_comp": curve.epsilon_comp,

@@ -5,7 +5,7 @@ A parsed config is a SweepConfig.  Most keys carry their field's name;
 three do not: [sweep] alphas -> alpha_set, [sweep] epsilons ->
 epsilon_set and [output] dir -> outdir.  An absent key keeps the
 field's default, and the keys that accept 'auto' (s, epsilons,
-comparator, T, dt, sample_growth) take the model's default for it.
+comparator, T, dt) take the model's default for it.
 Unknown sections or keys are rejected, and SweepConfig's own validation
 errors surface as ConfigError.
 serialize_config writes every key explicitly, so parse -> serialize ->
@@ -59,7 +59,6 @@ _KEYS = (
     ("sweep", "epsilon_floor", "epsilon_floor", float, fmt, False),
     ("solver", "T", "T", float, fmt, True),
     ("solver", "dt", "dt", float, fmt, True),
-    ("solver", "sample_growth", "sample_growth", float, fmt, True),
     ("solver", "workers", "workers", int, str, False),
     ("output", "dir", "outdir", str, str, False),
     ("output", "cache_dir", "cache_dir",

@@ -12,18 +12,22 @@ exactly unitary substeps: a pointwise phase rotation of the nonlinear
 field (its modulus is invariant) and the exact per-mode linear flow, for
 EP the 2x2 matrix exponential of H_k = [[|k|^2, gamma], [gamma, omega0]],
 for NLS the free phase.  Mass is conserved to rounding error at any dt.
-Both take Yoshida's fourth-order triple jump (Yoshida 1990, Phys. Lett. A
-150:262): Strang steps flow(w dt/2), rotation(w dt), flow(w dt/2) of
-weights w1, w0, w1, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0.  Every
-substep is unitary and reversible, so the negative middle weight is
-harmless; halving dt divides the step error by 16.  With the rotation
+Each model composes Strang steps flow(w dt/2), rotation(w dt), flow(w dt/2)
+of its own symmetric weights (_WEIGHTS).  EP takes Yoshida's fourth-order
+triple jump (Yoshida 1990, Phys. Lett. A 150:262) of weights w1, w0, w1,
+w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0: halving dt divides its step error
+by 16.  NLS takes Yoshida's 7-stage sixth-order "solution A" of weights
+w3, w2, w1, w0, w1, w2, w3 (see also McLachlan 1995, SIAM J. Sci. Comput.
+16:151): halving dt divides its step error by 64.  Both substeps are exact
+flows, unitary and reversible, so each symmetric composition reaches its
+stated order and negative weights are harmless.  With the rotation
 outside each Strang step, as Thalhammer 2012 (SIAM J. Numer. Anal.
-50:3231) allows too, the step gave 6.3e-7 and 1.3e-7 on the default 1D
-and 2D EP sweeps at dt = 2e-2, against 5.5e-8 and 1.1e-8.  Every run's
-clock is dt alone (StepSpec), every sample one triple jump of dt (of m dt
-on a graded interval of m steps), and the sweep re-steps its crossings
-inside their brackets (jump), so the step alone limits them;
-sweep._MODEL_DEFAULTS gives the default clocks and their accuracy.
+50:3231) allows too, the triple jump gave 6.3e-7 and 1.3e-7 on the
+default 1D and 2D EP sweeps at dt = 2e-2, against 5.5e-8 and 1.1e-8.
+Every run's clock is dt alone (StepSpec), every sample one composed step
+of dt, and the sweep re-steps its crossings inside their brackets (jump),
+so the step alone limits them; sweep._MODEL_DEFAULTS gives the default
+clocks and their accuracy.
 The kernel carries spectra and takes only the rotated field to physical
 space and back, for each rotation (McLachlan & Quispel 2002,
 Acta Numerica 11:341): an EP step transforms psi alone and phi never
@@ -142,27 +146,18 @@ def zero_state(phi0):
 
 @dataclass
 class StepSpec:
-    """The clock of the split-step integrators: every sample is one triple
-    jump of ``dt``, which has no default (sweep._MODEL_DEFAULTS holds each
-    model's).
-
-    ``dt`` may be negative to integrate the system backward in time (used
-    by the time-reversal check).  ``sample_growth`` (q) grades the clock
-    (sample_times): 0 samples every step, and q > 0 lets the interval from
-    t span up to max(1, q t / |dt|) steps, taken as one triple jump of as
-    many times dt.
+    """The clock of the split-step integrators: every sample is one
+    composed step (_WEIGHTS) of ``dt``, which has no default
+    (sweep._MODEL_DEFAULTS holds each model's).  ``dt`` may be negative to
+    integrate the system backward in time (used by the time-reversal
+    check).
     """
 
     dt: float
-    sample_growth: float = 0.0
 
     def __post_init__(self):
         if self.dt == 0 or not np.isfinite(self.dt):
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
-        if not 0 <= self.sample_growth < np.inf:
-            raise ValueError(
-                f"sample_growth must be finite and nonnegative, got {self.sample_growth}"
-            )
 
 
 @dataclass
@@ -331,30 +326,10 @@ def _step_count(T, dt):
 
 def sample_times(T, step):
     """The times model_stream yields on the clock of T and step, for
-    evolve_ep, evolve_nls and the sweep alike: u_j |dt|, each computed as
-    that product, for integers u_0 = 0 < u_1 < ... up to T / |dt|, which
-    must be a positive integer (_step_count).  Without growth u_j = j, one
-    sample per step.  With growth q > 0 the interval from u_j spans m_j
-    steps, the largest power of two with m_j <= max(1, q u_j) that divides
-    u_j, clipped at T; so the spacing is at most max(|dt|, q t_j), the
-    clock is uniform up to u ~ 2 / q (bitwise the times of q = 0 there) and
-    then doubles its spacing each time t doubles, in steps that start on a
-    multiple of the new spacing."""
-    return _sample_units(T, step) * abs(step.dt)
-
-
-def _sample_units(T, step):
-    # the integers u_j of sample_times(T, step)
-    n = _step_count(T, step.dt)
-    if not step.sample_growth:
-        return np.arange(n + 1)
-    units = [0]
-    while units[-1] < n:
-        u, m = units[-1], 1
-        while 2 * m <= step.sample_growth * u and u % (2 * m) == 0:
-            m *= 2
-        units.append(min(u + m, n))
-    return np.array(units)
+    evolve_ep, evolve_nls and the sweep alike: j |dt|, each computed as
+    that product, for j = 0, 1, ..., T / |dt|, which must be a positive
+    integer (_step_count): one sample per step."""
+    return np.arange(_step_count(T, step.dt) + 1) * abs(step.dt)
 
 
 def _given_times(given, start=0.0):
@@ -391,10 +366,21 @@ def _check_record(grid, fields, step, T, record):
 # nonlinear evolutions (split-step)
 
 
-# Yoshida's triple-jump weights: Strang steps of w1 dt, w0 dt, w1 dt
-# compose to a fourth-order step (Yoshida 1990, Phys. Lett. A 150:262)
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = 1.0 - 2.0 * _W1
+def _symmetric(*outer):
+    """The weights (w_k, ..., w_1, w_0, w_1, ..., w_k) of the given w_1,
+    ..., w_k, with w_0 = 1 - 2 (w_1 + ... + w_k), so that they sum to 1."""
+    return outer[::-1] + (1.0 - 2.0 * sum(outer),) + outer
+
+
+# The rotation weights of each model's composed step, Strang steps of w dt
+# for each w in turn (Yoshida 1990, Phys. Lett. A 150:262): EP's fourth-order
+# triple jump, and NLS's sixth-order 7 stages, Yoshida's "solution A",
+# which reads the default NLS ladder at the fine references' floor on a
+# uniform clock of dt = 8e-3 (sweep._MODEL_DEFAULTS)
+_WEIGHTS = {
+    EP: _symmetric(1.0 / (2.0 - 2.0 ** (1.0 / 3.0))),
+    NLS: _symmetric(-1.17767998417887, 0.235573213359357, 0.784513610477560),
+}
 
 # Past 2^52 rad one ulp of a rotation angle exceeds 1 rad: its phase is
 # rounding noise, though |u| stays exact
@@ -422,13 +408,14 @@ def _apply_linear(hats, symbols):
 
 
 def _flows(model, grid, params, count, dt):
-    """The rotation weights of ``count`` chained triple jumps of dt and the
-    linear maps of ``model`` (EP's 2x2 exp(-i tau H_k), NLS's free phase)
-    of the half flows around them: one before each rotation and one after
-    the last, built once per distinct weight.  The half flows of
-    neighbouring jumps a, b merge into 0.5 (a + b), which is 0.5 a + 0.5 b
-    exactly.  dt of shape (rows, 1) gives one map per batch row."""
-    weights = (_W1, _W0, _W1) * count
+    """The rotation weights of ``count`` chained composed steps of dt
+    (_WEIGHTS[model]) and the linear maps of ``model`` (EP's 2x2
+    exp(-i tau H_k), NLS's free phase) of the half flows around them: one
+    before each rotation and one after the last, built once per distinct
+    weight.  The half flows of neighbouring stages a, b merge into
+    0.5 (a + b), which is 0.5 a + 0.5 b exactly.  dt of shape (rows, 1)
+    gives one map per batch row."""
+    weights = _WEIGHTS[model] * count
     halves = [0.5 * (a + b) for a, b in zip((0.0,) + weights, weights + (0.0,))]
     if model == EP:
         linear = lambda tau: linear_pair_propagator(grid, params.gamma, params.omega0, tau)
@@ -438,22 +425,22 @@ def _flows(model, grid, params, count, dt):
     return weights, [maps[w] for w in halves]
 
 
-def _jump(spectra, grid, params, flows, weights, dt, start=0.0, steps=0):
-    """Chained triple jumps in place on ``spectra`` (photon first, the
-    rotated field, EP's psi or NLS's phi, last): per rotation weight w its
-    linear map flows[i], then the rotation of the last field over w dt, and
-    flows[-1] after the last.  dt is a float, or an array that broadcasts
-    against the spectra with one step per batch row, as flows then holds
-    one map per row.  A rotation takes its field to physical space and
-    back.  Raises SolverBlowupError once a rotation angle reaches 2^52
-    rad, for the sample interval from ``start`` after ``steps`` triple
-    jumps, counting the one in progress."""
+def _jump(spectra, grid, params, flows, weights, dt, start=0.0, steps=0, count=1):
+    """``count`` chained composed steps in place on ``spectra`` (photon
+    first, the rotated field, EP's psi or NLS's phi, last): per rotation
+    weight w its linear map flows[i], then the rotation of the last field
+    over w dt, and flows[-1] after the last.  dt is a float, or an array
+    that broadcasts against the spectra with one step per batch row, as
+    flows then holds one map per row.  A rotation takes its field to
+    physical space and back.  Raises SolverBlowupError once a rotation
+    angle reaches 2^52 rad, for the sample interval from ``start`` after
+    ``steps`` composed steps, counting the one in progress."""
     for i, weight in enumerate(weights):
         _apply_linear(spectra, flows[i])
         u = grid.ifft(spectra.pop())
         angle = _rotate(u, params.g, params.p, weight * dt)
         if angle >= _MAX_ANGLE:
-            raise SolverBlowupError(start, steps + i // 3 + 1, angle)
+            raise SolverBlowupError(start, steps + i * count // len(weights) + 1, angle)
         spectra.append(grid.fft(u))
         del u  # or it would live on through the next linear substep
     _apply_linear(spectra, flows[-1])
@@ -461,12 +448,13 @@ def _jump(spectra, grid, params, flows, weights, dt, start=0.0, steps=0):
 
 def jump(model, grid, params, spectra, h, count=1):
     """Advance ``spectra`` (photon first; EP's exciton after it) in place
-    by ``count`` triple jumps of h / count each, h an array of one step
+    by ``count`` composed steps of h / count each, h an array of one step
     per leading batch row: the split-step of model_stream, whose bits each
     row keeps whatever the rest of the batch."""
     dt = np.asarray(h, dtype=float) / count
     weights, flows = _flows(model, grid, params, count, dt[:, None])
-    _jump(spectra, grid, params, flows, weights, dt.reshape(dt.shape + (1,) * grid.n))
+    _jump(spectra, grid, params, flows, weights, dt.reshape(dt.shape + (1,) * grid.n),
+          count=count)
 
 
 def log_rho_rate(model, grid, params, spectra, diff, comparator_psi, norms, diff_norms):
@@ -514,18 +502,16 @@ def model_stream(model, grid, params, step, T, phi_hat, psi_hat=None):
 
     EP steps the 2x2 flow exp(-i tau H_k) of (phi_hat, psi_hat), the
     exciton spectrum zero if None, and rotates psi; NLS steps the free flow
-    and rotates phi.  Each sample interval is one of Yoshida's triple
-    jumps, Strang steps flow(w/2), rotation(w), flow(w/2) of weights w1,
-    w0, w1 (_jump), with one set of linear maps built per interval length.
-    The stream owns phi_hat and psi_hat.  It yields (times[j], spectra):
-    the given spectra at times[0] = 0, then each further one m steps of
-    ``step`` on, reached by one triple jump of m dt, m the difference of
-    the clock's whole units (1 throughout without growth); closing it
-    early yields a prefix.  spectra lists the fields' plain FFTs, photon
-    first, and the list and its arrays change once it resumes.
+    and rotates phi.  Each sample interval is one composed step of dt,
+    Strang steps flow(w/2), rotation(w), flow(w/2) of the model's weights
+    (_WEIGHTS, _jump), whose linear maps are built once.  The stream owns
+    phi_hat and psi_hat.  It yields (times[j], spectra): the given spectra
+    at times[0] = 0, then each further one a step of ``step`` on; closing
+    it early yields a prefix.  spectra lists the fields' plain FFTs,
+    photon first, and the list and its arrays change once it resumes.
     Raises SolverBlowupError once a sample is not finite or a rotation
-    angle reaches 2^52 rad, with the number of triple jumps taken (for an
-    angle, counting the one in progress).  ``stream.send(keep)``, keep a
+    angle reaches 2^52 rad, with the number of composed steps taken (for
+    an angle, counting the one in progress).  ``stream.send(keep)``, keep a
     boolean mask or row indices over the leading batch axis, shrinks the
     batch to those rows in new arrays before the next step; each row steps
     alone, so the survivors' bits do not change."""
@@ -537,16 +523,11 @@ def model_stream(model, grid, params, step, T, phi_hat, psi_hat=None):
     # hold the initial fields for the whole run, after a batch shrink has
     # replaced them
     del phi_hat, psi_hat
-    # an interval of m steps is one triple jump of m dt
-    units = _sample_units(T, step)
-    times = units * abs(step.dt)
-    step_dt = (np.diff(units) * step.dt).tolist()
-    flows = {dt: _flows(model, grid, params, 1, dt) for dt in dict.fromkeys(step_dt)}
+    times = sample_times(T, step)
+    weights, maps = _flows(model, grid, params, 1, step.dt)
     for j, t in enumerate(times):
         if j:  # sample 0: no step
-            dt = step_dt[j - 1]
-            weights, maps = flows[dt]
-            _jump(spectra, grid, params, maps, weights, dt, times[j - 1], j - 1)
+            _jump(spectra, grid, params, maps, weights, step.dt, times[j - 1], j - 1)
         if not all(np.all(np.isfinite(a)) for a in spectra):
             raise SolverBlowupError(t, j)
         keep = yield t, spectra
@@ -576,9 +557,10 @@ def evolve_ep(initial, params, step, T, record=FULL):
 def evolve_nls(phi0, params, step, T, record=FULL):
     """Integrate i phi_t = -Laplace phi + g |phi|^(p-1) phi from t = 0 to T.
 
-    Each step is Yoshida's fourth-order triple jump (model_stream): three
-    Strang steps of w1 dt, w0 dt, w1 dt, each a half exact spectral free
-    step, the rotation of phi and a half free step again.  Aborts with
+    Each step is Yoshida's sixth-order 7-stage step (model_stream): Strang
+    steps of w3 dt, w2 dt, w1 dt, w0 dt, w1 dt, w2 dt, w3 dt, each a half
+    exact spectral free step, the rotation of phi and a half free step
+    again.  Aborts with
     SolverBlowupError if the field stops being finite or a rotation angle
     reaches 2^52 rad.  A record past DEFAULT_MAX_POINTS points is a
     ValueError before any sample is taken (_check_record).

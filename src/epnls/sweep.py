@@ -53,34 +53,31 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  The
-# clock is dt alone: every sample is one fourth-order triple jump of dt
-# (of m dt on an interval of m steps, sample_growth).  Crossings are
-# re-stepped inside their brackets (epnls.restep), so the step alone
-# limits them, and EP's clock is per dimension n: dt = 1/30 in 1D and 3D,
-# 0.1 in 2D.  Against re-stepped fine clocks (dt = 1e-3 in 1D, 2e-3 in 2D
-# and 3D) the default sweeps read within 4.5e-7 (1D), 1.9e-5 (2D
-# composite) and 2.2e-7 (3D system B, N = 16), each no more than the
+# clock is dt alone, uniform: every sample is one composed step of dt, EP's
+# fourth-order triple jump or NLS's sixth-order step (evolution._WEIGHTS).
+# Crossings are re-stepped inside their brackets (epnls.restep), so the
+# step alone limits them, and EP's clock is per dimension n: dt = 1/30 in
+# 1D and 3D, 0.1 in 2D.  Against re-stepped fine clocks (dt = 1e-3 in 1D,
+# 2e-3 in 2D and 3D) the default sweeps read within 4.5e-7 (1D), 1.9e-5
+# (2D composite) and 2.2e-7 (3D system B, N = 16), each no more than the
 # former clock (dt = 2e-2: 5.5e-7, 3.4e-5 and 3.6e-7).  One dt for every n
 # would be bound by 1D and 3D: 1D breaks that rule past 1/30 (0.04:
 # 1.0e-6), 3D at 0.05 (1.1e-6), while the 2D composite keeps it at 0.1
 # (0.125: 9.2e-5), where its sweep takes half the time it takes at 1/30.
 # 2D system B (N = 64) reads 1.6e-5 at 0.1.  The NLS crossings (beta = 1 -
-# (p-1) alpha) span two decades, t ~ 1.0e-3 to 0.17, so its clock is
-# graded: dt = 1e-3, uniform up to t = 0.064 and then spacing at most t/32
-# (sample_growth, sample_times), 115 samples against 201.  Its crossings
-# are within 4.4e-11 of a uniform triple jump at dt = 2e-5 (seeds 0-2 of
-# the benchmark's ladder), where the fine clocks dt = 1e-4 and 1.25e-4
-# themselves read up to 3.7e-11: the former dt = 5e-4 read the same, and
-# dt = 2e-3 reads 2.8e-10.  One before sample 1 is re-stepped from t = 0,
-# so deeper ladders read on the same clock.  A faster-growing tail grows
-# the step too: q = 1/8 reads 7.0e-9.
-# EP keeps a uniform clock: its crossings, at t ~ 0.3-1.5, span less than
-# a decade
+# (p-1) alpha) span two decades, t ~ 1.0e-3 to 0.17; on the sixth-order
+# step dt = 8e-3, 26 samples to T = 0.2, reads them within 1.8-2.4e-11 of a
+# uniform triple jump at dt = 2e-5 (seeds 0-2 of the benchmark's ladder),
+# whose own floor against dt = 4e-5 and 1e-4 is 1.1-1.6e-11: the former
+# triple jump at dt = 1e-3 on a clock graded past t = 0.064 (115 samples)
+# read 3.1-3.2e-11.  Against a sixth-order dt = 1.25e-4 clock dt = 8e-3
+# reads 1.8e-11 and dt = 1e-2 8.7e-11.  The 28 crossings of a ladder to
+# eps = 1e-5 before sample 1 are re-stepped from t = 0 (restep, within
+# 4.1e-12 of a fine clock)
 _MODEL_DEFAULTS = {
     EP: {"T": 2.0, "dt": {1: 1.0 / 30, 2: 0.1, 3: 1.0 / 30},
-         "sample_growth": 0.0, "comparator": COMPARATOR_SYSTEM_B},
-    NLS: {"T": 0.2, "dt": 1e-3, "sample_growth": 1.0 / 32,
-          "comparator": COMPARATOR_LINEAR_NLS},
+         "comparator": COMPARATOR_SYSTEM_B},
+    NLS: {"T": 0.2, "dt": 8e-3, "comparator": COMPARATOR_LINEAR_NLS},
 }
 
 DEFAULT_ALPHAS = (0.0, 0.1, 0.2, 0.3)
@@ -89,7 +86,7 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Part of every cache key, per model; bumped whenever the bits of that
 # model's computed curves change, so a cache never serves curves an older
 # solver wrote.
-SOLVER_REVISION = {EP: 10, NLS: 10}
+SOLVER_REVISION = {EP: 10, NLS: 11}
 
 # Complex arrays of _grid_points points a batch member with one curve
 # keeps alive at the peak of _curve_batch, one sample per block, measured
@@ -108,11 +105,13 @@ SOLVER_REVISION = {EP: 10, NLS: 10}
 # Each crossing a batch holds to re-step adds its spectra at both bracket
 # ends (EP 4.0, NLS 2.0; the right end's go once its slope is known) and,
 # while a round evaluates it, its row of the round: the jump's copies of
-# them, the two distinct per-row linear maps of a triple jump, a
-# rotation's temporaries, the truth-and-difference pair of the norm call
-# and the slope's temporaries (EP's comparator exciton, NLS's transform
-# pair).  An amplitude with one crossing measured 17.4-20.4 arrays (EP)
-# and 13.0-15.0 (NLS) with its member's, against the 24 and 21 counted.
+# them, the distinct per-row linear maps of a composed step (2 for EP's
+# triple jump, 4 for NLS's sixth-order step), a rotation's temporaries,
+# the truth-and-difference pair of the norm call and the slope's
+# temporaries (EP's comparator exciton, NLS's transform pair).  Six
+# amplitudes with one crossing each against two measured 14.3-14.5 arrays
+# (EP) and 10.5 (NLS; 8.4-9.0 on the triple jump) per amplitude with its
+# member's, against the 24 and 21 counted.
 # One count bounds both models.  A round, and the slopes at the bracket
 # ends, take at most as many rows as the batch has amplitudes, also when
 # they run beside the stream (an early flush).  max_points bounds the sum
@@ -165,25 +164,23 @@ class SweepConfig:
     """Declarative description of one full run: grid, physics, amplitude
     ladder, solver clock and output places.
 
-    Fields left None (s, T, dt, sample_growth, comparator) are filled
-    with the model's defaults at construction, so every instance is fully
-    resolved.  Grid, physics and clock are checked by the objects they
-    describe (check_grid_args, ModelParams, StepSpec) and by the arithmetic
-    of sample_times (T a whole number of steps dt > 0), and max_points by the
+    Fields left None (s, T, dt, comparator) are filled with the model's
+    defaults at construction, so every instance is fully resolved.  Grid,
+    physics and clock are checked by the objects they describe
+    (check_grid_args, ModelParams, StepSpec) and by the arithmetic of
+    sample_times (T a whole number of steps dt > 0), and max_points by the
     largest batch member the sweep needs, its samples included, so an
     invalid config fails here, before any run builds anything.  The clock
-    is dt alone, as for every run (StepSpec): every sample is one triple
-    jump of dt, so a finer dt samples as finely and a re-stepped crossing
-    jumps no further than its bracket's step.  sample_growth grades the
-    clock (sample_times); a fine reference sets it to 0, as a graded clock
-    is no finer at late t.
+    is dt alone, as for every run (StepSpec): every sample is one composed
+    step of dt, so a finer dt samples as finely and a re-stepped crossing
+    jumps no further than its bracket's step.
 
     The default grid, N = 128 on [-10, 10), is set by measured spatial
     convergence: the Gaussian's spectrum exp(-k^2/2) and its p-th power
     nonlinearity's exp(-k^2/(2p)) are below 1e-17 at k_max = 20.1 for
     p <= 5, and every default crossing (p = 3 and 5) is within 2.3e-12
     relative of N = 512, as at N = 256.  N = 64 moves NLS at p = 5 by
-    3.7e-8, above the NLS clock's 4.4e-11.
+    3.7e-8, above the NLS clock's 2.4e-11.
     """
 
     model: str = EP
@@ -199,7 +196,6 @@ class SweepConfig:
     epsilon_set: tuple = DEFAULT_EPSILONS
     T: float | None = None
     dt: float | None = None
-    sample_growth: float | None = None
     comparator: str | None = None
     c1: float = 0.0
     epsilon_floor: float = 1e-6
@@ -262,7 +258,7 @@ class SweepConfig:
         if points > self.max_points:
             raise ValueError(f"one amplitude's batch needs {points} points, which "
                              f"exceeds the memory cap of {self.max_points} points "
-                             f"(with {_max_samples(self)} samples per curve at "
+                             f"(with {sample_count(self)} samples per curve at "
                              f"dt = {self.dt:g} to T = {self.T:g})")
 
     def resolved(self):
@@ -282,7 +278,7 @@ class SweepConfig:
 
 def physics_signature(config):
     """Canonical string of every field that affects a single error curve
-    (grid, physics, the clock's dt and growth, comparator); cosmetic and
+    (grid, physics, the clock's dt, comparator); cosmetic and
     sweep-ladder fields are excluded so equivalent runs share cached curves."""
     parts = [
         f"model={config.model}",
@@ -296,7 +292,6 @@ def physics_signature(config):
         f"s={fmt(config.s)}",
         f"T={fmt(config.T)}",
         f"dt={fmt(config.dt)}",
-        f"growth={fmt(config.sample_growth)}",
         f"comparator={config.comparator}",
         f"solver={SOLVER_REVISION[config.model]}",
     ]
@@ -408,7 +403,7 @@ def _comparator_symbols(c, grid, params, comps):
 
 
 def _solver_step(c):
-    return StepSpec(dt=c.dt, sample_growth=c.sample_growth)
+    return StepSpec(dt=c.dt)
 
 
 def sweep_times(c):
@@ -479,7 +474,9 @@ def _measure_batch(c, specs, tolerances, block_points):
     """_curve_batch in blocks of at most block_points truth points, or None
     if a block of more than one sample fails."""
     grid, params, step = solver_setup(c)
-    times = sweep_times(c)
+    # the clock is built once, by the stream: times fills as it yields
+    samples = sample_count(c)
+    times = np.empty(samples)
     deltas = list(dict.fromkeys(d for d, _ in specs))
     comps = list(dict.fromkeys(e for _, e in specs))
     symbols = _comparator_symbols(c, grid, params, comps)
@@ -506,17 +503,17 @@ def _measure_batch(c, specs, tolerances, block_points):
     del phi_hat  # the stream owns the photon spectra
     # sample 0, taken before the first block so that its field count sizes
     # every block's stack
-    first = [next(stream)[1]]
-    fields = len(first[0])
-    rho = np.empty((len(specs), len(times)))
-    ends = np.full(len(specs), len(times))
+    first = [next(stream)]
+    fields = len(first[0][1])
+    rho = np.empty((len(specs), samples))
+    ends = np.full(len(specs), samples)
     points = _grid_points(c)
 
     def used(crossings):
         # _batch_points of the batch as it steps now, holding ``crossings``,
         # beside the rho rows of the curves that have stopped
         return (_batch_points(c, rows, len(live), crossings)
-                + (len(specs) - len(live)) * _max_samples(c))
+                + (len(specs) - len(live)) * samples)
 
     def block_size(i):
         # the largest K of at most block_points truth points whose stack
@@ -525,7 +522,7 @@ def _measure_batch(c, specs, tolerances, block_points):
         # batch and every crossing it holds or will hold
         room = c.max_points - used(len(held) + sum(map(len, pending)))
         per_sample = 2 * points * (fields * rows + len(live))
-        return max(1, min(block_points // (rows * points), room // per_sample, len(times) - i))
+        return max(1, min(block_points // (rows * points), room // per_sample, samples - i))
 
     def block(i, k, keep):
         # rho of (sample, curve) and each field's spectra of (sample, row) at
@@ -537,7 +534,7 @@ def _measure_batch(c, specs, tolerances, block_points):
         # coexists with a step's temporaries
         states = None
         for j in range(k):
-            spectra = first.pop() if first else stream.send(None if j else keep)[1]
+            times[i + j], spectra = first.pop() if first else stream.send(None if j else keep)
             if states is None:
                 stack = np.empty((k * (fields * rows + len(live)),) + grid.shape,
                                  np.complex128)
@@ -593,7 +590,7 @@ def _measure_batch(c, specs, tolerances, block_points):
 
     keep, i = None, 0
     prev = None  # each row's spectra at the sample before the block
-    while i < len(times):
+    while i < samples:
         k = block_size(i)
         try:
             r, states = block(i, k, keep)
@@ -662,11 +659,12 @@ def _batch_points(c, members, curves, crossings=0):
     return (_grid_points(c) * (_ARRAYS_PER_MEMBER[c.model] * members
                                + _ARRAYS_PER_EXTRA_CURVE * (curves - members)
                                + _ARRAYS_PER_CROSSING * crossings)
-            + curves * _max_samples(c))
+            + curves * sample_count(c))
 
 
-def _max_samples(c):
-    """The most samples c's clock can take, T / dt + 1 (the uniform one's)."""
+def sample_count(c):
+    """The samples of c's clock, T / dt + 1, by arithmetic: the length of
+    sweep_times(c), without building it."""
     return _step_count(c.T, c.dt) + 1
 
 

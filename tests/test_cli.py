@@ -135,9 +135,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[solver]\ndt = 3e-3\n",
      "horizon T = 2.0 is not a positive multiple of the step size |dt| = 0.003"),
     ("[solver]\ndt = -1e-3\n", "dt must be positive"),
-    # the sweep's clock is dt alone
+    # the sweep's clock is dt alone, uniform: no rate, and no growth
     ("[solver]\nsamples_per_unit_time = 30\n",
      "unknown key 'samples_per_unit_time' in section [solver]"),
+    ("[solver]\nsample_growth = 0.03125\n",
+     "unknown key 'sample_growth' in section [solver]"),
     ("[solver]\nT = 1.005\n", "horizon T = 1.005 is not a positive multiple of the step size"),
     ("[grid]\nn = 4\n", "dimension n must be 1, 2, or 3"),
     ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
@@ -167,7 +169,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[grid]\nL = inf\n", "half-width L must be positive and finite, got inf"),
     ("[physics]\np = inf\n", "p must be finite, got inf"),
     ("[sweep]\nepsilon_floor = nan\n", "epsilon_floor must be finite and nonnegative"),
-], ids=["dt", "negative_dt", "samples_per_unit_time", "T", "n", "max_points",
+], ids=["dt", "negative_dt", "samples_per_unit_time", "sample_growth", "T", "n", "max_points",
         "max_points_member", "max_points_composite", "max_points_samples", "empty_outdir", "T_inf", "alphas_nan",
         "alphas_repeat", "gamma_nan", "L_inf", "p_inf", "epsilon_floor_nan"])
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
@@ -390,20 +392,19 @@ def test_summary_records_each_curves_stop_time(tmp_path, capsys):
     assert float(last_time) == curve["t_stop"]
 
 
-@pytest.mark.parametrize("growth, samples", [("auto", 115), ("0", 201)])
-def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, growth, samples):
-    # the NLS default clock, graded by 1/32, against the uniform one: the
-    # summary's solver block records the growth and the clock's samples,
-    # and no sample rate of its own, as the clock is dt alone
-    cfg = write_cfg(tmp_path, f"[physics]\nmodel = nls\n[solver]\nsample_growth = {growth}\n"
+@pytest.mark.parametrize("dt, samples", [("auto", 26), ("1e-3", 201)])
+def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, dt, samples):
+    # the NLS default clock, dt = 8e-3 to T = 0.2, against a finer one: the
+    # summary's solver block records dt and the clock's samples, and no
+    # sample rate or growth of its own, as the clock is dt alone
+    cfg = write_cfg(tmp_path, f"[physics]\nmodel = nls\n[solver]\ndt = {dt}\n"
                     "[sweep]\nalphas = 0\nepsilons = 1e-2,5e-3,3e-3\n")
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
     solver = json.loads((out / "summary.json").read_text())["solver"]
-    assert solver["sample_growth"] == (1.0 / 32 if growth == "auto" else 0.0)
+    assert solver["dt"] == (8e-3 if dt == "auto" else float(dt))
     assert solver["samples"] == samples
-    assert all(np.isfinite(solver[key]) for key in ("sample_growth", "samples"))
-    assert "samples_per_unit_time" not in solver
+    assert sorted(solver) == ["T", "comparator", "dt", "samples"]
 
 
 def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
@@ -447,7 +448,7 @@ def test_nls_sweep_writes_t_rho_and_caches_crossings(tmp_path, capsys, monkeypat
     # the cache keeps each curve as one record of its t, rho and
     # re-stepped crossings; the output curve files keep their t,rho form,
     # and a warm run writes the cold run's bytes
-    cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n[solver]\nT = 0.1\n"
+    cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n"
                     "[sweep]\nalphas = 0,0.2\nepsilons = 1e-2,5e-3,3e-3\n"
                     f"[output]\ncache_dir = {tmp_path / 'cache'}\n")
     runs = [tmp_path / "cold", tmp_path / "warm"]
@@ -472,7 +473,7 @@ def test_sweep_into_its_own_cache_dir_computes_no_curve_again(tmp_path, capsys,
     # curve files and the cache's records with their crossings, so a rerun
     # into it is served from the cache and writes the same bytes
     out = tmp_path / "run"
-    cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n[solver]\nT = 0.1\n"
+    cfg = write_cfg(tmp_path, "[physics]\nmodel = nls\n[grid]\nN = 64\n"
                     "[sweep]\nalphas = 0,0.2\nepsilons = 1e-2,5e-3,3e-3\n"
                     f"[output]\ncache_dir = {out}\n")
     computed, compute = [], epnls.sweep._compute_curves

@@ -53,26 +53,14 @@ def test_nls_model_defaults():
     assert cfg == SweepConfig(model="nls")
     assert cfg.comparator == "linear-nls"
     assert cfg.T == 0.2
-    assert cfg.dt == 1e-3
-    assert cfg.sample_growth == 1.0 / 32
-    assert parse_config_text("").sample_growth == 0.0
-
-
-@pytest.mark.parametrize("model", ["ep", "nls"])
-@pytest.mark.parametrize("growth", ["auto", "0", "0.125"])
-def test_sample_growth_roundtrips(model, growth):
-    # 'auto' takes the model's default (EP 0, NLS 1/32); an explicit value,
-    # 0 included, is kept; and serialize writes it back explicitly
-    cfg = parse_config_text(f"[physics]\nmodel = {model}\n[solver]\nsample_growth = {growth}\n")
-    default = {"ep": 0.0, "nls": 1.0 / 32}[model]
-    assert cfg.sample_growth == (default if growth == "auto" else float(growth))
-    assert "sample_growth = " in serialize_config(cfg)
-    assert parse_config_text(serialize_config(cfg)) == cfg
+    assert cfg.dt == 8e-3
 
 
 @pytest.mark.parametrize("value", ["-0.5", "inf", "nan", "fast"])
 def test_bad_sample_growth(value):
-    with pytest.raises(ConfigError, match="sample_growth"):
+    # the graded clock's growth key is gone: an INI that still carries it,
+    # at any value, is refused as an unknown key, and the message names it
+    with pytest.raises(ConfigError, match=r"^unknown key 'sample_growth' in section \[solver\]$"):
         parse_config_text(f"[solver]\nsample_growth = {value}\n")
 
 
@@ -140,19 +128,21 @@ def test_config_hash_sensitivity():
 
 
 @pytest.mark.parametrize("doc, pinned", [
-    ("", "5348e83a36064713"),
-    ("[physics]\nmodel = nls\n", "fe70ef85fa7d59fb"),
-    ("[physics]\nmodel = nls\n[solver]\ndt = 5e-4\n", "ac30ba9773a1acbd"),
+    ("", "2d2ef3f62e13c09e"),
+    ("[physics]\nmodel = nls\n", "b280ad2c82262201"),
+    ("[physics]\nmodel = nls\n[solver]\ndt = 5e-4\n", "9013458cf072e2c8"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
-     "alphas = 0,0.2\n", "e78c988700aaf606"),
+     "alphas = 0,0.2\n", "f5c6e20030097919"),
 ], ids=["ep", "nls", "nls-dt-5e-4", "composite-2d"])
 def test_config_hash_is_pinned(doc, pinned):
     # the hash keys curve caches, so it may only change on purpose: a
     # SOLVER_REVISION bump of the config's model, a new default, or a new
     # text of the signature (physics_signature), as when the cache's own
     # format changes and every cache is invalidated anyway.  A new
-    # default changes only the default's hash: a config that sets the
-    # former NLS default (dt = 5e-4) keeps its hash, and its caches
+    # default alone changes only the default's hash: a config that sets a
+    # former NLS default (dt = 5e-4) keeps its hash, and its caches.  Every
+    # hash here changed once when the clock lost its growth (and NLS, on
+    # its sixth-order step, its solver revision)
     assert config_hash(parse_config_text(doc)) == pinned
 
 
@@ -179,7 +169,6 @@ epsilon_floor = 1e-7
 [solver]
 T = 1.5
 dt = 0.002
-sample_growth = 0.25
 workers = 2
 [output]
 dir = out

@@ -134,11 +134,11 @@ def test_config_resolution_defaults():
     ep_2d, ep_3d = SweepConfig(model="ep", n=2, N=16), SweepConfig(model="ep", n=3, N=16)
     assert (ep_2d.dt, ep_3d.dt) == (0.1, ep.dt)
     nls = SweepConfig(model="nls", n=2, N=32)
-    assert (nls.T, nls.dt) == (0.2, 1e-3)
-    # each clock is its dt alone, one sample per triple jump of dt
+    assert (nls.T, nls.dt) == (0.2, 8e-3)
+    # each clock is its dt alone, one sample per composed step of dt
     steps = [solver_setup(c)[2] for c in (ep, ep_2d, ep_3d, nls)]
     assert steps == [StepSpec(dt=1.0 / 30), StepSpec(dt=0.1), StepSpec(dt=1.0 / 30),
-                     StepSpec(dt=1e-3, sample_growth=1.0 / 32)]
+                     StepSpec(dt=8e-3)]
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
     assert ep.resolved() is ep and ep.to_sweep_config() is ep
@@ -661,7 +661,7 @@ def _reference_curve(c, delta, epsilon_comp=None):
     (dict(model="ep", n=2, N=16, L=6.0, T=1.0, dt=1e-2, comparator="composite",
           c1=1.0), 1.0, 4e-2),
     (dict(model="nls", N=64, T=0.02, dt=1e-4), 0.7, None),
-    (dict(model="nls", N=64, T=0.05, dt=1e-4, sample_growth=0.25), 0.7, None),
+    (dict(model="nls", N=64), 0.7, None),  # the default clock
 ])
 def test_engine_matches_full_state_reference(kw, delta, eps_comp):
     cfg = SweepConfig(**kw)
@@ -681,7 +681,8 @@ def test_engine_matches_full_state_reference(kw, delta, eps_comp):
     dict(model="ep", N=64),
     dict(model="ep", n=2, N=64, comparator="composite", c1=1.0, alpha_set=(0.0, 0.2),
          epsilon_set=tuple(np.logspace(-2.0, -3.0, 4))),
-    dict(model="nls", N=64),
+    # dt = 1e-3: on the default clock some curves stop at sample 1
+    dict(model="nls", N=64, dt=1e-3),
 ], ids=["ep-1d", "composite-2d", "nls"])
 def test_even_subspace_sweep_matches_the_full_grid(monkeypatch, kw):
     # the sweep's initial data are even in every coordinate and stay so:
@@ -743,9 +744,10 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
         assert [c.crossings for c in curves] == [s.crossings for s in single]
 
 
-# four NLS curves from four distinct amplitudes
-# on a uniform clock, so that sample j is at j dt
-FOUR_NLS_CURVES = dict(model="nls", N=64, T=0.02, sample_growth=0, alpha_set=(0.0, 0.2),
+# four NLS curves from four distinct amplitudes, on a clock of dt = 1e-3
+# (sample j at j dt), 20 steps to T, where the default clock's are 25 to
+# T = 0.2
+FOUR_NLS_CURVES = dict(model="nls", N=64, T=0.02, dt=1e-3, alpha_set=(0.0, 0.2),
                        epsilon_set=(1e-2, 3e-3, 1e-3))
 
 
@@ -757,8 +759,8 @@ def _sweep_bits(result):
     FOUR_CURVES,
     dict(FOUR_CURVES, n=2, N=32, comparator="composite", c1=0.5),
     FOUR_NLS_CURVES,
-    dict(FOUR_NLS_CURVES, T=0.1, sample_growth=1 / 32),  # a curve to t = 0.066
-], ids=["systemB-1d", "composite-2d", "nls", "nls-graded"])
+    dict(FOUR_NLS_CURVES, T=0.2, dt=8e-3),  # the default clock
+], ids=["systemB-1d", "composite-2d", "nls", "nls-default-clock"])
 def test_curve_bits_do_not_depend_on_the_block(monkeypatch, kw):
     # one sample per block, the default blocks, and the whole horizon in
     # one block: the same curves (t, rho) and crossings, bitwise
@@ -946,7 +948,7 @@ def test_max_points_without_room_for_a_block_measures_each_sample(monkeypatch):
 @pytest.mark.parametrize("kw", [
     FOUR_CURVES,
     dict(FOUR_CURVES, comparator="composite", c1=0.5),
-    dict(model="nls", N=64, T=0.02, alpha_set=(0.0, 0.2), epsilon_set=(1e-2, 3e-3, 1e-3)),
+    dict(model="nls", N=64, T=0.024, alpha_set=(0.0, 0.2), epsilon_set=(1e-2, 3e-3, 1e-3)),
 ], ids=["systemB", "composite", "nls"])
 def test_curves_carry_their_curve_specs_key(tmp_path, monkeypatch, kw):
     # computed in one process, in two, and served from the cache: every
@@ -1212,11 +1214,11 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     fields, as ``calls`` records them (the sweep grid's transforms, each a
     numpy.fft call on the full grid), and return the first sample of each
     block (and the end)."""
-    if model == "ep":  # a uniform clock of 101 samples, one triple jump each
+    if model == "ep":  # a clock of 101 samples, one triple jump each
         cfg = SweepConfig(model="ep", N=N, dt=0.02, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
-    else:  # dt = 5e-4 on a uniform clock: T / dt + 1 samples
-        cfg = SweepConfig(model="nls", N=N, T=0.05, dt=5e-4, sample_growth=0,
+    else:  # dt = 5e-4: T / dt + 1 samples, one sixth-order step each
+        cfg = SweepConfig(model="nls", N=N, T=0.05, dt=5e-4,
                           alpha_set=(0.0, 0.1), epsilon_set=(1e-2, 3e-3, 1e-3))
     specs = curve_specs(cfg)
     lengths = [len(_stop_prefix(cfg, spec, compute_error_curve(cfg, *spec)).times)
@@ -1235,9 +1237,9 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
         patch.setattr(epnls.restep, "jump", counted_jump)
         curves = run_error_curves(cfg)
     assert [len(c.times) for c in curves] == lengths
-    # one transform of the initial photon fields, then 2 per inner substep
-    # of each model's triple jump (3 per step: EP's linear substeps, NLS's
-    # rotations).  Both loops carry the truth's photon spectrum, so rho
+    # one transform of the initial photon fields, then 2 per rotation of
+    # each model's composed step (EP's triple jump 3, NLS's sixth-order step
+    # 7), of the rotated field alone.  Both loops carry the truth's photon spectrum, so rho
     # costs no transform.  A block from sample i holds K = _BLOCK_POINTS // (m x P)
     # samples (fewer at T), m the amplitudes that some curve needs at sample
     # i and P the points a row stores: N on the full grid and N/2 + 1 on the
@@ -1246,14 +1248,14 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     # only psi).
     # Stepping ends with the last block.  The sweep then re-steps its
     # crossings: one transform of the photon fields of the amplitudes they
-    # lie on, and per Newton round one triple jump of m rows per slice of m
+    # lie on, and per Newton round one composed step of m rows per slice of m
     # open crossings, 2 transforms per substep.  NLS's slope of rho takes a
     # transform pair per row (evolution.log_rho_rate): at the bracket ends,
     # as many at a time as the batch has amplitudes, and in each round.
     # The count is exact, not a bound: a bound would pass blocks that step
     # members longer than they must
     points = N if N > epnls.sweep._EVEN_MAX_N else N // 2 + 1
-    per_step = 2 * 3
+    per_step = 2 * (3 if model == "ep" else 7)
     expected, blocks = [4 * points], [0]
     while blocks[-1] < max(lengths):
         i = blocks[-1]
@@ -1295,8 +1297,8 @@ def _traced_peak(cfg, specs, tolerances=None):
 def test_arrays_per_member_bounds_the_measured_footprint(model, n, N):
     # grids large enough that their arrays dominate the peak: the full grid
     # in 1D, the even subspace (65^2 and 17^3 stored points) in 2D and 3D.
-    # EP runs two samples of the clock dt = 0.02
-    clock = dict(T=0.02, dt=0.02) if model == "ep" else {"T": 0.002}
+    # EP runs two samples of the clock dt = 0.02, NLS three of its default
+    clock = dict(T=0.02, dt=0.02) if model == "ep" else {"T": 0.016}
     cfg = SweepConfig(model=model, n=n, N=N, **clock)
 
     def peak(batch):
@@ -1315,9 +1317,12 @@ def test_arrays_per_crossing_bounds_the_measured_footprint(model, n, N):
     # (each adds its spectra at both bracket ends, EP's photon and exciton,
     # NLS's photon; the rounds take one row at a time: measured 4.0 and 2.0
     # arrays), and 6 amplitudes with one crossing each against 2 (a round
-    # row each beside the held spectra: measured 17.4-20.4 and 13.0-15.0).
-    # The guard's count of the whole batch bounds each peak
-    clock = dict(T=1.0, dt=0.1) if model == "ep" else {"T": 0.02}
+    # row each beside the held spectra: measured 14.3-14.5 and 10.5 with
+    # the member's arrays; NLS's sixth-order row holds 4 distinct free-flow
+    # maps, where the triple jump's held 2 and read 8.4-9.0).  The guard's
+    # count of the whole batch bounds each peak.  NLS runs three samples of
+    # its default clock, with crossings before and after sample 1
+    clock = dict(T=1.0, dt=0.1) if model == "ep" else {"T": 0.024}
     cfg = SweepConfig(model=model, n=n, N=N, max_points=2**26, **clock)
     points = epnls.sweep._grid_points(cfg)
     member = epnls.sweep._ARRAYS_PER_MEMBER[model]
@@ -1368,16 +1373,14 @@ def test_default_grid_is_converged(kwargs):
 
 def test_default_nls_dt_is_converged():
     # the re-stepped crossings of the delta = 1 curve at the default clock
-    # (one triple jump of 1e-3 per sample) against an 8x finer dt, which
-    # samples 8x as finely too: the step is not what limits the crossings
-    # (measured 1.8e-11 apart; the whole default sweep is within 4.4e-11
-    # of dt = 2e-5).  These crossings all lie in the clock's uniform head,
-    # t < 0.064; the graded rest is checked below
+    # (one sixth-order step of 8e-3 per sample) against a 64x finer dt,
+    # which samples 64x as finely too: the step is not what limits the
+    # crossings (measured 1.8e-11 apart)
     coarse = run_algorithm_a(SweepConfig(model="nls", alpha_set=(0.0,)))
     fine = run_algorithm_a(SweepConfig(model="nls", alpha_set=(0.0,), dt=1.25e-4))
     assert len(coarse.crossings) == 6
     for a, b in zip(coarse.crossings, fine.crossings, strict=True):
-        assert a.epsilon == b.epsilon and a.t_cross < 0.064
+        assert a.epsilon == b.epsilon
         assert a.t_cross == pytest.approx(b.t_cross, rel=1e-6)
 
 
@@ -1393,39 +1396,40 @@ def _nls_crossing_errors(kw, fine):
     return errors
 
 
-def _nls_uniform_reference():
-    # a uniform clock 8x finer in samples and step than the default
-    return run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4, sample_growth=0))
+def _nls_reference():
+    # a clock 64x finer in samples and step than the default
+    return run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4))
 
 
-def test_default_nls_graded_clock_is_converged():
-    # the default NLS clock, graded by 1/32 past t = 0.064 (115 samples on
-    # [0, 0.2]), against a uniform one 8x finer in samples and step, both
-    # re-stepped: every crossing of the default sweep within 5e-11
-    # (measured 3.08e-11, the largest past the uniform head, 1.8e-11 in it;
-    # 1.6x margin).  Both sweeps take ~0.2 s together
-    errors = _nls_crossing_errors({}, _nls_uniform_reference())
+def test_default_nls_clock_is_converged():
+    # the default NLS clock, 26 samples of dt = 8e-3 on [0, 0.2], against
+    # one 64x finer in samples and step, both re-stepped: every crossing of
+    # the default sweep within 5e-11 (measured 1.8e-11; 2.7x margin).  The
+    # ladder spans two decades of t: seven crossings lie before sample 1,
+    # re-stepped from t = 0, and seven past t = 0.064.  Both sweeps take
+    # ~0.2 s together
+    errors = _nls_crossing_errors({}, _nls_reference())
     assert max(e for e, _ in errors) <= 5e-11
-    # seven crossings are read off the graded part of the clock
+    assert sum(t < 8e-3 for _, t in errors) >= 7
     assert sum(t > 0.064 for _, t in errors) >= 7
 
 
 def test_default_nls_dt_is_the_coarsest_that_keeps_the_bound():
-    # twice the default step, dt = 2e-3, leaves the 5e-11 bound the test
-    # above holds the default to (measured 2.8e-10 against the same
-    # reference), so the default is the coarsest power-of-two step that
-    # keeps it
-    dt = 2 * SweepConfig(model="nls").dt
-    assert dt == 2e-3
-    errors = _nls_crossing_errors(dict(dt=dt), _nls_uniform_reference())
+    # the next coarser step of whole milliseconds that divides T = 0.2,
+    # dt = 1e-2 (20 steps), leaves the 5e-11 bound the test above holds
+    # the default to (measured 8.7e-11 against the same reference; 22
+    # steps, dt = 9.1e-3, read 4.5e-11), so the default is the coarsest
+    # such step that keeps it
+    assert SweepConfig(model="nls").dt == 8e-3
+    errors = _nls_crossing_errors(dict(dt=1e-2), _nls_reference())
     assert max(e for e, _ in errors) > 5e-11
 
 
 def test_default_ep_sweep_runs_on_the_uniform_clock(monkeypatch):
-    # EP keeps the uniform clock (sample_growth 0): its times are bitwise
+    # EP's clock, as every clock, is uniform: its times are bitwise
     # np.arange(n + 1) x interval, and its default sweep's curves are
-    # bitwise those of a kernel fed its T and a step without growth, which
-    # yields those times
+    # bitwise those of a kernel fed its T and step, which yields those
+    # times
     c = SweepConfig(model="ep")
     step = solver_setup(c)[2]
     assert step == StepSpec(dt=c.dt)
@@ -1517,7 +1521,7 @@ def test_one_jump_of_h_matches_eight_of_h_over_8(monkeypatch, kw, agree):
 # the ladders whose crossings all lie before sample 1, re-stepped from t = 0
 EP_FROM_ZERO = dict(model="ep", T=0.1, alpha_set=(0.0,), epsilon_set=(1e-9, 1e-10, 1e-11),
                     epsilon_floor=1e-12)
-NLS_FROM_ZERO = dict(model="nls", T=0.002, alpha_set=(0.0,),
+NLS_FROM_ZERO = dict(model="nls", T=0.016, alpha_set=(0.0,),
                      epsilon_set=(3e-4, 3e-5, 3e-6), epsilon_floor=1e-7)
 
 
@@ -1615,13 +1619,15 @@ def _evaluations(kw):
 
 
 @pytest.mark.parametrize("kw, mean, most", [
-    (dict(model="ep"), 1.08, 1), (dict(model="nls"), 1.0, 1), (COMPOSITE_2D, 2.0, 2),
+    (dict(model="ep"), 1.08, 1), (dict(model="nls"), 28 / 24, 2), (COMPOSITE_2D, 2.0, 2),
 ], ids=["ep", "nls", "2d"])
 def test_newton_takes_few_evaluations_per_crossing(kw, mean, most):
     # the default sweeps, seed 0: the exact slope and the Hermite guess
     # through the bracket ends' values and slopes take 1.0 evaluations per
-    # crossing in 1D (EP and NLS; the secant took 1.08 and 1.0) and 1.875,
-    # at most 2, for the 2D composite (the secant took 3.25, at most 4)
+    # crossing for EP 1D (the secant took 1.08), 28 for the 24 NLS
+    # crossings (1.167, at most 2: the sixth-order clock's brackets are 8x
+    # those of the former triple jump's, which took 24) and 1.875, at most
+    # 2, for the 2D composite (the secant took 3.25, at most 4)
     each = _evaluations(kw)
     assert sum(each) / len(each) <= mean and max(each) <= most
 
@@ -1673,7 +1679,7 @@ def test_a_crossing_is_bitwise_whatever_shares_its_round(monkeypatch, kw, rows):
 def _check_crossings_re_stepped_from_t0(monkeypatch, kw, fine, agree, decade, jumps):
     """Every crossing of the one-curve sweep kw lies before its first
     positive sample, where find_crossing reads none: the sweep re-steps it
-    from t = 0, by ``jumps`` triple jumps per evaluation.  Each lies
+    from t = 0, by ``jumps`` composed steps per evaluation.  Each lies
     within ``agree`` of the same sweep on the ``fine`` clock, and a decade
     of tolerance moves it by the leading law's ``decade`` (within 1e-3)."""
     counts, jump = [], epnls.restep.jump
@@ -1716,35 +1722,32 @@ def test_ep_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(monk
 
 
 def test_nls_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(monkeypatch):
-    # on the default NLS clock sample 1 is t = 1e-3, where delta = 1 has rho
-    # ~ 9.8e-4: tolerances 3e-4 to 3e-6 cross before it.  rho ~ t, so one
+    # on the default NLS clock sample 1 is t = 8e-3, where delta = 1 has rho
+    # ~ 7.8e-3: tolerances 3e-4 to 3e-6 cross before it.  rho ~ t, so one
     # jump from t = 0 is as accurate as any re-step.  They lie within 1e-11
     # of a clock of dt = 1e-6 at 10^6 samples per unit time, which brackets
-    # each past its own sample 1 (measured 3.4e-12 at most), and on the
+    # each past its own sample 1 (measured 1.7e-13 at most), and on the
     # leading law: a decade of tolerance moves the crossing by a decade
     # (measured within 2.4e-7)
     _check_crossings_re_stepped_from_t0(
         monkeypatch,
-        dict(model="nls", T=0.002, alpha_set=(0.0,), epsilon_set=(3e-4, 3e-5, 3e-6),
-             epsilon_floor=1e-7),
+        NLS_FROM_ZERO,
         dict(T=0.001, dt=1e-6), 1e-11, 0.1, 1)
 
 
 def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 10, "nls": 10}
+    assert SOLVER_REVISION == {"ep": 10, "nls": 11}
     assert "solver=10" in physics_signature(SweepConfig(**FAST_EP))
-    assert "solver=10" in physics_signature(SweepConfig(model="nls"))
+    assert "solver=11" in physics_signature(SweepConfig(model="nls"))
 
 
-def test_signature_carries_growth_for_every_clock_and_no_spu():
-    # the clock is dt and sample_growth, each written once, also at q = 0
-    for cfg, growth in [(SweepConfig(model="nls"), "0.03125"),
-                        (SweepConfig(model="nls", sample_growth=0), "0"),
-                        (SweepConfig(**FAST_EP), "0")]:
+def test_signature_carries_dt_alone_for_every_clock():
+    # the clock is dt alone, written once: no growth, and no spu
+    for cfg in (SweepConfig(model="nls"), SweepConfig(model="nls", dt=1e-3),
+                SweepConfig(**FAST_EP)):
         parts = physics_signature(cfg).split(";")
-        assert [p for p in parts if p.startswith(("dt=", "growth="))] == \
-            [f"dt={fmt(cfg.dt)}", f"growth={growth}"]
-        assert not any(p.startswith("spu=") for p in parts)
+        assert [p for p in parts if p.startswith(("dt=", "growth=", "spu="))] == \
+            [f"dt={fmt(cfg.dt)}"]
 
 
 def _set(key, i, value):
