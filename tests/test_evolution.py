@@ -728,34 +728,36 @@ def test_model_stream_yields_the_sample_times_it_is_given(model):
 
 
 @pytest.mark.parametrize("failure", ["angle", "non-finite"])
-@pytest.mark.parametrize("model, stages", [(EP, 3), (NLS, 7)])
-def test_blowup_reports_the_steps_taken(monkeypatch, model, stages, failure):
-    # a failure in the middle rotation of composed step j, the one of the
-    # sample interval from times[j - 1], with EP's 3 stages per step and
-    # NLS's 7: an angle reports j and that interval's start, a non-finite
-    # field the j steps taken by the sample it spoils, and that sample's
-    # time
+def test_blowup_on_a_graded_clock_reports_the_steps_taken(monkeypatch, failure):
+    # named for the graded clock the uniform one replaced; the check is
+    # the same: a failure in the middle rotation of composed step j, the
+    # one of the sample interval from times[j - 1], with EP's 3 stages per
+    # step and NLS's 7: an angle reports j and that interval's start, a
+    # non-finite field the j steps taken by the sample it spoils, and that
+    # sample's time
     step = StepSpec(dt=5e-3)
     times = sample_times(0.2, step)
-    rotate, calls = epnls.evolution._rotate, []
-    target = stages * 10 + stages // 2  # the middle rotation of step 11
+    rotate = epnls.evolution._rotate
+    for model, stages in [(EP, 3), (NLS, 7)]:
+        calls = []
+        target = stages * 10 + stages // 2  # the middle rotation of step 11
 
-    def failing(values, g, p, dt):
-        calls.append(dt)
-        angle = rotate(values, g, p, dt)
-        if len(calls) - 1 == target:
-            if failure == "angle":
-                return 2.0**52
-            values[...] = np.nan
-        return angle
+        def failing(values, g, p, dt):
+            calls.append(dt)
+            angle = rotate(values, g, p, dt)
+            if len(calls) - 1 == target:
+                if failure == "angle":
+                    return 2.0**52
+                values[...] = np.nan
+            return angle
 
-    monkeypatch.setattr(epnls.evolution, "_rotate", failing)
-    phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
-    with pytest.raises(SolverBlowupError) as err:
-        for _ in model_stream(model, GRID, PARAMS, step, 0.2, phi0_hat):
-            pass
-    assert err.value.step_index == 11
-    assert err.value.time == (times[10] if failure == "angle" else times[11])
+        monkeypatch.setattr(epnls.evolution, "_rotate", failing)
+        phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
+        with pytest.raises(SolverBlowupError) as err:
+            for _ in model_stream(model, GRID, PARAMS, step, 0.2, phi0_hat):
+                pass
+        assert err.value.step_index == 11
+        assert err.value.time == (times[10] if failure == "angle" else times[11])
 
 
 @pytest.mark.parametrize("record", ["full", "norms"])
@@ -791,6 +793,21 @@ def test_nls_mass_conserved():
     phi0 = gaussian_initial(GRID, 1.0)
     traj = evolve_nls(phi0, PARAMS, StepSpec(dt=1e-3), 1.0, record="norms")
     assert traj.mass_drift() <= 1e-10
+
+
+def test_nls_fourth_order_in_dt(monkeypatch):
+    # the order follows the weights table: with EP's triple jump in place
+    # of its own weights, NLS is fourth order, halving dt dividing the step
+    # error by 2^4, as both substeps are exact flows
+    monkeypatch.setitem(epnls.evolution._WEIGHTS, NLS, epnls.evolution._WEIGHTS[EP])
+    phi0 = gaussian_initial(GRID, 1.0)
+    T = 0.2
+    outs = {}
+    for dt in (2e-2, 1e-2, 5e-3):
+        outs[dt] = evolve_nls(phi0, PARAMS, StepSpec(dt=dt), T).phi[-1].values
+    err1 = np.max(np.abs(outs[2e-2] - outs[1e-2]))
+    err2 = np.max(np.abs(outs[1e-2] - outs[5e-3]))
+    assert 16.0 / 1.5 <= err1 / err2 <= 16.0 * 1.5
 
 
 def test_nls_sixth_order_in_dt():

@@ -759,8 +759,8 @@ def _sweep_bits(result):
     FOUR_CURVES,
     dict(FOUR_CURVES, n=2, N=32, comparator="composite", c1=0.5),
     FOUR_NLS_CURVES,
-    dict(FOUR_NLS_CURVES, T=0.2, dt=8e-3),  # the default clock
-], ids=["systemB-1d", "composite-2d", "nls", "nls-default-clock"])
+    dict(FOUR_NLS_CURVES, T=0.2, dt=8e-3),  # the default clock, once graded
+], ids=["systemB-1d", "composite-2d", "nls", "nls-graded"])
 def test_curve_bits_do_not_depend_on_the_block(monkeypatch, kw):
     # one sample per block, the default blocks, and the whole horizon in
     # one block: the same curves (t, rho) and crossings, bitwise
@@ -1401,10 +1401,11 @@ def _nls_reference():
     return run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4))
 
 
-def test_default_nls_clock_is_converged():
-    # the default NLS clock, 26 samples of dt = 8e-3 on [0, 0.2], against
-    # one 64x finer in samples and step, both re-stepped: every crossing of
-    # the default sweep within 5e-11 (measured 1.8e-11; 2.7x margin).  The
+def test_default_nls_graded_clock_is_converged():
+    # named for the graded clock the uniform one replaced: the default NLS
+    # clock, 26 samples of dt = 8e-3 on [0, 0.2], against one 64x finer in
+    # samples and step, both re-stepped: every crossing of the default
+    # sweep within 5e-11 (measured 1.8e-11; 2.7x margin).  The
     # ladder spans two decades of t: seven crossings lie before sample 1,
     # re-stepped from t = 0, and seven past t = 0.064.  Both sweeps take
     # ~0.2 s together
@@ -1741,8 +1742,9 @@ def test_signature_carries_the_solver_revision():
     assert "solver=11" in physics_signature(SweepConfig(model="nls"))
 
 
-def test_signature_carries_dt_alone_for_every_clock():
-    # the clock is dt alone, written once: no growth, and no spu
+def test_signature_carries_growth_for_every_clock_and_no_spu():
+    # named for the graded clock's growth, which went with it: the clock is
+    # dt alone, written once, with no growth= and no spu=
     for cfg in (SweepConfig(model="nls"), SweepConfig(model="nls", dt=1e-3),
                 SweepConfig(**FAST_EP)):
         parts = physics_signature(cfg).split(";")
