@@ -204,7 +204,7 @@ def cmd_sweep(args):
              for b in result.betas],
         )
         summary = {
-            "config_hash": config_hash(cfg),
+            "config_hash": manifest.config_hash,
             "config": config_text,
             "tool_version": __version__,
             "meta_fit": {

@@ -123,18 +123,24 @@ _ARRAYS_PER_MEMBER = {EP: 10, NLS: 7}
 _ARRAYS_PER_EXTRA_CURVE = 6
 _ARRAYS_PER_CROSSING = 14
 
-# Truth points (batch rows x _grid_points x samples) _curve_batch measures
-# in one block: one norm call and one comparator gather per block, not per
-# sample.  A default 1D sweep's 18 amplitudes on 65 stored points take
-# three samples per block, and its one-amplitude tail 63.  Per default
-# sweep at N = 128 (CPU time, in process, interleaved, shared 2-core x86
-# box), blocks of 2^11 to 2^14 points counted as 128 per row (about 2^10
-# to 2^13 stored) measured 30, 28, 26 and 25 ms (EP, 80 rounds) and 85,
-# 73, 72 and 69 ms (NLS, 40 rounds); the largest two alone, alternating,
-# 24.7 and 24.4 ms (EP, 150 rounds) and 72 and 74 ms (NLS, 60), inside
-# quartile spreads of 6-19 ms: smaller blocks lose, and the largest gains
-# nothing measurable for twice the stack, so the third is taken.
-_BLOCK_POINTS = 2**12
+# A block: _curve_batch measures at most _BLOCK_SAMPLES consecutive samples
+# and _BLOCK_POINTS truth points (batch rows x _grid_points x samples) at
+# once, with one norm call and one comparator gather per block, not per
+# sample.  The default sweeps take three samples per block: 1D's 18
+# amplitudes on 65 stored points and its tail alike, and the 2D composite's
+# 5 amplitudes on 1,089 (5 x 1,089 x 3 <= 2^14).  A batch of five or more
+# amplitudes on 2D N = 128, 3D N = 32 or 1D N = 4096 takes one, so its stack
+# stays the one sample's that _ARRAYS_PER_MEMBER counts; the cap alone
+# would give those three, past that count.  The cap also keeps a batch
+# from stepping an amplitude more than two samples past its stop.  CPU per
+# sweep against 2^12 points and no cap (each rule in its own process, 10
+# alternating rounds of 40 sweeps, one BLAS thread, shared 2-core x86
+# box): ep_2d_composite 0.937 (9 of 10 rounds won), ep_sweep 1.025 (4),
+# nls_sweep 1.001 (5).  2^14 without the cap, whose 1D tails take blocks of
+# up to the samples left: 0.935, 1.060 and 1.152; one sample per block:
+# 1.121, 1.239 and 1.044.
+_BLOCK_POINTS = 2**14
+_BLOCK_SAMPLES = 3
 
 # Largest N at which solver_setup gives a config's runs the even subspace
 # (EvenGrid): its dense cosine transforms cost O(N^(n+1)) per row against
@@ -442,37 +448,40 @@ def _curve_batch(c, specs, tolerances=None):
     the truth spectrum is the photon spectrum it yields as spectra[0], the
     comparator spectrum one closed-form multiplier per eps_comp times each
     curve's phi_hat(0).  Samples are measured in blocks of K consecutive
-    ones (K = max(1, _BLOCK_POINTS // (batch rows x _grid_points(c))), 1
-    where max_points leaves no room for more): the block's truth spectra
-    and each curve's comparator-minus-truth rows form one stack, whose
-    norms are one batched call, beside the rows of the stream's other
-    fields (EP's exciton), and rho[spec, sample] is filled for the whole
-    block.  No state is recorded and at most one block is held, so memory
-    is O(batch x grid).  Every operation acts on each batch row alone, so a
+    ones, K = max(1, min(_BLOCK_SAMPLES, _BLOCK_POINTS // (batch rows x
+    _grid_points(c)))), 1 where max_points leaves no room for more and
+    fewer at T: the block's truth spectra and each curve's
+    comparator-minus-truth rows form one stack, whose norms are one
+    batched call, beside the rows of the stream's other fields (EP's
+    exciton), and rho[spec, sample] is filled for the whole block.  No
+    state is recorded and at most one block is held, so memory is
+    O(batch x grid).  Every operation acts on each batch row alone, so a
     curve's bits depend neither on the rest of its batch nor on K.
 
     ``tolerances`` gives each spec the tolerances read off its curve: the
     curve stops at the first sample where rho reaches the largest (its
     first sample if there is none), a delta leaves the batch at the end of
     the block in which all its curves have stopped, and stepping ends when
-    no delta is left or at T.  Without ``tolerances`` every curve runs to
-    T.  Curves carry their crossings re-stepped (ErrorCurve.crossings):
-    when a curve's rho first reaches one of its tolerances, the spectra of
-    every field of its row at both samples of the bracket are held
-    (epnls.restep), and the crossing's t_cross is recorded once.  A
-    solver blow-up or a zero truth norm at any sample is an error.  In a
+    no delta is left or at T, so a delta is stepped at most K - 1 samples
+    past the stop of its last curve.  Without ``tolerances`` every curve
+    runs to T.  Curves carry their crossings re-stepped
+    (ErrorCurve.crossings): when a curve's rho first reaches one of its
+    tolerances, the spectra of every field of its row at both samples of
+    the bracket are held (epnls.restep), and the crossing's t_cross is
+    recorded once.  A solver blow-up or a zero truth norm at any sample is an error.  In a
     block of K > 1 samples it may come from a row whose curves stopped
     earlier in it, and the stream cannot rewind, so the batch is then
     measured again with K = 1, where every row stepped has a running
     curve: it fails exactly where one needs the failing sample.
     """
-    curves = _measure_batch(c, specs, tolerances, _BLOCK_POINTS)
+    curves = _measure_batch(c, specs, tolerances, _BLOCK_SAMPLES)
     return _measure_batch(c, specs, tolerances, 1) if curves is None else curves
 
 
-def _measure_batch(c, specs, tolerances, block_points):
-    """_curve_batch in blocks of at most block_points truth points, or None
-    if a block of more than one sample fails."""
+def _measure_batch(c, specs, tolerances, block_samples):
+    """_curve_batch in blocks of at most block_samples samples and
+    _BLOCK_POINTS truth points, or None if a block of more than one sample
+    fails."""
     grid, params, step = solver_setup(c)
     # the clock is built once, by the stream: times fills as it yields
     samples = sample_count(c)
@@ -516,13 +525,14 @@ def _measure_batch(c, specs, tolerances, block_points):
                 + (len(specs) - len(live)) * samples)
 
     def block_size(i):
-        # the largest K of at most block_points truth points whose stack
-        # rows (each field's per batch row and a difference per curve),
-        # twice over for their temporaries, fit in max_points beside the
-        # batch and every crossing it holds or will hold
+        # the largest K of at most block_samples samples and _BLOCK_POINTS
+        # truth points whose stack rows (each field's per batch row and a
+        # difference per curve), twice over for their temporaries, fit in
+        # max_points beside the batch and every crossing it holds or will hold
         room = c.max_points - used(len(held) + sum(map(len, pending)))
         per_sample = 2 * points * (fields * rows + len(live))
-        return max(1, min(block_points // (rows * points), room // per_sample, samples - i))
+        return max(1, min(block_samples, _BLOCK_POINTS // (rows * points),
+                          room // per_sample, samples - i))
 
     def block(i, k, keep):
         # rho of (sample, curve) and each field's spectra of (sample, row) at
@@ -693,20 +703,28 @@ def curve_path(root, config, delta, epsilon_comp=None, cache=False):
     for a composite comparator's per-epsilon curves; with ``cache``, its
     record curve_cache/<config hash>/delta=<v>[__eps=<e>].json
     (_write_cached), so one directory can hold both."""
-    name = f"delta={fmt(delta)}"
-    if epsilon_comp is not None:
-        name += f"__eps={fmt(epsilon_comp)}"
-    if cache:
-        return os.path.join(root, "curve_cache", config_hash(config), name + ".json")
-    return os.path.join(root, "curves", config_hash(config), name + ".csv")
+    return _curve_paths(root, config, [(delta, epsilon_comp)], cache)[0]
+
+
+def _curve_paths(root, config, keys, cache=False):
+    """The curve_path of each (delta, epsilon_comp) in keys, the config
+    hashed once."""
+    folder = os.path.join(root, "curve_cache" if cache else "curves", config_hash(config))
+    suffix = ".json" if cache else ".csv"
+    return [os.path.join(folder, f"delta={fmt(delta)}"
+                         + ("" if eps is None else f"__eps={fmt(eps)}") + suffix)
+            for delta, eps in keys]
+
+
+def _keys(curves):
+    return [(curve.delta, curve.epsilon_comp) for curve in curves]
 
 
 def write_curves(root, config, curves):
     """Write each curve as a t,rho CSV at the curve_path of its (delta,
     epsilon_comp) under root."""
-    for curve in curves:
-        write_csv(curve_path(root, config, curve.delta, curve.epsilon_comp),
-                  ["t", "rho"], zip(curve.times, curve.rho))
+    for curve, path in zip(curves, _curve_paths(root, config, _keys(curves))):
+        write_csv(path, ["t", "rho"], zip(curve.times, curve.rho))
 
 
 def _write_cached(root, config, curves):
@@ -714,11 +732,10 @@ def _write_cached(root, config, curves):
     root: {"t": [...], "rho": [...], "crossings": [[tolerance, t_cross],
     ...]}.  JSON writes each float as its shortest repr, which reads back
     bitwise."""
-    for curve in curves:
+    for curve, path in zip(curves, _curve_paths(root, config, _keys(curves), cache=True)):
         record = {"t": curve.times.tolist(), "rho": curve.rho.tolist(),
                   "crossings": [[e, t] for e, t in sorted((curve.crossings or {}).items())]}
-        atomic_write_text(curve_path(root, config, curve.delta, curve.epsilon_comp, cache=True),
-                          json.dumps(record))
+        atomic_write_text(path, json.dumps(record))
 
 
 def _read_cached(path, spec, times, tolerances):
@@ -809,8 +826,7 @@ def run_error_curves(config):
     curves = {}
     if config.cache_dir:
         times = sweep_times(config)
-        for spec in specs:
-            path = curve_path(config.cache_dir, config, *spec, cache=True)
+        for spec, path in zip(specs, _curve_paths(config.cache_dir, config, specs, cache=True)):
             curve = _read_cached(path, spec, times, tolerances[spec])
             if curve is not None:
                 curves[spec] = curve
@@ -828,7 +844,7 @@ def run_error_curves(config):
                         for curve in part]
     else:
         computed = _compute_curves(config, misses)
-    if config.cache_dir:
+    if config.cache_dir and computed:
         _write_cached(config.cache_dir, config, computed)
     curves.update(((c.delta, c.epsilon_comp), c) for c in computed)
     return [curves[s] for s in specs]

@@ -766,8 +766,9 @@ def test_curve_bits_do_not_depend_on_the_block(monkeypatch, kw):
     # one block: the same curves (t, rho) and crossings, bitwise
     cfg = SweepConfig(**kw)
     default = _sweep_bits(run_algorithm_a(cfg))
-    for block_points in (1, 2**40):
-        monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", block_points)
+    for block in (1, 2**40):
+        monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(epnls.sweep, "_BLOCK_SAMPLES", block)
         assert _sweep_bits(run_algorithm_a(cfg)) == default
     assert len(default[1]) >= 3
 
@@ -795,6 +796,7 @@ def _sample_by_sample(monkeypatch, cfg):
     """The curves of cfg measured one sample per block, and the number of
     samples each batch row (one curve each) needs."""
     monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 1)
+    monkeypatch.setattr(epnls.sweep, "_BLOCK_SAMPLES", 1)
     curves = run_error_curves(cfg)
     monkeypatch.undo()
     ends = np.array([len(c.times) for c in curves])
@@ -805,8 +807,9 @@ def _sample_by_sample(monkeypatch, cfg):
 def test_kernel_error_past_a_stop_reruns_the_batch_sample_by_sample(monkeypatch):
     # a kernel error while a row whose curve has stopped is still stepped
     # is one a sweep measured sample by sample never meets, so the sweep
-    # must still return its curves
-    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    # must still return its curves.  On a clock of dt = 5e-4 a block of
+    # three samples steps a stopped row
+    cfg = SweepConfig(**dict(FOUR_NLS_CURVES, dt=5e-4))
     reference, ends = _sample_by_sample(monkeypatch, cfg)
     raised = []
 
@@ -821,8 +824,9 @@ def test_kernel_error_past_a_stop_reruns_the_batch_sample_by_sample(monkeypatch)
 
 
 def test_vanishing_truth_past_a_stop_is_no_error(monkeypatch):
-    # a zero truth norm is an error only at a sample a curve needs
-    cfg = SweepConfig(**FOUR_NLS_CURVES)
+    # a zero truth norm is an error only at a sample a curve needs (on the
+    # clock above, where a block steps a stopped row)
+    cfg = SweepConfig(**dict(FOUR_NLS_CURVES, dt=5e-4))
     reference, ends = _sample_by_sample(monkeypatch, cfg)
     zeroed, streams = [], []
 
@@ -872,12 +876,71 @@ def test_nls_blocks_fill_the_room_max_points_leaves(monkeypatch):
     assert blocks == [3] * 8
 
 
+def _blocks(monkeypatch, cfg):
+    """(samples, amplitudes stepped) of each block of cfg's sweep, read off
+    its norm calls: a block's call follows the samples it measures, and a
+    re-step's follows none."""
+    blocks, samples = [], []
+    _patch_streams(monkeypatch, lambda j, rows, spectra: samples.append(len(rows)))
+    norm = epnls.sweep.hs_norm_from_fft
+
+    def counted(*args):
+        if samples:
+            assert len(set(samples)) == 1  # a block steps the same rows throughout
+            blocks.append((len(samples), samples[0]))
+            samples.clear()
+        return norm(*args)
+
+    monkeypatch.setattr(epnls.sweep, "hs_norm_from_fft", counted)
+    run_error_curves(cfg)
+    monkeypatch.undo()
+    return blocks
+
+
+# the ep_2d_composite benchmark's sweep at its reference ladder: five
+# amplitudes of 33 x 33 stored points
+EP_2D_COMPOSITE = dict(n=2, N=64, comparator="composite", c1=1.0, alpha_set=(0.0, 0.2),
+                       epsilon_set=tuple(np.logspace(-2.0, -3.0, 4)))
+
+
+def test_2d_composite_blocks_of_three_and_its_bits_do_not_depend_on_them(monkeypatch):
+    # 5 x 1,089 stored points per sample: three samples per block while all
+    # five amplitudes step, and the curves and crossings of one sample per
+    # block, bitwise
+    cfg = SweepConfig(**EP_2D_COMPOSITE)
+    blocks = _blocks(monkeypatch, cfg)
+    full = [k for k, rows in blocks if rows == 5]
+    assert len(full) >= 2 and set(full) == {3}
+    assert max(k for k, _ in blocks) == 3
+    default = _sweep_bits(run_algorithm_a(cfg))
+    monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 1)
+    monkeypatch.setattr(epnls.sweep, "_BLOCK_SAMPLES", 1)
+    assert _sweep_bits(run_algorithm_a(cfg)) == default
+    assert len(default[1]) == 8
+
+
+def test_default_nls_sweep_steps_no_block_past_three_samples(monkeypatch):
+    # the one-amplitude tail too: a retired amplitude is stepped at most
+    # two samples past its stop
+    blocks = _blocks(monkeypatch, SweepConfig(model="nls"))
+    assert max(k for k, _ in blocks) == 3
+    assert blocks[0] == (3, 18)
+
+
+def test_2d_grid_of_128_measures_five_amplitudes_one_sample_per_block(monkeypatch):
+    # 5 x 65^2 stored points exceed _BLOCK_POINTS: the stack stays one
+    # sample's while the batch holds five amplitudes
+    blocks = _blocks(monkeypatch, SweepConfig(**dict(EP_2D_COMPOSITE, N=128)))
+    full = [k for k, rows in blocks if rows == 5]
+    assert len(full) >= 5 and set(full) == {1}
+
+
 @pytest.mark.parametrize("which", ["first", "last"])
 @pytest.mark.parametrize("error", ["kernel", "vanishing-truth"])
 def test_an_error_a_curve_needs_is_the_sweeps_error(monkeypatch, which, error):
     # at the last sample of the shortest curve or of the longest: the same
     # error and message whatever the block.  Blocks of one sample (by
-    # _BLOCK_POINTS, or by a max_points with no room for more) step only
+    # _BLOCK_SAMPLES, or by a max_points with no room for more) step only
     # rows with a running curve, so they stream the batch once; the default
     # blocks may step a stopped row, so they stream it again.  On a clock
     # of dt = 5e-4, sample j is at t = j / 2000
@@ -900,9 +963,11 @@ def test_an_error_a_curve_needs_is_the_sweeps_error(monkeypatch, which, error):
     # the four amplitudes' arrays and the six crossings they hold
     no_room = epnls.sweep._batch_points(cfg, 4, 4, 6)
     messages, passes = [], []
-    for block_points, max_points in ((1, cfg.max_points), (epnls.sweep._BLOCK_POINTS, no_room),
-                                     (epnls.sweep._BLOCK_POINTS, cfg.max_points)):
-        monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", block_points)
+    default = epnls.sweep._BLOCK_POINTS, epnls.sweep._BLOCK_SAMPLES
+    for block, max_points in (((1, 1), cfg.max_points), (default, no_room),
+                              (default, cfg.max_points)):
+        monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", block[0])
+        monkeypatch.setattr(epnls.sweep, "_BLOCK_SAMPLES", block[1])
         _patch_streams(monkeypatch, fail)
         streams.clear()
         with pytest.raises(kind) as err:
@@ -931,9 +996,9 @@ def _norm_calls(monkeypatch):
 
 
 def test_max_points_without_room_for_a_block_measures_each_sample(monkeypatch):
-    # four amplitudes of 64 points: 32 samples per block by default, one
-    # where max_points is just the batch's own arrays and the six crossings
-    # it holds
+    # four amplitudes of 33 stored points: three samples per block by
+    # default, one where max_points is just the batch's own arrays and the
+    # six crossings it holds
     cfg = SweepConfig(**FOUR_NLS_CURVES)
     batch = epnls.sweep._batch_points(cfg, 4, 4, 6)
     calls = _norm_calls(monkeypatch)
@@ -1156,6 +1221,27 @@ def test_prefix_cached_under_a_larger_tolerance_is_accepted(tmp_path, monkeypatc
     assert path.read_bytes() == blob
 
 
+def test_a_cached_sweep_hashes_its_config_once_per_pass_over_its_curves(tmp_path,
+                                                                        monkeypatch):
+    # at most one config_hash per function that reads or writes curves: a
+    # cold run's cache reads and its _write_cached, a warm run's reads and
+    # write_curves, each at the paths curve_path gives
+    cfg = SweepConfig(model="nls", cache_dir=str(tmp_path / "cache"))
+    hashes, real = [], epnls.sweep.config_hash
+    monkeypatch.setattr(epnls.sweep, "config_hash", lambda c: hashes.append(c) or real(c))
+    counts = [len(run_error_curves(cfg)), len(hashes)]
+    warm = run_error_curves(cfg)
+    counts.append(len(hashes))
+    epnls.sweep.write_curves(str(tmp_path / "out"), cfg, warm)
+    counts.append(len(hashes))
+    monkeypatch.undo()
+    assert counts == [18, 2, 3, 4]
+    assert sorted(map(str, tmp_path.rglob("*.json"))) == sorted(
+        curve_path(cfg.cache_dir, cfg, *spec, cache=True) for spec in curve_specs(cfg))
+    assert sorted(map(str, tmp_path.rglob("*.csv"))) == sorted(
+        curve_path(str(tmp_path / "out"), cfg, c.delta, c.epsilon_comp) for c in warm)
+
+
 # ---------------------------------------------------------------- engine cost
 
 
@@ -1185,27 +1271,31 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
 
 @pytest.mark.parametrize("model, steps, samples", [("ep", 100, 101), ("nls", 100, 101)])
 def test_fft_calls_per_step_and_sample(fft_calls, even_transforms, model, steps, samples):
-    # one block of 60 samples (2^12 // (4 x 17 stored points)) holds every
-    # stop; N = 32 steps the even subspace, whose transforms are no
-    # numpy.fft calls
-    assert _fft_call_blocks(even_transforms, model, steps, samples) == [0, 60]
+    # every block holds _BLOCK_SAMPLES = 3 samples, where 2^14 // (4 x 17
+    # stored points) would admit 240; N = 32 steps the even subspace, whose
+    # transforms are no numpy.fft calls
+    blocks = _fft_call_blocks(even_transforms, model, steps, samples)
+    assert set(np.diff(blocks)) == {3}
     assert fft_calls == []
 
 
 @pytest.mark.parametrize("model", ["ep", "nls"])
 def test_fft_calls_per_step_and_sample_in_small_blocks(even_transforms, monkeypatch, model):
-    # 2^8 points of 17 per row: blocks of 3 to 15 samples
-    monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 2**8)
-    assert len(_fft_call_blocks(even_transforms, model, 100, 101)) > 5
+    # 2^7 points of 17 per row: blocks of one sample while four amplitudes
+    # step, two while three do and three while two or one do
+    monkeypatch.setattr(epnls.sweep, "_BLOCK_POINTS", 2**7)
+    blocks = _fft_call_blocks(even_transforms, model, 100, 101)
+    assert len(blocks) > 5 and set(np.diff(blocks)) == {1, 2, 3}
 
 
 @pytest.mark.parametrize("model", ["ep", "nls"])
 def test_fft_calls_per_step_and_sample_above_the_even_cutoff(fft_calls, even_transforms,
                                                              model):
     # N = 512 steps the full grid: numpy.fft calls on 512-point rows, in
-    # blocks of 2 samples while all four amplitudes step
+    # blocks of 3 samples (the cap; 2^14 // (4 x 512) admits 8) while all
+    # four amplitudes step
     assert epnls.sweep._EVEN_MAX_N < 512
-    assert _fft_call_blocks(fft_calls, model, 100, 101, N=512)[:3] == [0, 2, 4]
+    assert _fft_call_blocks(fft_calls, model, 100, 101, N=512)[:3] == [0, 3, 6]
     assert even_transforms == []
 
 
@@ -1240,9 +1330,10 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     # one transform of the initial photon fields, then 2 per rotation of
     # each model's composed step (EP's triple jump 3, NLS's sixth-order step
     # 7), of the rotated field alone.  Both loops carry the truth's photon spectrum, so rho
-    # costs no transform.  A block from sample i holds K = _BLOCK_POINTS // (m x P)
-    # samples (fewer at T), m the amplitudes that some curve needs at sample
-    # i and P the points a row stores: N on the full grid and N/2 + 1 on the
+    # costs no transform.  A block from sample i holds
+    # K = min(_BLOCK_SAMPLES, _BLOCK_POINTS // (m x P)) samples (at least
+    # one, fewer at T), m the amplitudes that some curve needs at sample i
+    # and P the points a row stores: N on the full grid and N/2 + 1 on the
     # even subspace.  They are stepped through the block, and leave the
     # batch after it.  Every step moves one field of them (EP transforms
     # only psi).
@@ -1260,7 +1351,8 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     while blocks[-1] < max(lengths):
         i = blocks[-1]
         m = sum(n > i for n in lengths)
-        k = max(1, min(epnls.sweep._BLOCK_POINTS // (m * points), samples - i))
+        k = max(1, min(epnls.sweep._BLOCK_SAMPLES, epnls.sweep._BLOCK_POINTS // (m * points),
+                       samples - i))
         expected += [m * points] * (per_step * (k - (i == 0)))  # sample 0: no step
         blocks.append(i + k)
     # the first round evaluates all six crossings, at most as many at once
