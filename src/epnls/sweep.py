@@ -14,9 +14,12 @@ beta = (1 - (p-1) alpha)/(p+2) for the coupled system.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -82,11 +85,6 @@ _MODEL_DEFAULTS = {
 
 DEFAULT_ALPHAS = (0.0, 0.1, 0.2, 0.3)
 DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
-
-# Part of every cache key, per model; bumped whenever the bits of that
-# model's computed curves change, so a cache never serves curves an older
-# solver wrote.
-SOLVER_REVISION = {EP: 10, NLS: 11}
 
 # Complex arrays of _grid_points points a batch member with one curve
 # keeps alive at the peak of _curve_batch, one sample per block, measured
@@ -285,7 +283,9 @@ class SweepConfig:
 def physics_signature(config):
     """Canonical string of every field that affects a single error curve
     (grid, physics, the clock's dt, comparator); cosmetic and
-    sweep-ladder fields are excluded so equivalent runs share cached curves."""
+    sweep-ladder fields are excluded so equivalent runs share cached curves.
+    It names the physics alone: the code that computes a curve is keyed by
+    the source digest each cache record carries (_write_cached)."""
     parts = [
         f"model={config.model}",
         f"n={config.n}",
@@ -299,7 +299,6 @@ def physics_signature(config):
         f"T={fmt(config.T)}",
         f"dt={fmt(config.dt)}",
         f"comparator={config.comparator}",
-        f"solver={SOLVER_REVISION[config.model]}",
     ]
     if config.comparator == COMPARATOR_COMPOSITE:
         parts.append(f"c1={fmt(config.c1)}")
@@ -727,13 +726,28 @@ def write_curves(root, config, curves):
         write_csv(path, ["t", "rho"], zip(curve.times, curve.rho))
 
 
+@functools.cache
+def _source_digest():
+    """sha256 over the name, length and bytes of every *.py file of this
+    package, sorted by name: the code that wrote a cache record.  Read once
+    per process, and only by a sweep that reads or writes a cache."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.name}\0{len(source)}\0".encode())
+        digest.update(source)
+    return digest.hexdigest()
+
+
 def _write_cached(root, config, curves):
     """Cache each curve as one JSON record at its cache curve_path under
-    root: {"t": [...], "rho": [...], "crossings": [[tolerance, t_cross],
-    ...]}.  JSON writes each float as its shortest repr, which reads back
-    bitwise."""
+    root: {"code": <source digest>, "t": [...], "rho": [...], "crossings":
+    [[tolerance, t_cross], ...]}, "code" the _source_digest of the package
+    that computed it.  JSON writes each float as its shortest repr, which
+    reads back bitwise."""
     for curve, path in zip(curves, _curve_paths(root, config, _keys(curves), cache=True)):
-        record = {"t": curve.times.tolist(), "rho": curve.rho.tolist(),
+        record = {"code": _source_digest(), "t": curve.times.tolist(),
+                  "rho": curve.rho.tolist(),
                   "crossings": [[e, t] for e, t in sorted((curve.crossings or {}).items())]}
         atomic_write_text(path, json.dumps(record))
 
@@ -742,21 +756,26 @@ def _read_cached(path, spec, times, tolerances):
     """The curve of spec, its (delta, epsilon_comp), from its record at path
     (_write_cached), cut at its stop sample (the first where rho reaches
     the largest of ``tolerances``), or None if the record is missing,
-    unreadable, not JSON or lacks a key, its t is not 1-D or not as long as
-    its rho, its times are not a prefix of the sample grid ``times``, its
-    rho is not finite, or it ends before both that sample and T.  A record
-    written to T or to a larger tolerance is served cut, so a warm run
-    returns bitwise the curve a cold run computes.  The curve carries the
-    t_cross of the tolerances its cut rho reaches, from its record; one
-    missing there, or a crossing entry other than a [tolerance, t_cross]
-    pair, is a miss."""
+    unreadable, not JSON or lacks a key, its "code" is not this package's
+    _source_digest(), its t is not 1-D or not as long as its rho, its
+    times are not a prefix of the sample grid ``times``, its rho is not
+    finite, or it ends before both that sample and T.  A record written to
+    T or to a larger tolerance is served cut, so a warm run returns
+    bitwise the curve a cold run computes.  The curve carries the t_cross
+    of the tolerances its cut rho reaches, from its record; one missing
+    there, a crossing entry other than a [tolerance, t_cross] pair, or a
+    t_cross outside its bracket [t[i-1], t[i]] (NaN included), i the first
+    sample where rho reaches the tolerance, is a miss."""
     try:
         with open(path) as fh:
             record = json.load(fh)
+        code = record["code"]
         t = np.array(record["t"], dtype=float)
         rho = np.array(record["rho"], dtype=float)
         stored = {float(e): float(t_cross) for e, t_cross in record["crossings"]}
     except (OSError, ValueError, TypeError, KeyError):
+        return None
+    if code != _source_digest():
         return None
     if t.ndim != 1 or rho.shape != t.shape:
         return None
@@ -773,8 +792,10 @@ def _read_cached(path, spec, times, tolerances):
         return None
     peak = rho[:end].max()
     needed = [e for e in tolerances if peak >= e]
-    if any(e not in stored for e in needed):
-        return None
+    for e in needed:
+        i = np.argmax(rho >= e)
+        if e not in stored or not (i > 0 and t[i - 1] <= stored[e] <= t[i]):
+            return None
     return ErrorCurve(delta=spec[0], times=t[:end], rho=rho[:end], epsilon_comp=spec[1],
                       crossings={e: stored[e] for e in needed})
 

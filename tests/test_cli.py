@@ -435,10 +435,12 @@ def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkey
 
 
 def _is_cache_record(path):
-    """Whether path is a cached curve's one record: a .json of its t and
-    rho from (0, 0) and its [tolerance, t_cross] crossings."""
+    """Whether path is a cached curve's one record: a .json of the digest
+    of the source that wrote it, its t and rho from (0, 0) and its
+    [tolerance, t_cross] crossings."""
     record = json.loads(path.read_text())
-    return (path.suffix == ".json" and sorted(record) == ["crossings", "rho", "t"]
+    return (path.suffix == ".json" and sorted(record) == ["code", "crossings", "rho", "t"]
+            and record["code"] == epnls.sweep._source_digest()
             and record["t"][0] == record["rho"][0] == 0.0
             and len(record["t"]) == len(record["rho"])
             and bool(record["crossings"]) and all(len(c) == 2 for c in record["crossings"]))

@@ -128,21 +128,21 @@ def test_config_hash_sensitivity():
 
 
 @pytest.mark.parametrize("doc, pinned", [
-    ("", "2d2ef3f62e13c09e"),
-    ("[physics]\nmodel = nls\n", "b280ad2c82262201"),
-    ("[physics]\nmodel = nls\n[solver]\ndt = 5e-4\n", "9013458cf072e2c8"),
+    ("", "0a64cfefa142085b"),
+    ("[physics]\nmodel = nls\n", "0192c28c95d2e153"),
+    ("[physics]\nmodel = nls\n[solver]\ndt = 5e-4\n", "5d72a75bb220bbe2"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
-     "alphas = 0,0.2\n", "f5c6e20030097919"),
+     "alphas = 0,0.2\n", "2f3a5b008e6387c3"),
 ], ids=["ep", "nls", "nls-dt-5e-4", "composite-2d"])
 def test_config_hash_is_pinned(doc, pinned):
-    # the hash keys curve caches, so it may only change on purpose: a
-    # SOLVER_REVISION bump of the config's model, a new default, or a new
-    # text of the signature (physics_signature), as when the cache's own
-    # format changes and every cache is invalidated anyway.  A new
+    # the hash keys curve caches, so it may only change on purpose: a new
+    # default, or a new text of the signature (physics_signature), as when
+    # the cache's own format changes and every cache is invalidated anyway.
+    # It names the physics alone; a change of the code is keyed by the
+    # source digest in each cache record, and changes no hash.  A new
     # default alone changes only the default's hash: a config that sets a
     # former NLS default (dt = 5e-4) keeps its hash, and its caches.  Every
-    # hash here changed once when the clock lost its growth (and NLS, on
-    # its sixth-order step, its solver revision)
+    # hash here changed once when the signature lost its solver revision
     assert config_hash(parse_config_text(doc)) == pinned
 
 

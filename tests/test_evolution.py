@@ -728,13 +728,12 @@ def test_model_stream_yields_the_sample_times_it_is_given(model):
 
 
 @pytest.mark.parametrize("failure", ["angle", "non-finite"])
-def test_blowup_on_a_graded_clock_reports_the_steps_taken(monkeypatch, failure):
-    # named for the graded clock the uniform one replaced; the check is
-    # the same: a failure in the middle rotation of composed step j, the
-    # one of the sample interval from times[j - 1], with EP's 3 stages per
-    # step and NLS's 7: an angle reports j and that interval's start, a
-    # non-finite field the j steps taken by the sample it spoils, and that
-    # sample's time
+def test_blowup_mid_step_reports_the_steps_taken(monkeypatch, failure):
+    # a failure in the middle rotation of composed step j, the one of the
+    # sample interval from times[j - 1], with EP's 3 stages per step and
+    # NLS's 7: an angle reports j and that interval's start, a non-finite
+    # field the j steps taken by the sample it spoils, and that sample's
+    # time
     step = StepSpec(dt=5e-3)
     times = sample_times(0.2, step)
     rotate = epnls.evolution._rotate

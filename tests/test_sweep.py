@@ -38,7 +38,6 @@ from epnls.grid import (
 )
 from epnls.runio import fmt, write_csv
 from epnls.sweep import (
-    SOLVER_REVISION,
     AlgorithmAResult,
     CrossingRecord,
     NoCrossingError,
@@ -393,19 +392,21 @@ def test_warm_nls_rerun_returns_the_cold_crossings_bitwise(tmp_path, monkeypatch
 
 
 def _check_a_mangled_record_is_recomputed_once(tmp_path, monkeypatch, mangle):
-    """The delta = 1 record of a cold NLS sweep, its crossings passed
-    through ``mangle``, is a miss: a rerun recomputes that curve alone,
-    rewrites its record as the cold run wrote it, [tolerance, t_cross]
-    pairs, and returns every curve and crossing bitwise."""
+    """The delta = 1 record of a cold NLS sweep, passed through ``mangle``,
+    is a miss: a rerun recomputes that curve alone, rewrites its record at
+    its path as the cold run wrote it, [tolerance, t_cross] pairs, leaves
+    no other file, and returns every curve and crossing bitwise."""
     cfg = SweepConfig(**FOUR_NLS_CURVES, cache_dir=str(tmp_path))
     cold = run_algorithm_a(cfg)
+    files = sorted(tmp_path.rglob("*"))
     path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
     blob = path.read_bytes()
     record = json.loads(blob)
+    assert record["code"] == epnls.sweep._source_digest()
     assert record["t"][0] == record["rho"][0] == 0.0
     assert len(record["crossings"]) == 3
     assert all(len(entry) == 2 for entry in record["crossings"])
-    path.write_text(json.dumps(dict(record, crossings=mangle(record["crossings"]))))
+    path.write_text(json.dumps(mangle(record)))
     computed, compute = [], epnls.sweep._compute_curves
 
     def counted(c, specs):
@@ -419,21 +420,63 @@ def _check_a_mangled_record_is_recomputed_once(tmp_path, monkeypatch, mangle):
     assert [r.t_cross.hex() for r in again.crossings] == \
         [r.t_cross.hex() for r in cold.crossings]
     assert path.read_bytes() == blob
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_nls_cache_record_lacking_a_needed_tolerance_is_a_miss(tmp_path, monkeypatch):
     # an NLS curve is cached as one record of its t, rho and re-stepped
     # crossings; a record that lacks a tolerance its rho reaches is
     # recomputed, and the cache mended
-    _check_a_mangled_record_is_recomputed_once(tmp_path, monkeypatch,
-                                               lambda crossings: crossings[1:])
+    _check_a_mangled_record_is_recomputed_once(
+        tmp_path, monkeypatch,
+        lambda record: dict(record, crossings=record["crossings"][1:]))
 
 
 def test_a_cache_record_of_crossing_triples_is_recomputed_once(tmp_path, monkeypatch):
     # a record of [tolerance, t_cross, null] triples, the former layout,
     # is a miss, recomputed once and rewritten as pairs
     _check_a_mangled_record_is_recomputed_once(
-        tmp_path, monkeypatch, lambda crossings: [[e, t, None] for e, t in crossings])
+        tmp_path, monkeypatch,
+        lambda record: dict(record, crossings=[[e, t, None] for e, t in record["crossings"]]))
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda record: dict(record, code="0" * 64),
+    lambda record: {k: v for k, v in record.items() if k != "code"},
+], ids=["other-code", "no-code"])
+def test_a_record_other_source_wrote_is_recomputed_once(tmp_path, monkeypatch, mangle):
+    # a record keeps the digest of the package source that computed it: one
+    # another source wrote, or one with no digest (the former layout), is a
+    # miss, recomputed once and rewritten in place, under the same config
+    # hash
+    _check_a_mangled_record_is_recomputed_once(tmp_path, monkeypatch, mangle)
+
+
+def test_an_edit_to_any_module_changes_the_source_digest(tmp_path, monkeypatch):
+    # the digest covers every module of the package, comments included,
+    # not only those that compute curves
+    package = Path(epnls.sweep.__file__).parent
+    real = epnls.sweep._source_digest()
+    copy = tmp_path / "epnls"
+    copy.mkdir()
+    for source in package.glob("*.py"):
+        (copy / source.name).write_bytes(source.read_bytes())
+    monkeypatch.setattr(epnls.sweep, "__file__", str(copy / "sweep.py"))
+    digest = epnls.sweep._source_digest.__wrapped__
+    seen = [digest()]
+    for module in sorted(copy.glob("*.py")):
+        module.write_bytes(module.read_bytes() + b"# an edit\n")
+        seen.append(digest())
+    assert seen[0] == real
+    assert len(set(seen)) == len(seen) == 1 + len(list(package.glob("*.py"))) >= 9
+
+
+def test_a_sweep_without_a_cache_reads_no_source(monkeypatch):
+    def unread():
+        raise AssertionError("the package source was read")
+
+    monkeypatch.setattr(epnls.sweep, "_source_digest", unread)
+    assert len(run_algorithm_a(SweepConfig(**FAST_EP)).crossings) == 3
 
 
 def test_a_sweep_reads_each_crossing_once(tmp_path, monkeypatch):
@@ -759,8 +802,8 @@ def _sweep_bits(result):
     FOUR_CURVES,
     dict(FOUR_CURVES, n=2, N=32, comparator="composite", c1=0.5),
     FOUR_NLS_CURVES,
-    dict(FOUR_NLS_CURVES, T=0.2, dt=8e-3),  # the default clock, once graded
-], ids=["systemB-1d", "composite-2d", "nls", "nls-graded"])
+    dict(FOUR_NLS_CURVES, T=0.2, dt=8e-3),
+], ids=["systemB-1d", "composite-2d", "nls", "nls-default-clock"])
 def test_curve_bits_do_not_depend_on_the_block(monkeypatch, kw):
     # one sample per block, the default blocks, and the whole horizon in
     # one block: the same curves (t, rho) and crossings, bitwise
@@ -1463,19 +1506,6 @@ def test_default_grid_is_converged(kwargs):
         assert a.t_cross == pytest.approx(b.t_cross, rel=1e-10, abs=0.0)
 
 
-def test_default_nls_dt_is_converged():
-    # the re-stepped crossings of the delta = 1 curve at the default clock
-    # (one sixth-order step of 8e-3 per sample) against a 64x finer dt,
-    # which samples 64x as finely too: the step is not what limits the
-    # crossings (measured 1.8e-11 apart)
-    coarse = run_algorithm_a(SweepConfig(model="nls", alpha_set=(0.0,)))
-    fine = run_algorithm_a(SweepConfig(model="nls", alpha_set=(0.0,), dt=1.25e-4))
-    assert len(coarse.crossings) == 6
-    for a, b in zip(coarse.crossings, fine.crossings, strict=True):
-        assert a.epsilon == b.epsilon
-        assert a.t_cross == pytest.approx(b.t_cross, rel=1e-6)
-
-
 def _nls_crossing_errors(kw, fine):
     """The relative distance of each crossing of the NLS sweep kw from the
     same crossing of the sweep ``fine``, and the fine crossing's time."""
@@ -1493,14 +1523,15 @@ def _nls_reference():
     return run_algorithm_a(SweepConfig(model="nls", dt=1.25e-4))
 
 
-def test_default_nls_graded_clock_is_converged():
-    # named for the graded clock the uniform one replaced: the default NLS
-    # clock, 26 samples of dt = 8e-3 on [0, 0.2], against one 64x finer in
-    # samples and step, both re-stepped: every crossing of the default
-    # sweep within 5e-11 (measured 1.8e-11; 2.7x margin).  The
-    # ladder spans two decades of t: seven crossings lie before sample 1,
-    # re-stepped from t = 0, and seven past t = 0.064.  Both sweeps take
-    # ~0.2 s together
+def test_default_nls_clock_is_converged():
+    # the default NLS clock, 26 samples of one sixth-order step of dt =
+    # 8e-3 on [0, 0.2], against one 64x finer in samples and step, both
+    # re-stepped: every crossing of the default sweep within 5e-11
+    # (measured 1.8e-11; 2.7x margin), the six of the alpha = 0 curve
+    # among them (its bits do not depend on the batch).  The ladder spans
+    # two decades of t: seven crossings lie before sample 1, re-stepped
+    # from t = 0, and seven past t = 0.064.  Both sweeps take ~0.2 s
+    # together
     errors = _nls_crossing_errors({}, _nls_reference())
     assert max(e for e, _ in errors) <= 5e-11
     assert sum(t < 8e-3 for _, t in errors) >= 7
@@ -1828,26 +1859,30 @@ def test_nls_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(mon
         dict(T=0.001, dt=1e-6), 1e-11, 0.1, 1)
 
 
-def test_signature_carries_the_solver_revision():
-    assert SOLVER_REVISION == {"ep": 10, "nls": 11}
-    assert "solver=10" in physics_signature(SweepConfig(**FAST_EP))
-    assert "solver=11" in physics_signature(SweepConfig(model="nls"))
-
-
-def test_signature_carries_growth_for_every_clock_and_no_spu():
-    # named for the graded clock's growth, which went with it: the clock is
-    # dt alone, written once, with no growth= and no spu=
+def test_signature_writes_the_clock_as_dt_alone():
+    # the clock is dt alone, written once, with no growth= and no spu=;
+    # the signature names the physics, and no solver revision
     for cfg in (SweepConfig(model="nls"), SweepConfig(model="nls", dt=1e-3),
                 SweepConfig(**FAST_EP)):
         parts = physics_signature(cfg).split(";")
         assert [p for p in parts if p.startswith(("dt=", "growth=", "spu="))] == \
             [f"dt={fmt(cfg.dt)}"]
+        assert not [p for p in parts if p.startswith("solver=")]
 
 
 def _set(key, i, value):
     """A corruption of a cache record: its key[i] set to value."""
     def corrupt(record):
         record[key][i] = value
+        return json.dumps(record)
+    return corrupt
+
+
+def _crossing(t_cross):
+    """A corruption of a cache record: its crossing of 1e-3 set to t_cross."""
+    def corrupt(record):
+        assert record["crossings"][0][0] == 1e-3
+        record["crossings"][0][1] = t_cross
         return json.dumps(record)
     return corrupt
 
@@ -1861,16 +1896,22 @@ def _set(key, i, value):
     lambda record: "",
     lambda record: json.dumps(dict(record, rho=record["rho"][1:])),
     lambda record: json.dumps({k: v for k, v in record.items() if k != "crossings"}),
-    lambda record: json.dumps(dict(record, crossings=[c[:2] for c in record["crossings"]])),
+    lambda record: json.dumps(dict(record, crossings=[c[:1] for c in record["crossings"]])),
     lambda record: json.dumps(dict(record, t=record["t"][0], rho=record["rho"][0])),
+    _crossing(float("nan")),
+    _crossing(-1.0),
+    _crossing(50.0),
 ], ids=["shifted-time", "nan-rho", "inf-rho", "truncated", "garbage-row", "empty", "ragged",
-        "no-crossings-key", "two-field-crossing", "t-not-1d"])
+        "no-crossings-key", "one-field-crossing", "t-not-1d", "nan-crossing",
+        "negative-crossing", "crossing-past-t"])
 def test_invalid_cached_curve_is_recomputed(tmp_path, corrupt):
     cfg = SweepConfig(**FAST_EP, cache_dir=str(tmp_path))
     (cold,) = run_error_curves(cfg)
     path = Path(curve_path(str(tmp_path), cfg, 1.0, cache=True))
     blob = path.read_text()
     path.write_text(corrupt(json.loads(blob)))
+    assert path.read_text() != blob
     (again,) = run_error_curves(cfg)
     assert _bits([again]) == _bits([cold])
+    assert again.crossings == cold.crossings
     assert path.read_text() == blob  # the cache is mended too
