@@ -37,6 +37,7 @@ from .evolution import (
     ModelParams,
     SolverBlowupError,
     StepSpec,
+    _WEIGHTS,
     evolve_ep,
     evolve_linear_b,
     evolve_nls,
@@ -221,6 +222,7 @@ def cmd_sweep(args):
                 for b in result.betas
             ],
             "solver": {"T": cfg.T, "dt": cfg.dt, "samples": sample_count(cfg),
+                       "stages": len(_WEIGHTS[cfg.model, cfg.n]),
                        "comparator": cfg.comparator},
             "curves": [
                 {"delta": curve.delta, "epsilon_comp": curve.epsilon_comp,

@@ -12,18 +12,19 @@ exactly unitary substeps: a pointwise phase rotation of the nonlinear
 field (its modulus is invariant) and the exact per-mode linear flow, for
 EP the 2x2 matrix exponential of H_k = [[|k|^2, gamma], [gamma, omega0]],
 for NLS the free phase.  Mass is conserved to rounding error at any dt.
-Each model composes Strang steps flow(w dt/2), rotation(w dt), flow(w dt/2)
-of its own symmetric weights (_WEIGHTS).  EP takes Yoshida's fourth-order
-triple jump (Yoshida 1990, Phys. Lett. A 150:262) of weights w1, w0, w1,
-w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0: halving dt divides its step error
-by 16.  NLS takes Yoshida's 7-stage sixth-order "solution A" of weights
-w3, w2, w1, w0, w1, w2, w3 (see also McLachlan 1995, SIAM J. Sci. Comput.
-16:151): halving dt divides its step error by 64.  Both substeps are exact
-flows, unitary and reversible, so each symmetric composition reaches its
-stated order and negative weights are harmless.  With the rotation
-outside each Strang step, as Thalhammer 2012 (SIAM J. Numer. Anal.
-50:3231) allows too, the triple jump gave 6.3e-7 and 1.3e-7 on the
-default 1D and 2D EP sweeps at dt = 2e-2, against 5.5e-8 and 1.1e-8.
+Each step composes Strang steps flow(w dt/2), rotation(w dt), flow(w dt/2)
+of symmetric weights that the model and the dimension n choose (_WEIGHTS).
+NLS in every n, and EP in 1D and 3D, take Yoshida's 7-stage sixth-order
+"solution A" (Yoshida 1990, Phys. Lett. A 150:262; see also McLachlan
+1995, SIAM J. Sci. Comput. 16:151) of weights w3, w2, w1, w0, w1, w2, w3:
+halving dt divides its step error by 64.  2D EP takes his fourth-order
+triple jump of weights w1, w0, w1, w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1 < 0:
+halving dt divides its step error by 16.  Both substeps are exact flows,
+unitary and reversible, so each symmetric composition reaches its stated
+order and negative weights are harmless.  With the rotation outside each
+Strang step, as Thalhammer 2012 (SIAM J. Numer. Anal. 50:3231) allows
+too, the triple jump gave 6.3e-7 and 1.3e-7 on the default 1D and 2D EP
+sweeps at dt = 2e-2, against 5.5e-8 and 1.1e-8.
 Every run's clock is dt alone (StepSpec), every sample one composed step
 of dt, and the sweep re-steps its crossings inside their brackets (jump),
 so the step alone limits them; sweep._MODEL_DEFAULTS gives the default
@@ -372,14 +373,19 @@ def _symmetric(*outer):
     return outer[::-1] + (1.0 - 2.0 * sum(outer),) + outer
 
 
-# The rotation weights of each model's composed step, Strang steps of w dt
-# for each w in turn (Yoshida 1990, Phys. Lett. A 150:262): EP's fourth-order
-# triple jump, and NLS's sixth-order 7 stages, Yoshida's "solution A",
-# which reads the default NLS ladder at the fine references' floor on a
-# uniform clock of dt = 8e-3 (sweep._MODEL_DEFAULTS)
+# The rotation weights of the composed step of each model and dimension n,
+# Strang steps of w dt for each w in turn (Yoshida 1990, Phys. Lett. A
+# 150:262): the fourth-order triple jump, or the sixth-order 7 stages of
+# Yoshida's "solution A".  The sixth-order step reads the default NLS ladder
+# at the fine references' floor on dt = 8e-3, and the EP sweeps in 1D and 3D
+# within 1.7e-8 and 2.8e-8 on dt = 0.1 (sweep._MODEL_DEFAULTS).  2D EP keeps
+# the triple jump: its composite sweep, on the same dt = 0.1, took 1.58x
+# the CPU time with the sixth-order step (1.30x at dt = 0.2)
+_TRIPLE_JUMP = _symmetric(1.0 / (2.0 - 2.0 ** (1.0 / 3.0)))
+_SIXTH_ORDER = _symmetric(-1.17767998417887, 0.235573213359357, 0.784513610477560)
 _WEIGHTS = {
-    EP: _symmetric(1.0 / (2.0 - 2.0 ** (1.0 / 3.0))),
-    NLS: _symmetric(-1.17767998417887, 0.235573213359357, 0.784513610477560),
+    (EP, 1): _SIXTH_ORDER, (EP, 2): _TRIPLE_JUMP, (EP, 3): _SIXTH_ORDER,
+    (NLS, 1): _SIXTH_ORDER, (NLS, 2): _SIXTH_ORDER, (NLS, 3): _SIXTH_ORDER,
 }
 
 # Past 2^52 rad one ulp of a rotation angle exceeds 1 rad: its phase is
@@ -409,13 +415,13 @@ def _apply_linear(hats, symbols):
 
 def _flows(model, grid, params, count, dt):
     """The rotation weights of ``count`` chained composed steps of dt
-    (_WEIGHTS[model]) and the linear maps of ``model`` (EP's 2x2
-    exp(-i tau H_k), NLS's free phase) of the half flows around them: one
+    (_WEIGHTS of model and grid.n) and the linear maps of ``model`` (EP's
+    2x2 exp(-i tau H_k), NLS's free phase) of the half flows around them: one
     before each rotation and one after the last, built once per distinct
     weight.  The half flows of neighbouring stages a, b merge into
     0.5 (a + b), which is 0.5 a + 0.5 b exactly.  dt of shape (rows, 1)
     gives one map per batch row."""
-    weights = _WEIGHTS[model] * count
+    weights = _WEIGHTS[model, grid.n] * count
     halves = [0.5 * (a + b) for a, b in zip((0.0,) + weights, weights + (0.0,))]
     if model == EP:
         linear = lambda tau: linear_pair_propagator(grid, params.gamma, params.omega0, tau)
@@ -503,11 +509,11 @@ def model_stream(model, grid, params, step, T, phi_hat, psi_hat=None):
     EP steps the 2x2 flow exp(-i tau H_k) of (phi_hat, psi_hat), the
     exciton spectrum zero if None, and rotates psi; NLS steps the free flow
     and rotates phi.  Each sample interval is one composed step of dt,
-    Strang steps flow(w/2), rotation(w), flow(w/2) of the model's weights
-    (_WEIGHTS, _jump), whose linear maps are built once.  The stream owns
-    phi_hat and psi_hat.  It yields (times[j], spectra): the given spectra
-    at times[0] = 0, then each further one a step of ``step`` on; closing
-    it early yields a prefix.  spectra lists the fields' plain FFTs,
+    Strang steps flow(w/2), rotation(w), flow(w/2) of the weights of the
+    model and the grid's dimension (_WEIGHTS, _jump), whose linear maps
+    are built once.  The stream owns phi_hat and psi_hat.  It yields
+    (times[j], spectra): the given spectra at times[0] = 0, then each
+    further one a step of ``step`` on; closing it early yields a prefix.  spectra lists the fields' plain FFTs,
     photon first, and the list and its arrays change once it resumes.
     Raises SolverBlowupError once a sample is not finite or a rotation
     angle reaches 2^52 rad, with the number of composed steps taken (for
@@ -538,12 +544,14 @@ def model_stream(model, grid, params, step, T, phi_hat, psi_hat=None):
 def evolve_ep(initial, params, step, T, record=FULL):
     """Integrate the full photon-exciton system from t = 0 to T.
 
-    Each step is Yoshida's fourth-order triple jump (model_stream): three
-    Strang steps of w1 dt, w0 dt, w1 dt, each a half exact 2x2 linear step
-    for (phi_hat, psi_hat), the rotation of psi and a half linear step
-    again.  Aborts with SolverBlowupError if any field stops being finite
-    or a rotation angle reaches 2^52 rad.  A record past DEFAULT_MAX_POINTS
-    points is a ValueError before any sample is taken (_check_record).
+    Each step is the composition _WEIGHTS gives the grid's dimension
+    (model_stream): Yoshida's sixth-order 7 stages in 1D and 3D, his
+    fourth-order triple jump in 2D.  Each stage is a Strang step of w dt,
+    a half exact 2x2 linear step for (phi_hat, psi_hat), the rotation of
+    psi and a half linear step again.  Aborts with SolverBlowupError if any
+    field stops being finite or a rotation angle reaches 2^52 rad.  A
+    record past DEFAULT_MAX_POINTS points is a ValueError before any sample
+    is taken (_check_record).
     """
     if initial.time != 0:
         raise ValueError("evolve_ep expects the initial state at time 0")

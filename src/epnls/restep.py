@@ -17,11 +17,13 @@ than t takes shorter ones (_jumps_from_zero).  The sweep
 (sweep._measure_batch) holds each crossing's spectra at both bracket
 ends (_Held: EP's photon and exciton, NLS's photon) and runs the Newton
 iterations of a batch together (_restep_crossings): on the default sweeps
-1.0 evaluations per crossing for EP 1D, 1.167, at most 2, for NLS and
-1.875, at most 2, in 2D.  This is the one reading of every sweep crossing.  Read this way, the
-default EP clocks need 61 % (1D) to a fifth (2D) of the samples that
-interpolating the stored samples needs for the same error, and NLS's
-default crossings lie within 2.4e-11 of a fine reference.
+1.5, at most 2, evaluations per crossing for EP 1D, 1.167, at most 2, for
+NLS and 1.875, at most 2, in 2D.  This is the one reading of every sweep
+crossing.  Read this way, the 21 samples of the default EP 1D clock give
+its crossings within 1.7e-8 of a fine reference, where the log-linear
+reading of stored samples (sweep.find_crossing) is off by 7.5e-4 on those
+samples and by 6.9e-8 on the 2,001 of dt = 1e-3; NLS's default crossings
+lie within 2.4e-11 of a fine reference.
 """
 
 from __future__ import annotations
@@ -166,22 +168,24 @@ def _leading_law(c):
 
 def _jumps_from_zero(order):
     """Composed steps that re-step a bracket from t = 0 on a curve whose
-    rho grows as t^order.  One step of order q (4 for EP's triple jump, 6
-    for NLS's step) has a local error of order h^(q + 1), so its error
-    relative to rho is of order h^(q + 1 - order), and n steps of h/n cut
-    it by n^q.  At order 1 (NLS) that is h^6, the relative accuracy of any
-    re-step, so one step suffices at every h: on the default clock it
-    reads the 28 crossings of a ladder to eps = 1e-5 that lie before
-    sample 1 within 4.1e-12 of a fine uniform clock.  Past order 1 no
-    fixed count matches the step's own accuracy at every h.  At EP's
-    order p + 2 one jump's error is of the order of rho itself: it reads
-    EP crossings there 3.6 % early (p = 3), 8 jumps 9e-6 and 16 about
-    6e-7, the error of the default 1D clock."""
+    rho grows as t^order.  One step of order q (6 for the sixth-order step
+    of NLS and of EP in 1D and 3D, 4 for 2D EP's triple jump) has a local
+    error of order h^(q + 1), so its error relative to rho is of order
+    h^(q + 1 - order), and n steps of h/n cut it by n^q.  At order 1 (NLS)
+    that is h^6, the relative accuracy of any re-step, so one step suffices
+    at every h: on the default clock it reads the 28 crossings of a ladder
+    to eps = 1e-5 that lie before sample 1 within 4.1e-12 of a fine uniform
+    clock.  Past order 1 no fixed count matches the step's own accuracy at
+    every h.  At EP's order p + 2 (p = 3) on a bracket of 0.1 from t = 0,
+    crossings at eps = 1e-9..1e-11 against a dt = 1e-3 clock: one triple
+    jump reads them 3.6 % early, 8 jumps 7.7-9.6e-6 and 16 up to 1.6e-6;
+    one sixth-order step reads them within 3.3e-6, and 8 or 16 within
+    3.9e-7, at the floor of rho's rounding there (about 1e-7)."""
     return 1 if order <= 1 else 16
 
 
 # A re-stepped crossing is accepted once its estimated relative error is
-# at most this, far below the step error of the default EP clocks (4.5e-7
+# at most this, far below the step error of the default EP clocks (1.7e-8
 # in 1D, 1.9e-5 in 2D).  The estimates (_newton) lay at most 1.07x below
 # the error of the step they judged (every step on the default sweeps at
 # seeds 0-2, 3D N = 16, p = 5 and NLS from t = 0, against runs stopped at
@@ -211,8 +215,10 @@ def _newton(eps, left, right, order):
     the step's point is returned without evaluating it.  The slope is the
     model's at the re-stepped state, which differs from the re-step's own
     slope in h by the derivative of its error: zero at t_left and growing
-    as h^4, up to 9e-4 relative at the right end of a default 2D bracket.
-    So Newton contracts linearly there, and the estimate must see it."""
+    as h^q for a step of order q (6 for the sixth-order step, 4 for 2D
+    EP's triple jump), up to 9e-4 relative at the right end of a default
+    2D bracket.  So Newton contracts linearly there, and the estimate must
+    see it."""
     right = _log_end(right, eps)
     b, fb, gb = right
     a, fa, ga = -math.inf, -math.inf, None

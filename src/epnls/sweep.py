@@ -56,19 +56,19 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 
 # per-model solver defaults: EP crossings land at t ~ 0.3-1.5, NLS
 # crossings at t ~ 1e-3 - 1e-1, so NLS needs a much denser clock.  The
-# clock is dt alone, uniform: every sample is one composed step of dt, EP's
-# fourth-order triple jump or NLS's sixth-order step (evolution._WEIGHTS).
-# Crossings are re-stepped inside their brackets (epnls.restep), so the
-# step alone limits them, and EP's clock is per dimension n: dt = 1/30 in
-# 1D and 3D, 0.1 in 2D.  Against re-stepped fine clocks (dt = 1e-3 in 1D,
-# 2e-3 in 2D and 3D) the default sweeps read within 4.5e-7 (1D), 1.9e-5
-# (2D composite) and 2.2e-7 (3D system B, N = 16), each no more than the
-# former clock (dt = 2e-2: 5.5e-7, 3.4e-5 and 3.6e-7).  One dt for every n
-# would be bound by 1D and 3D: 1D breaks that rule past 1/30 (0.04:
-# 1.0e-6), 3D at 0.05 (1.1e-6), while the 2D composite keeps it at 0.1
-# (0.125: 9.2e-5), where its sweep takes half the time it takes at 1/30.
-# 2D system B (N = 64) reads 1.6e-5 at 0.1.  The NLS crossings (beta = 1 -
-# (p-1) alpha) span two decades, t ~ 1.0e-3 to 0.17; on the sixth-order
+# clock is dt alone, uniform: every sample is one composed step of dt, the
+# sixth-order step, or in 2D EP the fourth-order triple jump
+# (evolution._WEIGHTS, which names that exception by n).  Crossings are
+# re-stepped inside their brackets (epnls.restep), so the step alone
+# limits them, and EP takes dt = 0.1 for every n.  Against re-stepped fine
+# clocks (dt = 1e-3 in 1D, 2e-3 in 2D and 3D) the default sweeps read
+# within 1.7e-8 (1D), 1.9e-5 (2D composite) and 2.8e-8 (3D system B,
+# N = 16), each no more than the former clock (the triple jump at 1/30 in
+# 1D and 3D: 4.5e-7 and 2.2e-7; 2D is unchanged).  The 2D composite bounds
+# that one dt: it reads 9.2e-5 at 0.125 and 4.9e-4 at 0.2, where 1D reads
+# 7.6e-8 and 1.0e-6 and 3D 1.1e-7 and 1.2e-6.  2D system B (N = 64) reads
+# 1.6e-5 at 0.1.  The NLS crossings (beta = 1 - (p-1) alpha) span two
+# decades, t ~ 1.0e-3 to 0.17; on the sixth-order
 # step dt = 8e-3, 26 samples to T = 0.2, reads them within 1.8-2.4e-11 of a
 # uniform triple jump at dt = 2e-5 (seeds 0-2 of the benchmark's ladder),
 # whose own floor against dt = 4e-5 and 1e-4 is 1.1-1.6e-11: the former
@@ -78,8 +78,7 @@ COMPARATOR_LINEAR_NLS = "linear-nls"
 # eps = 1e-5 before sample 1 are re-stepped from t = 0 (restep, within
 # 4.1e-12 of a fine clock)
 _MODEL_DEFAULTS = {
-    EP: {"T": 2.0, "dt": {1: 1.0 / 30, 2: 0.1, 3: 1.0 / 30},
-         "comparator": COMPARATOR_SYSTEM_B},
+    EP: {"T": 2.0, "dt": 0.1, "comparator": COMPARATOR_SYSTEM_B},
     NLS: {"T": 0.2, "dt": 8e-3, "comparator": COMPARATOR_LINEAR_NLS},
 }
 
@@ -103,13 +102,14 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # Each crossing a batch holds to re-step adds its spectra at both bracket
 # ends (EP 4.0, NLS 2.0; the right end's go once its slope is known) and,
 # while a round evaluates it, its row of the round: the jump's copies of
-# them, the distinct per-row linear maps of a composed step (2 for EP's
-# triple jump, 4 for NLS's sixth-order step), a rotation's temporaries,
-# the truth-and-difference pair of the norm call and the slope's
-# temporaries (EP's comparator exciton, NLS's transform pair).  Six
-# amplitudes with one crossing each against two measured 14.3-14.5 arrays
-# (EP) and 10.5 (NLS; 8.4-9.0 on the triple jump) per amplitude with its
-# member's, against the 24 and 21 counted.
+# them, the distinct per-row linear maps of a composed step (4 for the
+# sixth-order step, 2 for 2D EP's triple jump; EP's 2x2 map is 3 arrays,
+# NLS's free flow 1), a rotation's temporaries, the truth-and-difference
+# pair of the norm call and the slope's temporaries (EP's comparator
+# exciton, NLS's transform pair).  Six amplitudes with one crossing each
+# against two measured 20.0-20.5 arrays (EP in 1D and 3D; 14.3 in 2D) and
+# 10.5 (NLS; 8.4-9.0 on the triple jump) per amplitude with its member's,
+# against the 24 and 21 counted.
 # One count bounds both models.  A round, and the slopes at the bracket
 # ends, take at most as many rows as the batch has amplitudes, also when
 # they run beside the stream (an early flush).  max_points bounds the sum
@@ -213,8 +213,7 @@ class SweepConfig:
             raise ValueError(f"model must be '{EP}' or '{NLS}', got {self.model!r}")
         for name, value in _MODEL_DEFAULTS[self.model].items():
             if getattr(self, name) is None:
-                per_n = isinstance(value, dict)
-                object.__setattr__(self, name, value.get(self.n) if per_n else value)
+                object.__setattr__(self, name, value)
         if self.s is None:
             object.__setattr__(self, "s", default_sobolev_index(self.n))
         _model_params(self)

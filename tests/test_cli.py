@@ -146,12 +146,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     # one amplitude of 10 arrays of the 33 points N = 64 stores, alone or
     # with 5 further composite tolerances of 6 arrays, and room for one
     # crossing to re-step (14 arrays), and one point per curve for each of
-    # the 61 samples of dt = 1/30 to T = 2
+    # the 21 samples of dt = 0.1 to T = 2
     ("[grid]\nN = 64\nmax_points = 100\n[sweep]\nalphas = 0\n",
-     "needs 853 points, which exceeds the memory cap of 100 points (with 61 samples "
-     "per curve at dt = 0.0333333 to T = 2)"),
+     "needs 813 points, which exceeds the memory cap of 100 points (with 21 samples "
+     "per curve at dt = 0.1 to T = 2)"),
     ("[grid]\nN = 64\nmax_points = 1000\n[sweep]\ncomparator = composite\n",
-     "needs 2148 points, which exceeds the memory cap of 1000 points"),
+     "needs 1908 points, which exceeds the memory cap of 1000 points"),
     # a clock far too fine for the cap is refused by arithmetic, before
     # any sample time is built: 20,001 samples of dt = 1e-5 to T = 0.2
     ("[physics]\nmodel = nls\n[grid]\nN = 16\nmax_points = 190\n[sweep]\nalphas = 0\n"
@@ -271,7 +271,7 @@ def test_simulate_amplitude_extremes_exit_cleanly(tmp_path, capsys, recwarn,
     # A nonlinear rotation angle past 2^52 rad carries no phase: at 1e150
     # it is ~1e295 rad (and inf once |u|^2 overflows), at 1e7 below 1e11.
     # The mass column is inf where the L2 norm passes ~1e154, as documented
-    # T = 0.04 is not a whole number of the default EP step 1/30, so EP
+    # T = 0.04 is not a whole number of the default EP step 0.1, so EP
     # runs take dt = 0.02
     clock = "" if physics == "model = nls" else "dt = 0.02\n"
     cfg = write_cfg(tmp_path, f"[grid]\nN = 64\n[physics]\n{physics}\n"
@@ -395,8 +395,9 @@ def test_summary_records_each_curves_stop_time(tmp_path, capsys):
 @pytest.mark.parametrize("dt, samples", [("auto", 26), ("1e-3", 201)])
 def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, dt, samples):
     # the NLS default clock, dt = 8e-3 to T = 0.2, against a finer one: the
-    # summary's solver block records dt and the clock's samples, and no
-    # sample rate or growth of its own, as the clock is dt alone
+    # summary's solver block records dt, the clock's samples and the
+    # composition's stages, and no sample rate or growth of its own, as the
+    # clock is dt alone
     cfg = write_cfg(tmp_path, f"[physics]\nmodel = nls\n[solver]\ndt = {dt}\n"
                     "[sweep]\nalphas = 0\nepsilons = 1e-2,5e-3,3e-3\n")
     out = tmp_path / "sweep"
@@ -404,7 +405,22 @@ def test_summary_records_the_sample_clock(tmp_path, capsys, monkeypatch, dt, sam
     solver = json.loads((out / "summary.json").read_text())["solver"]
     assert solver["dt"] == (8e-3 if dt == "auto" else float(dt))
     assert solver["samples"] == samples
-    assert sorted(solver) == ["T", "comparator", "dt", "samples"]
+    assert solver["stages"] == 7
+    assert sorted(solver) == ["T", "comparator", "dt", "samples", "stages"]
+
+
+@pytest.mark.parametrize("text, stages", [
+    ("", 7), ("[grid]\nn = 2\nN = 16\n", 3), ("[physics]\nmodel = nls\n", 7),
+], ids=["ep-1d", "ep-2d", "nls"])
+def test_summary_records_the_composition_that_ran(tmp_path, capsys, text, stages):
+    # the composed step depends on the model and n (evolution._WEIGHTS):
+    # the 7-stage sixth-order step, or the triple jump of 2D EP, which
+    # shares its dt = 0.1 with 1D, so dt alone does not name the step
+    cfg = write_cfg(tmp_path, text + "[sweep]\nalphas = 0\nepsilons = 1e-2,3e-3,1e-3\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    solver = json.loads((out / "summary.json").read_text())["solver"]
+    assert solver["stages"] == stages
 
 
 def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):

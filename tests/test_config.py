@@ -21,7 +21,7 @@ def test_empty_document_yields_spec_defaults():
     assert cfg.s == 1.0  # floor(n/2 + 1) for n = 1
     assert cfg.model == "ep"
     assert cfg.comparator == "systemB"
-    assert (cfg.T, cfg.dt) == (2.0, 1.0 / 30)
+    assert (cfg.T, cfg.dt) == (2.0, 0.1)
     assert len(cfg.epsilon_set) == 6
     assert cfg.epsilon_set[0] == pytest.approx(1e-2)
     assert cfg.epsilon_set[-1] == pytest.approx(1e-3)
@@ -128,7 +128,7 @@ def test_config_hash_sensitivity():
 
 
 @pytest.mark.parametrize("doc, pinned", [
-    ("", "0a64cfefa142085b"),
+    ("", "132fc8ee5da333f7"),
     ("[physics]\nmodel = nls\n", "0192c28c95d2e153"),
     ("[physics]\nmodel = nls\n[solver]\ndt = 5e-4\n", "5d72a75bb220bbe2"),
     ("[grid]\nn = 2\nN = 64\n[sweep]\ncomparator = composite\nc1 = 1\n"
@@ -142,7 +142,8 @@ def test_config_hash_is_pinned(doc, pinned):
     # source digest in each cache record, and changes no hash.  A new
     # default alone changes only the default's hash: a config that sets a
     # former NLS default (dt = 5e-4) keeps its hash, and its caches.  Every
-    # hash here changed once when the signature lost its solver revision
+    # hash here changed once when the signature lost its solver revision,
+    # and the ep hash once more when EP's default dt went from 1/30 to 0.1
     assert config_hash(parse_config_text(doc)) == pinned
 
 

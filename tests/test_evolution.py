@@ -41,11 +41,13 @@ from epnls.evolution import (
 )
 
 GRID = make_grid(1, 256, 10.0)
+GRID_2D = make_grid(2, 16, 10.0)
 PARAMS = ModelParams(g=1.0, gamma=1.0, omega0=1.0, p=3.0, s=1.0)
 # a coarse clock for the comparators' sample times: they have no default
 CLOCK = StepSpec(dt=2e-2)
-# the rotation weights of each model's composed step, written out: EP's
-# triple jump, and NLS's sixth-order w3, w2, w1, w0, w1, w2, w3
+# the rotation weights of the composed steps, written out: 2D EP's triple
+# jump, and the sixth-order w3, w2, w1, w0, w1, w2, w3 of NLS and of EP in
+# 1D and 3D
 W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 TRIPLE_JUMP = (W1, 1.0 - 2.0 * W1, W1)
 _OUTER = (0.784513610477560, 0.235573213359357, -1.17767998417887)
@@ -584,23 +586,24 @@ def test_ep_records_norms_transforming_psi_only(fft_calls):
     traj = evolve_ep(gauss_state(), PARAMS, StepSpec(dt=1e-3), 0.1, record="norms")
     assert len(traj.times) == 101
     # the initial spectra of phi and psi, then psi alone, 2 per rotation
-    # (3 per triple-jump step) and none per sample: every sample is
+    # (7 per sixth-order step in 1D) and none per sample: every sample is
     # spectral, and phi_hat never leaves spectral space
-    assert fft_calls == [256] * (2 + 3 * 2 * 100)
+    assert fft_calls == [256] * (2 + 7 * 2 * 100)
 
 
 # ---------------------------------------------------------------- kernel
 # frozen copies of the loops the split-step kernel replaced, each here
 # running unmerged Strang steps flow(h/2), rotation(h), flow(h/2) of its
 # model's weights: the stacked EP loop (both fields through every
-# transform) on Yoshida's triple jump, and the NLS loop on his 7-stage
-# sixth-order "solution A" (Yoshida 1990, Phys. Lett. A 150:262)
+# transform) on Yoshida's 7-stage sixth-order "solution A" in 1D and 3D
+# and on his triple jump in 2D, and the NLS loop on the 7 stages (Yoshida
+# 1990, Phys. Lett. A 150:262)
 
 
 def frozen_ep_samples(fields, params, dt, n_samples, grid, steps=1):
     axes = tuple(range(-grid.n, 0))
     g, p = params.g, params.p
-    jumps = [w * dt for w in TRIPLE_JUMP]
+    jumps = [w * dt for w in (TRIPLE_JUMP if grid.n == 2 else SIXTH_ORDER)]
     halves = [linear_pair_propagator(grid, params.gamma, params.omega0, 0.5 * h)
               for h in jumps]
 
@@ -632,7 +635,7 @@ def frozen_nls_samples(phi_hat, params, dt, n_samples, grid):
 
 @pytest.mark.parametrize("grid", [GRID, make_grid(2, 32, 8.0)], ids=["1d", "2d"])
 def test_ep_kernel_matches_the_stacked_loop(grid):
-    # 200 triple-jump steps, chained ten at a time by jump (count = 10),
+    # 200 composed steps, chained ten at a time by jump (count = 10),
     # which merges the half flows of neighbouring jumps, as a re-step of
     # several jumps does; a batch of two amplitudes
     dt = 1e-3
@@ -730,14 +733,14 @@ def test_model_stream_yields_the_sample_times_it_is_given(model):
 @pytest.mark.parametrize("failure", ["angle", "non-finite"])
 def test_blowup_mid_step_reports_the_steps_taken(monkeypatch, failure):
     # a failure in the middle rotation of composed step j, the one of the
-    # sample interval from times[j - 1], with EP's 3 stages per step and
-    # NLS's 7: an angle reports j and that interval's start, a non-finite
-    # field the j steps taken by the sample it spoils, and that sample's
-    # time
+    # sample interval from times[j - 1], with 7 stages per step (1D) and
+    # the triple jump's 3 (2D EP): an angle reports j and that interval's
+    # start, a non-finite field the j steps taken by the sample it spoils,
+    # and that sample's time
     step = StepSpec(dt=5e-3)
     times = sample_times(0.2, step)
     rotate = epnls.evolution._rotate
-    for model, stages in [(EP, 3), (NLS, 7)]:
+    for model, grid, stages in [(EP, GRID, 7), (EP, GRID_2D, 3), (NLS, GRID, 7)]:
         calls = []
         target = stages * 10 + stages // 2  # the middle rotation of step 11
 
@@ -751,9 +754,9 @@ def test_blowup_mid_step_reports_the_steps_taken(monkeypatch, failure):
             return angle
 
         monkeypatch.setattr(epnls.evolution, "_rotate", failing)
-        phi0_hat = np.fft.fft(gaussian_initial(GRID, 0.5).values)
+        phi0_hat = grid.fft(gaussian_initial(grid, 0.5).values)
         with pytest.raises(SolverBlowupError) as err:
-            for _ in model_stream(model, GRID, PARAMS, step, 0.2, phi0_hat):
+            for _ in model_stream(model, grid, PARAMS, step, 0.2, phi0_hat):
                 pass
         assert err.value.step_index == 11
         assert err.value.time == (times[10] if failure == "angle" else times[11])
@@ -795,10 +798,10 @@ def test_nls_mass_conserved():
 
 
 def test_nls_fourth_order_in_dt(monkeypatch):
-    # the order follows the weights table: with EP's triple jump in place
-    # of its own weights, NLS is fourth order, halving dt dividing the step
-    # error by 2^4, as both substeps are exact flows
-    monkeypatch.setitem(epnls.evolution._WEIGHTS, NLS, epnls.evolution._WEIGHTS[EP])
+    # the order follows the weights table: with the triple jump of its 2D
+    # EP row in place of its own weights, NLS is fourth order, halving dt
+    # dividing the step error by 2^4, as both substeps are exact flows
+    monkeypatch.setitem(epnls.evolution._WEIGHTS, (NLS, 1), epnls.evolution._WEIGHTS[EP, 2])
     phi0 = gaussian_initial(GRID, 1.0)
     T = 0.2
     outs = {}
@@ -822,16 +825,39 @@ def test_nls_sixth_order_in_dt():
     assert 64.0 / 1.5 <= err1 / err2 <= 64.0 * 1.5
 
 
-def test_ep_fourth_order_in_dt():
-    # the triple jump: halving dt divides the step error by 2^4
-    T = 0.2
-    outs = {}
-    for dt in (2e-2, 1e-2, 5e-3):
-        final = evolve_ep(gauss_state(), PARAMS, StepSpec(dt=dt), T).final_state()
-        outs[dt] = np.concatenate([final.phi.values, final.psi.values])
-    err1 = np.max(np.abs(outs[2e-2] - outs[1e-2]))
-    err2 = np.max(np.abs(outs[1e-2] - outs[5e-3]))
-    assert 16.0 / 1.5 <= err1 / err2 <= 16.0 * 1.5
+def _ep_error_ratio(grid, dts, T=0.2):
+    """The step error's ratio between the EP runs of dts[0] and dts[1] and
+    those of dts[1] and dts[2], each dt half the one before: 2^q for a
+    composition of order q."""
+    outs = []
+    for dt in dts:
+        final = evolve_ep(zero_state(gaussian_initial(grid, 1.0)), PARAMS, StepSpec(dt=dt),
+                          T).final_state()
+        outs.append(np.concatenate([final.phi.values.ravel(), final.psi.values.ravel()]))
+    return np.max(np.abs(outs[0] - outs[1])) / np.max(np.abs(outs[1] - outs[2]))
+
+
+def test_ep_fourth_order_in_dt(monkeypatch):
+    # the order follows the weights table: with the triple jump of the 2D
+    # row in place of its own weights, 1D EP is fourth order, halving dt
+    # dividing the step error by 2^4
+    monkeypatch.setitem(epnls.evolution._WEIGHTS, (EP, 1), epnls.evolution._WEIGHTS[EP, 2])
+    assert 16.0 / 1.5 <= _ep_error_ratio(GRID, (2e-2, 1e-2, 5e-3)) <= 16.0 * 1.5
+
+
+def test_ep_sixth_order_in_dt():
+    # the 7-stage step of 1D EP: halving dt divides the step error by 2^6
+    # (measured 63.6).  The clock is 5x coarser than the fourth-order
+    # test's, where the differences would be rounding (1.3e-14 and 9e-15):
+    # here they are 2.0e-10 and 3.1e-12
+    assert 64.0 / 1.5 <= _ep_error_ratio(GRID, (0.1, 0.05, 0.025)) <= 64.0 * 1.5
+
+
+def test_ep_2d_stays_fourth_order_in_dt():
+    # 2D EP keeps the triple jump (_WEIGHTS), whose error halving dt
+    # divides by 2^4 (measured 16.01 on 16^2 modes); the sixth-order step
+    # would divide it by 2^6
+    assert 16.0 / 1.5 <= _ep_error_ratio(GRID_2D, (2e-2, 1e-2, 5e-3)) <= 16.0 * 1.5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

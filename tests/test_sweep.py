@@ -113,9 +113,10 @@ def test_config_validation():
 @pytest.mark.parametrize("dt, samples, rel", [(0.04, 51, 2e-6), (0.08, 26, 5e-5)])
 def test_any_dt_that_divides_t_is_a_sweep_clock(dt, samples, rel):
     # no 1/n rule: a dt that divides T = 2, 1/25 or 2/25, gives samples
-    # dt apart, each one triple jump of dt, and the sweep runs on it; its
-    # crossings lie within rel of the default clock's (dt = 1/30; measured
-    # 5.5e-7 and 1.7e-5)
+    # dt apart, each one composed step of dt, and the sweep runs on it; its
+    # crossings lie within rel of the default clock's (dt = 0.1; measured
+    # 1.7e-8 and 1.3e-8; the bounds were set for the triple jump, which
+    # read 5.5e-7 and 1.7e-5 from its default of 1/30)
     cfg = SweepConfig(model="ep", dt=dt)
     assert sweep_times(cfg).tobytes() == (np.arange(samples) * dt).tobytes()
     result, default = run_algorithm_a(cfg), run_algorithm_a(SweepConfig(model="ep"))
@@ -128,16 +129,15 @@ def test_any_dt_that_divides_t_is_a_sweep_clock(dt, samples, rel):
 def test_config_resolution_defaults():
     # a constructed config is already resolved
     ep = SweepConfig(model="ep")
-    assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 1.0 / 30, "systemB", 1.0)
-    # EP's clock is per dimension: 2D takes a coarser one
+    assert (ep.T, ep.dt, ep.comparator, ep.s) == (2.0, 0.1, "systemB", 1.0)
+    # EP's clock is one dt for every n; only its composition depends on n
     ep_2d, ep_3d = SweepConfig(model="ep", n=2, N=16), SweepConfig(model="ep", n=3, N=16)
-    assert (ep_2d.dt, ep_3d.dt) == (0.1, ep.dt)
+    assert (ep_2d.dt, ep_3d.dt) == (0.1, 0.1)
     nls = SweepConfig(model="nls", n=2, N=32)
     assert (nls.T, nls.dt) == (0.2, 8e-3)
     # each clock is its dt alone, one sample per composed step of dt
     steps = [solver_setup(c)[2] for c in (ep, ep_2d, ep_3d, nls)]
-    assert steps == [StepSpec(dt=1.0 / 30), StepSpec(dt=0.1), StepSpec(dt=1.0 / 30),
-                     StepSpec(dt=8e-3)]
+    assert steps == [StepSpec(dt=0.1)] * 3 + [StepSpec(dt=8e-3)]
     assert nls.comparator == "linear-nls"
     assert nls.s == 2.0
     assert ep.resolved() is ep and ep.to_sweep_config() is ep
@@ -1075,9 +1075,9 @@ def test_max_points_bounds_one_amplitudes_batch():
     # run: one amplitude alone, and delta = 1 serving three composite
     # tolerances, on arrays of the 33 points the N = 64 even subspace stores,
     # each with room to re-step one crossing, and one point per curve for
-    # each of the 31 samples of dt = 1/30 to T = 1
-    member = 33 * (epnls.sweep._ARRAYS_PER_MEMBER["ep"] + epnls.sweep._ARRAYS_PER_CROSSING) + 31
-    extra = 33 * epnls.sweep._ARRAYS_PER_EXTRA_CURVE + 31
+    # each of the 11 samples of dt = 0.1 to T = 1
+    member = 33 * (epnls.sweep._ARRAYS_PER_MEMBER["ep"] + epnls.sweep._ARRAYS_PER_CROSSING) + 11
+    extra = 33 * epnls.sweep._ARRAYS_PER_EXTRA_CURVE + 11
     composite = dict(FAST_EP, comparator="composite", c1=0.5)
     for kw, points in ((FAST_EP, member), (composite, member + 2 * extra)):
         assert SweepConfig(**kw, max_points=points).max_points == points
@@ -1085,9 +1085,9 @@ def test_max_points_bounds_one_amplitudes_batch():
                            f"the memory cap of {points - 1} points"):
             SweepConfig(**kw, max_points=points - 1)
     # 24 arrays of the 65^3 points a 3D N = 128 sweep stores fit the default
-    # cap of 2^24; 24 of the 512^3 full grid do not (and 61 samples)
+    # cap of 2^24; 24 of the 512^3 full grid do not (and 21 samples)
     assert SweepConfig(n=3, N=128).max_points == DEFAULT_MAX_POINTS
-    with pytest.raises(ValueError, match="needs 3221225533 points"):
+    with pytest.raises(ValueError, match="needs 3221225493 points"):
         SweepConfig(n=3, N=512)
 
 
@@ -1147,8 +1147,8 @@ def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
     monkeypatch.setattr(epnls.sweep, "_restep_crossings", spy_restep)
     # N = 64 stores 33 points; delta = 1 re-steps three crossings, two
     # other amplitudes one each, and 1e-2^0.2 stays below 1e-2 up to T.
-    # Each curve counts one point per sample, 31 of dt = 1/30 to T = 1
-    member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"] + 31
+    # Each curve counts one point per sample, 11 of dt = 0.1 to T = 1
+    member = 33 * epnls.sweep._ARRAYS_PER_MEMBER["ep"] + 11
     crossing = 33 * epnls.sweep._ARRAYS_PER_CROSSING
     # room for two amplitudes with four crossings: two batches, each
     # re-stepping all its crossings in one set of rounds at its end ...
@@ -1303,8 +1303,8 @@ def test_max_points_counts_every_curve_of_a_delta(monkeypatch):
     extra = epnls.sweep._ARRAYS_PER_EXTRA_CURVE
     crossing = epnls.sweep._ARRAYS_PER_CROSSING
     # arrays of 33 stored points: two amplitudes, two extra curves and
-    # four crossings, and one point per curve for each of the 31 samples
-    max_points = 33 * (2 * member + 2 * extra + 4 * crossing) + 4 * 31
+    # four crossings, and one point per curve for each of the 11 samples
+    max_points = 33 * (2 * member + 2 * extra + 4 * crossing) + 4 * 11
     split = run_error_curves(SweepConfig(**kw, max_points=max_points))
     # delta = 1 serves three comparator epsilons (member + 2 extra, and
     # one crossing each), so it shares its batch with one more delta only
@@ -1347,7 +1347,7 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     fields, as ``calls`` records them (the sweep grid's transforms, each a
     numpy.fft call on the full grid), and return the first sample of each
     block (and the end)."""
-    if model == "ep":  # a clock of 101 samples, one triple jump each
+    if model == "ep":  # a clock of 101 samples, one sixth-order step each
         cfg = SweepConfig(model="ep", N=N, dt=0.02, alpha_set=(0.0, 0.1),
                           epsilon_set=(1e-2, 3e-3, 1e-3))
     else:  # dt = 5e-4: T / dt + 1 samples, one sixth-order step each
@@ -1371,8 +1371,8 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
         curves = run_error_curves(cfg)
     assert [len(c.times) for c in curves] == lengths
     # one transform of the initial photon fields, then 2 per rotation of
-    # each model's composed step (EP's triple jump 3, NLS's sixth-order step
-    # 7), of the rotated field alone.  Both loops carry the truth's photon spectrum, so rho
+    # the composed step (in 1D both models' sixth-order step of 7 stages),
+    # of the rotated field alone.  Both loops carry the truth's photon spectrum, so rho
     # costs no transform.  A block from sample i holds
     # K = min(_BLOCK_SAMPLES, _BLOCK_POINTS // (m x P)) samples (at least
     # one, fewer at T), m the amplitudes that some curve needs at sample i
@@ -1389,7 +1389,7 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     # The count is exact, not a bound: a bound would pass blocks that step
     # members longer than they must
     points = N if N > epnls.sweep._EVEN_MAX_N else N // 2 + 1
-    per_step = 2 * (3 if model == "ep" else 7)
+    per_step = 2 * 7
     expected, blocks = [4 * points], [0]
     while blocks[-1] < max(lengths):
         i = blocks[-1]
@@ -1452,9 +1452,11 @@ def test_arrays_per_crossing_bounds_the_measured_footprint(model, n, N):
     # (each adds its spectra at both bracket ends, EP's photon and exciton,
     # NLS's photon; the rounds take one row at a time: measured 4.0 and 2.0
     # arrays), and 6 amplitudes with one crossing each against 2 (a round
-    # row each beside the held spectra: measured 14.3-14.5 and 10.5 with
-    # the member's arrays; NLS's sixth-order row holds 4 distinct free-flow
-    # maps, where the triple jump's held 2 and read 8.4-9.0).  The guard's
+    # row each beside the held spectra: measured 20.0-20.5 for EP in 1D and
+    # 3D, 14.3 in 2D and 10.5 for NLS with the member's arrays; a
+    # sixth-order row holds 4 distinct linear maps, 2x2 for EP, where 2D
+    # EP's triple jump holds 2, and NLS on the triple jump read 8.4-9.0;
+    # the count bounds every model: 24 for EP, 21 for NLS).  The guard's
     # count of the whole batch bounds each peak.  NLS runs three samples of
     # its default clock, with crossings before and after sample 1
     clock = dict(T=1.0, dt=0.1) if model == "ep" else {"T": 0.024}
@@ -1580,18 +1582,19 @@ COMPOSITE_2D = dict(model="ep", n=2, N=64, comparator="composite", c1=1.0,
 
 
 @pytest.mark.parametrize("kw, fine, largest", [
-    (dict(model="ep"), 1e-3, 5.5e-7),
+    (dict(model="ep"), 1e-3, 2e-8),
     (COMPOSITE_2D, 2e-3, 3.4e-5),
-    (dict(model="ep", n=3, N=16, alpha_set=(0.0, 0.2)), 2e-3, 3.6e-7),
+    (dict(model="ep", n=3, N=16, alpha_set=(0.0, 0.2)), 2e-3, 3e-8),
 ], ids=["1d", "2d", "3d"])
 def test_default_ep_clock_is_converged(kw, fine, largest):
-    # every crossing of a default EP sweep, re-stepped on its clock (1D and
-    # 3D: dt = 1/30, 2D: 0.1), against the same sweep re-stepped at a fine
-    # dt, within the largest error of the former defaults (dt = 2e-2):
-    # 5.5e-7 in 1D, 3.4e-5 for the 2D composite, 3.6e-7 in 3D system B
-    # (N = 16, all four default alphas).  Measured 4.5e-7,
-    # 1.9e-5 and 2.2e-7; the 3D clock at dt = 0.1 reads 1.9e-5 and at 0.05
-    # 1.1e-6.  About 0.6 s, 0.7 s and 1 s, nearly all in the fine sweep
+    # every crossing of a default EP sweep, re-stepped on its clock of
+    # dt = 0.1 (the sixth-order step in 1D and 3D, the triple jump in 2D),
+    # against the same sweep re-stepped at a fine dt.  1D and 3D system B
+    # (N = 16, alphas 0 and 0.2) are held just above their measured 1.67e-8
+    # and 2.84e-8, so a return to the triple jump fails here: at dt = 1/30
+    # it read 4.5e-7 and 2.2e-7.  The 2D composite is held to the largest
+    # error of its former default (dt = 2e-2), 3.4e-5, and measures 1.9e-5.
+    # About 0.6 s, 0.7 s and 1 s, nearly all in the fine sweep
     default = run_algorithm_a(SweepConfig(**kw))
     reference = run_algorithm_a(SweepConfig(**kw, dt=fine))
     assert not default.failures and len(default.crossings) == len(reference.crossings) >= 8
@@ -1601,14 +1604,14 @@ def test_default_ep_clock_is_converged(kw, fine, largest):
 
 
 def test_finer_dt_buys_its_own_crossing_accuracy(monkeypatch):
-    # every sample is one triple jump of dt, so a re-step never jumps
+    # every sample is one composed step of dt, so a re-step never jumps
     # further than the stream's step: at dt = 1/300 the default 1D EP
-    # sweep reads within 1e-10 of dt = 1/900 (measured 4.4e-11; dt = 1/120
-    # reads 1.7e-9).  Sampled 30 times per unit time, as before the clock
-    # was dt alone, each re-step jumps up to 1/30 and throws the finer
-    # step away: 6.1e-8, one such jump's error
-    # (test_one_jump_of_h_matches_eight_of_h_over_8).  The reference
-    # re-steps by eight jumps of h/8, so it is fine whatever it samples
+    # sweep reads within 1e-10 of dt = 1/900 (measured 6.6e-12, at the
+    # floor of the fine clocks; dt = 1/120 reads 7.5e-12, the default
+    # dt = 0.1 1.7e-8).  Sampled at a coarser interval than its step, each
+    # re-step would jump up to that interval and throw the finer step away.
+    # The reference re-steps by eight jumps of h/8, so it is fine whatever
+    # it samples
     result = run_algorithm_a(SweepConfig(model="ep", dt=1 / 300))
     jump = epnls.restep.jump
     monkeypatch.setattr(epnls.restep, "jump",
@@ -1621,12 +1624,13 @@ def test_finer_dt_buys_its_own_crossing_accuracy(monkeypatch):
         assert a.t_cross == pytest.approx(b.t_cross, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("kw, agree", [(dict(model="ep"), 1e-7), (COMPOSITE_2D, 5e-5)],
+@pytest.mark.parametrize("kw, agree", [(dict(model="ep"), 1e-9), (COMPOSITE_2D, 5e-5)],
                          ids=["1d", "2d"])
 def test_one_jump_of_h_matches_eight_of_h_over_8(monkeypatch, kw, agree):
-    # each Newton evaluation re-steps its bracket by one triple jump of h
+    # each Newton evaluation re-steps its bracket by one composed step of h
     # from the left sample; eight jumps of h/8 move every default crossing
-    # by one jump's local error: measured 6.1e-8 in 1D, and 3.3e-5 in 2D,
+    # by one jump's local error: measured 4.4e-10 in 1D on the sixth-order
+    # step (6.1e-8 on the triple jump at 1/30), and 3.3e-5 in 2D,
     # where a crossing lies 4 to 12 steps of 0.1 from t = 0, so one jump's
     # error is of the order of the stream's (the fine reference above is
     # 1.9e-5 from one jump and 2.8e-5 from eight)
@@ -1743,15 +1747,17 @@ def _evaluations(kw):
 
 
 @pytest.mark.parametrize("kw, mean, most", [
-    (dict(model="ep"), 1.08, 1), (dict(model="nls"), 28 / 24, 2), (COMPOSITE_2D, 2.0, 2),
+    (dict(model="ep"), 36 / 24, 2), (dict(model="nls"), 28 / 24, 2), (COMPOSITE_2D, 2.0, 2),
 ], ids=["ep", "nls", "2d"])
 def test_newton_takes_few_evaluations_per_crossing(kw, mean, most):
     # the default sweeps, seed 0: the exact slope and the Hermite guess
-    # through the bracket ends' values and slopes take 1.0 evaluations per
-    # crossing for EP 1D (the secant took 1.08), 28 for the 24 NLS
-    # crossings (1.167, at most 2: the sixth-order clock's brackets are 8x
-    # those of the former triple jump's, which took 24) and 1.875, at most
-    # 2, for the 2D composite (the secant took 3.25, at most 4)
+    # through the bracket ends' values and slopes take 36 evaluations for
+    # the 24 EP 1D crossings (1.5, at most 2: the sixth-order clock's
+    # brackets of 0.1 are 3x those of the former triple jump's 1/30, which
+    # took 24), 28 for the 24 NLS crossings (1.167, at most 2: the
+    # sixth-order clock's brackets are 8x those of the former triple
+    # jump's, which took 24) and 1.875, at most 2, for the 2D composite
+    # (the secant took 3.25, at most 4)
     each = _evaluations(kw)
     assert sum(each) / len(each) <= mean and max(each) <= most
 
@@ -1771,7 +1777,7 @@ def test_newton_stops_close_to_a_tight_run(monkeypatch, kw, agree):
     # in 2D).  EP's ladder from t = 0 crosses at rho = 1e-9 to 1e-11, a
     # difference of O(1) photon spectra that rounding leaves only to about
     # 1e-6 relative: the tight run wanders within that floor (measured
-    # 8.7e-8 from it), and so does any stop
+    # 1.8e-8 from it), and so does any stop
     result = run_algorithm_a(SweepConfig(**kw))
     monkeypatch.setattr(epnls.restep, "_NEWTON_TOL", 1e-16)
     tight = run_algorithm_a(SweepConfig(**kw))
@@ -1830,14 +1836,14 @@ def _check_crossings_re_stepped_from_t0(monkeypatch, kw, fine, agree, decade, ju
 
 
 def test_ep_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(monkeypatch):
-    # on the default 1D clock sample 1 is t = 1/30, where delta = 1 has rho
-    # ~ 2e-9: tolerances 1e-9 to 1e-11 cross before it.  One jump from
-    # t = 0 reads them 3.6 % early, as rho ~ t^(p+2) grows as fast as the
-    # jump's error, so each evaluation takes 16 jumps.  They lie within
-    # 3e-6 of a fine clock's (dt = 1e-3 at 1,000 samples per unit time;
-    # measured 5.4e-7, 2.3e-7 and 1.4e-6, the last 11 fine steps from t = 0)
-    # and on the leading law: a decade of tolerance moves the crossing by
-    # 10^(-1/5) (measured within 4e-4)
+    # on the default 1D clock sample 1 is t = 0.1, where delta = 1 has rho
+    # ~ 4.9e-7: tolerances 1e-9 to 1e-11 cross before it.  One triple jump
+    # from t = 0 reads them 3.6 % early, as rho ~ t^(p+2) grows as fast as
+    # the jump's error, so each evaluation takes 16 jumps (one sixth-order
+    # step reads them within 3.3e-6).  They lie within 3e-6 of a fine
+    # clock's (dt = 1e-3; measured 2.2e-8, 7.7e-8 and 2.1e-7, at the floor
+    # of rho's rounding there) and on the leading law: a decade of
+    # tolerance moves the crossing by 10^(-1/5) (measured within 4.2e-5)
     _check_crossings_re_stepped_from_t0(
         monkeypatch,
         dict(model="ep", T=0.1, alpha_set=(0.0,), epsilon_set=(1e-9, 1e-10, 1e-11),
