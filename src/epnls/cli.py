@@ -6,8 +6,8 @@ unusable --out or --config path, included); 3 numerical failure, a
 failed verify check or a locked output directory; 4 incomplete sweep
 (some crossings or fits failed; partial outputs are retained).  Results
 land under the configured output directory together with a manifest.json
-inventory.  Environment overrides: EPNLS_OUTDIR for the output
-directory, EPNLS_WORKERS for the sweep worker count.
+inventory.  Environment override: EPNLS_OUTDIR for the output
+directory.
 
 verify prints verify_checks(), the one solver-invariant battery, whose
 values acceptance criteria 6 and 9 assert too.  Tolerances: transform
@@ -84,28 +84,12 @@ def _resolve_outdir(args_out, cfg_outdir):
     return os.environ.get("EPNLS_OUTDIR") or args_out or cfg_outdir
 
 
-def _resolve_workers(flag, cfg_workers):
-    """--workers, else EPNLS_WORKERS, else the config's worker count."""
-    name, raw = "--workers", flag
-    if flag is None:
-        name, raw = "EPNLS_WORKERS", os.environ.get("EPNLS_WORKERS")
-    if raw is None or raw == "":
-        return cfg_workers
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {raw!r}")
-    return workers
-
-
 def _quiet_floating_point(command):
     """Run a solver command under one np.errstate that silences numpy's
     floating-point warnings.  The solver checks its own results (a field
     that stops being finite or a rotation angle past 2^52 rad raises
     SolverBlowupError, a vanishing truth norm ZeroDivisionError), so a
-    blow-up exits 3 with the message that names it alone.  Worker processes forked by a sweep inherit the state."""
+    blow-up exits 3 with the message that names it alone."""
 
     @functools.wraps(command)
     def run(args):
@@ -179,7 +163,6 @@ def cmd_sweep(args):
     cfg = parse_config(args.config)
     config_text = serialize_config(cfg)
     outdir = _resolve_outdir(args.out, cfg.outdir)
-    cfg = replace(cfg, workers=_resolve_workers(args.workers, cfg.workers))
 
     with OutputLock(outdir):
         manifest = ManifestBuilder(outdir, config_hash(cfg), __version__)
@@ -439,7 +422,6 @@ def build_parser():
     sw = sub.add_parser("sweep", help="full crossing-time sweep")
     sw.add_argument("--config", default=None)
     sw.add_argument("--out", default=None)
-    sw.add_argument("--workers", type=int, default=None)
     sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="solver invariant self-test")

@@ -59,7 +59,6 @@ _KEYS = (
     ("sweep", "epsilon_floor", "epsilon_floor", float, fmt, False),
     ("solver", "T", "T", float, fmt, True),
     ("solver", "dt", "dt", float, fmt, True),
-    ("solver", "workers", "workers", int, str, False),
     ("output", "dir", "outdir", str, str, False),
     ("output", "cache_dir", "cache_dir",
      lambda v: v or None, lambda v: v or "", False),

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import jump, log_rho_rate
+from .evolution import _WEIGHTS, jump, log_rho_rate
 from .grid import gaussian_rows, hs_norm_from_fft
 from .theory import beta_predict
 
@@ -116,7 +116,7 @@ def _restepped(c, grid, params, symbols, phi0_hat, initial, held, t):
     t = 0); phi0_hat[initial[i]] is row i's initial photon spectrum."""
     m, t_left = len(held), np.array([h.t_left for h in held])
     stack = None  # made after the first jump, whose maps it would outlive
-    from_zero = _jumps_from_zero(1.0 / _leading_law(c))
+    from_zero = _jumps_from_zero(1.0 / _leading_law(c), len(_WEIGHTS[c.model, grid.n]))
     for count, part in ((1, t_left > 0.0), (from_zero, t_left == 0.0)):
         if part.any():
             spectra = [np.array(rows) for rows in
@@ -166,22 +166,28 @@ def _leading_law(c):
     return beta_predict(0.0, c.p, c.model).beta
 
 
-def _jumps_from_zero(order):
+def _jumps_from_zero(order, stages):
     """Composed steps that re-step a bracket from t = 0 on a curve whose
-    rho grows as t^order.  One step of order q (6 for the sixth-order step
-    of NLS and of EP in 1D and 3D, 4 for 2D EP's triple jump) has a local
-    error of order h^(q + 1), so its error relative to rho is of order
-    h^(q + 1 - order), and n steps of h/n cut it by n^q.  At order 1 (NLS)
-    that is h^6, the relative accuracy of any re-step, so one step suffices
-    at every h: on the default clock it reads the 28 crossings of a ladder
-    to eps = 1e-5 that lie before sample 1 within 4.1e-12 of a fine uniform
-    clock.  Past order 1 no fixed count matches the step's own accuracy at
-    every h.  At EP's order p + 2 (p = 3) on a bracket of 0.1 from t = 0,
-    crossings at eps = 1e-9..1e-11 against a dt = 1e-3 clock: one triple
-    jump reads them 3.6 % early, 8 jumps 7.7-9.6e-6 and 16 up to 1.6e-6;
-    one sixth-order step reads them within 3.3e-6, and 8 or 16 within
-    3.9e-7, at the floor of rho's rounding there (about 1e-7)."""
-    return 1 if order <= 1 else 16
+    rho grows as t^order, for a step of ``stages`` rotations (the length of
+    evolution._WEIGHTS of the model and n).  One step of order q (6 for the
+    7 stages of NLS and of EP in 1D and 3D, 4 for 2D EP's 3-stage triple
+    jump) has a local error of order h^(q + 1), so its error relative to rho
+    is of order h^(q + 1 - order), and n steps of h/n cut it by n^q.  At
+    order 1 (NLS) that is h^6, the relative accuracy of any re-step, so one
+    step suffices at every h: on the default clock it reads the 28 crossings
+    of a ladder to eps = 1e-5 that lie before sample 1 within 4.1e-12 of a
+    fine uniform clock.  Past order 1 no fixed count matches the step's own
+    accuracy at every h, so each step takes the count that cuts its error
+    at least 2^16-fold: 16 triple jumps (16^4), 8 sixth-order steps (8^6).
+    At EP's order p + 2 (p = 3) on a bracket of 0.1 from t = 0, crossings
+    at eps = 1e-9..1e-11 against a dt = 1e-3 clock: one triple jump reads
+    them 3.6 % early, 8 jumps 7.7-9.6e-6 and 16 up to 1.6e-6; one
+    sixth-order step reads them within 3.3e-6, and 8 within 3.9e-7 in 1D
+    and 1.2e-7 in 3D N = 16, at the floor of rho's rounding there (about
+    1e-7; 16 read 2.1e-7 and 8.3e-7)."""
+    if order <= 1:
+        return 1
+    return {3: 16, 7: 8}[stages]
 
 
 # A re-stepped crossing is accepted once its estimated relative error is

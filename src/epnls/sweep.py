@@ -203,7 +203,6 @@ class SweepConfig:
     comparator: str | None = None
     c1: float = 0.0
     epsilon_floor: float = 1e-6
-    workers: int = 1
     cache_dir: str | None = None
     max_points: int = DEFAULT_MAX_POINTS
     outdir: str = "runs"
@@ -244,8 +243,6 @@ class SweepConfig:
             )
         if not 0 <= self.epsilon_floor < np.inf:
             raise ValueError("epsilon_floor must be finite and nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not self.outdir:
             raise ValueError(f"outdir must name a directory, got {self.outdir!r}")
         t1 = self.c1 * np.sqrt(eps[0])
@@ -838,9 +835,7 @@ def run_error_curves(config):
     curve.  The cache serves prefixes: a cached record that reaches that
     sample or runs to T is read back cut to it (_read_cached); the misses
     are computed together and each cached as one record of its t, rho
-    and re-stepped crossings (_write_cached).
-    With config.workers > 1 the misses are dealt to that many processes in
-    interleaved batches."""
+    and re-stepped crossings (_write_cached)."""
     tolerances = _curve_tolerances(config)
     specs = list(tolerances)
     curves = {}
@@ -851,19 +846,7 @@ def run_error_curves(config):
             if curve is not None:
                 curves[spec] = curve
     misses = [spec for spec in specs if spec not in curves]
-    groups = _by_delta(misses)
-    lanes = min(config.workers, len(groups))
-    if lanes > 1:
-        # imported here: the pool's modules cost import time that a
-        # one-process run never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        batches = [[s for g in groups[i::lanes] for s in g] for i in range(lanes)]
-        with ProcessPoolExecutor(max_workers=lanes) as pool:
-            computed = [curve for part in pool.map(_compute_curves, [config] * lanes, batches)
-                        for curve in part]
-    else:
-        computed = _compute_curves(config, misses)
+    computed = _compute_curves(config, misses)
     if config.cache_dir and computed:
         _write_cached(config.cache_dir, config, computed)
     curves.update(((c.delta, c.epsilon_comp), c) for c in computed)

@@ -140,6 +140,8 @@ def test_config_error_exit_code(tmp_path, capsys):
      "unknown key 'samples_per_unit_time' in section [solver]"),
     ("[solver]\nsample_growth = 0.03125\n",
      "unknown key 'sample_growth' in section [solver]"),
+    # every sweep runs in the calling process: no worker count
+    ("[solver]\nworkers = 2\n", "unknown key 'workers' in section [solver]"),
     ("[solver]\nT = 1.005\n", "horizon T = 1.005 is not a positive multiple of the step size"),
     ("[grid]\nn = 4\n", "dimension n must be 1, 2, or 3"),
     ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
@@ -169,9 +171,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[grid]\nL = inf\n", "half-width L must be positive and finite, got inf"),
     ("[physics]\np = inf\n", "p must be finite, got inf"),
     ("[sweep]\nepsilon_floor = nan\n", "epsilon_floor must be finite and nonnegative"),
-], ids=["dt", "negative_dt", "samples_per_unit_time", "sample_growth", "T", "n", "max_points",
-        "max_points_member", "max_points_composite", "max_points_samples", "empty_outdir", "T_inf", "alphas_nan",
-        "alphas_repeat", "gamma_nan", "L_inf", "p_inf", "epsilon_floor_nan"])
+], ids=["dt", "negative_dt", "samples_per_unit_time", "sample_growth", "workers", "T", "n",
+        "max_points", "max_points_member", "max_points_composite", "max_points_samples",
+        "empty_outdir", "T_inf", "alphas_nan", "alphas_repeat", "gamma_nan", "L_inf", "p_inf", "epsilon_floor_nan"])
 def test_bad_solver_clock_or_grid_is_a_config_error(tmp_path, capsys, text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config_text(text)
@@ -529,20 +531,15 @@ def test_composite_sweep_writes_one_curve_file_per_epsilon(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("value", ["two", "1.5", "0"])
-def test_sweep_bad_workers_env_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+def test_sweep_workers_flag_is_a_usage_error(tmp_path, capsys):
+    # every sweep runs in the calling process: --workers is not an option
     cfg = write_cfg(tmp_path, FAST_SWEEP_INI)
-    monkeypatch.setenv("EPNLS_WORKERS", value)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "EPNLS_WORKERS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_sweep_bad_workers_flag_is_a_config_error(tmp_path, capsys, value):
-    cfg = write_cfg(tmp_path, FAST_SWEEP_INI)
-    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", value]
-    assert main(argv) == EXIT_CONFIG
-    assert "--workers" in capsys.readouterr().err
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("c1", ["-1", "100"])

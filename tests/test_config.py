@@ -25,7 +25,7 @@ def test_empty_document_yields_spec_defaults():
     assert len(cfg.epsilon_set) == 6
     assert cfg.epsilon_set[0] == pytest.approx(1e-2)
     assert cfg.epsilon_set[-1] == pytest.approx(1e-3)
-    assert (cfg.outdir, cfg.cache_dir, cfg.workers) == ("runs", None, 1)
+    assert (cfg.outdir, cfg.cache_dir) == ("runs", None)
 
 
 def test_none_path_equals_empty_document():
@@ -170,7 +170,6 @@ epsilon_floor = 1e-7
 [solver]
 T = 1.5
 dt = 0.002
-workers = 2
 [output]
 dir = out
 cache_dir = cache

@@ -1,10 +1,7 @@
 """The public surface: every exported name resolves, and the README's
 library quick start runs as written."""
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import epnls
@@ -27,16 +24,3 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     # one line per fitted alpha, then the meta-fit line
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert list(tmp_path.iterdir()) == []
-
-
-def test_import_loads_no_process_pool():
-    # the sweep imports its process pool only when workers > 1
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    probe = ("import sys, epnls; print(sorted(m for m in sys.modules if m in "
-             "('concurrent.futures.process', 'multiprocessing')))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"

@@ -103,6 +103,9 @@ def test_config_validation():
     # of steps dt (test_any_dt_that_divides_t_is_a_sweep_clock)
     with pytest.raises(TypeError, match="samples_per_unit_time"):
         SweepConfig(samples_per_unit_time=30)
+    # every sweep runs in the calling process: there is no worker count
+    with pytest.raises(TypeError, match="workers"):
+        SweepConfig(workers=2)
     with pytest.raises(ValueError, match=r"^horizon T = 2\.0 is not a positive multiple "
                        r"of the step size \|dt\| = 0\.03$"):
         SweepConfig(dt=0.03)
@@ -151,8 +154,7 @@ def test_delta_for_alpha_zero_degeneracy():
 
 def test_signature_excludes_cosmetic_fields():
     a = SweepConfig(**FAST_EP)
-    b = SweepConfig(**{**FAST_EP, "workers": 4, "cache_dir": "/tmp/x",
-                       "epsilon_floor": 1e-9})
+    b = SweepConfig(**{**FAST_EP, "cache_dir": "/tmp/x", "epsilon_floor": 1e-9})
     assert physics_signature(a) == physics_signature(b)
     assert config_hash(a) == config_hash(b)
     c = SweepConfig(**{**FAST_EP, "p": 5.0})
@@ -542,14 +544,6 @@ def test_repeat_runs_bitwise_identical():
     assert [r.t_cross for r in a.crossings] == [r.t_cross for r in b.crossings]
 
 
-def test_worker_pool_matches_sequential():
-    kw = dict(model="ep", N=64, T=1.0, alpha_set=(0.0, 0.2),
-              epsilon_set=(1e-2, 3e-3, 1e-3))
-    seq = run_algorithm_a(SweepConfig(**kw, workers=1))
-    par = run_algorithm_a(SweepConfig(**kw, workers=3))
-    assert [r.t_cross for r in seq.crossings] == [r.t_cross for r in par.crossings]
-
-
 def test_horizon_too_short_reported_not_fatal():
     # T = 0.2 never lets rho reach 1e-2 at delta = 1 (crossing ~ 0.73),
     # so every record fails but the sweep still returns a result
@@ -768,7 +762,6 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
     tolerances = epnls.sweep._curve_tolerances(cfg)
     single = [epnls.sweep._curve_batch(cfg, [spec], [tolerances[spec]])[0] for spec in specs]
     full = run_error_curves(cfg)
-    pooled = run_error_curves(SweepConfig(**kw, workers=2))
     # half-warm cache: every other curve cached (to T, with the crossings
     # computed alone), the rest computed together
     cached = SweepConfig(**kw, cache_dir=str(tmp_path))
@@ -782,7 +775,7 @@ def test_curve_bits_do_not_depend_on_the_batch(tmp_path, kw, n_curves):
     prefixes = [_stop_prefix(cfg, spec, c) for spec, c in zip(specs, alone)]
     assert any(len(p.times) < len(c.times) for p, c in zip(prefixes, alone))
     assert sum(len(s.crossings) for s in single) >= 4
-    for curves in (full, pooled, half_warm):
+    for curves in (full, half_warm):
         assert _bits(curves) == _bits(prefixes)
         assert [c.crossings for c in curves] == [s.crossings for s in single]
 
@@ -1059,14 +1052,13 @@ def test_max_points_without_room_for_a_block_measures_each_sample(monkeypatch):
     dict(model="nls", N=64, T=0.024, alpha_set=(0.0, 0.2), epsilon_set=(1e-2, 3e-3, 1e-3)),
 ], ids=["systemB", "composite", "nls"])
 def test_curves_carry_their_curve_specs_key(tmp_path, monkeypatch, kw):
-    # computed in one process, in two, and served from the cache: every
-    # curve carries the (delta, epsilon_comp) key curve_specs gives it
+    # computed and served from the cache: every curve carries the
+    # (delta, epsilon_comp) key curve_specs gives it
     specs = curve_specs(SweepConfig(**kw))
     computed = run_error_curves(SweepConfig(**kw, cache_dir=str(tmp_path)))
-    pooled = run_error_curves(SweepConfig(**kw, workers=2))
     _no_batches(monkeypatch)
     cached = run_error_curves(SweepConfig(**kw, cache_dir=str(tmp_path)))
-    for curves in (computed, pooled, cached):
+    for curves in (computed, cached):
         assert [(c.delta, c.epsilon_comp) for c in curves] == specs
 
 
@@ -1837,18 +1829,19 @@ def _check_crossings_re_stepped_from_t0(monkeypatch, kw, fine, agree, decade, ju
 
 def test_ep_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(monkeypatch):
     # on the default 1D clock sample 1 is t = 0.1, where delta = 1 has rho
-    # ~ 4.9e-7: tolerances 1e-9 to 1e-11 cross before it.  One triple jump
-    # from t = 0 reads them 3.6 % early, as rho ~ t^(p+2) grows as fast as
-    # the jump's error, so each evaluation takes 16 jumps (one sixth-order
-    # step reads them within 3.3e-6).  They lie within 3e-6 of a fine
-    # clock's (dt = 1e-3; measured 2.2e-8, 7.7e-8 and 2.1e-7, at the floor
-    # of rho's rounding there) and on the leading law: a decade of
-    # tolerance moves the crossing by 10^(-1/5) (measured within 4.2e-5)
+    # ~ 4.9e-7: tolerances 1e-9 to 1e-11 cross before it.  rho ~ t^(p+2)
+    # grows nearly as fast as the step's error, so one sixth-order step
+    # from t = 0 reads them within 3.3e-6, and each evaluation takes 8
+    # (restep._jumps_from_zero).  They lie within 3e-6 of a fine clock's
+    # (dt = 1e-3; measured 2.3e-8, 7.7e-8 and 3.9e-7, at the floor of rho's
+    # rounding there; 16 steps read 2.2e-8, 7.7e-8 and 2.1e-7) and on the
+    # leading law: a decade of tolerance moves the crossing by 10^(-1/5)
+    # (measured within 4.2e-5)
     _check_crossings_re_stepped_from_t0(
         monkeypatch,
         dict(model="ep", T=0.1, alpha_set=(0.0,), epsilon_set=(1e-9, 1e-10, 1e-11),
              epsilon_floor=1e-12),
-        dict(dt=1e-3), 3e-6, 10 ** (-1 / 5), 16)
+        dict(dt=1e-3), 3e-6, 10 ** (-1 / 5), 8)
 
 
 def test_nls_crossing_before_the_first_positive_sample_is_re_stepped_from_t0(monkeypatch):
