@@ -404,6 +404,7 @@ def cmd_predict(args):
 
 
 def build_parser():
+    """A new parser of the epnls command line; main runs cmd_<command>."""
     parser = argparse.ArgumentParser(
         prog="epnls",
         description="Short-time nonlinear-onset scaling for the "
@@ -417,23 +418,19 @@ def build_parser():
     sim.add_argument("--out", default=None, help="output directory")
     sim.add_argument("--delta", type=float, default=None,
                      help="initial amplitude (default 1)")
-    sim.set_defaults(func=cmd_simulate)
 
     sw = sub.add_parser("sweep", help="full crossing-time sweep")
     sw.add_argument("--config", default=None)
     sw.add_argument("--out", default=None)
-    sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="solver invariant self-test")
     ver.add_argument("--out", default=None)
-    ver.set_defaults(func=cmd_verify)
 
     lem = sub.add_parser("lemma", help="roots and series of eta y^p - y + delta")
     lem.add_argument("--eta", type=float, required=True)
     lem.add_argument("--delta", type=float, required=True)
     lem.add_argument("--p", type=float, default=3.0)
     lem.add_argument("--json", action="store_true")
-    lem.set_defaults(func=cmd_lemma)
 
     pre = sub.add_parser("predict", help="beta(alpha) and bound constants")
     pre.add_argument("--alpha", type=float, action="append", required=True)
@@ -447,15 +444,19 @@ def build_parser():
     pre.add_argument("--C1", type=float, default=1.0)
     pre.add_argument("--C2", type=float, default=1.0)
     pre.add_argument("--json", action="store_true")
-    pre.set_defaults(func=cmd_predict)
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The parser is built once per process; the command
+    is looked up by name when it runs, so a replaced cmd_<name> is the one
+    called."""
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,12 +7,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import locale
 import os
 import re
 import time
 
 
 _FLOAT = "%.17g"
+# atomic_write_text leaves <path>.tmp.<pid> if it is killed
+_TEMP = re.compile(r".+\.tmp\.\d+")
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 def fmt(x):
@@ -21,12 +25,25 @@ def fmt(x):
 
 
 def atomic_write_text(path, text):
-    """Write-then-rename so concurrent readers never see partial files."""
+    """Write-then-rename so concurrent readers never see partial files.
+    The bytes are those open(path, "w") writes (the locale's encoding,
+    newlines as os.linesep), written through one descriptor; the parent
+    directory is made only when the temp file cannot be opened without."""
     path = str(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if os.linesep != "\n":
+        text = text.replace("\n", os.linesep)
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    try:
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
 
 
@@ -73,6 +90,29 @@ class OutputLock:
         return False
 
 
+def _files(top, prefix):
+    """(path, bytes) of every file under top that os.walk(top) lists, its
+    path prefix + the names below top joined by os.sep and its size that
+    of its target, temp files excluded.  As in os.walk, a symlinked
+    directory is neither listed nor entered, and a directory that cannot
+    be listed is skipped."""
+    try:
+        with os.scandir(top) as it:
+            entries = list(it)
+    except OSError:
+        return
+    for entry in entries:
+        try:
+            is_dir = entry.is_dir()
+        except OSError:
+            is_dir = False
+        if not is_dir:
+            if not _TEMP.fullmatch(entry.name):
+                yield prefix + entry.name, entry.stat().st_size
+        elif not entry.is_symlink():
+            yield from _files(entry.path, prefix + entry.name + os.sep)
+
+
 class ManifestBuilder:
     """Collects job statuses and the output-file inventory for a run."""
 
@@ -89,16 +129,9 @@ class ManifestBuilder:
     def write(self):
         """Write manifest.json listing every file under the output directory
         (the manifest itself, the lockfile and temp files excluded)."""
-        inventory = []
-        for root, _dirs, files in os.walk(self.outdir):
-            for name in sorted(files):
-                full = os.path.join(root, name)
-                rel = os.path.relpath(full, self.outdir)
-                # atomic_write_text leaves <path>.tmp.<pid> if it is killed
-                temp = re.fullmatch(r".+\.tmp\.\d+", name)
-                if rel in ("manifest.json", ".lock") or temp:
-                    continue
-                inventory.append({"path": rel, "bytes": os.path.getsize(full)})
+        inventory = [{"path": rel, "bytes": size}
+                     for rel, size in _files(self.outdir, "")
+                     if rel not in ("manifest.json", ".lock")]
         inventory.sort(key=lambda e: e["path"])
         doc = {
             "config_hash": self.config_hash,

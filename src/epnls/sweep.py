@@ -719,7 +719,7 @@ def write_curves(root, config, curves):
     """Write each curve as a t,rho CSV at the curve_path of its (delta,
     epsilon_comp) under root."""
     for curve, path in zip(curves, _curve_paths(root, config, _keys(curves))):
-        write_csv(path, ["t", "rho"], zip(curve.times, curve.rho))
+        write_csv(path, ["t", "rho"], zip(curve.times.tolist(), curve.rho.tolist()))
 
 
 @functools.cache
@@ -763,8 +763,8 @@ def _read_cached(path, spec, times, tolerances):
     t_cross outside its bracket [t[i-1], t[i]] (NaN included), i the first
     sample where rho reaches the tolerance, is a miss."""
     try:
-        with open(path) as fh:
-            record = json.load(fh)
+        with open(path, "rb") as fh:
+            record = json.loads(fh.read())
         code = record["code"]
         t = np.array(record["t"], dtype=float)
         rho = np.array(record["rho"], dtype=float)

@@ -68,6 +68,24 @@ def test_physics_defaults_are_the_model_params_defaults():
         assert getattr(predict, name) == getattr(params, name)
 
 
+def test_main_cached_parser_carries_nothing_between_runs(capsys, monkeypatch):
+    # main builds its parser once per process: each run sees its own
+    # arguments alone, and runs the cmd_<name> the module holds when it runs
+    for alpha in (0.0, 0.1):
+        assert main(["predict", "--alpha", str(alpha), "--json"]) == EXIT_OK
+        assert [row["alpha"] for row in json.loads(capsys.readouterr().out)] == [alpha]
+    calls = []
+
+    def fake(args):
+        calls.append((args.command, args.config, args.out))
+        return EXIT_INCOMPLETE
+
+    monkeypatch.setattr(epnls.cli, "cmd_sweep", fake)
+    assert main(["sweep", "--out", "elsewhere"]) == EXIT_INCOMPLETE
+    assert calls == [("sweep", None, "elsewhere")]
+    assert build_parser() is not build_parser()
+
+
 def test_predict_requires_alpha():
     with pytest.raises(SystemExit) as exc:
         main(["predict"])
@@ -450,6 +468,14 @@ def test_warm_and_cold_sweep_outputs_are_byte_identical(tmp_path, capsys, monkey
     cold, warm = (outputs(out) for out in runs)
     assert len([name for name in cold if name.startswith("curves")]) == 4
     assert warm == cold
+
+    def listed(out):
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        return [(entry["path"], entry["bytes"]) for entry in files]
+
+    # both manifests list every other output file, at its size
+    assert listed(runs[0]) == listed(runs[1]) == sorted(
+        (path, len(data)) for path, data in cold.items())
 
 
 def _is_cache_record(path):
