@@ -254,9 +254,12 @@ def _pair_propagator_of(k_sq, gamma, omega0, t):
     cos_t = turn.real
     denom = np.where(big_omega == 0.0, 1.0, big_omega)
     sinc_t = np.where(big_omega == 0.0, t, -turn.imag / denom)
-    u11 = phase * (cos_t - 1j * d * sinc_t)
-    u12 = phase * (-1j * gamma * sinc_t)
-    u22 = phase * (cos_t + 1j * d * sinc_t)
+    # np.multiply takes phase first at every size: the * operator
+    # multiplies into a temporary of 256 KiB or more in place, with the
+    # operands swapped, and a complex product's bits depend on their order
+    u11 = np.multiply(phase, cos_t - 1j * d * sinc_t)
+    u12 = np.multiply(phase, -1j * gamma * sinc_t)
+    u22 = np.multiply(phase, cos_t + 1j * d * sinc_t)
     return u11, u12, u22
 
 

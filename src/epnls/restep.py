@@ -16,14 +16,18 @@ the stream's step across its bracket; only a bracket from t = 0 on a curve whose
 than t takes shorter ones (_jumps_from_zero).  The sweep
 (sweep._measure_batch) holds each crossing's spectra at both bracket
 ends (_Held: EP's photon and exciton, NLS's photon) and runs the Newton
-iterations of a batch together (_restep_crossings): on the default sweeps
-1.5, at most 2, evaluations per crossing for EP 1D, 1.167, at most 2, for
-NLS and 1.875, at most 2, in 2D.  This is the one reading of every sweep
-crossing.  Read this way, the 21 samples of the default EP 1D clock give
-its crossings within 1.7e-8 of a fine reference, where the log-linear
-reading of stored samples (sweep.find_crossing) is off by 7.5e-4 on those
-samples and by 6.9e-8 on the 2,001 of dt = 1e-3; NLS's default crossings
-lie within 2.4e-11 of a fine reference.
+iterations of a batch together (_restep_crossings): one call takes the
+slopes at every bracket end, and each round evaluates every crossing
+still open, so a flush takes as many rounds as its crossings take
+evaluations.  On the default sweeps that is 1.5, at most 2, evaluations
+per crossing for EP 1D (rounds of 24 and 12 rows), 1.167, at most 2, for
+NLS (24 and 4) and 1.875, at most 2, in 2D (8 and 7).  This is the one
+reading of every sweep crossing.  Read this way, the 21 samples of the
+default EP 1D clock give its crossings within 1.7e-8 of a fine
+reference, where the log-linear reading of stored samples
+(sweep.find_crossing) is off by 7.5e-4 on those samples and by 6.9e-8 on
+the 2,001 of dt = 1e-3; NLS's default crossings lie within 2.4e-11 of a
+fine reference.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ class _Held:
     comparator row comp) in the bracket of samples (t_left, t_right), where
     rho is rho_left < tolerance < rho_right: the spectra of its batch row
     at both ends, one per field the model steps (photon first; those at
-    the right end go once its slope is known)."""
+    the right end go once the call that takes the slopes has copied
+    them)."""
 
     curve: int
     tolerance: float
@@ -58,17 +63,16 @@ class _Held:
     right: list
 
 
-def _restep_crossings(c, grid, params, symbols, held, rows):
+def _restep_crossings(c, grid, params, symbols, held):
     """The times of the held crossings (_Held), each located by re-stepping
-    the integrator inside its bracket.  rho's slope at every bracket end
-    (_rho_and_slope) gives each crossing a safeguarded Newton (_newton),
-    and all of them share one queue of rounds: a round evaluates rho and
-    its slope at the next time t (_restepped) of the first ``rows`` open
-    crossings, as many as the batch stepped amplitudes, so that it holds
-    about what the stream held, and puts those still open at the back.
-    The ends go as many at a time, and the spectra at the right ends go
-    once their slopes are known.  Every operation acts on each row alone,
-    so a crossing's bits depend neither on the batch nor on when it is
+    the integrator inside its bracket.  rho's slope at every bracket end,
+    all in one call (_rho_and_slope), gives each crossing a safeguarded
+    Newton (_newton), and all of them share one set of rounds: a round
+    evaluates rho and its slope at the next time t (_restepped) of every
+    open crossing at once, so a flush takes as many rounds as its crossings
+    take evaluations.  The spectra at the right ends go once the slopes'
+    call has copied them.  Every operation acts on each row alone, so a
+    crossing's bits depend neither on the batch nor on when it is
     located."""
     deltas = list(dict.fromkeys(h.delta for h in held))
     phi0_hat = grid.fft(gaussian_rows(grid, deltas))
@@ -76,21 +80,17 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
     ends = [(n, h.t_left, h.spectra) for n, h in enumerate(held)
             if h.t_left > 0.0 and h.rho_left > 0.0]
     ends += [(n, h.t_right, h.right) for n, h in enumerate(held)]
-    slope = {}
-    for start in range(0, len(ends), rows):
-        part = ends[start : start + rows]
-        stack = np.empty((2 * len(part),) + grid.shape, np.complex128)
-        np.stack([spectra[0] for _, _, spectra in part], out=stack[: len(part)])
-        others = [np.array(f) for f in zip(*(spectra[1:] for _, _, spectra in part))]
-        t = np.array([t for _, t, _ in part])
-        _, slopes = _rho_and_slope(c, grid, params, symbols, phi0_hat,
-                                   [initial[n] for n, _, _ in part],
-                                   [held[n].comp for n, _, _ in part], t, stack, others)
-        slope.update(((n, t), s) for (n, t, _), s in zip(part, slopes.tolist()))
-        del stack, others, part
+    stack = np.empty((2 * len(ends),) + grid.shape, np.complex128)
+    np.stack([spectra[0] for _, _, spectra in ends], out=stack[: len(ends)])
+    others = [np.array(f) for f in zip(*(spectra[1:] for _, _, spectra in ends))]
+    rows, t = [n for n, _, _ in ends], [t for _, t, _ in ends]
     del ends
     for h in held:
-        h.right = None
+        h.right = None  # its copies are in stack and others
+    _, slopes = _rho_and_slope(c, grid, params, symbols, phi0_hat, [initial[n] for n in rows],
+                               [held[n].comp for n in rows], np.array(t), stack, others)
+    del stack, others
+    slope = dict(zip(zip(rows, t), slopes.tolist()))
     order = 1.0 / _leading_law(c)
     newtons = [_newton(h.tolerance, (h.t_left, h.rho_left, slope.get((n, h.t_left))),
                        (h.t_right, h.rho_right, slope[n, h.t_right]), order)
@@ -98,14 +98,15 @@ def _restep_crossings(c, grid, params, symbols, held, rows):
     found = [None] * len(held)
     asks = [(n, next(newton)) for n, newton in enumerate(newtons)]  # open crossings
     while asks:
-        part, asks = asks[:rows], asks[rows:]
-        values = _restepped(c, grid, params, symbols, phi0_hat, [initial[n] for n, _ in part],
-                            [held[n] for n, _ in part], np.array([t for _, t in part]))
-        for (n, _), value in zip(part, zip(*(v.tolist() for v in values))):
+        values = _restepped(c, grid, params, symbols, phi0_hat, [initial[n] for n, _ in asks],
+                            [held[n] for n, _ in asks], np.array([t for _, t in asks]))
+        still_open = []
+        for (n, _), value in zip(asks, zip(*(v.tolist() for v in values))):
             try:
-                asks.append((n, newtons[n].send(value)))
+                still_open.append((n, newtons[n].send(value)))
             except StopIteration as result:
                 found[n] = result.value
+        asks = still_open
     return found
 
 
@@ -113,21 +114,23 @@ def _restepped(c, grid, params, symbols, phi0_hat, initial, held, t):
     """rho of each held crossing at its time t and its slope there
     (_rho_and_slope): one composed step (evolution.jump) of the row's own
     h = t - t_left from its held spectra (_jumps_from_zero of them from
-    t = 0); phi0_hat[initial[i]] is row i's initial photon spectrum."""
+    t = 0), one jump for all rows that take as many steps;
+    phi0_hat[initial[i]] is row i's initial photon spectrum."""
     m, t_left = len(held), np.array([h.t_left for h in held])
+    counts = np.where(t_left > 0.0, 1,
+                      _jumps_from_zero(1.0 / _leading_law(c), len(_WEIGHTS[c.model, grid.n])))
     stack = None  # made after the first jump, whose maps it would outlive
-    from_zero = _jumps_from_zero(1.0 / _leading_law(c), len(_WEIGHTS[c.model, grid.n]))
-    for count, part in ((1, t_left > 0.0), (from_zero, t_left == 0.0)):
-        if part.any():
-            spectra = [np.array(rows) for rows in
-                       zip(*(h.spectra for h, p in zip(held, part) if p))]
-            jump(c.model, grid, params, spectra, t[part] - t_left[part], count)
-            if stack is None:
-                stack = np.empty((2 * m,) + grid.shape, np.complex128)
-                others = [np.empty_like(stack[:m]) for _ in spectra[1:]]
-            for field, a in zip([stack[:m], *others], spectra):
-                field[part] = a
-            del spectra
+    # not np.unique: its first call pages in about 1.4 MiB
+    for count in sorted(set(counts.tolist())):
+        part = counts == count
+        spectra = [np.array(rows) for rows in zip(*(h.spectra for h, p in zip(held, part) if p))]
+        jump(c.model, grid, params, spectra, t[part] - t_left[part], count)
+        if stack is None:
+            stack = np.empty((2 * m,) + grid.shape, np.complex128)
+            others = [np.empty_like(stack[:m]) for _ in spectra[1:]]
+        for field, a in zip([stack[:m], *others], spectra):
+            field[part] = a
+        del spectra
     return _rho_and_slope(c, grid, params, symbols, phi0_hat, initial, [h.comp for h in held],
                           t, stack, others)
 

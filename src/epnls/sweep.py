@@ -100,26 +100,29 @@ DEFAULT_EPSILONS = tuple(np.logspace(-2.0, -3.0, 6))
 # further curve of one delta (the composite's other epsilons) adds its
 # phi_hat(0) copy, stack row, norm temporaries and seed pair (~3.3-3.7).
 # Each crossing a batch holds to re-step adds its spectra at both bracket
-# ends (EP 4.0, NLS 2.0; the right end's go once its slope is known) and,
-# while a round evaluates it, its row of the round: the jump's copies of
-# them, the distinct per-row linear maps of a composed step (4 for the
-# sixth-order step, 2 for 2D EP's triple jump; EP's 2x2 map is 3 arrays,
-# NLS's free flow 1), a rotation's temporaries, the truth-and-difference
-# pair of the norm call and the slope's temporaries (EP's comparator
-# exciton, NLS's transform pair).  Six amplitudes with one crossing each
-# against two measured 20.0-20.5 arrays (EP in 1D and 3D; 14.3 in 2D) and
-# 10.5 (NLS; 8.4-9.0 on the triple jump) per amplitude with its member's,
-# against the 24 and 21 counted.
-# One count bounds both models.  A round, and the slopes at the bracket
-# ends, take at most as many rows as the batch has amplitudes, also when
-# they run beside the stream (an early flush).  max_points bounds the sum
+# ends (EP 4.0, NLS 2.0; the right end's go once the call that takes the
+# slopes at every bracket end of the flush has copied them), its two rows
+# of that call, and its row of each round, which evaluates every crossing
+# still open: the jump's copies of its spectra, the distinct per-row
+# linear maps of a composed step (4 for the sixth-order step, 2 for 2D
+# EP's triple jump; EP's 2x2 map is 3 arrays, NLS's free flow 1), a
+# rotation's temporaries, the truth-and-difference pair of the norm call
+# and the slope's temporaries (EP's comparator exciton, NLS's transform
+# pair).  One amplitude re-stepping 12 crossings against 2 measured 19.5
+# arrays per crossing (EP in 1D and 3D; 13.8 in 2D) and 9.2-9.5 (NLS),
+# and six amplitudes with one crossing each against two 20.0-20.5 (EP in
+# 1D and 3D; 14.4 in 2D) and 9.5-10.5 (NLS) per amplitude with its
+# member's, against the 30 and 27 counted.
+# One count bounds both models.  A flush's rounds and its call at the
+# bracket ends take all the crossings it holds, also when they run beside
+# the stream (an early flush).  max_points bounds the sum
 # of these over a batch (_batch_points), and a block of K > 1 samples the room it leaves
 # (_curve_batch).  Each curve also keeps its rho row and, once it is
 # returned, its own times row: one point (16 bytes) per sample, counted at
 # the most samples the clock can take, T / dt + 1.
 _ARRAYS_PER_MEMBER = {EP: 10, NLS: 7}
 _ARRAYS_PER_EXTRA_CURVE = 6
-_ARRAYS_PER_CROSSING = 14
+_ARRAYS_PER_CROSSING = 20
 
 # A block: _curve_batch measures at most _BLOCK_SAMPLES consecutive samples
 # and _BLOCK_POINTS truth points (batch rows x _grid_points x samples) at
@@ -391,13 +394,19 @@ def _comparator_symbols(c, grid, params, comps):
 
     def per_row(t, rows):
         # each time's own comparator, as above, and its exciton's row
-        b_phi, b_psi = (np.array([seeds[j][i] for j in rows]) for i in (0, 1))
+        # U's entries first, then the seeds' rows: u11 b_phi + u12 b_psi
+        # and u12 b_phi + u22 b_psi, in U's arrays as they free up
         u11, u12, u22 = _pair_propagator_of(k_sq, c.gamma, c.omega0, t)
-        photon, drive = u11 * b_phi + u12 * b_psi, u12 * b_phi + u22 * b_psi
+        b_phi, b_psi = (np.array([seeds[j][i] for j in rows]) for i in (0, 1))
+        photon = u11 * b_phi
+        photon += np.multiply(u12, b_psi, out=u11)
+        drive = np.multiply(u12, b_phi, out=u12)
+        drive += np.multiply(u22, b_psi, out=u22)
+        del u11, u12, u22, b_phi, b_psi
         early = t <= np.array([t1s[j] for j in rows])[:, None]
         if early.any():
-            photon = np.where(early, _free_symbol_of(k_sq, t), photon)
-            drive = np.where(early, 0.0, drive)
+            np.copyto(photon, _free_symbol_of(k_sq, t), where=early)
+            np.copyto(drive, 0.0, where=early)
         return photon, drive
 
     return symbols
@@ -570,7 +579,7 @@ def _measure_batch(c, specs, tolerances, block_samples):
         return norms[truths:split].reshape(k, len(live)) / den, states
 
     def flush():
-        found = _restep_crossings(c, grid, params, symbols, held, len(deltas))
+        found = _restep_crossings(c, grid, params, symbols, held)
         for h, t in zip(held, found):
             crossings[h.curve][h.tolerance] = t
         held.clear()

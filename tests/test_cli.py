@@ -165,18 +165,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("[grid]\nN = 64\nmax_points = 63\n", "exceeds the memory cap"),
     # one amplitude of 10 arrays of the 33 points N = 64 stores, alone or
     # with 5 further composite tolerances of 6 arrays, and room for one
-    # crossing to re-step (14 arrays), and one point per curve for each of
+    # crossing to re-step (20 arrays), and one point per curve for each of
     # the 21 samples of dt = 0.1 to T = 2
     ("[grid]\nN = 64\nmax_points = 100\n[sweep]\nalphas = 0\n",
-     "needs 813 points, which exceeds the memory cap of 100 points (with 21 samples "
+     "needs 1011 points, which exceeds the memory cap of 100 points (with 21 samples "
      "per curve at dt = 0.1 to T = 2)"),
     ("[grid]\nN = 64\nmax_points = 1000\n[sweep]\ncomparator = composite\n",
-     "needs 1908 points, which exceeds the memory cap of 1000 points"),
+     "needs 2106 points, which exceeds the memory cap of 1000 points"),
     # a clock far too fine for the cap is refused by arithmetic, before
     # any sample time is built: 20,001 samples of dt = 1e-5 to T = 0.2
-    ("[physics]\nmodel = nls\n[grid]\nN = 16\nmax_points = 190\n[sweep]\nalphas = 0\n"
+    ("[physics]\nmodel = nls\n[grid]\nN = 16\nmax_points = 244\n[sweep]\nalphas = 0\n"
      "[solver]\ndt = 1e-5\n",
-     "needs 20190 points, which exceeds the memory cap of 190 points (with 20001 "
+     "needs 20244 points, which exceeds the memory cap of 244 points (with 20001 "
      "samples per curve at dt = 1e-05 to T = 0.2)"),
     # an empty dir would write every output into the working directory
     ("[output]\ndir =\n", "outdir must name a directory"),

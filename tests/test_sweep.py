@@ -1076,10 +1076,10 @@ def test_max_points_bounds_one_amplitudes_batch():
         with pytest.raises(ValueError, match=f"needs {points} points, which exceeds "
                            f"the memory cap of {points - 1} points"):
             SweepConfig(**kw, max_points=points - 1)
-    # 24 arrays of the 65^3 points a 3D N = 128 sweep stores fit the default
-    # cap of 2^24; 24 of the 512^3 full grid do not (and 21 samples)
+    # 30 arrays of the 65^3 points a 3D N = 128 sweep stores fit the default
+    # cap of 2^24; 30 of the 512^3 full grid do not (and 21 samples)
     assert SweepConfig(n=3, N=128).max_points == DEFAULT_MAX_POINTS
-    with pytest.raises(ValueError, match="needs 3221225493 points"):
+    with pytest.raises(ValueError, match="needs 4026531861 points"):
         SweepConfig(n=3, N=512)
 
 
@@ -1131,9 +1131,9 @@ def test_tiny_max_points_splits_the_batch_bitwise_identically(monkeypatch):
         sizes.append(len(specs))
         return batch(c, specs, tolerances)
 
-    def spy_restep(c, grid, params, symbols, crossings, rows):
+    def spy_restep(c, grid, params, symbols, crossings):
         held.append(len(crossings))
-        return restep(c, grid, params, symbols, crossings, rows)
+        return restep(c, grid, params, symbols, crossings)
 
     monkeypatch.setattr(epnls.sweep, "_curve_batch", spy)
     monkeypatch.setattr(epnls.sweep, "_restep_crossings", spy_restep)
@@ -1374,10 +1374,10 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
     # only psi).
     # Stepping ends with the last block.  The sweep then re-steps its
     # crossings: one transform of the photon fields of the amplitudes they
-    # lie on, and per Newton round one composed step of m rows per slice of m
-    # open crossings, 2 transforms per substep.  NLS's slope of rho takes a
-    # transform pair per row (evolution.log_rho_rate): at the bracket ends,
-    # as many at a time as the batch has amplitudes, and in each round.
+    # lie on, and per Newton round one composed step of all open
+    # crossings, 2 transforms per substep.  NLS's slope of rho takes a
+    # transform pair per row (evolution.log_rho_rate): at every bracket end
+    # at once (a left end at t = 0 has none), and in each round.
     # The count is exact, not a bound: a bound would pass blocks that step
     # members longer than they must
     points = N if N > epnls.sweep._EVEN_MAX_N else N // 2 + 1
@@ -1390,13 +1390,12 @@ def _fft_call_blocks(calls, model, steps, samples, N=32):
                        samples - i))
         expected += [m * points] * (per_step * (k - (i == 0)))  # sample 0: no step
         blocks.append(i + k)
-    # the first round evaluates all six crossings, at most as many at once
-    # as the batch stepped amplitudes
-    assert sum(len(c.crossings) for c in curves) == 6 and rounds[:2] == [4, 2]
+    # the first round evaluates all six crossings, each later one those
+    # still open
+    assert sum(len(c.crossings) for c in curves) == 6 and rounds == [6]
     expected += [len({c.delta for c in curves if c.crossings}) * points]
     slope = 2 if model == "nls" else 0
-    for start in range(0, 2 * 6, 4):  # both ends of six crossings
-        expected += [min(4, 2 * 6 - start) * points] * slope
+    expected += [2 * 6 * points] * slope  # both ends of six crossings
     for m in rounds:
         expected += [m * points] * (per_step + slope)
     assert calls == expected
@@ -1442,15 +1441,16 @@ def test_arrays_per_member_bounds_the_measured_footprint(model, n, N):
 def test_arrays_per_crossing_bounds_the_measured_footprint(model, n, N):
     # held crossings: one amplitude re-stepping 12 crossings against 2
     # (each adds its spectra at both bracket ends, EP's photon and exciton,
-    # NLS's photon; the rounds take one row at a time: measured 4.0 and 2.0
-    # arrays), and 6 amplitudes with one crossing each against 2 (a round
-    # row each beside the held spectra: measured 20.0-20.5 for EP in 1D and
-    # 3D, 14.3 in 2D and 10.5 for NLS with the member's arrays; a
-    # sixth-order row holds 4 distinct linear maps, 2x2 for EP, where 2D
-    # EP's triple jump holds 2, and NLS on the triple jump read 8.4-9.0;
-    # the count bounds every model: 24 for EP, 21 for NLS).  The guard's
-    # count of the whole batch bounds each peak.  NLS runs three samples of
-    # its default clock, with crossings before and after sample 1
+    # NLS's photon, its rows of the call at the bracket ends and its row
+    # of each round, which takes every open crossing: measured 19.5 arrays
+    # for EP in 1D and 3D, 13.8 in 2D and 9.2-9.5 for NLS), and 6
+    # amplitudes with one crossing each against 2 (measured 20.0-20.5 for
+    # EP in 1D and 3D, 14.4 in 2D and 9.5-10.5 for NLS with the member's
+    # arrays; a sixth-order row holds 4 distinct linear maps, 2x2 for EP,
+    # where 2D EP's triple jump holds 2; the count bounds every model: 30
+    # for EP, 27 for NLS).  The guard's count of the whole batch bounds
+    # each peak.  NLS runs three samples of its default clock, with
+    # crossings before and after sample 1
     clock = dict(T=1.0, dt=0.1) if model == "ep" else {"T": 0.024}
     cfg = SweepConfig(model=model, n=n, N=N, max_points=2**26, **clock)
     points = epnls.sweep._grid_points(cfg)
@@ -1783,19 +1783,70 @@ def test_newton_stops_close_to_a_tight_run(monkeypatch, kw, agree):
 @pytest.mark.parametrize("kw", [dict(model="ep"), dict(model="nls"), COMPOSITE_2D,
                                 NLS_FROM_ZERO], ids=["ep", "nls", "2d", "nls-from-0"])
 def test_a_crossing_is_bitwise_whatever_shares_its_round(monkeypatch, kw, rows):
-    # the rounds, and the slopes at the bracket ends, take as many rows at
-    # once as the batch has amplitudes; one row at a time, or every
-    # crossing of the batch at once, gives every crossing its bits
-    whole = run_error_curves(SweepConfig(**kw))
+    # every round evaluates all open crossings of a flush, and the slopes at
+    # the bracket ends are one call; each held crossing re-stepped alone
+    # (rows = 1), or in rounds of 64 rows that repeat the flush's
+    # crossings, gets the bits of its one-round result.  In 2D, 64 rows of
+    # 526 levels pass the 256 KiB at which numpy's * operator multiplies
+    # into a temporary in place, with its operands swapped
+    restep = epnls.sweep._restep_crossings
+    checked = []
+
+    def restep_again(c, grid, params, symbols, held):
+        copies = [replace(h) for h in held]  # before the right ends' spectra go
+        found = restep(c, grid, params, symbols, held)
+        if rows == 1:
+            again = [restep(c, grid, params, symbols, [h])[0] for h in copies]
+        else:
+            wide = (copies * rows)[: max(rows, len(copies))]
+            again = restep(c, grid, params, symbols, wide)[: len(copies)]
+        assert np.array(again).tobytes() == np.array(found).tobytes()
+        checked.append(len(held))
+        return found
+
+    monkeypatch.setattr(epnls.sweep, "_restep_crossings", restep_again)
+    run_error_curves(SweepConfig(**kw))
+    assert sum(checked) >= 3
+
+
+@pytest.mark.parametrize("kw, ends, rounds", [
+    (FOUR_CURVES, 10, [5, 2]),
+    (dict(COMPOSITE_2D, epsilon_set=(1e-2, 1e-3)), 8, [4, 3]),
+    (dict(NLS_FROM_ZERO, epsilon_set=(1e-2, 3e-4, 3e-6)), 4, [3, 3]),
+], ids=["ep", "2d", "nls-from-0"])
+def test_a_flush_makes_one_end_slope_call_and_one_jump_per_round(monkeypatch, kw, ends,
+                                                                  rounds):
+    # one _rho_and_slope call takes the slopes at every bracket end (none at
+    # a left end of t = 0), then each round is one jump of every open
+    # crossing and one _rho_and_slope call of the same rows.  NLS takes one
+    # composed step from t = 0 as from any sample, so its rows re-stepped
+    # from t = 0 share each jump with its interior ones
+    calls, flushes = [], []
+    jump, rho_and_slope = epnls.restep.jump, epnls.restep._rho_and_slope
     restep = epnls.sweep._restep_crossings
 
-    def in_rounds_of(c, grid, params, symbols, held, _):
-        return restep(c, grid, params, symbols, held, rows)
+    def counted_jump(model, grid, params, spectra, h, count=1):
+        calls.append(("jump", len(h)))
+        return jump(model, grid, params, spectra, h, count)
 
-    monkeypatch.setattr(epnls.sweep, "_restep_crossings", in_rounds_of)
-    again = run_error_curves(SweepConfig(**kw))
-    assert [c.crossings for c in again] == [c.crossings for c in whole]
-    assert sum(len(c.crossings) for c in whole) >= 3
+    def counted_rho_and_slope(c, grid, params, symbols, phi0_hat, initial, comps, t, *rest):
+        calls.append(("slope", len(t)))
+        return rho_and_slope(c, grid, params, symbols, phi0_hat, initial, comps, t, *rest)
+
+    def counted_restep(c, grid, params, symbols, held):
+        calls.clear()
+        starts = {h.t_left > 0.0 for h in held}
+        found = restep(c, grid, params, symbols, held)
+        flushes.append((starts, list(calls)))
+        return found
+
+    monkeypatch.setattr(epnls.restep, "jump", counted_jump)
+    monkeypatch.setattr(epnls.restep, "_rho_and_slope", counted_rho_and_slope)
+    monkeypatch.setattr(epnls.sweep, "_restep_crossings", counted_restep)
+    run_error_curves(SweepConfig(**kw))
+    ((starts, flush),) = flushes
+    assert starts == ({False, True} if kw["model"] == "nls" else {True})
+    assert flush == [("slope", ends)] + [(name, m) for m in rounds for name in ("jump", "slope")]
 
 
 def _check_crossings_re_stepped_from_t0(monkeypatch, kw, fine, agree, decade, jumps):
